@@ -10,9 +10,7 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "caldera/btree_method.h"
-#include "caldera/mc_method.h"
-#include "caldera/scan_method.h"
+#include "caldera/executor.h"
 #include "rfid/workload.h"
 
 using namespace caldera;         // NOLINT
@@ -38,10 +36,11 @@ int main() {
     auto archived = ArchiveStream(root, "bp" + std::to_string(pool),
                                   workload->stream, DiskLayout::kSeparated,
                                   true, false, false, pool);
-    auto result = RunBTreeMethod(archived.get(), fixed);
+    auto result = RunPipeline(archived.get(), fixed, AccessMethodKind::kBTree);
     CALDERA_CHECK_OK(result.status());
     double t = TimeBest([&] {
-      CALDERA_CHECK_OK(RunBTreeMethod(archived.get(), fixed).status());
+      CALDERA_CHECK_OK(RunPipeline(archived.get(), fixed,
+                                   AccessMethodKind::kBTree).status());
     });
     const BufferPoolStats& io = result->stats.stream_io;
     std::printf("%-12zu %10.2f %12llu %11.1f%%\n", pool, t * 1e3,
@@ -59,10 +58,11 @@ int main() {
                                           page_size));
     auto archived = archive.OpenStream("s", 64);
     CALDERA_CHECK_OK(archived.status());
-    auto result = RunScanMethod(archived->get(), fixed);
+    auto result = RunPipeline(archived->get(), fixed, AccessMethodKind::kScan);
     CALDERA_CHECK_OK(result.status());
     double t = TimeBest([&] {
-      CALDERA_CHECK_OK(RunScanMethod(archived->get(), fixed).status());
+      CALDERA_CHECK_OK(RunPipeline(archived->get(), fixed,
+                                   AccessMethodKind::kScan).status());
     });
     std::printf("%-12u %10.2f %14llu\n", page_size, t * 1e3,
                 static_cast<unsigned long long>(
@@ -80,10 +80,12 @@ int main() {
     CALDERA_CHECK_OK(archive.BuildMc("s", {.alpha = alpha}));
     auto archived = archive.OpenStream("s", 128);
     CALDERA_CHECK_OK(archived.status());
-    auto result = RunMcMethod(archived->get(), variable);
+    auto result = RunPipeline(archived->get(), variable,
+                              AccessMethodKind::kMcIndex);
     CALDERA_CHECK_OK(result.status());
     double t = TimeBest([&] {
-      CALDERA_CHECK_OK(RunMcMethod(archived->get(), variable).status());
+      CALDERA_CHECK_OK(RunPipeline(archived->get(), variable,
+                                   AccessMethodKind::kMcIndex).status());
     });
     std::printf("%-8u %10.2f %12.0f %12llu\n", alpha, t * 1e3,
                 (*archived)->mc()->StoredBytes() / 1024.0,
@@ -108,7 +110,7 @@ int main() {
                                   false, false);
     RegularQuery q = w->EnteredRoomFixed();
     double density = MeasuredDensity(w->stream, q);
-    auto result = RunScanMethod(archived.get(), q);
+    auto result = RunPipeline(archived.get(), q, AccessMethodKind::kScan);
     CALDERA_CHECK_OK(result.status());
     double peak = 0;
     for (const TimestepProbability& e : result->signal) {
@@ -116,7 +118,8 @@ int main() {
     }
     if (reference_peak < 0) reference_peak = peak;
     double t = TimeBest([&] {
-      CALDERA_CHECK_OK(RunScanMethod(archived.get(), q).status());
+      CALDERA_CHECK_OK(RunPipeline(archived.get(), q,
+                                   AccessMethodKind::kScan).status());
     });
     std::printf("%-10.0e %10.3f %12.2f %14.4f\n", eps, density, t * 1e3,
                 std::abs(peak - reference_peak));
@@ -130,10 +133,12 @@ int main() {
     auto archived = ArchiveStream(
         root, std::string("mclayout_") + DiskLayoutName(layout),
         workload->stream, layout, true, false, true, 64);
-    auto result = RunMcMethod(archived.get(), variable);
+    auto result = RunPipeline(archived.get(), variable,
+                              AccessMethodKind::kMcIndex);
     CALDERA_CHECK_OK(result.status());
     double t = TimeBest([&] {
-      CALDERA_CHECK_OK(RunMcMethod(archived.get(), variable).status());
+      CALDERA_CHECK_OK(RunPipeline(archived.get(), variable,
+                                   AccessMethodKind::kMcIndex).status());
     });
     std::printf("%-14s %10.2f %14llu\n", DiskLayoutName(layout), t * 1e3,
                 static_cast<unsigned long long>(

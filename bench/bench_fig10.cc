@@ -14,12 +14,8 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "caldera/btree_method.h"
-#include "caldera/mc_method.h"
+#include "caldera/executor.h"
 #include "caldera/planner.h"
-#include "caldera/scan_method.h"
-#include "caldera/semi_independent_method.h"
-#include "caldera/topk_method.h"
 #include "rfid/workload.h"
 
 using namespace caldera;         // NOLINT
@@ -105,20 +101,26 @@ int main() {
       std::printf("EXPLAIN %zu-link variable: %s\n", links,
                   variable_plan->Explain().c_str());
 
-      auto scan_result = RunScanMethod(archived.get(), *fixed);
+      auto scan_result = RunPipeline(archived.get(), *fixed,
+                                     AccessMethodKind::kScan);
       CALDERA_CHECK_OK(scan_result.status());
       next_matches[i] = CountMatches(scan_result->signal);
       scan_ms.v[i] = TimeBest([&] {
-        CALDERA_CHECK_OK(RunScanMethod(archived.get(), *fixed).status());
+        CALDERA_CHECK_OK(RunPipeline(archived.get(), *fixed,
+                                     AccessMethodKind::kScan).status());
       });
       btree_ms.v[i] = TimeBest([&] {
-        CALDERA_CHECK_OK(RunBTreeMethod(archived.get(), *fixed).status());
+        CALDERA_CHECK_OK(RunPipeline(archived.get(), *fixed,
+                                     AccessMethodKind::kBTree).status());
       });
       topk_ms.v[i] = TimeBest([&] {
-        CALDERA_CHECK_OK(RunTopKMethod(archived.get(), *fixed, 1).status());
+        CALDERA_CHECK_OK(RunPipeline(archived.get(), *fixed,
+                                     AccessMethodKind::kTopK,
+                                     {.k = 1}).status());
       });
 
-      auto mc_result = RunMcMethod(archived.get(), *variable);
+      auto mc_result = RunPipeline(archived.get(), *variable,
+                                   AccessMethodKind::kMcIndex);
       CALDERA_CHECK_OK(mc_result.status());
       before_matches[i] = CountMatches(mc_result->signal);
       // Cold: every span is composed from index entries (the span cache is
@@ -126,17 +128,21 @@ int main() {
       // serve spans from the shared cache.
       mc_cold_ms.v[i] = TimeBest([&] {
         archived->span_cache()->Clear();
-        CALDERA_CHECK_OK(RunMcMethod(archived.get(), *variable).status());
+        CALDERA_CHECK_OK(RunPipeline(archived.get(), *variable,
+                                     AccessMethodKind::kMcIndex).status());
       });
-      auto warm_result = RunMcMethod(archived.get(), *variable);
+      auto warm_result = RunPipeline(archived.get(), *variable,
+                                     AccessMethodKind::kMcIndex);
       CALDERA_CHECK_OK(warm_result.status());
       span_hits[i] = warm_result->stats.span_cache_hits;
       mc_ms.v[i] = TimeBest([&] {
-        CALDERA_CHECK_OK(RunMcMethod(archived.get(), *variable).status());
+        CALDERA_CHECK_OK(RunPipeline(archived.get(), *variable,
+                                     AccessMethodKind::kMcIndex).status());
       });
       semi_ms.v[i] = TimeBest([&] {
         CALDERA_CHECK_OK(
-            RunSemiIndependentMethod(archived.get(), *variable).status());
+            RunPipeline(archived.get(), *variable,
+                        AccessMethodKind::kSemiIndependent).status());
       });
     }
 

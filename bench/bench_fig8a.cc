@@ -10,8 +10,7 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "caldera/btree_method.h"
-#include "caldera/scan_method.h"
+#include "caldera/executor.h"
 #include "rfid/workload.h"
 
 using namespace caldera;         // NOLINT
@@ -43,10 +42,12 @@ int main() {
       auto archived = ArchiveStream(root, name, workload->stream, layout,
                                     /*btc=*/true, /*btp=*/false, /*mc=*/false);
       times[slot] = TimeBest([&] {
-        CALDERA_CHECK_OK(RunScanMethod(archived.get(), query).status());
+        CALDERA_CHECK_OK(RunPipeline(archived.get(), query,
+                                     AccessMethodKind::kScan).status());
       });
       times[slot + 2] = TimeBest([&] {
-        CALDERA_CHECK_OK(RunBTreeMethod(archived.get(), query).status());
+        CALDERA_CHECK_OK(RunPipeline(archived.get(), query,
+                                     AccessMethodKind::kBTree).status());
       });
       ++slot;
     }

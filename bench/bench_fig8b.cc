@@ -11,9 +11,7 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "caldera/btree_method.h"
-#include "caldera/scan_method.h"
-#include "caldera/topk_method.h"
+#include "caldera/executor.h"
 #include "rfid/workload.h"
 
 using namespace caldera;         // NOLINT
@@ -43,13 +41,16 @@ int main() {
     CALDERA_CHECK_OK(query.status());
     double density = MeasuredDensity(workload->stream, *query);
     double scan = TimeBest([&] {
-      CALDERA_CHECK_OK(RunScanMethod(archived.get(), *query).status());
+      CALDERA_CHECK_OK(RunPipeline(archived.get(), *query,
+                                   AccessMethodKind::kScan).status());
     });
     double btree = TimeBest([&] {
-      CALDERA_CHECK_OK(RunBTreeMethod(archived.get(), *query).status());
+      CALDERA_CHECK_OK(RunPipeline(archived.get(), *query,
+                                   AccessMethodKind::kBTree).status());
     });
     double topk = TimeBest([&] {
-      CALDERA_CHECK_OK(RunTopKMethod(archived.get(), *query, 1).status());
+      CALDERA_CHECK_OK(RunPipeline(archived.get(), *query,
+                                   AccessMethodKind::kTopK, {.k = 1}).status());
     });
     std::printf("%-26s %9.3f %10.2f %10.2f %10.2f\n",
                 workload->schema.label(0, room).c_str(), density, scan * 1e3,

@@ -10,7 +10,7 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "caldera/btree_method.h"
+#include "caldera/executor.h"
 #include "rfid/workload.h"
 
 using namespace caldera;         // NOLINT
@@ -40,7 +40,8 @@ int main() {
                                     true, false, false);
       RegularQuery query = workload->EnteredRoomFixed();
       times[i++] = TimeBest([&] {
-        CALDERA_CHECK_OK(RunBTreeMethod(archived.get(), query).status());
+        CALDERA_CHECK_OK(RunPipeline(archived.get(), query,
+                                     AccessMethodKind::kBTree).status());
       });
     }
     std::printf("%-10.2f %14.2f %14.2f %14.2f\n", density, times[0] * 1e3,

@@ -10,9 +10,7 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "caldera/mc_method.h"
-#include "caldera/scan_method.h"
-#include "caldera/semi_independent_method.h"
+#include "caldera/executor.h"
 #include "markov/synthetic.h"
 #include "rfid/workload.h"
 
@@ -40,14 +38,17 @@ int main() {
     RegularQuery query = workload->EnteredRoomVariable();
 
     double scan = TimeBest([&] {
-      CALDERA_CHECK_OK(RunScanMethod(archived.get(), query).status());
+      CALDERA_CHECK_OK(RunPipeline(archived.get(), query,
+                                   AccessMethodKind::kScan).status());
     });
     double mc = TimeBest([&] {
-      CALDERA_CHECK_OK(RunMcMethod(archived.get(), query).status());
+      CALDERA_CHECK_OK(RunPipeline(archived.get(), query,
+                                   AccessMethodKind::kMcIndex).status());
     });
     double semi = TimeBest([&] {
       CALDERA_CHECK_OK(
-          RunSemiIndependentMethod(archived.get(), query).status());
+          RunPipeline(archived.get(), query,
+                      AccessMethodKind::kSemiIndependent).status());
     });
     std::printf("%-10.2f %12.2f %12.2f %12.2f %11.1fx %13.1fx\n", density,
                 scan * 1e3, mc * 1e3, semi * 1e3, scan / mc, mc / semi);
@@ -84,11 +85,13 @@ int main() {
     links.push_back(QueryLink{Predicate::Not(target), target});
     RegularQuery query("edge", links);
     double mc = TimeBest([&] {
-      CALDERA_CHECK_OK(RunMcMethod(archived.get(), query).status());
+      CALDERA_CHECK_OK(RunPipeline(archived.get(), query,
+                                   AccessMethodKind::kMcIndex).status());
     });
     double semi = TimeBest([&] {
       CALDERA_CHECK_OK(
-          RunSemiIndependentMethod(archived.get(), query).status());
+          RunPipeline(archived.get(), query,
+                      AccessMethodKind::kSemiIndependent).status());
     });
     std::printf("%-12u %12.2f %12.2f %13.1fx\n", domain, mc * 1e3,
                 semi * 1e3, mc / semi);

@@ -10,9 +10,7 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "caldera/mc_method.h"
-#include "caldera/scan_method.h"
-#include "caldera/semi_independent_method.h"
+#include "caldera/executor.h"
 #include "rfid/workload.h"
 
 using namespace caldera;         // NOLINT
@@ -41,14 +39,17 @@ int main() {
     CALDERA_CHECK_OK(query.status());
     double density = MeasuredDensity(workload->stream, *query);
     double scan = TimeBest([&] {
-      CALDERA_CHECK_OK(RunScanMethod(archived.get(), *query).status());
+      CALDERA_CHECK_OK(RunPipeline(archived.get(), *query,
+                                   AccessMethodKind::kScan).status());
     });
     double mc = TimeBest([&] {
-      CALDERA_CHECK_OK(RunMcMethod(archived.get(), *query).status());
+      CALDERA_CHECK_OK(RunPipeline(archived.get(), *query,
+                                   AccessMethodKind::kMcIndex).status());
     });
     double semi = TimeBest([&] {
       CALDERA_CHECK_OK(
-          RunSemiIndependentMethod(archived.get(), *query).status());
+          RunPipeline(archived.get(), *query,
+                      AccessMethodKind::kSemiIndependent).status());
     });
     std::printf("%-26s %9.3f %10.2f %10.2f %10.2f\n",
                 workload->schema.label(0, room).c_str(), density, scan * 1e3,

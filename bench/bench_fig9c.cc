@@ -12,8 +12,7 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "caldera/mc_method.h"
-#include "caldera/semi_independent_method.h"
+#include "caldera/executor.h"
 #include "rfid/workload.h"
 
 using namespace caldera;         // NOLINT
@@ -52,8 +51,10 @@ int main() {
     RegularQuery query_obj("short-gap", links);
     Result<RegularQuery> query = query_obj;
 
-    auto exact = RunMcMethod(archived.get(), *query);
-    auto approx = RunSemiIndependentMethod(archived.get(), *query);
+    auto exact = RunPipeline(archived.get(), *query,
+                             AccessMethodKind::kMcIndex);
+    auto approx = RunPipeline(archived.get(), *query,
+                              AccessMethodKind::kSemiIndependent);
     CALDERA_CHECK_OK(exact.status());
     CALDERA_CHECK_OK(approx.status());
 
@@ -141,8 +142,9 @@ int main() {
     wl.push_back(QueryLink{std::nullopt, Predicate::Equality(0, 0, "H")});
     wl.push_back(QueryLink{Predicate::Not(c), c});
     RegularQuery wq("worst", wl);
-    auto exact2 = RunMcMethod(archived2.get(), wq);
-    auto approx2 = RunSemiIndependentMethod(archived2.get(), wq);
+    auto exact2 = RunPipeline(archived2.get(), wq, AccessMethodKind::kMcIndex);
+    auto approx2 = RunPipeline(archived2.get(), wq,
+                               AccessMethodKind::kSemiIndependent);
     CALDERA_CHECK_OK(exact2.status());
     CALDERA_CHECK_OK(approx2.status());
     double exact_p = 0, approx_p = 0;

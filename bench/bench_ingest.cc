@@ -11,7 +11,6 @@
 #include <filesystem>
 
 #include "bench_util.h"
-#include "caldera/btree_method.h"
 #include "caldera/system.h"
 #include "ingest/ingestor.h"
 #include "markov/synthetic.h"

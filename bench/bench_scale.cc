@@ -8,7 +8,6 @@
 
 #include "bench_util.h"
 #include "caldera/batch.h"
-#include "common/thread_pool.h"
 #include "rfid/workload.h"
 
 using namespace caldera;         // NOLINT
@@ -63,101 +62,5 @@ int main() {
   }
   std::printf("# expected: one-tag cost flat in the fleet size (per-stream "
               "partitioning); fleet cost ~linear in tags\n");
-
-  // Thread-scaling sweep on the full fleet: the per-stream partitioning
-  // makes the batch embarrassingly parallel, so fleet latency should drop
-  // toward fleet_total / min(threads, cores) while the output stays
-  // byte-identical to the sequential run.
-  std::printf("\n# Thread scaling: fleet of %u tags, BT_C method "
-              "(hardware_concurrency=%zu)\n",
-              archived, ThreadPool::DefaultThreadCount());
-  std::printf("%-10s %16s %12s %16s\n", "threads", "fleet-total-ms",
-              "speedup", "identical-out");
-
-  ExecOptions options;
-  options.method = AccessMethodKind::kBTree;
-  BatchOptions sequential;
-  sequential.exec = options;
-  sequential.num_threads = 1;
-  auto baseline = ExecuteBatch(&system, query, sequential);
-  CALDERA_CHECK_OK(baseline.status());
-  double sequential_ms = 0;
-  for (size_t threads : {1u, 2u, 4u, 8u}) {
-    BatchOptions batch_options;
-    batch_options.exec = options;
-    batch_options.num_threads = threads;
-    auto batch = ExecuteBatch(&system, query, batch_options);
-    CALDERA_CHECK_OK(batch.status());
-    bool identical = IdenticalSignals(*baseline, *batch) &&
-                     batch->TotalRegUpdates() == baseline->TotalRegUpdates();
-    double total = TimeBest([&] {
-      CALDERA_CHECK_OK(ExecuteBatch(&system, query, batch_options).status());
-    });
-    if (threads == 1) sequential_ms = total * 1e3;
-    std::printf("%-10zu %16.2f %11.2fx %16s\n", threads, total * 1e3,
-                sequential_ms / (total * 1e3), identical ? "yes" : "NO");
-  }
-  std::printf("# expected: speedup ~min(threads, cores, tags) with "
-              "identical-out=yes on every row\n");
-
-  // Pipeline prefetch sweep: one long stream, scan and MC methods, with
-  // the background decode stage off and at increasing batch sizes. The
-  // signal must stay byte-identical at every setting (the prefetch knob is
-  // latency-only); results land in BENCH_pipeline.json.
-  SnippetStreamSpec long_spec;
-  long_spec.num_snippets = 600;
-  long_spec.density = 0.2;
-  long_spec.seed = 4242;
-  auto long_workload = MakeSnippetStream(long_spec);
-  CALDERA_CHECK_OK(long_workload.status());
-  CALDERA_CHECK_OK(
-      system.archive()->CreateStream("long", long_workload->stream));
-  CALDERA_CHECK_OK(system.archive()->BuildBtc("long", 0));
-  CALDERA_CHECK_OK(system.archive()->BuildMc("long", {.alpha = 2}));
-  system.InvalidateStreams();
-  RegularQuery long_query = long_workload->EnteredRoomFixed();
-
-  std::printf("\n# Pipeline prefetch: stream of %llu timesteps\n",
-              static_cast<unsigned long long>(long_workload->stream.length()));
-  std::printf("%-10s %-10s %14s %16s\n", "method", "prefetch", "best-ms",
-              "identical-out");
-
-  std::FILE* json = std::fopen("BENCH_pipeline.json", "w");
-  CALDERA_CHECK(json != nullptr);
-  std::fprintf(json, "{\n  \"stream_timesteps\": %llu,\n  \"runs\": [\n",
-               static_cast<unsigned long long>(
-                   long_workload->stream.length()));
-  bool first_row = true;
-  for (AccessMethodKind method :
-       {AccessMethodKind::kScan, AccessMethodKind::kMcIndex}) {
-    ExecOptions exec;
-    exec.method = method;
-    auto reference = system.Execute("long", long_query, exec);
-    CALDERA_CHECK_OK(reference.status());
-    for (size_t batch : {size_t{0}, size_t{8}, size_t{32}, size_t{128}}) {
-      exec.prefetch_batch = batch;
-      auto run = system.Execute("long", long_query, exec);
-      CALDERA_CHECK_OK(run.status());
-      bool identical = run->signal == reference->signal;
-      double best = TimeBest([&] {
-        CALDERA_CHECK_OK(system.Execute("long", long_query, exec).status());
-      });
-      std::printf("%-10s %-10zu %14.3f %16s\n", AccessMethodName(method),
-                  batch, best * 1e3, identical ? "yes" : "NO");
-      std::fprintf(json,
-                   "%s    {\"method\": \"%s\", \"prefetch_batch\": %zu, "
-                   "\"best_ms\": %.4f, \"identical\": %s, \"plan\": \"%s\"}",
-                   first_row ? "" : ",\n", AccessMethodName(method), batch,
-                   best * 1e3, identical ? "true" : "false",
-                   run->stats.plan_summary.c_str());
-      first_row = false;
-    }
-    std::printf("# EXPLAIN %s: %s\n", AccessMethodName(method),
-                reference->stats.plan_summary.c_str());
-  }
-  std::fprintf(json, "\n  ]\n}\n");
-  std::fclose(json);
-  std::printf("# expected: identical-out=yes on every row; wrote "
-              "BENCH_pipeline.json\n");
   return 0;
 }

@@ -56,20 +56,6 @@ inline std::unique_ptr<ArchivedStream> ArchiveStream(
   return std::move(*opened);
 }
 
-/// True when two batch results cover the same streams in the same order
-/// with byte-identical signals — the determinism contract of parallel
-/// ExecuteBatch (TimestepProbability compares exactly, not within eps).
-inline bool IdenticalSignals(const BatchResult& a, const BatchResult& b) {
-  if (a.streams.size() != b.streams.size()) return false;
-  for (size_t i = 0; i < a.streams.size(); ++i) {
-    if (a.streams[i].stream != b.streams[i].stream) return false;
-    if (a.streams[i].result.signal != b.streams[i].result.signal) {
-      return false;
-    }
-  }
-  return true;
-}
-
 /// Measured data density of a query on a stream: fraction of timesteps
 /// carrying support for any cursor predicate (Section 4.1.2).
 inline double MeasuredDensity(const MarkovianStream& stream,

@@ -9,6 +9,7 @@
 //       runs a written-syntax Regular query; M in
 //       {auto,scan,btree,topk,mc,semi}.
 
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -36,6 +37,14 @@ int Usage() {
                "       caldera_cli <archive-dir> query <stream> 'Q(...)'"
                " [--method=auto|scan|btree|topk|mc|semi] [--k=N]\n");
   return 2;
+}
+
+// Parses a non-negative decimal count. False on anything else: empty,
+// signed ("-1", "+1"), trailing junk ("3x") or out of range.
+bool ParseCount(const char* text, size_t* out) {
+  const char* end = text + std::strlen(text);
+  auto [ptr, ec] = std::from_chars(text, end, *out);
+  return ec == std::errc() && ptr == end;
 }
 
 int RunDemo(Caldera& system) {
@@ -187,8 +196,9 @@ int main(int argc, char** argv) {
     size_t k = 0;
     for (int i = 5; i < argc; ++i) {
       if (std::strncmp(argv[i], "--method=", 9) == 0) method = argv[i] + 9;
-      else if (std::strncmp(argv[i], "--k=", 4) == 0) k = std::stoul(argv[i] + 4);
-      else return Usage();
+      else if (std::strncmp(argv[i], "--k=", 4) == 0) {
+        if (!ParseCount(argv[i] + 4, &k)) return Usage();
+      } else return Usage();
     }
     return RunQuery(system, argv[3], argv[4], method, k);
   }

@@ -52,8 +52,8 @@ struct ExecStats {
   double kernel_seconds = 0.0;     ///< Wall seconds in propagate/compose kernels.
   double elapsed_seconds = 0.0;    ///< Wall-clock execution time.
   /// EXPLAIN line for this execution: chosen method, producer cursor, gap
-  /// policy, prefetch setting, and (through the facade) the planner's
-  /// density estimate and decision reason.
+  /// policy, and (through the facade) the planner's density estimate and
+  /// decision reason.
   std::string plan_summary;
 
   /// Field-wise accumulation, used to roll up per-stream stats into batch

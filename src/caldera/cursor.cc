@@ -4,8 +4,6 @@
 #include <utility>
 #include <vector>
 
-#include "caldera/intersection.h"
-
 namespace caldera {
 
 const char* GapPolicyName(GapPolicy policy) {
@@ -22,6 +20,23 @@ const char* GapPolicyName(GapPolicy policy) {
       return "scan-through";
   }
   return "unknown";
+}
+
+Result<PredicateCursor> MakePredicateCursor(ArchivedStream* archived,
+                                            const Predicate& pred) {
+  const Predicate* base = pred.is_negation() ? &pred.base() : &pred;
+  if (!base->indexable()) {
+    return Status::FailedPrecondition("predicate '" + pred.name() +
+                                      "' is not indexable");
+  }
+  BTree* tree = archived->btc(base->attribute());
+  if (tree == nullptr) {
+    return Status::FailedPrecondition(
+        "no BT_C index on attribute " + std::to_string(base->attribute()) +
+        " of stream " + archived->dir());
+  }
+  return PredicateCursor::Create(
+      tree, base->MatchedAttributeValues(archived->schema()));
 }
 
 Result<CursorPlan> MakeFullScanPlan(ArchivedStream* archived,

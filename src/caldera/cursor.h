@@ -22,9 +22,7 @@ enum class GapPolicy : uint8_t {
   /// Exact spanning update through the MC index's composed CPT
   /// (Algorithm 4).
   kExactSpan,
-  /// Independence approximation from the marginal at t (Algorithm 5),
-  /// opportunistically upgraded to an exact spanning update when the shared
-  /// span cache already holds the span and the caller opted in.
+  /// Independence approximation from the marginal at t (Algorithm 5).
   kIndependent,
   /// Exact without an MC index: read and apply every interior transition
   /// p+1 .. t, emitting each processed timestep (a scan restricted to the
@@ -33,6 +31,12 @@ enum class GapPolicy : uint8_t {
 };
 
 const char* GapPolicyName(GapPolicy policy);
+
+/// Opens a chronological cursor over the timesteps relevant to `pred` (its
+/// positive base for negations) using the stream's BT_C index on the
+/// predicate's attribute. FailedPrecondition when that index is missing.
+Result<PredicateCursor> MakePredicateCursor(ArchivedStream* archived,
+                                            const Predicate& pred);
 
 /// The producer half of an execution plan: a relevant-timestep cursor plus
 /// the gap policy the executor applies between its items.

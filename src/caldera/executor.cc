@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "reg/reg_operator.h"
 
 namespace caldera {
@@ -36,30 +35,24 @@ struct Snippet {
 };
 
 // Producer stage: pulls cursor items and decodes them under the plan's gap
-// policy. Owns the previous-timestep state, so it must be driven from one
-// thread at a time (the prefetch path hands it to the background worker
-// between Wait() calls).
+// policy. Owns the previous-timestep state.
 class SnippetDecoder {
  public:
   SnippetDecoder(RelevantTimestepCursor* cursor, GapPolicy policy,
                  StoredStream* stream, McIndex* mc)
       : cursor_(cursor), policy_(policy), stream_(stream), mc_(mc) {}
 
-  // Decodes up to `max_items` cursor items into `batch` (cleared first; one
-  // item may decode to several snippets under scan-through). Returns false
-  // once the cursor is exhausted. On error the batch contents are
-  // meaningless and the whole execution aborts, matching the monolithic
-  // methods (which interleaved reads and updates and bailed on the first
-  // failed read).
-  Result<bool> FillBatch(std::vector<Snippet>* batch, size_t max_items) {
+  // Decodes the next cursor item into `batch` (cleared first; one item may
+  // decode to several snippets under scan-through). Returns false once the
+  // cursor is exhausted. On error the whole execution aborts, matching the
+  // monolithic methods (which interleaved reads and updates and bailed on
+  // the first failed read).
+  Result<bool> DecodeNext(std::vector<Snippet>* batch) {
     batch->clear();
-    for (size_t i = 0; i < max_items; ++i) {
-      CALDERA_ASSIGN_OR_RETURN(std::optional<CursorItem> item,
-                               cursor_->Next());
-      if (!item.has_value()) return false;
-      ++items_;
-      CALDERA_RETURN_IF_ERROR(Decode(*item, batch));
-    }
+    CALDERA_ASSIGN_OR_RETURN(std::optional<CursorItem> item, cursor_->Next());
+    if (!item.has_value()) return false;
+    ++items_;
+    CALDERA_RETURN_IF_ERROR(Decode(*item, batch));
     return true;
   }
 
@@ -110,23 +103,10 @@ class SnippetDecoder {
                                  mc_->GetSpanCpt(item.time - gap, item.time));
         break;
       }
-      case GapPolicy::kIndependent: {
-        // Opportunistic exactness: another query may already have composed
-        // this span, making the exact update as cheap as the approximation.
-        std::shared_ptr<const Cpt> span =
-            mc_ != nullptr ? mc_->TryCachedSpan(item.time - gap, item.time)
-                           : nullptr;
-        if (span != nullptr) {
-          s.kind = Snippet::Kind::kSpanning;
-          s.gap = gap;
-          s.span = std::move(span);
-        } else {
-          s.kind = Snippet::Kind::kIndependent;
-          CALDERA_RETURN_IF_ERROR(
-              stream_->ReadMarginal(item.time, &s.marginal));
-        }
+      case GapPolicy::kIndependent:
+        s.kind = Snippet::Kind::kIndependent;
+        CALDERA_RETURN_IF_ERROR(stream_->ReadMarginal(item.time, &s.marginal));
         break;
-      }
       case GapPolicy::kScanThrough: {
         // Exact without an MC index: apply every interior transition. The
         // interior timesteps are processed exactly, so they emit too.
@@ -162,8 +142,7 @@ class SnippetDecoder {
 Result<QueryResult> RunCursorPipeline(ArchivedStream* archived,
                                       const RegularQuery& query,
                                       const PlanFactory& factory,
-                                      AccessMethodKind label,
-                                      const PipelineOptions& options) {
+                                      AccessMethodKind label) {
   CALDERA_RETURN_IF_ERROR(query.ValidateAgainst(archived->schema()));
   auto start_clock = std::chrono::steady_clock::now();
   archived->ResetStats();
@@ -179,12 +158,8 @@ Result<QueryResult> RunCursorPipeline(ArchivedStream* archived,
   }
 
   StoredStream* stream = archived->stream();
-  McIndex* mc = nullptr;
-  if (plan.gap_policy == GapPolicy::kExactSpan ||
-      (plan.gap_policy == GapPolicy::kIndependent &&
-       options.use_cached_spans)) {
-    mc = archived->mc();
-  }
+  McIndex* mc =
+      plan.gap_policy == GapPolicy::kExactSpan ? archived->mc() : nullptr;
 
   RelevantTimestepCursor* cursor = plan.cursor.get();
   RegOperator reg(query, archived->schema());
@@ -193,8 +168,7 @@ Result<QueryResult> RunCursorPipeline(ArchivedStream* archived,
   uint64_t segments = 0;  // Initialize calls == processing segments.
 
   // Consumer stage: feeds one decoded snippet to Reg. Touches only the
-  // snippet payload and the cursor's feedback hook — never storage — so it
-  // can safely overlap with the producer decoding the next batch.
+  // snippet payload and the cursor's feedback hook, never storage.
   auto consume = [&](Snippet& s) {
     double p = 0.0;
     switch (s.kind) {
@@ -222,54 +196,14 @@ Result<QueryResult> RunCursorPipeline(ArchivedStream* archived,
     if (s.observe) cursor->Observe(s.time, p);
   };
 
+  // Decode one item, consume it, repeat: the exact read/update
+  // interleaving of the monolithic methods.
   SnippetDecoder decoder(cursor, plan.gap_policy, stream, mc);
-  const size_t prefetch =
-      cursor->prefetch_safe() ? options.prefetch_batch : 0;
-
-  if (prefetch == 0) {
-    // Synchronous: decode one item, consume it, repeat — the exact
-    // read/update interleaving of the monolithic methods.
-    std::vector<Snippet> batch;
-    for (;;) {
-      CALDERA_ASSIGN_OR_RETURN(bool more, decoder.FillBatch(&batch, 1));
-      for (Snippet& s : batch) consume(s);
-      if (!more) break;
-    }
-  } else {
-    // Double-buffered: a single background worker decodes batch k+1 (all
-    // storage IO) while this thread consumes batch k (all Reg work). The
-    // ThreadPool's queue mutex orders every handoff, and between Wait() and
-    // the next Submit() only this thread touches the decoder, `next`,
-    // `fill_status`, and `more`, so there are no concurrent accesses. The
-    // consumer applies the identical update sequence as the synchronous
-    // path — batch boundaries never reorder it — so the output is
-    // bit-identical for every prefetch_batch value.
-    ThreadPool pool(1);
-    std::vector<Snippet> current;
-    std::vector<Snippet> next;
-    Status fill_status = Status::Ok();
-    bool more = true;
-    auto submit_fill = [&] {
-      pool.Submit([&] {
-        Result<bool> filled = decoder.FillBatch(&next, prefetch);
-        if (filled.ok()) {
-          more = *filled;
-        } else {
-          fill_status = filled.status();
-          more = false;
-        }
-      });
-    };
-    submit_fill();
-    for (;;) {
-      pool.Wait();
-      if (!fill_status.ok()) return fill_status;
-      std::swap(current, next);
-      const bool had_more = more;
-      if (had_more) submit_fill();
-      for (Snippet& s : current) consume(s);
-      if (!had_more) break;
-    }
+  std::vector<Snippet> batch;
+  for (;;) {
+    CALDERA_ASSIGN_OR_RETURN(bool more, decoder.DecodeNext(&batch));
+    for (Snippet& s : batch) consume(s);
+    if (!more) break;
   }
 
   reg_updates += reg.num_updates();
@@ -300,22 +234,17 @@ Result<QueryResult> RunCursorPipeline(ArchivedStream* archived,
       break;
   }
   result.stats.kernel_seconds = reg_kernel_seconds;
-  if (plan.gap_policy == GapPolicy::kExactSpan && mc != nullptr) {
+  if (mc != nullptr) {
     result.stats.mc_entry_fetches = mc->entry_fetches();
     result.stats.mc_raw_fetches = mc->raw_fetches();
     result.stats.kernel_seconds += mc->compose_seconds();
-  }
-  if (mc != nullptr) {
     result.stats.span_cache_hits = mc->span_cache_hits();
     result.stats.span_cache_misses = mc->span_cache_misses();
   }
   result.stats.stream_io = stream->IoStats();
   result.stats.index_io = archived->IndexIoStats();
-  result.stats.plan_summary =
-      std::string("cursor=") + cursor->name() +
-      " gap=" + GapPolicyName(plan.gap_policy) +
-      (prefetch > 0 ? " prefetch=" + std::to_string(prefetch)
-                    : " prefetch=off");
+  result.stats.plan_summary = std::string("cursor=") + cursor->name() +
+                              " gap=" + GapPolicyName(plan.gap_policy);
   result.stats.elapsed_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     start_clock)
@@ -329,18 +258,17 @@ Result<QueryResult> RunPipeline(ArchivedStream* archived,
                                 const PipelineOptions& options) {
   switch (method) {
     case AccessMethodKind::kScan:
-      return RunCursorPipeline(archived, query, MakeFullScanPlan, method,
-                               options);
+      return RunCursorPipeline(archived, query, MakeFullScanPlan, method);
     case AccessMethodKind::kBTree:
-      return RunCursorPipeline(archived, query, MakeMergeJoinPlan, method,
-                               options);
+      return RunCursorPipeline(archived, query, MakeMergeJoinPlan, method);
     case AccessMethodKind::kTopK: {
       size_t k = options.k;
       double threshold = options.threshold;
+      if (threshold < 0 || threshold >= 1.0) {
+        return Status::InvalidArgument(
+            "threshold must be 0 (top-k mode) or in (0, 1)");
+      }
       if (threshold > 0) {
-        if (threshold >= 1.0) {
-          return Status::InvalidArgument("threshold must be in (0, 1)");
-        }
         k = ThresholdCursor::kUnbounded;
       } else if (k == 0) {
         return Status::InvalidArgument("k must be >= 1");
@@ -349,19 +277,19 @@ Result<QueryResult> RunPipeline(ArchivedStream* archived,
                                     const RegularQuery& q) {
         return MakeThresholdPlan(a, q, k, threshold);
       };
-      return RunCursorPipeline(archived, query, factory, method, options);
+      return RunCursorPipeline(archived, query, factory, method);
     }
     case AccessMethodKind::kMcIndex: {
       auto factory = [](ArchivedStream* a, const RegularQuery& q) {
         return MakeUnionPlan(a, q, GapPolicy::kExactSpan);
       };
-      return RunCursorPipeline(archived, query, factory, method, options);
+      return RunCursorPipeline(archived, query, factory, method);
     }
     case AccessMethodKind::kSemiIndependent: {
       auto factory = [](ArchivedStream* a, const RegularQuery& q) {
         return MakeUnionPlan(a, q, GapPolicy::kIndependent);
       };
-      return RunCursorPipeline(archived, query, factory, method, options);
+      return RunCursorPipeline(archived, query, factory, method);
     }
     case AccessMethodKind::kAuto:
       break;
@@ -382,8 +310,6 @@ Result<QueryResult> ExecutePipelineMethod(ArchivedStream* archived,
   PipelineOptions popts;
   popts.k = options.k;
   popts.threshold = options.threshold;
-  popts.use_cached_spans = options.use_cached_spans;
-  popts.prefetch_batch = options.prefetch_batch;
   if (method == AccessMethodKind::kTopK && popts.threshold <= 0 &&
       popts.k == 0) {
     popts.k = 1;  // The facade's top-k default.
@@ -392,15 +318,23 @@ Result<QueryResult> ExecutePipelineMethod(ArchivedStream* archived,
   auto run = [&](AccessMethodKind m) -> Result<QueryResult> {
     CALDERA_ASSIGN_OR_RETURN(QueryResult result,
                              RunPipeline(archived, query, m, popts));
-    // The top-k/threshold cursor already produced its final result set; for
-    // every other method the facade applies the requested post-filters.
-    if (m != AccessMethodKind::kTopK) {
-      if (options.threshold > 0) {
-        result.signal = FilterSignal(result.signal, options.threshold);
-      }
-      if (options.k > 0) {
-        result.signal = TopKOfSignal(result.signal, options.k);
-      }
+    // The top-k/threshold cursor already produced its final result set.
+    if (m == AccessMethodKind::kTopK) return result;
+    if (method == AccessMethodKind::kTopK) {
+      // A scan rescuing a top-k query answers it the way the cursor would:
+      // matches with prob > max(threshold, 0), best first, at most k of them
+      // unless in threshold mode.
+      result.signal = TopKOfSignal(
+          FilterSignal(result.signal, popts.threshold),
+          popts.threshold > 0 ? ThresholdCursor::kUnbounded : popts.k);
+      return result;
+    }
+    // Every other method gets the requested post-filters.
+    if (options.threshold > 0) {
+      result.signal = FilterSignal(result.signal, options.threshold);
+    }
+    if (options.k > 0) {
+      result.signal = TopKOfSignal(result.signal, options.k);
     }
     return result;
   };

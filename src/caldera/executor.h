@@ -11,24 +11,13 @@
 
 namespace caldera {
 
-/// Knobs of the shared two-stage execution pipeline.
+/// Knobs of the shared execution pipeline (top-k method only).
 struct PipelineOptions {
   /// For the top-k method: number of matches to keep (>= 1), or
   /// ThresholdCursor::kUnbounded with a threshold.
   size_t k = 0;
   /// For the top-k method in threshold mode: keep matches above this.
   double threshold = 0.0;
-  /// Semi-independent only: consult the shared span-CPT cache on gap steps
-  /// (see ExecOptions::use_cached_spans).
-  bool use_cached_spans = false;
-  /// Double-buffered prefetch: while Reg processes the current batch of
-  /// decoded snippets, a background stage decodes the next `prefetch_batch`
-  /// cursor items (index probes + record reads + CPT decode). 0 = off
-  /// (fully synchronous). The emitted signal and all counters other than
-  /// wall-clock time are identical for every value: batching never reorders
-  /// the Reg update sequence, and cursors that consume result feedback
-  /// (top-k) opt out of prefetching entirely.
-  size_t prefetch_batch = 0;
 };
 
 /// Builds a CursorPlan for a (stream, query) pair. Deferred so the
@@ -47,11 +36,21 @@ using PlanFactory =
 Result<QueryResult> RunCursorPipeline(ArchivedStream* archived,
                                       const RegularQuery& query,
                                       const PlanFactory& factory,
-                                      AccessMethodKind label,
-                                      const PipelineOptions& options = {});
+                                      AccessMethodKind label);
 
 /// Builds the standard plan for `method` (Figure 5(b)'s five algorithms)
-/// and runs it through the pipeline.
+/// and runs it through the pipeline. The one entry point for running an
+/// access method directly:
+///   kScan             Algorithm 1: every timestep.
+///   kBTree            Algorithm 2: BT_C merge join, fixed-length only.
+///   kTopK             Algorithm 3: TA over BT_P; options.k >= 1 best
+///                     matches, or every match above options.threshold in
+///                     (0, 1). The signal is sorted by decreasing
+///                     probability (ties by time).
+///   kMcIndex          Algorithm 4: BT_C union, exact MC-index spans.
+///   kSemiIndependent  Algorithm 5: BT_C union, independence across gaps.
+/// InvalidArgument for k == 0 without a threshold, or a threshold outside
+/// [0, 1).
 Result<QueryResult> RunPipeline(ArchivedStream* archived,
                                 const RegularQuery& query,
                                 AccessMethodKind method,
@@ -62,7 +61,9 @@ Result<QueryResult> RunPipeline(ArchivedStream* archived,
 /// mid-query rescue — when a non-scan method fails with a rescuable status
 /// and options.fallback_to_scan is set, the query reruns through the
 /// always-available full-scan plan (stats.scan_fallbacks = 1, plus a
-/// corruption_events tick when the failure was a Corruption).
+/// corruption_events tick when the failure was a Corruption). A rescued
+/// top-k query keeps the method's answer: the same k (default 1) or
+/// threshold, matches with nonzero probability only, best first.
 Result<QueryResult> ExecutePipelineMethod(ArchivedStream* archived,
                                           const RegularQuery& query,
                                           AccessMethodKind method,

@@ -4,7 +4,6 @@
 #include <cstdio>
 
 #include "caldera/cursor.h"
-#include "caldera/intersection.h"
 
 namespace caldera {
 

@@ -171,7 +171,7 @@ Result<QueryResult> Caldera::Execute(const std::string& stream_name,
   }
 
   // EXPLAIN plumbing: prepend the decided method and append the planner's
-  // view to the executor's cursor/gap/prefetch summary. result->method can
+  // view to the executor's cursor/gap summary. result->method can
   // differ from `method` after a mid-query rescue.
   result->plan_reason = reason;
   std::string summary =

@@ -37,20 +37,6 @@ struct ExecOptions {
   /// corrupt artifacts in stats.corruption_events. Errors from the scan
   /// itself (i.e. the stream data is damaged too) always propagate.
   bool fallback_to_scan = false;
-  /// Lets the semi-independent method consult the shared span-CPT cache on
-  /// gap steps: a cached span upgrades the step from the independence
-  /// approximation to an exact spanning update, at hash-lookup cost. Off by
-  /// default because results then depend on what earlier (MC-method)
-  /// queries happened to cache — e.g. batch runs would lose their
-  /// thread-count-independent determinism.
-  bool use_cached_spans = false;
-  /// Pipeline prefetch: when > 0, a background stage decodes the next
-  /// `prefetch_batch` relevant timesteps (index probes, record reads, CPT
-  /// decode) while the Reg operator processes the current batch. Purely a
-  /// latency knob — the signal and all non-timing stats are identical for
-  /// every value, and methods whose cursors consume result feedback
-  /// (top-k/threshold) always run synchronously. 0 = off.
-  size_t prefetch_batch = 0;
 };
 
 /// The Caldera system facade (Figure 1): an archive of smoothed Markovian

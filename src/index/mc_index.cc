@@ -384,17 +384,6 @@ Result<std::shared_ptr<const Cpt>> McIndex::GetSpanCpt(uint64_t from,
   return std::make_shared<const Cpt>(std::move(composed));
 }
 
-std::shared_ptr<const Cpt> McIndex::TryCachedSpan(uint64_t from, uint64_t to) {
-  if (!span_cache_.valid() || to < from + 2) return nullptr;
-  std::shared_ptr<const Cpt> cached = span_cache_.cache->Get(CacheKey(from, to));
-  if (cached != nullptr) {
-    ++span_cache_hits_;
-  } else {
-    ++span_cache_misses_;
-  }
-  return cached;
-}
-
 uint64_t McIndex::StoredBytes() const {
   uint64_t total = 0;
   for (uint32_t level = std::max(1u, min_level_); level < levels_.size();

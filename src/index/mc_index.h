@@ -162,11 +162,6 @@ class McIndex {
   /// kernel view is also reused across queries.
   Result<std::shared_ptr<const Cpt>> GetSpanCpt(uint64_t from, uint64_t to);
 
-  /// Cache-only probe: returns the cached span CPT or nullptr, never
-  /// composing. Used by the semi-independent method to opportunistically
-  /// upgrade a gap step to an exact spanning update at lookup cost.
-  std::shared_ptr<const Cpt> TryCachedSpan(uint64_t from, uint64_t to);
-
   /// Restricts lookups to levels >= `level` (level-0 residues still come
   /// from the raw stream). Models the paper's "omit lower index levels"
   /// experiment (Figure 11(a)); also lowers effective storage.

@@ -58,17 +58,11 @@ class RelevantTimestepCursor {
   /// Yields the next item, or nullopt when exhausted.
   virtual Result<std::optional<CursorItem>> Next() = 0;
 
-  /// Result feedback for items with observe = true. Cursors that consume
-  /// feedback must also return false from prefetch_safe().
+  /// Result feedback for items with observe = true.
   virtual void Observe(uint64_t time, double prob) {
     (void)time;
     (void)prob;
   }
-
-  /// False when the cursor's production depends on Observe() feedback; the
-  /// executor then runs it strictly synchronously (no prefetch) so results
-  /// cannot depend on batch boundaries.
-  virtual bool prefetch_safe() const { return true; }
 
   /// Fills the cursor-owned counters. `items_yielded` is how many items the
   /// executor pulled; by default that is the relevant-timestep count.
@@ -242,8 +236,7 @@ class UnionGapCursor final : public RelevantTimestepCursor {
 /// cursors. Yields candidate intervals (restart at the candidate start,
 /// observe at its final timestep, emit nowhere); consumes Reg's final
 /// probability through Observe() to tighten the pruning floor, and collects
-/// the best matches itself. Not prefetch-safe: production depends on the
-/// feedback.
+/// the best matches itself.
 class ThresholdCursor final : public RelevantTimestepCursor {
  public:
   /// Reads the predicate marginal probability of link `link` at time `t`
@@ -265,7 +258,6 @@ class ThresholdCursor final : public RelevantTimestepCursor {
 
   Result<std::optional<CursorItem>> Next() override;
   void Observe(uint64_t time, double prob) override;
-  bool prefetch_safe() const override { return false; }
   bool collects_signal() const override { return true; }
   void ContributeStats(uint64_t items_yielded,
                        CursorStats* stats) const override;

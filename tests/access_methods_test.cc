@@ -4,11 +4,8 @@
 #include <map>
 
 #include "caldera/archive.h"
+#include "caldera/executor.h"
 #include "common/logging.h"
-#include "caldera/btree_method.h"
-#include "caldera/mc_method.h"
-#include "caldera/scan_method.h"
-#include "caldera/semi_independent_method.h"
 #include "reg/reg_operator.h"
 #include "rfid/workload.h"
 #include "test_util.h"
@@ -76,7 +73,7 @@ TEST_P(AccessMethodLayoutTest, ScanMatchesInMemoryReference) {
   MarkovianStream stream = test::MakeBandedStream(150, 16, 1);
   auto archived = ArchiveWithIndexes(scratch_, "s", stream, GetParam());
   RegularQuery query = FixedQuery(3, 4);
-  auto result = RunScanMethod(archived.get(), query);
+  auto result = RunPipeline(archived.get(), query, AccessMethodKind::kScan);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   std::vector<double> reference = RunRegOverStream(query, stream);
   ASSERT_EQ(result->signal.size(), reference.size());
@@ -93,8 +90,8 @@ TEST_P(AccessMethodLayoutTest, BTreeMethodEqualsScan) {
   for (auto [a, b] : std::vector<std::pair<uint32_t, uint32_t>>{
            {3, 4}, {10, 11}, {19, 18}, {0, 1}, {5, 5}}) {
     RegularQuery query = FixedQuery(a, b);
-    auto scan = RunScanMethod(archived.get(), query);
-    auto btree = RunBTreeMethod(archived.get(), query);
+    auto scan = RunPipeline(archived.get(), query, AccessMethodKind::kScan);
+    auto btree = RunPipeline(archived.get(), query, AccessMethodKind::kBTree);
     ASSERT_TRUE(scan.ok());
     ASSERT_TRUE(btree.ok()) << btree.status().ToString();
     ExpectSignalEqualsScan(btree->signal, scan->signal);
@@ -108,8 +105,8 @@ TEST_P(AccessMethodLayoutTest, McMethodEqualsScanOnVariableQueries) {
   for (auto [a, b] : std::vector<std::pair<uint32_t, uint32_t>>{
            {2, 17}, {10, 12}, {0, 19}}) {
     RegularQuery query = VariableQuery(a, b);
-    auto scan = RunScanMethod(archived.get(), query);
-    auto mc = RunMcMethod(archived.get(), query);
+    auto scan = RunPipeline(archived.get(), query, AccessMethodKind::kScan);
+    auto mc = RunPipeline(archived.get(), query, AccessMethodKind::kMcIndex);
     ASSERT_TRUE(scan.ok());
     ASSERT_TRUE(mc.ok()) << mc.status().ToString();
     ExpectSignalEqualsScan(mc->signal, scan->signal);
@@ -137,8 +134,8 @@ TEST_F(AccessMethodTest, McMethodHandlesFixedQueriesToo) {
   auto archived =
       ArchiveWithIndexes(scratch_, "s", stream, DiskLayout::kSeparated);
   RegularQuery query = FixedQuery(7, 8);
-  auto scan = RunScanMethod(archived.get(), query);
-  auto mc = RunMcMethod(archived.get(), query);
+  auto scan = RunPipeline(archived.get(), query, AccessMethodKind::kScan);
+  auto mc = RunPipeline(archived.get(), query, AccessMethodKind::kMcIndex);
   ASSERT_TRUE(scan.ok());
   ASSERT_TRUE(mc.ok());
   ExpectSignalEqualsScan(mc->signal, scan->signal);
@@ -155,8 +152,8 @@ TEST_F(AccessMethodTest, McMethodHandlesPositiveLoops) {
   links.push_back(QueryLink{Predicate::Equality(0, 3, "s3"),
                             Predicate::Equality(0, 4, "s4")});
   RegularQuery query("posloop", links);
-  auto scan = RunScanMethod(archived.get(), query);
-  auto mc = RunMcMethod(archived.get(), query);
+  auto scan = RunPipeline(archived.get(), query, AccessMethodKind::kScan);
+  auto mc = RunPipeline(archived.get(), query, AccessMethodKind::kMcIndex);
   ASSERT_TRUE(scan.ok());
   ASSERT_TRUE(mc.ok());
   ExpectSignalEqualsScan(mc->signal, scan->signal);
@@ -170,9 +167,9 @@ TEST_F(AccessMethodTest, ThreeLinkQueriesAgree) {
       "three", {Predicate::Equality(0, 5, "s5"),
                 Predicate::Equality(0, 6, "s6"),
                 Predicate::Equality(0, 7, "s7")});
-  auto scan = RunScanMethod(archived.get(), query);
-  auto btree = RunBTreeMethod(archived.get(), query);
-  auto mc = RunMcMethod(archived.get(), query);
+  auto scan = RunPipeline(archived.get(), query, AccessMethodKind::kScan);
+  auto btree = RunPipeline(archived.get(), query, AccessMethodKind::kBTree);
+  auto mc = RunPipeline(archived.get(), query, AccessMethodKind::kMcIndex);
   ASSERT_TRUE(scan.ok());
   ASSERT_TRUE(btree.ok());
   ASSERT_TRUE(mc.ok());
@@ -187,8 +184,8 @@ TEST_F(AccessMethodTest, SetPredicatesAgree) {
   RegularQuery query = RegularQuery::Sequence(
       "set", {Predicate::In(0, {2, 3, 4}, "low"),
               Predicate::In(0, {5, 6}, "mid")});
-  auto scan = RunScanMethod(archived.get(), query);
-  auto btree = RunBTreeMethod(archived.get(), query);
+  auto scan = RunPipeline(archived.get(), query, AccessMethodKind::kScan);
+  auto btree = RunPipeline(archived.get(), query, AccessMethodKind::kBTree);
   ASSERT_TRUE(scan.ok());
   ASSERT_TRUE(btree.ok());
   ExpectSignalEqualsScan(btree->signal, scan->signal);
@@ -201,8 +198,8 @@ TEST_F(AccessMethodTest, RangePredicatesAgree) {
   RegularQuery query = RegularQuery::Sequence(
       "range", {Predicate::Range(0, 2, 5, "r25"),
                 Predicate::Range(0, 6, 9, "r69")});
-  auto scan = RunScanMethod(archived.get(), query);
-  auto btree = RunBTreeMethod(archived.get(), query);
+  auto scan = RunPipeline(archived.get(), query, AccessMethodKind::kScan);
+  auto btree = RunPipeline(archived.get(), query, AccessMethodKind::kBTree);
   ASSERT_TRUE(scan.ok());
   ASSERT_TRUE(btree.ok());
   ExpectSignalEqualsScan(btree->signal, scan->signal);
@@ -219,8 +216,8 @@ TEST_F(AccessMethodTest, UnindexedLinkRelaxesIntersection) {
               QueryLink{std::nullopt,
                         Predicate::Not(Predicate::Equality(0, 0, "s0"))},
               QueryLink{std::nullopt, Predicate::Equality(0, 6, "s6")}});
-  auto scan = RunScanMethod(archived.get(), query);
-  auto btree = RunBTreeMethod(archived.get(), query);
+  auto scan = RunPipeline(archived.get(), query, AccessMethodKind::kScan);
+  auto btree = RunPipeline(archived.get(), query, AccessMethodKind::kBTree);
   ASSERT_TRUE(scan.ok());
   ASSERT_TRUE(btree.ok());
   ExpectSignalEqualsScan(btree->signal, scan->signal);
@@ -230,7 +227,8 @@ TEST_F(AccessMethodTest, BTreeMethodRejectsVariableQueries) {
   MarkovianStream stream = test::MakeBandedStream(50, 8, 10);
   auto archived =
       ArchiveWithIndexes(scratch_, "s", stream, DiskLayout::kSeparated);
-  auto result = RunBTreeMethod(archived.get(), VariableQuery(1, 2));
+  auto result = RunPipeline(archived.get(), VariableQuery(1, 2),
+                            AccessMethodKind::kBTree);
   EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
 }
 
@@ -254,8 +252,9 @@ TEST_F(AccessMethodTest, SemiIndependentExactWhenNoGaps) {
   auto archived =
       ArchiveWithIndexes(scratch_, "dense", stream, DiskLayout::kSeparated);
   RegularQuery query = VariableQuery(0, 1);
-  auto scan = RunScanMethod(archived.get(), query);
-  auto semi = RunSemiIndependentMethod(archived.get(), query);
+  auto scan = RunPipeline(archived.get(), query, AccessMethodKind::kScan);
+  auto semi = RunPipeline(archived.get(), query,
+                          AccessMethodKind::kSemiIndependent);
   ASSERT_TRUE(scan.ok());
   ASSERT_TRUE(semi.ok());
   ExpectSignalEqualsScan(semi->signal, scan->signal);
@@ -266,13 +265,14 @@ TEST_F(AccessMethodTest, SemiIndependentApproximatesAcrossGaps) {
   auto archived =
       ArchiveWithIndexes(scratch_, "s", stream, DiskLayout::kSeparated);
   RegularQuery query = VariableQuery(2, 17);
-  auto scan = RunScanMethod(archived.get(), query);
-  auto semi = RunSemiIndependentMethod(archived.get(), query);
+  auto scan = RunPipeline(archived.get(), query, AccessMethodKind::kScan);
+  auto semi = RunPipeline(archived.get(), query,
+                          AccessMethodKind::kSemiIndependent);
   ASSERT_TRUE(scan.ok());
   ASSERT_TRUE(semi.ok());
   // Approximate: probabilities stay in [0, 1] and the signal is reported
   // at the same relevant timesteps as the exact MC method.
-  auto mc = RunMcMethod(archived.get(), query);
+  auto mc = RunPipeline(archived.get(), query, AccessMethodKind::kMcIndex);
   ASSERT_TRUE(mc.ok());
   ASSERT_EQ(semi->signal.size(), mc->signal.size());
   for (size_t i = 0; i < semi->signal.size(); ++i) {
@@ -294,15 +294,15 @@ TEST_F(AccessMethodTest, SnippetWorkloadEndToEndAgreement) {
                                      DiskLayout::kSeparated);
 
   RegularQuery fixed = workload->EnteredRoomFixed();
-  auto scan_f = RunScanMethod(archived.get(), fixed);
-  auto btree = RunBTreeMethod(archived.get(), fixed);
+  auto scan_f = RunPipeline(archived.get(), fixed, AccessMethodKind::kScan);
+  auto btree = RunPipeline(archived.get(), fixed, AccessMethodKind::kBTree);
   ASSERT_TRUE(scan_f.ok());
   ASSERT_TRUE(btree.ok());
   ExpectSignalEqualsScan(btree->signal, scan_f->signal, 1e-7);
 
   RegularQuery variable = workload->EnteredRoomVariable();
-  auto scan_v = RunScanMethod(archived.get(), variable);
-  auto mc = RunMcMethod(archived.get(), variable);
+  auto scan_v = RunPipeline(archived.get(), variable, AccessMethodKind::kScan);
+  auto mc = RunPipeline(archived.get(), variable, AccessMethodKind::kMcIndex);
   ASSERT_TRUE(scan_v.ok());
   ASSERT_TRUE(mc.ok());
   ExpectSignalEqualsScan(mc->signal, scan_v->signal, 1e-7);
@@ -317,7 +317,7 @@ TEST_F(AccessMethodTest, StatsArePopulated) {
   auto archived =
       ArchiveWithIndexes(scratch_, "s", stream, DiskLayout::kSeparated);
   RegularQuery query = VariableQuery(2, 13);
-  auto mc = RunMcMethod(archived.get(), query);
+  auto mc = RunPipeline(archived.get(), query, AccessMethodKind::kMcIndex);
   ASSERT_TRUE(mc.ok());
   EXPECT_GT(mc->stats.relevant_timesteps, 0u);
   EXPECT_GT(mc->stats.reg_updates, 0u);

@@ -10,11 +10,7 @@
 #include <map>
 #include <optional>
 
-#include "caldera/btree_method.h"
-#include "caldera/mc_method.h"
-#include "caldera/scan_method.h"
-#include "caldera/semi_independent_method.h"
-#include "caldera/topk_method.h"
+#include "caldera/executor.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "test_util.h"
@@ -112,18 +108,19 @@ TEST_P(DifferentialTest, AllExactMethodsAgreeOnRandomWorkloads) {
     RegularQuery query = RandomQuery(&rng, domain);
     ASSERT_TRUE(query.ValidateAgainst(stream.schema()).ok());
 
-    auto scan = RunScanMethod(archived->get(), query);
+    auto scan = RunPipeline(archived->get(), query, AccessMethodKind::kScan);
     ASSERT_TRUE(scan.ok()) << scan.status().ToString();
 
     // MC method handles every query shape.
-    auto mc = RunMcMethod(archived->get(), query);
+    auto mc = RunPipeline(archived->get(), query, AccessMethodKind::kMcIndex);
     ASSERT_TRUE(mc.ok()) << query.ToString() << ": "
                          << mc.status().ToString();
     ExpectMatchesScan(mc->signal, scan->signal,
                       "mc[" + query.ToString() + "]");
 
     if (query.fixed_length()) {
-      auto btree = RunBTreeMethod(archived->get(), query);
+      auto btree = RunPipeline(archived->get(), query,
+                               AccessMethodKind::kBTree);
       ASSERT_TRUE(btree.ok()) << btree.status().ToString();
       ExpectMatchesScan(btree->signal, scan->signal,
                         "btree[" + query.ToString() + "]");
@@ -136,7 +133,8 @@ TEST_P(DifferentialTest, AllExactMethodsAgreeOnRandomWorkloads) {
         }
       }
       if (topk_supported) {
-        auto topk = RunTopKMethod(archived->get(), query, 5);
+        auto topk = RunPipeline(archived->get(), query, AccessMethodKind::kTopK,
+                                {.k = 5});
         ASSERT_TRUE(topk.ok()) << topk.status().ToString();
         QuerySignal reference = TopKOfSignal(
             FilterSignal(scan->signal, 0.0), 5);
@@ -151,7 +149,8 @@ TEST_P(DifferentialTest, AllExactMethodsAgreeOnRandomWorkloads) {
 
     // Semi-independent: not exact, but must report the same relevant
     // timesteps as the MC method with probabilities in range.
-    auto semi = RunSemiIndependentMethod(archived->get(), query);
+    auto semi = RunPipeline(archived->get(), query,
+                            AccessMethodKind::kSemiIndependent);
     ASSERT_TRUE(semi.ok());
     ASSERT_EQ(semi->signal.size(), mc->signal.size());
     for (size_t i = 0; i < semi->signal.size(); ++i) {

@@ -6,11 +6,10 @@
 #include <cmath>
 
 #include "caldera/access_method.h"
-#include "caldera/btree_method.h"
-#include "caldera/intersection.h"
-#include "caldera/scan_method.h"
+#include "caldera/executor.h"
 #include "common/logging.h"
 #include "index/btc_index.h"
+#include "index/timestep_cursor.h"
 #include "reg/reg_operator.h"
 #include "test_util.h"
 
@@ -285,7 +284,7 @@ TEST(BoundaryTest, MatchesAtStreamEdgesAreFound) {
   ASSERT_TRUE(archived.ok());
   RegularQuery query = RegularQuery::Sequence(
       "ab", {Predicate::Equality(0, 0, "a"), Predicate::Equality(0, 1, "b")});
-  auto result = RunBTreeMethod(archived->get(), query);
+  auto result = RunPipeline(archived->get(), query, AccessMethodKind::kBTree);
   ASSERT_TRUE(result.ok());
   double p_first = 0, p_last = 0;
   for (const TimestepProbability& e : result->signal) {
@@ -309,7 +308,7 @@ TEST(BoundaryTest, QueryLongerThanStream) {
     predicates.push_back(Predicate::Equality(0, i, "s" + std::to_string(i)));
   }
   RegularQuery query = RegularQuery::Sequence("long", predicates);
-  auto result = RunBTreeMethod(archived->get(), query);
+  auto result = RunPipeline(archived->get(), query, AccessMethodKind::kBTree);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result->signal.empty());
 }

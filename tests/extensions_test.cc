@@ -6,11 +6,8 @@
 
 #include <cmath>
 
-#include "caldera/btree_method.h"
-#include "caldera/mc_method.h"
-#include "caldera/scan_method.h"
+#include "caldera/executor.h"
 #include "caldera/system.h"
-#include "caldera/topk_method.h"
 #include "caldera/verify.h"
 #include "common/logging.h"
 #include "index/mc_index.h"
@@ -56,10 +53,11 @@ TEST_F(ThresholdTest, ReturnsExactlyTheMatchesAboveThreshold) {
     auto archived =
         ArchiveAll(scratch_, stream, "s" + std::to_string(seed));
     RegularQuery query = Fixed(6, 7);
-    auto scan = RunScanMethod(archived.get(), query);
+    auto scan = RunPipeline(archived.get(), query, AccessMethodKind::kScan);
     ASSERT_TRUE(scan.ok());
     for (double tau : {0.05, 0.2, 0.5}) {
-      auto result = RunThresholdMethod(archived.get(), query, tau);
+      auto result = RunPipeline(archived.get(), query, AccessMethodKind::kTopK,
+                                {.threshold = tau});
       ASSERT_TRUE(result.ok()) << result.status().ToString();
       // Reference: scan entries above tau.
       QuerySignal expected = FilterSignal(scan->signal, tau);
@@ -96,8 +94,10 @@ TEST_F(ThresholdTest, HighThresholdPrunesAggressively) {
   auto archived = ArchiveAll(scratch_, workload->stream, "s");
   RegularQuery query = workload->EnteredRoomFixed();
 
-  auto strict = RunThresholdMethod(archived.get(), query, 0.9);
-  auto loose = RunThresholdMethod(archived.get(), query, 0.01);
+  auto strict = RunPipeline(archived.get(), query, AccessMethodKind::kTopK,
+                            {.threshold = 0.9});
+  auto loose = RunPipeline(archived.get(), query, AccessMethodKind::kTopK,
+                           {.threshold = 0.01});
   ASSERT_TRUE(strict.ok());
   ASSERT_TRUE(loose.ok());
   EXPECT_LE(strict->signal.size(), loose->signal.size());
@@ -107,11 +107,19 @@ TEST_F(ThresholdTest, HighThresholdPrunesAggressively) {
 TEST_F(ThresholdTest, RejectsBadThresholds) {
   MarkovianStream stream = test::MakeBandedStream(50, 8, 5);
   auto archived = ArchiveAll(scratch_, stream, "s");
-  EXPECT_EQ(RunThresholdMethod(archived.get(), Fixed(1, 2), 0.0)
+  EXPECT_EQ(RunPipeline(archived.get(), Fixed(1, 2), AccessMethodKind::kTopK,
+                        {.threshold = 0.0})
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(RunThresholdMethod(archived.get(), Fixed(1, 2), 1.0)
+  EXPECT_EQ(RunPipeline(archived.get(), Fixed(1, 2), AccessMethodKind::kTopK,
+                        {.threshold = 1.0})
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  // A valid k does not excuse a negative threshold.
+  EXPECT_EQ(RunPipeline(archived.get(), Fixed(1, 2), AccessMethodKind::kTopK,
+                        {.k = 3, .threshold = -0.5})
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
@@ -399,8 +407,8 @@ TEST(MultiAttributeTest, PerAttributeIndexesAndCrossAttributeQueries) {
   RegularQuery query = RegularQuery::Sequence(
       "cross",
       {Predicate::Equality(0, 1, "O"), Predicate::Equality(1, 1, "busy")});
-  auto scan = RunScanMethod(archived->get(), query);
-  auto btree = RunBTreeMethod(archived->get(), query);
+  auto scan = RunPipeline(archived->get(), query, AccessMethodKind::kScan);
+  auto btree = RunPipeline(archived->get(), query, AccessMethodKind::kBTree);
   ASSERT_TRUE(scan.ok());
   ASSERT_TRUE(btree.ok()) << btree.status().ToString();
   // Every nonzero scan probability appears identically in the B+Tree
@@ -436,7 +444,7 @@ TEST(MultiAttributeTest, MissingAttributeIndexFailsVariableMethod) {
   RegularQuery query(
       "v", {QueryLink{std::nullopt, Predicate::Equality(0, 0, "H")},
             QueryLink{Predicate::Not(busy), busy}});
-  auto result = RunMcMethod(archived->get(), query);
+  auto result = RunPipeline(archived->get(), query, AccessMethodKind::kMcIndex);
   EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
 }
 

@@ -5,10 +5,8 @@
 
 #include "btree/btree.h"
 #include "caldera/archive.h"
-#include "caldera/mc_method.h"
-#include "caldera/scan_method.h"
+#include "caldera/executor.h"
 #include "caldera/system.h"
-#include "caldera/topk_method.h"
 #include "common/encoding.h"
 #include "common/logging.h"
 #include "index/mc_index.h"
@@ -162,7 +160,8 @@ TEST_F(FailureTest, McMethodWithoutIndexFailsCleanly) {
   RegularQuery query(
       "v", {QueryLink{std::nullopt, Predicate::Equality(0, 1, "s1")},
             QueryLink{Predicate::Not(t), t}});
-  EXPECT_EQ(RunMcMethod(archived->get(), query).status().code(),
+  EXPECT_EQ(RunPipeline(archived->get(), query,
+                        AccessMethodKind::kMcIndex).status().code(),
             StatusCode::kFailedPrecondition);
 }
 
@@ -177,8 +176,10 @@ TEST_F(FailureTest, MethodsRejectQueriesInvalidForSchema) {
   RegularQuery bogus = RegularQuery::Sequence(
       "b", {Predicate::Equality(0, 99, "nope"),
             Predicate::Equality(0, 100, "nope2")});
-  EXPECT_FALSE(RunScanMethod(archived->get(), bogus).ok());
-  EXPECT_FALSE(RunTopKMethod(archived->get(), bogus, 1).ok());
+  EXPECT_FALSE(RunPipeline(archived->get(), bogus,
+                           AccessMethodKind::kScan).ok());
+  EXPECT_FALSE(RunPipeline(archived->get(), bogus, AccessMethodKind::kTopK,
+                           {.k = 1}).ok());
 }
 
 TEST_F(FailureTest, ArchiveOpenStreamWithCorruptIndexFails) {
@@ -321,6 +322,52 @@ TEST_F(FailureTest, CorruptBtpIndexFallsBackToScan) {
   EXPECT_GE(rescued->stats.scan_fallbacks, 1u);
   EXPECT_GE(rescued->stats.corruption_events, 1u);
   ExpectSameSignal(rescued->signal, reference->signal);
+}
+
+// Runs the kTopK request `topk` on a healthy archive, damages the BT_P
+// index, and checks that the scan rescue answers the way the method did:
+// the same times in the same (best-first) order, probabilities within 1e-9.
+void ExpectTopKRescueMatchesMethod(const std::string& root, ExecOptions topk) {
+  MarkovianStream stream = test::MakeBandedStream(120, 10, 12);
+  Caldera system(root);
+  ASSERT_TRUE(system.archive()
+                  ->CreateStream("s", stream, DiskLayout::kSeparated)
+                  .ok());
+  ASSERT_TRUE(system.archive()->BuildBtp("s", 0).ok());
+  RegularQuery query = TwoStepQuery();
+  topk.method = AccessMethodKind::kTopK;
+  auto healthy = system.Execute("s", query, topk);
+  ASSERT_TRUE(healthy.ok()) << healthy.status().ToString();
+  ASSERT_FALSE(healthy->signal.empty());
+
+  system.InvalidateStreams();
+  FlipBit(system.archive()->StreamDir("s") + "/btp.attr0.bt", 100);
+
+  topk.fallback_to_scan = true;
+  auto rescued = system.Execute("s", query, topk);
+  ASSERT_TRUE(rescued.ok()) << rescued.status().ToString();
+  EXPECT_EQ(rescued->method, AccessMethodKind::kScan);
+  EXPECT_GE(rescued->stats.scan_fallbacks, 1u);
+  ASSERT_EQ(rescued->signal.size(), healthy->signal.size());
+  for (size_t i = 0; i < rescued->signal.size(); ++i) {
+    EXPECT_EQ(rescued->signal[i].time, healthy->signal[i].time)
+        << "entry " << i;
+    EXPECT_NEAR(rescued->signal[i].prob, healthy->signal[i].prob, 1e-9)
+        << "entry " << i;
+  }
+}
+
+TEST_F(FailureTest, RescuedTopKKeepsDefaultK) {
+  ExpectTopKRescueMatchesMethod(scratch_.Path("topk_default"), {});
+}
+
+TEST_F(FailureTest, RescuedTopKKeepsExplicitK) {
+  ExpectTopKRescueMatchesMethod(scratch_.Path("topk_k"), {.k = 7});
+}
+
+TEST_F(FailureTest, RescuedThresholdKeepsMethodOrder) {
+  ExpectTopKRescueMatchesMethod(scratch_.Path("topk_tau"),
+                                {.threshold = 0.01});
 }
 
 TEST_F(FailureTest, CorruptMcIndexFallsBackToScan) {

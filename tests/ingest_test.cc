@@ -12,9 +12,7 @@
 #include <chrono>
 #include <thread>
 
-#include "caldera/btree_method.h"
-#include "caldera/mc_method.h"
-#include "caldera/scan_method.h"
+#include "caldera/executor.h"
 #include "caldera/system.h"
 #include "index/mc_index.h"
 #include "storage/fault_injection_file.h"
@@ -247,19 +245,21 @@ void RunCrashRecoveryCase(const std::string& tag, const std::string& target,
   ASSERT_TRUE(live.ok()) << live.status().ToString();
   ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
   for (const RegularQuery& query : {FixedQuery(), KleeneQuery()}) {
-    auto want_scan = RunScanMethod(oracle->get(), query);
-    auto got_scan = RunScanMethod(live->get(), query);
+    auto want_scan = RunPipeline(oracle->get(), query, AccessMethodKind::kScan);
+    auto got_scan = RunPipeline(live->get(), query, AccessMethodKind::kScan);
     ASSERT_TRUE(want_scan.ok() && got_scan.ok());
     ExpectSignalsIdentical(got_scan->signal, want_scan->signal,
                            tag + "/scan/" + query.name());
-    auto want_mc = RunMcMethod(oracle->get(), query);
-    auto got_mc = RunMcMethod(live->get(), query);
+    auto want_mc = RunPipeline(oracle->get(), query,
+                               AccessMethodKind::kMcIndex);
+    auto got_mc = RunPipeline(live->get(), query, AccessMethodKind::kMcIndex);
     ASSERT_TRUE(want_mc.ok() && got_mc.ok());
     ExpectSignalsIdentical(got_mc->signal, want_mc->signal,
                            tag + "/mc/" + query.name());
     if (query.fixed_length()) {
-      auto want_bt = RunBTreeMethod(oracle->get(), query);
-      auto got_bt = RunBTreeMethod(live->get(), query);
+      auto want_bt = RunPipeline(oracle->get(), query,
+                                 AccessMethodKind::kBTree);
+      auto got_bt = RunPipeline(live->get(), query, AccessMethodKind::kBTree);
       ASSERT_TRUE(want_bt.ok() && got_bt.ok());
       ExpectSignalsIdentical(got_bt->signal, want_bt->signal,
                              tag + "/btree/" + query.name());
@@ -377,8 +377,9 @@ TEST(IngestRecoveryTest, ReplayIsIdempotentAcrossReopens) {
   auto live = archive.OpenStream("s");
   auto oracle = archive.OpenStream("oracle");
   ASSERT_TRUE(live.ok() && oracle.ok());
-  auto want = RunBTreeMethod(oracle->get(), FixedQuery());
-  auto got = RunBTreeMethod(live->get(), FixedQuery());
+  auto want = RunPipeline(oracle->get(), FixedQuery(),
+                          AccessMethodKind::kBTree);
+  auto got = RunPipeline(live->get(), FixedQuery(), AccessMethodKind::kBTree);
   ASSERT_TRUE(want.ok() && got.ok());
   ExpectSignalsIdentical(got->signal, want->signal, "idempotent-replay");
 }
@@ -565,7 +566,7 @@ TEST(IngestFacadeTest, CommitsAreVisibleWithoutManualInvalidation) {
   ExpectSignalsIdentical(after->signal, want->signal, "post-commit");
   // The pre-commit handle still sees the old stream (snapshot semantics).
   EXPECT_EQ((*snapshot)->length(), 100u);
-  auto old_view = RunScanMethod(snapshot->get(), query);
+  auto old_view = RunPipeline(snapshot->get(), query, AccessMethodKind::kScan);
   ASSERT_TRUE(old_view.ok());
   auto old_oracle = system.Execute(
       "live", query, ExecOptions{.method = AccessMethodKind::kScan});

@@ -1,9 +1,9 @@
 // Differential tests for the cursor-based execution pipeline: the file
 // keeps compact copies of the five pre-refactor monolithic access methods
 // (the seed implementations) and asserts that the pipeline produces
-// BIT-IDENTICAL signals and matching core stats — with prefetch off and on,
-// and under fault injection. Plus regression tests for the planner edge
-// cases and the EXPLAIN plumbing that shipped with the pipeline.
+// BIT-IDENTICAL signals and matching core stats, also under fault
+// injection. Plus regression tests for the planner edge cases and the
+// EXPLAIN plumbing that shipped with the pipeline.
 
 #include <gtest/gtest.h>
 
@@ -14,16 +14,10 @@
 #include <unordered_set>
 #include <vector>
 
-#include "caldera/btree_method.h"
 #include "caldera/cursor.h"
 #include "caldera/executor.h"
-#include "caldera/intersection.h"
-#include "caldera/mc_method.h"
 #include "caldera/planner.h"
-#include "caldera/scan_method.h"
-#include "caldera/semi_independent_method.h"
 #include "caldera/system.h"
-#include "caldera/topk_method.h"
 #include "common/rng.h"
 #include "index/btp_index.h"
 #include "reg/reg_operator.h"
@@ -439,7 +433,7 @@ TEST_P(PipelineDifferentialTest, PipelineMatchesLegacyBitForBit) {
 
     auto legacy_scan = LegacyScan(handle, query);
     ASSERT_TRUE(legacy_scan.ok());
-    auto scan = RunScanMethod(handle, query);
+    auto scan = RunPipeline(handle, query, AccessMethodKind::kScan);
     ASSERT_TRUE(scan.ok()) << scan.status().ToString();
     ExpectIdenticalSignal(scan->signal, legacy_scan->signal,
                           "scan[" + tag + "]");
@@ -447,14 +441,14 @@ TEST_P(PipelineDifferentialTest, PipelineMatchesLegacyBitForBit) {
 
     auto legacy_mc = LegacyMcOrSemi(handle, query, /*exact=*/true);
     ASSERT_TRUE(legacy_mc.ok()) << legacy_mc.status().ToString();
-    auto mc = RunMcMethod(handle, query);
+    auto mc = RunPipeline(handle, query, AccessMethodKind::kMcIndex);
     ASSERT_TRUE(mc.ok()) << mc.status().ToString();
     ExpectIdenticalSignal(mc->signal, legacy_mc->signal, "mc[" + tag + "]");
     ExpectSameCoreStats(mc->stats, legacy_mc->stats, "mc[" + tag + "]");
 
     auto legacy_semi = LegacyMcOrSemi(handle, query, /*exact=*/false);
     ASSERT_TRUE(legacy_semi.ok());
-    auto semi = RunSemiIndependentMethod(handle, query);
+    auto semi = RunPipeline(handle, query, AccessMethodKind::kSemiIndependent);
     ASSERT_TRUE(semi.ok());
     ExpectIdenticalSignal(semi->signal, legacy_semi->signal,
                           "semi[" + tag + "]");
@@ -464,7 +458,7 @@ TEST_P(PipelineDifferentialTest, PipelineMatchesLegacyBitForBit) {
     if (query.fixed_length()) {
       auto legacy_btree = LegacyBTree(handle, query);
       ASSERT_TRUE(legacy_btree.ok());
-      auto btree = RunBTreeMethod(handle, query);
+      auto btree = RunPipeline(handle, query, AccessMethodKind::kBTree);
       ASSERT_TRUE(btree.ok()) << btree.status().ToString();
       ExpectIdenticalSignal(btree->signal, legacy_btree->signal,
                             "btree[" + tag + "]");
@@ -480,7 +474,8 @@ TEST_P(PipelineDifferentialTest, PipelineMatchesLegacyBitForBit) {
       if (topk_supported) {
         auto legacy_topk = LegacyTaWalk(handle, query, 4, 0.0);
         ASSERT_TRUE(legacy_topk.ok());
-        auto topk = RunTopKMethod(handle, query, 4);
+        auto topk = RunPipeline(handle, query, AccessMethodKind::kTopK,
+                                {.k = 4});
         ASSERT_TRUE(topk.ok()) << topk.status().ToString();
         ExpectIdenticalSignal(topk->signal, legacy_topk->signal,
                               "topk[" + tag + "]");
@@ -489,33 +484,13 @@ TEST_P(PipelineDifferentialTest, PipelineMatchesLegacyBitForBit) {
 
         auto legacy_tau = LegacyTaWalk(handle, query, kUnbounded, 0.25);
         ASSERT_TRUE(legacy_tau.ok());
-        auto tau = RunThresholdMethod(handle, query, 0.25);
+        auto tau = RunPipeline(handle, query, AccessMethodKind::kTopK,
+                               {.threshold = 0.25});
         ASSERT_TRUE(tau.ok());
         ExpectIdenticalSignal(tau->signal, legacy_tau->signal,
                               "threshold[" + tag + "]");
         ExpectSameCoreStats(tau->stats, legacy_tau->stats,
                             "threshold[" + tag + "]");
-      }
-    }
-
-    // Prefetch determinism: with any batch size the pipeline must produce
-    // the bit-identical signal and the same non-timing stats.
-    for (AccessMethodKind method :
-         {AccessMethodKind::kScan, AccessMethodKind::kMcIndex,
-          AccessMethodKind::kSemiIndependent}) {
-      auto base = RunPipeline(handle, query, method);
-      ASSERT_TRUE(base.ok());
-      for (size_t batch : {size_t{1}, size_t{3}, size_t{64}}) {
-        PipelineOptions options;
-        options.prefetch_batch = batch;
-        auto prefetched = RunPipeline(handle, query, method, options);
-        ASSERT_TRUE(prefetched.ok()) << prefetched.status().ToString();
-        ExpectIdenticalSignal(
-            prefetched->signal, base->signal,
-            "prefetch=" + std::to_string(batch) + "[" + tag + "]");
-        ExpectSameCoreStats(
-            prefetched->stats, base->stats,
-            "prefetch=" + std::to_string(batch) + "[" + tag + "]");
       }
     }
   }
@@ -565,7 +540,7 @@ TEST_F(PipelineTest, ScanThroughGapPolicyIsExact) {
   BuildArchive(stream, /*btp=*/false, /*mc=*/false);
   RegularQuery query = SparseTwoStep();
 
-  auto scan = RunScanMethod(handle_.get(), query);
+  auto scan = RunPipeline(handle_.get(), query, AccessMethodKind::kScan);
   ASSERT_TRUE(scan.ok());
 
   // The scan-through policy reads interior transitions instead of composed
@@ -580,35 +555,6 @@ TEST_F(PipelineTest, ScanThroughGapPolicyIsExact) {
   EXPECT_NE(hybrid->stats.plan_summary.find("gap=scan-through"),
             std::string::npos)
       << hybrid->stats.plan_summary;
-
-  // Prefetch composes with custom plans too.
-  PipelineOptions options;
-  options.prefetch_batch = 8;
-  auto prefetched = RunCursorPipeline(handle_.get(), query, factory,
-                                      AccessMethodKind::kMcIndex, options);
-  ASSERT_TRUE(prefetched.ok());
-  ExpectIdenticalSignal(prefetched->signal, hybrid->signal,
-                        "scan-through prefetch");
-}
-
-TEST_F(PipelineTest, ThresholdCursorRunsSynchronouslyUnderPrefetch) {
-  MarkovianStream stream = test::MakeBandedStream(120, 8, 7);
-  BuildArchive(stream);
-  RegularQuery query = SparseTwoStep();
-
-  auto base = RunTopKMethod(handle_.get(), query, 3);
-  ASSERT_TRUE(base.ok());
-  PipelineOptions options;
-  options.k = 3;
-  options.prefetch_batch = 16;  // Must be ignored: TA consumes feedback.
-  auto prefetched = RunPipeline(handle_.get(), query,
-                                AccessMethodKind::kTopK, options);
-  ASSERT_TRUE(prefetched.ok());
-  ExpectIdenticalSignal(prefetched->signal, base->signal, "topk prefetch");
-  ExpectSameCoreStats(prefetched->stats, base->stats, "topk prefetch");
-  EXPECT_NE(prefetched->stats.plan_summary.find("prefetch=off"),
-            std::string::npos)
-      << prefetched->stats.plan_summary;
 }
 
 TEST_F(PipelineTest, EmptyPlanForShortStreamsReportsEmptyResult) {
@@ -619,14 +565,14 @@ TEST_F(PipelineTest, EmptyPlanForShortStreamsReportsEmptyResult) {
     links.push_back(QueryLink{std::nullopt, Predicate::Equality(0, 0, "a")});
   }
   RegularQuery query("longer-than-stream", std::move(links));
-  auto result = RunBTreeMethod(handle_.get(), query);
+  auto result = RunPipeline(handle_.get(), query, AccessMethodKind::kBTree);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->method, AccessMethodKind::kBTree);
   EXPECT_TRUE(result->signal.empty());
   EXPECT_EQ(result->stats.reg_updates, 0u);
 }
 
-TEST_F(PipelineTest, PrefetchUnderFaultInjectionNeverYieldsWrongSignal) {
+TEST_F(PipelineTest, FaultInjectionNeverYieldsWrongSignal) {
   MarkovianStream stream = test::MakeBandedStream(100, 10, 17);
   Caldera system(scratch_.Path("chaos"));
   ASSERT_TRUE(system.archive()->CreateStream("s", stream).ok());
@@ -650,7 +596,6 @@ TEST_F(PipelineTest, PrefetchUnderFaultInjectionNeverYieldsWrongSignal) {
     system.InvalidateStreams();
     ExecOptions rescue;
     rescue.fallback_to_scan = true;
-    rescue.prefetch_batch = 4;  // The producer stage hits the faults.
     auto result = system.Execute("s", query, rescue);
     if (!result.ok()) {
       EXPECT_EQ(result.status().code(), StatusCode::kIoError);
@@ -692,7 +637,7 @@ TEST_F(PipelineTest, ZeroPostingPredicateHasZeroDensityAndCleanPlan) {
   EXPECT_EQ(decision->method, AccessMethodKind::kBTree);
   EXPECT_EQ(decision->estimated_density, 0.0);
 
-  auto result = RunBTreeMethod(handle_.get(), query);
+  auto result = RunPipeline(handle_.get(), query, AccessMethodKind::kBTree);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->signal.empty());
 }

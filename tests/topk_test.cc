@@ -3,8 +3,7 @@
 #include <algorithm>
 
 #include "caldera/archive.h"
-#include "caldera/scan_method.h"
-#include "caldera/topk_method.h"
+#include "caldera/executor.h"
 #include "common/logging.h"
 #include "rfid/workload.h"
 #include "test_util.h"
@@ -67,10 +66,11 @@ TEST_F(TopKTest, MatchesScanTopKAcrossSeedsAndK) {
     auto archived =
         ArchiveWithIndexes(scratch_, stream, "s" + std::to_string(seed));
     RegularQuery query = FixedQuery(6, 7);
-    auto scan = RunScanMethod(archived.get(), query);
+    auto scan = RunPipeline(archived.get(), query, AccessMethodKind::kScan);
     ASSERT_TRUE(scan.ok());
     for (size_t k : {1u, 3u, 10u}) {
-      auto topk = RunTopKMethod(archived.get(), query, k);
+      auto topk = RunPipeline(archived.get(), query, AccessMethodKind::kTopK,
+                              {.k = k});
       ASSERT_TRUE(topk.ok()) << topk.status().ToString();
       ExpectTopKEquals(topk->signal, ReferenceTopK(scan->signal, k));
     }
@@ -81,9 +81,10 @@ TEST_F(TopKTest, KLargerThanMatchCountReturnsAll) {
   MarkovianStream stream = test::MakeBandedStream(150, 16, 4);
   auto archived = ArchiveWithIndexes(scratch_, stream);
   RegularQuery query = FixedQuery(2, 3);
-  auto scan = RunScanMethod(archived.get(), query);
+  auto scan = RunPipeline(archived.get(), query, AccessMethodKind::kScan);
   ASSERT_TRUE(scan.ok());
-  auto topk = RunTopKMethod(archived.get(), query, 100000);
+  auto topk = RunPipeline(archived.get(), query, AccessMethodKind::kTopK,
+                          {.k = 100000});
   ASSERT_TRUE(topk.ok());
   ExpectTopKEquals(topk->signal, ReferenceTopK(scan->signal, 100000));
 }
@@ -93,9 +94,10 @@ TEST_F(TopKTest, SetPredicateTopK) {
   auto archived = ArchiveWithIndexes(scratch_, stream);
   RegularQuery query = RegularQuery::Sequence(
       "set", {Predicate::In(0, {4, 5}, "a"), Predicate::In(0, {6, 7}, "b")});
-  auto scan = RunScanMethod(archived.get(), query);
+  auto scan = RunPipeline(archived.get(), query, AccessMethodKind::kScan);
   ASSERT_TRUE(scan.ok());
-  auto topk = RunTopKMethod(archived.get(), query, 5);
+  auto topk = RunPipeline(archived.get(), query, AccessMethodKind::kTopK,
+                          {.k = 5});
   ASSERT_TRUE(topk.ok()) << topk.status().ToString();
   ExpectTopKEquals(topk->signal, ReferenceTopK(scan->signal, 5));
 }
@@ -107,9 +109,10 @@ TEST_F(TopKTest, ThreeLinkTopK) {
       "three",
       {Predicate::Equality(0, 4, "s4"), Predicate::Equality(0, 5, "s5"),
        Predicate::Equality(0, 6, "s6")});
-  auto scan = RunScanMethod(archived.get(), query);
+  auto scan = RunPipeline(archived.get(), query, AccessMethodKind::kScan);
   ASSERT_TRUE(scan.ok());
-  auto topk = RunTopKMethod(archived.get(), query, 3);
+  auto topk = RunPipeline(archived.get(), query, AccessMethodKind::kTopK,
+                          {.k = 3});
   ASSERT_TRUE(topk.ok());
   ExpectTopKEquals(topk->signal, ReferenceTopK(scan->signal, 3));
 }
@@ -127,9 +130,10 @@ TEST_F(TopKTest, PrunesOnPeakySignals) {
   auto archived = ArchiveWithIndexes(scratch_, workload->stream);
   RegularQuery query = workload->EnteredRoomFixed();
 
-  auto scan = RunScanMethod(archived.get(), query);
+  auto scan = RunPipeline(archived.get(), query, AccessMethodKind::kScan);
   ASSERT_TRUE(scan.ok());
-  auto topk = RunTopKMethod(archived.get(), query, 1);
+  auto topk = RunPipeline(archived.get(), query, AccessMethodKind::kTopK,
+                          {.k = 1});
   ASSERT_TRUE(topk.ok());
   ExpectTopKEquals(topk->signal, ReferenceTopK(scan->signal, 1), 1e-7);
 
@@ -159,15 +163,18 @@ TEST_F(TopKTest, RejectsUnsupportedQueries) {
   RegularQuery variable(
       "v", {QueryLink{std::nullopt, Predicate::Equality(0, 1, "s1")},
             QueryLink{Predicate::Not(t), t}});
-  EXPECT_EQ(RunTopKMethod(archived.get(), variable, 1).status().code(),
+  EXPECT_EQ(RunPipeline(archived.get(), variable, AccessMethodKind::kTopK,
+                        {.k = 1}).status().code(),
             StatusCode::kFailedPrecondition);
   // Range predicate (unsupported by the top-k method, Section 3.4.1).
   RegularQuery range = RegularQuery::Sequence(
       "r", {Predicate::Range(0, 0, 3, "r"), Predicate::Equality(0, 5, "s5")});
-  EXPECT_EQ(RunTopKMethod(archived.get(), range, 1).status().code(),
+  EXPECT_EQ(RunPipeline(archived.get(), range, AccessMethodKind::kTopK,
+                        {.k = 1}).status().code(),
             StatusCode::kFailedPrecondition);
   // k = 0.
-  EXPECT_EQ(RunTopKMethod(archived.get(), FixedQuery(1, 2), 0).status().code(),
+  EXPECT_EQ(RunPipeline(archived.get(), FixedQuery(1, 2),
+                        AccessMethodKind::kTopK, {.k = 0}).status().code(),
             StatusCode::kInvalidArgument);
 }
 
@@ -180,7 +187,8 @@ TEST_F(TopKTest, WorksWhenNoMatchExists) {
   ASSERT_TRUE(workload.ok());
   auto archived = ArchiveWithIndexes(scratch_, workload->stream);
   auto topk =
-      RunTopKMethod(archived.get(), workload->EnteredRoomFixed(), 5);
+      RunPipeline(archived.get(), workload->EnteredRoomFixed(),
+                  AccessMethodKind::kTopK, {.k = 5});
   ASSERT_TRUE(topk.ok()) << topk.status().ToString();
   EXPECT_TRUE(topk->signal.empty());
 }
