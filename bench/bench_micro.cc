@@ -262,50 +262,52 @@ void BM_Crc32cSoftware(benchmark::State& state) {
 }
 BENCHMARK(BM_Crc32cSoftware)->Arg(4096);
 
-// Read-path overhead of the v2 page checksum: cached pager reads verify the
-// CRC on every BufferPool miss, so this measures ReadPage with and without
-// verification (v2 vs a hand-built v1 file of identical size).
-void PagerReadBench(benchmark::State& state, uint32_t version) {
-  const uint32_t kPageSize = 4096;
-  const uint64_t kPages = 256;
-  std::string path = MicroDir() + "/crc_v" + std::to_string(version) + ".pg";
-  {
-    auto pager = Pager::Create(path, kPageSize);
-    CALDERA_CHECK_OK(pager.status());
-    std::string payload((*pager)->page_size(), 'p');
-    for (uint64_t i = 0; i < kPages; ++i) {
-      auto id = (*pager)->AllocatePage();
-      CALDERA_CHECK_OK(id.status());
-      CALDERA_CHECK_OK((*pager)->WritePage(*id, payload.data()));
-    }
-    CALDERA_CHECK_OK((*pager)->Sync());
-  }
-  if (version == 1) {
-    // Rewrite the magic so the same file reopens as an unchecksummed v1
-    // pager: identical bytes read, no verification.
-    auto f = File::OpenOrCreate(path);
-    CALDERA_CHECK_OK(f.status());
-    CALDERA_CHECK_OK((*f)->WriteAt(0, std::string_view("CLDRPGR1", 8)));
-  }
-  auto pager = Pager::Open(path);
+// Read-path overhead of the page checksum: cached pager reads verify the
+// CRC on every BufferPool miss, so this compares Pager::ReadPage with a raw
+// File::ReadAt of the same physical page of the same file.
+constexpr uint32_t kBenchPageSize = 4096;
+constexpr uint64_t kBenchPages = 256;
+
+std::string WritePagerBenchFile() {
+  std::string path = MicroDir() + "/crc.pg";
+  auto pager = Pager::Create(path, kBenchPageSize);
   CALDERA_CHECK_OK(pager.status());
-  std::vector<char> buf((*pager)->physical_page_size());
-  Rng rng(13);
-  for (auto _ : state) {
-    CALDERA_CHECK_OK((*pager)->ReadPage(1 + rng.NextBelow(kPages),
-                                        buf.data()));
-    benchmark::DoNotOptimize(buf.data());
+  std::string payload((*pager)->page_size(), 'p');
+  for (uint64_t i = 0; i < kBenchPages; ++i) {
+    auto id = (*pager)->AllocatePage();
+    CALDERA_CHECK_OK(id.status());
+    CALDERA_CHECK_OK((*pager)->WritePage(*id, payload.data()));
   }
-  state.SetBytesProcessed(state.iterations() * kPageSize);
+  CALDERA_CHECK_OK((*pager)->Sync());
+  return path;
 }
 
 void BM_PagerReadChecksummed(benchmark::State& state) {
-  PagerReadBench(state, 2);
+  auto pager = Pager::Open(WritePagerBenchFile());
+  CALDERA_CHECK_OK(pager.status());
+  std::vector<char> buf(kBenchPageSize);
+  Rng rng(13);
+  for (auto _ : state) {
+    CALDERA_CHECK_OK((*pager)->ReadPage(1 + rng.NextBelow(kBenchPages),
+                                        buf.data()));
+    benchmark::DoNotOptimize(buf.data());
+  }
+  state.SetBytesProcessed(state.iterations() * kBenchPageSize);
 }
 BENCHMARK(BM_PagerReadChecksummed);
 
 void BM_PagerReadUnchecksummed(benchmark::State& state) {
-  PagerReadBench(state, 1);
+  auto file = File::OpenReadOnly(WritePagerBenchFile());
+  CALDERA_CHECK_OK(file.status());
+  std::vector<char> buf(kBenchPageSize);
+  Rng rng(13);
+  for (auto _ : state) {
+    const uint64_t id = 1 + rng.NextBelow(kBenchPages);
+    CALDERA_CHECK_OK(
+        (*file)->ReadAt(id * kBenchPageSize, kBenchPageSize, buf.data()));
+    benchmark::DoNotOptimize(buf.data());
+  }
+  state.SetBytesProcessed(state.iterations() * kBenchPageSize);
 }
 BENCHMARK(BM_PagerReadUnchecksummed);
 

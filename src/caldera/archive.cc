@@ -76,6 +76,12 @@ Result<std::unique_ptr<ArchivedStream>> ArchivedStream::Open(
         McDir(dir),
         [raw](uint64_t t, Cpt* out) { return raw->ReadTransition(t, out); },
         pool_pages);
+    // mc.meta carries no checksum; a domain that disagrees with the schema
+    // would size the composition scratch from a corrupt field.
+    if (mc.ok() && (*mc)->domain_size() != raw->schema().state_count()) {
+      mc = Status::Corruption("MC index domain does not match the schema in " +
+                              McDir(dir));
+    }
     if (mc.ok()) {
       archived->mc_ = std::move(*mc);
       // Private per-handle cache so span memoization works even outside
@@ -115,7 +121,6 @@ void ArchivedStream::AttachSpanCache(std::shared_ptr<SpanCptCache> cache,
   binding.cache = span_cache_;
   binding.stream_id = FingerprintString(dir_);
   binding.epoch = epoch;
-  binding.condition_fp = 0;  // The archived MC index is unconditioned.
   mc_->AttachSpanCache(std::move(binding));
 }
 
@@ -232,14 +237,13 @@ Status StreamArchive::RebuildIndexes(const std::string& name) {
   }
   if (ec) return Status::IoError("cannot list " + dir + ": " + ec.message());
 
-  // The MC index's build parameters live in mc/mc.meta; recover the full
-  // option set when the metadata is still readable, otherwise rebuild with
-  // defaults.
+  // The MC index's build parameters live in mc/mc.meta; recover them when
+  // the metadata is still readable, otherwise rebuild with defaults.
   const bool had_mc = FileExists(McDir(dir) + "/mc.meta");
   McIndexOptions mc_options;
   if (had_mc) {
-    Result<McIndexOptions> recovered = McIndex::ReadBuildOptions(McDir(dir));
-    if (recovered.ok()) mc_options = *recovered;
+    Result<McMetaSummary> meta = McIndex::ReadMeta(McDir(dir));
+    if (meta.ok()) mc_options = meta->options;
   }
 
   for (size_t attr : btc_attrs) {

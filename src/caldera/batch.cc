@@ -33,17 +33,6 @@ BatchResult::TopMatches(size_t k, double threshold) const {
 
 namespace {
 
-// One stream's execution. Fallback (missing index, corrupt index or page)
-// is handled inside Caldera::Execute; the batch flag simply opts every
-// stream in.
-Result<QueryResult> ExecuteOne(Caldera* system, const std::string& name,
-                               const RegularQuery& query,
-                               const BatchOptions& options) {
-  ExecOptions exec = options.exec;
-  exec.fallback_to_scan = exec.fallback_to_scan || options.fallback_to_scan;
-  return system->Execute(name, query, exec);
-}
-
 Status WrapStreamError(const std::string& name, const Status& st) {
   return Status(st.code(), "stream '" + name + "': " + st.message());
 }
@@ -68,7 +57,7 @@ Result<BatchResult> ExecuteBatch(Caldera* system, const RegularQuery& query,
     BatchResult batch;
     batch.streams.reserve(streams.size());
     for (const std::string& name : streams) {
-      Result<QueryResult> result = ExecuteOne(system, name, query, options);
+      Result<QueryResult> result = system->Execute(name, query, options.exec);
       if (!result.ok()) return WrapStreamError(name, result.status());
       batch.streams.push_back({name, std::move(*result)});
     }
@@ -95,7 +84,7 @@ Result<BatchResult> ExecuteBatch(Caldera* system, const RegularQuery& query,
       const std::vector<size_t>* indices_ptr = &indices;
       pool.Submit([system, &query, &options, &slots, name_ptr, indices_ptr] {
         for (size_t index : *indices_ptr) {
-          slots[index] = ExecuteOne(system, *name_ptr, query, options);
+          slots[index] = system->Execute(*name_ptr, query, options.exec);
         }
       });
     }

@@ -42,16 +42,12 @@ struct BatchResult {
 /// deterministic and identical to the sequential run.
 ///
 /// Streams that cannot run the requested method (e.g. a missing index)
-/// surface as an error unless `fallback_to_scan` allows falling back.
+/// surface as an error unless `exec.fallback_to_scan` allows falling back;
+/// rescued streams report stats.scan_fallbacks / stats.corruption_events.
 struct BatchOptions {
   ExecOptions exec;
   /// Restrict to these streams (empty = all archived streams).
   std::vector<std::string> streams;
-  /// On a missing index (FailedPrecondition) or a damaged one (Corruption /
-  /// IoError), retry the stream with the naive scan instead of failing the
-  /// batch. Equivalent to setting exec.fallback_to_scan; rescued streams
-  /// report stats.scan_fallbacks / stats.corruption_events.
-  bool fallback_to_scan = false;
   /// Worker threads for the fan-out. 0 = hardware concurrency, 1 = run
   /// sequentially on the calling thread (the pre-parallel behavior).
   size_t num_threads = 0;

@@ -1,143 +1,12 @@
 #include "caldera/executor.h"
 
 #include <chrono>
+#include <optional>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "reg/reg_operator.h"
 
 namespace caldera {
-
-namespace {
-
-// One decoded unit of work for the Reg operator: a cursor item with its
-// payload (marginal / transition CPT / composed span CPT) already read from
-// storage. Decoding is the producer stage of the pipeline — it performs all
-// index and record IO — so a Snippet can be consumed without touching disk.
-struct Snippet {
-  enum class Kind : uint8_t {
-    kInitialize,   // First segment: Initialize(marginal).
-    kRestart,      // New segment: Reset, then Initialize(marginal).
-    kUpdate,       // Adjacent step: Update(transition).
-    kSpanning,     // Gap bridged exactly: UpdateSpanning(span, gap).
-    kIndependent,  // Gap approximated: UpdateIndependent(marginal).
-  };
-
-  Kind kind = Kind::kUpdate;
-  uint64_t time = 0;
-  uint64_t gap = 1;
-  bool emit = true;
-  bool observe = false;
-  Distribution marginal;
-  Cpt transition;
-  std::shared_ptr<const Cpt> span;
-};
-
-// Producer stage: pulls cursor items and decodes them under the plan's gap
-// policy. Owns the previous-timestep state.
-class SnippetDecoder {
- public:
-  SnippetDecoder(RelevantTimestepCursor* cursor, GapPolicy policy,
-                 StoredStream* stream, McIndex* mc)
-      : cursor_(cursor), policy_(policy), stream_(stream), mc_(mc) {}
-
-  // Decodes the next cursor item into `batch` (cleared first; one item may
-  // decode to several snippets under scan-through). Returns false once the
-  // cursor is exhausted. On error the whole execution aborts, matching the
-  // monolithic methods (which interleaved reads and updates and bailed on
-  // the first failed read).
-  Result<bool> DecodeNext(std::vector<Snippet>* batch) {
-    batch->clear();
-    CALDERA_ASSIGN_OR_RETURN(std::optional<CursorItem> item, cursor_->Next());
-    if (!item.has_value()) return false;
-    ++items_;
-    CALDERA_RETURN_IF_ERROR(Decode(*item, batch));
-    return true;
-  }
-
-  // Cursor items pulled so far (the default relevant-timestep count).
-  uint64_t items() const { return items_; }
-
- private:
-  Status Decode(const CursorItem& item, std::vector<Snippet>* out) {
-    Snippet s;
-    s.time = item.time;
-    s.emit = item.emit;
-    s.observe = item.observe;
-    if (!started_ || item.restart) {
-      s.kind = started_ ? Snippet::Kind::kRestart : Snippet::Kind::kInitialize;
-      CALDERA_RETURN_IF_ERROR(stream_->ReadMarginal(item.time, &s.marginal));
-      started_ = true;
-      prev_ = item.time;
-      out->push_back(std::move(s));
-      return Status::Ok();
-    }
-    if (item.time <= prev_) {
-      return Status::Internal(
-          "cursor violated its contract: non-restart items must strictly "
-          "increase in time");
-    }
-    const uint64_t gap = item.time - prev_;
-    prev_ = item.time;
-    if (gap == 1) {
-      s.kind = Snippet::Kind::kUpdate;
-      CALDERA_RETURN_IF_ERROR(
-          stream_->ReadTransition(item.time, &s.transition));
-      out->push_back(std::move(s));
-      return Status::Ok();
-    }
-    switch (policy_) {
-      case GapPolicy::kAdjacentOnly:
-        return Status::Internal(
-            "cursor produced a gap under the adjacent-only gap policy");
-      case GapPolicy::kRestart:
-        // No match can span the gap; start a fresh segment.
-        s.kind = Snippet::Kind::kRestart;
-        CALDERA_RETURN_IF_ERROR(stream_->ReadMarginal(item.time, &s.marginal));
-        break;
-      case GapPolicy::kExactSpan: {
-        s.kind = Snippet::Kind::kSpanning;
-        s.gap = gap;
-        CALDERA_ASSIGN_OR_RETURN(s.span,
-                                 mc_->GetSpanCpt(item.time - gap, item.time));
-        break;
-      }
-      case GapPolicy::kIndependent:
-        s.kind = Snippet::Kind::kIndependent;
-        CALDERA_RETURN_IF_ERROR(stream_->ReadMarginal(item.time, &s.marginal));
-        break;
-      case GapPolicy::kScanThrough: {
-        // Exact without an MC index: apply every interior transition. The
-        // interior timesteps are processed exactly, so they emit too.
-        for (uint64_t t = item.time - gap + 1; t < item.time; ++t) {
-          Snippet interior;
-          interior.kind = Snippet::Kind::kUpdate;
-          interior.time = t;
-          CALDERA_RETURN_IF_ERROR(
-              stream_->ReadTransition(t, &interior.transition));
-          out->push_back(std::move(interior));
-        }
-        s.kind = Snippet::Kind::kUpdate;
-        CALDERA_RETURN_IF_ERROR(
-            stream_->ReadTransition(item.time, &s.transition));
-        break;
-      }
-    }
-    out->push_back(std::move(s));
-    return Status::Ok();
-  }
-
-  RelevantTimestepCursor* cursor_;
-  GapPolicy policy_;
-  StoredStream* stream_;
-  McIndex* mc_;
-  bool started_ = false;
-  uint64_t prev_ = 0;
-  uint64_t items_ = 0;
-};
-
-}  // namespace
 
 Result<QueryResult> RunCursorPipeline(ArchivedStream* archived,
                                       const RegularQuery& query,
@@ -166,44 +35,82 @@ Result<QueryResult> RunCursorPipeline(ArchivedStream* archived,
   uint64_t reg_updates = 0;
   double reg_kernel_seconds = 0.0;
   uint64_t segments = 0;  // Initialize calls == processing segments.
+  uint64_t items = 0;     // Cursor items pulled (relevant timesteps).
+  uint64_t prev = 0;
 
-  // Consumer stage: feeds one decoded snippet to Reg. Touches only the
-  // snippet payload and the cursor's feedback hook, never storage.
-  auto consume = [&](Snippet& s) {
-    double p = 0.0;
-    switch (s.kind) {
-      case Snippet::Kind::kRestart:
-        // num_updates/kernel_seconds reset with the operator; bank them.
-        reg_updates += reg.num_updates();
-        reg_kernel_seconds += reg.kernel_seconds();
-        reg.Reset();
-        [[fallthrough]];
-      case Snippet::Kind::kInitialize:
-        ++segments;
-        p = reg.Initialize(s.marginal);
-        break;
-      case Snippet::Kind::kUpdate:
-        p = reg.Update(s.transition);
-        break;
-      case Snippet::Kind::kSpanning:
-        p = reg.UpdateSpanning(*s.span, s.gap);
-        break;
-      case Snippet::Kind::kIndependent:
-        p = reg.UpdateIndependent(s.marginal);
-        break;
+  // Starts a processing segment at `marginal`. The operator's update count
+  // and kernel time reset with it, so bank them first.
+  auto begin_segment = [&](const Distribution& marginal) {
+    if (segments > 0) {
+      reg_updates += reg.num_updates();
+      reg_kernel_seconds += reg.kernel_seconds();
+      reg.Reset();
     }
-    if (s.emit) result.signal.push_back({s.time, p});
-    if (s.observe) cursor->Observe(s.time, p);
+    ++segments;
+    return reg.Initialize(marginal);
   };
 
-  // Decode one item, consume it, repeat: the exact read/update
-  // interleaving of the monolithic methods.
-  SnippetDecoder decoder(cursor, plan.gap_policy, stream, mc);
-  std::vector<Snippet> batch;
+  // Pull an item, read its payload, update Reg: the exact read/update
+  // interleaving of the monolithic methods. Every storage read and every
+  // Reg call is its own statement. The first failed read aborts the query.
   for (;;) {
-    CALDERA_ASSIGN_OR_RETURN(bool more, decoder.DecodeNext(&batch));
-    for (Snippet& s : batch) consume(s);
-    if (!more) break;
+    CALDERA_ASSIGN_OR_RETURN(std::optional<CursorItem> next, cursor->Next());
+    if (!next.has_value()) break;
+    const CursorItem item = *next;
+    ++items;
+    double p = 0.0;
+    if (segments == 0 || item.restart) {
+      Distribution marginal;
+      CALDERA_RETURN_IF_ERROR(stream->ReadMarginal(item.time, &marginal));
+      p = begin_segment(marginal);
+    } else if (item.time <= prev) {
+      return Status::Internal(
+          "cursor violated its contract: non-restart items must strictly "
+          "increase in time");
+    } else if (item.time == prev + 1) {
+      Cpt transition;
+      CALDERA_RETURN_IF_ERROR(stream->ReadTransition(item.time, &transition));
+      p = reg.Update(transition);
+    } else {
+      const uint64_t gap = item.time - prev;
+      switch (plan.gap_policy) {
+        case GapPolicy::kAdjacentOnly:
+          return Status::Internal(
+              "cursor produced a gap under the adjacent-only gap policy");
+        case GapPolicy::kRestart: {
+          // No match can span the gap; start a fresh segment.
+          Distribution marginal;
+          CALDERA_RETURN_IF_ERROR(stream->ReadMarginal(item.time, &marginal));
+          p = begin_segment(marginal);
+          break;
+        }
+        case GapPolicy::kExactSpan: {
+          CALDERA_ASSIGN_OR_RETURN(std::shared_ptr<const Cpt> span,
+                                   mc->GetSpanCpt(prev, item.time));
+          p = reg.UpdateSpanning(*span, gap);
+          break;
+        }
+        case GapPolicy::kIndependent: {
+          Distribution marginal;
+          CALDERA_RETURN_IF_ERROR(stream->ReadMarginal(item.time, &marginal));
+          p = reg.UpdateIndependent(marginal);
+          break;
+        }
+        case GapPolicy::kScanThrough:
+          // Exact without an MC index: apply every interior transition. The
+          // interior timesteps are processed exactly, so they emit too.
+          for (uint64_t t = prev + 1; t <= item.time; ++t) {
+            Cpt transition;
+            CALDERA_RETURN_IF_ERROR(stream->ReadTransition(t, &transition));
+            p = reg.Update(transition);
+            if (t < item.time) result.signal.push_back({t, p});
+          }
+          break;
+      }
+    }
+    prev = item.time;
+    if (item.emit) result.signal.push_back({item.time, p});
+    if (item.observe) cursor->Observe(item.time, p);
   }
 
   reg_updates += reg.num_updates();
@@ -216,7 +123,7 @@ Result<QueryResult> RunCursorPipeline(ArchivedStream* archived,
   }
 
   CursorStats cursor_stats;
-  cursor->ContributeStats(decoder.items(), &cursor_stats);
+  cursor->ContributeStats(items, &cursor_stats);
   result.stats.reg_updates = reg_updates;
   result.stats.relevant_timesteps = cursor_stats.relevant_timesteps;
   result.stats.pruned_candidates = cursor_stats.pruned_candidates;

@@ -32,8 +32,8 @@ void TruncateCptRows(Cpt* cpt, double eps) {
 
 // Fixed metadata prefix: magic, alpha, num_levels, stream_length, domain.
 constexpr size_t kMetaPrefixSize = 28;
-// Build options appended after the level counts (newer files only):
-// truncate_eps f64, max_span u64, page_size u32.
+// Build options after the level counts: truncate_eps f64, max_span u64,
+// page_size u32.
 constexpr size_t kMetaOptionsSize = 20;
 
 // Writes mc.meta atomically enough for our purposes (the ingest WAL
@@ -55,38 +55,6 @@ Status WriteMcMeta(const std::string& dir, uint64_t stream_length,
   CALDERA_RETURN_IF_ERROR(f->Truncate(0));
   CALDERA_RETURN_IF_ERROR(f->Append(meta));
   return f->Sync();
-}
-
-Result<McMetaSummary> ReadMcMeta(const std::string& dir) {
-  CALDERA_ASSIGN_OR_RETURN(std::unique_ptr<File> f,
-                           File::OpenReadOnly(dir + "/mc.meta"));
-  std::string meta(f->size(), '\0');
-  CALDERA_RETURN_IF_ERROR(f->ReadAt(0, meta.size(), meta.data()));
-  if (meta.size() < kMetaPrefixSize ||
-      meta.compare(0, 8, kMcMagic, 8) != 0) {
-    return Status::Corruption("bad MC index meta in " + dir);
-  }
-  McMetaSummary out;
-  const uint32_t alpha = GetFixed32(meta.data() + 8);
-  const uint32_t num_levels = GetFixed32(meta.data() + 12);
-  out.stream_length = GetFixed64(meta.data() + 16);
-  out.domain = GetFixed32(meta.data() + 24);
-  if (alpha < 2) return Status::Corruption("bad MC alpha in " + dir);
-  size_t offset = kMetaPrefixSize;
-  if (meta.size() < offset + 8 * uint64_t{num_levels}) {
-    return Status::Corruption("truncated MC level counts in " + dir);
-  }
-  out.level_counts.reserve(num_levels);
-  for (uint32_t i = 0; i < num_levels; ++i, offset += 8) {
-    out.level_counts.push_back(GetFixed64(meta.data() + offset));
-  }
-  out.options.alpha = alpha;
-  if (meta.size() >= offset + kMetaOptionsSize) {
-    out.options.truncate_eps = GetDouble(meta.data() + offset);
-    out.options.max_span = GetFixed64(meta.data() + offset + 8);
-    out.options.page_size = GetFixed32(meta.data() + offset + 16);
-  }
-  return out;
 }
 
 }  // namespace
@@ -153,18 +121,60 @@ Status McIndex::Build(const MarkovianStream& stream, const std::string& dir,
   return WriteMcMeta(dir, stream.length(), domain, level_counts, options);
 }
 
-Result<McIndexOptions> McIndex::ReadBuildOptions(const std::string& dir) {
-  CALDERA_ASSIGN_OR_RETURN(McMetaSummary meta, ReadMcMeta(dir));
-  return meta.options;
-}
-
 Result<McMetaSummary> McIndex::ReadMeta(const std::string& dir) {
-  return ReadMcMeta(dir);
+  CALDERA_ASSIGN_OR_RETURN(std::unique_ptr<File> f,
+                           File::OpenReadOnly(dir + "/mc.meta"));
+  std::string meta(f->size(), '\0');
+  CALDERA_RETURN_IF_ERROR(f->ReadAt(0, meta.size(), meta.data()));
+  if (meta.size() < kMetaPrefixSize ||
+      meta.compare(0, 8, kMcMagic, 8) != 0) {
+    return Status::Corruption("bad MC index meta in " + dir);
+  }
+  McMetaSummary out;
+  const uint32_t alpha = GetFixed32(meta.data() + 8);
+  const uint32_t num_levels = GetFixed32(meta.data() + 12);
+  out.stream_length = GetFixed64(meta.data() + 16);
+  out.domain = GetFixed32(meta.data() + 24);
+  if (meta.size() !=
+      kMetaPrefixSize + 8 * uint64_t{num_levels} + kMetaOptionsSize) {
+    return Status::Corruption("MC index meta in " + dir + " has " +
+                              std::to_string(meta.size()) + " bytes for " +
+                              std::to_string(num_levels) + " levels");
+  }
+  if (alpha < 2) return Status::Corruption("bad MC alpha in " + dir);
+  if (out.stream_length < 2) {
+    return Status::Corruption("bad MC stream length in " + dir);
+  }
+  // Level i holds floor((length - 1) / alpha^i) >= 1 entries, as Build and
+  // Extend write it. Checking every count pins alpha, num_levels and the
+  // stream length against each other, so no corrupt field can overflow a
+  // level span or steer a lookup past a level file.
+  const uint64_t num_transitions = out.stream_length - 1;
+  size_t offset = kMetaPrefixSize;
+  uint64_t span = 1;
+  out.level_counts.reserve(num_levels);
+  for (uint32_t i = 0; i < num_levels; ++i, offset += 8) {
+    // The level exists only if alpha^(i+1) <= length - 1, which also keeps
+    // the product from overflowing.
+    const bool fits = span <= num_transitions / alpha;
+    if (fits) span *= alpha;
+    const uint64_t count = GetFixed64(meta.data() + offset);
+    if (!fits || count != num_transitions / span) {
+      return Status::Corruption("bad MC level " + std::to_string(i + 1) +
+                                " entry count in " + dir);
+    }
+    out.level_counts.push_back(count);
+  }
+  out.options.alpha = alpha;
+  out.options.truncate_eps = GetDouble(meta.data() + offset);
+  out.options.max_span = GetFixed64(meta.data() + offset + 8);
+  out.options.page_size = GetFixed32(meta.data() + offset + 16);
+  return out;
 }
 
 Status McIndex::Extend(const std::string& dir, TransitionSource transitions,
                        uint64_t new_length, McExtendStats* stats) {
-  CALDERA_ASSIGN_OR_RETURN(McMetaSummary meta, ReadMcMeta(dir));
+  CALDERA_ASSIGN_OR_RETURN(McMetaSummary meta, ReadMeta(dir));
   const McIndexOptions& options = meta.options;
   if (new_length < meta.stream_length) {
     return Status::InvalidArgument("MC index extends forward only (" +
@@ -257,21 +267,14 @@ Status McIndex::Extend(const std::string& dir, TransitionSource transitions,
 Result<std::unique_ptr<McIndex>> McIndex::Open(const std::string& dir,
                                                TransitionSource transitions,
                                                size_t pool_pages) {
-  CALDERA_ASSIGN_OR_RETURN(std::unique_ptr<File> f,
-                           File::OpenReadOnly(dir + "/mc.meta"));
-  std::string meta(f->size(), '\0');
-  CALDERA_RETURN_IF_ERROR(f->ReadAt(0, meta.size(), meta.data()));
-  if (meta.size() < 28 || meta.compare(0, 8, kMcMagic, 8) != 0) {
-    return Status::Corruption("bad MC index meta in " + dir);
-  }
+  CALDERA_ASSIGN_OR_RETURN(McMetaSummary meta, ReadMeta(dir));
   auto index = std::unique_ptr<McIndex>(new McIndex());
   index->dir_ = dir;
-  index->alpha_ = GetFixed32(meta.data() + 8);
-  uint32_t num_levels = GetFixed32(meta.data() + 12);
-  index->stream_length_ = GetFixed64(meta.data() + 16);
-  index->domain_size_ = GetFixed32(meta.data() + 24);
+  index->alpha_ = meta.options.alpha;
+  const auto num_levels = static_cast<uint32_t>(meta.level_counts.size());
+  index->stream_length_ = meta.stream_length;
+  index->domain_size_ = meta.domain;
   index->transitions_ = std::move(transitions);
-  if (index->alpha_ < 2) return Status::Corruption("bad MC alpha");
 
   index->levels_.resize(num_levels + 1);  // [0] unused (raw stream).
   index->level_spans_.resize(num_levels + 1);
@@ -351,20 +354,10 @@ Status McIndex::ComputeCpt(uint64_t from, uint64_t to, Cpt* out) {
   return Status::Ok();
 }
 
-SpanKey McIndex::CacheKey(uint64_t from, uint64_t to) const {
-  SpanKey key = span_cache_.KeyFor(from, to);
-  // With truncation the composed span depends on which levels supplied it,
-  // so a non-default min level must hash to a different entry.
-  if (min_level_ != 1) {
-    key.condition_fp = FingerprintCombine(key.condition_fp, min_level_);
-  }
-  return key;
-}
-
 Result<std::shared_ptr<const Cpt>> McIndex::GetSpanCpt(uint64_t from,
                                                        uint64_t to) {
   if (span_cache_.valid() && to >= from + 2) {
-    const SpanKey key = CacheKey(from, to);
+    const SpanKey key = span_cache_.KeyFor(from, to, min_level_);
     if (std::shared_ptr<const Cpt> cached = span_cache_.cache->Get(key)) {
       ++span_cache_hits_;
       return cached;

@@ -38,18 +38,17 @@ struct McIndexOptions {
 /// Usually bound to StoredStream::ReadTransition.
 using TransitionSource = std::function<Status(uint64_t t, Cpt* out)>;
 
-/// Wraps a transition source so every CPT it yields is restricted to
-/// destinations satisfying `matcher` — the level-0 counterpart of
-/// McIndex::BuildConditioned.
-template <typename Matcher>
-TransitionSource ConditionSource(TransitionSource source, Matcher matcher) {
-  return [source = std::move(source), matcher = std::move(matcher)](
-             uint64_t t, Cpt* out) -> Status {
-    CALDERA_RETURN_IF_ERROR(source(t, out));
-    *out = out->ConditionDestination(matcher);
-    return Status::Ok();
-  };
-}
+/// Decoded mc.meta: what Open needs to map the level files, and what the
+/// ingest path needs to plan an incremental extension (which level files
+/// will gain entries) before touching disk.
+struct McMetaSummary {
+  uint64_t stream_length = 0;
+  uint32_t domain = 0;
+  /// Entry count per stored level (level 1 first).
+  std::vector<uint64_t> level_counts;
+  /// The options the index was built with.
+  McIndexOptions options;
+};
 
 /// What one McIndex::Extend call actually recomputed — the incremental
 /// maintenance counters the ingest tests assert on: appending B timesteps
@@ -57,18 +56,6 @@ TransitionSource ConditionSource(TransitionSource source, Matcher matcher) {
 /// is bounded by B / (alpha - 1) + log_alpha(n) overall and by the level
 /// count for a single-timestep append. Entries left of the right spine are
 /// never touched.
-/// Decoded mc.meta: what the ingest path needs to plan an incremental
-/// extension (which level files will gain entries) before touching disk.
-struct McMetaSummary {
-  uint64_t stream_length = 0;
-  uint32_t domain = 0;
-  /// Entry count per stored level (level 1 first).
-  std::vector<uint64_t> level_counts;
-  /// The options the index was built with; defaults (exact, unbounded span,
-  /// default page size) for indexes that predate persisted options.
-  McIndexOptions options;
-};
-
 struct McExtendStats {
   /// Index entries (internal product nodes) composed and appended.
   uint64_t nodes_recomputed = 0;
@@ -92,40 +79,16 @@ class McIndex {
   static Status Build(const MarkovianStream& stream, const std::string& dir,
                       const McIndexOptions& options = {});
 
-  /// Builds a *predicate-conditioned* MC index (Section 3.3.2): every raw
-  /// CPT is first restricted to destinations satisfying `matcher`, so a
-  /// composed entry spanning (a, b] is the sub-stochastic table
-  ///   P(X_b = y AND X_t in P for all t in (a, b] | X_a = x).
-  /// This summarizes stream intervals that continuously satisfy a positive
-  /// Kleene loop predicate (e.g. O2 in Q(H2, (O2*, O2))), which the plain
-  /// index cannot skip. Open such an index with a ConditionSource-wrapped
-  /// transition source so level-0 residues are conditioned identically.
-  template <typename Matcher>
-  static Status BuildConditioned(const MarkovianStream& stream,
-                                 const std::string& dir,
-                                 const McIndexOptions& options,
-                                 const Matcher& matcher) {
-    MarkovianStream conditioned = stream;
-    for (uint64_t t = 1; t < conditioned.length(); ++t) {
-      *conditioned.mutable_transition(t) =
-          stream.transition(t).ConditionDestination(matcher);
-    }
-    return Build(conditioned, dir, options);
-  }
-
   /// Opens a previously built index. `transitions` supplies level-0 CPTs
   /// for spans the stored levels cannot cover.
   static Result<std::unique_ptr<McIndex>> Open(const std::string& dir,
                                                TransitionSource transitions,
                                                size_t pool_pages = 64);
 
-  /// Recovers the options the on-disk index was built with. Indexes built
-  /// before the options were persisted report the alpha from the metadata
-  /// and defaults for the rest (exact index, unbounded span, default page
-  /// size).
-  static Result<McIndexOptions> ReadBuildOptions(const std::string& dir);
-
-  /// Reads and decodes the on-disk metadata without opening the level files.
+  /// Reads and decodes the on-disk metadata without opening the level files:
+  /// the one mc.meta decoder, shared by Open and Extend. Corruption unless
+  /// the file has exactly the documented layout and its level counts agree
+  /// with its alpha and stream length.
   static Result<McMetaSummary> ReadMeta(const std::string& dir);
 
   /// Incremental maintenance for the live-ingestion path: extends the index
@@ -145,11 +108,9 @@ class McIndex {
   /// into from+1 .. to. Requires from < to.
   Status ComputeCpt(uint64_t from, uint64_t to, Cpt* out);
 
-  /// Binds a (usually shared) span-CPT cache to this index. The binding's
-  /// condition_fp must describe any destination conditioning baked into
-  /// this index (0 for the plain index); min_level is mixed into the key
-  /// on lookup because with truncation the composed span depends on which
-  /// levels were used.
+  /// Binds a (usually shared) span-CPT cache to this index. min_level is
+  /// part of the key on lookup because with truncation the composed span
+  /// depends on which levels were used.
   void AttachSpanCache(SpanCacheBinding binding) {
     span_cache_ = std::move(binding);
   }
@@ -173,6 +134,8 @@ class McIndex {
     return static_cast<uint32_t>(levels_.size()) - 1;
   }
   uint64_t stream_length() const { return stream_length_; }
+  /// State count the index was built over (the stream schema's).
+  uint32_t domain_size() const { return domain_size_; }
   uint32_t min_level() const { return min_level_; }
 
   /// Bytes of CPT payload stored at levels >= min_level.
@@ -197,9 +160,6 @@ class McIndex {
   McIndex() = default;
 
   Status FetchEntry(uint32_t level, uint64_t block, Cpt* out);
-
-  /// Full cache key for a span, folding in min_level when non-default.
-  SpanKey CacheKey(uint64_t from, uint64_t to) const;
 
   std::string dir_;
   uint32_t alpha_ = 2;

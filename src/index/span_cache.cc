@@ -33,18 +33,13 @@ uint64_t FingerprintString(std::string_view s) {
   return h == 0 ? kFnvPrime : h;
 }
 
-uint64_t FingerprintCombine(uint64_t fp, uint64_t value) {
-  uint64_t h = FnvMix(fp == 0 ? kFnvOffset : fp, value);
-  return h == 0 ? kFnvPrime : h;
-}
-
 size_t SpanKeyHash::operator()(const SpanKey& k) const {
   uint64_t h = kFnvOffset;
   h = FnvMix(h, k.stream_id);
   h = FnvMix(h, k.epoch);
   h = FnvMix(h, k.lo);
   h = FnvMix(h, k.hi);
-  h = FnvMix(h, k.condition_fp);
+  h = FnvMix(h, k.min_level);
   return static_cast<size_t>(h);
 }
 

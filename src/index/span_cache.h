@@ -13,29 +13,27 @@
 
 namespace caldera {
 
-/// Stable 64-bit fingerprint (FNV-1a) used for span-cache key components:
-/// stream directories and predicate-conditioning descriptions.
+/// Stable 64-bit fingerprint (FNV-1a) of a stream directory, used as the
+/// span-cache stream_id.
 uint64_t FingerprintString(std::string_view s);
-
-/// Mixes a second value into an existing fingerprint (order-sensitive).
-uint64_t FingerprintCombine(uint64_t fp, uint64_t value);
 
 /// Identity of one composed span CPT. Every component participates in
 /// equality, so one cache instance can safely be shared across streams,
-/// handle epochs, and predicate-conditioned MC indexes:
+/// handle epochs, and MC level restrictions:
 ///   stream_id     fingerprint of the stream directory
 ///   epoch         handle-cache epoch the stream was opened under — bumping
 ///                 it (Caldera::InvalidateStreams) logically invalidates
 ///                 every entry of the old epoch without touching the cache
 ///   lo, hi        the span: the CPT relating timesteps lo -> hi
-///   condition_fp  fingerprint of the destination-conditioning predicate
-///                 (Section 3.3.2); 0 for the plain MC index
+///   min_level     lowest MC level the span was composed from
+///                 (McIndex::SetMinLevel); with truncation the composed CPT
+///                 depends on which levels supplied it
 struct SpanKey {
   uint64_t stream_id = 0;
   uint64_t epoch = 0;
   uint64_t lo = 0;
   uint64_t hi = 0;
-  uint64_t condition_fp = 0;
+  uint32_t min_level = 1;
 
   bool operator==(const SpanKey&) const = default;
 };
@@ -114,16 +112,15 @@ class SpanCptCache {
 
 /// Binding of a cache to one opened stream: the cache plus the fixed key
 /// components of that stream. Attached to ArchivedStream / McIndex so the
-/// hot path only fills in (lo, hi).
+/// hot path only fills in (lo, hi, min_level).
 struct SpanCacheBinding {
   std::shared_ptr<SpanCptCache> cache;
   uint64_t stream_id = 0;
   uint64_t epoch = 0;
-  uint64_t condition_fp = 0;
 
   bool valid() const { return cache != nullptr; }
-  SpanKey KeyFor(uint64_t lo, uint64_t hi) const {
-    return SpanKey{stream_id, epoch, lo, hi, condition_fp};
+  SpanKey KeyFor(uint64_t lo, uint64_t hi, uint32_t min_level) const {
+    return SpanKey{stream_id, epoch, lo, hi, min_level};
   }
 };
 

@@ -76,23 +76,6 @@ class Cpt {
   /// Verifies every row sums to 1 within `tol`.
   Status ValidateStochastic(double tol = 1e-6) const;
 
-  /// Keeps only transition entries whose destination satisfies `matcher`,
-  /// producing the sub-stochastic matrix used by predicate-conditioned MC
-  /// indexes (Section 3.3.2): P(X_next = dst AND dst in P | src).
-  template <typename Matcher>
-  Cpt ConditionDestination(const Matcher& matcher) const {
-    Cpt out;
-    out.rows_.reserve(rows_.size());
-    for (const Row& row : rows_) {
-      std::vector<RowEntry> kept;
-      for (const RowEntry& e : row.entries) {
-        if (matcher(e.dst)) kept.push_back(e);
-      }
-      if (!kept.empty()) out.rows_.push_back({row.src, std::move(kept)});
-    }
-    return out;
-  }
-
   size_t num_rows() const { return rows_.size(); }
   const std::vector<Row>& rows() const { return rows_; }
   bool empty() const { return rows_.empty(); }

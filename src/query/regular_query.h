@@ -42,9 +42,9 @@ class RegularQuery {
 
   bool fixed_length() const;
 
-  /// True if some Kleene loop predicate is positive (non-negated); such
-  /// queries need the predicate-conditioned MC index variant for exact
-  /// skipped-span processing (Section 3.3.2).
+  /// True if some Kleene loop predicate is positive (non-negated). The
+  /// index-driven methods stay exact on such queries because
+  /// CursorPredicates routes the loop predicate through the cursor set.
   bool HasPositiveLoop() const;
 
   /// The positive base predicates that must drive index cursors: for every

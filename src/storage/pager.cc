@@ -8,20 +8,17 @@
 namespace caldera {
 
 namespace {
-constexpr char kMagicV1[8] = {'C', 'L', 'D', 'R', 'P', 'G', 'R', '1'};
-constexpr char kMagicV2[8] = {'C', 'L', 'D', 'R', 'P', 'G', 'R', '2'};
+constexpr char kMagic[8] = {'C', 'L', 'D', 'R', 'P', 'G', 'R', '2'};
 constexpr size_t kHeaderSize = 8 /*magic*/ + 4 /*page_size*/ + 8 /*pages*/;
 }  // namespace
 
 Pager::Pager(std::unique_ptr<File> file, uint32_t page_size,
-             uint64_t page_count, uint32_t version)
+             uint64_t page_count)
     : file_(std::move(file)),
       page_size_(page_size),
-      payload_size_(version >= 2 ? page_size - kPageTrailerSize : page_size),
+      payload_size_(page_size - kPageTrailerSize),
       page_count_(page_count),
-      version_(version) {
-  if (version_ >= 2) scratch_.resize(page_size_);
-}
+      scratch_(page_size) {}
 
 uint32_t Pager::PageCrc(const char* payload, PageId id) const {
   uint32_t crc = Crc32c(payload, payload_size_);
@@ -55,7 +52,7 @@ Result<std::unique_ptr<Pager>> Pager::Create(const std::string& path,
                            File::OpenOrCreate(path));
   CALDERA_RETURN_IF_ERROR(file->Truncate(0));
   auto pager = std::unique_ptr<Pager>(
-      new Pager(std::move(file), page_size, /*page_count=*/1, /*version=*/2));
+      new Pager(std::move(file), page_size, /*page_count=*/1));
   // Materialize the (checksummed) header page.
   CALDERA_RETURN_IF_ERROR(pager->WriteHeader());
   return pager;
@@ -70,12 +67,7 @@ Result<std::unique_ptr<Pager>> Pager::Open(const std::string& path) {
   }
   char header[kHeaderSize];
   CALDERA_RETURN_IF_ERROR(file->ReadAt(0, kHeaderSize, header));
-  uint32_t version;
-  if (std::memcmp(header, kMagicV2, 8) == 0) {
-    version = 2;
-  } else if (std::memcmp(header, kMagicV1, 8) == 0) {
-    version = 1;
-  } else {
+  if (std::memcmp(header, kMagic, 8) != 0) {
     return Status::Corruption("bad pager magic in " + path);
   }
   uint32_t page_size = GetFixed32(header + 8);
@@ -89,28 +81,20 @@ Result<std::unique_ptr<Pager>> Pager::Open(const std::string& path) {
     return Status::Corruption("pager file truncated: " + path);
   }
   auto pager = std::unique_ptr<Pager>(
-      new Pager(std::move(file), page_size, page_count, version));
-  if (version >= 2) {
-    // Verify the header page end-to-end so corrupt header fields (beyond
-    // the sanity checks above) cannot steer reads.
-    CALDERA_RETURN_IF_ERROR(
-        pager->file_->ReadAt(0, page_size, pager->scratch_.data()));
-    CALDERA_RETURN_IF_ERROR(pager->VerifyPage(pager->scratch_.data(), 0));
-  }
+      new Pager(std::move(file), page_size, page_count));
+  // Verify the header page end-to-end so corrupt header fields (beyond the
+  // sanity checks above) cannot steer reads.
+  CALDERA_RETURN_IF_ERROR(
+      pager->file_->ReadAt(0, page_size, pager->scratch_.data()));
+  CALDERA_RETURN_IF_ERROR(pager->VerifyPage(pager->scratch_.data(), 0));
   return pager;
 }
 
 Status Pager::WriteHeader() {
-  std::string header;
-  header.append(version_ >= 2 ? kMagicV2 : kMagicV1, 8);
+  std::string header(kMagic, 8);
   PutFixed32(page_size_, &header);
   PutFixed64(page_count_, &header);
-  if (version_ < 2) {
-    CALDERA_RETURN_IF_ERROR(file_->WriteAt(0, header));
-    header_dirty_ = false;
-    return Status::Ok();
-  }
-  // v2: the header page is checksummed like any other page — build the full
+  // The header page is checksummed like any other page — build the full
   // physical image (header fields, zero padding, trailer) and write it.
   std::memset(scratch_.data(), 0, page_size_);
   std::memcpy(scratch_.data(), header.data(), header.size());
@@ -125,9 +109,6 @@ Status Pager::ReadPage(PageId id, char* buf) const {
     return Status::OutOfRange("page " + std::to_string(id) + " >= count " +
                               std::to_string(page_count_));
   }
-  if (version_ < 2) {
-    return file_->ReadAt(id * page_size_, page_size_, buf);
-  }
   CALDERA_RETURN_IF_ERROR(
       file_->ReadAt(id * page_size_, page_size_, scratch_.data()));
   CALDERA_RETURN_IF_ERROR(VerifyPage(scratch_.data(), id));
@@ -139,9 +120,6 @@ Status Pager::WritePage(PageId id, const char* buf) {
   if (id == 0 || id >= page_count_) {
     return Status::OutOfRange("cannot write page " + std::to_string(id));
   }
-  if (version_ < 2) {
-    return file_->WriteAt(id * page_size_, {buf, page_size_});
-  }
   std::memcpy(scratch_.data(), buf, payload_size_);
   StampPage(scratch_.data(), id);
   return file_->WriteAt(id * page_size_, {scratch_.data(), page_size_});
@@ -149,16 +127,10 @@ Status Pager::WritePage(PageId id, const char* buf) {
 
 Result<PageId> Pager::AllocatePage() {
   PageId id = page_count_;
-  if (version_ < 2) {
-    std::vector<char> zero(page_size_, 0);
-    CALDERA_RETURN_IF_ERROR(
-        file_->WriteAt(id * page_size_, {zero.data(), zero.size()}));
-  } else {
-    std::memset(scratch_.data(), 0, page_size_);
-    StampPage(scratch_.data(), id);
-    CALDERA_RETURN_IF_ERROR(
-        file_->WriteAt(id * page_size_, {scratch_.data(), page_size_}));
-  }
+  std::memset(scratch_.data(), 0, page_size_);
+  StampPage(scratch_.data(), id);
+  CALDERA_RETURN_IF_ERROR(
+      file_->WriteAt(id * page_size_, {scratch_.data(), page_size_}));
   ++page_count_;
   header_dirty_ = true;
   return id;

@@ -18,7 +18,7 @@ using PageId = uint64_t;
 inline constexpr uint32_t kDefaultPageSize = 4096;
 inline constexpr PageId kInvalidPageId = 0;
 
-/// Bytes per page reserved for the v2 integrity trailer (CRC-32C + zero
+/// Bytes per page reserved for the integrity trailer (CRC-32C + zero
 /// padding). Callers see pages of page_size() = physical - trailer bytes.
 inline constexpr uint32_t kPageTrailerSize = 8;
 
@@ -27,16 +27,13 @@ inline constexpr uint32_t kPageTrailerSize = 8;
 /// are responsible for the contents of data pages. Access normally goes
 /// through a BufferPool rather than directly through the Pager.
 ///
-/// Two on-disk formats exist:
-///   v1 ("CLDRPGR1") — raw pages, no integrity metadata. Still readable
-///     (and writable) for archives created before checksums existed.
-///   v2 ("CLDRPGR2") — every physical page ends in an 8-byte trailer
-///     holding the CRC-32C of (payload || page id) plus zero padding. The
-///     checksum is stamped on every write and verified on every read, so a
-///     flipped bit, torn page, or misdirected write surfaces as
-///     Status::Corruption naming the file and page instead of propagating
-///     garbage into query results.
-/// Create always writes v2; Open auto-detects the version.
+/// On disk ("CLDRPGR2") every physical page ends in an 8-byte trailer
+/// holding the CRC-32C of (payload || page id) plus zero padding. The
+/// checksum is stamped on every write and verified on every read, so a
+/// flipped bit, torn page, or misdirected write surfaces as
+/// Status::Corruption naming the file and page instead of propagating
+/// garbage into query results. Any other magic, including that of the
+/// retired unchecksummed v1 format, fails Open with Corruption.
 class Pager {
  public:
   /// Creates a new pager file at `path` (truncating any existing file).
@@ -45,19 +42,17 @@ class Pager {
   static Result<std::unique_ptr<Pager>> Create(const std::string& path,
                                                uint32_t page_size);
 
-  /// Opens an existing pager file, validating the header (and, for v2, its
-  /// checksum). NotFound if `path` does not exist — never creates.
+  /// Opens an existing pager file, validating the header and its checksum.
+  /// NotFound if `path` does not exist — never creates.
   static Result<std::unique_ptr<Pager>> Open(const std::string& path);
 
   Pager(const Pager&) = delete;
   Pager& operator=(const Pager&) = delete;
 
-  /// Reads page `id` into `buf` (page_size() bytes), verifying its checksum
-  /// on v2 files.
+  /// Reads page `id` into `buf` (page_size() bytes), verifying its checksum.
   Status ReadPage(PageId id, char* buf) const;
 
-  /// Writes page `id` from `buf` (page_size() bytes), stamping its checksum
-  /// on v2 files.
+  /// Writes page `id` from `buf` (page_size() bytes), stamping its checksum.
   Status WritePage(PageId id, const char* buf);
 
   /// Allocates a fresh zeroed page at the end of the file.
@@ -75,19 +70,16 @@ class Pager {
   /// advanced) and fsyncs the file.
   Status Sync();
 
-  /// Usable bytes per page (physical page minus the v2 trailer).
+  /// Usable bytes per page (physical page minus the trailer).
   uint32_t page_size() const { return payload_size_; }
   /// On-disk bytes per page.
   uint32_t physical_page_size() const { return page_size_; }
-  /// On-disk format version (1 = unchecksummed legacy, 2 = CRC-32C).
-  uint32_t format_version() const { return version_; }
   /// Number of pages including the header page.
   uint64_t page_count() const { return page_count_; }
   const std::string& path() const { return file_->path(); }
 
  private:
-  Pager(std::unique_ptr<File> file, uint32_t page_size, uint64_t page_count,
-        uint32_t version);
+  Pager(std::unique_ptr<File> file, uint32_t page_size, uint64_t page_count);
 
   Status WriteHeader();
   uint32_t PageCrc(const char* payload, PageId id) const;
@@ -96,16 +88,15 @@ class Pager {
 
   std::unique_ptr<File> file_;
   uint32_t page_size_;     // Physical bytes per page.
-  uint32_t payload_size_;  // page_size_ minus the v2 trailer.
+  uint32_t payload_size_;  // page_size_ minus the trailer.
   uint64_t page_count_;
-  uint32_t version_;
   // True while the in-memory page_count_ is ahead of the on-disk header
   // (pages allocated since the last WriteHeader). Sync persists the header
   // only then: read-only consumers (buffer pools flush-syncing on
   // destruction) must never write their — possibly stale — view of the
   // header back over a file a live-ingest append has since extended.
   bool header_dirty_ = false;
-  // Physical-page staging buffer for v2 reads/writes; mutable because
+  // Physical-page staging buffer for reads/writes; mutable because
   // ReadPage is logically const. Pagers are single-threaded by design (one
   // per stream partition), so a single scratch buffer is safe.
   mutable std::vector<char> scratch_;

@@ -271,106 +271,6 @@ TEST(StreamingTest, ResetStartsFresh) {
 }
 
 // ---------------------------------------------------------------------------
-// Predicate-conditioned MC index (Section 3.3.2)
-// ---------------------------------------------------------------------------
-
-TEST(ConditionedMcTest, EntriesEqualConditionedProducts) {
-  test::ScratchDir scratch("cond_mc_test");
-  MarkovianStream stream = test::MakeValidStream(64, 6, 14);
-  ASSERT_TRUE(WriteStream(scratch.Path("s"), stream).ok());
-  auto stored = StoredStream::Open(scratch.Path("s"));
-  ASSERT_TRUE(stored.ok());
-  StoredStream* raw = stored->get();
-
-  // Condition: "stays in {1, 2}".
-  auto matcher = [](ValueId v) { return v == 1 || v == 2; };
-  ASSERT_TRUE(
-      McIndex::BuildConditioned(stream, scratch.Path("mc"), {}, matcher)
-          .ok());
-  TransitionSource source = ConditionSource(
-      [raw](uint64_t t, Cpt* out) { return raw->ReadTransition(t, out); },
-      matcher);
-  auto index = McIndex::Open(scratch.Path("mc"), source);
-  ASSERT_TRUE(index.ok()) << index.status().ToString();
-
-  for (auto [from, to] : std::vector<std::pair<uint64_t, uint64_t>>{
-           {0, 5}, {3, 17}, {0, 63}, {10, 11}, {7, 40}}) {
-    Cpt computed;
-    ASSERT_TRUE((*index)->ComputeCpt(from, to, &computed).ok());
-    // Direct conditioned product.
-    Cpt direct =
-        stream.transition(from + 1).ConditionDestination(matcher);
-    for (uint64_t t = from + 2; t <= to; ++t) {
-      direct = ComposeCpts(direct,
-                           stream.transition(t).ConditionDestination(matcher),
-                           stream.schema().state_count());
-    }
-    for (const Cpt::Row& row : direct.rows()) {
-      for (const Cpt::RowEntry& e : row.entries) {
-        EXPECT_NEAR(computed.Probability(row.src, e.dst), e.prob, 1e-9);
-      }
-    }
-    // Conditioned products are sub-stochastic: entries only where every
-    // intermediate step stays inside the predicate.
-    for (const Cpt::Row& row : computed.rows()) {
-      double mass = 0;
-      for (const Cpt::RowEntry& e : row.entries) {
-        EXPECT_TRUE(matcher(e.dst));
-        mass += e.prob;
-      }
-      EXPECT_LE(mass, 1.0 + 1e-9);
-    }
-  }
-}
-
-TEST(ConditionedMcTest, ConditionedMassMatchesBruteForceStayProbability) {
-  // P(X_1..X_5 all in P | X_0 = x) from the conditioned index equals the
-  // brute-force sum over in-P trajectories.
-  test::ScratchDir scratch("cond_mc_brute");
-  MarkovianStream stream = test::MakeValidStream(8, 4, 15, 0.8);
-  auto matcher = [](ValueId v) { return v <= 1; };  // P = {0, 1}.
-  ASSERT_TRUE(
-      McIndex::BuildConditioned(stream, scratch.Path("mc"), {}, matcher)
-          .ok());
-  ASSERT_TRUE(WriteStream(scratch.Path("s"), stream).ok());
-  auto stored = StoredStream::Open(scratch.Path("s"));
-  ASSERT_TRUE(stored.ok());
-  StoredStream* raw = stored->get();
-  auto index = McIndex::Open(
-      scratch.Path("mc"),
-      ConditionSource(
-          [raw](uint64_t t, Cpt* out) { return raw->ReadTransition(t, out); },
-          matcher));
-  ASSERT_TRUE(index.ok());
-
-  Cpt span;
-  ASSERT_TRUE((*index)->ComputeCpt(0, 5, &span).ok());
-  for (const Distribution::Entry& start : stream.marginal(0).entries()) {
-    // Brute force over trajectories staying in P.
-    std::vector<std::pair<ValueId, double>> frontier{{start.value, 1.0}};
-    for (uint64_t t = 1; t <= 5; ++t) {
-      std::vector<std::pair<ValueId, double>> next;
-      for (const auto& [v, p] : frontier) {
-        const Cpt::Row* row = stream.transition(t).FindRow(v);
-        if (row == nullptr) continue;
-        for (const Cpt::RowEntry& e : row->entries) {
-          if (matcher(e.dst)) next.emplace_back(e.dst, p * e.prob);
-        }
-      }
-      frontier = std::move(next);
-    }
-    double brute = 0;
-    for (const auto& [v, p] : frontier) brute += p;
-    double indexed = 0;
-    const Cpt::Row* row = span.FindRow(start.value);
-    if (row != nullptr) {
-      for (const Cpt::RowEntry& e : row->entries) indexed += e.prob;
-    }
-    EXPECT_NEAR(indexed, brute, 1e-9) << "start=" << start.value;
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Multi-attribute streams
 // ---------------------------------------------------------------------------
 

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "btree/btree.h"
 #include "caldera/archive.h"
 #include "caldera/executor.h"
@@ -383,18 +386,52 @@ TEST_F(FailureTest, CorruptMcIndexFallsBackToScan) {
   auto reference = system.Execute("s", query, scan_only);
   ASSERT_TRUE(reference.ok());
 
-  system.InvalidateStreams();
-  FlipBit(system.archive()->StreamDir("s") + "/mc/mc.meta", 0);
+  const std::string meta = system.archive()->StreamDir("s") + "/mc/mc.meta";
+  std::string pristine;
+  {
+    auto f = File::OpenReadOnly(meta);
+    ASSERT_TRUE(f.ok());
+    pristine.resize((*f)->size());
+    ASSERT_TRUE((*f)->ReadAt(0, pristine.size(), pristine.data()).ok());
+  }
+  // One damaged u32 field each: the magic (bit 0 flipped), num_levels
+  // (offset 12) values that once drove a 4-billion-level resize and a
+  // 16 GiB allocation, an alpha (offset 8) whose level spans overflow 64
+  // bits, and a domain (offset 24) that would size the composition scratch.
+  const std::pair<uint64_t, uint32_t> corruptions[] = {
+      {0, GetFixed32(pristine.data()) ^ 1},
+      {12, 0xFFFFFFFF},
+      {12, 0x7FFFFFFF},
+      {8, 1u << 16},
+      {24, 0x7FFFFFFF},
+  };
+  for (const auto& [offset, value] : corruptions) {
+    SCOPED_TRACE("u32 at " + std::to_string(offset) + " = " +
+                 std::to_string(value));
+    std::string image = pristine;
+    std::string field;
+    PutFixed32(value, &field);
+    image.replace(offset, field.size(), field);
+    {
+      auto f = File::OpenOrCreate(meta);
+      ASSERT_TRUE(f.ok());
+      ASSERT_TRUE((*f)->WriteAt(0, image).ok());
+    }
+    system.InvalidateStreams();
 
-  EXPECT_FALSE(system.Execute("s", query, {}).ok());
-  ExecOptions rescue;
-  rescue.fallback_to_scan = true;
-  auto rescued = system.Execute("s", query, rescue);
-  ASSERT_TRUE(rescued.ok()) << rescued.status().ToString();
-  EXPECT_EQ(rescued->method, AccessMethodKind::kScan);
-  EXPECT_GE(rescued->stats.scan_fallbacks, 1u);
-  EXPECT_GE(rescued->stats.corruption_events, 1u);
-  ExpectSameSignal(rescued->signal, reference->signal);
+    auto strict = system.Execute("s", query, {});
+    ASSERT_FALSE(strict.ok());
+    EXPECT_EQ(strict.status().code(), StatusCode::kCorruption)
+        << strict.status().ToString();
+    ExecOptions rescue;
+    rescue.fallback_to_scan = true;
+    auto rescued = system.Execute("s", query, rescue);
+    ASSERT_TRUE(rescued.ok()) << rescued.status().ToString();
+    EXPECT_EQ(rescued->method, AccessMethodKind::kScan);
+    EXPECT_GE(rescued->stats.scan_fallbacks, 1u);
+    EXPECT_GE(rescued->stats.corruption_events, 1u);
+    ExpectSameSignal(rescued->signal, reference->signal);
+  }
 }
 
 TEST_F(FailureTest, MidQueryIndexCorruptionRescuedByScan) {

@@ -111,7 +111,7 @@ TEST_F(BatchTest, FallbackToScanOnMissingIndex) {
   auto strict = ExecuteBatch(&system_, Fixed(2, 3), options);
   EXPECT_EQ(strict.status().code(), StatusCode::kFailedPrecondition);
 
-  options.fallback_to_scan = true;
+  options.exec.fallback_to_scan = true;
   auto relaxed = ExecuteBatch(&system_, Fixed(2, 3), options);
   ASSERT_TRUE(relaxed.ok()) << relaxed.status().ToString();
   ASSERT_EQ(relaxed->streams.size(), 2u);

@@ -244,16 +244,6 @@ TEST(CptTest, IdentityCptIsNeutral) {
   EXPECT_EQ(right, a);
 }
 
-TEST(CptTest, ConditionDestinationKeepsOnlyMatches) {
-  Cpt a;
-  a.SetRow(0, {{0, 0.3}, {1, 0.3}, {2, 0.4}});
-  a.SetRow(1, {{2, 1.0}});
-  Cpt conditioned = a.ConditionDestination([](ValueId v) { return v != 2; });
-  EXPECT_DOUBLE_EQ(conditioned.Probability(0, 0), 0.3);
-  EXPECT_DOUBLE_EQ(conditioned.Probability(0, 2), 0.0);
-  EXPECT_EQ(conditioned.FindRow(1), nullptr);
-}
-
 TEST(SchemaTest, SingleAttribute) {
   StreamSchema schema = SingleAttributeSchema("loc", {"A", "B", "C"});
   EXPECT_EQ(schema.num_attributes(), 1u);

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include "common/logging.h"
 #include "index/mc_index.h"
 #include "markov/stream_io.h"
+#include "storage/file.h"
 #include "test_util.h"
 
 namespace caldera {
@@ -180,6 +182,35 @@ TEST_F(McIndexTest, InvalidArguments) {
   EXPECT_EQ(
       McIndex::Build(ok_stream, scratch_.Path("mc3"), {.alpha = 1}).code(),
       StatusCode::kInvalidArgument);
+}
+
+TEST_F(McIndexTest, OpenRequiresExactMetaSize) {
+  Setup(32, 4, 32, {.alpha = 2});
+  const std::string meta = scratch_.Path("mc") + "/mc.meta";
+  std::string pristine;
+  {
+    auto f = File::OpenReadOnly(meta);
+    ASSERT_TRUE(f.ok());
+    pristine.resize((*f)->size());
+    ASSERT_TRUE((*f)->ReadAt(0, pristine.size(), pristine.data()).ok());
+  }
+  // 28-byte prefix, one u64 count per level, 20-byte options trailer.
+  ASSERT_EQ(pristine.size(), 28 + 8 * index_->num_levels() + 20);
+  auto open_with = [&](const std::string& image) {
+    auto f = File::OpenOrCreate(meta);
+    CALDERA_CHECK_OK((*f)->Truncate(0));
+    CALDERA_CHECK_OK((*f)->Append(image));
+    StoredStream* raw = stored_.get();
+    return McIndex::Open(scratch_.Path("mc"), [raw](uint64_t t, Cpt* out) {
+             return raw->ReadTransition(t, out);
+           }).status();
+  };
+  // Without the options trailer.
+  EXPECT_EQ(open_with(pristine.substr(0, pristine.size() - 20)).code(),
+            StatusCode::kCorruption);
+  // One byte too many.
+  EXPECT_EQ(open_with(pristine + '\0').code(), StatusCode::kCorruption);
+  EXPECT_TRUE(open_with(pristine).ok());
 }
 
 TEST_F(McIndexTest, TruncatedIndexStaysClose) {

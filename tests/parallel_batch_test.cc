@@ -197,7 +197,7 @@ TEST_F(ParallelBatchTest, FallbackToScanUnderContention) {
   RegularQuery query = Fixed(3, 4);
   BatchOptions options;
   options.exec.method = AccessMethodKind::kBTree;
-  options.fallback_to_scan = true;
+  options.exec.fallback_to_scan = true;
 
   options.num_threads = 1;
   auto baseline = ExecuteBatch(&system_, query, options);

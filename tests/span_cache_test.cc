@@ -20,15 +20,13 @@ std::shared_ptr<const Cpt> MakeCpt(uint32_t rows) {
 }
 
 SpanKey Key(uint64_t lo, uint64_t hi) {
-  return SpanKey{/*stream_id=*/1, /*epoch=*/0, lo, hi, /*condition_fp=*/0};
+  return SpanKey{/*stream_id=*/1, /*epoch=*/0, lo, hi, /*min_level=*/1};
 }
 
 TEST(FingerprintTest, StableAndDistinct) {
   EXPECT_EQ(FingerprintString("abc"), FingerprintString("abc"));
   EXPECT_NE(FingerprintString("abc"), FingerprintString("abd"));
   EXPECT_NE(FingerprintString(""), 0u);
-  EXPECT_NE(FingerprintCombine(7, 1), FingerprintCombine(7, 2));
-  EXPECT_NE(FingerprintCombine(7, 1), 0u);
 }
 
 TEST(SpanCptCacheTest, HitAndMissAccounting) {
@@ -51,9 +49,9 @@ TEST(SpanCptCacheTest, EveryKeyComponentDisambiguates) {
   SpanCptCache cache(1 << 20);
   cache.Put(Key(0, 4), MakeCpt(2));
   SpanKey base = Key(0, 4);
-  for (SpanKey variant : {SpanKey{2, 0, 0, 4, 0}, SpanKey{1, 1, 0, 4, 0},
-                          SpanKey{1, 0, 1, 4, 0}, SpanKey{1, 0, 0, 5, 0},
-                          SpanKey{1, 0, 0, 4, 9}}) {
+  for (SpanKey variant : {SpanKey{2, 0, 0, 4, 1}, SpanKey{1, 1, 0, 4, 1},
+                          SpanKey{1, 0, 1, 4, 1}, SpanKey{1, 0, 0, 5, 1},
+                          SpanKey{1, 0, 0, 4, 2}}) {
     EXPECT_FALSE(variant == base);
     EXPECT_EQ(cache.Get(variant), nullptr);
   }

@@ -122,7 +122,6 @@ TEST_F(StorageTest, PagerPersistsAcrossReopen) {
   ASSERT_TRUE(pager.ok()) << pager.status().ToString();
   EXPECT_EQ((*pager)->physical_page_size(), 1024u);
   EXPECT_EQ((*pager)->page_size(), 1024u - kPageTrailerSize);
-  EXPECT_EQ((*pager)->format_version(), 2u);
   EXPECT_EQ((*pager)->page_count(), 2u);
   char buf[1024];
   ASSERT_TRUE((*pager)->ReadPage(1, buf).ok());
@@ -146,18 +145,21 @@ TEST_F(StorageTest, PagerOpenMissingIsNotFoundAndDoesNotCreate) {
 }
 
 TEST_F(StorageTest, PagerOpenRejectsOverflowingPageCount) {
-  // A v1 header whose page_count * page_size wraps to 0 mod 2^64. The
-  // truncation check must use division so the wrap cannot slip past it.
+  // A header whose page_count * page_size wraps to 0 mod 2^64. The
+  // truncation check must use division so the wrap cannot slip past it; it
+  // runs before the header checksum, so it is what rejects the file.
   {
     auto file = File::OpenOrCreate(Path("p"));
     ASSERT_TRUE(file.ok());
-    std::string header = "CLDRPGR1";
+    std::string header = "CLDRPGR2";
     PutFixed32(512, &header);
     PutFixed64(uint64_t{1} << 55, &header);  // 2^55 * 512 == 2^64 == 0.
     header.resize(1024, '\0');
     ASSERT_TRUE((*file)->Append(header).ok());
   }
-  EXPECT_EQ(Pager::Open(Path("p")).status().code(), StatusCode::kCorruption);
+  Status st = Pager::Open(Path("p")).status();
+  EXPECT_EQ(st.code(), StatusCode::kCorruption);
+  EXPECT_NE(st.message().find("truncated"), std::string::npos) << st.message();
 }
 
 TEST_F(StorageTest, PagerDetectsAnySingleBitFlipInDataPage) {
@@ -246,38 +248,23 @@ TEST_F(StorageTest, PagerChecksumBindsPageId) {
   EXPECT_EQ((*pager)->ReadPage(2, buf).code(), StatusCode::kCorruption);
 }
 
-TEST_F(StorageTest, PagerReadsLegacyV1Files) {
-  // Hand-build a v1 file: 20-byte header in page 0, one raw data page.
+TEST_F(StorageTest, PagerRejectsLegacyV1Files) {
+  // A well-formed file in the retired unchecksummed v1 format: 20-byte
+  // header in page 0, one raw data page. Only v2 opens.
   {
     auto file = File::OpenOrCreate(Path("p"));
     ASSERT_TRUE(file.ok());
-    std::string image = "CLDRPGR1";
+    std::string image = "CLDRPGR";
+    image += '1';  // The v1 magic.
     PutFixed32(512, &image);
     PutFixed64(2, &image);
     image.resize(512, '\0');
     image.append(std::string(512, 'v'));
     ASSERT_TRUE((*file)->Append(image).ok());
   }
-  auto pager = Pager::Open(Path("p"));
-  ASSERT_TRUE(pager.ok()) << pager.status().ToString();
-  EXPECT_EQ((*pager)->format_version(), 1u);
-  // v1 has no trailer: the full physical page is payload.
-  EXPECT_EQ((*pager)->page_size(), 512u);
-  EXPECT_EQ((*pager)->physical_page_size(), 512u);
-  char buf[512];
-  ASSERT_TRUE((*pager)->ReadPage(1, buf).ok());
-  EXPECT_EQ(std::string(buf, 512), std::string(512, 'v'));
-  // v1 files stay writable (raw, no checksum stamping).
-  std::string updated(512, 'w');
-  ASSERT_TRUE((*pager)->WritePage(1, updated.data()).ok());
-  auto grown = (*pager)->AllocatePage();
-  ASSERT_TRUE(grown.ok());
-  ASSERT_TRUE((*pager)->Sync().ok());
-  auto reopened = Pager::Open(Path("p"));
-  ASSERT_TRUE(reopened.ok());
-  EXPECT_EQ((*reopened)->page_count(), 3u);
-  ASSERT_TRUE((*reopened)->ReadPage(1, buf).ok());
-  EXPECT_EQ(buf[0], 'w');
+  Status st = Pager::Open(Path("p")).status();
+  EXPECT_EQ(st.code(), StatusCode::kCorruption);
+  EXPECT_NE(st.message().find("magic"), std::string::npos) << st.message();
 }
 
 TEST_F(StorageTest, BufferPoolCachesPages) {
