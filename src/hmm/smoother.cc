@@ -24,6 +24,12 @@ Result<MarkovianStream> SmoothToMarkovianStream(
     }
   }
 
+  // Transition rows by source state, looked up once: the passes below visit
+  // every (timestep, state) pair, and a binary search per visit took about
+  // a third of stream generation.
+  std::vector<const Cpt::Row*> rows(N);
+  for (uint32_t x = 0; x < N; ++x) rows[x] = hmm.transition().FindRow(x);
+
   // Forward pass (normalized filtering distributions).
   std::vector<std::vector<double>> alpha(T, std::vector<double>(N, 0.0));
   {
@@ -44,7 +50,7 @@ Result<MarkovianStream> SmoothToMarkovianStream(
     const std::vector<double>& prev = alpha[t - 1];
     for (uint32_t x = 0; x < N; ++x) {
       if (prev[x] == 0.0) continue;
-      const Cpt::Row* row = hmm.transition().FindRow(x);
+      const Cpt::Row* row = rows[x];
       for (const Cpt::RowEntry& e : row->entries) {
         cur[e.dst] += prev[x] * e.prob;
       }
@@ -70,7 +76,7 @@ Result<MarkovianStream> SmoothToMarkovianStream(
     std::vector<double>& cur = beta[t];
     double sum = 0;
     for (uint32_t x = 0; x < N; ++x) {
-      const Cpt::Row* row = hmm.transition().FindRow(x);
+      const Cpt::Row* row = rows[x];
       double v = 0;
       for (const Cpt::RowEntry& e : row->entries) {
         v += e.prob * hmm.EmissionProb(e.dst, observations[t + 1]) *
@@ -121,7 +127,7 @@ Result<MarkovianStream> SmoothToMarkovianStream(
     //   P(X_t = y | X_{t-1} = x, o_1..T) ~ Tr(x,y) E(y,o_t) beta_t(y).
     auto full_row = [&](uint32_t x) {
       std::vector<Cpt::RowEntry> out;
-      const Cpt::Row* row = hmm.transition().FindRow(x);
+      const Cpt::Row* row = rows[x];
       for (const Cpt::RowEntry& e : row->entries) {
         double v =
             e.prob * hmm.EmissionProb(e.dst, observations[t]) * beta[t][e.dst];

@@ -301,41 +301,34 @@ Status StreamIngestor::JournalAbsent(const std::string& rel) {
 }
 
 Status StreamIngestor::JournalRecordFileUndo(const std::string& rel) {
-  const std::string abs = dir_ + "/" + rel;
-  uint32_t payload_size = 0;
-  uint64_t pages = 0;
-  uint64_t data_bytes = 0;
-  {
-    CALDERA_ASSIGN_OR_RETURN(std::unique_ptr<RecordFileReader> reader,
-                             RecordFileReader::Open(abs, /*pool_pages=*/2));
-    payload_size = reader->page_size();
-    pages = reader->file_pages();
-    data_bytes = reader->data_bytes();
+  CALDERA_ASSIGN_OR_RETURN(std::vector<RecordFileAppendRegion> regions,
+                           RecordFileAppendRegions(dir_ + "/" + rel));
+  for (const RecordFileAppendRegion& region : regions) {
+    // Region paths extend the path passed in; journal them relative to the
+    // stream directory like every other undo record.
+    const std::string region_rel = region.path.substr(dir_.size() + 1);
+    CALDERA_ASSIGN_OR_RETURN(std::unique_ptr<File> f,
+                             File::OpenReadOnly(region.path));
+    for (const auto& [offset, length] : region.overwritten) {
+      CALDERA_RETURN_IF_ERROR(JournalRange(*f, region_rel, offset, length));
+    }
+    CALDERA_RETURN_IF_ERROR(JournalTruncate(region_rel, region.size));
   }
-  CALDERA_ASSIGN_OR_RETURN(std::unique_ptr<File> f, File::OpenReadOnly(abs));
-  const uint64_t size = f->size();
-  if (pages == 0 || size % pages != 0) {
-    return Status::Corruption("ragged pager file " + abs);
-  }
-  const uint64_t stride = size / pages;  // Physical page size.
-  // The append rewrites the pager header (page count), the record-file meta
-  // page, the zero padding of the partial tail data page, and everything
-  // after it (the old directory, overwritten by new data). Bytes of
-  // complete data pages before the tail are never touched.
-  CALDERA_RETURN_IF_ERROR(JournalRange(*f, rel, 0, 2 * stride));
-  const uint64_t dirty_from =
-      (kRecordFileFirstDataPage + data_bytes / payload_size) * stride;
-  if (dirty_from < size) {
-    CALDERA_RETURN_IF_ERROR(JournalRange(*f, rel, dirty_from,
-                                         size - dirty_from));
-  }
-  return JournalTruncate(rel, size);
+  return Status::Ok();
 }
 
 Status StreamIngestor::JournalMcUndo(uint64_t new_length) {
   const std::string mc_dir = dir_ + "/mc";
   if (!FileExists(mc_dir + "/mc.meta")) return Status::Ok();
   CALDERA_ASSIGN_OR_RETURN(McMetaSummary meta, McIndex::ReadMeta(mc_dir));
+  // Extend sizes its composition scratch by this field; refuse before the
+  // commit point rather than trust it.
+  if (meta.domain != schema_.state_count()) {
+    return Status::Corruption("MC domain " + std::to_string(meta.domain) +
+                              " in " + mc_dir + " does not match the " +
+                              std::to_string(schema_.state_count()) +
+                              " states of the stream");
+  }
   CALDERA_RETURN_IF_ERROR(JournalSnapshot("mc/mc.meta"));
   // Mirror McIndex::Extend's level walk to journal exactly the level files
   // that will gain right-spine entries.
@@ -357,6 +350,7 @@ Status StreamIngestor::JournalMcUndo(uint64_t new_length) {
         CALDERA_RETURN_IF_ERROR(JournalRecordFileUndo(rel));
       } else {
         CALDERA_RETURN_IF_ERROR(JournalAbsent(rel));
+        CALDERA_RETURN_IF_ERROR(JournalAbsent(RecordFileDirPath(rel)));
       }
     }
     ++level;

@@ -50,10 +50,13 @@ struct IngestStats {
 ///      stream's WAL and fsynced — the commit point. From here the batch
 ///      survives any crash.
 ///   2. Physical undo records are journaled behind it: pre-image pages of
-///      every region the apply will overwrite in place (record-file header/
-///      meta/tail/directory pages, mc level files), whole-file snapshots of
-///      the small metadata files, and absent-markers for files the apply
-///      will create. Synced again.
+///      every region the apply will overwrite in place, whole-file
+///      snapshots of the small metadata files, and absent-markers for files
+///      the apply will create. Synced again. Record files (stream and MC
+///      levels) only grow at their ends, so each costs at most five page
+///      pre-images (two pager headers, the meta page, two partial tail
+///      pages) plus a truncate record per file — the journal does not grow
+///      with the stream length.
 ///   3. The mutation runs: snippets are appended to the record files, the
 ///      stream length is patched, BT_C/BT_P trees receive the new keys, and
 ///      the MC index is extended along its right spine.
@@ -68,10 +71,11 @@ struct IngestStats {
 /// length. Either way, readers observe base or base+batch — never a mix.
 ///
 /// Snapshot safety: record-file readers cache their directory in memory and
-/// appends never move committed record bytes, so handles opened before a
-/// commit keep serving their snapshot. B+ trees mutate in place, so `Options
-/// ::apply_mutex` (exclusive here, shared around queries — the Caldera
-/// facade wires this up) serializes tree readers against the apply.
+/// appends never move committed record bytes or directory entries, so
+/// handles opened before a commit keep serving their snapshot. B+ trees
+/// mutate in place, so `Options::apply_mutex` (exclusive here, shared
+/// around queries — the Caldera facade wires this up) serializes tree
+/// readers against the apply.
 class StreamIngestor {
  public:
   struct Options {
@@ -147,12 +151,14 @@ class StreamIngestor {
   Status JournalTruncate(const std::string& rel, uint64_t size);
   Status JournalSnapshot(const std::string& rel);
   Status JournalAbsent(const std::string& rel);
-  /// Journals everything an append to record file `rel` can overwrite:
-  /// pager header + meta pages, the partial tail data page, and the old
-  /// directory pages, plus a truncate record restoring the old size.
+  /// Journals everything an append to record file `rel` can overwrite, as
+  /// RecordFileAppendRegions reports it: per file a few page pre-images
+  /// plus a truncate record restoring the old size.
   Status JournalRecordFileUndo(const std::string& rel);
   /// Journals mc.meta and every MC level file the extension to
   /// `new_length` will touch (absent-markers for brand-new levels).
+  /// Corruption, before the commit point, if mc.meta's domain is not the
+  /// stream's state count.
   Status JournalMcUndo(uint64_t new_length);
   Status RestoreUndoRecord(const WalRecord& record);
 

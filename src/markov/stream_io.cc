@@ -217,14 +217,6 @@ Status StoredStream::ReadTimestep(uint64_t t, Distribution* marginal,
   return ReadTransition(t, transition);
 }
 
-uint64_t StoredStream::DataFilePages() const {
-  uint64_t pages = 0;
-  if (marginals_ != nullptr) pages += marginals_->file_pages();
-  if (cpts_ != nullptr) pages += cpts_->file_pages();
-  if (combined_ != nullptr) pages += combined_->file_pages();
-  return pages;
-}
-
 BufferPoolStats StoredStream::IoStats() const {
   BufferPoolStats total;
   if (marginals_ != nullptr) total += marginals_->stats();

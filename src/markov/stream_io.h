@@ -27,6 +27,7 @@ const char* DiskLayoutName(DiskLayout layout);
 ///   dir/meta.bin                      stream metadata + schema
 ///   dir/marginals.rec + dir/cpts.rec  (separated)
 ///   dir/stream.rec                    (co-clustered)
+/// each record file with its X.rec.dir directory alongside.
 Status WriteStream(const std::string& dir, const MarkovianStream& stream,
                    DiskLayout layout = DiskLayout::kSeparated,
                    uint32_t page_size = kDefaultPageSize);
@@ -75,9 +76,6 @@ class StoredStream {
   const StreamSchema& schema() const { return schema_; }
   DiskLayout layout() const { return layout_; }
   const std::string& dir() const { return dir_; }
-
-  /// Total on-disk pages across the stream's data files.
-  uint64_t DataFilePages() const;
 
   BufferPoolStats IoStats() const;
   void ResetStats();

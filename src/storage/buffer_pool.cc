@@ -49,10 +49,11 @@ void PageHandle::MarkDirty() {
 
 BufferPool::BufferPool(Pager* pager, size_t capacity)
     : pager_(pager), capacity_(capacity == 0 ? 1 : capacity) {
+  // Frame buffers are allocated by GrabFrame on first use, so opening a
+  // pool costs nothing per frame it never fills.
   frames_.resize(capacity_);
   free_frames_.reserve(capacity_);
   for (size_t i = 0; i < capacity_; ++i) {
-    frames_[i].data = std::make_unique<char[]>(pager_->page_size());
     free_frames_.push_back(capacity_ - 1 - i);
   }
 }
@@ -102,6 +103,12 @@ Result<size_t> BufferPool::GrabFrame() {
   if (!free_frames_.empty()) {
     size_t frame = free_frames_.back();
     free_frames_.pop_back();
+    // Uninitialized: Fetch overwrites the whole payload and NewPage zeroes
+    // it.
+    if (frames_[frame].data == nullptr) {
+      frames_[frame].data =
+          std::make_unique_for_overwrite<char[]>(pager_->page_size());
+    }
     return frame;
   }
   if (lru_.empty()) {

@@ -66,9 +66,10 @@ class PageHandle {
   size_t frame_;
 };
 
-/// A fixed-capacity LRU page cache in front of a Pager. Single-threaded by
-/// design (Caldera queries are single-threaded; benchmarks run one pool per
-/// stream file).
+/// A fixed-capacity LRU page cache in front of a Pager. A frame's buffer is
+/// allocated the first time the frame is used, so memory tracks the pages
+/// actually cached, not the capacity. Single-threaded by design (Caldera
+/// queries are single-threaded; benchmarks run one pool per stream file).
 class BufferPool {
  public:
   /// `capacity` is the number of page frames held in memory (>= 1).
@@ -99,7 +100,7 @@ class BufferPool {
 
   struct Frame {
     PageId page_id = kInvalidPageId;
-    std::unique_ptr<char[]> data;
+    std::unique_ptr<char[]> data;  // Null until the frame is first used.
     uint32_t pin_count = 0;
     bool dirty = false;
     bool in_use = false;

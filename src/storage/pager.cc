@@ -99,6 +99,7 @@ Status Pager::WriteHeader() {
   std::memset(scratch_.data(), 0, page_size_);
   std::memcpy(scratch_.data(), header.data(), header.size());
   StampPage(scratch_.data(), 0);
+  unsynced_ = true;
   CALDERA_RETURN_IF_ERROR(file_->WriteAt(0, {scratch_.data(), page_size_}));
   header_dirty_ = false;
   return Status::Ok();
@@ -122,6 +123,7 @@ Status Pager::WritePage(PageId id, const char* buf) {
   }
   std::memcpy(scratch_.data(), buf, payload_size_);
   StampPage(scratch_.data(), id);
+  unsynced_ = true;
   return file_->WriteAt(id * page_size_, {scratch_.data(), page_size_});
 }
 
@@ -129,6 +131,7 @@ Result<PageId> Pager::AllocatePage() {
   PageId id = page_count_;
   std::memset(scratch_.data(), 0, page_size_);
   StampPage(scratch_.data(), id);
+  unsynced_ = true;
   CALDERA_RETURN_IF_ERROR(
       file_->WriteAt(id * page_size_, {scratch_.data(), page_size_}));
   ++page_count_;
@@ -136,20 +139,12 @@ Result<PageId> Pager::AllocatePage() {
   return id;
 }
 
-Status Pager::Truncate(uint64_t new_page_count) {
-  if (new_page_count == 0 || new_page_count > page_count_) {
-    return Status::InvalidArgument("cannot truncate to " +
-                                   std::to_string(new_page_count) + " pages");
-  }
-  CALDERA_RETURN_IF_ERROR(
-      file_->Truncate(new_page_count * uint64_t{page_size_}));
-  page_count_ = new_page_count;
-  return WriteHeader();
-}
-
 Status Pager::Sync() {
   if (header_dirty_) CALDERA_RETURN_IF_ERROR(WriteHeader());
-  return file_->Sync();
+  if (!unsynced_) return Status::Ok();
+  CALDERA_RETURN_IF_ERROR(file_->Sync());
+  unsynced_ = false;
+  return Status::Ok();
 }
 
 }  // namespace caldera

@@ -58,16 +58,12 @@ class Pager {
   /// Allocates a fresh zeroed page at the end of the file.
   Result<PageId> AllocatePage();
 
-  /// Shrinks the file to `new_page_count` pages (header included), releasing
-  /// every page at or beyond the new count. Used by the ingest path to
-  /// reopen a finalized record file for appending: the old directory pages
-  /// are dropped and re-grown after the new data. Growing is not supported —
-  /// use AllocatePage.
-  Status Truncate(uint64_t new_page_count);
-
   /// Persists the header (only if this handle changed it — a handle that
   /// never allocated must not clobber a header another writer has since
-  /// advanced) and fsyncs the file.
+  /// advanced) and fsyncs the file — but only if this handle wrote anything
+  /// (header, WritePage, AllocatePage) since its last successful Sync. A
+  /// read-only handle's Sync is free; a failed fsync keeps the pending
+  /// state, so the next Sync retries it.
   Status Sync();
 
   /// Usable bytes per page (physical page minus the trailer).
@@ -96,6 +92,9 @@ class Pager {
   // destruction) must never write their — possibly stale — view of the
   // header back over a file a live-ingest append has since extended.
   bool header_dirty_ = false;
+  // True while this handle has written bytes not yet covered by a
+  // successful fsync.
+  bool unsynced_ = false;
   // Physical-page staging buffer for reads/writes; mutable because
   // ReadPage is logically const. Pagers are single-threaded by design (one
   // per stream partition), so a single scratch buffer is safe.

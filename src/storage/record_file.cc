@@ -4,194 +4,252 @@
 #include <cstring>
 
 #include "common/encoding.h"
-#include "common/logging.h"
 
 namespace caldera {
 
 namespace {
-constexpr char kRecMagic[8] = {'C', 'L', 'D', 'R', 'R', 'E', 'C', '1'};
+constexpr char kRecMagic[8] = {'C', 'L', 'D', 'R', 'R', 'E', 'C', '2'};
 constexpr PageId kMetaPage = 1;
-constexpr PageId kFirstDataPage = kRecordFileFirstDataPage;
+constexpr PageId kFirstDataPage = 2;
+constexpr PageId kFirstDirPage = 1;
+
+uint64_t CeilDiv(uint64_t a, uint64_t b) { return a / b + (a % b != 0); }
+
+// The two pager files of a record file plus its validated meta.
+struct OpenedRecordFile {
+  std::unique_ptr<Pager> data;
+  std::unique_ptr<Pager> dir;
+  uint64_t num_records = 0;
+  uint64_t data_bytes = 0;
+};
+
+// Opens both files and checks the meta page against both page counts, so
+// every later page index derived from them is in range.
+Result<OpenedRecordFile> OpenRecordFile(const std::string& path) {
+  OpenedRecordFile out;
+  CALDERA_ASSIGN_OR_RETURN(out.data, Pager::Open(path));
+  CALDERA_ASSIGN_OR_RETURN(out.dir, Pager::Open(RecordFileDirPath(path)));
+  if (out.data->page_count() <= kMetaPage) {
+    return Status::Corruption("record file has no meta page: " + path);
+  }
+  std::vector<char> page(out.data->page_size());
+  CALDERA_RETURN_IF_ERROR(out.data->ReadPage(kMetaPage, page.data()));
+  if (std::memcmp(page.data(), kRecMagic, 8) != 0) {
+    return Status::Corruption("bad record-file magic in " + path);
+  }
+  out.num_records = GetFixed64(page.data() + 8);
+  out.data_bytes = GetFixed64(page.data() + 16);
+  if (out.data->page_count() - kFirstDataPage !=
+      CeilDiv(out.data_bytes, out.data->page_size())) {
+    return Status::Corruption("data size does not match meta in " + path);
+  }
+  // Entries the directory pages can hold; comparing counts first keeps
+  // 8 * (n + 1) from overflowing on a corrupt count.
+  const uint64_t dir_pages = out.dir->page_count() - kFirstDirPage;
+  const uint64_t capacity = dir_pages * out.dir->page_size() / 8;
+  if (out.num_records >= capacity) {
+    return Status::Corruption("directory shorter than record count in " +
+                              path);
+  }
+  if (dir_pages != CeilDiv((out.num_records + 1) * 8, out.dir->page_size())) {
+    return Status::Corruption("directory size does not match meta in " +
+                              path);
+  }
+  return out;
+}
+
+// Physical byte range of page `id` of `pager`.
+std::pair<uint64_t, uint64_t> PageRange(const Pager& pager, PageId id) {
+  return {id * pager.physical_page_size(), pager.physical_page_size()};
+}
+
 }  // namespace
 
-RecordFileWriter::RecordFileWriter(std::unique_ptr<Pager> pager)
-    : pager_(std::move(pager)) {}
+std::string RecordFileDirPath(const std::string& path) {
+  return path + ".dir";
+}
+
+Result<std::vector<RecordFileAppendRegion>> RecordFileAppendRegions(
+    const std::string& path) {
+  CALDERA_ASSIGN_OR_RETURN(OpenedRecordFile file, OpenRecordFile(path));
+  // Per file: the pager header (page count) and the partial tail page if
+  // any (its zero padding fills with new bytes); plus the data file's meta
+  // page.
+  auto region = [](const Pager& pager, PageId first, uint64_t bytes) {
+    RecordFileAppendRegion out;
+    out.path = pager.path();
+    out.size = pager.page_count() * pager.physical_page_size();
+    out.overwritten.push_back(PageRange(pager, 0));
+    if (bytes % pager.page_size() != 0) {
+      out.overwritten.push_back(
+          PageRange(pager, first + bytes / pager.page_size()));
+    }
+    return out;
+  };
+  RecordFileAppendRegion data =
+      region(*file.data, kFirstDataPage, file.data_bytes);
+  data.overwritten.push_back(PageRange(*file.data, kMetaPage));
+  return std::vector<RecordFileAppendRegion>{
+      std::move(data),
+      region(*file.dir, kFirstDirPage, (file.num_records + 1) * 8)};
+}
+
+RecordFileWriter::RecordFileWriter(std::unique_ptr<Pager> data_pager,
+                                   std::unique_ptr<Pager> dir_pager)
+    : data_pager_(std::move(data_pager)), dir_pager_(std::move(dir_pager)) {
+  data_.pager = data_pager_.get();
+  data_.first = kFirstDataPage;
+  dir_.pager = dir_pager_.get();
+  dir_.first = kFirstDirPage;
+}
 
 Result<std::unique_ptr<RecordFileWriter>> RecordFileWriter::Create(
     const std::string& path, uint32_t page_size) {
-  CALDERA_ASSIGN_OR_RETURN(std::unique_ptr<Pager> pager,
+  CALDERA_ASSIGN_OR_RETURN(std::unique_ptr<Pager> data,
                            Pager::Create(path, page_size));
   // Reserve the meta page (page 1).
-  CALDERA_ASSIGN_OR_RETURN(PageId meta, pager->AllocatePage());
+  CALDERA_ASSIGN_OR_RETURN(PageId meta, data->AllocatePage());
   if (meta != kMetaPage) {
     return Status::Internal("meta page allocated at unexpected id");
   }
-  return std::unique_ptr<RecordFileWriter>(
-      new RecordFileWriter(std::move(pager)));
+  CALDERA_ASSIGN_OR_RETURN(std::unique_ptr<Pager> dir,
+                           Pager::Create(RecordFileDirPath(path), page_size));
+  auto writer = std::unique_ptr<RecordFileWriter>(
+      new RecordFileWriter(std::move(data), std::move(dir)));
+  // The directory opens with record 0's start offset.
+  std::string entry;
+  PutFixed64(0, &entry);
+  CALDERA_RETURN_IF_ERROR(writer->dir_.Append(entry));
+  return writer;
 }
 
 Result<std::unique_ptr<RecordFileWriter>> RecordFileWriter::OpenForAppend(
     const std::string& path) {
-  // Reuse the reader's (checksum-verified) meta + directory parsing, then
-  // rewind the pager past the directory so appends continue where the data
-  // ends.
-  CALDERA_ASSIGN_OR_RETURN(std::unique_ptr<RecordFileReader> reader,
-                           RecordFileReader::Open(path, /*pool_pages=*/4));
-  std::vector<uint64_t> offsets;
-  offsets.reserve(reader->num_records());
-  uint64_t off = 0;
-  for (uint64_t id = 0; id < reader->num_records(); ++id) {
-    offsets.push_back(off);
-    CALDERA_ASSIGN_OR_RETURN(uint64_t size, reader->RecordSize(id));
-    off += size;
-  }
-  const uint64_t data_bytes = reader->data_bytes();
-  reader.reset();  // Release the read handle before reopening to write.
+  CALDERA_ASSIGN_OR_RETURN(OpenedRecordFile file, OpenRecordFile(path));
+  auto writer = std::unique_ptr<RecordFileWriter>(
+      new RecordFileWriter(std::move(file.data), std::move(file.dir)));
+  writer->num_records_ = file.num_records;
+  writer->data_.bytes = file.data_bytes;
+  writer->dir_.bytes = (file.num_records + 1) * 8;
 
-  CALDERA_ASSIGN_OR_RETURN(std::unique_ptr<Pager> pager, Pager::Open(path));
-  const uint32_t page_size = pager->page_size();
-  auto writer =
-      std::unique_ptr<RecordFileWriter>(new RecordFileWriter(std::move(pager)));
-  writer->offsets_ = std::move(offsets);
-  writer->data_bytes_ = data_bytes;
-
-  // Reload the partial tail (record bytes past the last full page) into the
-  // in-memory staging buffer, then drop that page and everything after it
-  // (the directory): the next full page rewrites the tail in place.
-  const uint64_t full_pages = data_bytes / page_size;
-  const uint64_t tail_bytes = data_bytes % page_size;
-  if (tail_bytes > 0) {
-    std::vector<char> page(page_size);
-    CALDERA_RETURN_IF_ERROR(
-        writer->pager_->ReadPage(kFirstDataPage + full_pages, page.data()));
-    writer->partial_.assign(page.data(), tail_bytes);
+  // Reload each partial tail page into its staging buffer; the next write
+  // of that page rewrites it in place. The directory's last page is read
+  // even when full, to check its final entry against the meta.
+  std::vector<char> page(writer->page_size());
+  const uint64_t data_tail = file.data_bytes % writer->page_size();
+  if (data_tail > 0) {
+    CALDERA_RETURN_IF_ERROR(writer->data_pager_->ReadPage(
+        kFirstDataPage + file.data_bytes / writer->page_size(), page.data()));
+    writer->data_.partial.assign(page.data(), data_tail);
   }
-  CALDERA_RETURN_IF_ERROR(
-      writer->pager_->Truncate(kFirstDataPage + full_pages));
+  const uint32_t dir_page_size = writer->dir_pager_->page_size();
+  const uint64_t last_entry = writer->dir_.bytes - 8;
+  page.resize(dir_page_size);
+  CALDERA_RETURN_IF_ERROR(writer->dir_pager_->ReadPage(
+      kFirstDirPage + last_entry / dir_page_size, page.data()));
+  if (GetFixed64(page.data() + last_entry % dir_page_size) !=
+      file.data_bytes) {
+    return Status::Corruption("directory/meta mismatch in " + path);
+  }
+  writer->dir_.partial.assign(page.data(),
+                              writer->dir_.bytes % dir_page_size);
   return writer;
 }
 
-Status RecordFileWriter::AppendRaw(std::string_view bytes) {
-  const uint32_t page_size = pager_->page_size();
+Status RecordFileWriter::PackedPages::Write(PageId id, const char* page) {
+  if (id == pager->page_count()) {
+    CALDERA_RETURN_IF_ERROR(pager->AllocatePage().status());
+  }
+  return pager->WritePage(id, page);
+}
+
+Status RecordFileWriter::PackedPages::Append(std::string_view data) {
+  const uint32_t page_size = pager->page_size();
   size_t consumed = 0;
-  while (consumed < bytes.size()) {
-    size_t room = page_size - partial_.size();
-    size_t take = std::min(room, bytes.size() - consumed);
-    partial_.append(bytes.data() + consumed, take);
+  while (consumed < data.size()) {
+    size_t take = std::min<size_t>(page_size - partial.size(),
+                                   data.size() - consumed);
+    partial.append(data.data() + consumed, take);
     consumed += take;
-    if (partial_.size() == page_size) {
-      CALDERA_ASSIGN_OR_RETURN(PageId id, pager_->AllocatePage());
-      CALDERA_RETURN_IF_ERROR(pager_->WritePage(id, partial_.data()));
-      partial_.clear();
+    bytes += take;
+    if (partial.size() == page_size) {
+      CALDERA_RETURN_IF_ERROR(
+          Write(first + (bytes - page_size) / page_size, partial.data()));
+      partial.clear();
     }
   }
-  data_bytes_ += bytes.size();
   return Status::Ok();
+}
+
+Status RecordFileWriter::PackedPages::Flush() {
+  if (partial.empty()) return Status::Ok();
+  std::string page = partial;
+  page.resize(pager->page_size(), '\0');
+  return Write(first + bytes / pager->page_size(), page.data());
 }
 
 Result<uint64_t> RecordFileWriter::Append(std::string_view record) {
   if (finalized_) {
     return Status::FailedPrecondition("record file already finalized");
   }
-  uint64_t id = offsets_.size();
-  offsets_.push_back(data_bytes_);
-  CALDERA_RETURN_IF_ERROR(AppendRaw(record));
-  return id;
-}
-
-Status RecordFileWriter::FlushPartialPage() {
-  if (partial_.empty()) return Status::Ok();
-  partial_.resize(pager_->page_size(), '\0');
-  CALDERA_ASSIGN_OR_RETURN(PageId id, pager_->AllocatePage());
-  CALDERA_RETURN_IF_ERROR(pager_->WritePage(id, partial_.data()));
-  partial_.clear();
-  return Status::Ok();
+  CALDERA_RETURN_IF_ERROR(data_.Append(record));
+  std::string end;
+  PutFixed64(data_.bytes, &end);
+  CALDERA_RETURN_IF_ERROR(dir_.Append(end));
+  return num_records_++;
 }
 
 Status RecordFileWriter::Finalize() {
   if (finalized_) return Status::Ok();
-  CALDERA_RETURN_IF_ERROR(FlushPartialPage());
-  const PageId dir_page = pager_->page_count();
-
-  // Directory: (n + 1) delimiting offsets, the last being total data bytes.
-  std::string dir;
-  dir.reserve((offsets_.size() + 1) * 8);
-  for (uint64_t off : offsets_) PutFixed64(off, &dir);
-  PutFixed64(data_bytes_, &dir);
-  CALDERA_RETURN_IF_ERROR(AppendRaw(dir));  // Reuses page-chunked writes.
-  data_bytes_ -= dir.size();                // Directory is not record data.
-  CALDERA_RETURN_IF_ERROR(FlushPartialPage());
-
-  // Meta page.
+  CALDERA_RETURN_IF_ERROR(data_.Flush());
+  CALDERA_RETURN_IF_ERROR(dir_.Flush());
+  CALDERA_RETURN_IF_ERROR(dir_pager_->Sync());
+  // The meta page goes last: it is what makes the new records visible.
   std::string meta(kRecMagic, 8);
-  PutFixed64(offsets_.size(), &meta);
-  PutFixed64(dir_page, &meta);
-  PutFixed64(data_bytes_, &meta);
-  meta.resize(pager_->page_size(), '\0');
-  CALDERA_RETURN_IF_ERROR(pager_->WritePage(kMetaPage, meta.data()));
-  CALDERA_RETURN_IF_ERROR(pager_->Sync());
+  PutFixed64(num_records_, &meta);
+  PutFixed64(data_.bytes, &meta);
+  meta.resize(data_pager_->page_size(), '\0');
+  CALDERA_RETURN_IF_ERROR(data_pager_->WritePage(kMetaPage, meta.data()));
+  CALDERA_RETURN_IF_ERROR(data_pager_->Sync());
   finalized_ = true;
   return Status::Ok();
 }
 
 Result<std::unique_ptr<RecordFileReader>> RecordFileReader::Open(
     const std::string& path, size_t pool_pages) {
-  CALDERA_ASSIGN_OR_RETURN(std::unique_ptr<Pager> pager, Pager::Open(path));
-  auto reader = std::unique_ptr<RecordFileReader>(
-      new RecordFileReader(std::move(pager), pool_pages));
-
-  const uint32_t page_size = reader->pager_->page_size();
-  std::vector<char> page(page_size);
-  CALDERA_RETURN_IF_ERROR(reader->pager_->ReadPage(kMetaPage, page.data()));
-  if (std::memcmp(page.data(), kRecMagic, 8) != 0) {
-    return Status::Corruption("bad record-file magic in " + path);
-  }
-  reader->num_records_ = GetFixed64(page.data() + 8);
-  uint64_t dir_page = GetFixed64(page.data() + 16);
-  uint64_t data_bytes = GetFixed64(page.data() + 24);
-  if (dir_page < kFirstDataPage || dir_page >= reader->pager_->page_count()) {
-    return Status::Corruption("bad directory page in " + path);
-  }
-
+  CALDERA_ASSIGN_OR_RETURN(OpenedRecordFile file, OpenRecordFile(path));
   // Load the directory (one-time metadata read; bypasses the pool so query
-  // stats reflect only record accesses).
-  // The directory must physically fit between dir_page and EOF.
-  uint64_t dir_capacity_bytes =
-      (reader->pager_->page_count() - dir_page) * uint64_t{page_size};
-  if (reader->num_records_ + 1 > dir_capacity_bytes / 8) {
-    return Status::Corruption("record count exceeds directory size in " +
-                              path);
-  }
-  uint64_t n_entries = reader->num_records_ + 1;
-  reader->offsets_.resize(n_entries);
-  uint64_t bytes_needed = n_entries * 8;
-  std::string dir_bytes;
-  dir_bytes.reserve(bytes_needed);
-  for (PageId p = dir_page; dir_bytes.size() < bytes_needed; ++p) {
-    if (p >= reader->pager_->page_count()) {
-      return Status::Corruption("directory truncated in " + path);
+  // stats reflect only record accesses). OpenRecordFile checked that its
+  // pages hold exactly n + 1 entries.
+  const uint32_t dir_page_size = file.dir->page_size();
+  std::vector<uint64_t> offsets(file.num_records + 1);
+  std::vector<char> page(dir_page_size);
+  for (uint64_t i = 0; i < offsets.size(); ++i) {
+    const uint64_t at = i * 8 % dir_page_size;
+    if (at == 0) {
+      CALDERA_RETURN_IF_ERROR(file.dir->ReadPage(
+          kFirstDirPage + i * 8 / dir_page_size, page.data()));
     }
-    CALDERA_RETURN_IF_ERROR(reader->pager_->ReadPage(p, page.data()));
-    dir_bytes.append(page.data(), page_size);
+    offsets[i] = GetFixed64(page.data() + at);
   }
-  for (uint64_t i = 0; i < n_entries; ++i) {
-    reader->offsets_[i] = GetFixed64(dir_bytes.data() + i * 8);
-  }
-  if (reader->offsets_.back() != data_bytes) {
+  if (offsets.front() != 0 || offsets.back() != file.data_bytes) {
     return Status::Corruption("directory/meta mismatch in " + path);
   }
-  for (uint64_t i = 0; i + 1 < n_entries; ++i) {
-    if (reader->offsets_[i] > reader->offsets_[i + 1]) {
+  for (uint64_t i = 0; i + 1 < offsets.size(); ++i) {
+    if (offsets[i] > offsets[i + 1]) {
       return Status::Corruption("non-monotone directory in " + path);
     }
   }
+  auto reader = std::unique_ptr<RecordFileReader>(
+      new RecordFileReader(std::move(file.data), pool_pages));
+  reader->offsets_ = std::move(offsets);
   return reader;
 }
 
 Result<uint64_t> RecordFileReader::RecordSize(uint64_t id) const {
-  if (id >= num_records_) {
+  if (id >= num_records()) {
     return Status::OutOfRange("record " + std::to_string(id) + " >= " +
-                              std::to_string(num_records_));
+                              std::to_string(num_records()));
   }
   return offsets_[id + 1] - offsets_[id];
 }
@@ -213,11 +271,6 @@ Status RecordFileReader::Get(uint64_t id, std::string* out) {
     remaining -= take;
   }
   return Status::Ok();
-}
-
-void RecordFileReader::ResizePool(size_t pool_pages) {
-  pool_pages_ = pool_pages;
-  pool_ = std::make_unique<BufferPool>(pager_.get(), pool_pages);
 }
 
 }  // namespace caldera

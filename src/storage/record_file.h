@@ -5,6 +5,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -16,18 +17,41 @@ namespace caldera {
 // A RecordFile stores an append-once / read-many sequence of variable-length
 // records addressed by dense record id (0..n-1). Markovian stream archives
 // are write-once, so the format is split into a writer (sequential append,
-// finalized with a directory) and a reader (page-cached random access).
+// finalized by writing the meta page) and a reader (page-cached random
+// access).
 //
-// On-disk layout (a valid pager file):
-//   page 0: pager header
-//   page 1: record-file meta (magic, record count, directory page, ...)
-//   pages 2..d-1: record bytes, packed back-to-back across pages
-//   pages d.. : directory = (n+1) u64 byte offsets delimiting records
+// On-disk layout: two pager files, each growing only at its end.
+//   X.rec      page 0: pager header
+//              page 1: record-file meta ("CLDRREC2", record count n, data
+//                      bytes)
+//              pages 2.. : record bytes, packed back-to-back across pages
+//   X.rec.dir  page 0: pager header
+//              pages 1.. : directory = (n+1) u64 byte offsets delimiting
+//                          records, packed back-to-back across pages
+// Both files end exactly at the page holding their last byte, and an
+// append rewrites in place only the pager headers, the meta page and the
+// two partial tail pages — everything else it writes lies past the old
+// ends (see RecordFileAppendRegions).
 
-/// Page index of the first data page (pages 0 and 1 hold the pager header
-/// and the record-file meta). Exposed for the ingest WAL, which journals
-/// pre-images of the pages an append will overwrite.
-inline constexpr PageId kRecordFileFirstDataPage = 2;
+/// Path of the directory file that accompanies the record file `path`.
+std::string RecordFileDirPath(const std::string& path);
+
+/// One file of a record file as an append finds it. The append rewrites
+/// the `overwritten` byte ranges ({offset, length}, physical bytes) in
+/// place and writes nothing else below `size`; truncating the file back to
+/// `size` and restoring those ranges undoes it bit for bit.
+struct RecordFileAppendRegion {
+  std::string path;
+  uint64_t size = 0;
+  std::vector<std::pair<uint64_t, uint64_t>> overwritten;
+};
+
+/// What OpenForAppend + Append + Finalize can write in the finalized record
+/// file `path`: one region per file (X.rec, then X.rec.dir). The ingest WAL
+/// journals exactly these pre-images before an append, so its undo cost is
+/// a handful of pages whatever the file length.
+Result<std::vector<RecordFileAppendRegion>> RecordFileAppendRegions(
+    const std::string& path);
 
 /// Sequentially builds a record file. Records become visible to readers only
 /// after Finalize() succeeds.
@@ -37,41 +61,58 @@ class RecordFileWriter {
       const std::string& path, uint32_t page_size = kDefaultPageSize);
 
   /// Reopens a *finalized* record file so more records can be appended (the
-  /// live-ingestion path). The old directory pages are dropped — new data
-  /// grows from the end of the existing records and Finalize writes a fresh
-  /// directory + meta. Readers opened before the next Finalize keep serving
-  /// their snapshot: old record bytes are never moved or modified, only the
-  /// zero padding of the final partial page and the (reader-cached)
-  /// directory region are overwritten. NOT crash-atomic on its own — the
-  /// ingest WAL journals the overwritten pages first.
+  /// live-ingestion path). Reads only the meta page and the two tail pages,
+  /// so the cost does not grow with the record count. New data and
+  /// directory entries continue from the current ends; Finalize rewrites the
+  /// meta page. Readers opened before the next Finalize keep serving their
+  /// snapshot: committed record bytes and directory entries are never moved
+  /// or modified, only the zero padding of each partial tail page is
+  /// overwritten. NOT crash-atomic on its own — the ingest WAL journals the
+  /// overwritten pages (RecordFileAppendRegions) first.
   static Result<std::unique_ptr<RecordFileWriter>> OpenForAppend(
       const std::string& path);
 
   /// Appends a record; returns its id.
   Result<uint64_t> Append(std::string_view record);
 
-  /// Writes the directory + meta page and syncs. No appends afterwards.
+  /// Writes the tail pages + meta page and syncs. No appends afterwards.
   Status Finalize();
 
-  uint64_t num_records() const { return offsets_.size(); }
-  uint64_t data_bytes() const { return data_bytes_; }
-  uint32_t page_size() const { return pager_->page_size(); }
+  uint64_t num_records() const { return num_records_; }
+  uint64_t data_bytes() const { return data_.bytes; }
+  uint32_t page_size() const { return data_pager_->page_size(); }
 
  private:
-  explicit RecordFileWriter(std::unique_ptr<Pager> pager);
+  // A byte stream packed back-to-back into pages [first, ...) of a pager;
+  // `partial` buffers the bytes of the last, incomplete page.
+  struct PackedPages {
+    Pager* pager = nullptr;
+    PageId first = 0;
+    uint64_t bytes = 0;
+    std::string partial;
 
-  Status FlushPartialPage();
-  Status AppendRaw(std::string_view bytes);
+    Status Append(std::string_view data);
+    // Writes the partial page, zero-padded (no-op when empty).
+    Status Flush();
+    // Writes `page` (page_size() bytes) over page `id`, allocating it when
+    // `id` is the next page of the file.
+    Status Write(PageId id, const char* page);
+  };
 
-  std::unique_ptr<Pager> pager_;
-  std::vector<uint64_t> offsets_;  // Start offset of each record.
-  uint64_t data_bytes_ = 0;        // Logical bytes appended so far.
-  std::string partial_;            // Buffered tail < one page.
+  RecordFileWriter(std::unique_ptr<Pager> data_pager,
+                   std::unique_ptr<Pager> dir_pager);
+
+  std::unique_ptr<Pager> data_pager_;
+  std::unique_ptr<Pager> dir_pager_;
+  PackedPages data_;
+  PackedPages dir_;
+  uint64_t num_records_ = 0;
   bool finalized_ = false;
 };
 
-/// Reads a finalized record file through an LRU buffer pool. Page traffic is
-/// visible via stats().
+/// Reads a finalized record file through an LRU buffer pool. The directory
+/// is loaded into memory at Open; page traffic on the records is visible via
+/// stats().
 class RecordFileReader {
  public:
   static Result<std::unique_ptr<RecordFileReader>> Open(
@@ -83,30 +124,19 @@ class RecordFileReader {
   /// Size in bytes of record `id`.
   Result<uint64_t> RecordSize(uint64_t id) const;
 
-  uint64_t num_records() const { return num_records_; }
-  uint64_t data_bytes() const {
-    return offsets_.empty() ? 0 : offsets_.back();
-  }
-  /// Total on-disk size in pages (data + directory + meta).
-  uint64_t file_pages() const { return pager_->page_count(); }
-  uint32_t page_size() const { return pager_->page_size(); }
+  uint64_t num_records() const { return offsets_.size() - 1; }
+  uint64_t data_bytes() const { return offsets_.back(); }
 
   const BufferPoolStats& stats() const { return pool_->stats(); }
   void ResetStats() { pool_->ResetStats(); }
 
-  /// Re-sizes the buffer pool (drops cached pages). Used by benchmarks.
-  void ResizePool(size_t pool_pages);
-
  private:
   RecordFileReader(std::unique_ptr<Pager> pager, size_t pool_pages)
       : pager_(std::move(pager)),
-        pool_(std::make_unique<BufferPool>(pager_.get(), pool_pages)),
-        pool_pages_(pool_pages) {}
+        pool_(std::make_unique<BufferPool>(pager_.get(), pool_pages)) {}
 
   std::unique_ptr<Pager> pager_;
   std::unique_ptr<BufferPool> pool_;
-  size_t pool_pages_;
-  uint64_t num_records_ = 0;
   std::vector<uint64_t> offsets_;  // n+1 delimiting offsets.
 };
 

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 #include <utility>
 
@@ -16,6 +17,7 @@
 #include "storage/buffer_pool.h"
 #include "storage/fault_injection_file.h"
 #include "storage/file.h"
+#include "storage/record_file.h"
 #include "test_util.h"
 
 namespace caldera {
@@ -430,6 +432,67 @@ TEST_F(FailureTest, CorruptMcIndexFallsBackToScan) {
     EXPECT_EQ(rescued->method, AccessMethodKind::kScan);
     EXPECT_GE(rescued->stats.scan_fallbacks, 1u);
     EXPECT_GE(rescued->stats.corruption_events, 1u);
+    ExpectSameSignal(rescued->signal, reference->signal);
+  }
+}
+
+// An MC level's directory file is part of the index: a flipped bit in it,
+// or a directory file cut short by a page, fails the strict query with
+// Corruption and the scan rescues it.
+TEST_F(FailureTest, CorruptMcLevelDirectoryFallsBackToScan) {
+  MarkovianStream stream = test::MakeBandedStream(200, 10, 15);
+  Caldera system(scratch_.Path("a_mc_dir"));
+  ASSERT_TRUE(system.archive()
+                  ->CreateStream("s", stream, DiskLayout::kSeparated)
+                  .ok());
+  ASSERT_TRUE(system.archive()->BuildMc("s", {}).ok());
+  RegularQuery query = TwoStepQuery();
+  auto reference = system.Execute(
+      "s", query, ExecOptions{.method = AccessMethodKind::kScan});
+  ASSERT_TRUE(reference.ok());
+
+  const std::string dir_file =
+      RecordFileDirPath(system.archive()->StreamDir("s") + "/mc/L1.rec");
+  std::string pristine;
+  {
+    auto f = File::OpenReadOnly(dir_file);
+    ASSERT_TRUE(f.ok());
+    pristine.resize((*f)->size());
+    ASSERT_TRUE((*f)->ReadAt(0, pristine.size(), pristine.data()).ok());
+    // Header page + at least one page of entries.
+    ASSERT_GE(pristine.size(), 2 * kDefaultPageSize);
+  }
+  auto bit_flip = [&] { FlipBit(dir_file, kDefaultPageSize + 40); };
+  auto cut_short = [&] {
+    auto f = File::Open(dir_file);
+    ASSERT_TRUE(f.ok());
+    ASSERT_TRUE((*f)->Truncate(pristine.size() - kDefaultPageSize).ok());
+  };
+  const std::pair<const char*, std::function<void()>> faults[] = {
+      {"bit flip", bit_flip}, {"cut short", cut_short}};
+  for (const auto& [what, corrupt] : faults) {
+    SCOPED_TRACE(what);
+    {
+      auto f = File::OpenOrCreate(dir_file);
+      ASSERT_TRUE(f.ok());
+      ASSERT_TRUE((*f)->Truncate(0).ok());
+      ASSERT_TRUE((*f)->WriteAt(0, pristine).ok());
+    }
+    corrupt();
+    system.InvalidateStreams();
+
+    auto strict = system.Execute(
+        "s", query, ExecOptions{.method = AccessMethodKind::kMcIndex});
+    ASSERT_FALSE(strict.ok());
+    EXPECT_EQ(strict.status().code(), StatusCode::kCorruption)
+        << strict.status().ToString();
+    auto rescued = system.Execute(
+        "s", query,
+        ExecOptions{.method = AccessMethodKind::kMcIndex,
+                    .fallback_to_scan = true});
+    ASSERT_TRUE(rescued.ok()) << rescued.status().ToString();
+    EXPECT_EQ(rescued->method, AccessMethodKind::kScan);
+    EXPECT_GE(rescued->stats.scan_fallbacks, 1u);
     ExpectSameSignal(rescued->signal, reference->signal);
   }
 }

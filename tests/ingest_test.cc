@@ -10,10 +10,13 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
+#include <map>
 #include <thread>
 
 #include "caldera/executor.h"
 #include "caldera/system.h"
+#include "common/encoding.h"
 #include "index/mc_index.h"
 #include "storage/fault_injection_file.h"
 #include "storage/record_file.h"
@@ -310,6 +313,34 @@ TEST(IngestCrashRecoveryTest, DataSyncFails) {
   FaultInjectionOptions fault;
   fault.fail_sync = true;
   RunCrashRecoveryCase("marginals_sync", "marginals.rec", fault);
+}
+
+// The directory files alone (the cases above match them too, by
+// substring): a torn or unsynced directory append must also roll back.
+TEST(IngestCrashRecoveryTest, MarginalDirectoryAppendTears) {
+  FaultInjectionOptions fault;
+  fault.fail_writes_from = 0;
+  fault.torn_writes = true;
+  RunCrashRecoveryCase("marginals_dir_torn", "marginals.rec.dir", fault);
+}
+
+TEST(IngestCrashRecoveryTest, MarginalDirectorySyncFails) {
+  FaultInjectionOptions fault;
+  fault.fail_sync = true;
+  RunCrashRecoveryCase("marginals_dir_sync", "marginals.rec.dir", fault);
+}
+
+TEST(IngestCrashRecoveryTest, McLevelDirectoryAppendTears) {
+  FaultInjectionOptions fault;
+  fault.fail_writes_from = 0;
+  fault.torn_writes = true;
+  RunCrashRecoveryCase("mc_l1_dir_torn", "mc/L1.rec.dir", fault);
+}
+
+TEST(IngestCrashRecoveryTest, McLevelDirectorySyncFails) {
+  FaultInjectionOptions fault;
+  fault.fail_sync = true;
+  RunCrashRecoveryCase("mc_l1_dir_sync", "mc/L1.rec.dir", fault);
 }
 
 // A crash *during recovery* (undo restore / redo hits an I/O error) leaves
@@ -614,6 +645,133 @@ TEST(IngestFacadeTest, IndexlessStreamsIngestToo) {
                              ExecOptions{.method = AccessMethodKind::kScan});
   ASSERT_TRUE(got.ok() && want.ok());
   ExpectSignalsIdentical(got->signal, want->signal, "indexless-scan");
+}
+
+// Contents of every record file (*.rec and its *.rec.dir) in `dir`, by
+// name.
+std::map<std::string, std::string> RecordFileImages(const std::string& dir) {
+  std::map<std::string, std::string> out;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (!name.ends_with(".rec") && !name.ends_with(".rec.dir")) continue;
+    auto f = File::OpenReadOnly(entry.path().string());
+    EXPECT_TRUE(f.ok()) << name;
+    if (!f.ok()) continue;
+    std::string bytes((*f)->size(), '\0');
+    EXPECT_TRUE((*f)->ReadAt(0, bytes.size(), bytes.data()).ok());
+    out[name] = std::move(bytes);
+  }
+  return out;
+}
+
+// One-timestep appends reopen every record file at its tail; the grown
+// files (stream and MC levels, data and directory) must be byte-identical
+// to an offline build at the same length.
+TEST(IngestByteIdentityTest, SingleStepIngestsMatchOfflineRecordFiles) {
+  const DifferentialVariant variants[] = {
+      {DiskLayout::kSeparated, McIndexOptions{.alpha = 2}},
+      {DiskLayout::kCoClustered,
+       McIndexOptions{.alpha = 3, .truncate_eps = 1e-4}},
+  };
+  for (const DifferentialVariant& variant : variants) {
+    SCOPED_TRACE(DiskLayoutName(variant.layout));
+    test::ScratchDir scratch("ingest_bytes");
+    MarkovianStream full = test::MakeBandedStream(200, 9, 53);
+    StreamArchive archive(scratch.Path("archive"));
+    ASSERT_TRUE(archive.Init().ok());
+    ASSERT_TRUE(
+        archive.CreateStream("live", Prefix(full, 120), variant.layout).ok());
+    ASSERT_TRUE(archive.BuildMc("live", variant.mc).ok());
+    ASSERT_TRUE(archive.CreateStream("oracle", full, variant.layout).ok());
+    ASSERT_TRUE(archive.BuildMc("oracle", variant.mc).ok());
+
+    auto ingestor = StreamIngestor::Open(archive.StreamDir("live"));
+    ASSERT_TRUE(ingestor.ok()) << ingestor.status().ToString();
+    for (uint64_t t = 120; t < full.length(); ++t) {
+      ASSERT_TRUE((*ingestor)->Append(Slice(full, t, 1)).ok()) << "t=" << t;
+    }
+    ingestor->reset();
+
+    for (const std::string sub : {"", "/mc"}) {
+      const auto want = RecordFileImages(archive.StreamDir("oracle") + sub);
+      const auto got = RecordFileImages(archive.StreamDir("live") + sub);
+      ASSERT_FALSE(want.empty());
+      ASSERT_EQ(got.size(), want.size()) << sub;
+      for (const auto& [name, bytes] : want) {
+        ASSERT_TRUE(got.contains(name)) << sub << "/" << name;
+        EXPECT_TRUE(got.at(name) == bytes) << sub << "/" << name;
+      }
+    }
+  }
+}
+
+// WAL bytes one batch-1 append journals onto a stream of `length`
+// timesteps with an alpha-2 MC index.
+uint64_t BatchOneWalBytes(uint64_t length) {
+  test::ScratchDir scratch("ingest_wal_" + std::to_string(length));
+  MarkovianStream full = test::MakeBandedStream(length + 1, 6, 59);
+  StreamArchive archive(scratch.Path("archive"));
+  EXPECT_TRUE(archive.Init().ok());
+  EXPECT_TRUE(archive.CreateStream("s", Prefix(full, length)).ok());
+  EXPECT_TRUE(archive.BuildMc("s", {.alpha = 2}).ok());
+  auto ingestor = StreamIngestor::Open(archive.StreamDir("s"));
+  EXPECT_TRUE(ingestor.ok());
+  if (!ingestor.ok()) return 0;
+  EXPECT_TRUE((*ingestor)->Append(Slice(full, length, 1)).ok());
+  return (*ingestor)->stats().wal_bytes;
+}
+
+// The undo journal of a one-step append must not grow with the stream:
+// record files are journaled as a few header/meta/tail pages, never as
+// their O(n) directory.
+TEST(IngestJournalTest, BatchOneJournalDoesNotGrowWithLength) {
+  // 1000 and 8008 transitions-after-append share 2-adic valuation 3, so
+  // both appends complete blocks on MC levels 1-3 only.
+  const uint64_t small = BatchOneWalBytes(1000);
+  const uint64_t large = BatchOneWalBytes(8008);
+  ASSERT_GT(small, 0u);
+  // Journaled files: meta.bin, mc.meta, and a data + directory file for
+  // marginals, cpts and MC levels 1-3. Only partial tail pages (and
+  // mc.meta's per-level counts) may differ between the two lengths.
+  constexpr uint64_t kJournaledFiles = 12;
+  const uint64_t diff = small > large ? small - large : large - small;
+  EXPECT_LE(diff, kJournaledFiles * kDefaultPageSize)
+      << "1000 steps: " << small << " bytes, 8008 steps: " << large;
+}
+
+// The ingest path must not trust mc.meta's domain, which sizes
+// McIndex::Extend's composition scratch. A corrupt
+// value is refused before the commit point, so the stream stays as it was.
+TEST(IngestCorruptionTest, CorruptMcDomainFailsBeforeCommit) {
+  test::ScratchDir scratch("ingest_domain");
+  MarkovianStream full = test::MakeBandedStream(130, 8, 61);
+  StreamArchive archive(scratch.Path("archive"));
+  ASSERT_TRUE(archive.Init().ok());
+  ASSERT_TRUE(archive.CreateStream("s", Prefix(full, 120)).ok());
+  ASSERT_TRUE(archive.BuildMc("s", {.alpha = 2}).ok());
+  const std::string dir = archive.StreamDir("s");
+  {
+    auto meta = File::Open(dir + "/mc/mc.meta");
+    ASSERT_TRUE(meta.ok());
+    std::string domain;
+    PutFixed32(0x7FFFFFFF, &domain);
+    ASSERT_TRUE((*meta)->WriteAt(24, domain).ok());  // Domain field.
+  }
+  {
+    auto ingestor = StreamIngestor::Open(dir);
+    ASSERT_TRUE(ingestor.ok()) << ingestor.status().ToString();
+    Status appended = (*ingestor)->Append(Slice(full, 120, 1));
+    EXPECT_EQ(appended.code(), StatusCode::kCorruption) << appended.ToString();
+    EXPECT_EQ((*ingestor)->length(), 120u);
+    EXPECT_FALSE((*ingestor)->broken());
+  }
+  auto reopened = StreamIngestor::Open(dir);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->length(), 120u);
+  EXPECT_EQ((*reopened)->stats().batches_recovered, 0u);
+  auto stored = StoredStream::Open(dir);
+  ASSERT_TRUE(stored.ok());
+  EXPECT_EQ((*stored)->length(), 120u);
 }
 
 }  // namespace

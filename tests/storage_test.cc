@@ -9,6 +9,7 @@
 #include "common/encoding.h"
 #include "common/rng.h"
 #include "storage/buffer_pool.h"
+#include "storage/fault_injection_file.h"
 #include "storage/file.h"
 #include "storage/pager.h"
 #include "storage/record_file.h"
@@ -471,6 +472,216 @@ TEST_F(StorageTest, RecordFileDetectsTruncatedDirectory) {
   }
   auto reader = RecordFileReader::Open(Path("r"));
   EXPECT_FALSE(reader.ok());
+}
+
+// Whole contents of the file at `path`.
+std::string ReadAll(const std::string& path) {
+  auto f = File::OpenReadOnly(path);
+  EXPECT_TRUE(f.ok()) << path;
+  if (!f.ok()) return "";
+  std::string bytes((*f)->size(), '\0');
+  EXPECT_TRUE((*f)->ReadAt(0, bytes.size(), bytes.data()).ok());
+  return bytes;
+}
+
+// Rewrites page `id` of the pager file at `path` with `mutate` applied to
+// its payload, re-stamping the checksum so only the record-file layer can
+// notice.
+template <typename Fn>
+void RewritePage(const std::string& path, PageId id, Fn mutate) {
+  auto pager = Pager::Open(path);
+  ASSERT_TRUE(pager.ok()) << pager.status().ToString();
+  std::vector<char> page((*pager)->page_size());
+  ASSERT_TRUE((*pager)->ReadPage(id, page.data()).ok());
+  mutate(page.data());
+  ASSERT_TRUE((*pager)->WritePage(id, page.data()).ok());
+  ASSERT_TRUE((*pager)->Sync().ok());
+}
+
+// A record file of `n` records of 40 bytes, page size 512.
+void WriteRecords(const std::string& path, int n) {
+  auto writer = RecordFileWriter::Create(path, 512);
+  ASSERT_TRUE(writer.ok());
+  for (int i = 0; i < n; ++i) {
+    ASSERT_TRUE((*writer)->Append(std::string(40, char('a' + i % 26))).ok());
+  }
+  ASSERT_TRUE((*writer)->Finalize().ok());
+}
+
+TEST_F(StorageTest, PagerSyncSkipsFsyncWhenNothingWasWritten) {
+  const std::string path = Path("sync_probe");
+  {
+    auto pager = Pager::Create(path, 512);
+    ASSERT_TRUE(pager.ok());
+    ASSERT_TRUE((*pager)->AllocatePage().ok());
+    ASSERT_TRUE((*pager)->Sync().ok());
+  }
+  FaultInjectionOptions fault;
+  fault.fail_sync = true;
+  ScopedFaultInjection inject("sync_probe", fault);
+  // A read-only handle has nothing to make durable: no fsync, no failure.
+  auto reader = Pager::Open(path);
+  ASSERT_TRUE(reader.ok());
+  std::vector<char> page((*reader)->page_size());
+  ASSERT_TRUE((*reader)->ReadPage(1, page.data()).ok());
+  EXPECT_TRUE((*reader)->Sync().ok());
+  // A handle that wrote must surface the failed fsync, and keep failing on
+  // retry: the pending write is still not durable.
+  auto writer = Pager::Open(path);
+  ASSERT_TRUE(writer.ok());
+  ASSERT_TRUE((*writer)->WritePage(1, page.data()).ok());
+  EXPECT_EQ((*writer)->Sync().code(), StatusCode::kIoError);
+  EXPECT_EQ((*writer)->Sync().code(), StatusCode::kIoError);
+  auto allocator = Pager::Open(path);
+  ASSERT_TRUE(allocator.ok());
+  ASSERT_TRUE((*allocator)->AllocatePage().ok());
+  EXPECT_EQ((*allocator)->Sync().code(), StatusCode::kIoError);
+}
+
+TEST_F(StorageTest, BufferPoolEvictsAtExactCapacityWithLazyFrames) {
+  auto pager = Pager::Create(Path("p"), 512);
+  ASSERT_TRUE(pager.ok());
+  const size_t payload = (*pager)->page_size();
+  for (char c = 'a'; c <= 'e'; ++c) {
+    auto id = (*pager)->AllocatePage();
+    ASSERT_TRUE(id.ok());
+    ASSERT_TRUE((*pager)->WritePage(*id, std::string(payload, c).data()).ok());
+  }
+  BufferPool pool(pager->get(), 3);
+  for (PageId id = 1; id <= 3; ++id) {
+    auto handle = pool.Fetch(id);
+    ASSERT_TRUE(handle.ok());
+    EXPECT_EQ(handle->data()[payload - 1], char('a' + id - 1));
+  }
+  EXPECT_EQ(pool.stats().evictions, 0u);
+  // The fourth distinct page evicts the least recently used one (page 1),
+  // and the reused frame holds the new page's bytes.
+  for (PageId id = 4; id <= 5; ++id) {
+    auto handle = pool.Fetch(id);
+    ASSERT_TRUE(handle.ok());
+    EXPECT_EQ(handle->data()[0], char('a' + id - 1));
+    EXPECT_EQ(handle->data()[payload - 1], char('a' + id - 1));
+  }
+  EXPECT_EQ(pool.stats().evictions, 2u);
+  EXPECT_EQ(pool.stats().misses, 5u);
+  auto again = pool.Fetch(3);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(pool.stats().hits, 1u);
+  again->Release();
+  auto evicted = pool.Fetch(1);
+  ASSERT_TRUE(evicted.ok());
+  EXPECT_EQ(evicted->data()[0], 'a');
+  EXPECT_EQ(pool.stats().misses, 6u);
+  EXPECT_EQ(pool.stats().evictions, 3u);
+}
+
+// Reopening for append after every few records must end byte-identical to
+// a one-shot build, and each append may change bytes below the old end of
+// a file only inside the ranges RecordFileAppendRegions reported.
+TEST_F(StorageTest, RecordFileAppendMatchesOneShotBuildAndItsRegions) {
+  std::vector<std::string> records;
+  for (int i = 0; i < 150; ++i) {
+    // Sizes cross and land exactly on 504-byte page boundaries.
+    const size_t size = i % 9 == 0 ? 504 : (i * 37) % 300;
+    records.push_back(std::string(size, char('A' + i % 26)));
+  }
+  const std::string whole = Path("whole");
+  {
+    auto writer = RecordFileWriter::Create(whole, 512);
+    ASSERT_TRUE(writer.ok());
+    for (const std::string& r : records) ASSERT_TRUE((*writer)->Append(r).ok());
+    ASSERT_TRUE((*writer)->Finalize().ok());
+  }
+  const std::string grown = Path("grown");
+  ASSERT_TRUE(RecordFileWriter::Create(grown, 512).value()->Finalize().ok());
+  for (size_t next = 0; next < records.size();) {
+    auto regions = RecordFileAppendRegions(grown);
+    ASSERT_TRUE(regions.ok()) << regions.status().ToString();
+    ASSERT_EQ(regions->size(), 2u);
+    std::vector<std::string> before;
+    for (const RecordFileAppendRegion& region : *regions) {
+      before.push_back(ReadAll(region.path));
+      EXPECT_EQ(before.back().size(), region.size) << region.path;
+    }
+    {
+      auto writer = RecordFileWriter::OpenForAppend(grown);
+      ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+      ASSERT_EQ((*writer)->num_records(), next);
+      for (size_t k = 0; k < 1 + next % 3 && next < records.size(); ++k) {
+        ASSERT_TRUE((*writer)->Append(records[next++]).ok());
+      }
+      ASSERT_TRUE((*writer)->Finalize().ok());
+    }
+    for (size_t f = 0; f < regions->size(); ++f) {
+      const RecordFileAppendRegion& region = (*regions)[f];
+      const std::string after = ReadAll(region.path);
+      ASSERT_GE(after.size(), region.size);
+      for (uint64_t b = 0; b < region.size; ++b) {
+        if (after[b] == before[f][b]) continue;
+        bool covered = false;
+        for (const auto& [offset, length] : region.overwritten) {
+          covered = covered || (b >= offset && b < offset + length);
+        }
+        ASSERT_TRUE(covered) << region.path << " byte " << b
+                             << " changed outside the reported regions";
+      }
+    }
+  }
+  EXPECT_EQ(ReadAll(grown), ReadAll(whole));
+  EXPECT_EQ(ReadAll(RecordFileDirPath(grown)), ReadAll(RecordFileDirPath(whole)));
+  auto reader = RecordFileReader::Open(grown);
+  ASSERT_TRUE(reader.ok());
+  std::string out;
+  for (size_t i = 0; i < records.size(); ++i) {
+    ASSERT_TRUE((*reader)->Get(i, &out).ok());
+    EXPECT_EQ(out, records[i]);
+  }
+}
+
+TEST_F(StorageTest, RecordFileRejectsLegacyV1Magic) {
+  WriteRecords(Path("r"), 20);
+  RewritePage(Path("r"), 1, [](char* page) { page[7] = '1'; });
+  for (const Status& st : {RecordFileReader::Open(Path("r")).status(),
+                           RecordFileWriter::OpenForAppend(Path("r")).status(),
+                           RecordFileAppendRegions(Path("r")).status()}) {
+    EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
+    EXPECT_NE(st.message().find("magic"), std::string::npos) << st.message();
+  }
+}
+
+TEST_F(StorageTest, RecordFileDirectoryShorterThanCountIsCorruption) {
+  WriteRecords(Path("r"), 200);
+  // Well-checksummed meta pages claiming more records than the directory
+  // holds: far more (past its pages) and a few more (inside its last page).
+  for (uint64_t count : {uint64_t{400}, uint64_t{205}, ~uint64_t{0}}) {
+    SCOPED_TRACE(count);
+    RewritePage(Path("r"), 1,
+                [&](char* page) { std::memcpy(page + 8, &count, 8); });
+    for (const Status& st :
+         {RecordFileReader::Open(Path("r")).status(),
+          RecordFileWriter::OpenForAppend(Path("r")).status()}) {
+      EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
+    }
+  }
+}
+
+TEST_F(StorageTest, RecordFileDirectoryBitFlipIsCorruption) {
+  WriteRecords(Path("r"), 200);
+  const std::string dir = RecordFileDirPath(Path("r"));
+  {
+    auto f = File::Open(dir);
+    ASSERT_TRUE(f.ok());
+    char c;
+    ASSERT_TRUE((*f)->ReadAt(512 + 100, 1, &c).ok());
+    c = char(c ^ 4);
+    ASSERT_TRUE((*f)->WriteAt(512 + 100, {&c, 1}).ok());
+  }
+  Status st = RecordFileReader::Open(Path("r")).status();
+  EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
+  // A missing directory is NotFound, not a silently empty file.
+  ASSERT_TRUE(RemoveFileIfExists(dir).ok());
+  EXPECT_EQ(RecordFileReader::Open(Path("r")).status().code(),
+            StatusCode::kNotFound);
 }
 
 }  // namespace
