@@ -62,8 +62,10 @@ class Pager {
   /// never allocated must not clobber a header another writer has since
   /// advanced) and fsyncs the file — but only if this handle wrote anything
   /// (header, WritePage, AllocatePage) since its last successful Sync. A
-  /// read-only handle's Sync is free; a failed fsync keeps the pending
-  /// state, so the next Sync retries it.
+  /// read-only handle's Sync is free. A failed fsync is reported, and a
+  /// later Sync calls fsync again; that call succeeding does not prove the
+  /// earlier writes reached disk (the kernel may have dropped them), so a
+  /// writer must treat a failed Sync as fatal for the handle.
   Status Sync();
 
   /// Usable bytes per page (physical page minus the trailer).

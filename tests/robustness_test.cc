@@ -160,6 +160,21 @@ TEST(RobustnessTest, BTreeOpenOnMutatedTreeFile) {
   }
 }
 
+std::string ReadWholeFile(const std::string& path) {
+  auto file = File::OpenReadOnly(path);
+  CALDERA_CHECK_OK(file.status());
+  std::string bytes((*file)->size(), '\0');
+  CALDERA_CHECK_OK((*file)->ReadAt(0, bytes.size(), bytes.data()));
+  return bytes;
+}
+
+void WriteWholeFile(const std::string& path, const std::string& bytes) {
+  auto file = File::OpenOrCreate(path);
+  CALDERA_CHECK_OK(file.status());
+  CALDERA_CHECK_OK((*file)->Truncate(0));
+  CALDERA_CHECK_OK((*file)->Append(bytes));
+}
+
 TEST(RobustnessTest, RecordFileOpenOnMutatedFile) {
   test::ScratchDir scratch("robust_recfile");
   const std::string path = scratch.Path("r.rec");
@@ -171,24 +186,37 @@ TEST(RobustnessTest, RecordFileOpenOnMutatedFile) {
     }
     ASSERT_TRUE((*writer)->Finalize().ok());
   }
+  // A record file is the data file plus its directory sidecar; both are
+  // copied every round and the flips are spread over both.
+  const std::string data = ReadWholeFile(path);
+  const std::string dir = ReadWholeFile(RecordFileDirPath(path));
+  const std::string mutated = scratch.Path("mut.rec");
+  // The unmutated copy must open and read back, or the rounds below would
+  // only exercise an early failure.
+  WriteWholeFile(mutated, data);
+  WriteWholeFile(RecordFileDirPath(mutated), dir);
+  {
+    auto reader = RecordFileReader::Open(mutated);
+    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+    ASSERT_EQ((*reader)->num_records(), 200u);
+    std::string out;
+    ASSERT_TRUE((*reader)->Get(199, &out).ok());
+    EXPECT_EQ(out, std::string(40, 'd'));
+  }
   Rng rng(7);
   for (int round = 0; round < 20; ++round) {
-    std::string mutated = scratch.Path("mut.rec");
-    {
-      auto src = File::OpenReadOnly(path);
-      ASSERT_TRUE(src.ok());
-      std::string bytes((*src)->size(), '\0');
-      ASSERT_TRUE((*src)->ReadAt(0, bytes.size(), bytes.data()).ok());
-      for (int flips = 0; flips < 8; ++flips) {
-        bytes[rng.NextBelow(bytes.size())] ^=
-            static_cast<char>(1 + rng.NextBelow(255));
-      }
-      auto dst = File::OpenOrCreate(mutated);
-      ASSERT_TRUE(dst.ok());
-      ASSERT_TRUE((*dst)->Truncate(0).ok());
-      ASSERT_TRUE((*dst)->Append(bytes).ok());
+    std::string bytes[2] = {data, dir};
+    for (int flips = 0; flips < 8; ++flips) {
+      std::string& target = bytes[rng.NextBelow(2)];
+      target[rng.NextBelow(target.size())] ^=
+          static_cast<char>(1 + rng.NextBelow(255));
     }
+    WriteWholeFile(mutated, bytes[0]);
+    WriteWholeFile(RecordFileDirPath(mutated), bytes[1]);
     auto reader = RecordFileReader::Open(mutated);
+    // Both files exist, so a failure is a decode error, never NotFound.
+    EXPECT_NE(reader.status().code(), StatusCode::kNotFound)
+        << reader.status().ToString();
     if (!reader.ok()) continue;
     std::string out;
     for (uint64_t i = 0; i < (*reader)->num_records(); ++i) {

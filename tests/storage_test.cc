@@ -525,8 +525,8 @@ TEST_F(StorageTest, PagerSyncSkipsFsyncWhenNothingWasWritten) {
   std::vector<char> page((*reader)->page_size());
   ASSERT_TRUE((*reader)->ReadPage(1, page.data()).ok());
   EXPECT_TRUE((*reader)->Sync().ok());
-  // A handle that wrote must surface the failed fsync, and keep failing on
-  // retry: the pending write is still not durable.
+  // A handle that wrote must surface the failed fsync, and a later Sync
+  // must call fsync again rather than report success without one.
   auto writer = Pager::Open(path);
   ASSERT_TRUE(writer.ok());
   ASSERT_TRUE((*writer)->WritePage(1, page.data()).ok());
