@@ -68,7 +68,7 @@ class ArchivedStream {
 
   /// Rebinds the MC index's span-CPT cache. Open installs a small private
   /// cache (kDefaultSpanCacheBytes, epoch 0); the Caldera facade replaces
-  /// it with its process-wide shared cache stamped with the handle-cache
+  /// it with its process-wide shared cache stamped with the handle
   /// epoch, so epoch bumps logically invalidate old entries. stream_id is
   /// derived from the stream directory. No-op when the stream has no MC
   /// index.

@@ -1,7 +1,7 @@
 #include "caldera/batch.h"
 
 #include <algorithm>
-#include <map>
+#include <memory>
 #include <utility>
 
 #include "common/thread_pool.h"
@@ -51,45 +51,27 @@ Result<BatchResult> ExecuteBatch(Caldera* system, const RegularQuery& query,
                            : ThreadPool::DefaultThreadCount();
   num_threads = std::min(num_threads, streams.size());
 
-  if (num_threads <= 1) {
-    // Sequential path: identical to the pre-parallel engine, including its
-    // stop-at-first-error behavior.
-    BatchResult batch;
-    batch.streams.reserve(streams.size());
-    for (const std::string& name : streams) {
-      Result<QueryResult> result = system->Execute(name, query, options.exec);
-      if (!result.ok()) return WrapStreamError(name, result.status());
-      batch.streams.push_back({name, std::move(*result)});
-    }
-    return batch;
-  }
-
-  // Parallel fan-out, one worker per stream. Each ArchivedStream owns its
-  // partition's files and buffer pools, so per-stream state needs no
-  // locking — but it is single-threaded, so a name appearing several times
-  // in the request is executed by exactly one task (sequentially within
-  // it) rather than by racing workers. Slots are preallocated per request
-  // index; workers never touch shared batch state.
-  std::map<std::string, std::vector<size_t>> indices_by_name;
-  for (size_t i = 0; i < streams.size(); ++i) {
-    indices_by_name[streams[i]].push_back(i);
-  }
+  // One slot per request, so workers never touch shared batch state. Each
+  // Execute borrows its own stream handle, so requests naming the same
+  // stream may run at once. With one thread the requests run inline and
+  // stop at the first failure.
   std::vector<Result<QueryResult>> slots(
       streams.size(), Result<QueryResult>(Status::Internal("not executed")));
-
   {
-    ThreadPool pool(num_threads);
-    for (const auto& [name, indices] : indices_by_name) {
-      const std::string* name_ptr = &name;
-      const std::vector<size_t>* indices_ptr = &indices;
-      pool.Submit([system, &query, &options, &slots, name_ptr, indices_ptr] {
-        for (size_t index : *indices_ptr) {
-          slots[index] = system->Execute(*name_ptr, query, options.exec);
-        }
-      });
+    std::unique_ptr<ThreadPool> pool;
+    if (num_threads > 1) pool = std::make_unique<ThreadPool>(num_threads);
+    for (size_t i = 0; i < streams.size(); ++i) {
+      auto run = [system, &query, &options, &streams, &slots, i] {
+        slots[i] = system->Execute(streams[i], query, options.exec);
+      };
+      if (pool != nullptr) {
+        pool->Submit(run);
+        continue;
+      }
+      run();
+      if (!slots[i].ok()) break;
     }
-    pool.Wait();
-  }
+  }  // ~ThreadPool drains the queue.
 
   // Deterministic aggregation: request order for results, and on failure
   // the error of the earliest failing stream — exactly what the sequential

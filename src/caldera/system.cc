@@ -8,39 +8,41 @@ namespace caldera {
 
 Result<std::shared_ptr<ArchivedStream>> Caldera::GetStream(
     const std::string& name, size_t pool_pages) {
-  uint64_t open_epoch;
+  IdleKey key(name, pool_pages);
+  std::unique_ptr<ArchivedStream> handle;
+  uint64_t epoch;
   {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = open_streams_.find(name);
-    if (it != open_streams_.end() && it->second.epoch == epoch_) {
-      return it->second.stream;
-    }
-    open_epoch = epoch_;
+    std::lock_guard<std::mutex> lock(state_->mu);
+    epoch = state_->epoch;
+    auto idle = state_->idle.extract(key);
+    if (!idle.empty()) handle = std::move(idle.mapped());
   }
-  // Open outside the lock: concurrent opens of *different* streams must not
-  // serialize on each other (ExecuteBatch opens one stream per worker).
-  CALDERA_ASSIGN_OR_RETURN(std::unique_ptr<ArchivedStream> opened,
-                           archive_.OpenStream(name, pool_pages));
-  // Rebind the facade's shared span cache under the epoch of this open, so
-  // composed span CPTs are reused across queries, handles, and batch
-  // workers — and orphaned wholesale when the epoch advances.
-  opened->AttachSpanCache(span_cache_, open_epoch);
-  std::shared_ptr<ArchivedStream> stream = std::move(opened);
-  std::lock_guard<std::mutex> lock(mu_);
-  if (epoch_ != open_epoch) return stream;  // Invalidated mid-open: serve
-                                            // the handle, don't cache it.
-  auto it = open_streams_.find(name);
-  if (it != open_streams_.end() && it->second.epoch == epoch_) {
-    return it->second.stream;  // A racing open won; share its handle.
+  if (handle == nullptr) {
+    // Open outside the lock, so concurrent opens do not serialize.
+    CALDERA_ASSIGN_OR_RETURN(handle, archive_.OpenStream(name, pool_pages));
+    // Bind the facade's span cache under this epoch, so composed span CPTs
+    // are reused across handles and orphaned when the epoch advances.
+    handle->AttachSpanCache(span_cache_, epoch);
   }
-  open_streams_[name] = CachedHandle{epoch_, stream};
-  return stream;
+  // The deleter puts the handle back unless the facade is gone, the epoch
+  // moved on or the slot is filled; then `owned` dies outside the lock.
+  return std::shared_ptr<ArchivedStream>(
+      handle.release(), [home = std::weak_ptr<State>(state_),
+                         key = std::move(key), epoch](ArchivedStream* lent) {
+        std::unique_ptr<ArchivedStream> owned(lent);
+        std::shared_ptr<State> state = home.lock();
+        if (state == nullptr) return;
+        std::lock_guard<std::mutex> lock(state->mu);
+        if (state->epoch != epoch) return;
+        state->idle.try_emplace(key, std::move(owned));
+      });
 }
 
 uint64_t Caldera::InvalidateStreams() {
-  std::lock_guard<std::mutex> lock(mu_);
-  open_streams_.clear();
-  return ++epoch_;
+  std::map<IdleKey, std::unique_ptr<ArchivedStream>> dropped;
+  std::lock_guard<std::mutex> lock(state_->mu);
+  dropped.swap(state_->idle);  // Destroyed after the lock is released.
+  return ++state_->epoch;
 }
 
 void Caldera::NotifyStreamMutation() {
@@ -50,8 +52,8 @@ void Caldera::NotifyStreamMutation() {
 
 std::shared_mutex* Caldera::StreamMutationLock(
     const std::string& stream_name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::unique_ptr<std::shared_mutex>& slot = stream_locks_[stream_name];
+  std::lock_guard<std::mutex> lock(state_->mu);
+  std::unique_ptr<std::shared_mutex>& slot = state_->stream_locks[stream_name];
   if (slot == nullptr) slot = std::make_unique<std::shared_mutex>();
   return slot.get();
 }
@@ -73,8 +75,8 @@ Result<std::unique_ptr<StreamIngestor>> Caldera::OpenForIngest(
 }
 
 uint64_t Caldera::stream_epoch() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return epoch_;
+  std::lock_guard<std::mutex> lock(state_->mu);
+  return state_->epoch;
 }
 
 Result<PlanDecision> Caldera::Plan(const std::string& stream_name,
@@ -103,8 +105,8 @@ Result<QueryResult> Caldera::Execute(const std::string& stream_name,
   // Shared hold on the stream's mutation lock for the whole execution: an
   // ingest apply or index rebuild (exclusive holders) cannot mutate the
   // B+ trees this query is reading mid-flight, so the query sees either the
-  // pre- or post-mutation stream, never a mix. The shared_ptr additionally
-  // keeps the handle alive if the cache is invalidated mid-query.
+  // pre- or post-mutation stream, never a mix. The handle is lent to this
+  // query alone and stays alive if the streams are invalidated mid-query.
   std::shared_lock<std::shared_mutex> read_guard(
       *StreamMutationLock(stream_name));
   std::shared_ptr<ArchivedStream> handle;
@@ -119,7 +121,7 @@ Result<QueryResult> Caldera::Execute(const std::string& stream_name,
       // An index refused to open (bad checksum, truncation, ...). Re-open
       // in degraded mode: unopenable indexes are skipped, so the planner
       // sees them as never built and picks a method that works without
-      // them. Degraded handles are deliberately not admitted to the cache.
+      // them. Degraded handles are deliberately never lent again.
       OpenStreamOptions degraded;
       degraded.pool_pages = options.pool_pages;
       degraded.tolerate_corrupt_indexes = true;

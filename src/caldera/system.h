@@ -7,6 +7,7 @@
 #include <mutex>
 #include <shared_mutex>
 #include <string>
+#include <utility>
 
 #include "caldera/access_method.h"
 #include "caldera/archive.h"
@@ -42,20 +43,19 @@ struct ExecOptions {
 /// The Caldera system facade (Figure 1): an archive of smoothed Markovian
 /// streams plus Regular-query execution over them.
 ///
-/// Stream handles are shared-ownership (std::shared_ptr) and come from a
-/// mutex-guarded, epoch-versioned cache: GetStream may be called from any
-/// thread, and InvalidateStreams never dangles an outstanding handle — it
-/// only prevents the cache from serving stale ones. A single ArchivedStream
-/// object is still single-threaded (its buffer pools are not locked), so at
-/// most one thread may *use* a given handle at a time; ExecuteBatch
-/// (caldera/batch.h) parallelizes across distinct streams for exactly this
-/// reason.
+/// Queries (Execute, Plan, ExecuteBatch) are thread-safe, any number of them
+/// on one stream at once. An ArchivedStream is single-threaded (its buffer
+/// pools are not locked), so GetStream *lends* handles: each caller gets a
+/// handle no other caller holds, and releasing it returns it to an idle
+/// slot for the next query to reuse warm. Handles are epoch-versioned:
+/// InvalidateStreams never dangles an outstanding handle, it only stops
+/// the facade from lending stale ones again.
 ///
 /// Typical use:
 ///   Caldera system("/data/archive");
 ///   system.archive()->CreateStream("bob", stream);
 ///   system.archive()->BuildBtc("bob", 0);
-///   system.InvalidateStreams();  // new index ⇒ refresh cached handles
+///   system.InvalidateStreams();  // new index => reopen idle handles
 ///   auto result = system.Execute("bob", query, {});
 class Caldera {
  public:
@@ -87,25 +87,26 @@ class Caldera {
                             const RegularQuery& query,
                             const ExecOptions& options = {});
 
-  /// Opens (and caches) a stream handle. Thread-safe. The returned handle
-  /// shares ownership with the cache: it stays valid for as long as the
-  /// caller holds it, across any number of InvalidateStreams calls.
+  /// Lends a handle no other caller holds: the stream's idle handle of this
+  /// pool size, else a newly opened one. Releasing it returns it for reuse
+  /// unless the epoch has moved on. Thread-safe. The handle stays valid for
+  /// as long as the caller holds it, past InvalidateStreams or the facade.
   Result<std::shared_ptr<ArchivedStream>> GetStream(const std::string& name,
                                                     size_t pool_pages = 256);
 
-  /// Starts a new handle epoch (e.g. after building new indexes): cached
-  /// handles are dropped and opens racing with this call are not admitted
-  /// to the cache. Outstanding shared_ptr handles remain valid — they see
-  /// the archive as of their open. Returns the new epoch. Thread-safe.
+  /// Starts a new handle epoch (e.g. after building new indexes): idle
+  /// handles are dropped now and lent ones on release. Outstanding handles
+  /// remain valid — they see the archive as of their open. Returns the new
+  /// epoch. Thread-safe.
   uint64_t InvalidateStreams();
 
-  /// The current handle-cache epoch (starts at 0, bumped by
+  /// The current handle epoch (starts at 0, bumped by
   /// InvalidateStreams). Thread-safe.
   uint64_t stream_epoch() const;
 
   /// Recovery after index corruption: rebuilds every rebuildable index of
   /// `stream_name` from the (checksum-verified) stream data files and
-  /// invalidates cached handles so the next query sees the fresh indexes.
+  /// invalidates idle handles so the next query sees the fresh indexes.
   Status RebuildIndexes(const std::string& stream_name);
 
   /// Opens a live-append handle for `stream_name` (the growing-stream
@@ -119,7 +120,7 @@ class Caldera {
       const std::string& stream_name);
 
   /// The single epoch-bump/invalidation point behind every in-place stream
-  /// mutation (index rebuild, ingest commit): drops cached handles (next
+  /// mutation (index rebuild, ingest commit): drops idle handles (next
   /// GetStream reopens against the new on-disk state) and clears the span-
   /// CPT cache. The epoch bump alone already orphans span entries logically
   /// — fresh handles stamp the new epoch into their cache keys — and the
@@ -134,21 +135,24 @@ class Caldera {
   std::shared_mutex* StreamMutationLock(const std::string& stream_name);
 
  private:
-  struct CachedHandle {
-    uint64_t epoch = 0;  // Epoch the handle was opened under.
-    std::shared_ptr<ArchivedStream> stream;
+  using IdleKey = std::pair<std::string, size_t>;  // (stream, pool_pages)
+  // Guarded by `mu`. Lent handles reach it through a weak_ptr, so one
+  // released after the facade is gone is simply destroyed.
+  struct State {
+    std::mutex mu;
+    uint64_t epoch = 0;
+    // At most one idle handle per key, opened under `epoch`.
+    std::map<IdleKey, std::unique_ptr<ArchivedStream>> idle;
+    // Lock order: a stream's mutation lock is always acquired BEFORE mu
+    // (Execute: stream lock -> GetStream -> mu; ingest commit: stream lock
+    // -> NotifyStreamMutation -> mu). mu is never held while acquiring a
+    // stream lock. unique_ptr keeps addresses stable across map growth.
+    std::map<std::string, std::unique_ptr<std::shared_mutex>> stream_locks;
   };
 
   StreamArchive archive_;
   std::shared_ptr<SpanCptCache> span_cache_;
-  mutable std::mutex mu_;
-  uint64_t epoch_ = 0;
-  std::map<std::string, CachedHandle> open_streams_;
-  // Lock order: a stream's mutation lock is always acquired BEFORE mu_
-  // (Execute: stream lock -> GetStream -> mu_; ingest commit: stream lock
-  // -> NotifyStreamMutation -> mu_). mu_ is never held while acquiring a
-  // stream lock. unique_ptr keeps addresses stable across map growth.
-  std::map<std::string, std::unique_ptr<std::shared_mutex>> stream_locks_;
+  std::shared_ptr<State> state_ = std::make_shared<State>();
 };
 
 }  // namespace caldera

@@ -21,7 +21,7 @@ uint64_t FingerprintString(std::string_view s);
 /// equality, so one cache instance can safely be shared across streams,
 /// handle epochs, and MC level restrictions:
 ///   stream_id     fingerprint of the stream directory
-///   epoch         handle-cache epoch the stream was opened under — bumping
+///   epoch         handle epoch the stream was opened under — bumping
 ///                 it (Caldera::InvalidateStreams) logically invalidates
 ///                 every entry of the old epoch without touching the cache
 ///   lo, hi        the span: the CPT relating timesteps lo -> hi

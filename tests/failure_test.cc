@@ -283,7 +283,7 @@ TEST_F(FailureTest, CorruptBtcIndexFallsBackToScan) {
   auto reference = system.Execute("s", query, scan_only);
   ASSERT_TRUE(reference.ok());
 
-  // Drop cached handles first: a live handle would re-stamp the header
+  // Drop idle handles first: a live handle would re-stamp the header
   // page on close and erase the injected corruption.
   system.InvalidateStreams();
   FlipBit(system.archive()->StreamDir("s") + "/btc.attr0.bt", 100);

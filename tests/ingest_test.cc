@@ -1,8 +1,8 @@
 // End-to-end tests for the live-ingestion subsystem (src/ingest/): the
 // offline-vs-incremental differential (including a crash/replay mid-way),
 // the crash-recovery fault matrix, the O(log n) incremental MC maintenance
-// bound, snapshot consistency under concurrent ingest, and the facade
-// epoch-bump wiring.
+// bound, snapshot consistency under concurrent ingest and concurrent
+// readers of one stream, and the facade epoch-bump wiring.
 
 #include "ingest/ingestor.h"
 
@@ -12,8 +12,10 @@
 #include <chrono>
 #include <filesystem>
 #include <map>
+#include <mutex>
 #include <thread>
 
+#include "caldera/batch.h"
 #include "caldera/executor.h"
 #include "caldera/system.h"
 #include "common/encoding.h"
@@ -55,6 +57,14 @@ void ExpectSignalsIdentical(const QuerySignal& got, const QuerySignal& want,
     EXPECT_EQ(got[i].time, want[i].time) << what << " entry " << i;
     EXPECT_EQ(got[i].prob, want[i].prob) << what << " entry " << i;
   }
+}
+
+bool SignalsEqual(const QuerySignal& a, const QuerySignal& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].time != b[i].time || a[i].prob != b[i].prob) return false;
+  }
+  return true;
 }
 
 // Every stored MC level entry of `live_dir` equals the offline-built one.
@@ -496,14 +506,7 @@ TEST(IngestConcurrencyTest, QueriesSeeBatchBoundarySnapshotsOnly) {
   auto is_boundary_signal = [&](const QuerySignal& signal,
                                 size_t method_idx) {
     for (const auto& per_boundary : oracles) {
-      const QuerySignal& want = per_boundary[method_idx];
-      if (signal.size() != want.size()) continue;
-      bool same = true;
-      for (size_t i = 0; i < signal.size() && same; ++i) {
-        same = signal[i].time == want[i].time &&
-               signal[i].prob == want[i].prob;
-      }
-      if (same) return true;
+      if (SignalsEqual(signal, per_boundary[method_idx])) return true;
     }
     return false;
   };
@@ -563,6 +566,146 @@ TEST(IngestConcurrencyTest, QueriesSeeBatchBoundarySnapshotsOnly) {
   ExpectSignalsIdentical(final_live->signal, oracles.back()[0], "final");
 }
 
+// Many threads query one stream at once: Execute per method, Plan, and an
+// ExecuteBatch naming the stream three times. First no writer runs, then a
+// writer appends batches. Every query runs on its own lent handle, so
+// every signal is some batch boundary's oracle signal, and with no writer
+// each query fetches exactly the pages the sequential run fetched.
+TEST(IngestConcurrencyTest, ManyReadersOnOneStreamMatchOracles) {
+  test::ScratchDir scratch("ingest_readers");
+  const uint64_t base_len = 100;
+  const uint64_t batch_size = 10;
+  const size_t num_batches = 4;
+  MarkovianStream full =
+      test::MakeBandedStream(base_len + num_batches * batch_size, 8, 41);
+  Caldera system(scratch.Path("archive"));
+  ASSERT_TRUE(system.archive()->Init().ok());
+
+  const RegularQuery query = FixedQuery();
+  constexpr size_t kMethods = 3;
+  const AccessMethodKind methods[kMethods] = {AccessMethodKind::kScan,
+                                              AccessMethodKind::kBTree,
+                                              AccessMethodKind::kMcIndex};
+  // Small pools, so concurrent users of one handle would race on eviction.
+  auto options_for = [&](size_t m) {
+    return ExecOptions{.method = methods[m], .pool_pages = 8};
+  };
+  auto archive_with_indexes = [&](const std::string& name, uint64_t len) {
+    ASSERT_TRUE(system.archive()->CreateStream(name, Prefix(full, len)).ok());
+    ASSERT_TRUE(system.archive()->BuildBtc(name, 0).ok());
+    ASSERT_TRUE(system.archive()->BuildMc(name, {.alpha = 2}).ok());
+  };
+  // oracles[b][m]: method m's signal on an offline archive of boundary b.
+  std::vector<std::vector<QuerySignal>> oracles(num_batches + 1);
+  for (size_t b = 0; b <= num_batches; ++b) {
+    const std::string name = "o" + std::to_string(b);
+    archive_with_indexes(name, base_len + b * batch_size);
+    for (size_t m = 0; m < kMethods; ++m) {
+      auto r = system.Execute(name, query, options_for(m));
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      oracles[b].push_back(r->signal);
+    }
+  }
+  archive_with_indexes("live", base_len);
+
+  // The sequential reference. Its second pass finds the span-CPT cache as
+  // warm as every later query on this epoch does.
+  ExecStats reference[kMethods];
+  for (int pass = 0; pass < 2; ++pass) {
+    for (size_t m = 0; m < kMethods; ++m) {
+      auto r = system.Execute("live", query, options_for(m));
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      ExpectSignalsIdentical(r->signal, oracles[0][m], "sequential");
+      reference[m] = r->stats;
+    }
+  }
+
+  std::mutex failures_mu;
+  std::vector<std::string> failures;
+  auto fail = [&](const std::string& what) {
+    std::lock_guard<std::mutex> lock(failures_mu);
+    failures.push_back(what);
+  };
+  auto check = [&](size_t m, const QueryResult& r, bool writer_idle) {
+    const std::string tag = AccessMethodName(methods[m]);
+    bool at_boundary = false;
+    for (size_t b = 0; b < oracles.size() && !at_boundary; ++b) {
+      at_boundary = SignalsEqual(r.signal, oracles[b][m]);
+    }
+    if (!at_boundary) fail(tag + ": signal matches no batch boundary");
+    if (writer_idle &&
+        (r.stats.stream_io.fetches != reference[m].stream_io.fetches ||
+         r.stats.index_io.fetches != reference[m].index_io.fetches)) {
+      fail(tag + ": page fetches differ from the sequential run");
+    }
+  };
+  // One reader: at least `min_rounds` rounds, then on until `stop`.
+  auto reader = [&](size_t seed, int min_rounds, bool writer_idle,
+                    const std::atomic<bool>* stop) {
+    for (int round = 0; round < min_rounds || !stop->load(); ++round) {
+      if (round > 2000) break;  // Safety valve.
+      const size_t m = (seed + round) % kMethods;
+      auto single = system.Execute("live", query, options_for(m));
+      if (single.ok()) {
+        check(m, *single, writer_idle);
+      } else {
+        fail("Execute: " + single.status().ToString());
+      }
+      auto plan = system.Plan("live", query, ExecOptions{.pool_pages = 8});
+      if (!plan.ok()) fail("Plan: " + plan.status().ToString());
+      BatchOptions batch_options;
+      batch_options.exec = options_for(m);
+      batch_options.streams = {"live", "live", "live"};
+      batch_options.num_threads = 3;
+      auto batch = ExecuteBatch(&system, query, batch_options);
+      if (!batch.ok()) {
+        fail("ExecuteBatch: " + batch.status().ToString());
+        continue;
+      }
+      for (const BatchStreamResult& s : batch->streams) {
+        check(m, s.result, writer_idle);
+      }
+    }
+  };
+  constexpr size_t kReaders = 4;
+
+  // Phase 1: readers only.
+  const std::atomic<bool> no_writer{true};
+  std::vector<std::thread> readers;
+  for (size_t t = 0; t < kReaders; ++t) {
+    readers.emplace_back(reader, t, 12, /*writer_idle=*/true, &no_writer);
+  }
+  for (std::thread& t : readers) t.join();
+  readers.clear();
+
+  // Phase 2: the same readers alongside a live writer.
+  std::atomic<bool> ingest_done{false};
+  for (size_t t = 0; t < kReaders; ++t) {
+    readers.emplace_back(reader, t, 3, /*writer_idle=*/false, &ingest_done);
+  }
+  Status writer_status = Status::Ok();
+  {
+    auto ingestor = system.OpenForIngest("live");
+    writer_status = ingestor.status();
+    for (size_t i = 0; i < num_batches && writer_status.ok(); ++i) {
+      writer_status = (*ingestor)->Append(
+          Slice(full, base_len + i * batch_size, batch_size));
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+  }
+  ingest_done.store(true);
+  for (std::thread& t : readers) t.join();
+
+  EXPECT_TRUE(writer_status.ok()) << writer_status.ToString();
+  EXPECT_TRUE(failures.empty())
+      << failures.size() << " failures; first: " << failures.front();
+  for (size_t m = 0; m < kMethods; ++m) {
+    auto final_live = system.Execute("live", query, options_for(m));
+    ASSERT_TRUE(final_live.ok());
+    ExpectSignalsIdentical(final_live->signal, oracles.back()[m], "final");
+  }
+}
+
 // The facade's epoch bump makes commits visible to later queries with no
 // manual InvalidateStreams, while handles opened before the commit keep
 // serving their snapshot.
@@ -579,7 +722,7 @@ TEST(IngestFacadeTest, CommitsAreVisibleWithoutManualInvalidation) {
 
   const RegularQuery query = FixedQuery();
   const ExecOptions options{.method = AccessMethodKind::kBTree};
-  // Populate the handle cache at length 100 and keep a pre-commit handle.
+  // Leave an idle handle at length 100 and hold a pre-commit handle.
   auto before = system.Execute("live", query, options);
   ASSERT_TRUE(before.ok());
   auto snapshot = system.GetStream("live");

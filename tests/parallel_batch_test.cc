@@ -1,5 +1,5 @@
 // Tests for the parallel batch execution engine: the common/thread_pool
-// primitive, the shared-ownership epoch-versioned stream-handle cache, and
+// primitive, the facade's epoch-versioned handle lending, and
 // ExecuteBatch's determinism across thread counts.
 
 #include <gtest/gtest.h>
@@ -83,7 +83,7 @@ TEST(ThreadPoolTest, DefaultThreadCountIsPositive) {
 }
 
 // ---------------------------------------------------------------------------
-// Stream-handle cache
+// Stream-handle lending
 // ---------------------------------------------------------------------------
 
 class ParallelBatchTest : public ::testing::Test {
@@ -104,13 +104,79 @@ class ParallelBatchTest : public ::testing::Test {
   Caldera system_;
 };
 
-TEST_F(ParallelBatchTest, HandlesAreSharedAndCached) {
+// Reads one page through `handle`. Its page counters then stay nonzero
+// until the next ResetStats, which tells a warm handle from a fresh one
+// even if the fresh one reuses a freed handle's address.
+void Touch(ArchivedStream* handle) {
+  Distribution marginal;
+  CALDERA_CHECK_OK(handle->stream()->ReadMarginal(0, &marginal));
+}
+
+uint64_t StreamFetches(ArchivedStream* handle) {
+  return handle->stream()->IoStats().fetches;
+}
+
+TEST_F(ParallelBatchTest, HandlesHeldAtOnceAreDistinct) {
   AddStream("s", 1, true);
   auto a = system_.GetStream("s");
   auto b = system_.GetStream("s");
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a->get(), b->get());  // Same cached object.
+  EXPECT_NE(a->get(), b->get());
+}
+
+TEST_F(ParallelBatchTest, ReleasedHandleIsLentAgainWarm) {
+  AddStream("s", 1, true);
+  auto a = system_.GetStream("s");
+  ASSERT_TRUE(a.ok());
+  ArchivedStream* first = a->get();
+  Touch(first);
+  a->reset();
+  auto b = system_.GetStream("s");
+  ASSERT_TRUE(b.ok());
+  EXPECT_EQ(b->get(), first);
+  EXPECT_GT(StreamFetches(b->get()), 0u);
+}
+
+TEST_F(ParallelBatchTest, HandleReleasedAfterInvalidationIsNotLentAgain) {
+  AddStream("s", 1, true);
+  auto a = system_.GetStream("s");
+  ASSERT_TRUE(a.ok());
+  Touch(a->get());
+  system_.InvalidateStreams();
+  a->reset();
+  auto b = system_.GetStream("s");
+  ASSERT_TRUE(b.ok());
+  EXPECT_EQ(StreamFetches(b->get()), 0u);
+}
+
+TEST_F(ParallelBatchTest, HandleReleasedAfterFacadeIsDestroyedIsSafe) {
+  AddStream("s", 1, true);
+  std::shared_ptr<ArchivedStream> survivor;
+  {
+    Caldera facade(scratch_.Path("archive"));
+    auto lent = facade.GetStream("s");
+    ASSERT_TRUE(lent.ok());
+    survivor = std::move(*lent);
+  }
+  EXPECT_EQ(survivor->length(), 200u);
+  Touch(survivor.get());
+  survivor.reset();  // Finds no facade to return to: destroyed.
+}
+
+TEST_F(ParallelBatchTest, IdleHandleIsLentOnlyAtItsPoolSize) {
+  AddStream("s", 1, true);
+  const RegularQuery query = Fixed(4, 5);
+  const ExecOptions big{.method = AccessMethodKind::kScan, .pool_pages = 256};
+  const ExecOptions small{.method = AccessMethodKind::kScan, .pool_pages = 4};
+  ASSERT_TRUE(system_.Execute("s", query, big).ok());
+  auto after_big = system_.Execute("s", query, small);
+  Caldera fresh(scratch_.Path("archive"));
+  auto cold = fresh.Execute("s", query, small);
+  ASSERT_TRUE(after_big.ok());
+  ASSERT_TRUE(cold.ok());
+  EXPECT_GT(cold->stats.stream_io.misses, 0u);
+  EXPECT_EQ(after_big->stats.stream_io.misses, cold->stats.stream_io.misses);
 }
 
 TEST_F(ParallelBatchTest, InvalidationBumpsEpochAndKeepsOldHandlesAlive) {
@@ -250,8 +316,8 @@ TEST_F(ParallelBatchTest, MissingStreamFailsBatchInParallel) {
 }
 
 TEST_F(ParallelBatchTest, DuplicateStreamRequestsDoNotRace) {
-  // The same stream requested multiple times shares one ArchivedStream
-  // handle; the engine must serialize those executions on one worker.
+  // Requests naming the same stream may run at once, each on its own lent
+  // handle; every one must still get the full, identical answer.
   AddStream("dup", 500, true);
   AddStream("other", 501, true);
   BatchOptions options;

@@ -112,54 +112,6 @@ TEST(RobustnessTest, QueryParserOnRandomStrings) {
   }
 }
 
-TEST(RobustnessTest, BTreeOpenOnMutatedTreeFile) {
-  test::ScratchDir scratch("robust_btree");
-  // Build a real tree, then corrupt random page bytes and reopen/scan.
-  const std::string path = scratch.Path("t.bt");
-  {
-    auto tree = BTree::Create(path, {8, 4}, 512);
-    ASSERT_TRUE(tree.ok());
-    std::string value(4, 'v');
-    for (uint64_t i = 0; i < 500; ++i) {
-      std::string key;
-      EncodeU64(i, &key);
-      ASSERT_TRUE((*tree)->Insert(key, value).ok());
-    }
-    ASSERT_TRUE((*tree)->Flush().ok());
-  }
-  Rng rng(6);
-  for (int round = 0; round < 20; ++round) {
-    // Copy + corrupt.
-    std::string mutated = scratch.Path("mut.bt");
-    {
-      auto src = File::OpenReadOnly(path);
-      ASSERT_TRUE(src.ok());
-      std::string bytes((*src)->size(), '\0');
-      ASSERT_TRUE((*src)->ReadAt(0, bytes.size(), bytes.data()).ok());
-      for (int flips = 0; flips < 8; ++flips) {
-        bytes[rng.NextBelow(bytes.size())] ^=
-            static_cast<char>(1 + rng.NextBelow(255));
-      }
-      auto dst = File::OpenOrCreate(mutated);
-      ASSERT_TRUE(dst.ok());
-      ASSERT_TRUE((*dst)->Truncate(0).ok());
-      ASSERT_TRUE((*dst)->Append(bytes).ok());
-    }
-    auto tree = BTree::Open(mutated);
-    if (!tree.ok()) continue;  // Rejected at open: fine.
-    // Operations may fail with Status but must not crash. (Checking
-    // invariants exercises every node.)
-    (void)(*tree)->CheckInvariants();
-    auto cursor = (*tree)->SeekFirst();
-    if (cursor.ok()) {
-      int steps = 0;
-      while (cursor->valid() && steps++ < 2000) {
-        if (!cursor->Next().ok()) break;
-      }
-    }
-  }
-}
-
 std::string ReadWholeFile(const std::string& path) {
   auto file = File::OpenReadOnly(path);
   CALDERA_CHECK_OK(file.status());
@@ -173,6 +125,102 @@ void WriteWholeFile(const std::string& path, const std::string& bytes) {
   CALDERA_CHECK_OK(file.status());
   CALDERA_CHECK_OK((*file)->Truncate(0));
   CALDERA_CHECK_OK((*file)->Append(bytes));
+}
+
+// XORs one random byte of `bytes` with a nonzero mask.
+void FlipByte(Rng* rng, std::string* bytes) {
+  (*bytes)[rng->NextBelow(bytes->size())] ^=
+      static_cast<char>(1 + rng->NextBelow(255));
+}
+
+// Flips one payload byte of a random data page of the pager file `path`
+// through Pager::ReadPage / WritePage. The write re-stamps the page CRC,
+// so the damage passes the checksum and reaches the decoder behind it.
+void FlipPayloadByte(Rng* rng, const std::string& path) {
+  auto pager = Pager::Open(path);
+  CALDERA_CHECK_OK(pager.status());
+  const PageId id = 1 + rng->NextBelow((*pager)->page_count() - 1);
+  std::string page((*pager)->page_size(), '\0');
+  CALDERA_CHECK_OK((*pager)->ReadPage(id, page.data()));
+  FlipByte(rng, &page);
+  CALDERA_CHECK_OK((*pager)->WritePage(id, page.data()));
+  CALDERA_CHECK_OK((*pager)->Sync());
+}
+
+// Opens the (possibly damaged) tree at `path` and drives every read and
+// write path. Operations may fail with a Status but must not crash.
+void ExerciseTree(const std::string& path, Rng* rng) {
+  auto tree = BTree::Open(path);
+  if (!tree.ok()) return;  // Rejected at open: fine.
+  // Checking invariants exercises every node.
+  (void)(*tree)->CheckInvariants();
+  auto cursor = (*tree)->SeekFirst();
+  if (cursor.ok()) {
+    int steps = 0;
+    while (cursor->valid() && steps++ < 2000) {
+      if (!cursor->Next().ok()) break;
+    }
+  }
+  std::string key;
+  EncodeU64(rng->NextBelow(600), &key);
+  (void)(*tree)->Get(key);
+  (void)(*tree)->Seek(key);
+  (void)(*tree)->Insert(key, "vvvv");
+  (void)(*tree)->Flush();
+}
+
+TEST(RobustnessTest, BTreeOpenOnMutatedTreeFile) {
+  test::ScratchDir scratch("robust_btree");
+  const std::string path = scratch.Path("t.bt");
+  {
+    auto tree = BTree::Create(path, {8, 4}, 512);
+    ASSERT_TRUE(tree.ok());
+    std::string value(4, 'v');
+    for (uint64_t i = 0; i < 500; ++i) {
+      std::string key;
+      EncodeU64(i, &key);
+      ASSERT_TRUE((*tree)->Insert(key, value).ok());
+    }
+    ASSERT_TRUE((*tree)->Flush().ok());
+  }
+  const std::string original = ReadWholeFile(path);
+  const std::string mutated = scratch.Path("mut.bt");
+  Rng rng(6);
+  // Raw flips anywhere in the file: the page CRCs must reject them.
+  for (int round = 0; round < 20; ++round) {
+    std::string bytes = original;
+    for (int flips = 0; flips < 8; ++flips) FlipByte(&rng, &bytes);
+    WriteWholeFile(mutated, bytes);
+    ExerciseTree(mutated, &rng);
+  }
+  // Flips with re-stamped CRCs: the node and meta decoders see them.
+  for (int round = 0; round < 150; ++round) {
+    WriteWholeFile(mutated, original);
+    for (int flips = 0; flips < 1 + round % 4; ++flips) {
+      FlipPayloadByte(&rng, mutated);
+    }
+    ExerciseTree(mutated, &rng);
+  }
+}
+
+// Opens the (possibly damaged) record file at `path`, reads every record,
+// then appends one. Status errors are fine; crashes are not.
+void ExerciseRecordFile(const std::string& path) {
+  auto reader = RecordFileReader::Open(path);
+  // Both files exist, so a failure is a decode error, never NotFound.
+  EXPECT_NE(reader.status().code(), StatusCode::kNotFound)
+      << reader.status().ToString();
+  if (reader.ok()) {
+    std::string out;
+    for (uint64_t i = 0; i < (*reader)->num_records(); ++i) {
+      (void)(*reader)->Get(i, &out);
+    }
+  }
+  auto writer = RecordFileWriter::OpenForAppend(path);
+  if (!writer.ok()) return;
+  if ((*writer)->Append(std::string(40, 'e')).ok()) {
+    (void)(*writer)->Finalize();
+  }
 }
 
 TEST(RobustnessTest, RecordFileOpenOnMutatedFile) {
@@ -191,10 +239,11 @@ TEST(RobustnessTest, RecordFileOpenOnMutatedFile) {
   const std::string data = ReadWholeFile(path);
   const std::string dir = ReadWholeFile(RecordFileDirPath(path));
   const std::string mutated = scratch.Path("mut.rec");
+  const std::string files[2] = {mutated, RecordFileDirPath(mutated)};
   // The unmutated copy must open and read back, or the rounds below would
   // only exercise an early failure.
   WriteWholeFile(mutated, data);
-  WriteWholeFile(RecordFileDirPath(mutated), dir);
+  WriteWholeFile(files[1], dir);
   {
     auto reader = RecordFileReader::Open(mutated);
     ASSERT_TRUE(reader.ok()) << reader.status().ToString();
@@ -204,24 +253,24 @@ TEST(RobustnessTest, RecordFileOpenOnMutatedFile) {
     EXPECT_EQ(out, std::string(40, 'd'));
   }
   Rng rng(7);
+  // Raw flips: the page CRCs must reject them.
   for (int round = 0; round < 20; ++round) {
     std::string bytes[2] = {data, dir};
     for (int flips = 0; flips < 8; ++flips) {
-      std::string& target = bytes[rng.NextBelow(2)];
-      target[rng.NextBelow(target.size())] ^=
-          static_cast<char>(1 + rng.NextBelow(255));
+      FlipByte(&rng, &bytes[rng.NextBelow(2)]);
     }
-    WriteWholeFile(mutated, bytes[0]);
-    WriteWholeFile(RecordFileDirPath(mutated), bytes[1]);
-    auto reader = RecordFileReader::Open(mutated);
-    // Both files exist, so a failure is a decode error, never NotFound.
-    EXPECT_NE(reader.status().code(), StatusCode::kNotFound)
-        << reader.status().ToString();
-    if (!reader.ok()) continue;
-    std::string out;
-    for (uint64_t i = 0; i < (*reader)->num_records(); ++i) {
-      (void)(*reader)->Get(i, &out);  // Status errors are fine.
+    WriteWholeFile(files[0], bytes[0]);
+    WriteWholeFile(files[1], bytes[1]);
+    ExerciseRecordFile(mutated);
+  }
+  // Flips with re-stamped CRCs: the meta and directory decoders see them.
+  for (int round = 0; round < 200; ++round) {
+    WriteWholeFile(files[0], data);
+    WriteWholeFile(files[1], dir);
+    for (int flips = 0; flips < 1 + round % 4; ++flips) {
+      FlipPayloadByte(&rng, files[rng.NextBelow(2)]);
     }
+    ExerciseRecordFile(mutated);
   }
 }
 
