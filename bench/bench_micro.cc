@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) for Caldera's hot inner loops:
-// sparse distribution propagation, CPT composition, B+ tree operations,
-// record-file reads, and single Reg-operator updates.
+// sparse distribution propagation, CPT composition and decoding, B+ tree
+// operations, record-file reads, and single Reg-operator updates.
 
 #include <benchmark/benchmark.h>
 
@@ -136,9 +136,11 @@ void KernelComposeBench(benchmark::State& state, bool force_scalar) {
   Cpt a = RandomCpt(domain, density, 3);
   Cpt b = RandomCpt(domain, density, 4);
   kernels::PropagationWorkspace ws;
+  Cpt out;
   kernels::internal::ForceScalar(force_scalar);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(kernels::Compose(a, b, domain, &ws));
+    kernels::Compose(a, b, domain, &ws, &out);
+    benchmark::DoNotOptimize(out);
   }
   kernels::internal::ForceScalar(false);
   state.SetItemsProcessed(state.iterations() * a.nnz());
@@ -164,6 +166,37 @@ BENCHMARK(BM_KernelComposeScalar)
     ->Args({352, 10})
     ->Args({352, 100})
     ->Args({1024, 50});
+
+// The scan's per-step decode: serialized transition records of one routine
+// trace in the paper's building (1,680 steps, as in perfbench fleet-scan)
+// decoded in order into one reused Cpt.
+void BM_CptDecode(benchmark::State& state) {
+  RoutineSpec spec;
+  spec.length = 1680;
+  Result<RoutineWorkload> w = MakeRoutineStream(spec);
+  CALDERA_CHECK_OK(w.status());
+  const MarkovianStream& stream = w->stream;
+  const uint32_t domain = stream.schema().state_count();
+  std::vector<std::string> records;
+  size_t nnz = 0;
+  for (uint64_t t = 1; t < stream.length(); ++t) {
+    records.emplace_back();
+    stream.transition(t).AppendTo(&records.back());
+    nnz += stream.transition(t).nnz();
+  }
+  Cpt cpt;
+  size_t i = 0;
+  for (auto _ : state) {
+    size_t offset = 0;
+    CALDERA_CHECK_OK(Cpt::Parse(records[i], &offset, domain, &cpt));
+    benchmark::DoNotOptimize(cpt);
+    if (++i == records.size()) i = 0;
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["nnz_per_cpt"] =
+      static_cast<double>(nnz) / static_cast<double>(records.size());
+}
+BENCHMARK(BM_CptDecode);
 
 void BM_BTreeInsert(benchmark::State& state) {
   std::string path = MicroDir() + "/insert.bt";

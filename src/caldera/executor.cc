@@ -37,6 +37,8 @@ Result<QueryResult> RunCursorPipeline(ArchivedStream* archived,
   uint64_t segments = 0;  // Initialize calls == processing segments.
   uint64_t items = 0;     // Cursor items pulled (relevant timesteps).
   uint64_t prev = 0;
+  // Every transition decodes into this one table, reusing its capacity.
+  Cpt transition;
 
   // Starts a processing segment at `marginal`. The operator's update count
   // and kernel time reset with it, so bank them first.
@@ -68,7 +70,6 @@ Result<QueryResult> RunCursorPipeline(ArchivedStream* archived,
           "cursor violated its contract: non-restart items must strictly "
           "increase in time");
     } else if (item.time == prev + 1) {
-      Cpt transition;
       CALDERA_RETURN_IF_ERROR(stream->ReadTransition(item.time, &transition));
       p = reg.Update(transition);
     } else {
@@ -100,7 +101,6 @@ Result<QueryResult> RunCursorPipeline(ArchivedStream* archived,
           // Exact without an MC index: apply every interior transition. The
           // interior timesteps are processed exactly, so they emit too.
           for (uint64_t t = prev + 1; t <= item.time; ++t) {
-            Cpt transition;
             CALDERA_RETURN_IF_ERROR(stream->ReadTransition(t, &transition));
             p = reg.Update(transition);
             if (t < item.time) result.signal.push_back({t, p});

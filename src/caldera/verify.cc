@@ -103,9 +103,11 @@ Status VerifyMc(ArchivedStream* archived, const MarkovianStream& stream,
       for (uint64_t t = block * span + 2; t <= (block + 1) * span; ++t) {
         direct = ComposeCpts(direct, stream.transition(t), domain);
       }
-      for (const Cpt::Row& row : direct.rows()) {
-        for (const Cpt::RowEntry& e : row.entries) {
-          if (std::fabs(entry.Probability(row.src, e.dst) - e.prob) > tol) {
+      for (size_t i = 0; i < direct.num_rows(); ++i) {
+        const Cpt::RowView row = direct.row(i);
+        for (size_t j = 0; j < row.size(); ++j) {
+          if (std::fabs(entry.Probability(row.src, row.dsts[j]) -
+                        row.probs[j]) > tol) {
             return Fail("MC index entry mismatch at level " +
                         std::to_string(level) + " block " +
                         std::to_string(block));

@@ -18,40 +18,32 @@ Status Hmm::Validate(double tol) const {
   CALDERA_RETURN_IF_ERROR(transition_.ValidateStochastic(tol));
   CALDERA_RETURN_IF_ERROR(emission_.ValidateStochastic(tol));
   for (uint32_t s = 0; s < num_states_; ++s) {
-    if (transition_.FindRow(s) == nullptr) {
+    if (!transition_.FindRow(s)) {
       return Status::InvalidArgument("state " + std::to_string(s) +
                                      " has no transition row");
     }
-    if (emission_.FindRow(s) == nullptr) {
+    if (!emission_.FindRow(s)) {
       return Status::InvalidArgument("state " + std::to_string(s) +
                                      " has no emission row");
     }
   }
-  for (const Cpt::Row& row : transition_.rows()) {
-    for (const Cpt::RowEntry& e : row.entries) {
-      if (e.dst >= num_states_) {
-        return Status::InvalidArgument("transition to unknown state");
-      }
-    }
+  if (transition_.dst_end() > num_states_) {
+    return Status::InvalidArgument("transition to unknown state");
   }
-  for (const Cpt::Row& row : emission_.rows()) {
-    for (const Cpt::RowEntry& e : row.entries) {
-      if (e.dst >= num_symbols_) {
-        return Status::InvalidArgument("emission of unknown symbol");
-      }
-    }
+  if (emission_.dst_end() > num_symbols_) {
+    return Status::InvalidArgument("emission of unknown symbol");
   }
   return Status::Ok();
 }
 
-uint32_t Hmm::SampleRow(const Cpt::Row& row, Rng* rng) const {
+uint32_t Hmm::SampleRow(const Cpt::RowView& row, Rng* rng) const {
   double u = rng->NextDouble();
   double acc = 0;
-  for (const Cpt::RowEntry& e : row.entries) {
-    acc += e.prob;
-    if (u < acc) return e.dst;
+  for (size_t j = 0; j < row.size(); ++j) {
+    acc += row.probs[j];
+    if (u < acc) return row.dsts[j];
   }
-  return row.entries.back().dst;
+  return row.dsts.back();
 }
 
 Status Hmm::Sample(uint64_t length, Rng* rng, std::vector<uint32_t>* states,
@@ -72,8 +64,8 @@ Status Hmm::Sample(uint64_t length, Rng* rng, std::vector<uint32_t>* states,
   }
   states->push_back(state);
   for (uint64_t t = 1; t < length; ++t) {
-    const Cpt::Row* row = transition_.FindRow(state);
-    if (row == nullptr || row->entries.empty()) {
+    const std::optional<Cpt::RowView> row = transition_.FindRow(state);
+    if (!row || row->dsts.empty()) {
       return Status::FailedPrecondition("state " + std::to_string(state) +
                                         " has no transition row");
     }
@@ -88,8 +80,8 @@ Status Hmm::EmitObservations(const std::vector<uint32_t>& states, Rng* rng,
   observations->clear();
   observations->reserve(states.size());
   for (uint32_t state : states) {
-    const Cpt::Row* row = emission_.FindRow(state);
-    if (row == nullptr || row->entries.empty()) {
+    const std::optional<Cpt::RowView> row = emission_.FindRow(state);
+    if (!row || row->dsts.empty()) {
       return Status::FailedPrecondition("state " + std::to_string(state) +
                                         " has no emission row");
     }

@@ -56,7 +56,7 @@ class Hmm {
                           std::vector<uint32_t>* observations) const;
 
  private:
-  uint32_t SampleRow(const Cpt::Row& row, Rng* rng) const;
+  uint32_t SampleRow(const Cpt::RowView& row, Rng* rng) const;
 
   uint32_t num_states_;
   uint32_t num_symbols_;

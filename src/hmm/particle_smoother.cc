@@ -73,14 +73,14 @@ Result<MarkovianStream> ParticleSmoothToMarkovianStream(
     double total = 0;
     for (size_t i = 0; i < P; ++i) {
       uint32_t prev = particles[t - 1][i];
-      const Cpt::Row* row = hmm.transition().FindRow(prev);
+      const Cpt::RowView row = hmm.transition().FindRow(prev).value();
       double u = rng.NextDouble();
       double acc = 0;
-      uint32_t state = row->entries.back().dst;
-      for (const Cpt::RowEntry& e : row->entries) {
-        acc += e.prob;
+      uint32_t state = row.dsts.back();
+      for (size_t j = 0; j < row.size(); ++j) {
+        acc += row.probs[j];
         if (u < acc) {
-          state = e.dst;
+          state = row.dsts[j];
           break;
         }
       }

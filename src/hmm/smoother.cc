@@ -27,8 +27,10 @@ Result<MarkovianStream> SmoothToMarkovianStream(
   // Transition rows by source state, looked up once: the passes below visit
   // every (timestep, state) pair, and a binary search per visit took about
   // a third of stream generation.
-  std::vector<const Cpt::Row*> rows(N);
-  for (uint32_t x = 0; x < N; ++x) rows[x] = hmm.transition().FindRow(x);
+  std::vector<Cpt::RowView> rows(N);
+  for (uint32_t x = 0; x < N; ++x) {
+    rows[x] = hmm.transition().FindRow(x).value();
+  }
 
   // Forward pass (normalized filtering distributions).
   std::vector<std::vector<double>> alpha(T, std::vector<double>(N, 0.0));
@@ -50,9 +52,9 @@ Result<MarkovianStream> SmoothToMarkovianStream(
     const std::vector<double>& prev = alpha[t - 1];
     for (uint32_t x = 0; x < N; ++x) {
       if (prev[x] == 0.0) continue;
-      const Cpt::Row* row = rows[x];
-      for (const Cpt::RowEntry& e : row->entries) {
-        cur[e.dst] += prev[x] * e.prob;
+      const Cpt::RowView& row = rows[x];
+      for (size_t j = 0; j < row.size(); ++j) {
+        cur[row.dsts[j]] += prev[x] * row.probs[j];
       }
     }
     double sum = 0;
@@ -76,11 +78,12 @@ Result<MarkovianStream> SmoothToMarkovianStream(
     std::vector<double>& cur = beta[t];
     double sum = 0;
     for (uint32_t x = 0; x < N; ++x) {
-      const Cpt::Row* row = rows[x];
+      const Cpt::RowView& row = rows[x];
       double v = 0;
-      for (const Cpt::RowEntry& e : row->entries) {
-        v += e.prob * hmm.EmissionProb(e.dst, observations[t + 1]) *
-             next[e.dst];
+      for (size_t j = 0; j < row.size(); ++j) {
+        const ValueId dst = row.dsts[j];
+        v += row.probs[j] * hmm.EmissionProb(dst, observations[t + 1]) *
+             next[dst];
       }
       cur[x] = v;
       sum += v;
@@ -127,11 +130,12 @@ Result<MarkovianStream> SmoothToMarkovianStream(
     //   P(X_t = y | X_{t-1} = x, o_1..T) ~ Tr(x,y) E(y,o_t) beta_t(y).
     auto full_row = [&](uint32_t x) {
       std::vector<Cpt::RowEntry> out;
-      const Cpt::Row* row = rows[x];
-      for (const Cpt::RowEntry& e : row->entries) {
-        double v =
-            e.prob * hmm.EmissionProb(e.dst, observations[t]) * beta[t][e.dst];
-        if (v > 0) out.push_back({e.dst, v});
+      const Cpt::RowView& row = rows[x];
+      for (size_t j = 0; j < row.size(); ++j) {
+        const ValueId dst = row.dsts[j];
+        double v = row.probs[j] * hmm.EmissionProb(dst, observations[t]) *
+                   beta[t][dst];
+        if (v > 0) out.push_back({dst, v});
       }
       return out;
     };

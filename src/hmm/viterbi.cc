@@ -31,15 +31,16 @@ Result<ViterbiResult> ViterbiDecode(
   for (uint64_t t = 1; t < T; ++t) {
     for (uint32_t x = 0; x < N; ++x) {
       if (score[t - 1][x] == kNegInf) continue;
-      const Cpt::Row* row = hmm.transition().FindRow(x);
-      for (const Cpt::RowEntry& e : row->entries) {
-        double emit = hmm.EmissionProb(e.dst, observations[t]);
-        if (e.prob <= 0 || emit <= 0) continue;
+      const Cpt::RowView row = hmm.transition().FindRow(x).value();
+      for (size_t j = 0; j < row.size(); ++j) {
+        const ValueId dst = row.dsts[j];
+        double emit = hmm.EmissionProb(dst, observations[t]);
+        if (row.probs[j] <= 0 || emit <= 0) continue;
         double candidate =
-            score[t - 1][x] + std::log(e.prob) + std::log(emit);
-        if (candidate > score[t][e.dst]) {
-          score[t][e.dst] = candidate;
-          back[t][e.dst] = x;
+            score[t - 1][x] + std::log(row.probs[j]) + std::log(emit);
+        if (candidate > score[t][dst]) {
+          score[t][dst] = candidate;
+          back[t][dst] = x;
         }
       }
     }

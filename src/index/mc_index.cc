@@ -16,18 +16,20 @@ std::string LevelPath(const std::string& dir, uint32_t level) {
   return dir + "/L" + std::to_string(level) + ".rec";
 }
 
-void TruncateCptRows(Cpt* cpt, double eps) {
+// Drops entries below `eps`, and rows left empty, building into `scratch`
+// and swapping it in.
+void TruncateCptRows(Cpt* cpt, double eps, Cpt* scratch) {
   if (eps <= 0) return;
-  Cpt out;
-  for (const Cpt::Row& row : cpt->rows()) {
-    std::vector<Cpt::RowEntry> kept;
-    kept.reserve(row.entries.size());
-    for (const Cpt::RowEntry& e : row.entries) {
-      if (e.prob >= eps) kept.push_back(e);
+  scratch->Clear();
+  for (size_t i = 0; i < cpt->num_rows(); ++i) {
+    const Cpt::RowView row = cpt->row(i);
+    const size_t before = scratch->nnz();
+    for (size_t j = 0; j < row.size(); ++j) {
+      if (row.probs[j] >= eps) scratch->PushEntry(row.dsts[j], row.probs[j]);
     }
-    if (!kept.empty()) out.SetRow(row.src, std::move(kept));
+    if (scratch->nnz() != before) scratch->EndRow(row.src);
   }
-  *cpt = std::move(out);
+  std::swap(*cpt, *scratch);
 }
 
 // Fixed metadata prefix: magic, alpha, num_levels, stream_length, domain.
@@ -83,6 +85,7 @@ Status McIndex::Build(const MarkovianStream& stream, const std::string& dir,
   uint32_t level = 1;
   uint64_t span = options.alpha;
   std::string record;
+  Cpt scratch;
   while (span <= max_span) {
     uint64_t count = num_transitions / span;
     if (count == 0) break;
@@ -97,15 +100,17 @@ Status McIndex::Build(const MarkovianStream& stream, const std::string& dir,
         // Compose raw transitions k*alpha+1 .. (k+1)*alpha.
         entry = stream.transition(k * span + 1);
         for (uint64_t s = 2; s <= span; ++s) {
-          entry = ComposeCpts(entry, stream.transition(k * span + s), domain);
+          ComposeCpts(entry, stream.transition(k * span + s), domain, &scratch);
+          std::swap(entry, scratch);
         }
       } else {
         entry = prev[k * options.alpha];
         for (uint32_t j = 1; j < options.alpha; ++j) {
-          entry = ComposeCpts(entry, prev[k * options.alpha + j], domain);
+          ComposeCpts(entry, prev[k * options.alpha + j], domain, &scratch);
+          std::swap(entry, scratch);
         }
       }
-      TruncateCptRows(&entry, options.truncate_eps);
+      TruncateCptRows(&entry, options.truncate_eps, &scratch);
       record.clear();
       entry.AppendTo(&record);
       CALDERA_RETURN_IF_ERROR(writer->Append(record).status());
@@ -198,6 +203,7 @@ Status McIndex::Extend(const std::string& dir, TransitionSource transitions,
   std::string record;
   Cpt entry;
   Cpt part;
+  Cpt scratch;
   while (span <= max_span) {
     const uint64_t new_count = num_transitions / span;
     if (new_count == 0) break;
@@ -234,21 +240,25 @@ Status McIndex::Extend(const std::string& dir, TransitionSource transitions,
           CALDERA_RETURN_IF_ERROR(transitions(k * span + 1, &entry));
           for (uint64_t s = 2; s <= span; ++s) {
             CALDERA_RETURN_IF_ERROR(transitions(k * span + s, &part));
-            entry = ComposeCpts(entry, part, meta.domain);
+            ComposeCpts(entry, part, meta.domain, &scratch);
+            std::swap(entry, scratch);
           }
         } else {
           CALDERA_RETURN_IF_ERROR(prev->Get(k * options.alpha, &record));
           size_t offset = 0;
-          CALDERA_ASSIGN_OR_RETURN(entry, Cpt::Parse(record, &offset));
+          CALDERA_RETURN_IF_ERROR(
+              Cpt::Parse(record, &offset, meta.domain, &entry));
           for (uint32_t j = 1; j < options.alpha; ++j) {
             CALDERA_RETURN_IF_ERROR(
                 prev->Get(k * options.alpha + j, &record));
             offset = 0;
-            CALDERA_ASSIGN_OR_RETURN(part, Cpt::Parse(record, &offset));
-            entry = ComposeCpts(entry, part, meta.domain);
+            CALDERA_RETURN_IF_ERROR(
+                Cpt::Parse(record, &offset, meta.domain, &part));
+            ComposeCpts(entry, part, meta.domain, &scratch);
+            std::swap(entry, scratch);
           }
         }
-        TruncateCptRows(&entry, options.truncate_eps);
+        TruncateCptRows(&entry, options.truncate_eps, &scratch);
         record.clear();
         entry.AppendTo(&record);
         CALDERA_RETURN_IF_ERROR(writer->Append(record).status());
@@ -302,8 +312,7 @@ Status McIndex::FetchEntry(uint32_t level, uint64_t block, Cpt* out) {
   ++entry_fetches_;
   CALDERA_RETURN_IF_ERROR(levels_[level]->Get(block, &scratch_));
   size_t offset = 0;
-  CALDERA_ASSIGN_OR_RETURN(*out, Cpt::Parse(scratch_, &offset));
-  return Status::Ok();
+  return Cpt::Parse(scratch_, &offset, domain_size_, out);
 }
 
 Status McIndex::ComputeCpt(uint64_t from, uint64_t to, Cpt* out) {
@@ -311,8 +320,6 @@ Status McIndex::ComputeCpt(uint64_t from, uint64_t to, Cpt* out) {
     return Status::InvalidArgument("ComputeCpt requires from < to < length");
   }
   bool have_result = false;
-  Cpt result;
-  Cpt block;
   uint64_t cur = from;
   const uint32_t max_level = static_cast<uint32_t>(levels_.size()) - 1;
   while (cur < to) {
@@ -328,29 +335,30 @@ Status McIndex::ComputeCpt(uint64_t from, uint64_t to, Cpt* out) {
         break;
       }
     }
+    // The first piece decodes straight into `out`; later ones into
+    // block_, composed onto `out` through composed_.
+    Cpt* piece = have_result ? &block_ : out;
     if (chosen == 0) {
       ++raw_fetches_;
-      CALDERA_RETURN_IF_ERROR(transitions_(cur + 1, &block));
+      CALDERA_RETURN_IF_ERROR(transitions_(cur + 1, piece));
       cur += 1;
     } else {
       CALDERA_RETURN_IF_ERROR(
-          FetchEntry(chosen, cur / level_spans_[chosen], &block));
+          FetchEntry(chosen, cur / level_spans_[chosen], piece));
       cur += level_spans_[chosen];
     }
-    if (!have_result) {
-      result = std::move(block);
-      have_result = true;
-    } else {
+    if (have_result) {
       ++compositions_;
       const auto start = std::chrono::steady_clock::now();
-      result = ComposeCpts(result, block, domain_size_);
+      ComposeCpts(*out, block_, domain_size_, &composed_);
+      std::swap(*out, composed_);
       compose_seconds_ +=
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                         start)
               .count();
     }
+    have_result = true;
   }
-  *out = std::move(result);
   return Status::Ok();
 }
 
@@ -366,9 +374,6 @@ Result<std::shared_ptr<const Cpt>> McIndex::GetSpanCpt(uint64_t from,
     Cpt composed;
     CALDERA_RETURN_IF_ERROR(ComputeCpt(from, to, &composed));
     auto shared = std::make_shared<const Cpt>(std::move(composed));
-    // Build the CSR kernel view before publishing so every consumer of
-    // this cache entry propagates through the one flattened copy.
-    shared->csr();
     span_cache_.cache->Put(key, shared);
     return shared;
   }

@@ -119,8 +119,8 @@ class McIndex {
   /// ComputeCpt through the attached span cache: spans of gap >= 2 are
   /// served from the cache when present (hit) or composed once and
   /// inserted (miss). Gap-1 spans and cacheless indexes fall through to a
-  /// plain ComputeCpt. The returned CPT is shared, so its lazily built CSR
-  /// kernel view is also reused across queries.
+  /// plain ComputeCpt. The returned CPT is shared and immutable, so
+  /// concurrent queries may propagate through it.
   Result<std::shared_ptr<const Cpt>> GetSpanCpt(uint64_t from, uint64_t to);
 
   /// Restricts lookups to levels >= `level` (level-0 residues still come
@@ -177,6 +177,9 @@ class McIndex {
   uint64_t span_cache_misses_ = 0;
   double compose_seconds_ = 0.0;
   std::string scratch_;
+  // ComputeCpt's decode and composition targets, reused across calls.
+  Cpt block_;
+  Cpt composed_;
 };
 
 }  // namespace caldera

@@ -57,8 +57,8 @@ struct SpanCacheStats {
 /// across queries and batch workers. The MC-index access method re-composes
 /// the same span CPTs for every query over a stream; memoizing them turns
 /// the dominant cost of repeated variable-length queries into a hash
-/// lookup. Values are shared_ptr<const Cpt>, so a hit also reuses the CPT's
-/// cached CSR view across queries.
+/// lookup. Values are shared_ptr<const Cpt>, so a hit reuses the composed
+/// table itself across queries.
 ///
 /// Thread-safe. Each shard has its own mutex and an equal slice of the byte
 /// budget; an entry larger than its shard's slice is simply not cached.

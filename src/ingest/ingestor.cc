@@ -90,19 +90,25 @@ std::string StreamIngestor::EncodeBatch(
 }
 
 Result<std::vector<IngestTimestep>> StreamIngestor::DecodeBatch(
-    std::string_view payload, uint64_t* base) {
+    std::string_view payload, uint32_t domain, uint64_t* base) {
   if (payload.size() < 12) {
     return Status::Corruption("truncated ingest batch frame");
   }
   *base = GetFixed64(payload.data());
   const uint32_t count = GetFixed32(payload.data() + 8);
   size_t offset = 12;
+  // A timestep takes at least 8 bytes (two empty counts); reject a count
+  // the payload cannot hold before allocating for it.
+  if (count > (payload.size() - offset) / 8) {
+    return Status::Corruption("ingest batch frame count " +
+                              std::to_string(count) + " exceeds its bytes");
+  }
   std::vector<IngestTimestep> batch(count);
   for (uint32_t i = 0; i < count; ++i) {
     CALDERA_ASSIGN_OR_RETURN(batch[i].marginal,
                              Distribution::Parse(payload, &offset));
-    CALDERA_ASSIGN_OR_RETURN(batch[i].transition,
-                             Cpt::Parse(payload, &offset));
+    CALDERA_RETURN_IF_ERROR(
+        Cpt::Parse(payload, &offset, domain, &batch[i].transition));
   }
   if (offset != payload.size()) {
     return Status::Corruption("trailing bytes in ingest batch frame");
@@ -169,7 +175,8 @@ Status StreamIngestor::Recover() {
     if (record.type != kBatchFrame) continue;
     uint64_t base = 0;
     CALDERA_ASSIGN_OR_RETURN(std::vector<IngestTimestep> batch,
-                             DecodeBatch(record.payload, &base));
+                             DecodeBatch(record.payload,
+                                         schema_.state_count(), &base));
     if (base != length_) {
       return Status::Corruption(
           "WAL batch expects stream length " + std::to_string(base) +

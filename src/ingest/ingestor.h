@@ -129,11 +129,12 @@ class StreamIngestor {
   StreamIngestor(std::string dir, Options options)
       : dir_(std::move(dir)), options_(std::move(options)) {}
 
-  /// Serializes the commit frame / re-applies one from the WAL.
+  /// Serializes the commit frame / re-applies one from the WAL. Decoded
+  /// CPT ids must lie below `domain`, the stream schema's state count.
   static std::string EncodeBatch(uint64_t base,
                                  const std::vector<IngestTimestep>& batch);
   static Result<std::vector<IngestTimestep>> DecodeBatch(
-      std::string_view payload, uint64_t* base);
+      std::string_view payload, uint32_t domain, uint64_t* base);
 
   /// WAL commit: batch frame + undo journal + fsync (steps 1-2).
   Status CommitToWal(const std::vector<IngestTimestep>& batch);

@@ -1,7 +1,6 @@
 #include "markov/cpt.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 
 #include "common/encoding.h"
@@ -11,72 +10,82 @@
 namespace caldera {
 
 void Cpt::SetRow(ValueId src, std::vector<RowEntry> entries) {
-  csr_.reset();
   std::sort(entries.begin(), entries.end(),
             [](const RowEntry& a, const RowEntry& b) { return a.dst < b.dst; });
   // Merge duplicate destinations.
-  std::vector<RowEntry> merged;
-  merged.reserve(entries.size());
+  size_t n = 0;
   for (const RowEntry& e : entries) {
-    if (!merged.empty() && merged.back().dst == e.dst) {
-      merged.back().prob += e.prob;
+    if (n > 0 && entries[n - 1].dst == e.dst) {
+      entries[n - 1].prob += e.prob;
     } else {
-      merged.push_back(e);
+      entries[n++] = e;
     }
   }
-  auto it = std::lower_bound(
-      rows_.begin(), rows_.end(), src,
-      [](const Row& r, ValueId v) { return r.src < v; });
-  if (it != rows_.end() && it->src == src) {
-    it->entries = std::move(merged);
-  } else {
-    rows_.insert(it, Row{src, std::move(merged)});
+  entries.resize(n);
+
+  if (srcs_.empty() || srcs_.back() < src) {
+    for (const RowEntry& e : entries) PushEntry(e.dst, e.prob);
+    EndRow(src);
+    return;
   }
-}
-
-void Cpt::AppendRowSorted(ValueId src, std::vector<RowEntry> entries) {
-  csr_.reset();
-  CALDERA_CHECK(rows_.empty() || rows_.back().src < src)
-      << "AppendRowSorted rows must arrive in ascending src order";
-  rows_.push_back({src, std::move(entries)});
-}
-
-std::shared_ptr<const kernels::CsrCpt> Cpt::LoadCsr() const {
-  return std::atomic_load_explicit(&csr_, std::memory_order_acquire);
-}
-
-const kernels::CsrCpt& Cpt::csr() const {
-  std::shared_ptr<const kernels::CsrCpt> snap = LoadCsr();
-  if (snap == nullptr) {
-    auto built =
-        std::make_shared<const kernels::CsrCpt>(kernels::CsrCpt::From(*this));
-    std::shared_ptr<const kernels::CsrCpt> expected;
-    // First store wins; a racing builder adopts the stored view so the
-    // returned reference always aliases csr_ (stable until mutation).
-    if (std::atomic_compare_exchange_strong(&csr_, &expected, built)) {
-      snap = std::move(built);
-    } else {
-      snap = std::move(expected);
+  // Out of order or a replacement: rebuild with the row in its place.
+  Cpt out;
+  bool placed = false;
+  for (size_t i = 0; i < srcs_.size(); ++i) {
+    if (!placed && src <= srcs_[i]) {
+      for (const RowEntry& e : entries) out.PushEntry(e.dst, e.prob);
+      out.EndRow(src);
+      placed = true;
+      if (srcs_[i] == src) continue;
     }
+    const RowView r = row(i);
+    for (size_t j = 0; j < r.size(); ++j) out.PushEntry(r.dsts[j], r.probs[j]);
+    out.EndRow(r.src);
   }
-  return *snap;
+  *this = std::move(out);
 }
 
-const Cpt::Row* Cpt::FindRow(ValueId src) const {
-  auto it = std::lower_bound(
-      rows_.begin(), rows_.end(), src,
-      [](const Row& r, ValueId v) { return r.src < v; });
-  if (it != rows_.end() && it->src == src) return &*it;
-  return nullptr;
+void Cpt::EndRow(ValueId src) {
+  CALDERA_CHECK(srcs_.empty() || srcs_.back() < src)
+      << "EndRow rows must arrive in ascending src order";
+  if (offsets_.empty()) offsets_.push_back(0);
+  const uint32_t begin = offsets_.back();
+  if (dsts_.size() > begin) {
+    // The row's destinations ascend, so its first and last bound it.
+    const bool first = dst_end_ == 0;
+    dst_begin_ = first ? dsts_[begin] : std::min(dst_begin_, dsts_[begin]);
+    dst_end_ = first ? dsts_.back() + 1 : std::max(dst_end_, dsts_.back() + 1);
+  }
+  srcs_.push_back(src);
+  offsets_.push_back(static_cast<uint32_t>(dsts_.size()));
+}
+
+void Cpt::Clear() {
+  srcs_.clear();
+  offsets_.clear();
+  dsts_.clear();
+  probs_.clear();
+  dst_begin_ = dst_end_ = 0;
+}
+
+Cpt::RowView Cpt::row(size_t i) const {
+  const uint32_t b = offsets_[i];
+  const uint32_t n = offsets_[i + 1] - b;
+  return RowView{srcs_[i], std::span<const ValueId>(dsts_.data() + b, n),
+                 std::span<const double>(probs_.data() + b, n)};
+}
+
+std::optional<Cpt::RowView> Cpt::FindRow(ValueId src) const {
+  auto it = std::lower_bound(srcs_.begin(), srcs_.end(), src);
+  if (it == srcs_.end() || *it != src) return std::nullopt;
+  return row(it - srcs_.begin());
 }
 
 double Cpt::Probability(ValueId src, ValueId dst) const {
-  const Row* row = FindRow(src);
-  if (row == nullptr) return 0.0;
-  auto it = std::lower_bound(
-      row->entries.begin(), row->entries.end(), dst,
-      [](const RowEntry& e, ValueId v) { return e.dst < v; });
-  if (it != row->entries.end() && it->dst == dst) return it->prob;
+  std::optional<RowView> r = FindRow(src);
+  if (!r) return 0.0;
+  auto it = std::lower_bound(r->dsts.begin(), r->dsts.end(), dst);
+  if (it != r->dsts.end() && *it == dst) return r->probs[it - r->dsts.begin()];
   return 0.0;
 }
 
@@ -87,112 +96,129 @@ Distribution Cpt::Propagate(const Distribution& in) const {
   // finds each row in O(1) amortized instead of a per-entry binary search.
   // (The flat kernels in markov/kernels.h are the fast path; this stays the
   // allocation-free-of-scratch reference implementation.)
-  auto row_it = rows_.begin();
+  size_t ri = 0;
   for (const Distribution::Entry& e : in.entries()) {
-    while (row_it != rows_.end() && row_it->src < e.value) ++row_it;
-    if (row_it == rows_.end()) break;
-    if (row_it->src != e.value) continue;
-    for (const RowEntry& t : row_it->entries) {
-      out.push_back({t.dst, e.prob * t.prob});
+    while (ri < srcs_.size() && srcs_[ri] < e.value) ++ri;
+    if (ri == srcs_.size()) break;
+    if (srcs_[ri] != e.value) continue;
+    for (uint32_t j = offsets_[ri]; j < offsets_[ri + 1]; ++j) {
+      out.push_back({dsts_[j], e.prob * probs_[j]});
     }
   }
   return Distribution::FromPairs(std::move(out));
 }
 
 Status Cpt::ValidateStochastic(double tol) const {
-  for (const Row& row : rows_) {
+  for (size_t i = 0; i < srcs_.size(); ++i) {
     double mass = 0;
-    for (const RowEntry& e : row.entries) {
-      if (e.prob < 0) {
+    for (uint32_t j = offsets_[i]; j < offsets_[i + 1]; ++j) {
+      if (probs_[j] < 0) {
         return Status::Corruption("negative CPT entry for src " +
-                                  std::to_string(row.src));
+                                  std::to_string(srcs_[i]));
       }
-      mass += e.prob;
+      mass += probs_[j];
     }
     if (std::fabs(mass - 1.0) > tol) {
-      return Status::Corruption("CPT row for src " + std::to_string(row.src) +
+      return Status::Corruption("CPT row for src " + std::to_string(srcs_[i]) +
                                 " sums to " + std::to_string(mass));
     }
   }
   return Status::Ok();
 }
 
-size_t Cpt::nnz() const {
-  size_t n = 0;
-  for (const Row& row : rows_) n += row.entries.size();
-  return n;
-}
-
 size_t Cpt::ByteSize() const {
-  return 4 + rows_.size() * 8 + nnz() * 12;
+  return 4 + srcs_.size() * 8 + nnz() * 12;
 }
 
 void Cpt::AppendTo(std::string* out) const {
-  PutFixed32(static_cast<uint32_t>(rows_.size()), out);
-  for (const Row& row : rows_) {
-    PutFixed32(row.src, out);
-    PutFixed32(static_cast<uint32_t>(row.entries.size()), out);
-    for (const RowEntry& e : row.entries) {
-      PutFixed32(e.dst, out);
-      PutDouble(e.prob, out);
+  PutFixed32(static_cast<uint32_t>(srcs_.size()), out);
+  for (size_t i = 0; i < srcs_.size(); ++i) {
+    PutFixed32(srcs_[i], out);
+    PutFixed32(offsets_[i + 1] - offsets_[i], out);
+    for (uint32_t j = offsets_[i]; j < offsets_[i + 1]; ++j) {
+      PutFixed32(dsts_[j], out);
+      PutDouble(probs_[j], out);
     }
   }
 }
 
-Result<Cpt> Cpt::Parse(std::string_view data, size_t* offset) {
-  if (*offset + 4 > data.size()) return Status::Corruption("truncated CPT");
-  uint32_t num_rows = GetFixed32(data.data() + *offset);
+Status Cpt::Parse(std::string_view data, size_t* offset, uint32_t domain,
+                  Cpt* out) {
+  out->Clear();
+  auto corrupt = [out](const std::string& what) {
+    out->Clear();
+    return Status::Corruption(what);
+  };
+  if (*offset + 4 > data.size()) return corrupt("truncated CPT");
+  const uint32_t num_rows = GetFixed32(data.data() + *offset);
   *offset += 4;
   // Each row needs at least 8 header bytes; reject absurd counts before
-  // reserving memory for them.
+  // decoding them.
   if (*offset + static_cast<uint64_t>(num_rows) * 8 > data.size()) {
-    return Status::Corruption("CPT row count exceeds available bytes");
+    return corrupt("CPT row count exceeds available bytes");
   }
-  Cpt cpt;
-  cpt.rows_.reserve(num_rows);
-  ValueId prev_src = 0;
+  // Size the arrays from the row headers first, so a fresh table grows
+  // once; a reused table already has the capacity.
+  size_t nnz = 0;
+  for (size_t i = 0, at = *offset; i < num_rows && at + 8 <= data.size();
+       ++i) {
+    const uint64_t count = GetFixed32(data.data() + at + 4);
+    at += 8 + count * 12;
+    if (at > data.size()) break;
+    nnz += count;
+  }
+  out->srcs_.reserve(num_rows);
+  out->offsets_.reserve(num_rows + 1);
+  out->dsts_.reserve(nnz);
+  out->probs_.reserve(nnz);
   for (uint32_t i = 0; i < num_rows; ++i) {
-    if (*offset + 8 > data.size()) {
-      return Status::Corruption("truncated CPT row header");
-    }
-    ValueId src = GetFixed32(data.data() + *offset);
-    uint32_t count = GetFixed32(data.data() + *offset + 4);
+    if (*offset + 8 > data.size()) return corrupt("truncated CPT row header");
+    const char* p = data.data() + *offset;
+    const ValueId src = GetFixed32(p);
+    const uint32_t count = GetFixed32(p + 4);
     *offset += 8;
-    if (i > 0 && src <= prev_src) {
-      return Status::Corruption("CPT rows out of order");
+    if (i > 0 && src <= out->srcs_.back()) {
+      return corrupt("CPT rows out of order");
     }
-    prev_src = src;
+    if (src >= domain) {
+      return corrupt("CPT source " + std::to_string(src) + " outside domain " +
+                     std::to_string(domain));
+    }
     if (*offset + count * 12ull > data.size()) {
-      return Status::Corruption("truncated CPT row entries");
+      return corrupt("truncated CPT row entries");
     }
-    Row row;
-    row.src = src;
-    row.entries.reserve(count);
-    ValueId prev_dst = 0;
-    for (uint32_t j = 0; j < count; ++j) {
-      ValueId dst = GetFixed32(data.data() + *offset);
-      double prob = GetDouble(data.data() + *offset + 4);
-      *offset += 12;
-      if (j > 0 && dst <= prev_dst) {
-        return Status::Corruption("CPT row entries out of order");
+    p = data.data() + *offset;
+    *offset += count * 12ull;
+    for (uint32_t j = 0; j < count; ++j, p += 12) {
+      const ValueId dst = GetFixed32(p);
+      if (j > 0 && dst <= out->dsts_.back()) {
+        return corrupt("CPT row entries out of order");
       }
-      prev_dst = dst;
-      row.entries.push_back({dst, prob});
+      if (dst >= domain) {
+        return corrupt("CPT destination " + std::to_string(dst) +
+                       " outside domain " + std::to_string(domain));
+      }
+      out->PushEntry(dst, GetDouble(p + 4));
     }
-    cpt.rows_.push_back(std::move(row));
+    out->EndRow(src);
   }
-  return cpt;
+  return Status::Ok();
+}
+
+void ComposeCpts(const Cpt& first, const Cpt& second, uint32_t domain_size,
+                 Cpt* out) {
+  // Delegates to the dispatched compute kernel. The workspace (dense
+  // scratch, mark bytes, touched list) is thread-local so repeated
+  // compositions — the MC index build composes one CPT per stream timestep
+  // — allocate nothing after warm-up.
+  static thread_local kernels::PropagationWorkspace workspace;
+  kernels::Compose(first, second, domain_size, &workspace, out);
 }
 
 Cpt ComposeCpts(const Cpt& first, const Cpt& second, uint32_t domain_size) {
-  // Delegates to the dispatched compute kernel. The workspace (dense
-  // scratch, mark bytes, staging buffers) is thread-local so repeated
-  // compositions — the MC index build composes one CPT per stream timestep
-  // — allocate nothing after warm-up, and no per-row re-sort of touched
-  // destinations happens (the old AoS implementation sorted the touched
-  // list once per source row).
-  static thread_local kernels::PropagationWorkspace workspace;
-  return kernels::Compose(first, second, domain_size, &workspace);
+  Cpt out;
+  ComposeCpts(first, second, domain_size, &out);
+  return out;
 }
 
 Cpt IdentityCpt(const std::vector<ValueId>& support) {

@@ -2,7 +2,8 @@
 #define CALDERA_MARKOV_CPT_H_
 
 #include <cstdint>
-#include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -12,16 +13,15 @@
 
 namespace caldera {
 
-namespace kernels {
-struct CsrCpt;
-}  // namespace kernels
-
 /// A conditional probability table (CPT): the sparse stochastic matrix
 /// relating consecutive (or, via the MC index, distant) Markovian stream
 /// timesteps. Row `src` holds P(X_next = dst | X_prev = src).
 ///
-/// Rows are stored sparsely and sorted by source id; each row's entries are
-/// sorted by destination id. Sources outside the previous timestep's support
+/// The table is stored in compressed sparse row (CSR) form: four flat
+/// arrays, rows sorted by source id and each row's entries sorted by
+/// destination id. It is the one in-memory form: the decoder fills it, the
+/// compute kernels (markov/kernels.h) read and write it directly, and
+/// `AppendTo` serializes it. Sources outside the previous timestep's support
 /// need no row.
 class Cpt {
  public:
@@ -31,89 +31,104 @@ class Cpt {
 
     bool operator==(const RowEntry&) const = default;
   };
-  struct Row {
-    ValueId src;
-    std::vector<RowEntry> entries;
 
-    bool operator==(const Row&) const = default;
+  /// One row: its source and parallel destination/probability slices. Valid
+  /// until the table is next modified.
+  struct RowView {
+    ValueId src;
+    std::span<const ValueId> dsts;
+    std::span<const double> probs;
+
+    size_t size() const { return dsts.size(); }
   };
 
-  Cpt() = default;
-  // Copies share the (immutable) cached CSR view when one has been built;
-  // the copy is taken atomically so concurrent readers of the source are
-  // safe. Mutation is single-threaded, like every other Cpt writer path.
-  Cpt(const Cpt& other) : rows_(other.rows_), csr_(other.LoadCsr()) {}
-  Cpt& operator=(const Cpt& other) {
-    if (this != &other) {
-      rows_ = other.rows_;
-      csr_ = other.LoadCsr();
-    }
-    return *this;
-  }
-  Cpt(Cpt&&) = default;
-  Cpt& operator=(Cpt&&) = default;
-
-  /// Sets the row for `src`; entries need not be sorted. Replaces any
-  /// existing row.
+  /// Row builder. Sets the row for `src`, replacing any existing row;
+  /// `entries` need not be sorted, and duplicate destinations are summed.
+  /// Rows arriving in ascending `src` order append in amortized O(row); any
+  /// other order rebuilds the arrays.
   void SetRow(ValueId src, std::vector<RowEntry> entries);
 
-  /// Builder fast path used by the compose kernels: appends a row whose
-  /// `src` is greater than every existing row and whose entries are already
-  /// sorted by destination with no duplicates. O(1) amortized, no re-sort.
-  void AppendRowSorted(ValueId src, std::vector<RowEntry> entries);
+  /// Ordered builder under SetRow, the decoder and the compose kernels:
+  /// PushEntry appends to the row being built, EndRow(src) closes it (an
+  /// empty row is kept). `src` must exceed every earlier row's and the
+  /// pushed destinations must ascend strictly.
+  void PushEntry(ValueId dst, double prob) {
+    dsts_.push_back(dst);
+    probs_.push_back(prob);
+  }
+  void EndRow(ValueId src);
 
-  /// Returns the row for `src`, or nullptr.
-  const Row* FindRow(ValueId src) const;
+  /// Empties the table, keeping its capacity for the next build or decode.
+  void Clear();
+
+  RowView row(size_t i) const;
+  /// The row for `src`, if the table has one.
+  std::optional<RowView> FindRow(ValueId src) const;
 
   /// P(dst | src); 0 if the pair is absent.
   double Probability(ValueId src, ValueId dst) const;
 
   /// Propagates a (possibly sub-stochastic) distribution through this CPT:
   /// out[y] = sum_x in[x] * P(y|x). Mass on sources without a row is
-  /// dropped (those sources are outside the stream's support).
+  /// dropped (those sources are outside the stream's support). This is the
+  /// sparse gather + sort reference; kernels::Propagate is the fast path.
   Distribution Propagate(const Distribution& in) const;
 
   /// Verifies every row sums to 1 within `tol`.
   Status ValidateStochastic(double tol = 1e-6) const;
 
-  size_t num_rows() const { return rows_.size(); }
-  const std::vector<Row>& rows() const { return rows_; }
-  bool empty() const { return rows_.empty(); }
-
+  size_t num_rows() const { return srcs_.size(); }
+  bool empty() const { return srcs_.empty(); }
   /// Total number of nonzero transition entries.
-  size_t nnz() const;
+  size_t nnz() const { return dsts_.size(); }
+
+  // The CSR arrays. offsets() holds num_rows() + 1 entries (none when the
+  // table is empty); row i spans [offsets()[i], offsets()[i + 1]) of dsts()
+  // and probs().
+  const std::vector<ValueId>& srcs() const { return srcs_; }
+  const std::vector<uint32_t>& offsets() const { return offsets_; }
+  const std::vector<ValueId>& dsts() const { return dsts_; }
+  const std::vector<double>& probs() const { return probs_; }
+  /// Smallest destination in the table (0 if it has no entries).
+  ValueId dst_begin() const { return dst_begin_; }
+  /// Largest destination + 1 (0 if it has no entries).
+  ValueId dst_end() const { return dst_end_; }
 
   /// Approximate in-memory/on-disk footprint in bytes.
   size_t ByteSize() const;
 
-  /// The flattened CSR view of this table (markov/kernels.h), built lazily
-  /// on first use and cached until the next mutation; copies made after it
-  /// exists share it. Concurrent first calls on the same object are safe
-  /// (the losing builder adopts the winner's view); mutation while another
-  /// thread reads is not, matching the rest of the class.
-  const kernels::CsrCpt& csr() const;
-
-  bool operator==(const Cpt& other) const { return rows_ == other.rows_; }
+  bool operator==(const Cpt&) const = default;
 
   // Binary serialization:
   //   u32 num_rows, then per row: u32 src, u32 count, count*(u32 dst,f64 p).
   void AppendTo(std::string* out) const;
-  static Result<Cpt> Parse(std::string_view data, size_t* offset);
+
+  /// Decodes one table from `data` at `*offset` into `out`, reusing its
+  /// capacity. Returns Corruption unless rows ascend by src, each row's
+  /// destinations ascend, every count fits in the remaining bytes, and every
+  /// src and dst is below `domain`. On error `out` is left empty.
+  static Status Parse(std::string_view data, size_t* offset, uint32_t domain,
+                      Cpt* out);
 
  private:
-  std::shared_ptr<const kernels::CsrCpt> LoadCsr() const;
-
-  std::vector<Row> rows_;
-  mutable std::shared_ptr<const kernels::CsrCpt> csr_;
+  std::vector<ValueId> srcs_;
+  std::vector<uint32_t> offsets_;
+  std::vector<ValueId> dsts_;
+  std::vector<double> probs_;
+  ValueId dst_begin_ = 0;
+  ValueId dst_end_ = 0;
 };
 
 /// Chain-rule composition (Section 3.3.1): given `first` = CPT(a -> m) and
-/// `second` = CPT(m -> b), returns CPT(a -> b) with
-/// P(z|x) = sum_y first(y|x) * second(z|y).
-/// `domain_size` bounds the destination ids (dense scratch space).
-/// Runs on the dispatched compute kernel (markov/kernels.h) with a
-/// thread-local workspace, so the dense scratch is reused across rows and
-/// across calls — MC index builds compose thousands of CPTs through here.
+/// `second` = CPT(m -> b), writes CPT(a -> b) with
+/// P(z|x) = sum_y first(y|x) * second(z|y) into `out`, reusing its capacity
+/// (`out` must not alias an input). `domain_size` bounds the destination ids
+/// (dense scratch space). Runs on the dispatched compute kernel
+/// (markov/kernels.h) with a thread-local workspace, so the dense scratch is
+/// reused across rows and across calls — MC index builds compose thousands
+/// of CPTs through here.
+void ComposeCpts(const Cpt& first, const Cpt& second, uint32_t domain_size,
+                 Cpt* out);
 Cpt ComposeCpts(const Cpt& first, const Cpt& second, uint32_t domain_size);
 
 /// The identity CPT on the given support (used as the composition seed).

@@ -11,14 +11,18 @@ namespace caldera {
 Distribution Distribution::FromPairs(std::vector<Entry> entries) {
   std::sort(entries.begin(), entries.end(),
             [](const Entry& a, const Entry& b) { return a.value < b.value; });
-  Distribution d;
+  // Merge repeated values in place, so the result keeps the input buffer.
+  size_t n = 0;
   for (const Entry& e : entries) {
-    if (!d.entries_.empty() && d.entries_.back().value == e.value) {
-      d.entries_.back().prob += e.prob;
+    if (n > 0 && entries[n - 1].value == e.value) {
+      entries[n - 1].prob += e.prob;
     } else {
-      d.entries_.push_back(e);
+      entries[n++] = e;
     }
   }
+  entries.resize(n);
+  Distribution d;
+  d.entries_ = std::move(entries);
   return d;
 }
 
@@ -45,17 +49,17 @@ Distribution Distribution::FromSorted(std::vector<Entry> entries) {
 }
 
 Distribution Distribution::FromDenseScratch(std::vector<double>& dense,
-                                            ValueId begin, ValueId end) {
-  size_t count = 0;
-  for (ValueId i = begin; i < end; ++i) count += dense[i] != 0.0 ? 1 : 0;
-  Distribution d;
-  d.entries_.reserve(count);
+                                            ValueId begin, ValueId end,
+                                            std::vector<Entry> buffer) {
+  buffer.clear();
   for (ValueId i = begin; i < end; ++i) {
     if (dense[i] != 0.0) {
-      d.entries_.push_back({i, dense[i]});
+      buffer.push_back({i, dense[i]});
       dense[i] = 0.0;
     }
   }
+  Distribution d;
+  d.entries_ = std::move(buffer);
   return d;
 }
 

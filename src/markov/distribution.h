@@ -42,9 +42,11 @@ class Distribution {
 
   /// Drains the nonzero slots of `dense[begin, end)` into a distribution
   /// and zeroes them, restoring the all-zero scratch invariant of a
-  /// kernels::PropagationWorkspace. One exact-sized allocation.
+  /// kernels::PropagationWorkspace. The entries land in `buffer` (cleared
+  /// first), so a recycled buffer makes this allocation-free.
   static Distribution FromDenseScratch(std::vector<double>& dense,
-                                       ValueId begin, ValueId end);
+                                       ValueId begin, ValueId end,
+                                       std::vector<Entry> buffer = {});
 
   /// Point mass on `value`.
   static Distribution Point(ValueId value);
@@ -81,11 +83,9 @@ class Distribution {
   bool empty() const { return entries_.empty(); }
   size_t support_size() const { return entries_.size(); }
   const std::vector<Entry>& entries() const { return entries_; }
-
-  /// Largest value id in the support + 1 (0 if empty).
-  ValueId MaxValueExclusive() const {
-    return entries_.empty() ? 0 : entries_.back().value + 1;
-  }
+  /// Moves the entries out, leaving the distribution empty, so their
+  /// buffer can be reused for another distribution.
+  std::vector<Entry> TakeEntries() && { return std::move(entries_); }
 
   bool operator==(const Distribution&) const = default;
 

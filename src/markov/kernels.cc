@@ -4,6 +4,8 @@
 #include <atomic>
 #include <cstdlib>
 
+#include "common/logging.h"
+
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #include <immintrin.h>
 #define CALDERA_KERNELS_X86 1
@@ -11,38 +13,6 @@
 
 namespace caldera {
 namespace kernels {
-
-CsrCpt CsrCpt::From(const Cpt& cpt) {
-  CsrCpt out;
-  const std::vector<Cpt::Row>& rows = cpt.rows();
-  size_t nnz = 0;
-  for (const Cpt::Row& row : rows) nnz += row.entries.size();
-  out.srcs.reserve(rows.size());
-  out.offsets.reserve(rows.size() + 1);
-  out.dsts.reserve(nnz);
-  out.probs.reserve(nnz);
-  out.offsets.push_back(0);
-  ValueId lo = ~ValueId{0};
-  ValueId hi = 0;
-  for (const Cpt::Row& row : rows) {
-    out.srcs.push_back(row.src);
-    for (const Cpt::RowEntry& e : row.entries) {
-      out.dsts.push_back(e.dst);
-      out.probs.push_back(e.prob);
-    }
-    if (!row.entries.empty()) {
-      // Row entries are sorted by dst, so front/back bound the row.
-      lo = std::min(lo, row.entries.front().dst);
-      hi = std::max(hi, row.entries.back().dst);
-    }
-    out.offsets.push_back(static_cast<uint32_t>(out.dsts.size()));
-  }
-  if (!out.dsts.empty()) {
-    out.dst_begin = lo;
-    out.dst_end = hi + 1;
-  }
-  return out;
-}
 
 void PropagationWorkspace::EnsureDomain(uint32_t domain) {
   if (dense.size() < domain) {
@@ -64,8 +34,9 @@ constexpr size_t kDenseScanFraction = 4;
 // ---------------------------------------------------------------------------
 
 // dense[dsts[j]] += w * probs[j] for one CSR row slice. Destinations within
-// a row are strictly ascending (SetRow merges duplicates), so slots are
-// distinct and the updates are order-independent.
+// a row are strictly ascending (SetRow merges duplicates and Cpt::Parse
+// rejects them), so slots are distinct and the updates are
+// order-independent.
 inline void ScatterRowScalar(double* dense, const ValueId* dsts,
                              const double* probs, size_t n, double w) {
   for (size_t j = 0; j < n; ++j) dense[dsts[j]] += w * probs[j];
@@ -86,50 +57,29 @@ inline void ScatterRowTracked(double* dense, uint8_t* mark,
   }
 }
 
-// Drains the touched slots (sparse mode): sorts them, emits nonzero slots
-// into `out`, and restores the dense/mark zero invariant.
-inline void DrainTouched(PropagationWorkspace* ws,
-                         std::vector<Distribution::Entry>* out) {
+// Drains the touched slots (sparse mode): sorts them, passes each nonzero
+// slot to emit(dst, prob) in ascending order, and restores the dense/mark
+// zero invariant.
+template <typename Emit>
+inline void DrainTouched(PropagationWorkspace* ws, Emit emit) {
   std::sort(ws->touched.begin(), ws->touched.end());
   for (ValueId d : ws->touched) {
     double p = ws->dense[d];
-    if (p != 0.0) out->push_back({d, p});
+    if (p != 0.0) emit(d, p);
     ws->dense[d] = 0.0;
     ws->mark[d] = 0;
   }
   ws->touched.clear();
 }
 
-// Scans dense[begin, end) (dense mode): emits nonzero slots into `out` and
-// zeroes them, restoring the workspace invariant.
+// Scans dense[begin, end) (dense mode): emits nonzero slots and zeroes
+// them, restoring the workspace invariant.
+template <typename Emit>
 inline void DrainScanScalar(double* dense, ValueId begin, ValueId end,
-                            std::vector<Distribution::Entry>* out) {
+                            Emit emit) {
   for (ValueId i = begin; i < end; ++i) {
     if (dense[i] != 0.0) {
-      out->push_back({i, dense[i]});
-      dense[i] = 0.0;
-    }
-  }
-}
-
-// Variants of the drains emitting Cpt::RowEntry (compose kernels).
-inline void DrainTouchedRow(PropagationWorkspace* ws,
-                            std::vector<Cpt::RowEntry>* out) {
-  std::sort(ws->touched.begin(), ws->touched.end());
-  for (ValueId d : ws->touched) {
-    double p = ws->dense[d];
-    if (p != 0.0) out->push_back({d, p});
-    ws->dense[d] = 0.0;
-    ws->mark[d] = 0;
-  }
-  ws->touched.clear();
-}
-
-inline void DrainScanRowScalar(double* dense, ValueId begin, ValueId end,
-                               std::vector<Cpt::RowEntry>* out) {
-  for (ValueId i = begin; i < end; ++i) {
-    if (dense[i] != 0.0) {
-      out->push_back({i, dense[i]});
+      emit(i, dense[i]);
       dense[i] = 0.0;
     }
   }
@@ -137,95 +87,12 @@ inline void DrainScanRowScalar(double* dense, ValueId begin, ValueId end,
 
 // Average entries per row, used to estimate scatter volume before choosing
 // between touched-tracking and dense-scan re-sparsification.
-inline size_t AvgRowLen(const CsrCpt& cpt) {
+inline size_t AvgRowLen(const Cpt& cpt) {
   return cpt.num_rows() == 0 ? 0 : cpt.nnz() / cpt.num_rows() + 1;
 }
 
 // ---------------------------------------------------------------------------
-// Scalar kernels (the reference implementation).
-// ---------------------------------------------------------------------------
-
-Distribution PropagateScalarImpl(const CsrCpt& cpt, const Distribution& in,
-                                 PropagationWorkspace* ws) {
-  if (cpt.empty() || in.empty()) return Distribution();
-  ws->EnsureDomain(cpt.dst_end);
-  const size_t span = cpt.dst_end - cpt.dst_begin;
-  const size_t est = std::min(in.support_size(), cpt.num_rows()) * AvgRowLen(cpt);
-  const bool sparse_mode = est * kDenseScanFraction < span;
-
-  double* dense = ws->dense.data();
-  // Two-pointer merge: input entries and CSR rows are both sorted by id.
-  size_t ri = 0;
-  const size_t num_rows = cpt.num_rows();
-  for (const Distribution::Entry& e : in.entries()) {
-    while (ri < num_rows && cpt.srcs[ri] < e.value) ++ri;
-    if (ri == num_rows) break;
-    if (cpt.srcs[ri] != e.value) continue;
-    const uint32_t b = cpt.offsets[ri];
-    const uint32_t n = cpt.offsets[ri + 1] - b;
-    if (sparse_mode) {
-      ScatterRowTracked(dense, ws->mark.data(), &ws->touched, &cpt.dsts[b],
-                        &cpt.probs[b], n, e.prob);
-    } else {
-      ScatterRowScalar(dense, &cpt.dsts[b], &cpt.probs[b], n, e.prob);
-    }
-  }
-
-  if (sparse_mode) {
-    ws->entries.clear();
-    DrainTouched(ws, &ws->entries);
-    return Distribution::FromSorted(ws->entries);
-  }
-  return Distribution::FromDenseScratch(ws->dense, cpt.dst_begin, cpt.dst_end);
-}
-
-Cpt ComposeScalarImpl(const CsrCpt& first, const CsrCpt& second,
-                      uint32_t domain_size, PropagationWorkspace* ws) {
-  Cpt out;
-  if (first.empty() || second.empty()) return out;
-  ws->EnsureDomain(std::max(domain_size, second.dst_end));
-  const size_t span = second.dst_end - second.dst_begin;
-  const size_t avg = AvgRowLen(second);
-  double* dense = ws->dense.data();
-  const size_t second_rows = second.num_rows();
-
-  for (size_t r = 0; r < first.num_rows(); ++r) {
-    const uint32_t mb = first.offsets[r];
-    const uint32_t me = first.offsets[r + 1];
-    const bool sparse_mode = (me - mb) * avg * kDenseScanFraction < span;
-    // Mids of this row are sorted, as are second's row sources: merge.
-    size_t si = 0;
-    for (uint32_t m = mb; m < me; ++m) {
-      const ValueId mid = first.dsts[m];
-      while (si < second_rows && second.srcs[si] < mid) ++si;
-      if (si == second_rows) break;
-      if (second.srcs[si] != mid) continue;
-      const uint32_t b = second.offsets[si];
-      const uint32_t n = second.offsets[si + 1] - b;
-      if (sparse_mode) {
-        ScatterRowTracked(dense, ws->mark.data(), &ws->touched, &second.dsts[b],
-                          &second.probs[b], n, first.probs[m]);
-      } else {
-        ScatterRowScalar(dense, &second.dsts[b], &second.probs[b], n,
-                         first.probs[m]);
-      }
-    }
-    ws->row_entries.clear();
-    if (sparse_mode) {
-      DrainTouchedRow(ws, &ws->row_entries);
-    } else {
-      DrainScanRowScalar(dense, second.dst_begin, second.dst_end,
-                         &ws->row_entries);
-    }
-    if (!ws->row_entries.empty()) {
-      out.AppendRowSorted(first.srcs[r], ws->row_entries);
-    }
-  }
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// AVX2+FMA kernels.
+// AVX2+FMA building blocks.
 // ---------------------------------------------------------------------------
 
 #ifdef CALDERA_KERNELS_X86
@@ -264,9 +131,9 @@ __attribute__((target("avx2,fma"))) void ScatterRowAvx2(
 // Vectorized re-sparsify: compare four slots against zero at once and emit
 // only the set lanes (movemask + ctz). NEQ_UQ so a NaN slot is still
 // drained rather than silently left behind.
+template <typename Emit>
 __attribute__((target("avx2,fma"))) void DrainScanAvx2(
-    double* dense, ValueId begin, ValueId end,
-    std::vector<Distribution::Entry>* out) {
+    double* dense, ValueId begin, ValueId end, Emit emit) {
   const __m256d zero = _mm256_setzero_pd();
   ValueId i = begin;
   for (; i + 4 <= end; i += 4) {
@@ -276,122 +143,11 @@ __attribute__((target("avx2,fma"))) void DrainScanAvx2(
       int k = __builtin_ctz(static_cast<unsigned>(m));
       m &= m - 1;
       ValueId d = i + static_cast<ValueId>(k);
-      out->push_back({d, dense[d]});
+      emit(d, dense[d]);
       dense[d] = 0.0;
     }
   }
-  for (; i < end; ++i) {
-    if (dense[i] != 0.0) {
-      out->push_back({i, dense[i]});
-      dense[i] = 0.0;
-    }
-  }
-}
-
-__attribute__((target("avx2,fma"))) void DrainScanRowAvx2(
-    double* dense, ValueId begin, ValueId end,
-    std::vector<Cpt::RowEntry>* out) {
-  const __m256d zero = _mm256_setzero_pd();
-  ValueId i = begin;
-  for (; i + 4 <= end; i += 4) {
-    __m256d v = _mm256_loadu_pd(dense + i);
-    int m = _mm256_movemask_pd(_mm256_cmp_pd(v, zero, _CMP_NEQ_UQ));
-    while (m != 0) {
-      int k = __builtin_ctz(static_cast<unsigned>(m));
-      m &= m - 1;
-      ValueId d = i + static_cast<ValueId>(k);
-      out->push_back({d, dense[d]});
-      dense[d] = 0.0;
-    }
-  }
-  for (; i < end; ++i) {
-    if (dense[i] != 0.0) {
-      out->push_back({i, dense[i]});
-      dense[i] = 0.0;
-    }
-  }
-}
-
-Distribution PropagateSimdImpl(const CsrCpt& cpt, const Distribution& in,
-                               PropagationWorkspace* ws) {
-  if (cpt.empty() || in.empty()) return Distribution();
-  ws->EnsureDomain(cpt.dst_end);
-  const size_t span = cpt.dst_end - cpt.dst_begin;
-  const size_t est =
-      std::min(in.support_size(), cpt.num_rows()) * AvgRowLen(cpt);
-  const bool sparse_mode = est * kDenseScanFraction < span;
-
-  double* dense = ws->dense.data();
-  size_t ri = 0;
-  const size_t num_rows = cpt.num_rows();
-  for (const Distribution::Entry& e : in.entries()) {
-    while (ri < num_rows && cpt.srcs[ri] < e.value) ++ri;
-    if (ri == num_rows) break;
-    if (cpt.srcs[ri] != e.value) continue;
-    const uint32_t b = cpt.offsets[ri];
-    const uint32_t n = cpt.offsets[ri + 1] - b;
-    if (sparse_mode) {
-      // Sparse outputs are dominated by bookkeeping, not arithmetic: the
-      // tracked scalar scatter is the right tool.
-      ScatterRowTracked(dense, ws->mark.data(), &ws->touched, &cpt.dsts[b],
-                        &cpt.probs[b], n, e.prob);
-    } else {
-      ScatterRowAvx2(dense, &cpt.dsts[b], &cpt.probs[b], n, e.prob);
-    }
-  }
-
-  ws->entries.clear();
-  if (sparse_mode) {
-    DrainTouched(ws, &ws->entries);
-  } else {
-    DrainScanAvx2(dense, cpt.dst_begin, cpt.dst_end, &ws->entries);
-  }
-  return Distribution::FromSorted(ws->entries);
-}
-
-Cpt ComposeSimdImpl(const CsrCpt& first, const CsrCpt& second,
-                    uint32_t domain_size, PropagationWorkspace* ws) {
-  Cpt out;
-  if (first.empty() || second.empty()) return out;
-  ws->EnsureDomain(std::max(domain_size, second.dst_end));
-  const size_t span = second.dst_end - second.dst_begin;
-  const size_t avg = AvgRowLen(second);
-  double* dense = ws->dense.data();
-  const size_t second_rows = second.num_rows();
-
-  for (size_t r = 0; r < first.num_rows(); ++r) {
-    const uint32_t mb = first.offsets[r];
-    const uint32_t me = first.offsets[r + 1];
-    const bool sparse_mode = (me - mb) * avg * kDenseScanFraction < span;
-    size_t si = 0;
-    for (uint32_t m = mb; m < me; ++m) {
-      const ValueId mid = first.dsts[m];
-      while (si < second_rows && second.srcs[si] < mid) ++si;
-      if (si == second_rows) break;
-      if (second.srcs[si] != mid) continue;
-      const uint32_t b = second.offsets[si];
-      const uint32_t n = second.offsets[si + 1] - b;
-      if (sparse_mode) {
-        ScatterRowTracked(dense, ws->mark.data(), &ws->touched,
-                          &second.dsts[b], &second.probs[b], n,
-                          first.probs[m]);
-      } else {
-        ScatterRowAvx2(dense, &second.dsts[b], &second.probs[b], n,
-                       first.probs[m]);
-      }
-    }
-    ws->row_entries.clear();
-    if (sparse_mode) {
-      DrainTouchedRow(ws, &ws->row_entries);
-    } else {
-      DrainScanRowAvx2(dense, second.dst_begin, second.dst_end,
-                       &ws->row_entries);
-    }
-    if (!ws->row_entries.empty()) {
-      out.AppendRowSorted(first.srcs[r], ws->row_entries);
-    }
-  }
-  return out;
+  DrainScanScalar(dense, i, end, emit);
 }
 
 bool DetectAvx2Fma() {
@@ -399,6 +155,131 @@ bool DetectAvx2Fma() {
 }
 
 #endif  // CALDERA_KERNELS_X86
+// The scatter and dense drain of one backend: the scalar reference
+// (kSimd = false) or AVX2+FMA. Sparse mode is dominated by bookkeeping, not
+// arithmetic, so both backends use the tracked scalar scatter there.
+template <bool kSimd>
+inline void ScatterRow(double* dense, const ValueId* dsts, const double* probs,
+                       size_t n, double w) {
+#ifdef CALDERA_KERNELS_X86
+  if constexpr (kSimd) {
+    ScatterRowAvx2(dense, dsts, probs, n, w);
+    return;
+  }
+#endif
+  ScatterRowScalar(dense, dsts, probs, n, w);
+}
+
+template <bool kSimd, typename Emit>
+inline void DrainScan(double* dense, ValueId begin, ValueId end, Emit emit) {
+#ifdef CALDERA_KERNELS_X86
+  if constexpr (kSimd) {
+    DrainScanAvx2(dense, begin, end, emit);
+    return;
+  }
+#endif
+  DrainScanScalar(dense, begin, end, emit);
+}
+
+// ---------------------------------------------------------------------------
+// The kernels, instantiated once per backend.
+// ---------------------------------------------------------------------------
+
+using Entries = std::vector<Distribution::Entry>;
+
+template <bool kSimd>
+Distribution PropagateImpl(const Cpt& cpt, const Distribution& in,
+                           PropagationWorkspace* ws, Entries buffer) {
+  buffer.clear();
+  if (cpt.empty() || in.empty()) {
+    return Distribution::FromSorted(std::move(buffer));
+  }
+  ws->EnsureDomain(cpt.dst_end());
+  const size_t span = cpt.dst_end() - cpt.dst_begin();
+  const size_t est = std::min(in.support_size(), cpt.num_rows()) * AvgRowLen(cpt);
+  const bool sparse_mode = est * kDenseScanFraction < span;
+
+  double* dense = ws->dense.data();
+  const ValueId* srcs = cpt.srcs().data();
+  const uint32_t* offsets = cpt.offsets().data();
+  const ValueId* dsts = cpt.dsts().data();
+  const double* probs = cpt.probs().data();
+  // Two-pointer merge: input entries and CSR rows are both sorted by id.
+  size_t ri = 0;
+  const size_t num_rows = cpt.num_rows();
+  for (const Distribution::Entry& e : in.entries()) {
+    while (ri < num_rows && srcs[ri] < e.value) ++ri;
+    if (ri == num_rows) break;
+    if (srcs[ri] != e.value) continue;
+    const uint32_t b = offsets[ri];
+    const uint32_t n = offsets[ri + 1] - b;
+    if (sparse_mode) {
+      ScatterRowTracked(dense, ws->mark.data(), &ws->touched, dsts + b,
+                        probs + b, n, e.prob);
+    } else {
+      ScatterRow<kSimd>(dense, dsts + b, probs + b, n, e.prob);
+    }
+  }
+
+  auto emit = [&buffer](ValueId d, double p) { buffer.push_back({d, p}); };
+  if (sparse_mode) {
+    DrainTouched(ws, emit);
+  } else if constexpr (!kSimd) {
+    return Distribution::FromDenseScratch(ws->dense, cpt.dst_begin(),
+                                          cpt.dst_end(), std::move(buffer));
+  } else {
+    DrainScan<kSimd>(dense, cpt.dst_begin(), cpt.dst_end(), emit);
+  }
+  return Distribution::FromSorted(std::move(buffer));
+}
+
+template <bool kSimd>
+void ComposeImpl(const Cpt& first, const Cpt& second, uint32_t domain_size,
+                 PropagationWorkspace* ws, Cpt* out) {
+  out->Clear();
+  if (first.empty() || second.empty()) return;
+  ws->EnsureDomain(std::max(domain_size, second.dst_end()));
+  const size_t span = second.dst_end() - second.dst_begin();
+  const size_t avg = AvgRowLen(second);
+  double* dense = ws->dense.data();
+  const size_t second_rows = second.num_rows();
+  const ValueId* second_srcs = second.srcs().data();
+  const uint32_t* second_offsets = second.offsets().data();
+  const ValueId* second_dsts = second.dsts().data();
+  const double* second_probs = second.probs().data();
+  auto emit = [out](ValueId d, double p) { out->PushEntry(d, p); };
+
+  for (size_t r = 0; r < first.num_rows(); ++r) {
+    const uint32_t mb = first.offsets()[r];
+    const uint32_t me = first.offsets()[r + 1];
+    const bool sparse_mode = (me - mb) * avg * kDenseScanFraction < span;
+    // Mids of this row are sorted, as are second's row sources: merge.
+    size_t si = 0;
+    for (uint32_t m = mb; m < me; ++m) {
+      const ValueId mid = first.dsts()[m];
+      while (si < second_rows && second_srcs[si] < mid) ++si;
+      if (si == second_rows) break;
+      if (second_srcs[si] != mid) continue;
+      const uint32_t b = second_offsets[si];
+      const uint32_t n = second_offsets[si + 1] - b;
+      if (sparse_mode) {
+        ScatterRowTracked(dense, ws->mark.data(), &ws->touched,
+                          second_dsts + b, second_probs + b, n,
+                          first.probs()[m]);
+      } else {
+        ScatterRow<kSimd>(dense, second_dsts + b, second_probs + b, n,
+                          first.probs()[m]);
+      }
+    }
+    const size_t before = out->nnz();
+    if (sparse_mode) {
+      DrainTouched(ws, emit);
+    } else {
+      DrainScan<kSimd>(dense, second.dst_begin(), second.dst_end(), emit);
+    }
+    if (out->nnz() != before) out->EndRow(first.srcs()[r]);
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Runtime dispatch, following the common/crc32c pattern: resolved once per
@@ -407,17 +288,17 @@ bool DetectAvx2Fma() {
 // ---------------------------------------------------------------------------
 
 struct Dispatch {
-  Distribution (*propagate)(const CsrCpt&, const Distribution&,
-                            PropagationWorkspace*);
-  Cpt (*compose)(const CsrCpt&, const CsrCpt&, uint32_t,
-                 PropagationWorkspace*);
+  Distribution (*propagate)(const Cpt&, const Distribution&,
+                            PropagationWorkspace*, Entries);
+  void (*compose)(const Cpt&, const Cpt&, uint32_t, PropagationWorkspace*,
+                  Cpt*);
   const char* name;
 };
 
-constexpr Dispatch kScalarDispatch = {&PropagateScalarImpl,
-                                      &ComposeScalarImpl, "scalar"};
+constexpr Dispatch kScalarDispatch = {&PropagateImpl<false>,
+                                      &ComposeImpl<false>, "scalar"};
 #ifdef CALDERA_KERNELS_X86
-constexpr Dispatch kSimdDispatch = {&PropagateSimdImpl, &ComposeSimdImpl,
+constexpr Dispatch kSimdDispatch = {&PropagateImpl<true>, &ComposeImpl<true>,
                                     "avx2+fma"};
 #endif
 
@@ -456,13 +337,15 @@ const Dispatch* Resolved() {
 }  // namespace
 
 Distribution Propagate(const Cpt& cpt, const Distribution& in,
-                       PropagationWorkspace* ws) {
-  return Resolved()->propagate(cpt.csr(), in, ws);
+                       PropagationWorkspace* ws, Entries buffer) {
+  return Resolved()->propagate(cpt, in, ws, std::move(buffer));
 }
 
-Cpt Compose(const Cpt& first, const Cpt& second, uint32_t domain_size,
-            PropagationWorkspace* ws) {
-  return Resolved()->compose(first.csr(), second.csr(), domain_size, ws);
+void Compose(const Cpt& first, const Cpt& second, uint32_t domain_size,
+             PropagationWorkspace* ws, Cpt* out) {
+  CALDERA_CHECK(out != &first && out != &second)
+      << "Compose output must not alias an input";
+  Resolved()->compose(first, second, domain_size, ws, out);
 }
 
 const char* Backend() { return Resolved()->name; }
@@ -478,20 +361,20 @@ void ForceScalar(bool force) {
                    std::memory_order_release);
 }
 
-Distribution PropagateScalar(const CsrCpt& cpt, const Distribution& in,
+Distribution PropagateScalar(const Cpt& cpt, const Distribution& in,
                              PropagationWorkspace* ws) {
-  return PropagateScalarImpl(cpt, in, ws);
+  return PropagateImpl<false>(cpt, in, ws, {});
 }
 
-Cpt ComposeScalar(const CsrCpt& first, const CsrCpt& second,
-                  uint32_t domain_size, PropagationWorkspace* ws) {
-  return ComposeScalarImpl(first, second, domain_size, ws);
+void ComposeScalar(const Cpt& first, const Cpt& second, uint32_t domain_size,
+                   PropagationWorkspace* ws, Cpt* out) {
+  ComposeImpl<false>(first, second, domain_size, ws, out);
 }
 
-Distribution PropagateSimd(const CsrCpt& cpt, const Distribution& in,
+Distribution PropagateSimd(const Cpt& cpt, const Distribution& in,
                            PropagationWorkspace* ws) {
 #ifdef CALDERA_KERNELS_X86
-  return PropagateSimdImpl(cpt, in, ws);
+  return PropagateImpl<true>(cpt, in, ws, {});
 #else
   (void)cpt;
   (void)in;
@@ -500,16 +383,16 @@ Distribution PropagateSimd(const CsrCpt& cpt, const Distribution& in,
 #endif
 }
 
-Cpt ComposeSimd(const CsrCpt& first, const CsrCpt& second,
-                uint32_t domain_size, PropagationWorkspace* ws) {
+void ComposeSimd(const Cpt& first, const Cpt& second, uint32_t domain_size,
+                 PropagationWorkspace* ws, Cpt* out) {
 #ifdef CALDERA_KERNELS_X86
-  return ComposeSimdImpl(first, second, domain_size, ws);
+  ComposeImpl<true>(first, second, domain_size, ws, out);
 #else
   (void)first;
   (void)second;
   (void)domain_size;
   (void)ws;
-  return Cpt();
+  out->Clear();
 #endif
 }
 

@@ -10,27 +10,6 @@
 namespace caldera {
 namespace kernels {
 
-/// A CSR-style flattened view of a Cpt: the sparse stochastic matrix as
-/// three contiguous arrays (row sources, row offsets, and the interleaved
-/// dst/prob payload split into two parallel arrays). Built once per Cpt —
-/// lazily, via Cpt::csr() — and reused by every kernel invocation; the
-/// AoS vector<Row>/vector<RowEntry> layout stays the (de)serialization and
-/// mutation format.
-struct CsrCpt {
-  std::vector<ValueId> srcs;      ///< Row sources, ascending.
-  std::vector<uint32_t> offsets;  ///< srcs.size() + 1 offsets into dsts.
-  std::vector<ValueId> dsts;      ///< Destinations, ascending within a row.
-  std::vector<double> probs;      ///< Parallel to dsts.
-  ValueId dst_begin = 0;          ///< Smallest destination in the table.
-  ValueId dst_end = 0;            ///< Largest destination + 1 (0 if empty).
-
-  static CsrCpt From(const Cpt& cpt);
-
-  size_t num_rows() const { return srcs.size(); }
-  size_t nnz() const { return dsts.size(); }
-  bool empty() const { return srcs.empty(); }
-};
-
 /// Reusable dense scratch for the propagate/compose kernels. The dense and
 /// mark arrays are an invariant-zero workspace: every kernel call leaves
 /// them fully zeroed again, so a workspace can be shared across any number
@@ -43,30 +22,31 @@ class PropagationWorkspace {
   /// already large enough.
   void EnsureDomain(uint32_t domain);
 
-  uint32_t domain() const { return static_cast<uint32_t>(dense.size()); }
-
-  // Kernel-internal buffers; all zeroed (dense, mark) or contents-unspecified
-  // (touched, entries, row_entries) between calls.
+  // Kernel-internal buffers; zeroed (dense, mark) or empty (touched)
+  // between calls.
   std::vector<double> dense;
   std::vector<uint8_t> mark;
   std::vector<ValueId> touched;
-  std::vector<Distribution::Entry> entries;
-  std::vector<Cpt::RowEntry> row_entries;
 };
 
 /// out[y] = sum_x in[x] * P(y|x), the Reg operator's inner loop. Identical
-/// semantics to Cpt::Propagate but runs over the CSR view with a dense
+/// semantics to Cpt::Propagate but runs over the CSR arrays with a dense
 /// scatter/accumulate/re-sparsify instead of sparse gather + sort; entries
-/// of the result are sorted by value. Dispatches to the AVX2+FMA kernel
-/// when the CPU supports it (see Backend()).
+/// of the result are sorted by value. The result's entries are built in
+/// `buffer` (cleared first), so passing a recycled buffer makes the call
+/// allocation-free. Dispatches to the AVX2+FMA kernel when the CPU supports
+/// it (see Backend()).
 Distribution Propagate(const Cpt& cpt, const Distribution& in,
-                       PropagationWorkspace* ws);
+                       PropagationWorkspace* ws,
+                       std::vector<Distribution::Entry> buffer = {});
 
-/// Chain-rule composition with the same semantics as ComposeCpts: returns
-/// CPT(a -> b) with P(z|x) = sum_y first(y|x) * second(z|y). The dense
-/// scratch is hoisted across all source rows (and across calls, via `ws`).
-Cpt Compose(const Cpt& first, const Cpt& second, uint32_t domain_size,
-            PropagationWorkspace* ws);
+/// Chain-rule composition with the same semantics as ComposeCpts: writes
+/// CPT(a -> b) with P(z|x) = sum_y first(y|x) * second(z|y) straight into
+/// `out`'s arrays, reusing their capacity (`out` must not alias an input).
+/// The dense scratch is hoisted across all source rows (and across calls,
+/// via `ws`).
+void Compose(const Cpt& first, const Cpt& second, uint32_t domain_size,
+             PropagationWorkspace* ws, Cpt* out);
 
 /// Which kernel implementation is live: "avx2+fma" or "scalar". Resolved
 /// once per process; CALDERA_FORCE_SCALAR_KERNELS=1 in the environment
@@ -91,14 +71,14 @@ void ForceScalar(bool force);
 // benchmarks. The scalar variants are the reference implementation (the
 // two-pointer merge + dense scratch described in the design doc); the Simd
 // variants must only be called when SimdSupported().
-Distribution PropagateScalar(const CsrCpt& cpt, const Distribution& in,
+Distribution PropagateScalar(const Cpt& cpt, const Distribution& in,
                              PropagationWorkspace* ws);
-Distribution PropagateSimd(const CsrCpt& cpt, const Distribution& in,
+Distribution PropagateSimd(const Cpt& cpt, const Distribution& in,
                            PropagationWorkspace* ws);
-Cpt ComposeScalar(const CsrCpt& first, const CsrCpt& second,
-                  uint32_t domain_size, PropagationWorkspace* ws);
-Cpt ComposeSimd(const CsrCpt& first, const CsrCpt& second,
-                uint32_t domain_size, PropagationWorkspace* ws);
+void ComposeScalar(const Cpt& first, const Cpt& second, uint32_t domain_size,
+                   PropagationWorkspace* ws, Cpt* out);
+void ComposeSimd(const Cpt& first, const Cpt& second, uint32_t domain_size,
+                 PropagationWorkspace* ws, Cpt* out);
 
 }  // namespace internal
 }  // namespace kernels

@@ -26,7 +26,7 @@ Status MarkovianStream::Validate(double tol) const {
     CALDERA_RETURN_IF_ERROR(cpt.ValidateStochastic(tol));
     // Every supported source must have a row.
     for (const Distribution::Entry& e : marginals_[t - 1].entries()) {
-      if (e.prob > tol && cpt.FindRow(e.value) == nullptr) {
+      if (e.prob > tol && !cpt.FindRow(e.value)) {
         return Status::Corruption(
             "transition into t=" + std::to_string(t) + " lacks a row for " +
             "supported source " + std::to_string(e.value));
@@ -66,11 +66,12 @@ void MarkovianStream::RelabelValues(const std::vector<ValueId>& perm) {
   }
   for (Cpt& cpt : transitions_) {
     Cpt relabeled;
-    for (const Cpt::Row& row : cpt.rows()) {
+    for (size_t i = 0; i < cpt.num_rows(); ++i) {
+      const Cpt::RowView row = cpt.row(i);
       std::vector<Cpt::RowEntry> entries;
-      entries.reserve(row.entries.size());
-      for (const Cpt::RowEntry& e : row.entries) {
-        entries.push_back({perm[e.dst], e.prob});
+      entries.reserve(row.size());
+      for (size_t j = 0; j < row.size(); ++j) {
+        entries.push_back({perm[row.dsts[j]], row.probs[j]});
       }
       relabeled.SetRow(perm[row.src], std::move(entries));
     }
@@ -91,7 +92,7 @@ Status MarkovianStream::Concatenate(const MarkovianStream& other,
   // The bridge must cover our final support and land on the other stream's
   // initial support.
   for (const Distribution::Entry& e : marginals_.back().entries()) {
-    if (bridge.FindRow(e.value) == nullptr) {
+    if (!bridge.FindRow(e.value)) {
       return Status::InvalidArgument("bridge CPT missing row for source " +
                                      std::to_string(e.value));
     }

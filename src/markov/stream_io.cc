@@ -166,9 +166,10 @@ Status StoredStream::ReadCoClustered(uint64_t t, Distribution* marginal,
   size_t offset = 0;
   CALDERA_ASSIGN_OR_RETURN(Distribution m,
                            Distribution::Parse(scratch_, &offset));
-  CALDERA_ASSIGN_OR_RETURN(Cpt c, Cpt::Parse(scratch_, &offset));
+  CALDERA_RETURN_IF_ERROR(
+      Cpt::Parse(scratch_, &offset, schema_.state_count(),
+                 transition != nullptr ? transition : &scratch_cpt_));
   if (marginal != nullptr) *marginal = std::move(m);
-  if (transition != nullptr) *transition = std::move(c);
   return Status::Ok();
 }
 
@@ -196,8 +197,7 @@ Status StoredStream::ReadTransition(uint64_t t, Cpt* out) {
   }
   CALDERA_RETURN_IF_ERROR(cpts_->Get(t, &scratch_));
   size_t offset = 0;
-  CALDERA_ASSIGN_OR_RETURN(*out, Cpt::Parse(scratch_, &offset));
-  return Status::Ok();
+  return Cpt::Parse(scratch_, &offset, schema_.state_count(), out);
 }
 
 Status StoredStream::ReadTimestep(uint64_t t, Distribution* marginal,
@@ -211,7 +211,7 @@ Status StoredStream::ReadTimestep(uint64_t t, Distribution* marginal,
   }
   CALDERA_RETURN_IF_ERROR(ReadMarginal(t, marginal));
   if (t == 0) {
-    *transition = Cpt();
+    transition->Clear();
     return Status::Ok();
   }
   return ReadTransition(t, transition);

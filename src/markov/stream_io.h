@@ -100,6 +100,9 @@ class StoredStream {
   // Co-clustered layout:
   std::unique_ptr<RecordFileReader> combined_;
   std::string scratch_;
+  // Decode target for a co-clustered record's CPT when only the marginal
+  // was asked for.
+  Cpt scratch_cpt_;
 };
 
 /// Loads an entire archived stream back into memory (used for index

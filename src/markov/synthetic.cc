@@ -79,23 +79,24 @@ MarkovianStream MakeBandedRandomWalkStream(uint64_t length, uint32_t domain,
     // exactly consistent.
     current.Truncate(truncate_eps);
     Cpt restricted;
-    for (const Cpt::Row& cpt_row : cpt.rows()) {
+    for (size_t i = 0; i < cpt.num_rows(); ++i) {
+      const Cpt::RowView cpt_row = cpt.row(i);
       std::vector<Cpt::RowEntry> kept;
       double sum = 0;
-      for (const Cpt::RowEntry& e : cpt_row.entries) {
-        if (current.ProbabilityOf(e.dst) > 0) {
-          kept.push_back(e);
-          sum += e.prob;
+      for (size_t j = 0; j < cpt_row.size(); ++j) {
+        if (current.ProbabilityOf(cpt_row.dsts[j]) > 0) {
+          kept.push_back({cpt_row.dsts[j], cpt_row.probs[j]});
+          sum += cpt_row.probs[j];
         }
       }
       if (kept.empty()) {
         // Rescue: keep the row's best destination so every supported
         // source retains a row (support widens accordingly below).
-        const Cpt::RowEntry* best = &cpt_row.entries[0];
-        for (const Cpt::RowEntry& e : cpt_row.entries) {
-          if (e.prob > best->prob) best = &e;
+        size_t best = 0;
+        for (size_t j = 1; j < cpt_row.size(); ++j) {
+          if (cpt_row.probs[j] > cpt_row.probs[best]) best = j;
         }
-        kept.push_back({best->dst, 1.0});
+        kept.push_back({cpt_row.dsts[best], 1.0});
         sum = 1.0;
       }
       for (auto& e : kept) e.prob /= sum;

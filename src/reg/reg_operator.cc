@@ -21,12 +21,27 @@ RegOperator::RegOperator(const RegularQuery& query,
     : automaton_(query, schema) {}
 
 void RegOperator::Reset() {
-  mass_.clear();
+  Recycle(&mass_);
   propagated_.clear();
   initialized_ = false;
   last_prob_ = 0.0;
   num_updates_ = 0;
   kernel_seconds_ = 0.0;
+}
+
+std::vector<Distribution::Entry> RegOperator::TakeBuffer() {
+  if (spare_.empty()) return {};
+  std::vector<Distribution::Entry> buffer = std::move(spare_.back());
+  spare_.pop_back();
+  buffer.clear();
+  return buffer;
+}
+
+void RegOperator::Recycle(std::vector<std::pair<int, Distribution>>* dists) {
+  for (auto& [dfa, dist] : *dists) {
+    spare_.push_back(std::move(dist).TakeEntries());
+  }
+  dists->clear();
 }
 
 double RegOperator::ApplyAtoms(
@@ -36,18 +51,13 @@ double RegOperator::ApplyAtoms(
   // Each bucket tracks whether its entries still form one strictly
   // ascending run — true whenever a single source distribution feeds it,
   // the common case — so the merge below can skip the sort entirely.
-  struct Bucket {
-    int dfa;
-    std::vector<Distribution::Entry> entries;
-    bool sorted = true;
-  };
-  std::vector<Bucket> buckets;
-  auto bucket_for = [&buckets](int dfa) -> Bucket& {
-    for (Bucket& b : buckets) {
+  buckets_.clear();
+  auto bucket_for = [this](int dfa) -> Bucket& {
+    for (Bucket& b : buckets_) {
       if (b.dfa == dfa) return b;
     }
-    buckets.push_back(Bucket{dfa, {}, true});
-    return buckets.back();
+    buckets_.push_back(Bucket{dfa, TakeBuffer(), true});
+    return buckets_.back();
   };
 
   for (auto& [dfa, dist] : propagated) {
@@ -61,11 +71,10 @@ double RegOperator::ApplyAtoms(
       b.entries.push_back(e);
     }
   }
-  propagated.clear();
-
-  mass_.clear();
+  Recycle(&propagated);
+  Recycle(&mass_);
   double accept = 0.0;
-  for (Bucket& b : buckets) {
+  for (Bucket& b : buckets_) {
     Distribution dist = b.sorted ? Distribution::FromSorted(std::move(b.entries))
                                  : Distribution::FromPairs(std::move(b.entries));
     if (automaton_.IsAccepting(b.dfa)) accept += dist.Mass();
@@ -102,7 +111,10 @@ double RegOperator::Initialize(const Distribution& marginal) {
   initialized_ = true;
   ++num_updates_;
   propagated_.clear();
-  propagated_.emplace_back(automaton_.start_state(), marginal);
+  std::vector<Distribution::Entry> entries = TakeBuffer();
+  entries.assign(marginal.entries().begin(), marginal.entries().end());
+  propagated_.emplace_back(automaton_.start_state(),
+                           Distribution::FromSorted(std::move(entries)));
   last_prob_ = ApplyAtoms(propagated_);
   return last_prob_;
 }
@@ -114,8 +126,8 @@ double RegOperator::Update(const Cpt& transition) {
   propagated_.reserve(mass_.size());
   const auto start = Clock::now();
   for (auto& [dfa, dist] : mass_) {
-    propagated_.emplace_back(dfa,
-                             kernels::Propagate(transition, dist, &workspace_));
+    propagated_.emplace_back(
+        dfa, kernels::Propagate(transition, dist, &workspace_, TakeBuffer()));
   }
   kernel_seconds_ += SecondsSince(start);
   last_prob_ = ApplyAtoms(propagated_);
@@ -134,7 +146,8 @@ double RegOperator::UpdateSpanning(const Cpt& span, uint64_t gap) {
   propagated_.reserve(mass_.size());
   const auto start = Clock::now();
   for (auto& [dfa, dist] : mass_) {
-    propagated_.emplace_back(dfa, kernels::Propagate(span, dist, &workspace_));
+    propagated_.emplace_back(
+        dfa, kernels::Propagate(span, dist, &workspace_, TakeBuffer()));
   }
   kernel_seconds_ += SecondsSince(start);
   last_prob_ = ApplyAtoms(propagated_);
@@ -151,7 +164,7 @@ double RegOperator::UpdateIndependent(const Distribution& marginal) {
     double scale = dist.Mass();
     if (scale == 0.0) continue;
     // Scaling preserves the marginal's sorted order, so build directly.
-    std::vector<Distribution::Entry> entries;
+    std::vector<Distribution::Entry> entries = TakeBuffer();
     entries.reserve(marginal.support_size());
     for (const Distribution::Entry& e : marginal.entries()) {
       entries.push_back({e.value, e.prob * scale});

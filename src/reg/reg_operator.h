@@ -84,16 +84,32 @@ class RegOperator {
   /// Merges states of `mass_` through the null-atom transition.
   void CollapseNull();
 
+  /// An empty entry buffer, recycled from a dropped distribution when one
+  /// is spare; Recycle clears `dists`, keeping their buffers. Together they
+  /// let a steady-state update reuse buffers instead of allocating.
+  std::vector<Distribution::Entry> TakeBuffer();
+  void Recycle(std::vector<std::pair<int, Distribution>>* dists);
+
+  // Entries routed to one DFA state by ApplyAtoms.
+  struct Bucket {
+    int dfa;
+    std::vector<Distribution::Entry> entries;
+    // True while the entries form one strictly ascending run.
+    bool sorted;
+  };
+
   QueryAutomaton automaton_;
   // Live DFA states and their value distributions, sorted by DFA id.
   std::vector<std::pair<int, Distribution>> mass_;
   // Dense-scratch workspace shared by every propagation this operator
-  // performs; sized once per domain, so steady-state updates allocate only
-  // the output distributions.
+  // performs; sized once per domain.
   kernels::PropagationWorkspace workspace_;
-  // Staging buffer for propagated (DFA state, distribution) pairs, reused
-  // across timesteps.
+  // Staging for propagated (DFA state, distribution) pairs and for
+  // ApplyAtoms' buckets, reused across timesteps.
   std::vector<std::pair<int, Distribution>> propagated_;
+  std::vector<Bucket> buckets_;
+  // Entry buffers of dropped distributions, kept for reuse.
+  std::vector<std::vector<Distribution::Entry>> spare_;
   bool initialized_ = false;
   double last_prob_ = 0.0;
   uint64_t num_updates_ = 0;

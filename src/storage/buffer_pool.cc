@@ -71,8 +71,7 @@ void BufferPool::Unpin(size_t frame) {
   CALDERA_DCHECK(f.pin_count > 0);
   --f.pin_count;
   if (f.pin_count == 0) {
-    lru_.push_front(frame);
-    f.lru_pos = lru_.begin();
+    lru_.splice(lru_.begin(), parked_, f.lru_pos);
     f.in_lru = true;
   }
 }
@@ -80,7 +79,7 @@ void BufferPool::Unpin(size_t frame) {
 void BufferPool::TouchLru(size_t frame) {
   Frame& f = frames_[frame];
   if (f.in_lru) {
-    lru_.erase(f.lru_pos);
+    parked_.splice(parked_.end(), lru_, f.lru_pos);
     f.in_lru = false;
   }
 }
@@ -108,6 +107,7 @@ Result<size_t> BufferPool::GrabFrame() {
     if (frames_[frame].data == nullptr) {
       frames_[frame].data =
           std::make_unique_for_overwrite<char[]>(pager_->page_size());
+      frames_[frame].lru_pos = parked_.insert(parked_.end(), frame);
     }
     return frame;
   }
@@ -117,7 +117,7 @@ Result<size_t> BufferPool::GrabFrame() {
         " frames pinned");
   }
   size_t victim = lru_.back();
-  lru_.pop_back();
+  parked_.splice(parked_.end(), lru_, std::prev(lru_.end()));
   frames_[victim].in_lru = false;
   CALDERA_RETURN_IF_ERROR(EvictFrame(victim));
   return victim;

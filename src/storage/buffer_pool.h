@@ -104,7 +104,9 @@ class BufferPool {
     uint32_t pin_count = 0;
     bool dirty = false;
     bool in_use = false;
-    // Position in lru_ when unpinned and resident.
+    // The frame's one list node, made with its buffer: in lru_ when
+    // unpinned and resident, else in parked_. Moving it by splice keeps a
+    // page hit from allocating.
     std::list<size_t>::iterator lru_pos;
     bool in_lru = false;
   };
@@ -119,6 +121,7 @@ class BufferPool {
   std::vector<Frame> frames_;
   std::unordered_map<PageId, size_t> page_table_;
   std::list<size_t> lru_;          // Front = most recently used.
+  std::list<size_t> parked_;       // Nodes of pinned or free frames.
   std::vector<size_t> free_frames_;
   BufferPoolStats stats_;
 };

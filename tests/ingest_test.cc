@@ -22,6 +22,7 @@
 #include "index/mc_index.h"
 #include "storage/fault_injection_file.h"
 #include "storage/record_file.h"
+#include "storage/wal.h"
 #include "test_util.h"
 
 namespace caldera {
@@ -915,6 +916,63 @@ TEST(IngestCorruptionTest, CorruptMcDomainFailsBeforeCommit) {
   auto stored = StoredStream::Open(dir);
   ASSERT_TRUE(stored.ok());
   EXPECT_EQ((*stored)->length(), 120u);
+}
+
+// Writes a committed-looking batch frame (its CRC computed by Wal::Append)
+// into the stream's WAL, so the next StreamIngestor::Open replays it.
+void PlantBatchFrame(const std::string& dir, const std::string& payload) {
+  auto wal = Wal::Open(StreamIngestor::WalPath(dir));
+  ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+  constexpr uint8_t kBatchFrameType = 1;
+  ASSERT_TRUE((*wal)->Append(kBatchFrameType, payload).ok());
+  ASSERT_TRUE((*wal)->Sync().ok());
+}
+
+// A batch frame whose count field claims 0xFFFFFFFF timesteps: the decoder
+// must refuse it from the payload size, not allocate for it first.
+TEST(IngestCorruptionTest, BatchFrameWithHugeCountIsCorruption) {
+  test::ScratchDir scratch("ingest_huge_count");
+  MarkovianStream full = test::MakeBandedStream(40, 8, 71);
+  StreamArchive archive(scratch.Path("archive"));
+  ASSERT_TRUE(archive.Init().ok());
+  ASSERT_TRUE(archive.CreateStream("s", full).ok());
+  const std::string dir = archive.StreamDir("s");
+  std::string payload;
+  PutFixed64(full.length(), &payload);  // base
+  PutFixed32(0xFFFFFFFFu, &payload);    // count
+  PutFixed32(0, &payload);              // An empty marginal...
+  PutFixed32(0, &payload);              // ...and an empty CPT.
+  PlantBatchFrame(dir, payload);
+  auto opened = StreamIngestor::Open(dir);
+  EXPECT_EQ(opened.status().code(), StatusCode::kCorruption)
+      << opened.status().ToString();
+}
+
+// A replayed batch whose CPT names a state outside the schema is refused
+// before it reaches the stream files or the kernels.
+TEST(IngestCorruptionTest, BatchFrameCptOutsideDomainIsCorruption) {
+  test::ScratchDir scratch("ingest_cpt_domain");
+  MarkovianStream full = test::MakeBandedStream(40, 8, 72);
+  StreamArchive archive(scratch.Path("archive"));
+  ASSERT_TRUE(archive.Init().ok());
+  ASSERT_TRUE(archive.CreateStream("s", Prefix(full, 39)).ok());
+  const std::string dir = archive.StreamDir("s");
+  std::string payload;
+  PutFixed64(39, &payload);  // base
+  PutFixed32(1, &payload);   // count
+  full.marginal(39).AppendTo(&payload);
+  PutFixed32(1, &payload);  // One CPT row:
+  PutFixed32(0, &payload);  //   src 0,
+  PutFixed32(1, &payload);  //   one entry,
+  PutFixed32(0xF0000000u, &payload);  // dst far outside the 8 states.
+  PutDouble(1.0, &payload);
+  PlantBatchFrame(dir, payload);
+  auto opened = StreamIngestor::Open(dir);
+  EXPECT_EQ(opened.status().code(), StatusCode::kCorruption)
+      << opened.status().ToString();
+  auto stored = StoredStream::Open(dir);
+  ASSERT_TRUE(stored.ok());
+  EXPECT_EQ((*stored)->length(), 39u);
 }
 
 }  // namespace

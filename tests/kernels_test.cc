@@ -14,7 +14,6 @@
 namespace caldera {
 namespace {
 
-using kernels::CsrCpt;
 using kernels::PropagationWorkspace;
 
 // ---------------------------------------------------------------------------
@@ -94,12 +93,13 @@ void ExpectCptsNear(const Cpt& a, const Cpt& b, uint32_t domain, double tol,
 // of ComposeCpts itself.
 Cpt BruteForceCompose(const Cpt& first, const Cpt& second, uint32_t domain) {
   Cpt out;
-  for (const Cpt::Row& row : first.rows()) {
+  for (size_t r = 0; r < first.num_rows(); ++r) {
+    const Cpt::RowView row = first.row(r);
     std::vector<Cpt::RowEntry> entries;
     for (uint32_t z = 0; z < domain; ++z) {
       double p = 0;
-      for (const Cpt::RowEntry& e : row.entries) {
-        p += e.prob * second.Probability(e.dst, z);
+      for (size_t j = 0; j < row.size(); ++j) {
+        p += row.probs[j] * second.Probability(row.dsts[j], z);
       }
       if (p != 0.0) entries.push_back({z, p});
     }
@@ -108,50 +108,59 @@ Cpt BruteForceCompose(const Cpt& first, const Cpt& second, uint32_t domain) {
   return out;
 }
 
+// Entry-list reference for composition: row x of first·second is row x of
+// first, read as a distribution over mids, propagated through second by
+// Cpt::Propagate.
+Cpt EntryListCompose(const Cpt& first, const Cpt& second) {
+  Cpt out;
+  for (size_t r = 0; r < first.num_rows(); ++r) {
+    const Cpt::RowView row = first.row(r);
+    std::vector<Distribution::Entry> mids;
+    for (size_t j = 0; j < row.size(); ++j) {
+      mids.push_back({row.dsts[j], row.probs[j]});
+    }
+    Distribution composed =
+        second.Propagate(Distribution::FromSorted(std::move(mids)));
+    std::vector<Cpt::RowEntry> entries;
+    for (const Distribution::Entry& e : composed.entries()) {
+      entries.push_back({e.value, e.prob});
+    }
+    if (!entries.empty()) out.SetRow(row.src, std::move(entries));
+  }
+  return out;
+}
+
+Cpt ComposeWith(void (*kernel)(const Cpt&, const Cpt&, uint32_t,
+                               PropagationWorkspace*, Cpt*),
+                const Cpt& first, const Cpt& second, uint32_t domain,
+                PropagationWorkspace* ws) {
+  Cpt out;
+  kernel(first, second, domain, ws, &out);
+  return out;
+}
+
 // ---------------------------------------------------------------------------
-// CSR view.
+// CSR layout.
 
 TEST(CsrCptTest, FlattensRowsInOrder) {
   Cpt cpt;
-  cpt.SetRow(2, {{1, 0.5}, {4, 0.5}});
   cpt.SetRow(7, {{0, 1.0}});
-  CsrCpt csr = CsrCpt::From(cpt);
-  ASSERT_EQ(csr.num_rows(), 2u);
-  EXPECT_EQ(csr.srcs, (std::vector<ValueId>{2, 7}));
-  EXPECT_EQ(csr.offsets, (std::vector<uint32_t>{0, 2, 3}));
-  EXPECT_EQ(csr.dsts, (std::vector<ValueId>{1, 4, 0}));
-  EXPECT_EQ(csr.probs, (std::vector<double>{0.5, 0.5, 1.0}));
-  EXPECT_EQ(csr.dst_begin, 0u);
-  EXPECT_EQ(csr.dst_end, 5u);
-  EXPECT_EQ(csr.nnz(), 3u);
+  cpt.SetRow(2, {{4, 0.5}, {1, 0.5}});
+  ASSERT_EQ(cpt.num_rows(), 2u);
+  EXPECT_EQ(cpt.srcs(), (std::vector<ValueId>{2, 7}));
+  EXPECT_EQ(cpt.offsets(), (std::vector<uint32_t>{0, 2, 3}));
+  EXPECT_EQ(cpt.dsts(), (std::vector<ValueId>{1, 4, 0}));
+  EXPECT_EQ(cpt.probs(), (std::vector<double>{0.5, 0.5, 1.0}));
+  EXPECT_EQ(cpt.dst_begin(), 0u);
+  EXPECT_EQ(cpt.dst_end(), 5u);
+  EXPECT_EQ(cpt.nnz(), 3u);
 }
 
 TEST(CsrCptTest, EmptyCpt) {
-  CsrCpt csr = CsrCpt::From(Cpt{});
-  EXPECT_TRUE(csr.empty());
-  EXPECT_EQ(csr.offsets, (std::vector<uint32_t>{0}));
-  EXPECT_EQ(csr.dst_end, 0u);
-}
-
-TEST(CsrCptTest, CachedViewIsStableUntilMutation) {
   Cpt cpt;
-  cpt.SetRow(0, {{0, 1.0}});
-  const CsrCpt* first = &cpt.csr();
-  EXPECT_EQ(first, &cpt.csr()) << "csr() must cache";
-  cpt.SetRow(1, {{1, 1.0}});
-  const CsrCpt& rebuilt = cpt.csr();
-  EXPECT_EQ(rebuilt.num_rows(), 2u) << "mutation must invalidate the cache";
-}
-
-TEST(CsrCptTest, CopyAndEqualityIgnoreCache) {
-  Cpt a;
-  a.SetRow(0, {{0, 0.5}, {1, 0.5}});
-  a.csr();  // Populate the cache on one side only.
-  Cpt b = a;
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(b.csr().nnz(), 2u);
-  b.SetRow(1, {{0, 1.0}});
-  EXPECT_FALSE(a == b);
+  EXPECT_TRUE(cpt.empty());
+  EXPECT_TRUE(cpt.offsets().empty());
+  EXPECT_EQ(cpt.dst_end(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -179,13 +188,12 @@ TEST(KernelDifferentialTest, PropagateMatchesLegacyAcrossShapes) {
       Cpt cpt = RandomCpt(s.domain, s.row_density, s.entry_density, &rng);
       Distribution in = RandomDistribution(s.domain, s.dist_density, &rng);
       Distribution legacy = cpt.Propagate(in);
-      const CsrCpt& csr = cpt.csr();
-      Distribution scalar = kernels::internal::PropagateScalar(csr, in, &ws);
+      Distribution scalar = kernels::internal::PropagateScalar(cpt, in, &ws);
       std::string ctx = "domain=" + std::to_string(s.domain) +
                         " round=" + std::to_string(round);
       ExpectDistsNear(legacy, scalar, 1e-12, "scalar " + ctx);
       if (kernels::internal::SimdSupported()) {
-        Distribution simd = kernels::internal::PropagateSimd(csr, in, &ws);
+        Distribution simd = kernels::internal::PropagateSimd(cpt, in, &ws);
         ExpectDistsNear(scalar, simd, 1e-12, "simd " + ctx);
       }
       Distribution dispatched = kernels::Propagate(cpt, in, &ws);
@@ -220,7 +228,7 @@ TEST(KernelDifferentialTest, PropagateAdversarialCases) {
   Distribution fast = kernels::Propagate(gappy, wide, &ws);
   ExpectDistsNear(legacy, fast, 1e-12, "gappy");
   if (kernels::internal::SimdSupported()) {
-    Distribution simd = kernels::internal::PropagateSimd(gappy.csr(), wide, &ws);
+    Distribution simd = kernels::internal::PropagateSimd(gappy, wide, &ws);
     ExpectDistsNear(legacy, simd, 1e-12, "gappy simd");
   }
 }
@@ -235,16 +243,18 @@ TEST(KernelDifferentialTest, ComposeMatchesBruteForceSmallDomains) {
       Cpt expected = BruteForceCompose(first, second, domain);
       std::string ctx = "domain=" + std::to_string(domain) +
                         " round=" + std::to_string(round);
-      Cpt scalar = kernels::internal::ComposeScalar(first.csr(), second.csr(),
-                                                    domain, &ws);
+      Cpt scalar = ComposeWith(&kernels::internal::ComposeScalar, first,
+                               second, domain, &ws);
       ExpectCptsNear(expected, scalar, domain, 1e-12, "scalar " + ctx);
       if (kernels::internal::SimdSupported()) {
-        Cpt simd = kernels::internal::ComposeSimd(first.csr(), second.csr(),
-                                                  domain, &ws);
+        Cpt simd = ComposeWith(&kernels::internal::ComposeSimd, first, second,
+                               domain, &ws);
         ExpectCptsNear(scalar, simd, domain, 1e-12, "simd " + ctx);
       }
       Cpt dispatched = ComposeCpts(first, second, domain);
       ExpectCptsNear(expected, dispatched, domain, 1e-12, "dispatched " + ctx);
+      ExpectCptsNear(EntryListCompose(first, second), dispatched, domain,
+                     1e-12, "entry-list " + ctx);
     }
   }
 }
@@ -259,28 +269,33 @@ TEST(KernelDifferentialTest, ComposeScalarSimdParityLargeDomains) {
     for (double density : {0.01, 0.10}) {
       Cpt first = RandomCpt(domain, 0.6, density, &rng);
       Cpt second = RandomCpt(domain, 0.6, density, &rng);
-      Cpt scalar = kernels::internal::ComposeScalar(first.csr(), second.csr(),
-                                                    domain, &ws);
-      Cpt simd = kernels::internal::ComposeSimd(first.csr(), second.csr(),
-                                                domain, &ws);
+      Cpt scalar = ComposeWith(&kernels::internal::ComposeScalar, first,
+                               second, domain, &ws);
+      Cpt simd = ComposeWith(&kernels::internal::ComposeSimd, first, second,
+                             domain, &ws);
       // Exact same support and per-entry agreement.
-      ASSERT_EQ(scalar.rows().size(), simd.rows().size());
-      for (size_t r = 0; r < scalar.rows().size(); ++r) {
-        const Cpt::Row& rs = scalar.rows()[r];
-        const Cpt::Row& rv = simd.rows()[r];
-        ASSERT_EQ(rs.src, rv.src);
-        ASSERT_EQ(rs.entries.size(), rv.entries.size());
-        for (size_t i = 0; i < rs.entries.size(); ++i) {
-          ASSERT_EQ(rs.entries[i].dst, rv.entries[i].dst);
-          ASSERT_NEAR(rs.entries[i].prob, rv.entries[i].prob, 1e-12);
-        }
+      ASSERT_EQ(scalar.srcs(), simd.srcs());
+      ASSERT_EQ(scalar.offsets(), simd.offsets());
+      ASSERT_EQ(scalar.dsts(), simd.dsts());
+      EXPECT_EQ(scalar.dst_begin(), simd.dst_begin());
+      EXPECT_EQ(scalar.dst_end(), simd.dst_end());
+      for (size_t i = 0; i < scalar.nnz(); ++i) {
+        ASSERT_NEAR(scalar.probs()[i], simd.probs()[i], 1e-12);
+      }
+      // The entry-list reference agrees too.
+      Cpt reference = EntryListCompose(first, second);
+      ASSERT_EQ(reference.srcs(), scalar.srcs());
+      ASSERT_EQ(reference.dsts(), scalar.dsts());
+      for (size_t i = 0; i < scalar.nnz(); ++i) {
+        ASSERT_NEAR(reference.probs()[i], scalar.probs()[i], 1e-12);
       }
     }
   }
 }
 
 // The workspace's all-zero invariant: interleaving wildly different shapes
-// through one workspace never changes any result.
+// through one workspace never changes any result. Neither does reusing an
+// output: a recycled entry buffer or a previously composed table.
 TEST(KernelDifferentialTest, WorkspaceReuseIsStateless) {
   Rng rng(42);
   std::vector<Cpt> cpts;
@@ -297,7 +312,16 @@ TEST(KernelDifferentialTest, WorkspaceReuseIsStateless) {
       Distribution b = kernels::Propagate(cpts[i], dists[i], &fresh);
       EXPECT_EQ(a.entries().size(), b.entries().size());
       ExpectDistsNear(a, b, 0.0, "shared-vs-fresh " + std::to_string(i));
+      Distribution recycled = kernels::Propagate(
+          cpts[i], dists[i], &shared, std::move(a).TakeEntries());
+      EXPECT_EQ(recycled, b) << "recycled buffer " << i;
     }
+  }
+  Cpt reused;
+  for (size_t i = 0; i < cpts.size(); ++i) {
+    const uint32_t domain = kShapes[i].domain;
+    kernels::Compose(cpts[i], cpts[i], domain, &shared, &reused);
+    EXPECT_EQ(reused, ComposeCpts(cpts[i], cpts[i], domain)) << i;
   }
 }
 

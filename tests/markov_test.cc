@@ -9,6 +9,7 @@
 #include "markov/distribution.h"
 #include "markov/schema.h"
 #include "markov/stream.h"
+#include "rfid/workload.h"
 #include "test_util.h"
 
 namespace caldera {
@@ -104,8 +105,8 @@ TEST(CptTest, SetRowFindRowProbability) {
   Cpt cpt;
   cpt.SetRow(3, {{1, 0.25}, {0, 0.75}});
   cpt.SetRow(1, {{1, 1.0}});
-  ASSERT_NE(cpt.FindRow(3), nullptr);
-  EXPECT_EQ(cpt.FindRow(2), nullptr);
+  ASSERT_TRUE(cpt.FindRow(3).has_value());
+  EXPECT_FALSE(cpt.FindRow(2).has_value());
   EXPECT_DOUBLE_EQ(cpt.Probability(3, 0), 0.75);
   EXPECT_DOUBLE_EQ(cpt.Probability(3, 1), 0.25);
   EXPECT_DOUBLE_EQ(cpt.Probability(3, 2), 0.0);
@@ -154,9 +155,9 @@ TEST(CptTest, SerializationRoundTrip) {
   std::string buf;
   cpt.AppendTo(&buf);
   size_t offset = 0;
-  auto parsed = Cpt::Parse(buf, &offset);
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(*parsed, cpt);
+  Cpt parsed;
+  ASSERT_TRUE(Cpt::Parse(buf, &offset, /*domain=*/8, &parsed).ok());
+  EXPECT_EQ(parsed, cpt);
   EXPECT_EQ(offset, buf.size());
 }
 
@@ -244,6 +245,170 @@ TEST(CptTest, IdentityCptIsNeutral) {
   EXPECT_EQ(right, a);
 }
 
+// ---------------------------------------------------------------------------
+// Row builder (SetRow over the CSR arrays) and the decoder.
+
+TEST(CptBuilderTest, SortsUnsortedInput) {
+  Cpt cpt;
+  cpt.SetRow(4, {{9, 0.5}, {2, 0.25}, {5, 0.25}});
+  EXPECT_EQ(cpt.dsts(), (std::vector<ValueId>{2, 5, 9}));
+  EXPECT_EQ(cpt.probs(), (std::vector<double>{0.25, 0.25, 0.5}));
+  EXPECT_EQ(cpt.dst_begin(), 2u);
+  EXPECT_EQ(cpt.dst_end(), 10u);
+}
+
+TEST(CptBuilderTest, MergesDuplicateDestinations) {
+  Cpt cpt;
+  cpt.SetRow(0, {{3, 0.2}, {1, 0.3}, {3, 0.1}, {1, 0.4}});
+  ASSERT_EQ(cpt.nnz(), 2u);
+  EXPECT_EQ(cpt.dsts(), (std::vector<ValueId>{1, 3}));
+  // Summed after sorting by destination, as SetRow always has.
+  EXPECT_DOUBLE_EQ(cpt.Probability(0, 1), 0.3 + 0.4);
+  EXPECT_DOUBLE_EQ(cpt.Probability(0, 3), 0.2 + 0.1);
+}
+
+TEST(CptBuilderTest, ReplacingARowKeepsOrderAndBounds) {
+  Cpt cpt;
+  cpt.SetRow(1, {{0, 1.0}});
+  cpt.SetRow(5, {{7, 0.5}, {9, 0.5}});
+  cpt.SetRow(3, {{4, 1.0}});  // Out of order: lands between 1 and 5.
+  EXPECT_EQ(cpt.srcs(), (std::vector<ValueId>{1, 3, 5}));
+  EXPECT_EQ(cpt.offsets(), (std::vector<uint32_t>{0, 1, 2, 4}));
+  EXPECT_EQ(cpt.dst_end(), 10u);
+
+  // Replace the row holding the largest destination with a shorter one:
+  // later offsets shift and the destination bound shrinks.
+  cpt.SetRow(5, {{2, 1.0}});
+  EXPECT_EQ(cpt.srcs(), (std::vector<ValueId>{1, 3, 5}));
+  EXPECT_EQ(cpt.offsets(), (std::vector<uint32_t>{0, 1, 2, 3}));
+  EXPECT_EQ(cpt.dsts(), (std::vector<ValueId>{0, 4, 2}));
+  EXPECT_EQ(cpt.dst_begin(), 0u);
+  EXPECT_EQ(cpt.dst_end(), 5u);
+
+  // The same table built in ascending order compares equal.
+  Cpt ordered;
+  ordered.SetRow(1, {{0, 1.0}});
+  ordered.SetRow(3, {{4, 1.0}});
+  ordered.SetRow(5, {{2, 1.0}});
+  EXPECT_EQ(cpt, ordered);
+}
+
+TEST(CptBuilderTest, EmptyTable) {
+  Cpt empty;
+  EXPECT_TRUE(empty.empty());
+  EXPECT_EQ(empty.nnz(), 0u);
+  EXPECT_FALSE(empty.FindRow(0).has_value());
+  EXPECT_EQ(empty.Probability(0, 0), 0.0);
+  std::string bytes;
+  empty.AppendTo(&bytes);
+  EXPECT_EQ(bytes, std::string(4, '\0'));
+
+  // A cleared table and an empty decode both equal the default one.
+  Cpt cleared;
+  cleared.SetRow(2, {{2, 1.0}});
+  cleared.Clear();
+  EXPECT_EQ(cleared, empty);
+  size_t offset = 0;
+  Cpt parsed;
+  parsed.SetRow(1, {{1, 1.0}});
+  ASSERT_TRUE(Cpt::Parse(bytes, &offset, 4, &parsed).ok());
+  EXPECT_EQ(parsed, empty);
+
+  // An empty row is a row.
+  Cpt one_empty_row;
+  one_empty_row.SetRow(3, {});
+  EXPECT_EQ(one_empty_row.num_rows(), 1u);
+  EXPECT_EQ(one_empty_row.FindRow(3)->size(), 0u);
+  EXPECT_EQ(one_empty_row.dst_end(), 0u);
+}
+
+TEST(CptBuilderTest, CopyAndMoveCompareEqual) {
+  Cpt a;
+  a.SetRow(0, {{0, 0.5}, {1, 0.5}});
+  a.SetRow(4, {{3, 1.0}});
+  Cpt copy = a;
+  EXPECT_EQ(copy, a);
+  Cpt assigned;
+  assigned.SetRow(9, {{9, 1.0}});
+  assigned = a;
+  EXPECT_EQ(assigned, a);
+  Cpt moved = std::move(copy);
+  EXPECT_EQ(moved, a);
+  moved.SetRow(1, {{0, 1.0}});
+  EXPECT_FALSE(moved == a);
+  EXPECT_EQ(a.num_rows(), 2u) << "copies must not share storage";
+}
+
+TEST(CptBuilderTest, ParseAppendToRoundTripIsByteIdentical) {
+  RoutineSpec spec;
+  spec.length = 300;
+  spec.paper_building = false;
+  Result<RoutineWorkload> w = MakeRoutineStream(spec);
+  ASSERT_TRUE(w.ok()) << w.status().ToString();
+  const uint32_t domain = w->schema.state_count();
+  // One Cpt decodes every step in turn, as the scan does.
+  Cpt decoded;
+  for (uint64_t t = 1; t < w->stream.length(); ++t) {
+    std::string bytes;
+    w->stream.transition(t).AppendTo(&bytes);
+    size_t offset = 0;
+    ASSERT_TRUE(Cpt::Parse(bytes, &offset, domain, &decoded).ok()) << t;
+    EXPECT_EQ(offset, bytes.size());
+    EXPECT_EQ(decoded, w->stream.transition(t)) << t;
+    std::string again;
+    decoded.AppendTo(&again);
+    ASSERT_EQ(again, bytes) << t;
+  }
+}
+
+TEST(CptTest, ParseReusesCapacity) {
+  Cpt big;
+  for (uint32_t src = 0; src < 8; ++src) {
+    big.SetRow(src, {{src, 0.5}, {(src + 1) % 8, 0.5}});
+  }
+  Cpt small;
+  small.SetRow(2, {{3, 1.0}});
+  std::string big_bytes, small_bytes;
+  big.AppendTo(&big_bytes);
+  small.AppendTo(&small_bytes);
+  Cpt out;
+  size_t offset = 0;
+  ASSERT_TRUE(Cpt::Parse(big_bytes, &offset, 8, &out).ok());
+  const ValueId* dsts = out.dsts().data();
+  const double* probs = out.probs().data();
+  offset = 0;
+  ASSERT_TRUE(Cpt::Parse(small_bytes, &offset, 8, &out).ok());
+  EXPECT_EQ(out, small);
+  EXPECT_EQ(out.dsts().data(), dsts);
+  EXPECT_EQ(out.probs().data(), probs);
+}
+
+TEST(CptTest, ParseRejectsIdsOutsideDomain) {
+  auto parse = [](ValueId src, ValueId dst, uint32_t domain) {
+    std::string bytes;
+    PutFixed32(1, &bytes);  // One row...
+    PutFixed32(src, &bytes);
+    PutFixed32(1, &bytes);  // ...with one entry.
+    PutFixed32(dst, &bytes);
+    PutDouble(1.0, &bytes);
+    size_t offset = 0;
+    Cpt out;
+    Status s = Cpt::Parse(bytes, &offset, domain, &out);
+    if (!s.ok()) {
+      EXPECT_TRUE(out.empty()) << "a failed decode leaves it empty";
+    }
+    return s.code();
+  };
+  EXPECT_EQ(parse(3, 3, 4), StatusCode::kOk);
+  EXPECT_EQ(parse(4, 0, 4), StatusCode::kCorruption);
+  EXPECT_EQ(parse(0, 4, 4), StatusCode::kCorruption);
+  // Unchecked, this dst would size the kernels' dense scratch to 4G
+  // doubles, and 0xFFFFFFFF would wrap the destination bound to 0.
+  EXPECT_EQ(parse(0, 0xF0000000u, 352), StatusCode::kCorruption);
+  EXPECT_EQ(parse(0, 0xFFFFFFFFu, 352), StatusCode::kCorruption);
+  EXPECT_EQ(parse(0xFFFFFFFFu, 0, 352), StatusCode::kCorruption);
+}
+
 TEST(SchemaTest, SingleAttribute) {
   StreamSchema schema = SingleAttributeSchema("loc", {"A", "B", "C"});
   EXPECT_EQ(schema.num_attributes(), 1u);
@@ -306,9 +471,12 @@ TEST(StreamTest, ValidateCatchesNonStochasticCpt) {
   MarkovianStream stream = MakeValidStream(10, 4, 6);
   Cpt* cpt = stream.mutable_transition(3);
   Cpt broken;
-  for (const Cpt::Row& row : cpt->rows()) {
-    std::vector<Cpt::RowEntry> entries = row.entries;
-    for (auto& e : entries) e.prob *= 0.5;
+  for (size_t r = 0; r < cpt->num_rows(); ++r) {
+    const Cpt::RowView row = cpt->row(r);
+    std::vector<Cpt::RowEntry> entries;
+    for (size_t j = 0; j < row.size(); ++j) {
+      entries.push_back({row.dsts[j], row.probs[j] * 0.5});
+    }
     broken.SetRow(row.src, std::move(entries));
   }
   *cpt = broken;

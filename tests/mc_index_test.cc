@@ -22,13 +22,14 @@ Cpt DirectSpan(const MarkovianStream& stream, uint64_t from, uint64_t to) {
 
 void ExpectCptsNear(const Cpt& a, const Cpt& b, double tol = 1e-9) {
   ASSERT_EQ(a.num_rows(), b.num_rows());
-  for (const Cpt::Row& row : a.rows()) {
-    const Cpt::Row* other = b.FindRow(row.src);
-    ASSERT_NE(other, nullptr) << "missing row " << row.src;
-    ASSERT_EQ(row.entries.size(), other->entries.size());
-    for (size_t i = 0; i < row.entries.size(); ++i) {
-      EXPECT_EQ(row.entries[i].dst, other->entries[i].dst);
-      EXPECT_NEAR(row.entries[i].prob, other->entries[i].prob, tol);
+  for (size_t r = 0; r < a.num_rows(); ++r) {
+    const Cpt::RowView row = a.row(r);
+    const std::optional<Cpt::RowView> other = b.FindRow(row.src);
+    ASSERT_TRUE(other.has_value()) << "missing row " << row.src;
+    ASSERT_EQ(row.size(), other->size());
+    for (size_t i = 0; i < row.size(); ++i) {
+      EXPECT_EQ(row.dsts[i], other->dsts[i]);
+      EXPECT_NEAR(row.probs[i], other->probs[i], tol);
     }
   }
 }
@@ -231,9 +232,11 @@ TEST_F(McIndexTest, TruncatedIndexStaysClose) {
   Cpt computed;
   ASSERT_TRUE((*index)->ComputeCpt(0, 127, &computed).ok());
   Cpt direct = DirectSpan(stream, 0, 127);
-  for (const Cpt::Row& row : direct.rows()) {
-    for (const Cpt::RowEntry& e : row.entries) {
-      EXPECT_NEAR(computed.Probability(row.src, e.dst), e.prob, 0.05);
+  for (size_t r = 0; r < direct.num_rows(); ++r) {
+    const Cpt::RowView row = direct.row(r);
+    for (size_t j = 0; j < row.size(); ++j) {
+      EXPECT_NEAR(computed.Probability(row.src, row.dsts[j]), row.probs[j],
+                  0.05);
     }
   }
 }

@@ -47,10 +47,10 @@ std::vector<double> BruteForceSignal(const RegularQuery& query,
         if (states[n]) signal[t] += prob;
         if (t + 1 >= stream.length()) return;
         const Cpt& cpt = stream.transition(t + 1);
-        const Cpt::Row* row = cpt.FindRow(value);
-        if (row == nullptr) return;
-        for (const Cpt::RowEntry& e : row->entries) {
-          recurse(t + 1, e.dst, prob * e.prob, states);
+        const std::optional<Cpt::RowView> row = cpt.FindRow(value);
+        if (!row) return;
+        for (size_t j = 0; j < row->size(); ++j) {
+          recurse(t + 1, row->dsts[j], prob * row->probs[j], states);
         }
       };
 

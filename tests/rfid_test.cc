@@ -69,12 +69,12 @@ TEST(LayoutTest, HmmIsValidAndLocal) {
   EXPECT_TRUE(hmm.Validate().ok());
   // Transitions only to self or neighbors.
   for (uint32_t loc = 0; loc < layout.num_locations(); ++loc) {
-    const Cpt::Row* row = hmm.transition().FindRow(loc);
-    ASSERT_NE(row, nullptr);
-    for (const Cpt::RowEntry& e : row->entries) {
-      if (e.dst == loc) continue;
+    const std::optional<Cpt::RowView> row = hmm.transition().FindRow(loc);
+    ASSERT_TRUE(row.has_value());
+    for (ValueId dst : row->dsts) {
+      if (dst == loc) continue;
       const auto& neighbors = layout.neighbors(loc);
-      EXPECT_NE(std::find(neighbors.begin(), neighbors.end(), e.dst),
+      EXPECT_NE(std::find(neighbors.begin(), neighbors.end(), dst),
                 neighbors.end());
     }
   }

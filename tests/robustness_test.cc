@@ -15,6 +15,7 @@
 #include "markov/schema.h"
 #include "markov/stream_io.h"
 #include "query/parser.h"
+#include "rfid/workload.h"
 #include "storage/file.h"
 #include "storage/pager.h"
 #include "storage/record_file.h"
@@ -48,11 +49,92 @@ TEST(RobustnessTest, CptParseOnRandomBytes) {
   for (int i = 0; i < 2000; ++i) {
     std::string bytes = RandomBytes(&rng, 96);
     size_t offset = 0;
-    Result<Cpt> parsed = Cpt::Parse(bytes, &offset);
-    if (parsed.ok()) {
+    Cpt parsed;
+    if (Cpt::Parse(bytes, &offset, /*domain=*/UINT32_MAX, &parsed).ok()) {
       EXPECT_LE(offset, bytes.size());
     }
   }
+}
+
+// The invariants every successfully decoded table must hold; the kernels
+// index their dense scratch by these ids without further checks.
+void ExpectWellFormedCpt(const Cpt& cpt, uint32_t domain) {
+  ASSERT_EQ(cpt.probs().size(), cpt.nnz());
+  if (cpt.empty()) {
+    EXPECT_TRUE(cpt.offsets().empty());
+    EXPECT_EQ(cpt.nnz(), 0u);
+    return;
+  }
+  ASSERT_EQ(cpt.offsets().size(), cpt.num_rows() + 1);
+  EXPECT_EQ(cpt.offsets().front(), 0u);
+  EXPECT_EQ(cpt.offsets().back(), cpt.nnz());
+  for (size_t i = 0; i < cpt.num_rows(); ++i) {
+    EXPECT_LT(cpt.srcs()[i], domain);
+    if (i > 0) {
+      EXPECT_LT(cpt.srcs()[i - 1], cpt.srcs()[i]);
+    }
+    ASSERT_LE(cpt.offsets()[i], cpt.offsets()[i + 1]);
+    for (uint32_t j = cpt.offsets()[i]; j < cpt.offsets()[i + 1]; ++j) {
+      EXPECT_LT(cpt.dsts()[j], domain);
+      EXPECT_GE(cpt.dsts()[j], cpt.dst_begin());
+      EXPECT_LT(cpt.dsts()[j], cpt.dst_end());
+      if (j > cpt.offsets()[i]) {
+        EXPECT_LT(cpt.dsts()[j - 1], cpt.dsts()[j]);
+      }
+    }
+  }
+}
+
+// Serialized transitions of a routine trace, cut at every length and
+// mutated with seeded byte flips, decoded into one reused table as the scan
+// does: each input yields a Status or a well-formed table.
+TEST(RobustnessTest, CptDecodeFuzzOnRoutineTransitions) {
+  RoutineSpec spec;
+  spec.length = 120;
+  spec.paper_building = false;
+  Result<RoutineWorkload> w = MakeRoutineStream(spec);
+  ASSERT_TRUE(w.ok()) << w.status().ToString();
+  const uint32_t domain = w->schema.state_count();
+  std::vector<std::string> records;
+  for (uint64_t t = 1; t < w->stream.length(); t += 7) {
+    records.emplace_back();
+    w->stream.transition(t).AppendTo(&records.back());
+  }
+  Cpt out;
+  for (const std::string& record : records) {
+    for (size_t len = 0; len < record.size(); ++len) {
+      size_t offset = 0;
+      EXPECT_FALSE(Cpt::Parse(std::string_view(record).substr(0, len),
+                              &offset, domain, &out)
+                       .ok())
+          << "a strict prefix of " << record.size() << " bytes: " << len;
+      EXPECT_TRUE(out.empty());
+    }
+    size_t offset = 0;
+    ASSERT_TRUE(Cpt::Parse(record, &offset, domain, &out).ok());
+    ExpectWellFormedCpt(out, domain);
+  }
+  Rng rng(0xDEC0DE);
+  size_t accepted = 0;
+  for (int round = 0; round < 4000; ++round) {
+    std::string mutated = records[rng.NextBelow(records.size())];
+    const int flips = 1 + static_cast<int>(rng.NextBelow(3));
+    for (int f = 0; f < flips; ++f) {
+      mutated[rng.NextBelow(mutated.size())] ^=
+          static_cast<char>(1 + rng.NextBelow(255));
+    }
+    size_t offset = 0;
+    if (Cpt::Parse(mutated, &offset, domain, &out).ok()) {
+      ++accepted;
+      EXPECT_LE(offset, mutated.size());
+      ExpectWellFormedCpt(out, domain);
+    } else {
+      EXPECT_TRUE(out.empty());
+    }
+  }
+  // Flips inside probabilities decode fine; the test must exercise both.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_LT(accepted, 4000u);
 }
 
 TEST(RobustnessTest, SchemaParseOnRandomBytes) {
@@ -89,7 +171,8 @@ TEST(RobustnessTest, MutatedSerializationsStillSafe) {
     mutated[rng.NextBelow(mutated.size())] ^=
         static_cast<char>(1 + rng.NextBelow(255));
     offset = 0;
-    (void)Cpt::Parse(mutated, &offset);
+    Cpt parsed;
+    (void)Cpt::Parse(mutated, &offset, /*domain=*/UINT32_MAX, &parsed);
   }
 }
 
