@@ -81,7 +81,7 @@ void BM_ComposeCpts(benchmark::State& state) {
   Cpt a = RandomCpt(domain, 0.1, 3);
   Cpt b = RandomCpt(domain, 0.1, 4);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ComposeCpts(a, b, domain));
+    benchmark::DoNotOptimize(ComposeCpts(a, b));
   }
 }
 BENCHMARK(BM_ComposeCpts)->Arg(32)->Arg(128)->Arg(352);
@@ -139,7 +139,7 @@ void KernelComposeBench(benchmark::State& state, bool force_scalar) {
   Cpt out;
   kernels::internal::ForceScalar(force_scalar);
   for (auto _ : state) {
-    kernels::Compose(a, b, domain, &ws, &out);
+    kernels::Compose(a, b, &ws, &out);
     benchmark::DoNotOptimize(out);
   }
   kernels::internal::ForceScalar(false);

@@ -1,7 +1,5 @@
 #include "caldera/archive.h"
 
-#include <cstdio>
-#include <cstring>
 #include <filesystem>
 
 #include "common/encoding.h"
@@ -12,12 +10,6 @@
 namespace caldera {
 
 namespace {
-std::string BtcPath(const std::string& dir, size_t attr) {
-  return dir + "/btc.attr" + std::to_string(attr) + ".bt";
-}
-std::string BtpPath(const std::string& dir, size_t attr) {
-  return dir + "/btp.attr" + std::to_string(attr) + ".bt";
-}
 std::string McDir(const std::string& dir) { return dir + "/mc"; }
 std::string JoinPrefix(const std::string& dir, const std::string& column) {
   return dir + "/join." + column;
@@ -49,24 +41,16 @@ Result<std::unique_ptr<ArchivedStream>> ArchivedStream::Open(
   archived->btc_.resize(num_attrs);
   archived->btp_.resize(num_attrs);
   for (size_t attr = 0; attr < num_attrs; ++attr) {
-    if (FileExists(BtcPath(dir, attr))) {
-      Result<std::unique_ptr<BTree>> tree =
-          BTree::Open(BtcPath(dir, attr), pool_pages);
+    for (bool is_btc : {true, false}) {
+      const std::string path =
+          is_btc ? BtcIndexPath(dir, attr) : BtpIndexPath(dir, attr);
+      if (!FileExists(path)) continue;
+      Result<std::unique_ptr<BTree>> tree = BTree::Open(path, pool_pages);
       if (tree.ok()) {
-        archived->btc_[attr] = std::move(*tree);
+        (is_btc ? archived->btc_ : archived->btp_)[attr] = std::move(*tree);
       } else {
-        CALDERA_RETURN_IF_ERROR(
-            admit("btc.attr" + std::to_string(attr) + ".bt", tree.status()));
-      }
-    }
-    if (FileExists(BtpPath(dir, attr))) {
-      Result<std::unique_ptr<BTree>> tree =
-          BTree::Open(BtpPath(dir, attr), pool_pages);
-      if (tree.ok()) {
-        archived->btp_[attr] = std::move(*tree);
-      } else {
-        CALDERA_RETURN_IF_ERROR(
-            admit("btp.attr" + std::to_string(attr) + ".bt", tree.status()));
+        CALDERA_RETURN_IF_ERROR(admit(
+            std::filesystem::path(path).filename().string(), tree.status()));
       }
     }
   }
@@ -77,7 +61,7 @@ Result<std::unique_ptr<ArchivedStream>> ArchivedStream::Open(
         [raw](uint64_t t, Cpt* out) { return raw->ReadTransition(t, out); },
         pool_pages);
     // mc.meta carries no checksum; a domain that disagrees with the schema
-    // would size the composition scratch from a corrupt field.
+    // would bound decoded level entries by a corrupt field.
     if (mc.ok() && (*mc)->domain_size() != raw->schema().state_count()) {
       mc = Status::Corruption("MC index domain does not match the schema in " +
                               McDir(dir));
@@ -169,7 +153,7 @@ Status StreamArchive::BuildBtc(const std::string& name, size_t attr,
   CALDERA_ASSIGN_OR_RETURN(std::unique_ptr<StoredStream> stored,
                            StoredStream::Open(StreamDir(name)));
   return BuildBtcIndexFromStored(stored.get(), attr,
-                                 BtcPath(StreamDir(name), attr), page_size)
+                                 BtcIndexPath(StreamDir(name), attr), page_size)
       .status();
 }
 
@@ -178,7 +162,7 @@ Status StreamArchive::BuildBtp(const std::string& name, size_t attr,
   CALDERA_ASSIGN_OR_RETURN(std::unique_ptr<StoredStream> stored,
                            StoredStream::Open(StreamDir(name)));
   return BuildBtpIndexFromStored(stored.get(), attr,
-                                 BtpPath(StreamDir(name), attr), page_size)
+                                 BtpIndexPath(StreamDir(name), attr), page_size)
       .status();
 }
 
@@ -186,8 +170,11 @@ Status StreamArchive::BuildMc(const std::string& name,
                               const McIndexOptions& options) {
   CALDERA_ASSIGN_OR_RETURN(std::unique_ptr<StoredStream> stored,
                            StoredStream::Open(StreamDir(name)));
-  CALDERA_ASSIGN_OR_RETURN(MarkovianStream stream, LoadStream(stored.get()));
-  return McIndex::Build(stream, McDir(StreamDir(name)), options);
+  StoredStream* raw = stored.get();
+  return McIndex::Build(
+      McDir(StreamDir(name)),
+      [raw](uint64_t t, Cpt* out) { return raw->ReadTransition(t, out); },
+      raw->length(), raw->schema().state_count(), options);
 }
 
 Status StreamArchive::BuildJoinIndex(const std::string& name,
@@ -221,21 +208,8 @@ Status StreamArchive::RebuildIndexes(const std::string& name) {
   }
   const std::string dir = StreamDir(name);
 
-  // Discover what was built from the file names alone — the files
-  // themselves may be arbitrarily damaged.
-  std::vector<size_t> btc_attrs;
-  std::vector<size_t> btp_attrs;
-  std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    std::string file = entry.path().filename().string();
-    size_t attr = 0;
-    if (std::sscanf(file.c_str(), "btc.attr%zu.bt", &attr) == 1) {
-      btc_attrs.push_back(attr);
-    } else if (std::sscanf(file.c_str(), "btp.attr%zu.bt", &attr) == 1) {
-      btp_attrs.push_back(attr);
-    }
-  }
-  if (ec) return Status::IoError("cannot list " + dir + ": " + ec.message());
+  CALDERA_ASSIGN_OR_RETURN(std::vector<TreeIndexFile> trees,
+                           ListTreeIndexFiles(dir));
 
   // The MC index's build parameters live in mc/mc.meta; recover them when
   // the metadata is still readable, otherwise rebuild with defaults.
@@ -246,15 +220,13 @@ Status StreamArchive::RebuildIndexes(const std::string& name) {
     if (meta.ok()) mc_options = meta->options;
   }
 
-  for (size_t attr : btc_attrs) {
-    CALDERA_RETURN_IF_ERROR(RemoveFileIfExists(BtcPath(dir, attr)));
-    CALDERA_RETURN_IF_ERROR(BuildBtc(name, attr));
-  }
-  for (size_t attr : btp_attrs) {
-    CALDERA_RETURN_IF_ERROR(RemoveFileIfExists(BtpPath(dir, attr)));
-    CALDERA_RETURN_IF_ERROR(BuildBtp(name, attr));
+  for (const TreeIndexFile& tree : trees) {
+    CALDERA_RETURN_IF_ERROR(RemoveFileIfExists(tree.path));
+    CALDERA_RETURN_IF_ERROR(tree.is_btc ? BuildBtc(name, tree.attr)
+                                        : BuildBtp(name, tree.attr));
   }
   if (had_mc) {
+    std::error_code ec;
     std::filesystem::remove_all(McDir(dir), ec);
     if (ec) {
       return Status::IoError("cannot remove " + McDir(dir) + ": " +

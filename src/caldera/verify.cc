@@ -85,7 +85,6 @@ Status VerifyBtp(ArchivedStream* archived, const MarkovianStream& stream,
 Status VerifyMc(ArchivedStream* archived, const MarkovianStream& stream,
                 uint32_t samples_per_level, double tol, uint64_t* checked) {
   McIndex* mc = archived->mc();
-  const uint32_t domain = stream.schema().state_count();
   uint64_t span = 1;
   for (uint32_t level = 1; level <= mc->num_levels(); ++level) {
     span *= mc->alpha();
@@ -101,7 +100,7 @@ Status VerifyMc(ArchivedStream* archived, const MarkovianStream& stream,
           mc->ComputeCpt(block * span, (block + 1) * span, &entry));
       Cpt direct = stream.transition(block * span + 1);
       for (uint64_t t = block * span + 2; t <= (block + 1) * span; ++t) {
-        direct = ComposeCpts(direct, stream.transition(t), domain);
+        direct = ComposeCpts(direct, stream.transition(t));
       }
       for (size_t i = 0; i < direct.num_rows(); ++i) {
         const Cpt::RowView row = direct.row(i);

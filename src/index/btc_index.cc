@@ -21,51 +21,13 @@ void DecodeBtcKey(std::string_view key, uint32_t* value, uint64_t* time) {
   *time = DecodeU64(key.data() + 4);
 }
 
-namespace {
-
-struct IndexEntry {
-  uint32_t value;
-  uint64_t time;
-  double prob;
-};
-
-// Aggregates a timestep's state marginal into per-attribute-value masses
-// (Section 3.4.1: tuples sharing a timestamp are disjoint, so predicate /
-// attribute-value probabilities are sums).
-void AppendAttributeEntries(const Distribution& marginal,
-                            const StreamSchema& schema, size_t attr,
-                            uint64_t t, std::vector<IndexEntry>* out) {
-  // Collect (attr value, prob) pairs; values of a sorted state list are not
-  // sorted per attribute, so aggregate via a small sorted buffer.
-  std::vector<std::pair<uint32_t, double>> local;
-  local.reserve(marginal.support_size());
-  for (const Distribution::Entry& e : marginal.entries()) {
-    local.emplace_back(schema.AttributeValue(e.value, attr), e.prob);
-  }
-  // Stable sort on the attribute value only: summation stays in state-id
-  // order, so rebuilt probabilities are bit-identical to any other code
-  // (e.g. the verifier) that accumulates in state order.
-  std::stable_sort(local.begin(), local.end(),
-                   [](const auto& a, const auto& b) {
-                     return a.first < b.first;
-                   });
-  for (size_t i = 0; i < local.size();) {
-    double sum = 0;
-    size_t j = i;
-    while (j < local.size() && local[j].first == local[i].first) {
-      sum += local[j].second;
-      ++j;
-    }
-    out->push_back({local[i].first, t, sum});
-    i = j;
-  }
-}
-
-Result<std::unique_ptr<BTree>> BuildFromEntries(
-    std::vector<IndexEntry> entries, const std::string& path,
+Result<std::unique_ptr<BTree>> BuildBtcIndexFromStored(
+    StoredStream* stream, size_t attr, const std::string& path,
     uint32_t page_size) {
+  CALDERA_ASSIGN_OR_RETURN(std::vector<AttributeEntry> entries,
+                           ReadAttributeEntries(stream, attr));
   std::sort(entries.begin(), entries.end(),
-            [](const IndexEntry& a, const IndexEntry& b) {
+            [](const AttributeEntry& a, const AttributeEntry& b) {
               if (a.value != b.value) return a.value < b.value;
               return a.time < b.time;
             });
@@ -75,7 +37,7 @@ Result<std::unique_ptr<BTree>> BuildFromEntries(
   CALDERA_ASSIGN_OR_RETURN(std::unique_ptr<BTreeBuilder> builder,
                            BTreeBuilder::Create(path, options, page_size));
   std::string value_buf;
-  for (const IndexEntry& e : entries) {
+  for (const AttributeEntry& e : entries) {
     value_buf.clear();
     PutDouble(e.prob, &value_buf);
     CALDERA_RETURN_IF_ERROR(
@@ -84,48 +46,15 @@ Result<std::unique_ptr<BTree>> BuildFromEntries(
   return std::move(*builder).Finish();
 }
 
-}  // namespace
-
-Result<std::unique_ptr<BTree>> BuildBtcIndex(const MarkovianStream& stream,
-                                             size_t attr,
-                                             const std::string& path,
-                                             uint32_t page_size) {
-  if (attr >= stream.schema().num_attributes()) {
-    return Status::InvalidArgument("attribute index out of range");
-  }
-  std::vector<IndexEntry> entries;
-  for (uint64_t t = 0; t < stream.length(); ++t) {
-    AppendAttributeEntries(stream.marginal(t), stream.schema(), attr, t,
-                           &entries);
-  }
-  return BuildFromEntries(std::move(entries), path, page_size);
-}
-
-Result<std::unique_ptr<BTree>> BuildBtcIndexFromStored(
-    StoredStream* stream, size_t attr, const std::string& path,
-    uint32_t page_size) {
-  if (attr >= stream->schema().num_attributes()) {
-    return Status::InvalidArgument("attribute index out of range");
-  }
-  std::vector<IndexEntry> entries;
-  Distribution marginal;
-  for (uint64_t t = 0; t < stream->length(); ++t) {
-    CALDERA_RETURN_IF_ERROR(stream->ReadMarginal(t, &marginal));
-    AppendAttributeEntries(marginal, stream->schema(), attr, t, &entries);
-  }
-  return BuildFromEntries(std::move(entries), path, page_size);
-}
-
 Status InsertBtcTimestep(BTree* tree, const Distribution& marginal,
                          const StreamSchema& schema, size_t attr,
                          uint64_t t) {
   if (tree->options().key_size != kBtcKeySize) {
     return Status::InvalidArgument("tree is not a BT_C index");
   }
-  std::vector<IndexEntry> entries;
-  AppendAttributeEntries(marginal, schema, attr, t, &entries);
   std::string value_buf;
-  for (const IndexEntry& e : entries) {
+  for (const AttributeEntry& e :
+       TimestepAttributeEntries(marginal, schema, attr, t)) {
     value_buf.clear();
     PutDouble(e.prob, &value_buf);
     Status inserted = tree->Insert(EncodeBtcKey(e.value, e.time), value_buf);

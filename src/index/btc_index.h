@@ -8,7 +8,7 @@
 
 #include "btree/btree.h"
 #include "common/status.h"
-#include "markov/stream.h"
+#include "index/attribute_index.h"
 #include "markov/stream_io.h"
 
 namespace caldera {
@@ -30,11 +30,6 @@ std::string EncodeBtcKey(uint32_t value, uint64_t time);
 
 /// Decodes a BT_C key into (value, time).
 void DecodeBtcKey(std::string_view key, uint32_t* value, uint64_t* time);
-
-/// Builds a BT_C index over attribute `attr` of an in-memory stream.
-Result<std::unique_ptr<BTree>> BuildBtcIndex(
-    const MarkovianStream& stream, size_t attr, const std::string& path,
-    uint32_t page_size = kDefaultPageSize);
 
 /// Builds a BT_C index over attribute `attr` of an archived stream
 /// (streaming, one timestep at a time).

@@ -26,49 +26,22 @@ void DecodeBtpKey(std::string_view key, uint32_t* value, double* prob,
 
 namespace {
 
-struct IndexEntry {
-  uint32_t value;
-  double prob;
-  uint64_t time;
-};
-
-void AppendAttributeEntries(const Distribution& marginal,
-                            const StreamSchema& schema, size_t attr,
-                            uint64_t t, std::vector<IndexEntry>* out) {
-  std::vector<std::pair<uint32_t, double>> local;
-  local.reserve(marginal.support_size());
-  for (const Distribution::Entry& e : marginal.entries()) {
-    local.emplace_back(schema.AttributeValue(e.value, attr), e.prob);
-  }
-  // Stable sort on the attribute value only: summation stays in state-id
-  // order, so rebuilt probabilities are bit-identical to any other code
-  // (e.g. the verifier) that accumulates in state order.
-  std::stable_sort(local.begin(), local.end(),
-                   [](const auto& a, const auto& b) {
-                     return a.first < b.first;
-                   });
-  for (size_t i = 0; i < local.size();) {
-    double sum = 0;
-    size_t j = i;
-    while (j < local.size() && local[j].first == local[i].first) {
-      sum += local[j].second;
-      ++j;
-    }
-    // Clamp tiny floating-point overshoots so the order-preserving prob
-    // encoding (which requires p <= 1) never aborts.
-    out->push_back({local[i].first, std::min(sum, 1.0), t});
-    i = j;
-  }
+// The key of one entry. Clamps tiny floating-point overshoots so the
+// order-preserving prob encoding (which requires p <= 1) never aborts.
+std::string EntryKey(const AttributeEntry& e) {
+  return EncodeBtpKey(e.value, std::min(e.prob, 1.0), e.time);
 }
 
-Result<std::unique_ptr<BTree>> BuildFromEntries(
-    std::vector<IndexEntry> entries, const std::string& path,
+}  // namespace
+
+Result<std::unique_ptr<BTree>> BuildBtpIndexFromStored(
+    StoredStream* stream, size_t attr, const std::string& path,
     uint32_t page_size) {
+  CALDERA_ASSIGN_OR_RETURN(std::vector<AttributeEntry> entries,
+                           ReadAttributeEntries(stream, attr));
   std::vector<std::string> keys;
   keys.reserve(entries.size());
-  for (const IndexEntry& e : entries) {
-    keys.push_back(EncodeBtpKey(e.value, e.prob, e.time));
-  }
+  for (const AttributeEntry& e : entries) keys.push_back(EntryKey(e));
   std::sort(keys.begin(), keys.end());
   BTreeOptions options;
   options.key_size = kBtpKeySize;
@@ -81,48 +54,15 @@ Result<std::unique_ptr<BTree>> BuildFromEntries(
   return std::move(*builder).Finish();
 }
 
-}  // namespace
-
-Result<std::unique_ptr<BTree>> BuildBtpIndex(const MarkovianStream& stream,
-                                             size_t attr,
-                                             const std::string& path,
-                                             uint32_t page_size) {
-  if (attr >= stream.schema().num_attributes()) {
-    return Status::InvalidArgument("attribute index out of range");
-  }
-  std::vector<IndexEntry> entries;
-  for (uint64_t t = 0; t < stream.length(); ++t) {
-    AppendAttributeEntries(stream.marginal(t), stream.schema(), attr, t,
-                           &entries);
-  }
-  return BuildFromEntries(std::move(entries), path, page_size);
-}
-
-Result<std::unique_ptr<BTree>> BuildBtpIndexFromStored(
-    StoredStream* stream, size_t attr, const std::string& path,
-    uint32_t page_size) {
-  if (attr >= stream->schema().num_attributes()) {
-    return Status::InvalidArgument("attribute index out of range");
-  }
-  std::vector<IndexEntry> entries;
-  Distribution marginal;
-  for (uint64_t t = 0; t < stream->length(); ++t) {
-    CALDERA_RETURN_IF_ERROR(stream->ReadMarginal(t, &marginal));
-    AppendAttributeEntries(marginal, stream->schema(), attr, t, &entries);
-  }
-  return BuildFromEntries(std::move(entries), path, page_size);
-}
-
 Status InsertBtpTimestep(BTree* tree, const Distribution& marginal,
                          const StreamSchema& schema, size_t attr,
                          uint64_t t) {
   if (tree->options().key_size != kBtpKeySize) {
     return Status::InvalidArgument("tree is not a BT_P index");
   }
-  std::vector<IndexEntry> entries;
-  AppendAttributeEntries(marginal, schema, attr, t, &entries);
-  for (const IndexEntry& e : entries) {
-    Status inserted = tree->Insert(EncodeBtpKey(e.value, e.prob, e.time), {});
+  for (const AttributeEntry& e :
+       TimestepAttributeEntries(marginal, schema, attr, t)) {
+    Status inserted = tree->Insert(EntryKey(e), {});
     if (!inserted.ok() && inserted.code() != StatusCode::kAlreadyExists) {
       return inserted;
     }

@@ -8,7 +8,7 @@
 
 #include "btree/btree.h"
 #include "common/status.h"
-#include "markov/stream.h"
+#include "index/attribute_index.h"
 #include "markov/stream_io.h"
 
 namespace caldera {
@@ -29,11 +29,6 @@ inline constexpr uint32_t kBtpValueSize = 0;
 std::string EncodeBtpKey(uint32_t value, double prob, uint64_t time);
 void DecodeBtpKey(std::string_view key, uint32_t* value, double* prob,
                   uint64_t* time);
-
-/// Builds a BT_P index over attribute `attr` of an in-memory stream.
-Result<std::unique_ptr<BTree>> BuildBtpIndex(
-    const MarkovianStream& stream, size_t attr, const std::string& path,
-    uint32_t page_size = kDefaultPageSize);
 
 /// Builds a BT_P index over attribute `attr` of an archived stream.
 Result<std::unique_ptr<BTree>> BuildBtpIndexFromStored(

@@ -12,10 +12,6 @@ namespace caldera {
 namespace {
 constexpr char kMcMagic[8] = {'C', 'L', 'D', 'R', 'M', 'C', 'I', '1'};
 
-std::string LevelPath(const std::string& dir, uint32_t level) {
-  return dir + "/L" + std::to_string(level) + ".rec";
-}
-
 // Drops entries below `eps`, and rows left empty, building into `scratch`
 // and swapping it in.
 void TruncateCptRows(Cpt* cpt, double eps, Cpt* scratch) {
@@ -59,71 +55,127 @@ Status WriteMcMeta(const std::string& dir, uint64_t stream_length,
   return f->Sync();
 }
 
-}  // namespace
-
-Status McIndex::Build(const MarkovianStream& stream, const std::string& dir,
-                      const McIndexOptions& options) {
-  if (options.alpha < 2) {
-    return Status::InvalidArgument("MC index alpha must be >= 2");
-  }
-  if (stream.length() < 2) {
-    return Status::InvalidArgument("stream too short for an MC index");
-  }
-  CALDERA_RETURN_IF_ERROR(CreateDirectories(dir));
-
-  const uint64_t num_transitions = stream.length() - 1;
-  const uint32_t domain = stream.schema().state_count();
-  uint64_t max_span = options.max_span == 0
-                          ? num_transitions
-                          : std::min(options.max_span, num_transitions);
-
-  // Level 1 entries composed from raw transitions; level i from level i-1.
-  // `prev` holds the previous level's entries in memory (halving each
-  // level, so peak memory is ~2x level 1).
-  std::vector<Cpt> prev;
-  std::vector<uint64_t> level_counts;
-  uint32_t level = 1;
-  uint64_t span = options.alpha;
+// The one construction loop, behind both Build and Extend: appends to every
+// level the entries that LevelCounts(new_length) adds to
+// `meta.level_counts`, then rewrites mc.meta.
+Status AppendSpine(const std::string& dir, const TransitionSource& transitions,
+                   uint64_t new_length, const McMetaSummary& meta,
+                   McExtendStats* stats) {
+  const McIndexOptions& options = meta.options;
+  const std::vector<uint64_t> new_counts =
+      McIndex::LevelCounts(new_length, options);
+  // Only the newly completed blocks of each level's right spine are
+  // composed. Level i composes from level i-1's *stored* (already
+  // truncated) entries, so an extension equals a from-scratch build byte
+  // for byte.
   std::string record;
+  Cpt entry;
+  Cpt part;
   Cpt scratch;
-  while (span <= max_span) {
-    uint64_t count = num_transitions / span;
-    if (count == 0) break;
-    std::vector<Cpt> current;
-    current.reserve(count);
-    CALDERA_ASSIGN_OR_RETURN(
-        std::unique_ptr<RecordFileWriter> writer,
-        RecordFileWriter::Create(LevelPath(dir, level), options.page_size));
-    for (uint64_t k = 0; k < count; ++k) {
-      Cpt entry;
-      if (level == 1) {
-        // Compose raw transitions k*alpha+1 .. (k+1)*alpha.
-        entry = stream.transition(k * span + 1);
-        for (uint64_t s = 2; s <= span; ++s) {
-          ComposeCpts(entry, stream.transition(k * span + s), domain, &scratch);
-          std::swap(entry, scratch);
-        }
-      } else {
-        entry = prev[k * options.alpha];
-        for (uint32_t j = 1; j < options.alpha; ++j) {
-          ComposeCpts(entry, prev[k * options.alpha + j], domain, &scratch);
-          std::swap(entry, scratch);
-        }
+  for (uint32_t level = 1; level <= new_counts.size(); ++level) {
+    const uint64_t new_count = new_counts[level - 1];
+    const bool exists = level <= meta.level_counts.size();
+    const uint64_t old_count = exists ? meta.level_counts[level - 1] : 0;
+    if (new_count == old_count) continue;
+    const std::string path = McIndex::LevelPath(dir, level);
+    std::unique_ptr<RecordFileWriter> writer;
+    if (exists) {
+      CALDERA_ASSIGN_OR_RETURN(writer, RecordFileWriter::OpenForAppend(path));
+      if (writer->num_records() != old_count) {
+        return Status::Corruption(
+            "MC level " + std::to_string(level) + " holds " +
+            std::to_string(writer->num_records()) + " entries but meta says " +
+            std::to_string(old_count));
+      }
+    } else {
+      CALDERA_ASSIGN_OR_RETURN(
+          writer, RecordFileWriter::Create(path, options.page_size));
+      if (stats != nullptr) ++stats->levels_added;
+    }
+    // Source for compositions: raw transitions at level 1, the previous
+    // level's record file (extended and finalized on the prior iteration)
+    // above that.
+    std::unique_ptr<RecordFileReader> prev;
+    if (level > 1) {
+      CALDERA_ASSIGN_OR_RETURN(
+          prev, RecordFileReader::Open(McIndex::LevelPath(dir, level - 1),
+                                       /*pool_pages=*/4));
+    }
+    // Child i of block k: raw transition k*alpha+i+1 at level 1, entry
+    // k*alpha+i of the level below above that.
+    auto read_child = [&](uint64_t k, uint32_t i, Cpt* out) -> Status {
+      if (level == 1) return transitions(k * options.alpha + i + 1, out);
+      CALDERA_RETURN_IF_ERROR(prev->Get(k * options.alpha + i, &record));
+      size_t offset = 0;
+      return Cpt::Parse(record, &offset, meta.domain, out);
+    };
+    for (uint64_t k = old_count; k < new_count; ++k) {
+      CALDERA_RETURN_IF_ERROR(read_child(k, 0, &entry));
+      for (uint32_t i = 1; i < options.alpha; ++i) {
+        CALDERA_RETURN_IF_ERROR(read_child(k, i, &part));
+        ComposeCpts(entry, part, &scratch);
+        std::swap(entry, scratch);
       }
       TruncateCptRows(&entry, options.truncate_eps, &scratch);
       record.clear();
       entry.AppendTo(&record);
       CALDERA_RETURN_IF_ERROR(writer->Append(record).status());
-      current.push_back(std::move(entry));
+      if (stats != nullptr) ++stats->nodes_recomputed;
     }
     CALDERA_RETURN_IF_ERROR(writer->Finalize());
-    level_counts.push_back(count);
-    prev = std::move(current);
-    ++level;
-    span *= options.alpha;
+    if (stats != nullptr) ++stats->levels_touched;
   }
+  return WriteMcMeta(dir, new_length, meta.domain, new_counts, options);
+}
 
-  return WriteMcMeta(dir, stream.length(), domain, level_counts, options);
+}  // namespace
+
+std::vector<uint64_t> McIndex::LevelCounts(uint64_t stream_length,
+                                           const McIndexOptions& options) {
+  std::vector<uint64_t> counts;
+  if (stream_length < 2 || options.alpha < 2) return counts;
+  const uint64_t num_transitions = stream_length - 1;
+  const uint64_t max_span = options.max_span == 0
+                                ? num_transitions
+                                : std::min(options.max_span, num_transitions);
+  // Level i exists while alpha^i <= max_span; comparing before multiplying
+  // keeps alpha^i from overflowing.
+  for (uint64_t span = 1; span <= max_span / options.alpha;) {
+    span *= options.alpha;
+    counts.push_back(num_transitions / span);
+  }
+  return counts;
+}
+
+std::string McIndex::LevelPath(const std::string& dir, uint32_t level) {
+  return dir + "/L" + std::to_string(level) + ".rec";
+}
+
+Status McIndex::Build(const std::string& dir, TransitionSource transitions,
+                      uint64_t length, uint32_t domain,
+                      const McIndexOptions& options) {
+  if (options.alpha < 2) {
+    return Status::InvalidArgument("MC index alpha must be >= 2");
+  }
+  if (length < 2) {
+    return Status::InvalidArgument("stream too short for an MC index");
+  }
+  CALDERA_RETURN_IF_ERROR(CreateDirectories(dir));
+  McMetaSummary empty;
+  empty.domain = domain;
+  empty.options = options;
+  return AppendSpine(dir, transitions, length, empty, nullptr);
+}
+
+Status McIndex::Build(const MarkovianStream& stream, const std::string& dir,
+                      const McIndexOptions& options) {
+  return Build(
+      dir,
+      [&stream](uint64_t t, Cpt* out) {
+        *out = stream.transition(t);
+        return Status::Ok();
+      },
+      stream.length(), stream.schema().state_count(), options);
 }
 
 Result<McMetaSummary> McIndex::ReadMeta(const std::string& dir) {
@@ -136,142 +188,51 @@ Result<McMetaSummary> McIndex::ReadMeta(const std::string& dir) {
     return Status::Corruption("bad MC index meta in " + dir);
   }
   McMetaSummary out;
-  const uint32_t alpha = GetFixed32(meta.data() + 8);
   const uint32_t num_levels = GetFixed32(meta.data() + 12);
-  out.stream_length = GetFixed64(meta.data() + 16);
-  out.domain = GetFixed32(meta.data() + 24);
   if (meta.size() !=
       kMetaPrefixSize + 8 * uint64_t{num_levels} + kMetaOptionsSize) {
     return Status::Corruption("MC index meta in " + dir + " has " +
                               std::to_string(meta.size()) + " bytes for " +
                               std::to_string(num_levels) + " levels");
   }
-  if (alpha < 2) return Status::Corruption("bad MC alpha in " + dir);
-  if (out.stream_length < 2) {
-    return Status::Corruption("bad MC stream length in " + dir);
-  }
-  // Level i holds floor((length - 1) / alpha^i) >= 1 entries, as Build and
-  // Extend write it. Checking every count pins alpha, num_levels and the
-  // stream length against each other, so no corrupt field can overflow a
-  // level span or steer a lookup past a level file.
-  const uint64_t num_transitions = out.stream_length - 1;
+  out.options.alpha = GetFixed32(meta.data() + 8);
+  out.stream_length = GetFixed64(meta.data() + 16);
+  out.domain = GetFixed32(meta.data() + 24);
   size_t offset = kMetaPrefixSize;
-  uint64_t span = 1;
-  out.level_counts.reserve(num_levels);
-  for (uint32_t i = 0; i < num_levels; ++i, offset += 8) {
-    // The level exists only if alpha^(i+1) <= length - 1, which also keeps
-    // the product from overflowing.
-    const bool fits = span <= num_transitions / alpha;
-    if (fits) span *= alpha;
-    const uint64_t count = GetFixed64(meta.data() + offset);
-    if (!fits || count != num_transitions / span) {
-      return Status::Corruption("bad MC level " + std::to_string(i + 1) +
-                                " entry count in " + dir);
-    }
-    out.level_counts.push_back(count);
+  out.level_counts.resize(num_levels);
+  for (uint64_t& count : out.level_counts) {
+    count = GetFixed64(meta.data() + offset);
+    offset += 8;
   }
-  out.options.alpha = alpha;
   out.options.truncate_eps = GetDouble(meta.data() + offset);
   out.options.max_span = GetFixed64(meta.data() + offset + 8);
   out.options.page_size = GetFixed32(meta.data() + offset + 16);
+  if (out.options.alpha < 2) {
+    return Status::Corruption("bad MC alpha in " + dir);
+  }
+  if (out.stream_length < 2) {
+    return Status::Corruption("bad MC stream length in " + dir);
+  }
+  // Pinning every count to the layout ties alpha, max_span, the level
+  // count and the stream length to each other, so no corrupt field can
+  // overflow a level span or steer a lookup past a level file.
+  if (out.level_counts != LevelCounts(out.stream_length, out.options)) {
+    return Status::Corruption("MC level counts in " + dir +
+                              " do not match its length and options");
+  }
   return out;
 }
 
 Status McIndex::Extend(const std::string& dir, TransitionSource transitions,
                        uint64_t new_length, McExtendStats* stats) {
   CALDERA_ASSIGN_OR_RETURN(McMetaSummary meta, ReadMeta(dir));
-  const McIndexOptions& options = meta.options;
   if (new_length < meta.stream_length) {
     return Status::InvalidArgument("MC index extends forward only (" +
                                    std::to_string(meta.stream_length) +
                                    " -> " + std::to_string(new_length) + ")");
   }
   if (new_length == meta.stream_length) return Status::Ok();
-
-  const uint64_t num_transitions = new_length - 1;
-  const uint64_t max_span =
-      options.max_span == 0 ? num_transitions
-                            : std::min(options.max_span, num_transitions);
-
-  // Walk the levels bottom-up exactly as Build does, but only compose the
-  // newly completed blocks of each level's right spine. Level i composes
-  // from level i-1's *stored* (already truncated) entries, so the result is
-  // byte-identical to a from-scratch build.
-  std::vector<uint64_t> new_counts;
-  uint32_t level = 1;
-  uint64_t span = options.alpha;
-  std::string record;
-  Cpt entry;
-  Cpt part;
-  Cpt scratch;
-  while (span <= max_span) {
-    const uint64_t new_count = num_transitions / span;
-    if (new_count == 0) break;
-    const uint64_t old_count =
-        level <= meta.level_counts.size() ? meta.level_counts[level - 1] : 0;
-    if (new_count > old_count) {
-      std::unique_ptr<RecordFileWriter> writer;
-      if (level <= meta.level_counts.size()) {
-        CALDERA_ASSIGN_OR_RETURN(
-            writer, RecordFileWriter::OpenForAppend(LevelPath(dir, level)));
-        if (writer->num_records() != old_count) {
-          return Status::Corruption(
-              "MC level " + std::to_string(level) + " holds " +
-              std::to_string(writer->num_records()) + " entries but meta says " +
-              std::to_string(old_count));
-        }
-      } else {
-        CALDERA_ASSIGN_OR_RETURN(
-            writer,
-            RecordFileWriter::Create(LevelPath(dir, level), options.page_size));
-        if (stats != nullptr) ++stats->levels_added;
-      }
-      // Source for compositions: raw transitions at level 1, the previous
-      // level's record file (extended and finalized on the prior iteration)
-      // above that.
-      std::unique_ptr<RecordFileReader> prev;
-      if (level > 1) {
-        CALDERA_ASSIGN_OR_RETURN(
-            prev, RecordFileReader::Open(LevelPath(dir, level - 1),
-                                         /*pool_pages=*/4));
-      }
-      for (uint64_t k = old_count; k < new_count; ++k) {
-        if (level == 1) {
-          CALDERA_RETURN_IF_ERROR(transitions(k * span + 1, &entry));
-          for (uint64_t s = 2; s <= span; ++s) {
-            CALDERA_RETURN_IF_ERROR(transitions(k * span + s, &part));
-            ComposeCpts(entry, part, meta.domain, &scratch);
-            std::swap(entry, scratch);
-          }
-        } else {
-          CALDERA_RETURN_IF_ERROR(prev->Get(k * options.alpha, &record));
-          size_t offset = 0;
-          CALDERA_RETURN_IF_ERROR(
-              Cpt::Parse(record, &offset, meta.domain, &entry));
-          for (uint32_t j = 1; j < options.alpha; ++j) {
-            CALDERA_RETURN_IF_ERROR(
-                prev->Get(k * options.alpha + j, &record));
-            offset = 0;
-            CALDERA_RETURN_IF_ERROR(
-                Cpt::Parse(record, &offset, meta.domain, &part));
-            ComposeCpts(entry, part, meta.domain, &scratch);
-            std::swap(entry, scratch);
-          }
-        }
-        TruncateCptRows(&entry, options.truncate_eps, &scratch);
-        record.clear();
-        entry.AppendTo(&record);
-        CALDERA_RETURN_IF_ERROR(writer->Append(record).status());
-        if (stats != nullptr) ++stats->nodes_recomputed;
-      }
-      CALDERA_RETURN_IF_ERROR(writer->Finalize());
-      if (stats != nullptr) ++stats->levels_touched;
-    }
-    new_counts.push_back(new_count);
-    ++level;
-    span *= options.alpha;
-  }
-  return WriteMcMeta(dir, new_length, meta.domain, new_counts, options);
+  return AppendSpine(dir, transitions, new_length, meta, stats);
 }
 
 Result<std::unique_ptr<McIndex>> McIndex::Open(const std::string& dir,
@@ -350,7 +311,7 @@ Status McIndex::ComputeCpt(uint64_t from, uint64_t to, Cpt* out) {
     if (have_result) {
       ++compositions_;
       const auto start = std::chrono::steady_clock::now();
-      ComposeCpts(*out, block_, domain_size_, &composed_);
+      ComposeCpts(*out, block_, &composed_);
       std::swap(*out, composed_);
       compose_seconds_ +=
           std::chrono::duration<double>(std::chrono::steady_clock::now() -

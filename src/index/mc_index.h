@@ -71,11 +71,28 @@ struct McExtendStats {
 ///
 /// Level i (i >= 1) holds floor((T-1)/alpha^i) entries; entry k spans
 /// timesteps [k*alpha^i, (k+1)*alpha^i]. Level 0 is the raw stream itself
-/// and is never duplicated.
+/// and is never duplicated. LevelCounts states this layout; Build, Extend,
+/// ReadMeta and the ingest journal all take it from there.
 class McIndex {
  public:
-  /// Builds the index for `stream` into directory `dir` (one record file
-  /// per level plus a metadata file).
+  /// Entry count per stored level (level 1 first) of an index over a
+  /// stream of `stream_length` timesteps: level i exists while
+  /// alpha^i <= min(max_span, length - 1). Empty for length < 2 or
+  /// alpha < 2; never overflows, whatever the inputs.
+  static std::vector<uint64_t> LevelCounts(uint64_t stream_length,
+                                           const McIndexOptions& options);
+
+  /// The record file holding `level`'s entries in index directory `dir`.
+  static std::string LevelPath(const std::string& dir, uint32_t level);
+
+  /// Builds the index over a `length`-timestep stream of `domain` states
+  /// into directory `dir` (one record file per level plus a metadata file):
+  /// an Extend from an empty index, so it streams level-0 CPTs from
+  /// `transitions` and holds no level in memory.
+  static Status Build(const std::string& dir, TransitionSource transitions,
+                      uint64_t length, uint32_t domain,
+                      const McIndexOptions& options = {});
+  /// Build over an in-memory stream's transitions.
   static Status Build(const MarkovianStream& stream, const std::string& dir,
                       const McIndexOptions& options = {});
 
@@ -87,8 +104,8 @@ class McIndex {
 
   /// Reads and decodes the on-disk metadata without opening the level files:
   /// the one mc.meta decoder, shared by Open and Extend. Corruption unless
-  /// the file has exactly the documented layout and its level counts agree
-  /// with its alpha and stream length.
+  /// the file has exactly the documented layout and its level counts equal
+  /// LevelCounts of its stream length and options.
   static Result<McMetaSummary> ReadMeta(const std::string& dir);
 
   /// Incremental maintenance for the live-ingestion path: extends the index
@@ -96,11 +113,11 @@ class McIndex {
   /// rebuilding. Because entry k of level i is the immutable product over
   /// timesteps [k*alpha^i, (k+1)*alpha^i], growing the stream only ever
   /// *appends* newly completed blocks along the right spine — this
-  /// recomputes exactly those entries (composing them the same way Build
-  /// does, so the resulting files are byte-identical to a full build) and
-  /// rewrites the metadata. `transitions` must serve raw CPTs up to
-  /// new_length. Open handles on the index keep serving their snapshot and
-  /// must be reopened to see the growth.
+  /// recomputes exactly those entries (Build runs the same append from an
+  /// empty index, so the resulting files are byte-identical to a full
+  /// build) and rewrites the metadata. `transitions` must serve raw CPTs up
+  /// to new_length. Open handles on the index keep serving their snapshot
+  /// and must be reopened to see the growth.
   static Status Extend(const std::string& dir, TransitionSource transitions,
                        uint64_t new_length, McExtendStats* stats = nullptr);
 

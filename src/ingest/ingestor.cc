@@ -1,7 +1,5 @@
 #include "ingest/ingestor.h"
 
-#include <cstdio>
-#include <filesystem>
 #include <mutex>
 
 #include "btree/btree.h"
@@ -43,31 +41,6 @@ Status GetPath(std::string_view payload, size_t* offset, std::string* rel) {
   }
   rel->assign(payload.data() + *offset, len);
   *offset += len;
-  return Status::Ok();
-}
-
-std::string BtcFile(size_t attr) {
-  return "btc.attr" + std::to_string(attr) + ".bt";
-}
-std::string BtpFile(size_t attr) {
-  return "btp.attr" + std::to_string(attr) + ".bt";
-}
-
-/// The BT_C / BT_P files present in `dir`, discovered by name exactly like
-/// StreamArchive::RebuildIndexes does.
-Status ListTreeFiles(const std::string& dir,
-                     std::vector<std::pair<size_t, bool>>* out) {
-  std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    std::string file = entry.path().filename().string();
-    size_t attr = 0;
-    if (std::sscanf(file.c_str(), "btc.attr%zu.bt", &attr) == 1) {
-      out->emplace_back(attr, /*is_btc=*/true);
-    } else if (std::sscanf(file.c_str(), "btp.attr%zu.bt", &attr) == 1) {
-      out->emplace_back(attr, /*is_btc=*/false);
-    }
-  }
-  if (ec) return Status::IoError("cannot list " + dir + ": " + ec.message());
   return Status::Ok();
 }
 
@@ -235,12 +208,10 @@ Status StreamIngestor::RestoreUndoRecord(const WalRecord& record) {
 }
 
 Status StreamIngestor::VerifyOrRebuildTrees() {
-  std::vector<std::pair<size_t, bool>> trees;
-  CALDERA_RETURN_IF_ERROR(ListTreeFiles(dir_, &trees));
+  CALDERA_ASSIGN_OR_RETURN(std::vector<TreeIndexFile> trees,
+                           ListTreeIndexFiles(dir_));
   std::unique_ptr<StoredStream> stored;  // Opened on first rebuild.
-  for (const auto& [attr, is_btc] : trees) {
-    const std::string path =
-        dir_ + "/" + (is_btc ? BtcFile(attr) : BtpFile(attr));
+  for (const auto& [attr, is_btc, path] : trees) {
     bool healthy = false;
     {
       Result<std::unique_ptr<BTree>> tree = BTree::Open(path);
@@ -328,8 +299,8 @@ Status StreamIngestor::JournalMcUndo(uint64_t new_length) {
   const std::string mc_dir = dir_ + "/mc";
   if (!FileExists(mc_dir + "/mc.meta")) return Status::Ok();
   CALDERA_ASSIGN_OR_RETURN(McMetaSummary meta, McIndex::ReadMeta(mc_dir));
-  // Extend sizes its composition scratch by this field; refuse before the
-  // commit point rather than trust it.
+  // Extend bounds the level entries it decodes by this field; refuse before
+  // the commit point rather than trust it.
   if (meta.domain != schema_.state_count()) {
     return Status::Corruption("MC domain " + std::to_string(meta.domain) +
                               " in " + mc_dir + " does not match the " +
@@ -337,31 +308,22 @@ Status StreamIngestor::JournalMcUndo(uint64_t new_length) {
                               " states of the stream");
   }
   CALDERA_RETURN_IF_ERROR(JournalSnapshot("mc/mc.meta"));
-  // Mirror McIndex::Extend's level walk to journal exactly the level files
-  // that will gain right-spine entries.
-  const uint64_t num_transitions = new_length - 1;
-  const uint64_t max_span =
-      meta.options.max_span == 0
-          ? num_transitions
-          : std::min(meta.options.max_span, num_transitions);
-  uint32_t level = 1;
-  uint64_t span = meta.options.alpha;
-  while (span <= max_span) {
-    const uint64_t new_count = num_transitions / span;
-    if (new_count == 0) break;
-    const uint64_t old_count =
-        level <= meta.level_counts.size() ? meta.level_counts[level - 1] : 0;
-    if (new_count > old_count) {
-      const std::string rel = "mc/L" + std::to_string(level) + ".rec";
-      if (level <= meta.level_counts.size()) {
-        CALDERA_RETURN_IF_ERROR(JournalRecordFileUndo(rel));
-      } else {
-        CALDERA_RETURN_IF_ERROR(JournalAbsent(rel));
-        CALDERA_RETURN_IF_ERROR(JournalAbsent(RecordFileDirPath(rel)));
-      }
+  // Journal exactly the level files that Extend will grow: those whose
+  // count at the new length exceeds the stored one.
+  const std::vector<uint64_t> new_counts =
+      McIndex::LevelCounts(new_length, meta.options);
+  for (uint32_t level = 1; level <= new_counts.size(); ++level) {
+    const bool exists = level <= meta.level_counts.size();
+    if (exists && new_counts[level - 1] == meta.level_counts[level - 1]) {
+      continue;
     }
-    ++level;
-    span *= meta.options.alpha;
+    const std::string rel = McIndex::LevelPath("mc", level);
+    if (exists) {
+      CALDERA_RETURN_IF_ERROR(JournalRecordFileUndo(rel));
+    } else {
+      CALDERA_RETURN_IF_ERROR(JournalAbsent(rel));
+      CALDERA_RETURN_IF_ERROR(JournalAbsent(RecordFileDirPath(rel)));
+    }
   }
   return Status::Ok();
 }
@@ -446,11 +408,9 @@ Status StreamIngestor::ApplyBatch(uint64_t base,
   CALDERA_RETURN_IF_ERROR(UpdateStreamLength(dir_, new_length));
 
   // 3. Secondary B+ tree indexes.
-  std::vector<std::pair<size_t, bool>> trees;
-  CALDERA_RETURN_IF_ERROR(ListTreeFiles(dir_, &trees));
-  for (const auto& [attr, is_btc] : trees) {
-    const std::string path =
-        dir_ + "/" + (is_btc ? BtcFile(attr) : BtpFile(attr));
+  CALDERA_ASSIGN_OR_RETURN(std::vector<TreeIndexFile> trees,
+                           ListTreeIndexFiles(dir_));
+  for (const auto& [attr, is_btc, path] : trees) {
     CALDERA_ASSIGN_OR_RETURN(std::unique_ptr<BTree> tree, BTree::Open(path));
     for (size_t i = 0; i < batch.size(); ++i) {
       if (is_btc) {

@@ -205,19 +205,18 @@ Status Cpt::Parse(std::string_view data, size_t* offset, uint32_t domain,
   return Status::Ok();
 }
 
-void ComposeCpts(const Cpt& first, const Cpt& second, uint32_t domain_size,
-                 Cpt* out) {
+void ComposeCpts(const Cpt& first, const Cpt& second, Cpt* out) {
   // Delegates to the dispatched compute kernel. The workspace (dense
   // scratch, mark bytes, touched list) is thread-local so repeated
   // compositions — the MC index build composes one CPT per stream timestep
   // — allocate nothing after warm-up.
   static thread_local kernels::PropagationWorkspace workspace;
-  kernels::Compose(first, second, domain_size, &workspace, out);
+  kernels::Compose(first, second, &workspace, out);
 }
 
-Cpt ComposeCpts(const Cpt& first, const Cpt& second, uint32_t domain_size) {
+Cpt ComposeCpts(const Cpt& first, const Cpt& second) {
   Cpt out;
-  ComposeCpts(first, second, domain_size, &out);
+  ComposeCpts(first, second, &out);
   return out;
 }
 

@@ -122,14 +122,12 @@ class Cpt {
 /// Chain-rule composition (Section 3.3.1): given `first` = CPT(a -> m) and
 /// `second` = CPT(m -> b), writes CPT(a -> b) with
 /// P(z|x) = sum_y first(y|x) * second(z|y) into `out`, reusing its capacity
-/// (`out` must not alias an input). `domain_size` bounds the destination ids
-/// (dense scratch space). Runs on the dispatched compute kernel
-/// (markov/kernels.h) with a thread-local workspace, so the dense scratch is
-/// reused across rows and across calls — MC index builds compose thousands
-/// of CPTs through here.
-void ComposeCpts(const Cpt& first, const Cpt& second, uint32_t domain_size,
-                 Cpt* out);
-Cpt ComposeCpts(const Cpt& first, const Cpt& second, uint32_t domain_size);
+/// (`out` must not alias an input). Runs on the dispatched compute kernel
+/// (markov/kernels.h) with a thread-local workspace, so the dense scratch
+/// (sized by `second`'s largest destination id) is reused across rows and
+/// across calls — MC index builds compose thousands of CPTs through here.
+void ComposeCpts(const Cpt& first, const Cpt& second, Cpt* out);
+Cpt ComposeCpts(const Cpt& first, const Cpt& second);
 
 /// The identity CPT on the given support (used as the composition seed).
 Cpt IdentityCpt(const std::vector<ValueId>& support);

@@ -234,11 +234,11 @@ Distribution PropagateImpl(const Cpt& cpt, const Distribution& in,
 }
 
 template <bool kSimd>
-void ComposeImpl(const Cpt& first, const Cpt& second, uint32_t domain_size,
-                 PropagationWorkspace* ws, Cpt* out) {
+void ComposeImpl(const Cpt& first, const Cpt& second, PropagationWorkspace* ws,
+                 Cpt* out) {
   out->Clear();
   if (first.empty() || second.empty()) return;
-  ws->EnsureDomain(std::max(domain_size, second.dst_end()));
+  ws->EnsureDomain(second.dst_end());
   const size_t span = second.dst_end() - second.dst_begin();
   const size_t avg = AvgRowLen(second);
   double* dense = ws->dense.data();
@@ -290,8 +290,7 @@ void ComposeImpl(const Cpt& first, const Cpt& second, uint32_t domain_size,
 struct Dispatch {
   Distribution (*propagate)(const Cpt&, const Distribution&,
                             PropagationWorkspace*, Entries);
-  void (*compose)(const Cpt&, const Cpt&, uint32_t, PropagationWorkspace*,
-                  Cpt*);
+  void (*compose)(const Cpt&, const Cpt&, PropagationWorkspace*, Cpt*);
   const char* name;
 };
 
@@ -341,11 +340,11 @@ Distribution Propagate(const Cpt& cpt, const Distribution& in,
   return Resolved()->propagate(cpt, in, ws, std::move(buffer));
 }
 
-void Compose(const Cpt& first, const Cpt& second, uint32_t domain_size,
-             PropagationWorkspace* ws, Cpt* out) {
+void Compose(const Cpt& first, const Cpt& second, PropagationWorkspace* ws,
+             Cpt* out) {
   CALDERA_CHECK(out != &first && out != &second)
       << "Compose output must not alias an input";
-  Resolved()->compose(first, second, domain_size, ws, out);
+  Resolved()->compose(first, second, ws, out);
 }
 
 const char* Backend() { return Resolved()->name; }
@@ -366,9 +365,9 @@ Distribution PropagateScalar(const Cpt& cpt, const Distribution& in,
   return PropagateImpl<false>(cpt, in, ws, {});
 }
 
-void ComposeScalar(const Cpt& first, const Cpt& second, uint32_t domain_size,
+void ComposeScalar(const Cpt& first, const Cpt& second,
                    PropagationWorkspace* ws, Cpt* out) {
-  ComposeImpl<false>(first, second, domain_size, ws, out);
+  ComposeImpl<false>(first, second, ws, out);
 }
 
 Distribution PropagateSimd(const Cpt& cpt, const Distribution& in,
@@ -383,14 +382,13 @@ Distribution PropagateSimd(const Cpt& cpt, const Distribution& in,
 #endif
 }
 
-void ComposeSimd(const Cpt& first, const Cpt& second, uint32_t domain_size,
-                 PropagationWorkspace* ws, Cpt* out) {
+void ComposeSimd(const Cpt& first, const Cpt& second, PropagationWorkspace* ws,
+                 Cpt* out) {
 #ifdef CALDERA_KERNELS_X86
-  ComposeImpl<true>(first, second, domain_size, ws, out);
+  ComposeImpl<true>(first, second, ws, out);
 #else
   (void)first;
   (void)second;
-  (void)domain_size;
   (void)ws;
   out->Clear();
 #endif

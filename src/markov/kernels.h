@@ -43,10 +43,10 @@ Distribution Propagate(const Cpt& cpt, const Distribution& in,
 /// Chain-rule composition with the same semantics as ComposeCpts: writes
 /// CPT(a -> b) with P(z|x) = sum_y first(y|x) * second(z|y) straight into
 /// `out`'s arrays, reusing their capacity (`out` must not alias an input).
-/// The dense scratch is hoisted across all source rows (and across calls,
-/// via `ws`).
-void Compose(const Cpt& first, const Cpt& second, uint32_t domain_size,
-             PropagationWorkspace* ws, Cpt* out);
+/// The dense scratch is sized by `second.dst_end()`, which bounds every slot
+/// written, and hoisted across all source rows (and across calls, via `ws`).
+void Compose(const Cpt& first, const Cpt& second, PropagationWorkspace* ws,
+             Cpt* out);
 
 /// Which kernel implementation is live: "avx2+fma" or "scalar". Resolved
 /// once per process; CALDERA_FORCE_SCALAR_KERNELS=1 in the environment
@@ -75,10 +75,10 @@ Distribution PropagateScalar(const Cpt& cpt, const Distribution& in,
                              PropagationWorkspace* ws);
 Distribution PropagateSimd(const Cpt& cpt, const Distribution& in,
                            PropagationWorkspace* ws);
-void ComposeScalar(const Cpt& first, const Cpt& second, uint32_t domain_size,
+void ComposeScalar(const Cpt& first, const Cpt& second,
                    PropagationWorkspace* ws, Cpt* out);
-void ComposeSimd(const Cpt& first, const Cpt& second, uint32_t domain_size,
-                 PropagationWorkspace* ws, Cpt* out);
+void ComposeSimd(const Cpt& first, const Cpt& second, PropagationWorkspace* ws,
+                 Cpt* out);
 
 }  // namespace internal
 }  // namespace kernels

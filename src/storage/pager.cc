@@ -10,6 +10,11 @@ namespace caldera {
 namespace {
 constexpr char kMagic[8] = {'C', 'L', 'D', 'R', 'P', 'G', 'R', '2'};
 constexpr size_t kHeaderSize = 8 /*magic*/ + 4 /*page_size*/ + 8 /*pages*/;
+
+bool ValidPageSize(uint32_t page_size) {
+  return page_size >= 512 && page_size <= kMaxPageSize &&
+         (page_size & (page_size - 1)) == 0;
+}
 }  // namespace
 
 Pager::Pager(std::unique_ptr<File> file, uint32_t page_size,
@@ -45,8 +50,9 @@ Status Pager::VerifyPage(const char* physical, PageId id) const {
 
 Result<std::unique_ptr<Pager>> Pager::Create(const std::string& path,
                                              uint32_t page_size) {
-  if (page_size < 512 || (page_size & (page_size - 1)) != 0) {
-    return Status::InvalidArgument("page size must be a power of two >= 512");
+  if (!ValidPageSize(page_size)) {
+    return Status::InvalidArgument(
+        "page size must be a power of two in [512, 1 MiB]");
   }
   CALDERA_ASSIGN_OR_RETURN(std::unique_ptr<File> file,
                            File::OpenOrCreate(path));
@@ -72,7 +78,7 @@ Result<std::unique_ptr<Pager>> Pager::Open(const std::string& path) {
   }
   uint32_t page_size = GetFixed32(header + 8);
   uint64_t page_count = GetFixed64(header + 12);
-  if (page_size < 512 || (page_size & (page_size - 1)) != 0) {
+  if (!ValidPageSize(page_size)) {
     return Status::Corruption("bad page size in " + path);
   }
   // Division, not multiplication: a corrupt header with a huge page_count

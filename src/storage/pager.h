@@ -16,6 +16,9 @@ namespace caldera {
 using PageId = uint64_t;
 
 inline constexpr uint32_t kDefaultPageSize = 4096;
+/// Page sizes are powers of two in [512, kMaxPageSize]; the cap keeps a
+/// corrupt page-size field from sizing a huge page buffer.
+inline constexpr uint32_t kMaxPageSize = 1u << 20;
 inline constexpr PageId kInvalidPageId = 0;
 
 /// Bytes per page reserved for the integrity trailer (CRC-32C + zero

@@ -88,8 +88,8 @@ TEST(IntervalIntersectorTest, MatchesBruteForceEnumeration) {
   test::ScratchDir scratch("intersector_test");
   for (uint64_t seed : {1u, 2u, 3u, 4u}) {
     MarkovianStream stream = test::MakeBandedStream(200, 12, seed);
-    auto tree = BuildBtcIndex(stream, 0, scratch.Path("btc" +
-                                                      std::to_string(seed)));
+    auto tree = test::BuildTreeFromWritten(
+        stream, 0, scratch.Path("btc" + std::to_string(seed)));
     ASSERT_TRUE(tree.ok());
 
     std::vector<uint32_t> values = {3, 4, 6};
@@ -118,7 +118,7 @@ TEST(IntervalIntersectorTest, NonContiguousOffsets) {
   // links are unindexed.
   test::ScratchDir scratch("intersector_offsets");
   MarkovianStream stream = test::MakeBandedStream(200, 12, 5);
-  auto tree = BuildBtcIndex(stream, 0, scratch.Path("btc"));
+  auto tree = test::BuildTreeFromWritten(stream, 0, scratch.Path("btc"));
   ASSERT_TRUE(tree.ok());
   std::vector<uint32_t> values = {2, 5};
   std::vector<uint64_t> offsets = {0, 3};

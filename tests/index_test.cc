@@ -51,7 +51,8 @@ class IndexTest : public ::testing::Test {
 
 TEST_F(IndexTest, BtcIndexContainsExactlyTheSupport) {
   MarkovianStream stream = test::MakeValidStream(80, 6, 7);
-  auto tree = BuildBtcIndex(stream, 0, scratch_.Path("btc.bt"));
+  auto tree =
+      test::BuildTreeFromWritten(stream, 0, scratch_.Path("btc.bt"));
   ASSERT_TRUE(tree.ok()) << tree.status().ToString();
   ASSERT_TRUE((*tree)->CheckInvariants().ok());
 
@@ -72,7 +73,8 @@ TEST_F(IndexTest, BtcIndexContainsExactlyTheSupport) {
 
 TEST_F(IndexTest, PredicateCursorVisitsRelevantTimesInOrder) {
   MarkovianStream stream = test::MakeValidStream(100, 6, 8);
-  auto tree = BuildBtcIndex(stream, 0, scratch_.Path("btc.bt"));
+  auto tree =
+      test::BuildTreeFromWritten(stream, 0, scratch_.Path("btc.bt"));
   ASSERT_TRUE(tree.ok());
 
   std::vector<uint32_t> values = {1, 4};
@@ -98,7 +100,8 @@ TEST_F(IndexTest, PredicateCursorVisitsRelevantTimesInOrder) {
 
 TEST_F(IndexTest, PredicateCursorSeekTime) {
   MarkovianStream stream = test::MakeValidStream(100, 6, 9);
-  auto tree = BuildBtcIndex(stream, 0, scratch_.Path("btc.bt"));
+  auto tree =
+      test::BuildTreeFromWritten(stream, 0, scratch_.Path("btc.bt"));
   ASSERT_TRUE(tree.ok());
   auto cursor = PredicateCursor::Create(tree->get(), {2});
   ASSERT_TRUE(cursor.ok());
@@ -114,7 +117,8 @@ TEST_F(IndexTest, PredicateCursorSeekTime) {
 
 TEST_F(IndexTest, PredicateCursorOnMissingValueIsInvalid) {
   MarkovianStream stream = test::MakeValidStream(20, 4, 10);
-  auto tree = BuildBtcIndex(stream, 0, scratch_.Path("btc.bt"));
+  auto tree =
+      test::BuildTreeFromWritten(stream, 0, scratch_.Path("btc.bt"));
   ASSERT_TRUE(tree.ok());
   // Value 3 may exist; use an impossible one via empty support: value 3
   // with all entries... use a value id beyond any support: the stream
@@ -126,7 +130,8 @@ TEST_F(IndexTest, PredicateCursorOnMissingValueIsInvalid) {
 
 TEST_F(IndexTest, BtpIndexOrdersByDecreasingProbability) {
   MarkovianStream stream = test::MakeValidStream(80, 6, 11);
-  auto tree = BuildBtpIndex(stream, 0, scratch_.Path("btp.bt"));
+  auto tree = test::BuildTreeFromWritten(stream, 0, scratch_.Path("btp.bt"),
+                                         /*btc=*/false);
   ASSERT_TRUE(tree.ok()) << tree.status().ToString();
   ASSERT_TRUE((*tree)->CheckInvariants().ok());
 
@@ -153,7 +158,8 @@ TEST_F(IndexTest, BtpIndexOrdersByDecreasingProbability) {
 
 TEST_F(IndexTest, TopProbCursorMergesValues) {
   MarkovianStream stream = test::MakeValidStream(60, 6, 12);
-  auto tree = BuildBtpIndex(stream, 0, scratch_.Path("btp.bt"));
+  auto tree = test::BuildTreeFromWritten(stream, 0, scratch_.Path("btp.bt"),
+                                         /*btc=*/false);
   ASSERT_TRUE(tree.ok());
   auto cursor = TopProbCursor::Create(tree->get(), {1, 3, 5});
   ASSERT_TRUE(cursor.ok());
@@ -171,14 +177,18 @@ TEST_F(IndexTest, TopProbCursorMergesValues) {
 
 TEST_F(IndexTest, BuildersRejectBadAttribute) {
   MarkovianStream stream = test::MakeValidStream(10, 4, 13);
-  EXPECT_FALSE(BuildBtcIndex(stream, 5, scratch_.Path("x.bt")).ok());
-  EXPECT_FALSE(BuildBtpIndex(stream, 5, scratch_.Path("y.bt")).ok());
+  EXPECT_FALSE(
+      test::BuildTreeFromWritten(stream, 5, scratch_.Path("x.bt")).ok());
+  EXPECT_FALSE(test::BuildTreeFromWritten(stream, 5, scratch_.Path("y.bt"),
+                                          /*btc=*/false)
+                   .ok());
 }
 
 TEST_F(IndexTest, CursorCreateRejectsWrongTreeShape) {
   MarkovianStream stream = test::MakeValidStream(10, 4, 14);
-  auto btc = BuildBtcIndex(stream, 0, scratch_.Path("btc.bt"));
-  auto btp = BuildBtpIndex(stream, 0, scratch_.Path("btp.bt"));
+  auto btc = test::BuildTreeFromWritten(stream, 0, scratch_.Path("btc.bt"));
+  auto btp = test::BuildTreeFromWritten(stream, 0, scratch_.Path("btp.bt"),
+                                        /*btc=*/false);
   ASSERT_TRUE(btc.ok());
   ASSERT_TRUE(btp.ok());
   EXPECT_FALSE(PredicateCursor::Create(btp->get(), {0}).ok());

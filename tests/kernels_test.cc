@@ -130,12 +130,11 @@ Cpt EntryListCompose(const Cpt& first, const Cpt& second) {
   return out;
 }
 
-Cpt ComposeWith(void (*kernel)(const Cpt&, const Cpt&, uint32_t,
-                               PropagationWorkspace*, Cpt*),
-                const Cpt& first, const Cpt& second, uint32_t domain,
-                PropagationWorkspace* ws) {
+Cpt ComposeWith(void (*kernel)(const Cpt&, const Cpt&, PropagationWorkspace*,
+                               Cpt*),
+                const Cpt& first, const Cpt& second, PropagationWorkspace* ws) {
   Cpt out;
-  kernel(first, second, domain, ws, &out);
+  kernel(first, second, ws, &out);
   return out;
 }
 
@@ -244,14 +243,14 @@ TEST(KernelDifferentialTest, ComposeMatchesBruteForceSmallDomains) {
       std::string ctx = "domain=" + std::to_string(domain) +
                         " round=" + std::to_string(round);
       Cpt scalar = ComposeWith(&kernels::internal::ComposeScalar, first,
-                               second, domain, &ws);
+                               second, &ws);
       ExpectCptsNear(expected, scalar, domain, 1e-12, "scalar " + ctx);
       if (kernels::internal::SimdSupported()) {
-        Cpt simd = ComposeWith(&kernels::internal::ComposeSimd, first, second,
-                               domain, &ws);
+        Cpt simd =
+            ComposeWith(&kernels::internal::ComposeSimd, first, second, &ws);
         ExpectCptsNear(scalar, simd, domain, 1e-12, "simd " + ctx);
       }
-      Cpt dispatched = ComposeCpts(first, second, domain);
+      Cpt dispatched = ComposeCpts(first, second);
       ExpectCptsNear(expected, dispatched, domain, 1e-12, "dispatched " + ctx);
       ExpectCptsNear(EntryListCompose(first, second), dispatched, domain,
                      1e-12, "entry-list " + ctx);
@@ -270,9 +269,9 @@ TEST(KernelDifferentialTest, ComposeScalarSimdParityLargeDomains) {
       Cpt first = RandomCpt(domain, 0.6, density, &rng);
       Cpt second = RandomCpt(domain, 0.6, density, &rng);
       Cpt scalar = ComposeWith(&kernels::internal::ComposeScalar, first,
-                               second, domain, &ws);
-      Cpt simd = ComposeWith(&kernels::internal::ComposeSimd, first, second,
-                             domain, &ws);
+                               second, &ws);
+      Cpt simd =
+          ComposeWith(&kernels::internal::ComposeSimd, first, second, &ws);
       // Exact same support and per-entry agreement.
       ASSERT_EQ(scalar.srcs(), simd.srcs());
       ASSERT_EQ(scalar.offsets(), simd.offsets());
@@ -290,6 +289,27 @@ TEST(KernelDifferentialTest, ComposeScalarSimdParityLargeDomains) {
         ASSERT_NEAR(reference.probs()[i], scalar.probs()[i], 1e-12);
       }
     }
+  }
+}
+
+// The compose scratch is sized by the second table's largest destination,
+// which bounds every slot the kernels write; nothing else sizes it.
+TEST(KernelDifferentialTest, ComposeScratchIsSizedByTheData) {
+  Cpt first;
+  first.SetRow(0, {{2, 0.5}, {5, 0.5}});
+  Cpt second;
+  second.SetRow(2, {{3, 1.0}});
+  second.SetRow(5, {{1, 0.25}, {6, 0.75}});
+  for (bool scalar : {true, false}) {
+    if (!scalar && !kernels::internal::SimdSupported()) continue;
+    PropagationWorkspace ws;
+    Cpt out;
+    (scalar ? kernels::internal::ComposeScalar
+            : kernels::internal::ComposeSimd)(first, second, &ws, &out);
+    EXPECT_EQ(ws.dense.size(), second.dst_end());
+    EXPECT_EQ(ws.mark.size(), second.dst_end());
+    EXPECT_EQ(out, ComposeCpts(first, second));
+    EXPECT_DOUBLE_EQ(out.Probability(0, 6), 0.375);
   }
 }
 
@@ -319,9 +339,8 @@ TEST(KernelDifferentialTest, WorkspaceReuseIsStateless) {
   }
   Cpt reused;
   for (size_t i = 0; i < cpts.size(); ++i) {
-    const uint32_t domain = kShapes[i].domain;
-    kernels::Compose(cpts[i], cpts[i], domain, &shared, &reused);
-    EXPECT_EQ(reused, ComposeCpts(cpts[i], cpts[i], domain)) << i;
+    kernels::Compose(cpts[i], cpts[i], &shared, &reused);
+    EXPECT_EQ(reused, ComposeCpts(cpts[i], cpts[i])) << i;
   }
 }
 

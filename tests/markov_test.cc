@@ -193,7 +193,7 @@ TEST(CptTest, ComposeMatchesMatrixProduct) {
   std::vector<std::vector<double>> da, db;
   random_cpt(&a, &da);
   random_cpt(&b, &db);
-  Cpt ab = ComposeCpts(a, b, n);
+  Cpt ab = ComposeCpts(a, b);
   EXPECT_TRUE(ab.ValidateStochastic(1e-9).ok());
   for (uint32_t i = 0; i < n; ++i) {
     for (uint32_t j = 0; j < n; ++j) {
@@ -223,8 +223,8 @@ TEST(CptTest, ComposeIsAssociative) {
     return cpt;
   };
   Cpt a = random_cpt(), b = random_cpt(), c = random_cpt();
-  Cpt left = ComposeCpts(ComposeCpts(a, b, n), c, n);
-  Cpt right = ComposeCpts(a, ComposeCpts(b, c, n), n);
+  Cpt left = ComposeCpts(ComposeCpts(a, b), c);
+  Cpt right = ComposeCpts(a, ComposeCpts(b, c));
   for (uint32_t i = 0; i < n; ++i) {
     for (uint32_t j = 0; j < n; ++j) {
       EXPECT_NEAR(left.Probability(i, j), right.Probability(i, j), 1e-12);
@@ -239,8 +239,8 @@ TEST(CptTest, IdentityCptIsNeutral) {
   a.SetRow(1, {{1, 1.0}});
   a.SetRow(2, {{3, 1.0}});
   a.SetRow(3, {{0, 1.0}});
-  Cpt left = ComposeCpts(id, a, 4);
-  Cpt right = ComposeCpts(a, id, 4);
+  Cpt left = ComposeCpts(id, a);
+  Cpt right = ComposeCpts(a, id);
   EXPECT_EQ(left, a);
   EXPECT_EQ(right, a);
 }

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
+#include "caldera/archive.h"
+#include "common/encoding.h"
 #include "common/logging.h"
 #include "index/mc_index.h"
 #include "markov/stream_io.h"
@@ -14,8 +18,7 @@ namespace {
 Cpt DirectSpan(const MarkovianStream& stream, uint64_t from, uint64_t to) {
   Cpt result = stream.transition(from + 1);
   for (uint64_t t = from + 2; t <= to; ++t) {
-    result =
-        ComposeCpts(result, stream.transition(t), stream.schema().state_count());
+    result = ComposeCpts(result, stream.transition(t));
   }
   return result;
 }
@@ -30,6 +33,131 @@ void ExpectCptsNear(const Cpt& a, const Cpt& b, double tol = 1e-9) {
     for (size_t i = 0; i < row.size(); ++i) {
       EXPECT_EQ(row.dsts[i], other->dsts[i]);
       EXPECT_NEAR(row.probs[i], other->probs[i], tol);
+    }
+  }
+}
+
+std::string ReadWholeFile(const std::string& path) {
+  auto f = File::OpenReadOnly(path);
+  CALDERA_CHECK_OK(f.status());
+  std::string bytes((*f)->size(), '\0');
+  CALDERA_CHECK_OK((*f)->ReadAt(0, bytes.size(), bytes.data()));
+  return bytes;
+}
+
+void WriteWholeFile(const std::string& path, const std::string& bytes) {
+  auto f = File::OpenOrCreate(path);
+  CALDERA_CHECK_OK(f.status());
+  CALDERA_CHECK_OK((*f)->Truncate(0));
+  CALDERA_CHECK_OK((*f)->Append(bytes));
+}
+
+// Overwrites the u32 at `offset` of the file at `path`.
+void PatchFixed32(const std::string& path, size_t offset, uint32_t value) {
+  std::string bytes = ReadWholeFile(path);
+  std::string field;
+  PutFixed32(value, &field);
+  bytes.replace(offset, 4, field);
+  WriteWholeFile(path, bytes);
+}
+
+// The test's own truncation, written apart from the index's: keep entries
+// of probability >= eps, then drop rows left empty.
+Cpt Truncate(const Cpt& cpt, double eps) {
+  Cpt out;
+  for (size_t r = 0; r < cpt.num_rows(); ++r) {
+    const Cpt::RowView row = cpt.row(r);
+    std::vector<Cpt::RowEntry> kept;
+    for (size_t j = 0; j < row.size(); ++j) {
+      if (row.probs[j] >= eps) kept.push_back({row.dsts[j], row.probs[j]});
+    }
+    if (!kept.empty()) out.SetRow(row.src, std::move(kept));
+  }
+  return out;
+}
+
+// Every file of directory `a` has a byte-identical twin in `b`, and vice
+// versa.
+void ExpectSameFiles(const std::string& a, const std::string& b) {
+  size_t files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(a)) {
+    const std::string name = entry.path().filename().string();
+    ASSERT_TRUE(std::filesystem::exists(b + "/" + name)) << name;
+    EXPECT_EQ(ReadWholeFile(entry.path().string()),
+              ReadWholeFile(b + "/" + name))
+        << name;
+    ++files;
+  }
+  EXPECT_EQ(std::distance(std::filesystem::directory_iterator(b),
+                          std::filesystem::directory_iterator()),
+            static_cast<std::ptrdiff_t>(files));
+}
+
+// Reads every stored entry of every level of a StreamArchive-built index
+// and demands it equal, byte for byte, the test's own left fold of the
+// entry's children (raw transitions at level 1, the alpha entries below
+// it above that) followed by its own truncation. The level layout is
+// recomputed here too. An in-memory Build must write the same files.
+TEST(McIndexOracleTest, StoredEntriesEqualAnIndependentFold) {
+  const MarkovianStream stream = test::MakeBandedStream(200, 10, 41);
+  const uint64_t num_transitions = stream.length() - 1;
+  test::ScratchDir scratch("mc_oracle");
+  StreamArchive archive(scratch.Path("archive"));
+  ASSERT_TRUE(archive.Init().ok());
+  ASSERT_TRUE(archive.CreateStream("s", stream).ok());
+  const std::string dir = archive.StreamDir("s") + "/mc";
+  for (uint32_t alpha : {2u, 3u, 4u}) {
+    for (double eps : {0.0, 1e-3}) {
+      for (uint64_t max_span : {uint64_t{0}, uint64_t{9}}) {
+        SCOPED_TRACE("alpha=" + std::to_string(alpha) +
+                     " eps=" + std::to_string(eps) +
+                     " max_span=" + std::to_string(max_span));
+        const McIndexOptions options{
+            .alpha = alpha, .max_span = max_span, .truncate_eps = eps};
+        std::filesystem::remove_all(dir);
+        ASSERT_TRUE(archive.BuildMc("s", options).ok());
+        auto meta = McIndex::ReadMeta(dir);
+        ASSERT_TRUE(meta.ok()) << meta.status().ToString();
+
+        const uint64_t cap = max_span == 0 ? num_transitions : max_span;
+        std::vector<Cpt> below;
+        uint64_t span = 1;
+        uint32_t level = 1;
+        for (; span * alpha <= cap; ++level) {
+          span *= alpha;
+          const uint64_t count = num_transitions / span;
+          ASSERT_LE(level, meta->level_counts.size());
+          EXPECT_EQ(meta->level_counts[level - 1], count);
+          auto reader = RecordFileReader::Open(
+              dir + "/L" + std::to_string(level) + ".rec", 4);
+          ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+          ASSERT_EQ((*reader)->num_records(), count);
+          std::vector<Cpt> current;
+          for (uint64_t k = 0; k < count; ++k) {
+            auto child = [&](uint32_t i) -> const Cpt& {
+              return level == 1 ? stream.transition(k * alpha + i + 1)
+                                : below[k * alpha + i];
+            };
+            Cpt fold = child(0);
+            for (uint32_t i = 1; i < alpha; ++i) {
+              fold = ComposeCpts(fold, child(i));
+            }
+            current.push_back(Truncate(fold, eps));
+            std::string want;
+            current.back().AppendTo(&want);
+            std::string got;
+            ASSERT_TRUE((*reader)->Get(k, &got).ok());
+            ASSERT_EQ(got, want) << "level " << level << " entry " << k;
+          }
+          below = std::move(current);
+        }
+        EXPECT_EQ(meta->level_counts.size(), level - 1);
+
+        const std::string in_memory = scratch.Path("mem");
+        std::filesystem::remove_all(in_memory);
+        ASSERT_TRUE(McIndex::Build(stream, in_memory, options).ok());
+        ExpectSameFiles(dir, in_memory);
+      }
     }
   }
 }
@@ -212,6 +340,69 @@ TEST_F(McIndexTest, OpenRequiresExactMetaSize) {
   // One byte too many.
   EXPECT_EQ(open_with(pristine + '\0').code(), StatusCode::kCorruption);
   EXPECT_TRUE(open_with(pristine).ok());
+}
+
+// mc.meta has no checksum, so its domain field may be anything. No
+// allocation may be sized by it: the compose scratch is sized by the data.
+TEST_F(McIndexTest, CorruptMetaDomainSizesNoAllocation) {
+  Setup(64, 5, 33, {.alpha = 2});
+  StoredStream* raw = stored_.get();
+  TransitionSource source = [raw](uint64_t t, Cpt* out) {
+    return raw->ReadTransition(t, out);
+  };
+  const std::string dir = scratch_.Path("mc_prefix");
+  ASSERT_TRUE(McIndex::Build(dir, source, 40, 5, {.alpha = 2}).ok());
+  // Domain field: bytes 24..27 of mc.meta.
+  PatchFixed32(dir + "/mc.meta", 24, 0x7FFFFFFF);
+
+  auto index = McIndex::Open(dir, source);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  EXPECT_EQ((*index)->domain_size(), 0x7FFFFFFFu);
+  Cpt computed;
+  for (auto [from, to] : std::vector<std::pair<uint64_t, uint64_t>>{
+           {0, 39}, {3, 17}, {16, 32}, {7, 8}}) {
+    ASSERT_TRUE((*index)->ComputeCpt(from, to, &computed).ok());
+    ExpectCptsNear(computed, DirectSpan(stream_, from, to));
+  }
+
+  // Extending composes the new spine under the patched field too, and
+  // lands on the same level files as a build at the new length.
+  ASSERT_TRUE(McIndex::Extend(dir, source, 64).ok());
+  for (uint32_t level = 1; level <= index_->num_levels(); ++level) {
+    EXPECT_EQ(ReadWholeFile(McIndex::LevelPath(dir, level)),
+              ReadWholeFile(McIndex::LevelPath(scratch_.Path("mc"), level)))
+        << "level " << level;
+  }
+}
+
+// The stored level counts must be exactly the layout of the stored length
+// and options, max_span included.
+TEST_F(McIndexTest, MetaCountsMustMatchMaxSpan) {
+  Setup(64, 4, 34, {.alpha = 2});
+  ASSERT_EQ(index_->num_levels(), 5u);
+  const std::string meta = scratch_.Path("mc") + "/mc.meta";
+  std::string bytes = ReadWholeFile(meta);
+  // max_span sits 8 bytes after the level counts.
+  const size_t max_span_at = 28 + 8 * 5 + 8;
+  std::string field;
+  PutFixed64(4, &field);
+  bytes.replace(max_span_at, 8, field);
+  WriteWholeFile(meta, bytes);
+  EXPECT_EQ(McIndex::ReadMeta(scratch_.Path("mc")).status().code(),
+            StatusCode::kCorruption);
+}
+
+TEST(McIndexLayoutTest, LevelCountsNeverOverflow) {
+  EXPECT_TRUE(McIndex::LevelCounts(1, {.alpha = 2}).empty());
+  EXPECT_TRUE(McIndex::LevelCounts(100, {.alpha = 1}).empty());
+  EXPECT_EQ(McIndex::LevelCounts(10, {.alpha = 3}),
+            (std::vector<uint64_t>{3, 1}));
+  EXPECT_EQ(McIndex::LevelCounts(65, {.alpha = 2, .max_span = 8}),
+            (std::vector<uint64_t>{32, 16, 8}));
+  EXPECT_TRUE(McIndex::LevelCounts(65, {.alpha = 2, .max_span = 1}).empty());
+  // alpha^i stays below 2^64 however large the length and alpha.
+  EXPECT_EQ(McIndex::LevelCounts(UINT64_MAX, {.alpha = 2}).size(), 63u);
+  EXPECT_EQ(McIndex::LevelCounts(UINT64_MAX, {.alpha = UINT32_MAX}).size(), 2u);
 }
 
 TEST_F(McIndexTest, TruncatedIndexStaysClose) {

@@ -246,7 +246,7 @@ TEST(RegOperatorTest, UpdateSpanningEqualsStepByStepOnNullSpans) {
     // composed CPT of transitions 1..5.
     Cpt span = stream.transition(1);
     for (int t = 2; t <= 5; ++t) {
-      span = ComposeCpts(span, stream.transition(t), schema.state_count());
+      span = ComposeCpts(span, stream.transition(t));
     }
     RegOperator reg(query, schema);
     reg.Initialize(stream.marginal(0));

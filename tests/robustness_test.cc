@@ -4,12 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <filesystem>
 #include <string>
 
 #include "btree/btree.h"
 #include "common/encoding.h"
 #include "common/logging.h"
 #include "common/rng.h"
+#include "index/mc_index.h"
 #include "markov/cpt.h"
 #include "markov/distribution.h"
 #include "markov/schema.h"
@@ -354,6 +357,103 @@ TEST(RobustnessTest, RecordFileOpenOnMutatedFile) {
       FlipPayloadByte(&rng, files[rng.NextBelow(2)]);
     }
     ExerciseRecordFile(mutated);
+  }
+}
+
+// Opens the (possibly damaged) MC index in `dir` and composes every span of
+// the stored stream through ComputeCpt and the span cache. Lookups may fail
+// with a Status but must not crash.
+void ExerciseMcIndex(const std::string& dir, const TransitionSource& source,
+                     uint64_t length) {
+  auto index = McIndex::Open(dir, source, /*pool_pages=*/4);
+  if (!index.ok()) return;
+  (*index)->AttachSpanCache(
+      {.cache = std::make_shared<SpanCptCache>(1 << 20), .stream_id = 1});
+  Cpt out;
+  for (uint64_t from = 0; from + 1 < length; ++from) {
+    for (uint64_t to = from + 1; to < length; ++to) {
+      (void)(*index)->ComputeCpt(from, to, &out);
+      (void)(*index)->GetSpanCpt(from, to);
+    }
+  }
+}
+
+// The MC index decoders behind a damaged level file or mc.meta: one file is
+// mutated per round, then Open, every span lookup, ReadMeta and a direct
+// Extend must each return a Status or an answer.
+TEST(RobustnessTest, McIndexOnMutatedFiles) {
+  test::ScratchDir scratch("robust_mc");
+  const MarkovianStream stream = test::MakeBandedStream(40, 6, 9);
+  ASSERT_TRUE(WriteStream(scratch.Path("s"), stream).ok());
+  auto stored = StoredStream::Open(scratch.Path("s"));
+  ASSERT_TRUE(stored.ok());
+  StoredStream* raw = stored->get();
+  const TransitionSource source = [raw](uint64_t t, Cpt* out) {
+    return raw->ReadTransition(t, out);
+  };
+  // Built over a prefix, so a direct Extend to the full length has a
+  // right spine to compose and a new level to create.
+  const std::string pristine = scratch.Path("pristine");
+  ASSERT_TRUE(McIndex::Build(pristine, source, 30, 6,
+                             {.alpha = 2, .truncate_eps = 1e-4})
+                  .ok());
+  std::vector<std::string> level_files;
+  for (const auto& entry : std::filesystem::directory_iterator(pristine)) {
+    if (entry.path().filename() != "mc.meta") {
+      level_files.push_back(entry.path().filename().string());
+    }
+  }
+  ASSERT_EQ(level_files.size(), 8u);  // 4 levels, each data + directory.
+  const std::string dir = scratch.Path("mc");
+  auto restore = [&] {
+    std::filesystem::remove_all(dir);
+    std::filesystem::copy(pristine, dir);
+  };
+  restore();
+  ASSERT_TRUE(McIndex::ReadMeta(dir).ok());
+  Rng rng(10);
+
+  // Level files, flipped behind a re-stamped page CRC.
+  for (int round = 0; round < 60; ++round) {
+    restore();
+    const std::string file =
+        dir + "/" + level_files[rng.NextBelow(level_files.size())];
+    for (int flips = 0; flips < 1 + round % 3; ++flips) {
+      FlipPayloadByte(&rng, file);
+    }
+    ExerciseMcIndex(dir, source, stream.length());
+  }
+
+  // mc.meta, which has no CRC: overwrite one to three fields with a nearby,
+  // a boundary or a random value. Field (offset, width): alpha, num_levels,
+  // length, domain, the four level counts, truncate_eps, max_span,
+  // page_size.
+  const std::string meta_path = dir + "/mc.meta";
+  const std::string meta = ReadWholeFile(pristine + "/mc.meta");
+  const std::pair<size_t, size_t> fields[] = {
+      {8, 4},  {12, 4}, {16, 8}, {24, 4}, {28, 8}, {36, 8},
+      {44, 8}, {52, 8}, {60, 8}, {68, 8}, {76, 4}};
+  ASSERT_EQ(meta.size(), 80u);
+  for (int round = 0; round < 120; ++round) {
+    restore();
+    std::string bytes = meta;
+    for (int n = 0; n < 1 + round % 3; ++n) {
+      const auto [offset, width] = fields[rng.NextBelow(std::size(fields))];
+      uint64_t value = 0;
+      std::memcpy(&value, bytes.data() + offset, width);
+      switch (rng.NextBelow(4)) {
+        case 0: value += 1; break;
+        case 1: value -= 1; break;
+        case 2: value = rng.NextBelow(2) == 0 ? 0 : ~uint64_t{0}; break;
+        default: value = uint64_t{1} << rng.NextBelow(8 * width); break;
+      }
+      std::memcpy(bytes.data() + offset, &value, width);
+    }
+    WriteWholeFile(meta_path, bytes);
+    (void)McIndex::ReadMeta(dir);
+    ExerciseMcIndex(dir, source, stream.length());
+    (void)McIndex::Extend(dir, source, stream.length());
+    ExerciseMcIndex(dir, source, stream.length());
   }
 }
 

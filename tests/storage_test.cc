@@ -99,6 +99,9 @@ TEST_F(StorageTest, PagerRejectsBadPageSize) {
             StatusCode::kInvalidArgument);
   EXPECT_EQ(Pager::Create(Path("p"), 1000).status().code(),
             StatusCode::kInvalidArgument);
+  // A power of two above the cap would size a 2 GiB page buffer.
+  EXPECT_EQ(Pager::Create(Path("p"), 1u << 31).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST_F(StorageTest, PagerRejectsOutOfRangeAccess) {

@@ -8,7 +8,10 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "index/btc_index.h"
+#include "index/btp_index.h"
 #include "markov/stream.h"
+#include "markov/stream_io.h"
 #include "markov/synthetic.h"
 
 namespace caldera {
@@ -25,6 +28,19 @@ inline MarkovianStream MakeValidStream(uint64_t length, uint32_t domain,
 inline MarkovianStream MakeBandedStream(uint64_t length, uint32_t domain,
                                         uint64_t seed) {
   return MakeBandedRandomWalkStream(length, domain, seed);
+}
+
+/// Writes `stream` to `path` + ".stream", then builds a BT_C tree (or, with
+/// btc = false, a BT_P tree) over attribute `attr` at `path` from the stored
+/// copy, as StreamArchive does.
+inline Result<std::unique_ptr<BTree>> BuildTreeFromWritten(
+    const MarkovianStream& stream, size_t attr, const std::string& path,
+    bool btc = true) {
+  CALDERA_RETURN_IF_ERROR(WriteStream(path + ".stream", stream));
+  CALDERA_ASSIGN_OR_RETURN(std::unique_ptr<StoredStream> stored,
+                           StoredStream::Open(path + ".stream"));
+  return btc ? BuildBtcIndexFromStored(stored.get(), attr, path)
+             : BuildBtpIndexFromStored(stored.get(), attr, path);
 }
 
 /// RAII scratch directory under the system temp dir. The path includes the
