@@ -16,9 +16,12 @@
 namespace caldera {
 namespace bench {
 
-/// Fresh scratch directory for one benchmark binary.
+/// Fresh scratch directory for one benchmark binary, under the system
+/// temp directory ($TMPDIR, else /tmp).
 inline std::string ScratchDir(const std::string& name) {
-  std::string dir = "/tmp/caldera_bench/" + name;
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "caldera_bench" / name)
+          .string();
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   return dir;

@@ -19,7 +19,8 @@ std::string JoinPrefix(const std::string& dir, const std::string& column) {
 Result<std::unique_ptr<ArchivedStream>> ArchivedStream::Open(
     const std::string& dir, const OpenStreamOptions& options) {
   const size_t pool_pages = options.pool_pages;
-  auto archived = std::unique_ptr<ArchivedStream>(new ArchivedStream(dir));
+  auto archived =
+      std::unique_ptr<ArchivedStream>(new ArchivedStream(dir, pool_pages));
   // The stream data files are non-negotiable: without them there is nothing
   // to fall back to, so their errors always propagate.
   CALDERA_ASSIGN_OR_RETURN(archived->stream_,
@@ -95,6 +96,25 @@ Result<std::unique_ptr<ArchivedStream>> ArchivedStream::Open(
     }
   }
   return archived;
+}
+
+Status ArchivedStream::Refresh() {
+  CALDERA_RETURN_IF_ERROR(stream_->Refresh());
+  if (mc_ != nullptr) CALDERA_RETURN_IF_ERROR(mc_->Refresh());
+  // An append inserts into the trees in place, so none of their cached
+  // pages can be trusted: reopen them (an open reads two pages).
+  for (bool is_btc : {true, false}) {
+    std::vector<std::unique_ptr<BTree>>& trees = is_btc ? btc_ : btp_;
+    for (size_t attr = 0; attr < trees.size(); ++attr) {
+      if (trees[attr] == nullptr) continue;
+      CALDERA_ASSIGN_OR_RETURN(
+          trees[attr],
+          BTree::Open(is_btc ? BtcIndexPath(dir_, attr)
+                             : BtpIndexPath(dir_, attr),
+                      pool_pages_));
+    }
+  }
+  return Status::Ok();
 }
 
 void ArchivedStream::AttachSpanCache(std::shared_ptr<SpanCptCache> cache,

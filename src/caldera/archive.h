@@ -51,6 +51,14 @@ class ArchivedStream {
     return skipped_indexes_;
   }
 
+  /// Advances this handle to the stream as an ingest commit left it, at a
+  /// cost of the appended timesteps: refreshes the stream and MC index
+  /// (their files only grow at their ends, so cached pages and span CPTs
+  /// stay valid) and reopens the B+ trees (they mutate in place). Join
+  /// indexes are left as they are; ingest does not maintain them. On error
+  /// the handle is half-advanced and must be dropped.
+  Status Refresh();
+
   StoredStream* stream() { return stream_.get(); }
   const StreamSchema& schema() const { return stream_->schema(); }
   uint64_t length() const { return stream_->length(); }
@@ -69,9 +77,9 @@ class ArchivedStream {
   /// Rebinds the MC index's span-CPT cache. Open installs a small private
   /// cache (kDefaultSpanCacheBytes, epoch 0); the Caldera facade replaces
   /// it with its process-wide shared cache stamped with the handle
-  /// epoch, so epoch bumps logically invalidate old entries. stream_id is
-  /// derived from the stream directory. No-op when the stream has no MC
-  /// index.
+  /// epoch, so epoch bumps logically invalidate old entries (Refresh keeps
+  /// them). stream_id is derived from the stream directory. No-op when the
+  /// stream has no MC index.
   void AttachSpanCache(std::shared_ptr<SpanCptCache> cache, uint64_t epoch);
   /// The attached cache (never null once Open succeeds with an MC index;
   /// null for MC-less streams).
@@ -87,9 +95,11 @@ class ArchivedStream {
   void ResetStats();
 
  private:
-  explicit ArchivedStream(std::string dir) : dir_(std::move(dir)) {}
+  ArchivedStream(std::string dir, size_t pool_pages)
+      : dir_(std::move(dir)), pool_pages_(pool_pages) {}
 
   std::string dir_;
+  size_t pool_pages_;
   std::unique_ptr<StoredStream> stream_;
   std::vector<std::unique_ptr<BTree>> btc_;
   std::vector<std::unique_ptr<BTree>> btp_;

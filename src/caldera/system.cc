@@ -1,6 +1,7 @@
 #include "caldera/system.h"
 
 #include <cstdio>
+#include <vector>
 
 #include "caldera/executor.h"
 
@@ -25,7 +26,8 @@ Result<std::shared_ptr<ArchivedStream>> Caldera::GetStream(
     handle->AttachSpanCache(span_cache_, epoch);
   }
   // The deleter puts the handle back unless the facade is gone, the epoch
-  // moved on or the slot is filled; then `owned` dies outside the lock.
+  // moved on, a commit has since grown the stream past the handle, or the
+  // slot is filled; then `owned` dies outside the lock.
   return std::shared_ptr<ArchivedStream>(
       handle.release(), [home = std::weak_ptr<State>(state_),
                          key = std::move(key), epoch](ArchivedStream* lent) {
@@ -33,9 +35,46 @@ Result<std::shared_ptr<ArchivedStream>> Caldera::GetStream(
         std::shared_ptr<State> state = home.lock();
         if (state == nullptr) return;
         std::lock_guard<std::mutex> lock(state->mu);
-        if (state->epoch != epoch) return;
+        if (state->epoch != epoch || !state->IsCurrent(key.first, *lent)) {
+          return;
+        }
         state->idle.try_emplace(key, std::move(owned));
       });
+}
+
+bool Caldera::State::IsCurrent(const std::string& name,
+                               const ArchivedStream& handle) const {
+  auto it = committed_lengths.find(name);
+  return it == committed_lengths.end() || it->second == handle.length();
+}
+
+void Caldera::RefreshIdleHandles(const std::string& name,
+                                 uint64_t new_length) {
+  // Take the stream's idle handles out, advance them outside `mu`, and put
+  // back those that reached the committed length. A handle lent now is
+  // not here; its deleter drops it, as its length is no longer current.
+  std::vector<std::pair<IdleKey, std::unique_ptr<ArchivedStream>>> handles;
+  uint64_t epoch;
+  {
+    std::lock_guard<std::mutex> lock(state_->mu);
+    state_->committed_lengths[name] = new_length;
+    epoch = state_->epoch;
+    auto it = state_->idle.lower_bound(IdleKey(name, 0));
+    while (it != state_->idle.end() && it->first.first == name) {
+      handles.emplace_back(it->first, std::move(it->second));
+      it = state_->idle.erase(it);
+    }
+  }
+  for (auto& [key, handle] : handles) {
+    if (!handle->Refresh().ok()) handle.reset();  // The next open redoes it.
+  }
+  std::lock_guard<std::mutex> lock(state_->mu);
+  if (state_->epoch != epoch) return;  // Dropped after the lock is released.
+  for (auto& [key, handle] : handles) {
+    if (handle != nullptr && state_->IsCurrent(name, *handle)) {
+      state_->idle.try_emplace(key, std::move(handle));
+    }
+  }
 }
 
 uint64_t Caldera::InvalidateStreams() {
@@ -66,10 +105,13 @@ Result<std::unique_ptr<StreamIngestor>> Caldera::OpenForIngest(
   }
   StreamIngestor::Options options;
   options.apply_mutex = StreamMutationLock(stream_name);
-  // Epoch-bump on every commit (and on the recovery replay inside Open):
-  // queries in flight finish against their snapshot handles; the next
-  // GetStream reopens and sees the appended timesteps.
-  options.on_commit = [this](uint64_t) { NotifyStreamMutation(); };
+  // Every commit (and the recovery replay inside Open) advances the idle
+  // handles to the new length under the stream's exclusive lock: queries
+  // in flight finish against their lent snapshots, and the next GetStream
+  // lends a refreshed handle whose cached pages and span CPTs stay warm.
+  options.on_commit = [this, stream_name](uint64_t new_length) {
+    RefreshIdleHandles(stream_name, new_length);
+  };
   return StreamIngestor::Open(archive_.StreamDir(stream_name),
                               std::move(options));
 }

@@ -47,9 +47,11 @@ struct ExecOptions {
 /// on one stream at once. An ArchivedStream is single-threaded (its buffer
 /// pools are not locked), so GetStream *lends* handles: each caller gets a
 /// handle no other caller holds, and releasing it returns it to an idle
-/// slot for the next query to reuse warm. Handles are epoch-versioned:
-/// InvalidateStreams never dangles an outstanding handle, it only stops
-/// the facade from lending stale ones again.
+/// slot for the next query to reuse warm. An ingest commit through
+/// OpenForIngest advances the idle handles to the new length (lent ones
+/// keep their snapshot and are dropped on release). Handles are
+/// epoch-versioned: InvalidateStreams never dangles an outstanding handle,
+/// it only stops the facade from lending stale ones again.
 ///
 /// Typical use:
 ///   Caldera system("/data/archive");
@@ -67,7 +69,8 @@ class Caldera {
 
   /// The process-wide cache of composed span CPTs, shared by every stream
   /// handle this facade opens (keys carry stream id + epoch, so entries
-  /// never collide across streams and epoch bumps orphan stale ones).
+  /// never collide across streams and epoch bumps orphan stale ones;
+  /// appends keep them).
   const std::shared_ptr<SpanCptCache>& span_cache() const {
     return span_cache_;
   }
@@ -89,8 +92,9 @@ class Caldera {
 
   /// Lends a handle no other caller holds: the stream's idle handle of this
   /// pool size, else a newly opened one. Releasing it returns it for reuse
-  /// unless the epoch has moved on. Thread-safe. The handle stays valid for
-  /// as long as the caller holds it, past InvalidateStreams or the facade.
+  /// unless the epoch has moved on or an ingest commit has grown the stream
+  /// since. Thread-safe. The handle stays valid for as long as the caller
+  /// holds it, past InvalidateStreams or the facade.
   Result<std::shared_ptr<ArchivedStream>> GetStream(const std::string& name,
                                                     size_t pool_pages = 256);
 
@@ -112,26 +116,30 @@ class Caldera {
   /// Opens a live-append handle for `stream_name` (the growing-stream
   /// ingestion pipeline, src/ingest/). The open replays the stream's WAL if
   /// a previous writer crashed mid-commit, and every committed batch runs
-  /// under the stream's writer lock and ends in NotifyStreamMutation, so
+  /// under the stream's writer lock and ends by refreshing the stream's idle
+  /// handles to the new length (ArchivedStream::Refresh, O(batch)), so
   /// concurrent queries see either the pre- or post-append stream — never a
-  /// mix — and new queries see the appended timesteps immediately. At most
-  /// one live ingestor per stream at a time (not enforced).
+  /// mix — and new queries see the appended timesteps immediately, with
+  /// warm pages and span CPTs. A commit bumps no epoch. At most one live
+  /// ingestor per stream at a time (not enforced).
   Result<std::unique_ptr<StreamIngestor>> OpenForIngest(
       const std::string& stream_name);
 
-  /// The single epoch-bump/invalidation point behind every in-place stream
-  /// mutation (index rebuild, ingest commit): drops idle handles (next
+  /// The single epoch-bump/invalidation point behind every in-place
+  /// rewrite of a stream's files (index rebuild): drops idle handles (next
   /// GetStream reopens against the new on-disk state) and clears the span-
-  /// CPT cache. The epoch bump alone already orphans span entries logically
-  /// — fresh handles stamp the new epoch into their cache keys — and the
-  /// Clear reclaims the bytes instead of waiting for LRU pressure.
+  /// CPT cache. The epoch bump alone already orphans span entries
+  /// logically — fresh handles stamp the new epoch into their cache keys —
+  /// and the Clear reclaims the bytes instead of waiting for LRU pressure.
+  /// Ingest commits do not come here: they only append, and refresh the
+  /// idle handles instead.
   void NotifyStreamMutation();
 
   /// The per-stream reader/writer lock that serializes in-place mutation
-  /// (ingest apply, index rebuild — exclusive) against query execution
-  /// (shared). Stable address for the life of the facade. B+ trees mutate
-  /// in place, so unlike the snapshot-safe record files they need this
-  /// exclusion.
+  /// (ingest apply and its handle refresh, index rebuild — exclusive)
+  /// against query execution (shared). Stable address for the life of the
+  /// facade. B+ trees mutate in place, so unlike the snapshot-safe record
+  /// files they need this exclusion.
   std::shared_mutex* StreamMutationLock(const std::string& stream_name);
 
  private:
@@ -143,12 +151,25 @@ class Caldera {
     uint64_t epoch = 0;
     // At most one idle handle per key, opened under `epoch`.
     std::map<IdleKey, std::unique_ptr<ArchivedStream>> idle;
+    // Length of each stream as its last ingest commit left it; a released
+    // handle of another length is stale and is not idled.
+    std::map<std::string, uint64_t> committed_lengths;
     // Lock order: a stream's mutation lock is always acquired BEFORE mu
     // (Execute: stream lock -> GetStream -> mu; ingest commit: stream lock
-    // -> NotifyStreamMutation -> mu). mu is never held while acquiring a
+    // -> RefreshIdleHandles -> mu). mu is never held while acquiring a
     // stream lock. unique_ptr keeps addresses stable across map growth.
     std::map<std::string, std::unique_ptr<std::shared_mutex>> stream_locks;
+
+    // False when an ingest commit has left `name` at another length than
+    // `handle`'s.
+    bool IsCurrent(const std::string& name,
+                   const ArchivedStream& handle) const;
   };
+
+  // The ingest commit hook: records `new_length` and advances the idle
+  // handles of `name` to it, outside `mu`; a handle that fails to refresh
+  // is dropped. Runs under the stream's exclusive mutation lock.
+  void RefreshIdleHandles(const std::string& name, uint64_t new_length);
 
   StreamArchive archive_;
   std::shared_ptr<SpanCptCache> span_cache_;

@@ -242,23 +242,54 @@ Result<std::unique_ptr<McIndex>> McIndex::Open(const std::string& dir,
   auto index = std::unique_ptr<McIndex>(new McIndex());
   index->dir_ = dir;
   index->alpha_ = meta.options.alpha;
-  const auto num_levels = static_cast<uint32_t>(meta.level_counts.size());
-  index->stream_length_ = meta.stream_length;
   index->domain_size_ = meta.domain;
+  index->pool_pages_ = pool_pages;
   index->transitions_ = std::move(transitions);
-
-  index->levels_.resize(num_levels + 1);  // [0] unused (raw stream).
-  index->level_spans_.resize(num_levels + 1);
-  index->level_spans_[0] = 1;
-  uint64_t span = 1;
-  for (uint32_t level = 1; level <= num_levels; ++level) {
-    span *= index->alpha_;
-    index->level_spans_[level] = span;
-    CALDERA_ASSIGN_OR_RETURN(
-        index->levels_[level],
-        RecordFileReader::Open(LevelPath(dir, level), pool_pages));
-  }
+  index->levels_.resize(1);  // [0] unused (raw stream).
+  index->level_spans_.assign(1, 1);
+  CALDERA_RETURN_IF_ERROR(index->OpenNewLevels(meta));
+  index->stream_length_ = meta.stream_length;
   return index;
+}
+
+Status McIndex::OpenNewLevels(const McMetaSummary& meta) {
+  for (auto level = static_cast<uint32_t>(levels_.size());
+       level <= meta.level_counts.size(); ++level) {
+    CALDERA_ASSIGN_OR_RETURN(
+        std::unique_ptr<RecordFileReader> reader,
+        RecordFileReader::Open(LevelPath(dir_, level), pool_pages_));
+    levels_.push_back(std::move(reader));
+    level_spans_.push_back(level_spans_.back() * alpha_);
+  }
+  return Status::Ok();
+}
+
+Status McIndex::Refresh() {
+  CALDERA_ASSIGN_OR_RETURN(McMetaSummary meta, ReadMeta(dir_));
+  if (meta.options.alpha != alpha_ || meta.domain != domain_size_ ||
+      meta.stream_length < stream_length_ ||
+      meta.level_counts.size() < num_levels()) {
+    return Status::Corruption("MC index meta of " + dir_ +
+                              " changed alpha or domain, or shrank");
+  }
+  // Extend writes only the levels whose count grows; the rest are as
+  // they were.
+  for (uint32_t level = 1; level < levels_.size(); ++level) {
+    if (levels_[level]->num_records() != meta.level_counts[level - 1]) {
+      CALDERA_RETURN_IF_ERROR(levels_[level]->Refresh());
+    }
+  }
+  CALDERA_RETURN_IF_ERROR(OpenNewLevels(meta));
+  // ComputeCpt's decomposition, and so the span-cache key, assume the
+  // layout's entry counts.
+  for (uint32_t level = 1; level < levels_.size(); ++level) {
+    if (levels_[level]->num_records() != meta.level_counts[level - 1]) {
+      return Status::Corruption("MC level " + std::to_string(level) +
+                                " of " + dir_ + " disagrees with mc.meta");
+    }
+  }
+  stream_length_ = meta.stream_length;
+  return Status::Ok();
 }
 
 Status McIndex::SetMinLevel(uint32_t level) {
@@ -326,7 +357,8 @@ Status McIndex::ComputeCpt(uint64_t from, uint64_t to, Cpt* out) {
 Result<std::shared_ptr<const Cpt>> McIndex::GetSpanCpt(uint64_t from,
                                                        uint64_t to) {
   if (span_cache_.valid() && to >= from + 2) {
-    const SpanKey key = span_cache_.KeyFor(from, to, min_level_);
+    const SpanKey key =
+        span_cache_.KeyFor(from, to, min_level_, num_levels());
     if (std::shared_ptr<const Cpt> cached = span_cache_.cache->Get(key)) {
       ++span_cache_hits_;
       return cached;

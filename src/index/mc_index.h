@@ -117,17 +117,26 @@ class McIndex {
   /// empty index, so the resulting files are byte-identical to a full
   /// build) and rewrites the metadata. `transitions` must serve raw CPTs up
   /// to new_length. Open handles on the index keep serving their snapshot
-  /// and must be reopened to see the growth.
+  /// until Refresh advances them.
   static Status Extend(const std::string& dir, TransitionSource transitions,
                        uint64_t new_length, McExtendStats* stats = nullptr);
+
+  /// Advances this handle to the index as Extend left it: refreshes the
+  /// levels Extend grew (RecordFileReader::Refresh) and opens the levels
+  /// it added, so the cost follows the appended entries, not the index
+  /// size.
+  /// Stored entries never change, so cached pages and composed spans below
+  /// the old length stay valid. Corruption if mc.meta changed alpha or
+  /// domain, shrank, or disagrees with a level file.
+  Status Refresh();
 
   /// Computes CPT(from -> to), i.e. the product of the per-step transitions
   /// into from+1 .. to. Requires from < to.
   Status ComputeCpt(uint64_t from, uint64_t to, Cpt* out);
 
-  /// Binds a (usually shared) span-CPT cache to this index. min_level is
-  /// part of the key on lookup because with truncation the composed span
-  /// depends on which levels were used.
+  /// Binds a (usually shared) span-CPT cache to this index. min_level and
+  /// num_levels are part of the key on lookup because the composed span
+  /// depends on which levels supplied it.
   void AttachSpanCache(SpanCacheBinding binding) {
     span_cache_ = std::move(binding);
   }
@@ -177,12 +186,15 @@ class McIndex {
   McIndex() = default;
 
   Status FetchEntry(uint32_t level, uint64_t block, Cpt* out);
+  // Opens the level files `meta` lists beyond those already open.
+  Status OpenNewLevels(const McMetaSummary& meta);
 
   std::string dir_;
   uint32_t alpha_ = 2;
   uint64_t stream_length_ = 0;
   uint32_t domain_size_ = 0;
   uint32_t min_level_ = 1;
+  size_t pool_pages_ = 64;
   TransitionSource transitions_;
   std::vector<std::unique_ptr<RecordFileReader>> levels_;  // [0] unused.
   std::vector<uint64_t> level_spans_;  // alpha^i per level.

@@ -1,5 +1,6 @@
 #include "ingest/ingestor.h"
 
+#include <algorithm>
 #include <mutex>
 
 #include "btree/btree.h"
@@ -12,6 +13,10 @@
 namespace caldera {
 
 namespace {
+
+// Pool pages of the ingestor's StoredStream: Extend reads the last few
+// transitions only.
+constexpr size_t kStoredPoolPages = 4;
 
 // WAL record types. One committed batch occupies the whole log: a batch
 // frame followed by its undo journal, dropped by Reset once applied.
@@ -30,17 +35,38 @@ void PutPath(const std::string& rel, std::string* out) {
   out->append(rel);
 }
 
+// Whether `rel` names a file an undo journal covers: the stream metadata,
+// mc/mc.meta, or a stream or MC level record file or its directory.
+bool IsJournaledPath(std::string_view rel) {
+  if (rel == "meta.bin" || rel == "mc/mc.meta") return true;
+  if (rel.ends_with(".dir")) rel.remove_suffix(4);
+  if (rel == "marginals.rec" || rel == "cpts.rec" || rel == "stream.rec") {
+    return true;
+  }
+  // mc/L<level>.rec, the level without leading zeros.
+  if (!rel.starts_with("mc/L") || !rel.ends_with(".rec")) return false;
+  const std::string_view level = rel.substr(4, rel.size() - 8);
+  return !level.empty() && level.size() <= 2 && level[0] != '0' &&
+         std::all_of(level.begin(), level.end(),
+                     [](char c) { return c >= '0' && c <= '9'; });
+}
+
+// Reads an undo record's path, which must name a journaled file: a damaged
+// record cannot steer a restore outside the stream's own files.
 Status GetPath(std::string_view payload, size_t* offset, std::string* rel) {
   if (payload.size() < *offset + 4) {
     return Status::Corruption("truncated undo record path");
   }
   const uint32_t len = GetFixed32(payload.data() + *offset);
   *offset += 4;
-  if (payload.size() < *offset + len) {
+  if (payload.size() - *offset < len) {
     return Status::Corruption("truncated undo record path");
   }
   rel->assign(payload.data() + *offset, len);
   *offset += len;
+  if (!IsJournaledPath(*rel)) {
+    return Status::Corruption("undo record names no journaled file");
+  }
   return Status::Ok();
 }
 
@@ -80,6 +106,13 @@ Result<std::vector<IngestTimestep>> StreamIngestor::DecodeBatch(
   for (uint32_t i = 0; i < count; ++i) {
     CALDERA_ASSIGN_OR_RETURN(batch[i].marginal,
                              Distribution::Parse(payload, &offset));
+    // Entries are sorted, so the last one bounds every state id.
+    const auto& entries = batch[i].marginal.entries();
+    if (!entries.empty() && entries.back().value >= domain) {
+      return Status::Corruption("ingest batch marginal names state " +
+                                std::to_string(entries.back().value) +
+                                " outside the schema");
+    }
     CALDERA_RETURN_IF_ERROR(
         Cpt::Parse(payload, &offset, domain, &batch[i].transition));
   }
@@ -107,19 +140,27 @@ Result<std::unique_ptr<StreamIngestor>> StreamIngestor::Open(
           *ingestor->options_.apply_mutex);
     }
     CALDERA_RETURN_IF_ERROR(ingestor->Recover());
+    if (ingestor->stats_.batches_recovered > 0 &&
+        ingestor->options_.on_commit != nullptr) {
+      ingestor->options_.on_commit(ingestor->length_);
+    }
   }
   CALDERA_ASSIGN_OR_RETURN(StreamMetaInfo info, ReadStreamMeta(dir));
   ingestor->layout_ = info.layout;
   ingestor->length_ = info.length;
   ingestor->schema_ = std::move(info.schema);
-  // Open-and-discard the stream to validate that the record files agree
-  // with the metadata before accepting appends.
-  CALDERA_RETURN_IF_ERROR(StoredStream::Open(dir, /*pool_pages=*/4).status());
-  if (ingestor->stats_.batches_recovered > 0 &&
-      ingestor->options_.on_commit != nullptr) {
-    ingestor->options_.on_commit(ingestor->length_);
+  // Opening the stream validates that the record files agree with the
+  // metadata before accepting appends.
+  if (ingestor->stored_ == nullptr) {
+    CALDERA_RETURN_IF_ERROR(ingestor->OpenStored());
   }
   return ingestor;
+}
+
+Status StreamIngestor::OpenStored() {
+  CALDERA_ASSIGN_OR_RETURN(stored_,
+                           StoredStream::Open(dir_, kStoredPoolPages));
+  return Status::Ok();
 }
 
 Status StreamIngestor::Recover() {
@@ -138,6 +179,7 @@ Status StreamIngestor::Recover() {
   layout_ = info.layout;
   length_ = info.length;
   schema_ = info.schema;
+  CALDERA_RETURN_IF_ERROR(OpenStored());
 
   // The B+ trees are deliberately not undo-protected (inserts are
   // idempotent); a torn page from the interrupted apply is repaired by
@@ -168,17 +210,22 @@ Status StreamIngestor::RestoreUndoRecord(const WalRecord& record) {
   size_t offset = 0;
   CALDERA_RETURN_IF_ERROR(GetPath(record.payload, &offset, &rel));
   const std::string abs = dir_ + "/" + rel;
+  // An append only grows files, so a restore never does: a range lies
+  // inside the file (newest-first order has already truncated it back) and
+  // a truncate shrinks it.
   switch (record.type) {
     case kUndoRange: {
       if (record.payload.size() < offset + 8) {
         return Status::Corruption("truncated undo range record");
       }
       const uint64_t at = GetFixed64(record.payload.data() + offset);
-      offset += 8;
-      CALDERA_ASSIGN_OR_RETURN(std::unique_ptr<File> f,
-                               File::OpenOrCreate(abs));
-      CALDERA_RETURN_IF_ERROR(f->WriteAt(
-          at, std::string_view(record.payload).substr(offset)));
+      const std::string_view bytes =
+          std::string_view(record.payload).substr(offset + 8);
+      CALDERA_ASSIGN_OR_RETURN(std::unique_ptr<File> f, File::Open(abs));
+      if (at > f->size() || bytes.size() > f->size() - at) {
+        return Status::Corruption("undo range past the end of " + rel);
+      }
+      CALDERA_RETURN_IF_ERROR(f->WriteAt(at, bytes));
       return f->Sync();
     }
     case kUndoTruncate: {
@@ -186,8 +233,10 @@ Status StreamIngestor::RestoreUndoRecord(const WalRecord& record) {
         return Status::Corruption("truncated undo truncate record");
       }
       const uint64_t size = GetFixed64(record.payload.data() + offset);
-      CALDERA_ASSIGN_OR_RETURN(std::unique_ptr<File> f,
-                               File::OpenOrCreate(abs));
+      CALDERA_ASSIGN_OR_RETURN(std::unique_ptr<File> f, File::Open(abs));
+      if (size > f->size()) {
+        return Status::Corruption("undo truncate would grow " + rel);
+      }
       CALDERA_RETURN_IF_ERROR(f->Truncate(size));
       return f->Sync();
     }
@@ -210,7 +259,6 @@ Status StreamIngestor::RestoreUndoRecord(const WalRecord& record) {
 Status StreamIngestor::VerifyOrRebuildTrees() {
   CALDERA_ASSIGN_OR_RETURN(std::vector<TreeIndexFile> trees,
                            ListTreeIndexFiles(dir_));
-  std::unique_ptr<StoredStream> stored;  // Opened on first rebuild.
   for (const auto& [attr, is_btc, path] : trees) {
     bool healthy = false;
     {
@@ -226,16 +274,13 @@ Status StreamIngestor::VerifyOrRebuildTrees() {
       }
     }
     if (healthy) continue;
-    if (stored == nullptr) {
-      CALDERA_ASSIGN_OR_RETURN(stored, StoredStream::Open(dir_));
-    }
     CALDERA_RETURN_IF_ERROR(RemoveFileIfExists(path));
     if (is_btc) {
       CALDERA_RETURN_IF_ERROR(
-          BuildBtcIndexFromStored(stored.get(), attr, path).status());
+          BuildBtcIndexFromStored(stored_.get(), attr, path).status());
     } else {
       CALDERA_RETURN_IF_ERROR(
-          BuildBtpIndexFromStored(stored.get(), attr, path).status());
+          BuildBtpIndexFromStored(stored_.get(), attr, path).status());
     }
   }
   return Status::Ok();
@@ -404,8 +449,10 @@ Status StreamIngestor::ApplyBatch(uint64_t base,
         }));
   }
 
-  // 2. Stream metadata.
+  // 2. Stream metadata; then the ingestor's own handle advances over the
+  // appended timesteps.
   CALDERA_RETURN_IF_ERROR(UpdateStreamLength(dir_, new_length));
+  CALDERA_RETURN_IF_ERROR(stored_->Refresh());
 
   // 3. Secondary B+ tree indexes.
   CALDERA_ASSIGN_OR_RETURN(std::vector<TreeIndexFile> trees,
@@ -428,9 +475,7 @@ Status StreamIngestor::ApplyBatch(uint64_t base,
   // 4. MC index: extend along the right spine, composing from the freshly
   // finalized stream files.
   if (FileExists(dir_ + "/mc/mc.meta")) {
-    CALDERA_ASSIGN_OR_RETURN(std::unique_ptr<StoredStream> stored,
-                             StoredStream::Open(dir_));
-    StoredStream* raw = stored.get();
+    StoredStream* raw = stored_.get();
     McExtendStats extend_stats;
     CALDERA_RETURN_IF_ERROR(McIndex::Extend(
         dir_ + "/mc",

@@ -72,17 +72,20 @@ struct IngestStats {
 ///
 /// Snapshot safety: record-file readers cache their directory in memory and
 /// appends never move committed record bytes or directory entries, so
-/// handles opened before a commit keep serving their snapshot. B+ trees
-/// mutate in place, so `Options::apply_mutex` (exclusive here, shared
-/// around queries — the Caldera facade wires this up) serializes tree
-/// readers against the apply.
+/// handles opened before a commit keep serving their snapshot until they
+/// Refresh, which costs O(batch) (on_commit is where the facade does it
+/// for its idle handles). B+ trees mutate in place, so
+/// `Options::apply_mutex` (exclusive here, shared around queries — the
+/// Caldera facade wires this up) serializes tree readers against the
+/// apply.
 class StreamIngestor {
  public:
   struct Options {
     /// Called after every durably applied batch — including batches
     /// replayed by Open during crash recovery — with the new stream length.
-    /// The Caldera facade hooks its handle-epoch bump and span-cache
-    /// invalidation here. Invoked while the apply lock (if any) is held.
+    /// The Caldera facade hooks its idle-handle refresh here (no epoch
+    /// bump: an append keeps cached pages and span CPTs valid). Invoked
+    /// while the apply lock (if any) is held.
     std::function<void(uint64_t new_length)> on_commit;
     /// When set, recovery and every batch apply hold this exclusively while
     /// mutating on-disk state. Readers of the same stream must hold it
@@ -130,7 +133,8 @@ class StreamIngestor {
       : dir_(std::move(dir)), options_(std::move(options)) {}
 
   /// Serializes the commit frame / re-applies one from the WAL. Decoded
-  /// CPT ids must lie below `domain`, the stream schema's state count.
+  /// marginal and CPT ids must lie below `domain`, the stream schema's
+  /// state count.
   static std::string EncodeBatch(uint64_t base,
                                  const std::vector<IngestTimestep>& batch);
   static Result<std::vector<IngestTimestep>> DecodeBatch(
@@ -145,6 +149,9 @@ class StreamIngestor {
 
   /// Crash recovery: undo-restore, B+ tree verification, batch redo.
   Status Recover();
+
+  /// Opens stored_ over the stream as it is on disk.
+  Status OpenStored();
 
   // Undo journaling (frames appended to the WAL before the mutation).
   Status JournalRange(const File& file, const std::string& rel,
@@ -161,6 +168,8 @@ class StreamIngestor {
   /// Corruption, before the commit point, if mc.meta's domain is not the
   /// stream's state count.
   Status JournalMcUndo(uint64_t new_length);
+  /// Corruption, touching nothing, if the record names a file no journal
+  /// covers or would grow a file.
   Status RestoreUndoRecord(const WalRecord& record);
 
   /// Re-checks every BT_C/BT_P file and rebuilds any that an interrupted
@@ -171,6 +180,10 @@ class StreamIngestor {
   std::string dir_;
   Options options_;
   std::unique_ptr<Wal> wal_;
+  // The stream at its committed length, open across commits: MC Extend's
+  // transition source and the tree rebuilds' input. ApplyBatch refreshes
+  // it once the stream files and length are written.
+  std::unique_ptr<StoredStream> stored_;
   DiskLayout layout_ = DiskLayout::kSeparated;
   uint64_t length_ = 0;
   StreamSchema schema_;

@@ -120,44 +120,47 @@ Status WriteStream(const std::string& dir, const MarkovianStream& stream,
 
 Result<std::unique_ptr<StoredStream>> StoredStream::Open(
     const std::string& dir, size_t pool_pages) {
-  CALDERA_ASSIGN_OR_RETURN(std::unique_ptr<File> meta_file,
-                           File::OpenReadOnly(dir + "/" + kMetaFile));
-  std::string meta(meta_file->size(), '\0');
-  CALDERA_RETURN_IF_ERROR(meta_file->ReadAt(0, meta.size(), meta.data()));
-  if (meta.size() < 17 || meta.compare(0, 8, kMetaMagic, 8) != 0) {
-    return Status::Corruption("bad stream metadata in " + dir);
-  }
-  auto layout = static_cast<DiskLayout>(meta[8]);
-  if (layout != DiskLayout::kSeparated && layout != DiskLayout::kCoClustered) {
-    return Status::Corruption("bad layout byte in " + dir);
-  }
-  uint64_t length = GetFixed64(meta.data() + 9);
-  size_t offset = 17;
-  CALDERA_ASSIGN_OR_RETURN(StreamSchema schema,
-                           StreamSchema::Parse(meta, &offset));
-
-  auto stream = std::unique_ptr<StoredStream>(
-      new StoredStream(dir, layout, length, std::move(schema)));
-  if (layout == DiskLayout::kSeparated) {
+  CALDERA_ASSIGN_OR_RETURN(StreamMetaInfo meta, ReadStreamMeta(dir));
+  auto stream = std::unique_ptr<StoredStream>(new StoredStream(
+      dir, meta.layout, meta.length, std::move(meta.schema)));
+  if (meta.layout == DiskLayout::kSeparated) {
     CALDERA_ASSIGN_OR_RETURN(
         stream->marginals_,
         RecordFileReader::Open(dir + "/" + kMarginalsFile, pool_pages));
     CALDERA_ASSIGN_OR_RETURN(
         stream->cpts_,
         RecordFileReader::Open(dir + "/" + kCptsFile, pool_pages));
-    if (stream->marginals_->num_records() != length ||
-        stream->cpts_->num_records() != length) {
-      return Status::Corruption("record count mismatch in " + dir);
-    }
   } else {
     CALDERA_ASSIGN_OR_RETURN(
         stream->combined_,
         RecordFileReader::Open(dir + "/" + kCombinedFile, pool_pages));
-    if (stream->combined_->num_records() != length) {
-      return Status::Corruption("record count mismatch in " + dir);
+  }
+  CALDERA_RETURN_IF_ERROR(stream->CheckRecordCounts(meta.length));
+  return stream;
+}
+
+Status StoredStream::CheckRecordCounts(uint64_t length) const {
+  for (const auto* reader : {&marginals_, &cpts_, &combined_}) {
+    if (*reader != nullptr && (*reader)->num_records() != length) {
+      return Status::Corruption("record count mismatch in " + dir_);
     }
   }
-  return stream;
+  return Status::Ok();
+}
+
+Status StoredStream::Refresh() {
+  CALDERA_ASSIGN_OR_RETURN(StreamMetaInfo meta, ReadStreamMeta(dir_));
+  if (meta.layout != layout_ || meta.schema != schema_ ||
+      meta.length < length_) {
+    return Status::Corruption("stream metadata of " + dir_ +
+                              " changed layout or schema, or shrank");
+  }
+  for (const auto* reader : {&marginals_, &cpts_, &combined_}) {
+    if (*reader != nullptr) CALDERA_RETURN_IF_ERROR((*reader)->Refresh());
+  }
+  CALDERA_RETURN_IF_ERROR(CheckRecordCounts(meta.length));
+  length_ = meta.length;
+  return Status::Ok();
 }
 
 Status StoredStream::ReadCoClustered(uint64_t t, Distribution* marginal,

@@ -62,6 +62,13 @@ class StoredStream {
   static Result<std::unique_ptr<StoredStream>> Open(const std::string& dir,
                                                     size_t pool_pages = 256);
 
+  /// Advances the handle to the stream's current length after an append
+  /// (RecordFileReader::Refresh on each record file): O(appended
+  /// timesteps), and cached pages of committed records stay warm.
+  /// Corruption if the layout or schema changed, the stream shrank, or the
+  /// record files disagree with the new length.
+  Status Refresh();
+
   /// Reads the marginal distribution of timestep `t`.
   Status ReadMarginal(uint64_t t, Distribution* out);
 
@@ -89,6 +96,8 @@ class StoredStream {
         schema_(std::move(schema)) {}
 
   Status ReadCoClustered(uint64_t t, Distribution* marginal, Cpt* transition);
+  // Corruption unless every record file holds `length` records.
+  Status CheckRecordCounts(uint64_t length) const;
 
   std::string dir_;
   DiskLayout layout_;

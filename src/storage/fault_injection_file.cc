@@ -71,6 +71,8 @@ Status FaultInjectionFile::Sync() {
 
 uint64_t FaultInjectionFile::size() const { return base_->size(); }
 
+Status FaultInjectionFile::RefreshSize() { return base_->RefreshSize(); }
+
 const std::string& FaultInjectionFile::path() const { return base_->path(); }
 
 ScopedFaultInjection::ScopedFaultInjection(std::string path_substring,

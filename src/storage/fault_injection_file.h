@@ -63,6 +63,7 @@ class FaultInjectionFile final : public File {
   Status Truncate(uint64_t size) override;
   Status Sync() override;
   uint64_t size() const override;
+  Status RefreshSize() override;
   const std::string& path() const override;
 
   const FaultInjectionCounters& counters() const { return *counters_; }

@@ -77,6 +77,14 @@ class PosixFile final : public File {
   }
 
   uint64_t size() const override { return size_; }
+
+  Status RefreshSize() override {
+    struct stat st;
+    if (::fstat(fd_, &st) != 0) return Status::IoError(Errno("fstat", path_));
+    size_ = static_cast<uint64_t>(st.st_size);
+    return Status::Ok();
+  }
+
   const std::string& path() const override { return path_; }
 
  private:

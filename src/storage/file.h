@@ -49,8 +49,13 @@ class File {
   /// Flushes data to stable storage.
   virtual Status Sync() = 0;
 
-  /// Current size in bytes.
+  /// Current size in bytes, as of the open or this handle's last write,
+  /// truncate or RefreshSize.
   virtual uint64_t size() const = 0;
+
+  /// Re-reads size() from the file system, for a file another handle may
+  /// have grown since this one was opened.
+  virtual Status RefreshSize() = 0;
 
   virtual const std::string& path() const = 0;
 

@@ -15,6 +15,27 @@ bool ValidPageSize(uint32_t page_size) {
   return page_size >= 512 && page_size <= kMaxPageSize &&
          (page_size & (page_size - 1)) == 0;
 }
+
+// Decodes the header fields at the start of page 0 and checks them against
+// a file of `file_size` bytes.
+Status DecodeHeader(const char* header, uint64_t file_size,
+                    const std::string& path, uint32_t* page_size,
+                    uint64_t* page_count) {
+  if (std::memcmp(header, kMagic, 8) != 0) {
+    return Status::Corruption("bad pager magic in " + path);
+  }
+  *page_size = GetFixed32(header + 8);
+  *page_count = GetFixed64(header + 12);
+  if (!ValidPageSize(*page_size)) {
+    return Status::Corruption("bad page size in " + path);
+  }
+  // Division, not multiplication: a corrupt header with a huge page_count
+  // must not wrap the product and slip past validation.
+  if (*page_count == 0 || *page_count > file_size / *page_size) {
+    return Status::Corruption("pager file truncated: " + path);
+  }
+  return Status::Ok();
+}
 }  // namespace
 
 Pager::Pager(std::unique_ptr<File> file, uint32_t page_size,
@@ -73,19 +94,10 @@ Result<std::unique_ptr<Pager>> Pager::Open(const std::string& path) {
   }
   char header[kHeaderSize];
   CALDERA_RETURN_IF_ERROR(file->ReadAt(0, kHeaderSize, header));
-  if (std::memcmp(header, kMagic, 8) != 0) {
-    return Status::Corruption("bad pager magic in " + path);
-  }
-  uint32_t page_size = GetFixed32(header + 8);
-  uint64_t page_count = GetFixed64(header + 12);
-  if (!ValidPageSize(page_size)) {
-    return Status::Corruption("bad page size in " + path);
-  }
-  // Division, not multiplication: a corrupt header with a huge page_count
-  // must not wrap the product and slip past validation.
-  if (page_count == 0 || page_count > file->size() / page_size) {
-    return Status::Corruption("pager file truncated: " + path);
-  }
+  uint32_t page_size = 0;
+  uint64_t page_count = 0;
+  CALDERA_RETURN_IF_ERROR(
+      DecodeHeader(header, file->size(), path, &page_size, &page_count));
   auto pager = std::unique_ptr<Pager>(
       new Pager(std::move(file), page_size, page_count));
   // Verify the header page end-to-end so corrupt header fields (beyond the
@@ -94,6 +106,22 @@ Result<std::unique_ptr<Pager>> Pager::Open(const std::string& path) {
       pager->file_->ReadAt(0, page_size, pager->scratch_.data()));
   CALDERA_RETURN_IF_ERROR(pager->VerifyPage(pager->scratch_.data(), 0));
   return pager;
+}
+
+Status Pager::Refresh() {
+  CALDERA_RETURN_IF_ERROR(file_->RefreshSize());
+  CALDERA_RETURN_IF_ERROR(file_->ReadAt(0, page_size_, scratch_.data()));
+  CALDERA_RETURN_IF_ERROR(VerifyPage(scratch_.data(), 0));
+  uint32_t page_size = 0;
+  uint64_t page_count = 0;
+  CALDERA_RETURN_IF_ERROR(DecodeHeader(scratch_.data(), file_->size(),
+                                       path(), &page_size, &page_count));
+  if (page_size != page_size_ || page_count < page_count_) {
+    return Status::Corruption("pager header of " + path() +
+                              " changed page size or shrank");
+  }
+  page_count_ = page_count;
+  return Status::Ok();
 }
 
 Status Pager::WriteHeader() {

@@ -52,6 +52,12 @@ class Pager {
   Pager(const Pager&) = delete;
   Pager& operator=(const Pager&) = delete;
 
+  /// Re-reads the file size and the header, for a reader whose file
+  /// another handle has since grown: page_count() then covers the new
+  /// pages. Corruption if the header fails its checksum, changed page size
+  /// or shrank.
+  Status Refresh();
+
   /// Reads page `id` into `buf` (page_size() bytes), verifying its checksum.
   Status ReadPage(PageId id, char* buf) const;
 

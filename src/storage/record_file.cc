@@ -15,47 +15,87 @@ constexpr PageId kFirstDirPage = 1;
 
 uint64_t CeilDiv(uint64_t a, uint64_t b) { return a / b + (a % b != 0); }
 
-// The two pager files of a record file plus its validated meta.
-struct OpenedRecordFile {
-  std::unique_ptr<Pager> data;
-  std::unique_ptr<Pager> dir;
+// The decoded meta page of a record file.
+struct RecordFileMeta {
   uint64_t num_records = 0;
   uint64_t data_bytes = 0;
 };
 
-// Opens both files and checks the meta page against both page counts, so
+// Reads the meta page and checks it against both files' page counts, so
 // every later page index derived from them is in range.
-Result<OpenedRecordFile> OpenRecordFile(const std::string& path) {
-  OpenedRecordFile out;
-  CALDERA_ASSIGN_OR_RETURN(out.data, Pager::Open(path));
-  CALDERA_ASSIGN_OR_RETURN(out.dir, Pager::Open(RecordFileDirPath(path)));
-  if (out.data->page_count() <= kMetaPage) {
+Result<RecordFileMeta> ReadRecordFileMeta(const Pager& data, const Pager& dir) {
+  const std::string& path = data.path();
+  if (data.page_count() <= kMetaPage) {
     return Status::Corruption("record file has no meta page: " + path);
   }
-  std::vector<char> page(out.data->page_size());
-  CALDERA_RETURN_IF_ERROR(out.data->ReadPage(kMetaPage, page.data()));
+  std::vector<char> page(data.page_size());
+  CALDERA_RETURN_IF_ERROR(data.ReadPage(kMetaPage, page.data()));
   if (std::memcmp(page.data(), kRecMagic, 8) != 0) {
     return Status::Corruption("bad record-file magic in " + path);
   }
-  out.num_records = GetFixed64(page.data() + 8);
-  out.data_bytes = GetFixed64(page.data() + 16);
-  if (out.data->page_count() - kFirstDataPage !=
-      CeilDiv(out.data_bytes, out.data->page_size())) {
+  RecordFileMeta meta;
+  meta.num_records = GetFixed64(page.data() + 8);
+  meta.data_bytes = GetFixed64(page.data() + 16);
+  if (data.page_count() - kFirstDataPage !=
+      CeilDiv(meta.data_bytes, data.page_size())) {
     return Status::Corruption("data size does not match meta in " + path);
   }
   // Entries the directory pages can hold; comparing counts first keeps
   // 8 * (n + 1) from overflowing on a corrupt count.
-  const uint64_t dir_pages = out.dir->page_count() - kFirstDirPage;
-  const uint64_t capacity = dir_pages * out.dir->page_size() / 8;
-  if (out.num_records >= capacity) {
+  const uint64_t dir_pages = dir.page_count() - kFirstDirPage;
+  const uint64_t capacity = dir_pages * dir.page_size() / 8;
+  if (meta.num_records >= capacity) {
     return Status::Corruption("directory shorter than record count in " +
                               path);
   }
-  if (dir_pages != CeilDiv((out.num_records + 1) * 8, out.dir->page_size())) {
+  if (dir_pages != CeilDiv((meta.num_records + 1) * 8, dir.page_size())) {
     return Status::Corruption("directory size does not match meta in " +
                               path);
   }
+  return meta;
+}
+
+// The two pager files of a record file plus its validated meta.
+struct OpenedRecordFile {
+  std::unique_ptr<Pager> data;
+  std::unique_ptr<Pager> dir;
+  RecordFileMeta meta;
+};
+
+Result<OpenedRecordFile> OpenRecordFile(const std::string& path) {
+  OpenedRecordFile out;
+  CALDERA_ASSIGN_OR_RETURN(out.data, Pager::Open(path));
+  CALDERA_ASSIGN_OR_RETURN(out.dir, Pager::Open(RecordFileDirPath(path)));
+  CALDERA_ASSIGN_OR_RETURN(out.meta, ReadRecordFileMeta(*out.data, *out.dir));
   return out;
+}
+
+// Appends directory entries [begin, meta.num_records] of `dir` to
+// *offsets, which holds entries [0, begin). Each entry must not precede
+// the one before it (entry 0 is 0) and the last must equal meta.data_bytes;
+// on error *offsets is left as it was.
+Status LoadDirectory(const Pager& dir, const RecordFileMeta& meta,
+                     uint64_t begin, std::vector<uint64_t>* offsets) {
+  const uint32_t page_size = dir.page_size();
+  std::vector<char> page(page_size);
+  Status status;
+  for (uint64_t i = begin; i <= meta.num_records && status.ok(); ++i) {
+    const uint64_t at = i * 8 % page_size;
+    if (i == begin || at == 0) {
+      status = dir.ReadPage(kFirstDirPage + i * 8 / page_size, page.data());
+      if (!status.ok()) break;
+    }
+    const uint64_t offset = GetFixed64(page.data() + at);
+    if (offsets->empty() ? offset != 0 : offset < offsets->back()) {
+      status = Status::Corruption("non-monotone directory in " + dir.path());
+    }
+    offsets->push_back(offset);
+  }
+  if (status.ok() && offsets->back() != meta.data_bytes) {
+    status = Status::Corruption("directory/meta mismatch in " + dir.path());
+  }
+  if (!status.ok()) offsets->resize(begin);
+  return status;
 }
 
 // Physical byte range of page `id` of `pager`.
@@ -72,6 +112,7 @@ std::string RecordFileDirPath(const std::string& path) {
 Result<std::vector<RecordFileAppendRegion>> RecordFileAppendRegions(
     const std::string& path) {
   CALDERA_ASSIGN_OR_RETURN(OpenedRecordFile file, OpenRecordFile(path));
+  const RecordFileMeta& meta = file.meta;
   // Per file: the pager header (page count) and the partial tail page if
   // any (its zero padding fills with new bytes); plus the data file's meta
   // page.
@@ -87,11 +128,11 @@ Result<std::vector<RecordFileAppendRegion>> RecordFileAppendRegions(
     return out;
   };
   RecordFileAppendRegion data =
-      region(*file.data, kFirstDataPage, file.data_bytes);
+      region(*file.data, kFirstDataPage, meta.data_bytes);
   data.overwritten.push_back(PageRange(*file.data, kMetaPage));
   return std::vector<RecordFileAppendRegion>{
       std::move(data),
-      region(*file.dir, kFirstDirPage, (file.num_records + 1) * 8)};
+      region(*file.dir, kFirstDirPage, (meta.num_records + 1) * 8)};
 }
 
 RecordFileWriter::RecordFileWriter(std::unique_ptr<Pager> data_pager,
@@ -128,18 +169,19 @@ Result<std::unique_ptr<RecordFileWriter>> RecordFileWriter::OpenForAppend(
   CALDERA_ASSIGN_OR_RETURN(OpenedRecordFile file, OpenRecordFile(path));
   auto writer = std::unique_ptr<RecordFileWriter>(
       new RecordFileWriter(std::move(file.data), std::move(file.dir)));
-  writer->num_records_ = file.num_records;
-  writer->data_.bytes = file.data_bytes;
-  writer->dir_.bytes = (file.num_records + 1) * 8;
+  const RecordFileMeta& meta = file.meta;
+  writer->num_records_ = meta.num_records;
+  writer->data_.bytes = meta.data_bytes;
+  writer->dir_.bytes = (meta.num_records + 1) * 8;
 
   // Reload each partial tail page into its staging buffer; the next write
   // of that page rewrites it in place. The directory's last page is read
   // even when full, to check its final entry against the meta.
   std::vector<char> page(writer->page_size());
-  const uint64_t data_tail = file.data_bytes % writer->page_size();
+  const uint64_t data_tail = meta.data_bytes % writer->page_size();
   if (data_tail > 0) {
     CALDERA_RETURN_IF_ERROR(writer->data_pager_->ReadPage(
-        kFirstDataPage + file.data_bytes / writer->page_size(), page.data()));
+        kFirstDataPage + meta.data_bytes / writer->page_size(), page.data()));
     writer->data_.partial.assign(page.data(), data_tail);
   }
   const uint32_t dir_page_size = writer->dir_pager_->page_size();
@@ -148,7 +190,7 @@ Result<std::unique_ptr<RecordFileWriter>> RecordFileWriter::OpenForAppend(
   CALDERA_RETURN_IF_ERROR(writer->dir_pager_->ReadPage(
       kFirstDirPage + last_entry / dir_page_size, page.data()));
   if (GetFixed64(page.data() + last_entry % dir_page_size) !=
-      file.data_bytes) {
+      meta.data_bytes) {
     return Status::Corruption("directory/meta mismatch in " + path);
   }
   writer->dir_.partial.assign(page.data(),
@@ -219,31 +261,41 @@ Result<std::unique_ptr<RecordFileReader>> RecordFileReader::Open(
     const std::string& path, size_t pool_pages) {
   CALDERA_ASSIGN_OR_RETURN(OpenedRecordFile file, OpenRecordFile(path));
   // Load the directory (one-time metadata read; bypasses the pool so query
-  // stats reflect only record accesses). OpenRecordFile checked that its
-  // pages hold exactly n + 1 entries.
-  const uint32_t dir_page_size = file.dir->page_size();
-  std::vector<uint64_t> offsets(file.num_records + 1);
-  std::vector<char> page(dir_page_size);
-  for (uint64_t i = 0; i < offsets.size(); ++i) {
-    const uint64_t at = i * 8 % dir_page_size;
-    if (at == 0) {
-      CALDERA_RETURN_IF_ERROR(file.dir->ReadPage(
-          kFirstDirPage + i * 8 / dir_page_size, page.data()));
-    }
-    offsets[i] = GetFixed64(page.data() + at);
-  }
-  if (offsets.front() != 0 || offsets.back() != file.data_bytes) {
-    return Status::Corruption("directory/meta mismatch in " + path);
-  }
-  for (uint64_t i = 0; i + 1 < offsets.size(); ++i) {
-    if (offsets[i] > offsets[i + 1]) {
-      return Status::Corruption("non-monotone directory in " + path);
-    }
-  }
+  // stats reflect only record accesses).
+  std::vector<uint64_t> offsets;
+  offsets.reserve(file.meta.num_records + 1);
+  CALDERA_RETURN_IF_ERROR(LoadDirectory(*file.dir, file.meta, 0, &offsets));
   auto reader = std::unique_ptr<RecordFileReader>(
       new RecordFileReader(std::move(file.data), pool_pages));
   reader->offsets_ = std::move(offsets);
   return reader;
+}
+
+Status RecordFileReader::Refresh() {
+  const uint64_t old_records = num_records();
+  const uint64_t old_bytes = data_bytes();
+  const uint32_t page_size = pager_->page_size();
+  // The append filled the old partial tail page in place.
+  if (old_bytes % page_size != 0) {
+    CALDERA_RETURN_IF_ERROR(
+        pool_->Discard(kFirstDataPage + old_bytes / page_size));
+  }
+  CALDERA_RETURN_IF_ERROR(pager_->Refresh());
+  // Open drops the directory file; the first Refresh reopens it and later
+  // ones keep it.
+  if (dir_pager_ == nullptr) {
+    CALDERA_ASSIGN_OR_RETURN(dir_pager_,
+                             Pager::Open(RecordFileDirPath(pager_->path())));
+  } else {
+    CALDERA_RETURN_IF_ERROR(dir_pager_->Refresh());
+  }
+  CALDERA_ASSIGN_OR_RETURN(RecordFileMeta meta,
+                           ReadRecordFileMeta(*pager_, *dir_pager_));
+  if (meta.num_records < old_records || meta.data_bytes < old_bytes) {
+    return Status::Corruption("record file shrank: " + pager_->path());
+  }
+  // Only the new entries are read; the old ones are never moved.
+  return LoadDirectory(*dir_pager_, meta, old_records + 1, &offsets_);
 }
 
 Result<uint64_t> RecordFileReader::RecordSize(uint64_t id) const {

@@ -112,11 +112,20 @@ class RecordFileWriter {
 
 /// Reads a finalized record file through an LRU buffer pool. The directory
 /// is loaded into memory at Open; page traffic on the records is visible via
-/// stats().
+/// stats(). A reader serves the snapshot it opened (or last refreshed) at,
+/// whatever appends land behind it.
 class RecordFileReader {
  public:
   static Result<std::unique_ptr<RecordFileReader>> Open(
       const std::string& path, size_t pool_pages = 64);
+
+  /// Advances the reader to the file as an append left it, at a cost of
+  /// the appended records only: rereads both pager headers and the meta
+  /// page, loads the new directory entries, and drops the cached copy of
+  /// the old partial tail page (the append filled it in place). Corruption
+  /// if the file shrank or its new entries do not check out; the reader
+  /// then still serves its old records.
+  Status Refresh();
 
   /// Reads record `id` into *out (replacing its contents).
   Status Get(uint64_t id, std::string* out);
@@ -137,6 +146,7 @@ class RecordFileReader {
 
   std::unique_ptr<Pager> pager_;
   std::unique_ptr<BufferPool> pool_;
+  std::unique_ptr<Pager> dir_pager_;  // Null until the first Refresh.
   std::vector<uint64_t> offsets_;  // n+1 delimiting offsets.
 };
 

@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <map>
 #include <mutex>
@@ -18,8 +19,11 @@
 #include "caldera/batch.h"
 #include "caldera/executor.h"
 #include "caldera/system.h"
+#include "common/crc32c.h"
 #include "common/encoding.h"
+#include "common/rng.h"
 #include "index/mc_index.h"
+#include "rfid/workload.h"
 #include "storage/fault_injection_file.h"
 #include "storage/record_file.h"
 #include "storage/wal.h"
@@ -707,9 +711,9 @@ TEST(IngestConcurrencyTest, ManyReadersOnOneStreamMatchOracles) {
   }
 }
 
-// The facade's epoch bump makes commits visible to later queries with no
-// manual InvalidateStreams, while handles opened before the commit keep
-// serving their snapshot.
+// A commit is visible to later queries with no manual InvalidateStreams
+// and bumps no epoch, while a handle lent before the commit keeps serving
+// its snapshot and is not lent again once released.
 TEST(IngestFacadeTest, CommitsAreVisibleWithoutManualInvalidation) {
   test::ScratchDir scratch("ingest_epoch");
   MarkovianStream full = test::MakeBandedStream(140, 8, 43);
@@ -733,7 +737,7 @@ TEST(IngestFacadeTest, CommitsAreVisibleWithoutManualInvalidation) {
   auto ingestor = system.OpenForIngest("live");
   ASSERT_TRUE(ingestor.ok());
   ASSERT_TRUE((*ingestor)->Append(Slice(full, 100, 40)).ok());
-  EXPECT_GT(system.stream_epoch(), epoch_before);
+  EXPECT_EQ(system.stream_epoch(), epoch_before);
 
   auto after = system.Execute("live", query, options);
   auto want = system.Execute("oracle", query, options);
@@ -752,6 +756,144 @@ TEST(IngestFacadeTest, CommitsAreVisibleWithoutManualInvalidation) {
     ASSERT_LT(i, old_oracle->signal.size());
     EXPECT_EQ(old_view->signal[i].time, old_oracle->signal[i].time);
     EXPECT_EQ(old_view->signal[i].prob, old_oracle->signal[i].prob);
+  }
+  // Released, the snapshot is dropped: the next handle has the new length.
+  snapshot->reset();
+  for (int i = 0; i < 2; ++i) {
+    auto next = system.GetStream("live");
+    ASSERT_TRUE(next.ok());
+    EXPECT_EQ((*next)->length(), 140u);
+  }
+}
+
+// A commit advances the idle handle instead of dropping it: the handle the
+// next query borrows is the same object at the new length (its pools keep
+// the previous query's traffic, which a reopen would not), and its MC
+// query reuses the span CPTs composed before the commit. The warm answer
+// is bit-identical to a cold one on an archive built offline at the same
+// length, including across the appends 64 -> 65 (alpha = 2 adds a level)
+// and 65 -> 66.
+TEST(IngestFacadeTest, CommitRefreshesIdleHandlesAndKeepsSpans) {
+  test::ScratchDir scratch("ingest_refresh");
+  // A sparse snippet stream, so the MC query composes spans.
+  auto workload = MakeSnippetStream(
+      {.num_snippets = 4, .density = 0.5, .match_rate = 0.5, .seed = 1});
+  ASSERT_TRUE(workload.ok());
+  const MarkovianStream& full = workload->stream;
+  ASSERT_GE(full.length(), 66u);
+  Caldera system(scratch.Path("archive"));
+  ASSERT_TRUE(system.archive()->Init().ok());
+  auto archive_stream = [&](const std::string& name, uint64_t length) {
+    ASSERT_TRUE(system.archive()->CreateStream(name, Prefix(full, length)).ok());
+    ASSERT_TRUE(system.archive()->BuildBtc(name, 0).ok());
+    ASSERT_TRUE(system.archive()->BuildBtp(name, 0).ok());
+    ASSERT_TRUE(system.archive()->BuildMc(name, {.alpha = 2}).ok());
+  };
+  archive_stream("live", 62);
+  auto ingestor = system.OpenForIngest("live");
+  ASSERT_TRUE(ingestor.ok()) << ingestor.status().ToString();
+  const uint64_t epoch = system.stream_epoch();
+  const ExecOptions mc{.method = AccessMethodKind::kMcIndex};
+  const RegularQuery variable = workload->EnteredRoomVariable();
+  const RegularQuery fixed = workload->EnteredRoomFixed();
+  auto first = system.Execute("live", variable, mc);
+  ASSERT_TRUE(first.ok());
+  ASSERT_GT(first->stats.span_cache_misses, 0u);
+  for (uint64_t length = 63; length <= 66; ++length) {
+    SCOPED_TRACE(length);
+    const ArchivedStream* before = nullptr;
+    uint32_t levels_before = 0;
+    {
+      auto idle = system.GetStream("live");
+      ASSERT_TRUE(idle.ok());
+      before = idle->get();
+      levels_before = (*idle)->mc()->num_levels();
+    }
+    ASSERT_TRUE((*ingestor)->Append(Slice(full, length - 1, 1)).ok());
+    {
+      auto refreshed = system.GetStream("live");
+      ASSERT_TRUE(refreshed.ok());
+      EXPECT_EQ(refreshed->get(), before);
+      EXPECT_EQ((*refreshed)->length(), length);
+      EXPECT_GT((*refreshed)->stream()->IoStats().fetches, 0u);
+      EXPECT_EQ((*refreshed)->mc()->num_levels(),
+                levels_before + (length == 65 ? 1 : 0));
+    }
+    auto got = system.Execute("live", variable, mc);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    // A new level changes every span's key, so that one append starts the
+    // spans over.
+    if (length != 65) {
+      EXPECT_GT(got->stats.span_cache_hits, 0u);
+    }
+
+    const std::string oracle = "oracle" + std::to_string(length);
+    archive_stream(oracle, length);
+    auto want = system.Execute(oracle, variable, mc);
+    ASSERT_TRUE(want.ok());
+    ExpectSignalsIdentical(got->signal, want->signal, "warm mc");
+    for (AccessMethodKind method :
+         {AccessMethodKind::kScan, AccessMethodKind::kBTree}) {
+      auto got_other = system.Execute("live", fixed, {.method = method});
+      auto want_other = system.Execute(oracle, fixed, {.method = method});
+      ASSERT_TRUE(got_other.ok() && want_other.ok());
+      ExpectSignalsIdentical(got_other->signal, want_other->signal,
+                             AccessMethodName(method));
+    }
+  }
+  EXPECT_EQ(system.stream_epoch(), epoch);
+}
+
+// A handle lent before a commit and released after it, with no other
+// handle idle, is dropped rather than idled at its old length.
+TEST(IngestFacadeTest, HandleLentAcrossACommitIsNotLentAgain) {
+  test::ScratchDir scratch("ingest_lent");
+  MarkovianStream full = test::MakeBandedStream(60, 8, 45);
+  Caldera system(scratch.Path("archive"));
+  ASSERT_TRUE(system.archive()->Init().ok());
+  ASSERT_TRUE(system.archive()->CreateStream("live", Prefix(full, 50)).ok());
+  ASSERT_TRUE(system.archive()->BuildBtc("live", 0).ok());
+  auto ingestor = system.OpenForIngest("live");
+  ASSERT_TRUE(ingestor.ok());
+  auto lent = system.GetStream("live");
+  ASSERT_TRUE(lent.ok());
+  ASSERT_TRUE((*ingestor)->Append(Slice(full, 50, 10)).ok());
+  EXPECT_EQ((*lent)->length(), 50u);
+  lent->reset();
+  auto next = system.GetStream("live");
+  ASSERT_TRUE(next.ok());
+  EXPECT_EQ((*next)->length(), 60u);
+}
+
+// A commit inserts into the B+ trees in place, so an idle handle whose
+// tree pages are cached must not answer from them: its BT_C and BT_P
+// answers after the commit equal an offline build's.
+TEST(IngestFacadeTest, RefreshedHandlesSeeTreeInserts) {
+  test::ScratchDir scratch("ingest_trees");
+  MarkovianStream full = test::MakeBandedStream(140, 8, 46);
+  Caldera system(scratch.Path("archive"));
+  ASSERT_TRUE(system.archive()->Init().ok());
+  for (const auto& [name, length] :
+       {std::pair<std::string, uint64_t>{"live", 100}, {"oracle", 140}}) {
+    ASSERT_TRUE(
+        system.archive()->CreateStream(name, Prefix(full, length)).ok());
+    ASSERT_TRUE(system.archive()->BuildBtc(name, 0).ok());
+    ASSERT_TRUE(system.archive()->BuildBtp(name, 0).ok());
+  }
+  const RegularQuery query = FixedQuery();
+  const ExecOptions btree{.method = AccessMethodKind::kBTree};
+  const ExecOptions topk{.method = AccessMethodKind::kTopK, .k = 5};
+  ASSERT_TRUE(system.Execute("live", query, btree).ok());  // Warms the trees.
+  ASSERT_TRUE(system.Execute("live", query, topk).ok());
+  auto ingestor = system.OpenForIngest("live");
+  ASSERT_TRUE(ingestor.ok());
+  ASSERT_TRUE((*ingestor)->Append(Slice(full, 100, 40)).ok());
+  for (const ExecOptions& options : {btree, topk}) {
+    auto got = system.Execute("live", query, options);
+    auto want = system.Execute("oracle", query, options);
+    ASSERT_TRUE(got.ok() && want.ok());
+    ExpectSignalsIdentical(got->signal, want->signal,
+                           AccessMethodName(options.method));
   }
 }
 
@@ -973,6 +1115,136 @@ TEST(IngestCorruptionTest, BatchFrameCptOutsideDomainIsCorruption) {
   auto stored = StoredStream::Open(dir);
   ASSERT_TRUE(stored.ok());
   EXPECT_EQ((*stored)->length(), 39u);
+}
+
+std::string ReadWholeFile(const std::string& path) {
+  auto f = File::OpenReadOnly(path);
+  EXPECT_TRUE(f.ok()) << path;
+  if (!f.ok()) return "";
+  std::string bytes((*f)->size(), '\0');
+  EXPECT_TRUE((*f)->ReadAt(0, bytes.size(), bytes.data()).ok());
+  return bytes;
+}
+
+void WriteWholeFile(const std::string& path, const std::string& bytes) {
+  auto f = File::OpenOrCreate(path);
+  ASSERT_TRUE(f.ok()) << path;
+  ASSERT_TRUE((*f)->Truncate(0).ok());
+  ASSERT_TRUE((*f)->WriteAt(0, bytes).ok());
+}
+
+// One frame of a WAL file: u32 payload length, u8 type, u64 sequence
+// number, u32 CRC-32C over (type || seq || payload), then the payload.
+struct WalFrame {
+  uint8_t type = 0;
+  uint64_t seq = 0;
+  std::string payload;
+};
+
+std::vector<WalFrame> ParseWalFrames(const std::string& bytes) {
+  std::vector<WalFrame> frames;
+  for (size_t at = 8; at + 17 <= bytes.size();) {
+    WalFrame frame;
+    const uint32_t len = GetFixed32(bytes.data() + at);
+    frame.type = static_cast<uint8_t>(bytes[at + 4]);
+    frame.seq = GetFixed64(bytes.data() + at + 5);
+    frame.payload = bytes.substr(at + 17, len);
+    frames.push_back(std::move(frame));
+    at += 17 + len;
+  }
+  return frames;
+}
+
+// The WAL file holding `frames`, each with a CRC that matches its bytes.
+std::string EncodeWalFrames(const std::vector<WalFrame>& frames) {
+  std::string out = "CLDRWAL1";
+  for (const WalFrame& frame : frames) {
+    char head[9];
+    head[0] = static_cast<char>(frame.type);
+    std::memcpy(head + 1, &frame.seq, 8);
+    const uint32_t crc = Crc32cExtend(Crc32c(head, sizeof(head)),
+                                      frame.payload.data(),
+                                      frame.payload.size());
+    PutFixed32(static_cast<uint32_t>(frame.payload.size()), &out);
+    out.push_back(static_cast<char>(frame.type));
+    PutFixed64(frame.seq, &out);
+    PutFixed32(crc, &out);
+    out += frame.payload;
+  }
+  return out;
+}
+
+// The WAL decoders behind a valid frame CRC: a committed-but-unapplied
+// batch leaves a batch frame and its undo journal (page pre-images,
+// truncates, metadata snapshots, absent-markers for a new MC level); each
+// round damages one frame's payload (byte flips, a cut, or trailing
+// bytes), re-stamps the CRC, and runs recovery. Every input must yield a
+// Status, and whatever recovery accepts must open.
+TEST(IngestCorruptionTest, MutatedWalFramesYieldAStatus) {
+  test::ScratchDir scratch("ingest_wal_fuzz");
+  MarkovianStream full = test::MakeBandedStream(70, 8, 73);
+  StreamArchive archive(scratch.Path("archive"));
+  ASSERT_TRUE(archive.Init().ok());
+  ASSERT_TRUE(archive.CreateStream("s", Prefix(full, 64)).ok());
+  ASSERT_TRUE(archive.BuildBtc("s", 0).ok());
+  ASSERT_TRUE(archive.BuildMc("s", {.alpha = 2}).ok());
+  const std::string pristine = archive.StreamDir("s");
+  {
+    auto ingestor = StreamIngestor::Open(pristine);
+    ASSERT_TRUE(ingestor.ok());
+    // 64 -> 67 timesteps adds MC level 6.
+    ASSERT_TRUE((*ingestor)->CommitWithoutApply(Slice(full, 64, 3)).ok());
+  }
+  const std::string wal = ReadWholeFile(StreamIngestor::WalPath(pristine));
+  const std::vector<WalFrame> frames = ParseWalFrames(wal);
+  ASSERT_EQ(EncodeWalFrames(frames), wal);
+  std::map<uint8_t, int> kinds;
+  for (const WalFrame& frame : frames) ++kinds[frame.type];
+  ASSERT_EQ(kinds.size(), 5u);  // The batch and all four undo kinds.
+
+  const std::string dir = scratch.Path("work");
+  auto restore = [&](const std::string& wal_bytes) {
+    std::filesystem::remove_all(dir);
+    std::filesystem::copy(pristine, dir,
+                          std::filesystem::copy_options::recursive);
+    WriteWholeFile(StreamIngestor::WalPath(dir), wal_bytes);
+  };
+  // Unmutated, recovery replays the batch.
+  restore(wal);
+  {
+    auto ingestor = StreamIngestor::Open(dir);
+    ASSERT_TRUE(ingestor.ok()) << ingestor.status().ToString();
+    EXPECT_EQ((*ingestor)->length(), 67u);
+  }
+  Rng rng(74);
+  for (int round = 0; round < 3 * static_cast<int>(frames.size()); ++round) {
+    SCOPED_TRACE(round);
+    std::vector<WalFrame> mutated = frames;
+    std::string& payload = mutated[round % frames.size()].payload;
+    switch (round / frames.size()) {
+      case 0:
+        for (int flips = 0; flips < 1 + round % 3 && !payload.empty();
+             ++flips) {
+          payload[rng.NextBelow(payload.size())] ^=
+              static_cast<char>(1 + rng.NextBelow(255));
+        }
+        break;
+      case 1:
+        payload.resize(rng.NextBelow(payload.size() + 1));
+        break;
+      default:
+        for (int n = 0; n < 1 + round % 9; ++n) {
+          payload.push_back(static_cast<char>(rng.NextBelow(256)));
+        }
+        break;
+    }
+    restore(EncodeWalFrames(mutated));
+    auto ingestor = StreamIngestor::Open(dir);
+    if (!ingestor.ok()) continue;  // Refused: a Status is all we ask.
+    ingestor->reset();
+    auto stored = StoredStream::Open(dir);
+    ASSERT_TRUE(stored.ok()) << stored.status().ToString();
+  }
 }
 
 }  // namespace

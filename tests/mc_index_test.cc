@@ -432,5 +432,58 @@ TEST_F(McIndexTest, TruncatedIndexStaysClose) {
   }
 }
 
+// A handle refreshed after each one-timestep Extend answers every span
+// bit-identically to a cold index built offline at the same length, both
+// through ComputeCpt and through the span cache, which keeps the spans it
+// composed before each append. At alpha = 2 the appends from 32 to 33 and
+// from 64 to 65 timesteps each add a level.
+TEST(McIndexRefreshTest, WarmAnswersEqualAColdBuildAfterEachAppend) {
+  test::ScratchDir scratch("mc_refresh");
+  const MarkovianStream stream = test::MakeBandedStream(70, 6, 21);
+  const TransitionSource source = [&stream](uint64_t t, Cpt* out) {
+    *out = stream.transition(t);
+    return Status::Ok();
+  };
+  for (double eps : {0.0, 1e-3}) {
+    SCOPED_TRACE(eps);
+    const McIndexOptions options{.alpha = 2, .truncate_eps = eps};
+    const std::string live = scratch.Path("live" + std::to_string(eps > 0));
+    ASSERT_TRUE(McIndex::Build(live, source, 30, 6, options).ok());
+    auto warm = McIndex::Open(live, source, /*pool_pages=*/4);
+    ASSERT_TRUE(warm.ok());
+    auto cache = std::make_shared<SpanCptCache>(64u << 20);
+    (*warm)->AttachSpanCache({.cache = cache, .stream_id = 1});
+    uint32_t levels_added = 0;
+    for (uint64_t length = 31; length <= stream.length(); ++length) {
+      SCOPED_TRACE(length);
+      const uint32_t levels_before = (*warm)->num_levels();
+      ASSERT_TRUE(McIndex::Extend(live, source, length).ok());
+      ASSERT_TRUE((*warm)->Refresh().ok());
+      ASSERT_EQ((*warm)->stream_length(), length);
+      levels_added += (*warm)->num_levels() - levels_before;
+
+      const std::string cold_dir = scratch.Path("cold");
+      std::filesystem::remove_all(cold_dir);
+      ASSERT_TRUE(McIndex::Build(cold_dir, source, length, 6, options).ok());
+      auto cold = McIndex::Open(cold_dir, source, /*pool_pages=*/4);
+      ASSERT_TRUE(cold.ok());
+      ASSERT_EQ((*warm)->num_levels(), (*cold)->num_levels());
+      Cpt want, got;
+      for (uint64_t from = 0; from + 1 < length; from += 1 + from % 3) {
+        for (uint64_t to = from + 1; to < length; ++to) {
+          ASSERT_TRUE((*cold)->ComputeCpt(from, to, &want).ok());
+          ASSERT_TRUE((*warm)->ComputeCpt(from, to, &got).ok());
+          ASSERT_EQ(got, want) << from << " -> " << to;
+          auto cached = (*warm)->GetSpanCpt(from, to);
+          ASSERT_TRUE(cached.ok());
+          ASSERT_EQ(**cached, want) << from << " -> " << to << " (cached)";
+        }
+      }
+    }
+    EXPECT_EQ(levels_added, 2u);
+    EXPECT_GT((*warm)->span_cache_hits(), 0u);
+  }
+}
+
 }  // namespace
 }  // namespace caldera

@@ -493,5 +493,156 @@ TEST(RobustnessTest, StoredStreamOpenOnTruncations) {
   }
 }
 
+// Applies `mutate` to page `id` of the pager file `path` and re-stamps the
+// page CRC, so the damage reaches the decoder behind it.
+template <typename Fn>
+void MutatePage(const std::string& path, PageId id, Fn mutate) {
+  auto pager = Pager::Open(path);
+  CALDERA_CHECK_OK(pager.status());
+  std::string page((*pager)->page_size(), '\0');
+  CALDERA_CHECK_OK((*pager)->ReadPage(id, page.data()));
+  mutate(&page);
+  CALDERA_CHECK_OK((*pager)->WritePage(id, page.data()));
+  CALDERA_CHECK_OK((*pager)->Sync());
+}
+
+// A reader refreshes over an append whose meta page or new directory
+// entries were then damaged behind re-stamped CRCs, or whose meta shrank:
+// Refresh returns a Status (Corruption for every meta damage), never UB,
+// and the reader still serves its old records.
+TEST(RobustnessTest, RecordFileRefreshOnMutatedAppend) {
+  test::ScratchDir scratch("robust_refresh");
+  const std::string path = scratch.Path("r.rec");
+  auto record = [](int i) { return std::string(40, char('a' + i % 26)); };
+  constexpr int kOld = 120;
+  constexpr int kNew = 150;
+  {
+    auto writer = RecordFileWriter::Create(path, 512);
+    ASSERT_TRUE(writer.ok());
+    for (int i = 0; i < kOld; ++i) {
+      ASSERT_TRUE((*writer)->Append(record(i)).ok());
+    }
+    ASSERT_TRUE((*writer)->Finalize().ok());
+  }
+  const std::string old_data = ReadWholeFile(path);
+  const std::string old_dir = ReadWholeFile(RecordFileDirPath(path));
+  {
+    auto writer = RecordFileWriter::OpenForAppend(path);
+    ASSERT_TRUE(writer.ok());
+    for (int i = kOld; i < kNew; ++i) {
+      ASSERT_TRUE((*writer)->Append(record(i)).ok());
+    }
+    ASSERT_TRUE((*writer)->Finalize().ok());
+  }
+  const std::string new_data = ReadWholeFile(path);
+  const std::string new_dir = ReadWholeFile(RecordFileDirPath(path));
+
+  const std::string mutated = scratch.Path("mut.rec");
+  const std::string mutated_dir = RecordFileDirPath(mutated);
+  Rng rng(11);
+  for (int round = 0; round < 150; ++round) {
+    SCOPED_TRACE(round);
+    WriteWholeFile(mutated, old_data);
+    WriteWholeFile(mutated_dir, old_dir);
+    auto reader = RecordFileReader::Open(mutated, 4);
+    ASSERT_TRUE(reader.ok());
+    std::string out;
+    ASSERT_TRUE((*reader)->Get(kOld - 1, &out).ok());  // Caches the tail.
+    WriteWholeFile(mutated, new_data);
+    WriteWholeFile(mutated_dir, new_dir);
+    const int kind = round % 3;
+    if (kind == 0) {
+      // One flipped byte of the meta's magic, count or byte total.
+      MutatePage(mutated, 1, [&](std::string* page) {
+        (*page)[rng.NextBelow(24)] ^= static_cast<char>(1 + rng.NextBelow(255));
+      });
+    } else if (kind == 1) {
+      // One flipped byte of a new directory entry (entries 121..150; 63
+      // to a 504-byte page).
+      const uint64_t entry = kOld + 1 + rng.NextBelow(kNew - kOld);
+      MutatePage(mutated_dir, 1 + entry * 8 / 504, [&](std::string* page) {
+        (*page)[entry * 8 % 504 + rng.NextBelow(8)] ^=
+            static_cast<char>(1 + rng.NextBelow(255));
+      });
+    } else {
+      // A meta that shrank below what the reader already serves.
+      const uint64_t count = rng.NextBelow(kOld);
+      const uint64_t bytes = count * 40;
+      MutatePage(mutated, 1, [&](std::string* page) {
+        std::memcpy(page->data() + 8, &count, 8);
+        std::memcpy(page->data() + 16, &bytes, 8);
+      });
+    }
+    const Status refreshed = (*reader)->Refresh();
+    if (kind != 1 || !refreshed.ok()) {
+      EXPECT_EQ(refreshed.code(), StatusCode::kCorruption)
+          << refreshed.ToString();
+    }
+    if (!refreshed.ok()) {
+      EXPECT_EQ((*reader)->num_records(), uint64_t{kOld});
+    }
+    for (int i = 0; i < kOld; ++i) {
+      ASSERT_TRUE((*reader)->Get(i, &out).ok()) << i;
+      ASSERT_EQ(out, record(i)) << i;
+    }
+    // Whatever a refresh accepted is readable.
+    for (uint64_t i = kOld; i < (*reader)->num_records(); ++i) {
+      ASSERT_TRUE((*reader)->Get(i, &out).ok()) << i;
+    }
+  }
+}
+
+// An MC index handle refreshes over an Extend whose mc.meta was then
+// damaged: one to three fields overwritten, as in McIndexOnMutatedFiles.
+// Refresh returns a Status, and every span lookup after it one too.
+TEST(RobustnessTest, McIndexRefreshOnMutatedMeta) {
+  test::ScratchDir scratch("robust_mc_refresh");
+  const MarkovianStream stream = test::MakeBandedStream(40, 6, 12);
+  const TransitionSource source = [&stream](uint64_t t, Cpt* out) {
+    *out = stream.transition(t);
+    return Status::Ok();
+  };
+  const std::string old_index = scratch.Path("old");
+  ASSERT_TRUE(McIndex::Build(old_index, source, 30, 6, {.alpha = 2}).ok());
+  const std::string new_index = scratch.Path("new");
+  std::filesystem::copy(old_index, new_index);
+  ASSERT_TRUE(McIndex::Extend(new_index, source, 40).ok());  // Adds L5.
+  const std::string meta = ReadWholeFile(new_index + "/mc.meta");
+  const std::pair<size_t, size_t> fields[] = {
+      {8, 4}, {12, 4}, {16, 8}, {24, 4}, {28, 8}, {36, 8}, {44, 8}, {52, 8}};
+  const std::string dir = scratch.Path("mc");
+  Rng rng(13);
+  for (int round = 0; round < 90; ++round) {
+    std::filesystem::remove_all(dir);
+    std::filesystem::copy(old_index, dir);
+    auto index = McIndex::Open(dir, source, /*pool_pages=*/4);
+    ASSERT_TRUE(index.ok());
+    Cpt out;
+    ASSERT_TRUE((*index)->ComputeCpt(0, 29, &out).ok());  // Warms the pools.
+    std::filesystem::remove_all(dir);
+    std::filesystem::copy(new_index, dir);
+    std::string bytes = meta;
+    for (int n = 0; n < 1 + round % 3; ++n) {
+      const auto [offset, width] = fields[rng.NextBelow(std::size(fields))];
+      uint64_t value = 0;
+      std::memcpy(&value, bytes.data() + offset, width);
+      switch (rng.NextBelow(3)) {
+        case 0: value -= 1; break;
+        case 1: value = rng.NextBelow(2) == 0 ? 0 : ~uint64_t{0}; break;
+        default: value = uint64_t{1} << rng.NextBelow(8 * width); break;
+      }
+      std::memcpy(bytes.data() + offset, &value, width);
+    }
+    WriteWholeFile(dir + "/mc.meta", bytes);
+    (void)(*index)->Refresh();
+    const uint64_t length = std::min<uint64_t>((*index)->stream_length(), 40);
+    for (uint64_t from = 0; from + 1 < length; from += 3) {
+      for (uint64_t to = from + 1; to < length; to += 2) {
+        (void)(*index)->ComputeCpt(from, to, &out);
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace caldera

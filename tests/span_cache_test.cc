@@ -49,9 +49,10 @@ TEST(SpanCptCacheTest, EveryKeyComponentDisambiguates) {
   SpanCptCache cache(1 << 20);
   cache.Put(Key(0, 4), MakeCpt(2));
   SpanKey base = Key(0, 4);
-  for (SpanKey variant : {SpanKey{2, 0, 0, 4, 1}, SpanKey{1, 1, 0, 4, 1},
-                          SpanKey{1, 0, 1, 4, 1}, SpanKey{1, 0, 0, 5, 1},
-                          SpanKey{1, 0, 0, 4, 2}}) {
+  for (SpanKey variant :
+       {SpanKey{2, 0, 0, 4, 1}, SpanKey{1, 1, 0, 4, 1}, SpanKey{1, 0, 1, 4, 1},
+        SpanKey{1, 0, 0, 5, 1}, SpanKey{1, 0, 0, 4, 2},
+        SpanKey{1, 0, 0, 4, 1, 3}}) {
     EXPECT_FALSE(variant == base);
     EXPECT_EQ(cache.Get(variant), nullptr);
   }

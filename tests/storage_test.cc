@@ -687,5 +687,102 @@ TEST_F(StorageTest, RecordFileDirectoryBitFlipIsCorruption) {
             StatusCode::kNotFound);
 }
 
+// Appends `records` to the finalized record file at `path`.
+void AppendRecords(const std::string& path,
+                   const std::vector<std::string>& records) {
+  auto writer = RecordFileWriter::OpenForAppend(path);
+  ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+  for (const std::string& r : records) ASSERT_TRUE((*writer)->Append(r).ok());
+  ASSERT_TRUE((*writer)->Finalize().ok());
+}
+
+// Every record `reader` serves equals the one a fresh Open of `path` reads.
+void ExpectReaderMatchesFreshOpen(RecordFileReader* reader,
+                                  const std::string& path) {
+  auto fresh = RecordFileReader::Open(path);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  ASSERT_EQ(reader->num_records(), (*fresh)->num_records());
+  EXPECT_EQ(reader->data_bytes(), (*fresh)->data_bytes());
+  std::string got, want;
+  for (uint64_t i = 0; i < (*fresh)->num_records(); ++i) {
+    ASSERT_TRUE(reader->Get(i, &got).ok()) << "record " << i;
+    ASSERT_TRUE((*fresh)->Get(i, &want).ok()) << "record " << i;
+    ASSERT_EQ(got, want) << "record " << i;
+  }
+}
+
+TEST_F(StorageTest, RecordFileRefreshMatchesFreshOpenAfterAppend) {
+  // 58 records of 40 bytes end mid data page, and their 59 directory
+  // entries leave the first 63-entry directory page partial; the 10
+  // records appended below fill that page and start the next.
+  WriteRecords(Path("r"), 58);
+  auto reader = RecordFileReader::Open(Path("r"), 8);
+  ASSERT_TRUE(reader.ok());
+  std::string out;
+  ASSERT_TRUE((*reader)->Get(57, &out).ok());  // Caches the partial tail.
+  std::vector<std::string> appended;
+  for (int i = 0; i < 10; ++i) {
+    appended.push_back(std::string(30 + i, char('A' + i)));
+  }
+  AppendRecords(Path("r"), appended);
+  // Until it refreshes, the reader serves its snapshot.
+  EXPECT_EQ((*reader)->num_records(), 58u);
+  ASSERT_TRUE((*reader)->Get(57, &out).ok());
+  EXPECT_EQ(out, std::string(40, char('a' + 57 % 26)));
+
+  ASSERT_TRUE((*reader)->Refresh().ok());
+  EXPECT_EQ((*reader)->num_records(), 68u);
+  ExpectReaderMatchesFreshOpen(reader->get(), Path("r"));
+  // With nothing appended a refresh changes nothing; later appends (a
+  // record spanning pages, an empty one) refresh like the first.
+  ASSERT_TRUE((*reader)->Refresh().ok());
+  EXPECT_EQ((*reader)->num_records(), 68u);
+  AppendRecords(Path("r"), {std::string(600, 'z'), ""});
+  ASSERT_TRUE((*reader)->Refresh().ok());
+  EXPECT_EQ((*reader)->num_records(), 70u);
+  ExpectReaderMatchesFreshOpen(reader->get(), Path("r"));
+}
+
+TEST_F(StorageTest, RecordFileRefreshReadsOnlyTheNewDirectoryEntries) {
+  WriteRecords(Path("r"), 2000);  // 2001 entries: 32 directory pages.
+  auto reader = RecordFileReader::Open(Path("r"));
+  ASSERT_TRUE(reader.ok());
+  ScopedFaultInjection counted("r.dir", FaultInjectionOptions{});
+  for (uint64_t round = 0; round < 3; ++round) {
+    AppendRecords(Path("r"), {std::string(40, 'n')});
+    const uint64_t reads_before = counted.counters().reads;
+    ASSERT_TRUE((*reader)->Refresh().ok());
+    // The header, plus the page of the one new entry; the first refresh
+    // also opens the directory file (one more header read).
+    EXPECT_EQ(counted.counters().reads - reads_before, round == 0 ? 3u : 2u);
+    EXPECT_EQ((*reader)->num_records(), 2001 + round);
+  }
+  ExpectReaderMatchesFreshOpen(reader->get(), Path("r"));
+}
+
+TEST_F(StorageTest, BufferPoolDiscardRereadsThePage) {
+  auto pager = Pager::Create(Path("p"), 512);
+  ASSERT_TRUE(pager.ok());
+  ASSERT_TRUE((*pager)->AllocatePage().ok());
+  BufferPool pool(pager->get(), 4);
+  std::vector<char> page((*pager)->page_size(), 'x');
+  ASSERT_TRUE((*pager)->WritePage(1, page.data()).ok());
+  {
+    auto handle = pool.Fetch(1);
+    ASSERT_TRUE(handle.ok());
+    EXPECT_EQ(handle->data()[0], 'x');
+    // A pinned page stays.
+    EXPECT_EQ(pool.Discard(1).code(), StatusCode::kFailedPrecondition);
+  }
+  page.assign(page.size(), 'y');
+  ASSERT_TRUE((*pager)->WritePage(1, page.data()).ok());
+  ASSERT_TRUE(pool.Discard(1).ok());
+  ASSERT_TRUE(pool.Discard(1).ok());  // Not cached: nothing to do.
+  auto handle = pool.Fetch(1);
+  ASSERT_TRUE(handle.ok());
+  EXPECT_EQ(handle->data()[0], 'y');
+  EXPECT_EQ(pool.stats().misses, 2u);
+}
+
 }  // namespace
 }  // namespace caldera
