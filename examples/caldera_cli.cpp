@@ -63,10 +63,8 @@ int RunDemo(Caldera& system) {
   CALDERA_CHECK_OK(system.archive()->BuildBtc("james", 0));
   CALDERA_CHECK_OK(system.archive()->BuildBtp("james", 0));
   CALDERA_CHECK_OK(system.archive()->BuildMc("james", {.alpha = 2}));
-  CALDERA_CHECK_OK(
-      system.archive()->BuildJoinIndex("james", workload->types, "type"));
   std::printf(
-      "created stream 'james' (%llu timesteps) with BT_C, BT_P, MC and join "
+      "created stream 'james' (%llu timesteps) with BT_C, BT_P and MC "
       "indexes\n",
       static_cast<unsigned long long>(workload->stream.length()));
   std::printf("try:  query james 'Q(Corridor, (!CoffeeRoom*, CoffeeRoom))'\n");

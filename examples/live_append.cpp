@@ -101,8 +101,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(stats.mc.nodes_recomputed),
               static_cast<unsigned long long>(stats.wal_bytes));
 
-  // The commit already bumped the handle epoch: this query sees the new
-  // tail with no manual invalidation.
+  // The commit already refreshed the idle stream handle: this query sees
+  // the new tail with no manual invalidation.
   RegularQuery query = RegularQuery::Sequence(
       "probe",
       {Predicate::Equality(0, 2, "eq2"), Predicate::Equality(0, 3, "eq3")});

@@ -75,8 +75,6 @@ int main(int argc, char** argv) {
     CALDERA_CHECK_OK(system.archive()->BuildBtc("james", 0));
     CALDERA_CHECK_OK(system.archive()->BuildBtp("james", 0));
     CALDERA_CHECK_OK(system.archive()->BuildMc("james", {.alpha = 2}));
-    CALDERA_CHECK_OK(
-        system.archive()->BuildJoinIndex("james", workload->types, "type"));
   } else if (st.code() != StatusCode::kAlreadyExists) {
     CALDERA_CHECK_OK(st);
   }

@@ -24,10 +24,9 @@ struct BTreeOptions {
 
 /// A disk-resident B+ tree over a paged file with an LRU buffer pool.
 ///
-/// Caldera instantiates this three ways (Section 3 of the paper):
-///   BT_C        key = (value_id:u32, time:u64),            value = prob:f64
-///   BT_P        key = (value_id:u32, 1-prob:f64, time:u64), value = empty
-///   join index  key = (dim_value:u32, time:u64),           value = prob:f64
+/// Caldera instantiates this two ways (Section 3 of the paper):
+///   BT_C  key = (value_id:u32, time:u64),             value = prob:f64
+///   BT_P  key = (value_id:u32, 1-prob:f64, time:u64), value = empty
 ///
 /// Single-threaded. Deletes are "lazy": the entry is removed from its leaf
 /// but nodes are never rebalanced — appropriate for Caldera's write-once

@@ -11,9 +11,6 @@ namespace caldera {
 
 namespace {
 std::string McDir(const std::string& dir) { return dir + "/mc"; }
-std::string JoinPrefix(const std::string& dir, const std::string& column) {
-  return dir + "/join." + column;
-}
 }  // namespace
 
 Result<std::unique_ptr<ArchivedStream>> ArchivedStream::Open(
@@ -78,23 +75,6 @@ Result<std::unique_ptr<ArchivedStream>> ArchivedStream::Open(
       CALDERA_RETURN_IF_ERROR(admit("mc", mc.status()));
     }
   }
-  // Join indexes: join.<column>.meta files.
-  std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    std::string name = entry.path().filename().string();
-    if (name.rfind("join.", 0) == 0 &&
-        name.size() > 10 &&
-        name.substr(name.size() - 5) == ".meta") {
-      std::string column = name.substr(5, name.size() - 10);
-      Result<std::unique_ptr<JoinIndex>> join =
-          JoinIndex::Open(JoinPrefix(dir, column), pool_pages);
-      if (join.ok()) {
-        archived->join_indexes_[column] = std::move(*join);
-      } else {
-        CALDERA_RETURN_IF_ERROR(admit(name, join.status()));
-      }
-    }
-  }
   return archived;
 }
 
@@ -128,11 +108,6 @@ void ArchivedStream::AttachSpanCache(std::shared_ptr<SpanCptCache> cache,
   mc_->AttachSpanCache(std::move(binding));
 }
 
-JoinIndex* ArchivedStream::join_index(const std::string& column) {
-  auto it = join_indexes_.find(column);
-  return it == join_indexes_.end() ? nullptr : it->second.get();
-}
-
 BufferPoolStats ArchivedStream::IndexIoStats() const {
   BufferPoolStats total;
   for (const auto& tree : btc_) {
@@ -142,7 +117,6 @@ BufferPoolStats ArchivedStream::IndexIoStats() const {
     if (tree != nullptr) total += tree->stats();
   }
   if (mc_ != nullptr) total += mc_->IoStats();
-  for (const auto& [column, index] : join_indexes_) total += index->stats();
   return total;
 }
 
@@ -155,7 +129,6 @@ void ArchivedStream::ResetStats() {
     if (tree != nullptr) tree->ResetStats();
   }
   if (mc_ != nullptr) mc_->ResetStats();
-  for (const auto& [column, index] : join_indexes_) index->ResetStats();
 }
 
 Status StreamArchive::CreateStream(const std::string& name,
@@ -195,18 +168,6 @@ Status StreamArchive::BuildMc(const std::string& name,
       McDir(StreamDir(name)),
       [raw](uint64_t t, Cpt* out) { return raw->ReadTransition(t, out); },
       raw->length(), raw->schema().state_count(), options);
-}
-
-Status StreamArchive::BuildJoinIndex(const std::string& name,
-                                     const DimensionTable& table,
-                                     const std::string& column,
-                                     uint32_t page_size) {
-  CALDERA_ASSIGN_OR_RETURN(std::unique_ptr<StoredStream> stored,
-                           StoredStream::Open(StreamDir(name)));
-  CALDERA_ASSIGN_OR_RETURN(MarkovianStream stream, LoadStream(stored.get()));
-  return JoinIndex::Build(stream, table, column,
-                          JoinPrefix(StreamDir(name), column), page_size)
-      .status();
 }
 
 Result<std::unique_ptr<ArchivedStream>> StreamArchive::OpenStream(

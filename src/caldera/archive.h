@@ -2,18 +2,15 @@
 #define CALDERA_CALDERA_ARCHIVE_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "btree/btree.h"
 #include "common/status.h"
-#include "index/join_index.h"
 #include "index/mc_index.h"
 #include "index/span_cache.h"
 #include "markov/stream_io.h"
-#include "query/predicate.h"
 
 namespace caldera {
 
@@ -54,8 +51,7 @@ class ArchivedStream {
   /// Advances this handle to the stream as an ingest commit left it, at a
   /// cost of the appended timesteps: refreshes the stream and MC index
   /// (their files only grow at their ends, so cached pages and span CPTs
-  /// stay valid) and reopens the B+ trees (they mutate in place). Join
-  /// indexes are left as they are; ingest does not maintain them. On error
+  /// stay valid) and reopens the B+ trees (they mutate in place). On error
   /// the handle is half-advanced and must be dropped.
   Status Refresh();
 
@@ -72,7 +68,6 @@ class ArchivedStream {
     return attr < btp_.size() ? btp_[attr].get() : nullptr;
   }
   McIndex* mc() { return mc_.get(); }
-  JoinIndex* join_index(const std::string& column);
 
   /// Rebinds the MC index's span-CPT cache. Open installs a small private
   /// cache (kDefaultSpanCacheBytes, epoch 0); the Caldera facade replaces
@@ -105,7 +100,6 @@ class ArchivedStream {
   std::vector<std::unique_ptr<BTree>> btp_;
   std::unique_ptr<McIndex> mc_;
   std::shared_ptr<SpanCptCache> span_cache_;
-  std::map<std::string, std::unique_ptr<JoinIndex>> join_indexes_;
   std::vector<SkippedIndex> skipped_indexes_;
 };
 
@@ -135,11 +129,6 @@ class StreamArchive {
   /// Builds the Markov-chain index.
   Status BuildMc(const std::string& name, const McIndexOptions& options = {});
 
-  /// Builds a join index for `column` of `table`.
-  Status BuildJoinIndex(const std::string& name, const DimensionTable& table,
-                        const std::string& column,
-                        uint32_t page_size = kDefaultPageSize);
-
   /// Opens an archived stream and its indexes.
   Result<std::unique_ptr<ArchivedStream>> OpenStream(
       const std::string& name, size_t pool_pages = 256);
@@ -149,9 +138,8 @@ class StreamArchive {
   /// Regenerates every rebuildable index of `name` from the (checksum
   /// verified) stream data files: existing BT_C / BT_P files are rebuilt
   /// for their attributes, and the MC index is rebuilt preserving its alpha
-  /// when the old metadata is still readable. Join indexes are left
-  /// untouched (rebuilding them needs the dimension table). This is the
-  /// recovery path after a Corruption report against an index file.
+  /// when the old metadata is still readable. This is the recovery path
+  /// after a Corruption report against an index file.
   Status RebuildIndexes(const std::string& name);
 
   /// Names of all archived streams, sorted.

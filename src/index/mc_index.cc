@@ -357,8 +357,7 @@ Status McIndex::ComputeCpt(uint64_t from, uint64_t to, Cpt* out) {
 Result<std::shared_ptr<const Cpt>> McIndex::GetSpanCpt(uint64_t from,
                                                        uint64_t to) {
   if (span_cache_.valid() && to >= from + 2) {
-    const SpanKey key =
-        span_cache_.KeyFor(from, to, min_level_, num_levels());
+    const SpanKey key = span_cache_.KeyFor(from, to, min_level_);
     if (std::shared_ptr<const Cpt> cached = span_cache_.cache->Get(key)) {
       ++span_cache_hits_;
       return cached;

@@ -134,9 +134,9 @@ class McIndex {
   /// into from+1 .. to. Requires from < to.
   Status ComputeCpt(uint64_t from, uint64_t to, Cpt* out);
 
-  /// Binds a (usually shared) span-CPT cache to this index. min_level and
-  /// num_levels are part of the key on lookup because the composed span
-  /// depends on which levels supplied it.
+  /// Binds a (usually shared) span-CPT cache to this index. min_level is
+  /// part of the key on lookup because the composed span depends on which
+  /// levels supplied it.
   void AttachSpanCache(SpanCacheBinding binding) {
     span_cache_ = std::move(binding);
   }

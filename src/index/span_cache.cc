@@ -40,7 +40,6 @@ size_t SpanKeyHash::operator()(const SpanKey& k) const {
   h = FnvMix(h, k.lo);
   h = FnvMix(h, k.hi);
   h = FnvMix(h, k.min_level);
-  h = FnvMix(h, k.num_levels);
   return static_cast<size_t>(h);
 }
 

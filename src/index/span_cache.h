@@ -19,7 +19,7 @@ uint64_t FingerprintString(std::string_view s);
 
 /// Identity of one composed span CPT. Every component participates in
 /// equality, so one cache instance can safely be shared across streams,
-/// handle epochs, stream lengths and MC level restrictions:
+/// handle epochs and MC level restrictions:
 ///   stream_id     fingerprint of the stream directory
 ///   epoch         handle epoch the stream was opened under — bumping
 ///                 it (Caldera::InvalidateStreams) logically invalidates
@@ -28,18 +28,19 @@ uint64_t FingerprintString(std::string_view s);
 ///   min_level     lowest MC level the span was composed from
 ///                 (McIndex::SetMinLevel); with truncation the composed CPT
 ///                 depends on which levels supplied it
-///   num_levels    stored MC levels of the index that composed it; an
-///                 append that adds a level keys the spans it composes
-///                 apart from those composed before
-/// An append leaves stored index entries and transitions below the old
-/// length untouched, so it changes no key's value and bumps no epoch.
+/// Neither the stream length nor the number of MC levels is part of the
+/// key, because an append cannot change a composed span. McIndex::ComputeCpt
+/// uses a level block only if `cur + span <= to` and its block index is
+/// `< num_records()`. Every entry an append adds, at a new level or an old
+/// one, ends past the old `length - 1`, which is `>= to` for any span
+/// composed before the append. So a cached span never needs the new
+/// entries, and an append bumps no epoch.
 struct SpanKey {
   uint64_t stream_id = 0;
   uint64_t epoch = 0;
   uint64_t lo = 0;
   uint64_t hi = 0;
   uint32_t min_level = 1;
-  uint32_t num_levels = 0;
 
   bool operator==(const SpanKey&) const = default;
 };
@@ -118,16 +119,15 @@ class SpanCptCache {
 
 /// Binding of a cache to one opened stream: the cache plus the fixed key
 /// components of that stream. Attached to ArchivedStream / McIndex so the
-/// hot path only fills in (lo, hi, min_level, num_levels).
+/// hot path only fills in (lo, hi, min_level).
 struct SpanCacheBinding {
   std::shared_ptr<SpanCptCache> cache;
   uint64_t stream_id = 0;
   uint64_t epoch = 0;
 
   bool valid() const { return cache != nullptr; }
-  SpanKey KeyFor(uint64_t lo, uint64_t hi, uint32_t min_level,
-                 uint32_t num_levels) const {
-    return SpanKey{stream_id, epoch, lo, hi, min_level, num_levels};
+  SpanKey KeyFor(uint64_t lo, uint64_t hi, uint32_t min_level) const {
+    return SpanKey{stream_id, epoch, lo, hi, min_level};
   }
 };
 

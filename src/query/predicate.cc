@@ -148,35 +148,6 @@ Result<std::vector<uint32_t>> DimensionTable::Lookup(
                           name_);
 }
 
-Result<std::string> DimensionTable::ColumnValue(const std::string& column,
-                                                uint32_t attr_value) const {
-  for (const auto& [name, values] : columns_) {
-    if (name != column) continue;
-    if (attr_value >= values.size()) {
-      return Status::OutOfRange("attribute value " +
-                                std::to_string(attr_value) +
-                                " outside dimension table " + name_);
-    }
-    return values[attr_value];
-  }
-  return Status::NotFound("no column '" + column + "' in dimension table " +
-                          name_);
-}
-
-Result<std::vector<std::string>> DimensionTable::DistinctValues(
-    const std::string& column) const {
-  for (const auto& [name, values] : columns_) {
-    if (name != column) continue;
-    std::vector<std::string> out;
-    for (const std::string& v : values) {
-      if (std::find(out.begin(), out.end(), v) == out.end()) out.push_back(v);
-    }
-    return out;
-  }
-  return Status::NotFound("no column '" + column + "' in dimension table " +
-                          name_);
-}
-
 Result<Predicate> DimensionTable::MakePredicate(const std::string& column,
                                                 const std::string& value) const {
   CALDERA_ASSIGN_OR_RETURN(std::vector<uint32_t> values,

@@ -79,8 +79,7 @@ class Predicate {
 
 /// A star-schema dimension table (Section 3.4.1): maps values of one stream
 /// attribute to descriptive columns, e.g. LocationType(locationID ->
-/// locationType). Used to build predicates like "location is a CoffeeRoom"
-/// and to build join indexes.
+/// locationType). Used to build predicates like "location is a CoffeeRoom".
 class DimensionTable {
  public:
   DimensionTable() : key_attribute_(0) {}
@@ -97,14 +96,6 @@ class DimensionTable {
   /// All attribute values whose `column` equals `value`, ascending.
   Result<std::vector<uint32_t>> Lookup(const std::string& column,
                                        const std::string& value) const;
-
-  /// Column value for one attribute value.
-  Result<std::string> ColumnValue(const std::string& column,
-                                  uint32_t attr_value) const;
-
-  /// Distinct values of `column`, in first-appearance order.
-  Result<std::vector<std::string>> DistinctValues(
-      const std::string& column) const;
 
   /// Builds the set predicate "key_attribute joins to a row whose `column`
   /// equals `value`" — the conceptual star-schema join of the paper,

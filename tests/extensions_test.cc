@@ -1,6 +1,6 @@
 // Tests for features beyond the paper's core algorithms: threshold
-// retrieval, archive verification, the streaming (Lahar-style) processor,
-// the predicate-conditioned MC index, and multi-attribute streams.
+// retrieval, archive verification, the predicate-conditioned MC index, and
+// multi-attribute streams.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 #include "caldera/verify.h"
 #include "common/logging.h"
 #include "index/mc_index.h"
-#include "reg/streaming.h"
 #include "rfid/workload.h"
 #include "storage/file.h"
 #include "test_util.h"
@@ -210,64 +209,6 @@ TEST_F(VerifyTest, DetectsStaleIndexAfterStreamSwap) {
   VerifyReport report;
   Status st = VerifyArchivedStream(archived->get(), {}, &report);
   EXPECT_EQ(st.code(), StatusCode::kCorruption);
-}
-
-// ---------------------------------------------------------------------------
-// Streaming (Lahar-style) processor
-// ---------------------------------------------------------------------------
-
-TEST(StreamingTest, MatchesBatchSignal) {
-  MarkovianStream stream = test::MakeBandedStream(80, 10, 11);
-  RegularQuery query = Fixed(3, 4);
-  std::vector<double> batch = RunRegOverStream(query, stream);
-
-  StreamingQueryProcessor processor(query, stream.schema(), /*window=*/16);
-  for (uint64_t t = 0; t < stream.length(); ++t) {
-    auto p = processor.Consume(stream.marginal(t),
-                               t == 0 ? Cpt() : stream.transition(t));
-    ASSERT_TRUE(p.ok()) << p.status().ToString();
-    EXPECT_NEAR(*p, batch[t], 1e-12) << "t=" << t;
-  }
-  EXPECT_EQ(processor.timesteps(), stream.length());
-  EXPECT_EQ(processor.recent().size(), 16u);
-  // Window peak equals the best of the last 16 batch values.
-  double best = 0;
-  uint64_t best_t = 0;
-  for (uint64_t t = stream.length() - 16; t < stream.length(); ++t) {
-    if (batch[t] > best) {
-      best = batch[t];
-      best_t = t;
-    }
-  }
-  if (best > 0) {
-    EXPECT_EQ(processor.WindowPeak().time, best_t);
-    EXPECT_NEAR(processor.WindowPeak().prob, best, 1e-12);
-  }
-}
-
-TEST(StreamingTest, ValidatesInput) {
-  MarkovianStream stream = test::MakeBandedStream(10, 6, 12);
-  RegularQuery query = Fixed(1, 2);
-  StreamingQueryProcessor processor(query, stream.schema());
-  // First timestep with a CPT is rejected.
-  EXPECT_FALSE(
-      processor.Consume(stream.marginal(0), stream.transition(1)).ok());
-  ASSERT_TRUE(processor.Consume(stream.marginal(0), Cpt()).ok());
-  // Later timestep without a CPT is rejected.
-  EXPECT_FALSE(processor.Consume(stream.marginal(1), Cpt()).ok());
-}
-
-TEST(StreamingTest, ResetStartsFresh) {
-  MarkovianStream stream = test::MakeBandedStream(20, 6, 13);
-  RegularQuery query = Fixed(1, 2);
-  StreamingQueryProcessor processor(query, stream.schema());
-  ASSERT_TRUE(processor.Consume(stream.marginal(0), Cpt()).ok());
-  ASSERT_TRUE(
-      processor.Consume(stream.marginal(1), stream.transition(1)).ok());
-  processor.Reset();
-  EXPECT_EQ(processor.timesteps(), 0u);
-  EXPECT_TRUE(processor.recent().empty());
-  EXPECT_TRUE(processor.Consume(stream.marginal(0), Cpt()).ok());
 }
 
 // ---------------------------------------------------------------------------

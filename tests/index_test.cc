@@ -6,7 +6,6 @@
 #include "common/encoding.h"
 #include "index/btc_index.h"
 #include "index/btp_index.h"
-#include "index/join_index.h"
 #include "test_util.h"
 
 namespace caldera {
@@ -193,68 +192,6 @@ TEST_F(IndexTest, CursorCreateRejectsWrongTreeShape) {
   ASSERT_TRUE(btp.ok());
   EXPECT_FALSE(PredicateCursor::Create(btp->get(), {0}).ok());
   EXPECT_FALSE(TopProbCursor::Create(btc->get(), {0}).ok());
-}
-
-TEST_F(IndexTest, JoinIndexAggregatesDimensionValues) {
-  // Domain of 6: types Corridor (0,1,2), Office (3,4), Coffee (5).
-  MarkovianStream stream = test::MakeValidStream(60, 6, 15);
-  DimensionTable table("LocationType", 0);
-  table.AddColumn("type", {"Corridor", "Corridor", "Corridor", "Office",
-                           "Office", "Coffee"});
-  auto index =
-      JoinIndex::Build(stream, table, "type", scratch_.Path("join.type"));
-  ASSERT_TRUE(index.ok()) << index.status().ToString();
-
-  auto cursor = (*index)->TimeCursor("Office");
-  ASSERT_TRUE(cursor.ok());
-  std::vector<uint64_t> visited;
-  while (cursor->valid()) {
-    double expected = stream.marginal(cursor->time()).ProbabilityOf(3) +
-                      stream.marginal(cursor->time()).ProbabilityOf(4);
-    EXPECT_NEAR(cursor->prob(), expected, 1e-12);
-    visited.push_back(cursor->time());
-    ASSERT_TRUE(cursor->Next().ok());
-  }
-  std::vector<uint64_t> expected_times;
-  for (uint64_t t = 0; t < stream.length(); ++t) {
-    if (stream.marginal(t).ProbabilityOf(3) +
-            stream.marginal(t).ProbabilityOf(4) >
-        0) {
-      expected_times.push_back(t);
-    }
-  }
-  EXPECT_EQ(visited, expected_times);
-
-  // Probability-ordered access.
-  auto prob_cursor = (*index)->ProbCursor("Coffee");
-  ASSERT_TRUE(prob_cursor.ok());
-  double prev = 1.1;
-  while (prob_cursor->valid()) {
-    EXPECT_LE(prob_cursor->prob(), prev + 1e-15);
-    prev = prob_cursor->prob();
-    ASSERT_TRUE(prob_cursor->Next().ok());
-  }
-}
-
-TEST_F(IndexTest, JoinIndexPersistsAcrossReopen) {
-  MarkovianStream stream = test::MakeValidStream(30, 6, 16);
-  DimensionTable table("LocationType", 0);
-  table.AddColumn("type",
-                  {"A", "A", "B", "B", "C", "C"});
-  {
-    auto index =
-        JoinIndex::Build(stream, table, "type", scratch_.Path("join.type"));
-    ASSERT_TRUE(index.ok());
-  }
-  auto index = JoinIndex::Open(scratch_.Path("join.type"));
-  ASSERT_TRUE(index.ok()) << index.status().ToString();
-  EXPECT_EQ((*index)->column(), "type");
-  auto id = (*index)->IdOf("B");
-  ASSERT_TRUE(id.ok());
-  EXPECT_FALSE((*index)->IdOf("Z").ok());
-  auto cursor = (*index)->TimeCursor("B");
-  ASSERT_TRUE(cursor.ok());
-  EXPECT_TRUE(cursor->valid());
 }
 
 }  // namespace

@@ -435,8 +435,10 @@ TEST_F(McIndexTest, TruncatedIndexStaysClose) {
 // A handle refreshed after each one-timestep Extend answers every span
 // bit-identically to a cold index built offline at the same length, both
 // through ComputeCpt and through the span cache, which keeps the spans it
-// composed before each append. At alpha = 2 the appends from 32 to 33 and
-// from 64 to 65 timesteps each add a level.
+// composed before each append: the span 0 -> length-2 composed before an
+// append is a cache hit after it, even when the append adds a level. At
+// alpha = 2 the appends from 32 to 33 and from 64 to 65 timesteps each add
+// a level.
 TEST(McIndexRefreshTest, WarmAnswersEqualAColdBuildAfterEachAppend) {
   test::ScratchDir scratch("mc_refresh");
   const MarkovianStream stream = test::MakeBandedStream(70, 6, 21);
@@ -453,6 +455,7 @@ TEST(McIndexRefreshTest, WarmAnswersEqualAColdBuildAfterEachAppend) {
     ASSERT_TRUE(warm.ok());
     auto cache = std::make_shared<SpanCptCache>(64u << 20);
     (*warm)->AttachSpanCache({.cache = cache, .stream_id = 1});
+    ASSERT_TRUE((*warm)->GetSpanCpt(0, 29).ok());
     uint32_t levels_added = 0;
     for (uint64_t length = 31; length <= stream.length(); ++length) {
       SCOPED_TRACE(length);
@@ -469,6 +472,13 @@ TEST(McIndexRefreshTest, WarmAnswersEqualAColdBuildAfterEachAppend) {
       ASSERT_TRUE(cold.ok());
       ASSERT_EQ((*warm)->num_levels(), (*cold)->num_levels());
       Cpt want, got;
+      const uint64_t hits_before = (*warm)->span_cache_hits();
+      auto kept = (*warm)->GetSpanCpt(0, length - 2);
+      ASSERT_TRUE(kept.ok());
+      ASSERT_EQ((*warm)->span_cache_hits(), hits_before + 1)
+          << "span cached before the append was composed again";
+      ASSERT_TRUE((*cold)->ComputeCpt(0, length - 2, &want).ok());
+      ASSERT_EQ(**kept, want);
       for (uint64_t from = 0; from + 1 < length; from += 1 + from % 3) {
         for (uint64_t to = from + 1; to < length; ++to) {
           ASSERT_TRUE((*cold)->ComputeCpt(from, to, &want).ok());

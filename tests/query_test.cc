@@ -106,9 +106,6 @@ TEST(DimensionTableTest, LookupAndPredicate) {
   EXPECT_FALSE(table.Lookup("bogus", "x").ok());
   auto missing = table.MakePredicate("type", "Pool");
   EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
-  auto distinct = table.DistinctValues("type");
-  ASSERT_TRUE(distinct.ok());
-  EXPECT_EQ(distinct->size(), 4u);
 }
 
 TEST(RegularQueryTest, FixedVsVariableClassification) {

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <fstream>
+
+#include "caldera/executor.h"
 #include "caldera/system.h"
+#include "caldera/verify.h"
 #include "common/logging.h"
 #include "query/parser.h"
 #include "rfid/workload.h"
@@ -150,9 +154,6 @@ TEST_F(SystemTest, FullRfidPipelineWithParserAndDimensions) {
                   .ok());
   ASSERT_TRUE(system.archive()->BuildBtc("james", 0).ok());
   ASSERT_TRUE(system.archive()->BuildMc("james", {}).ok());
-  ASSERT_TRUE(system.archive()
-                  ->BuildJoinIndex("james", workload->types, "type")
-                  .ok());
 
   SchemaResolver resolver(&workload->schema);
   resolver.AddDimension(&workload->types, "type");
@@ -171,18 +172,55 @@ TEST_F(SystemTest, FullRfidPipelineWithParserAndDimensions) {
   // The person demonstrably entered their office from the corridor.
   EXPECT_GT(peak, 0.1);
 
-  // Join index is discoverable after reopening.
+  // Invalidation bumps the epoch and reopens the stream.
   auto stale = system.GetStream("james");
   ASSERT_TRUE(stale.ok());
   uint64_t epoch_before = system.stream_epoch();
   EXPECT_EQ(system.InvalidateStreams(), epoch_before + 1);
   auto archived = system.GetStream("james");
   ASSERT_TRUE(archived.ok());
-  EXPECT_NE((*archived)->join_index("type"), nullptr);
   // A fresh handle was opened, and the pre-invalidation handle is still
   // safe to use (shared ownership — no dangling).
   EXPECT_NE(archived->get(), stale->get());
   EXPECT_EQ((*stale)->length(), (*archived)->length());
+}
+
+TEST_F(SystemTest, LeftoverJoinFilesDoNotBreakOpen) {
+  // Archives written by older versions may hold join.<column>.* files.
+  // Nothing reads them: opening, scanning and verifying ignore them.
+  MarkovianStream stream = test::MakeBandedStream(120, 10, 6);
+  StreamArchive archive(scratch_.Path("archive"));
+  ASSERT_TRUE(archive.CreateStream("s", stream, DiskLayout::kSeparated).ok());
+  ASSERT_TRUE(archive.BuildBtc("s", 0).ok());
+  ASSERT_TRUE(archive.BuildMc("s", {}).ok());
+  RegularQuery query = RegularQuery::Sequence(
+      "f", {Predicate::Equality(0, 3, "s3"), Predicate::Equality(0, 4, "s4")});
+  OpenStreamOptions strict;
+  strict.tolerate_corrupt_indexes = false;
+
+  QuerySignal before;
+  {
+    auto archived = archive.OpenStream("s", strict);
+    ASSERT_TRUE(archived.ok()) << archived.status().ToString();
+    auto scan = RunPipeline(archived->get(), query, AccessMethodKind::kScan);
+    ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+    before = scan->signal;
+  }
+
+  for (const char* name : {"join.type.meta", "join.type.time.bt"}) {
+    std::ofstream out(archive.StreamDir("s") + "/" + name, std::ios::binary);
+    out << "not a caldera file";
+  }
+
+  auto archived = archive.OpenStream("s", strict);
+  ASSERT_TRUE(archived.ok()) << archived.status().ToString();
+  EXPECT_TRUE((*archived)->skipped_indexes().empty());
+  auto scan = RunPipeline(archived->get(), query, AccessMethodKind::kScan);
+  ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+  EXPECT_EQ(scan->signal, before);
+  VerifyReport report;
+  Status verified = VerifyArchivedStream(archived->get(), {}, &report);
+  EXPECT_TRUE(verified.ok()) << verified.ToString();
 }
 
 }  // namespace
