@@ -77,7 +77,7 @@ int RunFsck(Caldera& system, const std::string& stream_name) {
   auto archived = system.GetStream(stream_name);
   if (!archived.ok()) return Fail(archived.status());
   VerifyReport report;
-  Status st = VerifyArchivedStream(archived->get(), VerifyOptions{}, &report);
+  Status st = VerifyArchivedStream(archived->get(), &report);
   if (!st.ok()) {
     std::fprintf(stderr, "CORRUPT: %s\n", st.ToString().c_str());
     return 1;

@@ -14,6 +14,11 @@ namespace {
 
 Status Fail(const std::string& what) { return Status::Corruption(what); }
 
+/// Numeric tolerance of the stochasticity and consistency checks.
+constexpr double kTolerance = 1e-6;
+/// MC-index entries sampled per level and recomposed from raw CPTs.
+constexpr uint64_t kMcSamplesPerLevel = 8;
+
 /// Aggregates one timestep's state marginal into per-attribute-value
 /// probabilities (the quantity both index types store).
 std::map<uint32_t, double> AttributeMarginal(const Distribution& marginal,
@@ -27,7 +32,7 @@ std::map<uint32_t, double> AttributeMarginal(const Distribution& marginal,
 }
 
 Status VerifyBtc(ArchivedStream* archived, const MarkovianStream& stream,
-                 size_t attr, double tol, uint64_t* checked) {
+                 size_t attr, uint64_t* checked) {
   BTree* tree = archived->btc(attr);
   CALDERA_RETURN_IF_ERROR(tree->CheckInvariants());
 
@@ -43,7 +48,7 @@ Status VerifyBtc(ArchivedStream* archived, const MarkovianStream& stream,
                     ", t=" + std::to_string(t) + ")");
       }
       double stored = GetDouble(got->value().data());
-      if (std::fabs(stored - std::min(prob, 1.0)) > tol) {
+      if (std::fabs(stored - std::min(prob, 1.0)) > kTolerance) {
         return Fail("BT_C probability mismatch at t=" + std::to_string(t));
       }
       ++expected;
@@ -58,7 +63,7 @@ Status VerifyBtc(ArchivedStream* archived, const MarkovianStream& stream,
 }
 
 Status VerifyBtp(ArchivedStream* archived, const MarkovianStream& stream,
-                 size_t attr, double tol, uint64_t* checked) {
+                 size_t attr, uint64_t* checked) {
   BTree* tree = archived->btp(attr);
   CALDERA_RETURN_IF_ERROR(tree->CheckInvariants());
   uint64_t expected = 0;
@@ -83,14 +88,14 @@ Status VerifyBtp(ArchivedStream* archived, const MarkovianStream& stream,
 }
 
 Status VerifyMc(ArchivedStream* archived, const MarkovianStream& stream,
-                uint32_t samples_per_level, double tol, uint64_t* checked) {
+                uint64_t* checked) {
   McIndex* mc = archived->mc();
   uint64_t span = 1;
   for (uint32_t level = 1; level <= mc->num_levels(); ++level) {
     span *= mc->alpha();
     uint64_t blocks = (stream.length() - 1) / span;
     if (blocks == 0) break;
-    uint64_t step = std::max<uint64_t>(1, blocks / samples_per_level);
+    uint64_t step = std::max<uint64_t>(1, blocks / kMcSamplesPerLevel);
     for (uint64_t block = 0; block < blocks; block += step) {
       // The index entry spans [block*span, (block+1)*span]; because min
       // levels are all present, ComputeCpt over that exact range returns
@@ -106,7 +111,7 @@ Status VerifyMc(ArchivedStream* archived, const MarkovianStream& stream,
         const Cpt::RowView row = direct.row(i);
         for (size_t j = 0; j < row.size(); ++j) {
           if (std::fabs(entry.Probability(row.src, row.dsts[j]) -
-                        row.probs[j]) > tol) {
+                        row.probs[j]) > kTolerance) {
             return Fail("MC index entry mismatch at level " +
                         std::to_string(level) + " block " +
                         std::to_string(block));
@@ -128,36 +133,26 @@ std::string VerifyReport::ToString() const {
          std::to_string(mc_entries_checked) + " MC entries";
 }
 
-Status VerifyArchivedStream(ArchivedStream* archived,
-                            const VerifyOptions& options,
-                            VerifyReport* report) {
+Status VerifyArchivedStream(ArchivedStream* archived, VerifyReport* report) {
   *report = VerifyReport{};
   // Load the stream once (also exercises every record's parse path).
   CALDERA_ASSIGN_OR_RETURN(MarkovianStream stream,
                            LoadStream(archived->stream()));
   report->timesteps_checked = stream.length();
-
-  if (options.check_stream) {
-    CALDERA_RETURN_IF_ERROR(stream.Validate(options.tolerance));
-  }
-
+  CALDERA_RETURN_IF_ERROR(stream.Validate(kTolerance));
   for (size_t attr = 0; attr < stream.schema().num_attributes(); ++attr) {
-    if (options.check_btc && archived->btc(attr) != nullptr) {
-      CALDERA_RETURN_IF_ERROR(VerifyBtc(archived, stream, attr,
-                                        options.tolerance,
-                                        &report->btc_entries_checked));
+    if (archived->btc(attr) != nullptr) {
+      CALDERA_RETURN_IF_ERROR(
+          VerifyBtc(archived, stream, attr, &report->btc_entries_checked));
     }
-    if (options.check_btp && archived->btp(attr) != nullptr) {
-      CALDERA_RETURN_IF_ERROR(VerifyBtp(archived, stream, attr,
-                                        options.tolerance,
-                                        &report->btp_entries_checked));
+    if (archived->btp(attr) != nullptr) {
+      CALDERA_RETURN_IF_ERROR(
+          VerifyBtp(archived, stream, attr, &report->btp_entries_checked));
     }
   }
-  if (options.mc_samples_per_level > 0 && archived->mc() != nullptr) {
-    CALDERA_RETURN_IF_ERROR(VerifyMc(archived, stream,
-                                     options.mc_samples_per_level,
-                                     options.tolerance,
-                                     &report->mc_entries_checked));
+  if (archived->mc() != nullptr) {
+    CALDERA_RETURN_IF_ERROR(
+        VerifyMc(archived, stream, &report->mc_entries_checked));
   }
   return Status::Ok();
 }

@@ -9,21 +9,6 @@
 
 namespace caldera {
 
-/// Knobs for VerifyArchivedStream.
-struct VerifyOptions {
-  /// Numeric tolerance for stochasticity/consistency checks.
-  double tolerance = 1e-6;
-  /// Check BT_C entries against stream marginals (both directions).
-  bool check_btc = true;
-  /// Check BT_P entries against stream marginals.
-  bool check_btp = true;
-  /// Check MC-index entries against freshly composed raw CPTs on a sample
-  /// of entries per level (0 disables; exact indexes only).
-  uint32_t mc_samples_per_level = 8;
-  /// Validate the stream's Markovian invariants (marginal/CPT consistency).
-  bool check_stream = true;
-};
-
 /// What the verifier covered.
 struct VerifyReport {
   uint64_t timesteps_checked = 0;
@@ -40,13 +25,11 @@ struct VerifyReport {
 ///   * every BT_C/BT_P tree satisfies its structural invariants, contains
 ///     exactly one entry per (attribute value, timestep) of the marginal
 ///     support, with the correct probability — and nothing else;
-///   * sampled MC-index entries equal the product of the raw CPTs they
-///     claim to span.
-/// Returns the first corruption found as a Status; on success fills
-/// `report`.
-Status VerifyArchivedStream(ArchivedStream* archived,
-                            const VerifyOptions& options,
-                            VerifyReport* report);
+///   * eight sampled MC-index entries per level equal the product of the
+///     raw CPTs they claim to span.
+/// Probabilities must agree within 1e-6. Returns the first corruption
+/// found as a Status; on success fills `report`.
+Status VerifyArchivedStream(ArchivedStream* archived, VerifyReport* report);
 
 }  // namespace caldera
 

@@ -104,15 +104,8 @@ Result<std::vector<IngestTimestep>> StreamIngestor::DecodeBatch(
   }
   std::vector<IngestTimestep> batch(count);
   for (uint32_t i = 0; i < count; ++i) {
-    CALDERA_ASSIGN_OR_RETURN(batch[i].marginal,
-                             Distribution::Parse(payload, &offset));
-    // Entries are sorted, so the last one bounds every state id.
-    const auto& entries = batch[i].marginal.entries();
-    if (!entries.empty() && entries.back().value >= domain) {
-      return Status::Corruption("ingest batch marginal names state " +
-                                std::to_string(entries.back().value) +
-                                " outside the schema");
-    }
+    CALDERA_RETURN_IF_ERROR(
+        Distribution::Parse(payload, &offset, domain, &batch[i].marginal));
     CALDERA_RETURN_IF_ERROR(
         Cpt::Parse(payload, &offset, domain, &batch[i].transition));
   }

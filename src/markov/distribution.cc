@@ -119,30 +119,36 @@ void Distribution::AppendTo(std::string* out) const {
   }
 }
 
-Result<Distribution> Distribution::Parse(std::string_view data,
-                                         size_t* offset) {
+Status Distribution::Parse(std::string_view data, size_t* offset,
+                           uint32_t domain, Distribution* out) {
+  out->entries_.clear();
+  auto corrupt = [out](const std::string& what) {
+    out->entries_.clear();
+    return Status::Corruption(what);
+  };
   if (*offset + 4 > data.size()) {
-    return Status::Corruption("truncated distribution header");
+    return corrupt("truncated distribution header");
   }
   uint32_t count = GetFixed32(data.data() + *offset);
   *offset += 4;
   if (*offset + count * 12ull > data.size()) {
-    return Status::Corruption("truncated distribution entries");
+    return corrupt("truncated distribution entries");
   }
-  Distribution d;
-  d.entries_.reserve(count);
-  ValueId prev = 0;
+  out->entries_.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
     ValueId value = GetFixed32(data.data() + *offset);
     double prob = GetDouble(data.data() + *offset + 4);
     *offset += 12;
-    if (i > 0 && value <= prev) {
-      return Status::Corruption("distribution entries out of order");
+    if (i > 0 && value <= out->entries_.back().value) {
+      return corrupt("distribution entries out of order");
     }
-    prev = value;
-    d.entries_.push_back({value, prob});
+    if (value >= domain) {
+      return corrupt("distribution names state " + std::to_string(value) +
+                     " outside a domain of " + std::to_string(domain));
+    }
+    out->entries_.push_back({value, prob});
   }
-  return d;
+  return Status::Ok();
 }
 
 }  // namespace caldera

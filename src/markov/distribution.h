@@ -91,7 +91,13 @@ class Distribution {
 
   // Binary serialization: u32 count, then count * (u32 value, f64 prob).
   void AppendTo(std::string* out) const;
-  static Result<Distribution> Parse(std::string_view data, size_t* offset);
+
+  /// Decodes one distribution from `data` at `*offset` into `out`, reusing
+  /// its capacity. Returns Corruption unless the count fits in the
+  /// remaining bytes and the values ascend and are below `domain`. On error
+  /// `out` is left empty.
+  static Status Parse(std::string_view data, size_t* offset, uint32_t domain,
+                      Distribution* out);
 
  private:
   std::vector<Entry> entries_;

@@ -167,8 +167,9 @@ Status StoredStream::ReadCoClustered(uint64_t t, Distribution* marginal,
                                      Cpt* transition) {
   CALDERA_RETURN_IF_ERROR(combined_->Get(t, &scratch_));
   size_t offset = 0;
-  CALDERA_ASSIGN_OR_RETURN(Distribution m,
-                           Distribution::Parse(scratch_, &offset));
+  Distribution m;
+  CALDERA_RETURN_IF_ERROR(Distribution::Parse(scratch_, &offset,
+                                              schema_.state_count(), &m));
   CALDERA_RETURN_IF_ERROR(
       Cpt::Parse(scratch_, &offset, schema_.state_count(),
                  transition != nullptr ? transition : &scratch_cpt_));
@@ -186,8 +187,7 @@ Status StoredStream::ReadMarginal(uint64_t t, Distribution* out) {
   }
   CALDERA_RETURN_IF_ERROR(marginals_->Get(t, &scratch_));
   size_t offset = 0;
-  CALDERA_ASSIGN_OR_RETURN(*out, Distribution::Parse(scratch_, &offset));
-  return Status::Ok();
+  return Distribution::Parse(scratch_, &offset, schema_.state_count(), out);
 }
 
 Status StoredStream::ReadTransition(uint64_t t, Cpt* out) {

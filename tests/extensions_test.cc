@@ -161,7 +161,7 @@ TEST_F(VerifyTest, CleanArchivePasses) {
   MarkovianStream stream = test::MakeBandedStream(120, 10, 7);
   auto archived = ArchiveAll(scratch_, stream, "s");
   VerifyReport report;
-  Status st = VerifyArchivedStream(archived.get(), {}, &report);
+  Status st = VerifyArchivedStream(archived.get(), &report);
   EXPECT_TRUE(st.ok()) << st.ToString();
   EXPECT_EQ(report.timesteps_checked, 120u);
   EXPECT_GT(report.btc_entries_checked, 0u);
@@ -190,7 +190,7 @@ TEST_F(VerifyTest, DetectsIndexStreamMismatch) {
   auto archived = archive.OpenStream("s");
   ASSERT_TRUE(archived.ok());
   VerifyReport report;
-  Status st = VerifyArchivedStream(archived->get(), {}, &report);
+  Status st = VerifyArchivedStream(archived->get(), &report);
   EXPECT_EQ(st.code(), StatusCode::kCorruption);
 }
 
@@ -207,7 +207,7 @@ TEST_F(VerifyTest, DetectsStaleIndexAfterStreamSwap) {
   auto archived = archive.OpenStream("s");
   ASSERT_TRUE(archived.ok());
   VerifyReport report;
-  Status st = VerifyArchivedStream(archived->get(), {}, &report);
+  Status st = VerifyArchivedStream(archived->get(), &report);
   EXPECT_EQ(st.code(), StatusCode::kCorruption);
 }
 
@@ -268,7 +268,7 @@ TEST(MultiAttributeTest, PerAttributeIndexesAndCrossAttributeQueries) {
 
   // Verification covers both attributes' indexes.
   VerifyReport report;
-  Status st = VerifyArchivedStream(archived->get(), {}, &report);
+  Status st = VerifyArchivedStream(archived->get(), &report);
   EXPECT_TRUE(st.ok()) << st.ToString();
 }
 

@@ -74,9 +74,9 @@ TEST(DistributionTest, SerializationRoundTrip) {
   std::string buf;
   d.AppendTo(&buf);
   size_t offset = 0;
-  auto parsed = Distribution::Parse(buf, &offset);
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(*parsed, d);
+  Distribution parsed;
+  ASSERT_TRUE(Distribution::Parse(buf, &offset, 10, &parsed).ok());
+  EXPECT_EQ(parsed, d);
   EXPECT_EQ(offset, buf.size());
 }
 
@@ -86,7 +86,9 @@ TEST(DistributionTest, ParseRejectsTruncation) {
   d.AppendTo(&buf);
   buf.resize(buf.size() - 1);
   size_t offset = 0;
-  EXPECT_FALSE(Distribution::Parse(buf, &offset).ok());
+  Distribution parsed;
+  EXPECT_FALSE(Distribution::Parse(buf, &offset, 2, &parsed).ok());
+  EXPECT_TRUE(parsed.empty());
 }
 
 TEST(DistributionTest, ParseRejectsUnsortedEntries) {
@@ -97,8 +99,23 @@ TEST(DistributionTest, ParseRejectsUnsortedEntries) {
   PutFixed32(3, &buf);  // Out of order.
   PutDouble(0.5, &buf);
   size_t offset = 0;
-  EXPECT_EQ(Distribution::Parse(buf, &offset).status().code(),
+  Distribution parsed;
+  EXPECT_EQ(Distribution::Parse(buf, &offset, 8, &parsed).code(),
             StatusCode::kCorruption);
+}
+
+TEST(DistributionTest, ParseRejectsIdsOutsideDomain) {
+  Distribution d = Distribution::FromPairs({{2, 0.5}, {7, 0.5}});
+  std::string buf;
+  d.AppendTo(&buf);
+  size_t offset = 0;
+  Distribution parsed = Distribution::FromPairs({{0, 1.0}});
+  EXPECT_EQ(Distribution::Parse(buf, &offset, 7, &parsed).code(),
+            StatusCode::kCorruption);
+  EXPECT_TRUE(parsed.empty());
+  offset = 0;
+  ASSERT_TRUE(Distribution::Parse(buf, &offset, 8, &parsed).ok());
+  EXPECT_EQ(parsed, d);
 }
 
 TEST(CptTest, SetRowFindRowProbability) {

@@ -39,8 +39,8 @@ TEST(RobustnessTest, DistributionParseOnRandomBytes) {
   for (int i = 0; i < 2000; ++i) {
     std::string bytes = RandomBytes(&rng, 64);
     size_t offset = 0;
-    Result<Distribution> parsed = Distribution::Parse(bytes, &offset);
-    if (parsed.ok()) {
+    Distribution parsed;
+    if (Distribution::Parse(bytes, &offset, UINT32_MAX, &parsed).ok()) {
       // A benign parse must have consumed a coherent prefix.
       EXPECT_LE(offset, bytes.size());
     }
@@ -168,7 +168,8 @@ TEST(RobustnessTest, MutatedSerializationsStillSafe) {
     mutated[rng.NextBelow(mutated.size())] ^=
         static_cast<char>(1 + rng.NextBelow(255));
     size_t offset = 0;
-    (void)Distribution::Parse(mutated, &offset);
+    Distribution parsed_dist;
+    (void)Distribution::Parse(mutated, &offset, UINT32_MAX, &parsed_dist);
 
     mutated = cpt_bytes;
     mutated[rng.NextBelow(mutated.size())] ^=
@@ -504,6 +505,56 @@ void MutatePage(const std::string& path, PageId id, Fn mutate) {
   mutate(&page);
   CALDERA_CHECK_OK((*pager)->WritePage(id, page.data()));
   CALDERA_CHECK_OK((*pager)->Sync());
+}
+
+// A stream marginal record that names a state outside the schema, planted
+// behind a re-stamped page CRC in either layout, reads as Corruption: query
+// code indexes per-state tables by these ids.
+TEST(RobustnessTest, StreamMarginalIdOutsideDomain) {
+  test::ScratchDir scratch("robust_marginal_id");
+  constexpr uint32_t kDomain = 6;
+  const MarkovianStream stream = test::MakeBandedStream(40, kDomain, 13);
+  const uint64_t t = 20;
+  const Distribution::Entry last = stream.marginal(t).entries().back();
+  std::string entry;
+  PutFixed32(last.value, &entry);
+  PutDouble(last.prob, &entry);
+  for (DiskLayout layout :
+       {DiskLayout::kSeparated, DiskLayout::kCoClustered}) {
+    SCOPED_TRACE(DiskLayoutName(layout));
+    const std::string dir = scratch.Path(DiskLayoutName(layout));
+    ASSERT_TRUE(WriteStream(dir, stream, layout).ok());
+    const std::string path =
+        dir + (layout == DiskLayout::kSeparated ? "/marginals.rec"
+                                                : "/stream.rec");
+    // The last entry keeps its place in the sorted order with any larger id.
+    auto pager = Pager::Open(path);
+    ASSERT_TRUE(pager.ok());
+    const uint64_t pages = (*pager)->page_count();
+    pager->reset();
+    int planted = 0;
+    for (PageId id = 1; id < pages && planted == 0; ++id) {
+      MutatePage(path, id, [&](std::string* page) {
+        const size_t at = page->find(entry);
+        if (at == std::string::npos) return;
+        const uint32_t outside = kDomain + 9;
+        std::memcpy(page->data() + at, &outside, 4);
+        ++planted;
+      });
+    }
+    ASSERT_EQ(planted, 1) << "marginal entry not found";
+    auto stored = StoredStream::Open(dir);
+    ASSERT_TRUE(stored.ok());
+    Distribution marginal;
+    EXPECT_EQ((*stored)->ReadMarginal(t, &marginal).code(),
+              StatusCode::kCorruption);
+    EXPECT_TRUE((*stored)->ReadMarginal(t - 1, &marginal).ok());
+    if (layout == DiskLayout::kCoClustered) {
+      Cpt cpt;
+      EXPECT_EQ((*stored)->ReadTransition(t, &cpt).code(),
+                StatusCode::kCorruption);
+    }
+  }
 }
 
 // A reader refreshes over an append whose meta page or new directory

@@ -219,7 +219,7 @@ TEST_F(SystemTest, LeftoverJoinFilesDoNotBreakOpen) {
   ASSERT_TRUE(scan.ok()) << scan.status().ToString();
   EXPECT_EQ(scan->signal, before);
   VerifyReport report;
-  Status verified = VerifyArchivedStream(archived->get(), {}, &report);
+  Status verified = VerifyArchivedStream(archived->get(), &report);
   EXPECT_TRUE(verified.ok()) << verified.ToString();
 }
 
