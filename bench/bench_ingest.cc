@@ -1,15 +1,19 @@
 // Live-ingestion benchmark: durable append throughput through the WAL
-// commit protocol, and the cost of incremental MC index maintenance
+// commit protocol, recovery time after a writer dies with a full
+// checkpoint window, and the cost of incremental MC index maintenance
 // against a full rebuild. The right-spine extension recomputes
 // O(B/(alpha-1) + log_alpha n) nodes per batch of B timesteps, so extend
 // cost should stay flat in the stream length while rebuild cost grows
 // linearly; results land in BENCH_ingest.json.
+//
+//   ./bench_ingest    (writes BENCH_ingest.json into the current directory)
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <functional>
+#include <memory>
 #include <thread>
 
 #include "bench_util.h"
@@ -63,18 +67,25 @@ int main() {
                std::thread::hardware_concurrency());
 
   // Durable append throughput: archive a prefix with all three index
-  // families, then ingest more timesteps in batches of B. Each commit
-  // fsyncs the WAL (batch frame and undo journal at once), each finalized
-  // record file's two pagers, meta.bin, each B+ tree, the MC levels that
-  // grew plus mc.meta, and the WAL reset: about 14 fsyncs per batch-1
-  // commit here. They are paid per batch, so throughput should rise
-  // steeply with the batch size. The batch-1 row at
+  // families, then ingest more timesteps in batches of B. A commit makes
+  // one fsync (the WAL: batch frame and first-touch undo records at
+  // once); the apply syncs nothing. A checkpoint then fsyncs each file
+  // the window touched (meta.bin, the record files' data and directory
+  // files, mc.meta, the MC levels that grew, each B+ tree) and the WAL
+  // reset, when the log passes StreamIngestor::kCheckpointWalBytes and once
+  // more at the end of the timed loop. Undo records are journaled on a
+  // file's first touch in a window, so at batch 1 the WAL bytes per step
+  // are about one batch frame. Each row runs kRuns times on a fresh
+  // stream: throughput is the median, with the range. The batch-1 row at
   // ~32k archived timesteps checks that a commit's cost does not grow with
-  // the stream: record files only grow at their ends, so the undo journal
-  // is a few pages per file at any length.
-  std::printf("# Append throughput onto an archive with BT_C + BT_P + MC\n");
-  std::printf("%-10s %-10s %10s %14s %16s %14s %16s\n", "archived", "batch",
-              "appended", "timesteps/s", "wal-bytes/step", "mc-nodes",
+  // the stream.
+  constexpr int kRuns = 3;
+  std::printf("# Append throughput onto an archive with BT_C + BT_P + MC, "
+              "%d runs per row\n",
+              kRuns);
+  std::printf("%-9s %-6s %9s %12s %17s %15s %13s %13s %10s %14s\n",
+              "archived", "batch", "appended", "timesteps/s", "range",
+              "wal-bytes/step", "undo/step", "fsyncs/commit", "commits/ckpt",
               "identical-out");
 
   struct Row {
@@ -87,13 +98,22 @@ int main() {
                       {1000, 64, 1000},
                       {1000, 256, 1000},
                       {kLongArchive, 1, 200}};
+  // Past the rows' 200 appended timesteps, room for the recovery run to
+  // fill a checkpoint window.
   const MarkovianStream full =
-      MakeBandedRandomWalkStream(kLongArchive + 200, kDomain, 99);
+      MakeBandedRandomWalkStream(kLongArchive + 2000, kDomain, 99);
   Caldera system(root);
   const RegularQuery query = RegularQuery::Sequence(
       "probe", {Predicate::Equality(0, 2, "eq2"), Predicate::Equality(0, 3, "eq3")});
   ExecOptions btree_exec;
   btree_exec.method = AccessMethodKind::kBTree;
+  auto archive_with_indexes = [&](const std::string& name,
+                                  const MarkovianStream& stream) {
+    CALDERA_CHECK_OK(system.archive()->CreateStream(name, stream));
+    CALDERA_CHECK_OK(system.archive()->BuildBtc(name, 0));
+    CALDERA_CHECK_OK(system.archive()->BuildBtp(name, 0));
+    CALDERA_CHECK_OK(system.archive()->BuildMc(name, {.alpha = 2}));
+  };
 
   bool first_row = true;
   bool all_identical = true;
@@ -110,65 +130,139 @@ int main() {
     auto oracle = system.Execute(oracle_name, query, btree_exec);
     CALDERA_CHECK_OK(oracle.status());
 
-    std::string name = "a";
-    name += std::to_string(row.archived) + "b" + std::to_string(row.batch);
-    CALDERA_CHECK_OK(
-        system.archive()->CreateStream(name, Prefix(full, row.archived)));
-    CALDERA_CHECK_OK(system.archive()->BuildBtc(name, 0));
-    CALDERA_CHECK_OK(system.archive()->BuildBtp(name, 0));
-    CALDERA_CHECK_OK(system.archive()->BuildMc(name, {.alpha = 2}));
-    system.InvalidateStreams();
+    std::vector<double> per_sec;
+    IngestStats stats;
+    bool identical = true;
+    for (int run = 0; run < kRuns; ++run) {
+      std::string name = "a";
+      name += std::to_string(row.archived) + "b" + std::to_string(row.batch) +
+              "r" + std::to_string(run);
+      archive_with_indexes(name, Prefix(full, row.archived));
+      system.InvalidateStreams();
 
-    auto ingestor = system.OpenForIngest(name);
-    CALDERA_CHECK_OK(ingestor.status());
-    double secs = Seconds([&] {
-      for (uint64_t at = row.archived; at < end; at += row.batch) {
-        uint64_t count = std::min<uint64_t>(row.batch, end - at);
-        CALDERA_CHECK_OK((*ingestor)->Append(Slice(full, at, count)));
-      }
-    });
-    const IngestStats& stats = (*ingestor)->stats();
-    double per_sec = static_cast<double>(stats.timesteps_appended) / secs;
-    double wal_per_step = static_cast<double>(stats.wal_bytes) /
-                          static_cast<double>(stats.timesteps_appended);
+      auto ingestor = system.OpenForIngest(name);
+      CALDERA_CHECK_OK(ingestor.status());
+      double secs = Seconds([&] {
+        for (uint64_t at = row.archived; at < end; at += row.batch) {
+          uint64_t count = std::min<uint64_t>(row.batch, end - at);
+          CALDERA_CHECK_OK((*ingestor)->Append(Slice(full, at, count)));
+        }
+        CALDERA_CHECK_OK((*ingestor)->Checkpoint());
+      });
+      stats = (*ingestor)->stats();
+      per_sec.push_back(static_cast<double>(stats.timesteps_appended) / secs);
 
-    auto live = system.Execute(name, query, btree_exec);
-    CALDERA_CHECK_OK(live.status());
-    bool identical = live->signal == oracle->signal;
+      auto live = system.Execute(name, query, btree_exec);
+      CALDERA_CHECK_OK(live.status());
+      identical = identical && live->signal == oracle->signal;
+    }
     all_identical = all_identical && identical;
+    std::sort(per_sec.begin(), per_sec.end());
+    const double median = per_sec[per_sec.size() / 2];
+    const auto steps = static_cast<double>(stats.timesteps_appended);
+    const auto commits = static_cast<double>(stats.batches_committed);
+    const double wal_per_step = static_cast<double>(stats.wal_bytes) / steps;
+    const double undo_per_step = static_cast<double>(stats.undo_bytes) / steps;
+    const double fsyncs_per_commit =
+        static_cast<double>(stats.fsyncs) / commits;
+    const double commits_per_checkpoint =
+        commits / static_cast<double>(stats.checkpoints);
 
-    std::printf("%-10llu %-10llu %10llu %14.0f %16.0f %14llu %16s\n",
+    std::printf("%-9llu %-6llu %9llu %12.0f %8.0f-%-8.0f %15.0f %13.0f %13.3f "
+                "%10.1f %14s\n",
                 static_cast<unsigned long long>(row.archived),
                 static_cast<unsigned long long>(row.batch),
-                static_cast<unsigned long long>(row.appended), per_sec,
-                wal_per_step,
-                static_cast<unsigned long long>(stats.mc.nodes_recomputed),
+                static_cast<unsigned long long>(row.appended), median,
+                per_sec.front(), per_sec.back(), wal_per_step, undo_per_step,
+                fsyncs_per_commit, commits_per_checkpoint,
                 identical ? "yes" : "NO");
     std::fprintf(json,
                  "%s    {\"archived\": %llu, \"batch\": %llu, "
-                 "\"appended\": %llu, \"timesteps_per_s\": %.0f, "
-                 "\"wal_bytes_per_step\": %.0f, \"mc_nodes_recomputed\": "
-                 "%llu, \"identical\": %s}",
+                 "\"appended\": %llu, \"runs\": %d, \"timesteps_per_s\": "
+                 "%.0f, \"timesteps_per_s_min\": %.0f, "
+                 "\"timesteps_per_s_max\": %.0f, \"wal_bytes_per_step\": "
+                 "%.0f, \"undo_bytes_per_step\": %.0f, "
+                 "\"fsyncs_per_commit\": %.3f, \"checkpoints\": %llu, "
+                 "\"mc_nodes_recomputed\": %llu, \"identical\": %s}",
                  first_row ? "" : ",\n",
                  static_cast<unsigned long long>(row.archived),
                  static_cast<unsigned long long>(row.batch),
-                 static_cast<unsigned long long>(row.appended), per_sec,
-                 wal_per_step,
+                 static_cast<unsigned long long>(row.appended), kRuns, median,
+                 per_sec.front(), per_sec.back(), wal_per_step, undo_per_step,
+                 fsyncs_per_commit,
+                 static_cast<unsigned long long>(stats.checkpoints),
                  static_cast<unsigned long long>(stats.mc.nodes_recomputed),
                  identical ? "true" : "false");
     first_row = false;
   }
-  std::printf("# expected: throughput rises with batch size (the ~14 "
-              "fsyncs of a commit amortize); batch-1 wal-bytes/step about "
-              "the same at 1000 and %llu archived; identical-out=yes "
-              "everywhere\n",
+  std::printf("# expected: throughput rises with batch size (the one fsync "
+              "of a commit amortizes); batch-1 wal-bytes/step about one "
+              "batch frame at 1000 and %llu archived; fsyncs/commit = 1 + "
+              "F/K for K commits/ckpt and F files synced per checkpoint "
+              "(F grows with the MC levels a window touches); "
+              "identical-out=yes everywhere\n",
               static_cast<unsigned long long>(kLongArchive));
+
+  // Recovery after a writer dies with a full checkpoint window: batch-1
+  // commits onto ~32k archived timesteps until the next frame would pass
+  // the checkpoint threshold, then one committed-but-unapplied batch. The
+  // reopen restores the undo records, rebuilds both B+ trees from the
+  // restored stream, redoes every frame and checkpoints.
+  {
+    const std::string name = "recover";
+    archive_with_indexes(name, Prefix(full, kLongArchive));
+    system.InvalidateStreams();
+    uint64_t at = kLongArchive;
+    {
+      auto ingestor = system.OpenForIngest(name);
+      CALDERA_CHECK_OK(ingestor.status());
+      uint64_t frame = 0;
+      while ((*ingestor)->stats().wal_bytes + 2 * frame <
+                 StreamIngestor::kCheckpointWalBytes &&
+             at + 1 < full.length()) {
+        const uint64_t before = (*ingestor)->stats().wal_bytes;
+        CALDERA_CHECK_OK((*ingestor)->Append(Slice(full, at, 1)));
+        frame = (*ingestor)->stats().wal_bytes - before;
+        ++at;
+      }
+      CALDERA_CHECK(at + 1 < full.length());
+      CALDERA_CHECK((*ingestor)->stats().checkpoints == 0);
+      CALDERA_CHECK_OK((*ingestor)->CommitWithoutApply(Slice(full, at, 1)));
+      ++at;
+    }
+    const uint64_t wal_bytes =
+        std::filesystem::file_size(StreamIngestor::WalPath(
+            system.archive()->StreamDir(name)));
+    std::unique_ptr<StreamIngestor> recovered;
+    const double recover_s = Seconds([&] {
+      auto opened = StreamIngestor::Open(system.archive()->StreamDir(name));
+      CALDERA_CHECK_OK(opened.status());
+      recovered = std::move(*opened);
+    });
+    CALDERA_CHECK(recovered->length() == at);
+    std::printf("\n# Recovery of a full window onto %llu archived timesteps "
+                "(undo restore + BT_C/BT_P rebuild + redo + checkpoint)\n",
+                static_cast<unsigned long long>(kLongArchive));
+    std::printf("%-12s %12s %14s %12s\n", "wal-bytes", "batches", "recover-ms",
+                "ms/batch");
+    const auto batches = recovered->stats().batches_recovered;
+    std::printf("%-12llu %12llu %14.1f %12.3f\n",
+                static_cast<unsigned long long>(wal_bytes),
+                static_cast<unsigned long long>(batches), recover_s * 1e3,
+                recover_s * 1e3 / static_cast<double>(batches));
+    std::fprintf(json,
+                 "\n  ],\n  \"recovery\": {\"archived\": %llu, "
+                 "\"wal_bytes\": %llu, \"batches_recovered\": %llu, "
+                 "\"recover_ms\": %.1f},\n  \"mc_extend_vs_rebuild\": [\n",
+                 static_cast<unsigned long long>(kLongArchive),
+                 static_cast<unsigned long long>(wal_bytes),
+                 static_cast<unsigned long long>(batches), recover_s * 1e3);
+  }
 
   // Incremental extension vs full rebuild: at each archived length n,
   // append one 16-timestep batch through the ingestor and compare its MC
   // maintenance (time and nodes recomputed) with rebuilding the whole MC
   // index at length n+16. Extend cost should stay ~flat; rebuild is O(n).
-  std::fprintf(json, "\n  ],\n  \"mc_extend_vs_rebuild\": [\n");
   std::printf("\n# MC maintenance: extend by 16 vs full rebuild, alpha=2\n");
   std::printf("%-12s %14s %14s %16s %14s\n", "length", "extend-ms",
               "rebuild-ms", "extend-nodes", "ratio");

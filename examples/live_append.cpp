@@ -3,16 +3,18 @@
 // repeatedly against the same directory — every run appends one batch and
 // queries straight through the fresh tail.
 //
-//   ./live_append [archive-dir] [--crash-after-commit]
+//   ./live_append [archive-dir] [--crash-after-commit[=N]]
 //
-// With --crash-after-commit the run commits a batch to the WAL and exits
-// without applying it, simulating a writer killed mid-batch. The next
-// normal run's open replays the batch from the log before appending its
-// own (the CI recovery smoke test drives exactly this sequence).
+// With --crash-after-commit the run appends N-1 batches (default N = 1),
+// commits an Nth to the WAL and exits without applying it or running a
+// checkpoint, simulating a writer killed mid-batch. The WAL then holds
+// all N batches, so the next normal run's open redoes every one of them
+// before appending its own (the CI recovery smoke tests drive exactly
+// this sequence, with N = 1 and with several acknowledged appends).
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <string_view>
 
 #include "caldera/system.h"
 #include "common/logging.h"
@@ -47,10 +49,22 @@ std::vector<IngestTimestep> NextBatch(uint64_t length) {
 
 int main(int argc, char** argv) {
   std::string dir = "/tmp/caldera_live_append";
-  bool crash_after_commit = false;
+  // Batches to commit before the simulated crash; 0 = no crash.
+  uint64_t crash_after_commit = 0;
+  constexpr std::string_view kCrashFlag = "--crash-after-commit";
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--crash-after-commit") == 0) {
-      crash_after_commit = true;
+    const std::string_view arg = argv[i];
+    if (arg == kCrashFlag) {
+      crash_after_commit = 1;
+    } else if (arg.starts_with(kCrashFlag) && arg[kCrashFlag.size()] == '=') {
+      char* end = nullptr;
+      const char* count = argv[i] + kCrashFlag.size() + 1;
+      crash_after_commit = std::strtoull(count, &end, 10);
+      if (*count < '0' || *count > '9' || *end != '\0' ||
+          crash_after_commit == 0) {
+        std::fprintf(stderr, "bad batch count in %s\n", argv[i]);
+        return 2;
+      }
     } else {
       dir = argv[i];
     }
@@ -80,18 +94,25 @@ int main(int argc, char** argv) {
   std::printf("stream 'live' is %llu timesteps long\n",
               static_cast<unsigned long long>(length));
 
-  std::vector<IngestTimestep> batch = NextBatch(length);
-  if (crash_after_commit) {
-    // Commit the batch durably, then die before applying it. The batch is
-    // past the WAL commit point, so the next open MUST replay it.
-    CALDERA_CHECK_OK((*ingestor)->CommitWithoutApply(batch));
-    std::printf("batch of %llu committed to the WAL; crashing before the "
-                "apply (rerun without the flag to recover)\n",
+  if (crash_after_commit > 0) {
+    // Acknowledged appends: applied, but not yet checkpointed.
+    for (uint64_t i = 1; i < crash_after_commit; ++i) {
+      CALDERA_CHECK_OK((*ingestor)->Append(NextBatch((*ingestor)->length())));
+    }
+    // Commit the last batch durably, then die before applying it. Every
+    // batch is past the WAL commit point, so the next open MUST redo them.
+    CALDERA_CHECK_OK(
+        (*ingestor)->CommitWithoutApply(NextBatch((*ingestor)->length())));
+    std::printf("%llu batch(es) of %llu committed to the WAL; crashing "
+                "before the last apply and any checkpoint (rerun without "
+                "the flag to recover)\n",
+                static_cast<unsigned long long>(crash_after_commit),
                 static_cast<unsigned long long>(kBatch));
     std::fflush(stdout);
     _Exit(1);
   }
 
+  std::vector<IngestTimestep> batch = NextBatch(length);
   CALDERA_CHECK_OK((*ingestor)->Append(batch));
   const IngestStats& stats = (*ingestor)->stats();
   std::printf("appended %llu timesteps: %llu B+ tree inserts, %llu MC "

@@ -688,7 +688,7 @@ Result<std::unique_ptr<BTree>> BTreeBuilder::Finish(size_t pool_pages) {
 
   if (levels_[0].empty()) {
     // Empty tree: keep the pre-allocated empty root leaf.
-    CALDERA_RETURN_IF_ERROR(tree_->Flush());
+    CALDERA_RETURN_IF_ERROR(tree_->Sync());
     return std::move(tree_);
   }
 
@@ -734,7 +734,7 @@ Result<std::unique_ptr<BTree>> BTreeBuilder::Finish(size_t pool_pages) {
   tree_->root_ = levels_[level][0].second;
   tree_->height_ = static_cast<uint32_t>(level + 1);
   tree_->num_entries_ = total_entries_;
-  CALDERA_RETURN_IF_ERROR(tree_->Flush());
+  CALDERA_RETURN_IF_ERROR(tree_->Sync());
   std::unique_ptr<BTree> out = std::move(tree_);
   return out;
 }

@@ -85,11 +85,13 @@ class BTree {
   /// Positions a cursor at the smallest entry.
   Result<Cursor> SeekFirst();
 
-  /// Writes back dirty pages and the tree meta page.
+  /// Writes back dirty pages, the tree meta page and the pager header,
+  /// without fsync: another handle opened afterwards sees every insert.
+  /// The ingest path flushes after each committed batch.
   Status Flush();
 
-  /// Flush + fsync: makes every insert so far durable. Used by the ingest
-  /// path after applying a committed batch.
+  /// Flush + fsync: makes every insert so far durable. Bulk builds end
+  /// with it, and the ingest checkpoint calls it.
   Status Sync();
 
   uint64_t num_entries() const { return num_entries_; }
@@ -148,7 +150,7 @@ class BTreeBuilder {
   /// Adds the next pair; keys must be strictly increasing.
   Status Add(std::string_view key, std::string_view value);
 
-  /// Finishes the build and returns the opened tree.
+  /// Finishes the build, syncs the file and returns the opened tree.
   Result<std::unique_ptr<BTree>> Finish(size_t pool_pages = 64);
 
  private:

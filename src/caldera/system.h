@@ -114,14 +114,16 @@ class Caldera {
   Status RebuildIndexes(const std::string& stream_name);
 
   /// Opens a live-append handle for `stream_name` (the growing-stream
-  /// ingestion pipeline, src/ingest/). The open replays the stream's WAL if
-  /// a previous writer crashed mid-commit, and every committed batch runs
-  /// under the stream's writer lock and ends by refreshing the stream's idle
-  /// handles to the new length (ArchivedStream::Refresh, O(batch)), so
+  /// ingestion pipeline, src/ingest/). The open recovers from the stream's
+  /// WAL if a previous writer died before a checkpoint, and every committed
+  /// batch runs under the stream's writer lock and ends by refreshing the
+  /// stream's idle handles to the new length (ArchivedStream::Refresh,
+  /// O(batch)), so
   /// concurrent queries see either the pre- or post-append stream — never a
   /// mix — and new queries see the appended timesteps immediately, with
   /// warm pages and span CPTs. A commit bumps no epoch. At most one live
-  /// ingestor per stream at a time (not enforced).
+  /// ingestor per stream at a time (not enforced), and no RebuildIndexes
+  /// of the stream while it is open: it keeps the tree files it opened.
   Result<std::unique_ptr<StreamIngestor>> OpenForIngest(
       const std::string& stream_name);
 

@@ -34,8 +34,9 @@ constexpr size_t kMetaPrefixSize = 28;
 // page_size u32.
 constexpr size_t kMetaOptionsSize = 20;
 
-// Writes mc.meta atomically enough for our purposes (the ingest WAL
-// snapshots the old contents before any in-place mutation).
+// Rewrites mc.meta, without fsync: Build syncs it, and the ingest WAL
+// snapshots the old contents before the first rewrite of a checkpoint
+// window and syncs the new ones at the checkpoint.
 Status WriteMcMeta(const std::string& dir, uint64_t stream_length,
                    uint32_t domain, const std::vector<uint64_t>& level_counts,
                    const McIndexOptions& options) {
@@ -51,8 +52,7 @@ Status WriteMcMeta(const std::string& dir, uint64_t stream_length,
   CALDERA_ASSIGN_OR_RETURN(std::unique_ptr<File> f,
                            File::OpenOrCreate(dir + "/mc.meta"));
   CALDERA_RETURN_IF_ERROR(f->Truncate(0));
-  CALDERA_RETURN_IF_ERROR(f->Append(meta));
-  return f->Sync();
+  return f->Append(meta);
 }
 
 // The one construction loop, behind both Build and Extend: appends to every
@@ -164,7 +164,14 @@ Status McIndex::Build(const std::string& dir, TransitionSource transitions,
   McMetaSummary empty;
   empty.domain = domain;
   empty.options = options;
-  return AppendSpine(dir, transitions, length, empty, nullptr);
+  CALDERA_RETURN_IF_ERROR(
+      AppendSpine(dir, transitions, length, empty, nullptr));
+  for (uint32_t level = 1; level <= LevelCounts(length, options).size();
+       ++level) {
+    CALDERA_RETURN_IF_ERROR(SyncFile(LevelPath(dir, level)));
+    CALDERA_RETURN_IF_ERROR(SyncFile(RecordFileDirPath(LevelPath(dir, level))));
+  }
+  return SyncFile(dir + "/mc.meta");
 }
 
 Status McIndex::Build(const MarkovianStream& stream, const std::string& dir,

@@ -88,7 +88,8 @@ class McIndex {
   /// Builds the index over a `length`-timestep stream of `domain` states
   /// into directory `dir` (one record file per level plus a metadata file):
   /// an Extend from an empty index, so it streams level-0 CPTs from
-  /// `transitions` and holds no level in memory.
+  /// `transitions` and holds no level in memory. Syncs every file it
+  /// wrote.
   static Status Build(const std::string& dir, TransitionSource transitions,
                       uint64_t length, uint32_t domain,
                       const McIndexOptions& options = {});
@@ -117,7 +118,8 @@ class McIndex {
   /// empty index, so the resulting files are byte-identical to a full
   /// build) and rewrites the metadata. `transitions` must serve raw CPTs up
   /// to new_length. Open handles on the index keep serving their snapshot
-  /// until Refresh advances them.
+  /// until Refresh advances them. Nothing is fsynced: the ingest WAL makes
+  /// the extension durable.
   static Status Extend(const std::string& dir, TransitionSource transitions,
                        uint64_t new_length, McExtendStats* stats = nullptr);
 

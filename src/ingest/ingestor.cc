@@ -1,7 +1,6 @@
 #include "ingest/ingestor.h"
 
 #include <algorithm>
-#include <mutex>
 
 #include "btree/btree.h"
 #include "common/encoding.h"
@@ -18,8 +17,9 @@ namespace {
 // transitions only.
 constexpr size_t kStoredPoolPages = 4;
 
-// WAL record types. One committed batch occupies the whole log: a batch
-// frame followed by its undo journal, dropped by Reset once applied.
+// WAL record types. The log holds every batch committed since the last
+// checkpoint, each frame followed by the undo records of the files it was
+// the first in the window to touch; a checkpoint resets it.
 constexpr uint8_t kBatchFrame = 1;
 /// Raw physical pre-image: {path, u64 offset, bytes}.
 constexpr uint8_t kUndoRange = 2;
@@ -126,28 +126,33 @@ Result<std::unique_ptr<StreamIngestor>> StreamIngestor::Open(
       new StreamIngestor(dir, std::move(options)));
   CALDERA_ASSIGN_OR_RETURN(ingestor->wal_, Wal::Open(WalPath(dir)));
   ingestor->wal_torn_tail_ = ingestor->wal_->truncated_tail();
-  if (!ingestor->wal_->recovered().empty()) {
-    std::unique_lock<std::shared_mutex> guard;
-    if (ingestor->options_.apply_mutex != nullptr) {
-      guard = std::unique_lock<std::shared_mutex>(
-          *ingestor->options_.apply_mutex);
-    }
-    CALDERA_RETURN_IF_ERROR(ingestor->Recover());
-    if (ingestor->stats_.batches_recovered > 0 &&
-        ingestor->options_.on_commit != nullptr) {
-      ingestor->options_.on_commit(ingestor->length_);
-    }
+  ingestor->broken_ = false;
+  std::unique_lock<std::shared_mutex> guard = ingestor->LockApply();
+  Status recovered = ingestor->Recover();
+  if (!recovered.ok()) {
+    ingestor->broken_ = true;  // Closing must not checkpoint a half-redo.
+    return recovered;
   }
-  CALDERA_ASSIGN_OR_RETURN(StreamMetaInfo info, ReadStreamMeta(dir));
-  ingestor->layout_ = info.layout;
-  ingestor->length_ = info.length;
-  ingestor->schema_ = std::move(info.schema);
-  // Opening the stream validates that the record files agree with the
-  // metadata before accepting appends.
-  if (ingestor->stored_ == nullptr) {
-    CALDERA_RETURN_IF_ERROR(ingestor->OpenStored());
+  if (ingestor->stats_.batches_recovered > 0 &&
+      ingestor->options_.on_commit != nullptr) {
+    ingestor->options_.on_commit(ingestor->length_);
   }
   return ingestor;
+}
+
+StreamIngestor::~StreamIngestor() {
+  if (broken_) return;
+  Status checkpointed = Checkpoint();
+  if (!checkpointed.ok()) {
+    CALDERA_LOG_WARNING << "checkpoint of " << dir_ << " at close failed; "
+                        << "the next open recovers: "
+                        << checkpointed.ToString();
+  }
+}
+
+std::unique_lock<std::shared_mutex> StreamIngestor::LockApply() {
+  if (options_.apply_mutex == nullptr) return {};
+  return std::unique_lock<std::shared_mutex>(*options_.apply_mutex);
 }
 
 Status StreamIngestor::OpenStored() {
@@ -156,28 +161,57 @@ Status StreamIngestor::OpenStored() {
   return Status::Ok();
 }
 
+Status StreamIngestor::OpenTrees(bool rebuild) {
+  CALDERA_ASSIGN_OR_RETURN(std::vector<TreeIndexFile> files,
+                           ListTreeIndexFiles(dir_));
+  trees_.clear();
+  for (const auto& [attr, is_btc, path] : files) {
+    OpenTree open{attr, is_btc, nullptr};
+    if (!rebuild) {
+      CALDERA_ASSIGN_OR_RETURN(open.tree, BTree::Open(path));
+    } else if (is_btc) {
+      // The build overwrites the file in place and syncs it, so a crash
+      // mid-build leaves a file the next recovery rebuilds again.
+      CALDERA_ASSIGN_OR_RETURN(open.tree,
+                               BuildBtcIndexFromStored(stored_.get(), attr,
+                                                       path));
+    } else {
+      CALDERA_ASSIGN_OR_RETURN(open.tree,
+                               BuildBtpIndexFromStored(stored_.get(), attr,
+                                                       path));
+    }
+    if (rebuild) ++stats_.fsyncs;
+    trees_.push_back(std::move(open));
+  }
+  return Status::Ok();
+}
+
 Status StreamIngestor::Recover() {
-  // The log holds one committed batch (Reset drops it after a successful
-  // apply) plus however much of its undo journal reached disk. Restore the
-  // undo records newest-first — data files return bit-for-bit to their
-  // pre-batch state — then re-run the apply from the batch frame.
+  // Every undo record holds a file's checkpoint-time state, so restoring
+  // them all (newest first: a file's truncate before its page pre-images)
+  // puts the data files back at the checkpoint, whatever subset of the
+  // window's unsynced writes reached disk.
   const std::vector<WalRecord>& records = wal_->recovered();
+  bool has_frames = false;
   for (size_t i = records.size(); i > 0; --i) {
     const WalRecord& record = records[i - 1];
-    if (record.type == kBatchFrame) continue;
+    if (record.type == kBatchFrame) {
+      has_frames = true;
+      continue;
+    }
     CALDERA_RETURN_IF_ERROR(RestoreUndoRecord(record));
   }
 
   CALDERA_ASSIGN_OR_RETURN(StreamMetaInfo info, ReadStreamMeta(dir_));
   layout_ = info.layout;
   length_ = info.length;
-  schema_ = info.schema;
+  schema_ = std::move(info.schema);
   CALDERA_RETURN_IF_ERROR(OpenStored());
 
-  // The B+ trees are deliberately not undo-protected (inserts are
-  // idempotent); a torn page from the interrupted apply is repaired by
-  // rebuilding the tree from the restored stream.
-  CALDERA_RETURN_IF_ERROR(VerifyOrRebuildTrees());
+  // The B+ trees are not journaled: a tree may hold any subset of the
+  // window's inserts, or torn pages, so each is rebuilt from the restored
+  // stream before the redo inserts the window's keys again.
+  CALDERA_RETURN_IF_ERROR(OpenTrees(/*rebuild=*/has_frames));
 
   for (const WalRecord& record : records) {
     if (record.type != kBatchFrame) continue;
@@ -195,7 +229,43 @@ Status StreamIngestor::Recover() {
     ++stats_.batches_recovered;
     stats_.timesteps_appended += batch.size();
   }
-  return wal_->Reset();
+  // The redone state must reach disk before the log that can rebuild it
+  // is dropped.
+  return Checkpoint();
+}
+
+Status StreamIngestor::Checkpoint() {
+  if (broken_) {
+    return Status::FailedPrecondition(
+        "ingestor for " + dir_ +
+        " is poisoned by an earlier failure; reopen to recover");
+  }
+  if (wal_->next_seq() == 1) return Status::Ok();  // Nothing since the last.
+  Status synced = [&]() -> Status {
+    for (const std::string& rel : touched_) {
+      // A path an absent-marker named need not exist: a restore removed
+      // it and no redone batch created it again.
+      const std::string path = dir_ + "/" + rel;
+      if (!FileExists(path)) continue;
+      ++stats_.fsyncs;
+      CALDERA_RETURN_IF_ERROR(SyncFile(path));
+    }
+    // Each commit flushed its tree, so Sync rewrites only identical bytes
+    // and needs no apply lock against readers.
+    for (OpenTree& open : trees_) {
+      ++stats_.fsyncs;
+      CALDERA_RETURN_IF_ERROR(open.tree->Sync());
+    }
+    ++stats_.fsyncs;
+    return wal_->Reset();
+  }();
+  if (!synced.ok()) {
+    broken_ = true;
+    return synced;
+  }
+  touched_.clear();
+  ++stats_.checkpoints;
+  return Status::Ok();
 }
 
 Status StreamIngestor::RestoreUndoRecord(const WalRecord& record) {
@@ -203,6 +273,9 @@ Status StreamIngestor::RestoreUndoRecord(const WalRecord& record) {
   size_t offset = 0;
   CALDERA_RETURN_IF_ERROR(GetPath(record.payload, &offset, &rel));
   const std::string abs = dir_ + "/" + rel;
+  // The restore's writes are unsynced like the redo's; the checkpoint
+  // closing the recovery syncs them.
+  touched_.insert(rel);
   // An append only grows files, so a restore never does: a range lies
   // inside the file (newest-first order has already truncated it back) and
   // a truncate shrinks it.
@@ -218,8 +291,7 @@ Status StreamIngestor::RestoreUndoRecord(const WalRecord& record) {
       if (at > f->size() || bytes.size() > f->size() - at) {
         return Status::Corruption("undo range past the end of " + rel);
       }
-      CALDERA_RETURN_IF_ERROR(f->WriteAt(at, bytes));
-      return f->Sync();
+      return f->WriteAt(at, bytes);
     }
     case kUndoTruncate: {
       if (record.payload.size() < offset + 8) {
@@ -230,16 +302,13 @@ Status StreamIngestor::RestoreUndoRecord(const WalRecord& record) {
       if (size > f->size()) {
         return Status::Corruption("undo truncate would grow " + rel);
       }
-      CALDERA_RETURN_IF_ERROR(f->Truncate(size));
-      return f->Sync();
+      return f->Truncate(size);
     }
     case kUndoSnapshot: {
       CALDERA_ASSIGN_OR_RETURN(std::unique_ptr<File> f,
                                File::OpenOrCreate(abs));
       CALDERA_RETURN_IF_ERROR(f->Truncate(0));
-      CALDERA_RETURN_IF_ERROR(f->WriteAt(
-          0, std::string_view(record.payload).substr(offset)));
-      return f->Sync();
+      return f->WriteAt(0, std::string_view(record.payload).substr(offset));
     }
     case kUndoAbsent:
       return RemoveFileIfExists(abs);
@@ -249,34 +318,10 @@ Status StreamIngestor::RestoreUndoRecord(const WalRecord& record) {
   }
 }
 
-Status StreamIngestor::VerifyOrRebuildTrees() {
-  CALDERA_ASSIGN_OR_RETURN(std::vector<TreeIndexFile> trees,
-                           ListTreeIndexFiles(dir_));
-  for (const auto& [attr, is_btc, path] : trees) {
-    bool healthy = false;
-    {
-      Result<std::unique_ptr<BTree>> tree = BTree::Open(path);
-      Status invariants =
-          tree.ok() ? (*tree)->CheckInvariants() : tree.status();
-      if (invariants.ok()) {
-        healthy = true;
-      } else {
-        CALDERA_LOG_WARNING << "rebuilding " << path
-                            << " after interrupted ingest: "
-                            << invariants.ToString();
-      }
-    }
-    if (healthy) continue;
-    CALDERA_RETURN_IF_ERROR(RemoveFileIfExists(path));
-    if (is_btc) {
-      CALDERA_RETURN_IF_ERROR(
-          BuildBtcIndexFromStored(stored_.get(), attr, path).status());
-    } else {
-      CALDERA_RETURN_IF_ERROR(
-          BuildBtpIndexFromStored(stored_.get(), attr, path).status());
-    }
-  }
-  return Status::Ok();
+bool StreamIngestor::FirstTouch(const std::string& rel) {
+  if (!touched_.insert(rel).second) return false;
+  commit_touched_.push_back(rel);
+  return true;
 }
 
 Status StreamIngestor::JournalRange(const File& file, const std::string& rel,
@@ -299,6 +344,7 @@ Status StreamIngestor::JournalTruncate(const std::string& rel,
 }
 
 Status StreamIngestor::JournalSnapshot(const std::string& rel) {
+  if (!FirstTouch(rel)) return Status::Ok();
   const std::string abs = dir_ + "/" + rel;
   CALDERA_ASSIGN_OR_RETURN(std::unique_ptr<File> f, File::OpenReadOnly(abs));
   std::string payload;
@@ -311,18 +357,21 @@ Status StreamIngestor::JournalSnapshot(const std::string& rel) {
 }
 
 Status StreamIngestor::JournalAbsent(const std::string& rel) {
+  if (!FirstTouch(rel)) return Status::Ok();
   std::string payload;
   PutPath(rel, &payload);
   return wal_->Append(kUndoAbsent, payload).status();
 }
 
 Status StreamIngestor::JournalRecordFileUndo(const std::string& rel) {
+  if (!FirstTouch(rel)) return Status::Ok();
   CALDERA_ASSIGN_OR_RETURN(std::vector<RecordFileAppendRegion> regions,
                            RecordFileAppendRegions(dir_ + "/" + rel));
   for (const RecordFileAppendRegion& region : regions) {
     // Region paths extend the path passed in; journal them relative to the
     // stream directory like every other undo record.
     const std::string region_rel = region.path.substr(dir_.size() + 1);
+    FirstTouch(region_rel);
     CALDERA_ASSIGN_OR_RETURN(std::unique_ptr<File> f,
                              File::OpenReadOnly(region.path));
     for (const auto& [offset, length] : region.overwritten) {
@@ -368,11 +417,14 @@ Status StreamIngestor::JournalMcUndo(uint64_t new_length) {
 
 Status StreamIngestor::CommitToWal(const std::vector<IngestTimestep>& batch) {
   const Wal::Mark mark = wal_->mark();
+  commit_touched_.clear();
+  uint64_t frame_end = 0;
   Status committed = [&]() -> Status {
     CALDERA_RETURN_IF_ERROR(
         wal_->Append(kBatchFrame, EncodeBatch(length_, batch)).status());
-    // Undo journal: captured before any mutation, so a crash at any later
-    // point finds a complete journal behind the batch frame.
+    frame_end = wal_->size_bytes();
+    // Undo records: captured before any mutation of this window, so a
+    // crash at any later point finds them behind the frame.
     CALDERA_RETURN_IF_ERROR(JournalSnapshot("meta.bin"));
     if (layout_ == DiskLayout::kSeparated) {
       CALDERA_RETURN_IF_ERROR(JournalRecordFileUndo("marginals.rec"));
@@ -381,12 +433,15 @@ Status StreamIngestor::CommitToWal(const std::vector<IngestTimestep>& batch) {
       CALDERA_RETURN_IF_ERROR(JournalRecordFileUndo("stream.rec"));
     }
     CALDERA_RETURN_IF_ERROR(JournalMcUndo(length_ + batch.size()));
+    ++stats_.fsyncs;
     return wal_->Sync();
   }();
   if (!committed.ok()) {
-    // Not committed: unwind the speculative frames so the log never
-    // presents an unacknowledged batch. If even that fails, poison the
-    // handle — the open-time scan will discard the tail.
+    // Not committed: unwind the speculative records so the log never
+    // presents an unacknowledged batch, and forget this commit's first
+    // touches so the next commit journals those files. If the rollback
+    // fails, poison the handle — the open-time scan will discard the tail.
+    for (const std::string& rel : commit_touched_) touched_.erase(rel);
     Status rolled_back = wal_->RollbackTo(mark);
     if (!rolled_back.ok()) {
       broken_ = true;
@@ -396,6 +451,7 @@ Status StreamIngestor::CommitToWal(const std::vector<IngestTimestep>& batch) {
     return committed;
   }
   stats_.wal_bytes += wal_->size_bytes() - mark.size;
+  stats_.undo_bytes += wal_->size_bytes() - frame_end;
   return Status::Ok();
 }
 
@@ -447,22 +503,20 @@ Status StreamIngestor::ApplyBatch(uint64_t base,
   CALDERA_RETURN_IF_ERROR(UpdateStreamLength(dir_, new_length));
   CALDERA_RETURN_IF_ERROR(stored_->Refresh());
 
-  // 3. Secondary B+ tree indexes.
-  CALDERA_ASSIGN_OR_RETURN(std::vector<TreeIndexFile> trees,
-                           ListTreeIndexFiles(dir_));
-  for (const auto& [attr, is_btc, path] : trees) {
-    CALDERA_ASSIGN_OR_RETURN(std::unique_ptr<BTree> tree, BTree::Open(path));
+  // 3. Secondary B+ tree indexes, flushed so that handles opened or
+  // refreshed after the commit see the inserts.
+  for (OpenTree& open : trees_) {
     for (size_t i = 0; i < batch.size(); ++i) {
-      if (is_btc) {
+      if (open.is_btc) {
         CALDERA_RETURN_IF_ERROR(InsertBtcTimestep(
-            tree.get(), batch[i].marginal, schema_, attr, base + i));
+            open.tree.get(), batch[i].marginal, schema_, open.attr, base + i));
       } else {
         CALDERA_RETURN_IF_ERROR(InsertBtpTimestep(
-            tree.get(), batch[i].marginal, schema_, attr, base + i));
+            open.tree.get(), batch[i].marginal, schema_, open.attr, base + i));
       }
       ++stats_.btree_inserts;
     }
-    CALDERA_RETURN_IF_ERROR(tree->Sync());
+    CALDERA_RETURN_IF_ERROR(open.tree->Flush());
   }
 
   // 4. MC index: extend along the right spine, composing from the freshly
@@ -492,21 +546,20 @@ Status StreamIngestor::Append(const std::vector<IngestTimestep>& batch) {
 
   // Committed: from here the batch is applied either below or by the next
   // Open's recovery.
-  std::unique_lock<std::shared_mutex> guard;
-  if (options_.apply_mutex != nullptr) {
-    guard = std::unique_lock<std::shared_mutex>(*options_.apply_mutex);
+  {
+    std::unique_lock<std::shared_mutex> guard = LockApply();
+    Status applied = ApplyBatch(length_, batch);
+    if (!applied.ok()) {
+      broken_ = true;
+      return applied;
+    }
+    length_ += batch.size();
+    ++stats_.batches_committed;
+    stats_.timesteps_appended += batch.size();
+    if (options_.on_commit != nullptr) options_.on_commit(length_);
   }
-  Status applied = ApplyBatch(length_, batch);
-  if (applied.ok()) applied = wal_->Reset();
-  if (!applied.ok()) {
-    broken_ = true;
-    return applied;
-  }
-  length_ += batch.size();
-  ++stats_.batches_committed;
-  stats_.timesteps_appended += batch.size();
-  if (options_.on_commit != nullptr) options_.on_commit(length_);
-  return Status::Ok();
+  if (wal_->size_bytes() < kCheckpointWalBytes) return Status::Ok();
+  return Checkpoint();
 }
 
 Status StreamIngestor::CommitWithoutApply(

@@ -4,10 +4,13 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
+#include <set>
 #include <shared_mutex>
 #include <string>
 #include <vector>
 
+#include "btree/btree.h"
 #include "common/status.h"
 #include "index/mc_index.h"
 #include "markov/cpt.h"
@@ -31,10 +34,19 @@ struct IngestStats {
   uint64_t timesteps_appended = 0;
   /// Bytes of WAL frames written (batch records + undo journal).
   uint64_t wal_bytes = 0;
-  /// Batches replayed from the WAL by Open after a crash.
+  /// The part of wal_bytes that is undo records.
+  uint64_t undo_bytes = 0;
+  /// Batches redone from the WAL by Open after a crash: every batch
+  /// committed since the last checkpoint.
   uint64_t batches_recovered = 0;
   /// BT_C / BT_P key insertions performed.
   uint64_t btree_inserts = 0;
+  /// fsync calls made: one per commit, plus one per touched file and one
+  /// for the WAL reset per checkpoint.
+  uint64_t fsyncs = 0;
+  /// Checkpoints completed (Checkpoint, automatic, at close or closing a
+  /// recovery).
+  uint64_t checkpoints = 0;
   /// Cumulative incremental MC index maintenance work. The right-spine
   /// property makes nodes_recomputed O(B/(alpha-1) + log_alpha n) for B
   /// appended timesteps — the ingest tests assert on exactly this.
@@ -45,30 +57,34 @@ struct IngestStats {
 /// paper's archived streams): durable batch appends to a stream directory
 /// with incremental maintenance of every index built for it.
 ///
-/// Commit protocol, per Append(batch):
+/// Commit protocol. The WAL spans a checkpoint window: every batch
+/// committed since the last checkpoint stays in it. Per Append(batch):
 ///   1. A batch frame (the new timesteps, serialized) is appended to the
-///      stream's WAL and fsynced — the commit point. From here the batch
-///      survives any crash.
-///   2. Physical undo records are journaled behind it: pre-image pages of
-///      every region the apply will overwrite in place, whole-file
-///      snapshots of the small metadata files, and absent-markers for files
-///      the apply will create. Synced again. Record files (stream and MC
-///      levels) only grow at their ends, so each costs at most five page
-///      pre-images (two pager headers, the meta page, two partial tail
-///      pages) plus a truncate record per file — the journal does not grow
-///      with the stream length.
-///   3. The mutation runs: snippets are appended to the record files, the
-///      stream length is patched, BT_C/BT_P trees receive the new keys, and
-///      the MC index is extended along its right spine.
-///   4. The WAL is reset — the batch is fully applied and durable.
+///      WAL, followed by undo records for the files this batch is the
+///      first in the window to touch: a snapshot of meta.bin and mc.meta,
+///      and per record file its size (a truncate record) plus pre-images
+///      of the pages below that size an append rewrites (pager header,
+///      meta page, partial tail page); absent-markers for MC levels the
+///      batch creates. Later batches of the window rewrite only those
+///      pages or pages past the journaled size, so they journal nothing.
+///      One fsync makes frame and records durable — the commit point.
+///   2. The apply runs, with no fsync: snippets are appended to the record
+///      files, the stream length is patched, the B+ trees (open across
+///      commits) receive the new keys and are flushed, and the MC index is
+///      extended along its right spine.
+/// A checkpoint fsyncs each file touched in the window once, then resets
+/// the WAL. It runs when the log passes kCheckpointWalBytes, on
+/// Checkpoint(), when a healthy ingestor is destroyed, and at the end of
+/// recovery.
 ///
-/// A crash anywhere in 2-3 is repaired by the next Open: undo records are
-/// restored in reverse order (returning data files bit-for-bit to their
-/// pre-batch state), B+ trees are invariant-checked and rebuilt from the
-/// stream if a torn page broke one, and the batch is re-applied from its
-/// WAL frame. A crash in 1 leaves a torn frame the WAL truncates away: the
-/// batch was never acknowledged, so the stream simply stays at its old
-/// length. Either way, readers observe base or base+batch — never a mix.
+/// Recovery (Open with frames in the log) restores the undo records,
+/// newest first, which returns every data file to its checkpoint state
+/// whatever subset of the window's unsynced writes reached disk; rebuilds
+/// every B+ tree from that stream (trees are not journaled); redoes every
+/// frame in order through the same apply, so the result is bit-identical
+/// to an uninterrupted run; and checkpoints. A crash before a commit's
+/// fsync loses only that unacknowledged batch: the WAL truncates its torn
+/// frame. Either way, readers observe a batch boundary — never a mix.
 ///
 /// Snapshot safety: record-file readers cache their directory in memory and
 /// appends never move committed record bytes or directory entries, so
@@ -81,8 +97,8 @@ struct IngestStats {
 class StreamIngestor {
  public:
   struct Options {
-    /// Called after every durably applied batch — including batches
-    /// replayed by Open during crash recovery — with the new stream length.
+    /// Called with the new stream length after every committed batch is
+    /// applied, and once after an Open whose recovery redid batches.
     /// The Caldera facade hooks its idle-handle refresh here (no epoch
     /// bump: an append keeps cached pages and span CPTs valid). Invoked
     /// while the apply lock (if any) is held.
@@ -93,25 +109,42 @@ class StreamIngestor {
     std::shared_mutex* apply_mutex = nullptr;
   };
 
-  /// Opens an ingestor for the stream archived in `dir`, replaying the WAL
-  /// first if a previous writer crashed mid-commit.
+  /// WAL size past which a commit runs a checkpoint. At batch 1 a window
+  /// then holds hundreds of commits, so the per-window undo records and
+  /// checkpoint fsyncs amortize to a few hundred bytes and well under one
+  /// fsync per commit, while recovery redoes at most this much log.
+  static constexpr uint64_t kCheckpointWalBytes = uint64_t{1} << 20;
+
+  /// Opens an ingestor for the stream archived in `dir`, recovering first
+  /// if a previous writer left batches in the WAL (a crash, or a poisoned
+  /// ingestor, since the last checkpoint).
   static Result<std::unique_ptr<StreamIngestor>> Open(const std::string& dir,
                                                       Options options);
   static Result<std::unique_ptr<StreamIngestor>> Open(const std::string& dir);
 
-  /// Appends `batch` to the stream. On Ok the batch is fully applied and
-  /// durable. On error, either the batch never reached the WAL commit point
-  /// (state unchanged, Append may be retried on a fresh ingestor) or it is
-  /// committed but incompletely applied — the ingestor is then poisoned
-  /// (every later call fails FailedPrecondition) and the next Open finishes
-  /// the batch via recovery.
+  /// Checkpoints a healthy ingestor (see the class comment), unless
+  /// nothing was committed since the last one.
+  ~StreamIngestor();
+
+  /// Appends `batch` to the stream. On Ok the batch is applied and durable
+  /// (its frame is fsynced). On error, either the batch never reached the
+  /// WAL commit point (state unchanged, Append may be retried) or it is
+  /// committed but its apply or checkpoint failed — the ingestor is then
+  /// poisoned (every later call fails FailedPrecondition) and the next
+  /// Open finishes the batch via recovery.
   Status Append(const std::vector<IngestTimestep>& batch);
 
-  /// Test/crash hook: runs the commit protocol through the WAL fsync (steps
-  /// 1-2) and then stops, leaving exactly the state a crash at the start of
+  /// Makes every committed batch durable in the data files and empties the
+  /// WAL. A no-op when nothing was committed since the last checkpoint; a
+  /// failure poisons the ingestor, and the next Open recovers.
+  Status Checkpoint();
+
+  /// Test/crash hook: runs the commit protocol through the WAL fsync (step
+  /// 1) and then stops, leaving exactly the state a crash at the start of
   /// the apply leaves behind. The ingestor is poisoned afterwards; the next
-  /// Open replays the batch. The live-append example uses this to simulate
-  /// a writer dying mid-batch for the CI recovery smoke test.
+  /// Open redoes the window, this batch included. The live-append example
+  /// uses this to simulate a writer dying mid-batch for the CI recovery
+  /// smoke test.
   Status CommitWithoutApply(const std::vector<IngestTimestep>& batch);
 
   /// Current (committed) stream length.
@@ -120,7 +153,8 @@ class StreamIngestor {
   DiskLayout layout() const { return layout_; }
   const std::string& dir() const { return dir_; }
   const IngestStats& stats() const { return stats_; }
-  /// True once a failed apply poisoned this handle (see Append).
+  /// True once a failed apply or checkpoint poisoned this handle (see
+  /// Append).
   bool broken() const { return broken_; }
   /// True when Open truncated a torn WAL tail (an unacknowledged Append).
   bool wal_had_torn_tail() const { return wal_torn_tail_; }
@@ -140,20 +174,30 @@ class StreamIngestor {
   static Result<std::vector<IngestTimestep>> DecodeBatch(
       std::string_view payload, uint32_t domain, uint64_t* base);
 
-  /// WAL commit: batch frame + undo journal + fsync (steps 1-2).
+  /// WAL commit: batch frame + first-touch undo records + fsync (step 1).
   Status CommitToWal(const std::vector<IngestTimestep>& batch);
 
-  /// The in-place mutation (step 3). Deterministic, and restartable after
+  /// The in-place mutation (step 2). Deterministic, and restartable after
   /// an undo restore.
   Status ApplyBatch(uint64_t base, const std::vector<IngestTimestep>& batch);
 
-  /// Crash recovery: undo-restore, B+ tree verification, batch redo.
+  /// Undo restore, tree rebuild and redo of the frames the WAL holds, then
+  /// a checkpoint; with an empty log it only opens the stream and trees.
   Status Recover();
 
   /// Opens stored_ over the stream as it is on disk.
   Status OpenStored();
+  /// Opens every BT_C/BT_P file of the stream into trees_, or with
+  /// `rebuild` first rebuilds each from stored_.
+  Status OpenTrees(bool rebuild);
 
-  // Undo journaling (frames appended to the WAL before the mutation).
+  /// The apply lock (Options::apply_mutex), or an empty lock without one.
+  std::unique_lock<std::shared_mutex> LockApply();
+
+  // Undo journaling (records appended to the WAL behind the batch frame).
+  // Each journals `rel`, a path relative to dir_, only on its first touch
+  // in the window, and marks it touched.
+  bool FirstTouch(const std::string& rel);
   Status JournalRange(const File& file, const std::string& rel,
                       uint64_t offset, uint64_t len);
   Status JournalTruncate(const std::string& rel, uint64_t size);
@@ -172,10 +216,12 @@ class StreamIngestor {
   /// covers or would grow a file.
   Status RestoreUndoRecord(const WalRecord& record);
 
-  /// Re-checks every BT_C/BT_P file and rebuilds any that an interrupted
-  /// apply left structurally broken (stream files must already be restored
-  /// to a consistent state).
-  Status VerifyOrRebuildTrees();
+  // One BT_C or BT_P index, open across commits.
+  struct OpenTree {
+    size_t attr = 0;
+    bool is_btc = true;
+    std::unique_ptr<BTree> tree;
+  };
 
   std::string dir_;
   Options options_;
@@ -184,11 +230,19 @@ class StreamIngestor {
   // transition source and the tree rebuilds' input. ApplyBatch refreshes
   // it once the stream files and length are written.
   std::unique_ptr<StoredStream> stored_;
+  std::vector<OpenTree> trees_;
+  // Files (relative to dir_) with undo records in the WAL: the ones the
+  // window has touched, which the next checkpoint syncs.
+  std::set<std::string> touched_;
+  // The ones the commit in progress added, dropped again if it fails.
+  std::vector<std::string> commit_touched_;
   DiskLayout layout_ = DiskLayout::kSeparated;
   uint64_t length_ = 0;
   StreamSchema schema_;
   IngestStats stats_;
-  bool broken_ = false;
+  // Set until Open gets past the WAL open, and again if recovery fails,
+  // so that closing a failed open never checkpoints.
+  bool broken_ = true;
   bool wal_torn_tail_ = false;
 };
 

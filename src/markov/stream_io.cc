@@ -54,8 +54,7 @@ Status UpdateStreamLength(const std::string& dir, uint64_t new_length) {
                            File::Open(StreamMetaPath(dir)));
   std::string field;
   PutFixed64(new_length, &field);
-  CALDERA_RETURN_IF_ERROR(f->WriteAt(9, field));
-  return f->Sync();
+  return f->WriteAt(9, field);
 }
 
 const char* DiskLayoutName(DiskLayout layout) {
@@ -103,7 +102,8 @@ Status WriteStream(const std::string& dir, const MarkovianStream& stream,
     }
     CALDERA_RETURN_IF_ERROR(marginals->Finalize());
     CALDERA_RETURN_IF_ERROR(cpts->Finalize());
-    return Status::Ok();
+    CALDERA_RETURN_IF_ERROR(marginals->Sync());
+    return cpts->Sync();
   }
 
   CALDERA_ASSIGN_OR_RETURN(
@@ -115,7 +115,8 @@ Status WriteStream(const std::string& dir, const MarkovianStream& stream,
     stream.transition(t).AppendTo(&record);
     CALDERA_RETURN_IF_ERROR(combined->Append(record).status());
   }
-  return combined->Finalize();
+  CALDERA_RETURN_IF_ERROR(combined->Finalize());
+  return combined->Sync();
 }
 
 Result<std::unique_ptr<StoredStream>> StoredStream::Open(
@@ -167,14 +168,13 @@ Status StoredStream::ReadCoClustered(uint64_t t, Distribution* marginal,
                                      Cpt* transition) {
   CALDERA_RETURN_IF_ERROR(combined_->Get(t, &scratch_));
   size_t offset = 0;
-  Distribution m;
-  CALDERA_RETURN_IF_ERROR(Distribution::Parse(scratch_, &offset,
-                                              schema_.state_count(), &m));
+  // A part the caller does not want is still checked, decoded into a
+  // reused scratch target, so a steady-state read allocates nothing.
   CALDERA_RETURN_IF_ERROR(
-      Cpt::Parse(scratch_, &offset, schema_.state_count(),
-                 transition != nullptr ? transition : &scratch_cpt_));
-  if (marginal != nullptr) *marginal = std::move(m);
-  return Status::Ok();
+      Distribution::Parse(scratch_, &offset, schema_.state_count(),
+                          marginal != nullptr ? marginal : &scratch_marginal_));
+  return Cpt::Parse(scratch_, &offset, schema_.state_count(),
+                    transition != nullptr ? transition : &scratch_cpt_);
 }
 
 Status StoredStream::ReadMarginal(uint64_t t, Distribution* out) {

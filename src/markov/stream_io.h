@@ -27,7 +27,8 @@ const char* DiskLayoutName(DiskLayout layout);
 ///   dir/meta.bin                      stream metadata + schema
 ///   dir/marginals.rec + dir/cpts.rec  (separated)
 ///   dir/stream.rec                    (co-clustered)
-/// each record file with its X.rec.dir directory alongside.
+/// each record file with its X.rec.dir directory alongside, and syncs
+/// them all.
 Status WriteStream(const std::string& dir, const MarkovianStream& stream,
                    DiskLayout layout = DiskLayout::kSeparated,
                    uint32_t page_size = kDefaultPageSize);
@@ -50,8 +51,9 @@ struct StreamMetaInfo {
 };
 Result<StreamMetaInfo> ReadStreamMeta(const std::string& dir);
 
-/// Rewrites the length field of dir/meta.bin in place and syncs (the
-/// live-ingestion commit path; layout and schema are untouched).
+/// Rewrites the length field of dir/meta.bin in place, without fsync (the
+/// live-ingestion commit path, whose WAL checkpoint syncs it; layout and
+/// schema are untouched).
 Status UpdateStreamLength(const std::string& dir, uint64_t new_length);
 
 /// Read-only handle to an archived Markovian stream. All reads go through
@@ -109,8 +111,9 @@ class StoredStream {
   // Co-clustered layout:
   std::unique_ptr<RecordFileReader> combined_;
   std::string scratch_;
-  // Decode target for a co-clustered record's CPT when only the marginal
-  // was asked for.
+  // Decode targets for the part of a co-clustered record the caller did
+  // not ask for.
+  Distribution scratch_marginal_;
   Cpt scratch_cpt_;
 };
 

@@ -197,7 +197,7 @@ Status BufferPool::FlushAll() {
       f.dirty = false;
     }
   }
-  return pager_->Sync();
+  return pager_->Flush();
 }
 
 }  // namespace caldera

@@ -86,7 +86,8 @@ class BufferPool {
   /// (zeroed, dirty) frame.
   Result<PageHandle> NewPage();
 
-  /// Writes back all dirty pages.
+  /// Writes back all dirty pages and the pager header (Pager::Flush). No
+  /// fsync: the owner calls Pager::Sync when it needs durability.
   Status FlushAll();
 
   /// Drops page `id`'s cached copy, if any, so the next Fetch rereads it:

@@ -138,6 +138,11 @@ void File::SetWrapHookForTesting(WrapHook hook) {
   WrapHookSlot() = std::move(hook);
 }
 
+Status SyncFile(const std::string& path) {
+  CALDERA_ASSIGN_OR_RETURN(std::unique_ptr<File> file, File::Open(path));
+  return file->Sync();
+}
+
 Status RemoveFileIfExists(const std::string& path) {
   std::error_code ec;
   std::filesystem::remove(path, ec);

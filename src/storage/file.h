@@ -71,6 +71,10 @@ class File {
   File() = default;
 };
 
+/// Opens `path` and fsyncs it: the file's writes through any handle reach
+/// stable storage.
+Status SyncFile(const std::string& path);
+
 /// Removes a file if it exists; OK if missing.
 Status RemoveFileIfExists(const std::string& path);
 

@@ -173,8 +173,12 @@ Result<PageId> Pager::AllocatePage() {
   return id;
 }
 
+Status Pager::Flush() {
+  return header_dirty_ ? WriteHeader() : Status::Ok();
+}
+
 Status Pager::Sync() {
-  if (header_dirty_) CALDERA_RETURN_IF_ERROR(WriteHeader());
+  CALDERA_RETURN_IF_ERROR(Flush());
   if (!unsynced_) return Status::Ok();
   CALDERA_RETURN_IF_ERROR(file_->Sync());
   unsynced_ = false;

@@ -67,9 +67,13 @@ class Pager {
   /// Allocates a fresh zeroed page at the end of the file.
   Result<PageId> AllocatePage();
 
-  /// Persists the header (only if this handle changed it — a handle that
-  /// never allocated must not clobber a header another writer has since
-  /// advanced) and fsyncs the file — but only if this handle wrote anything
+  /// Writes the header back, but only if this handle changed it: a handle
+  /// that never allocated must not clobber a header another writer has
+  /// since advanced. No fsync: other handles see the new page count, a
+  /// crash may lose it.
+  Status Flush();
+
+  /// Flush, then fsync the file — but only if this handle wrote anything
   /// (header, WritePage, AllocatePage) since its last successful Sync. A
   /// read-only handle's Sync is free. A failed fsync is reported, and a
   /// later Sync calls fsync again; that call succeeding does not prove the
@@ -98,8 +102,8 @@ class Pager {
   uint32_t payload_size_;  // page_size_ minus the trailer.
   uint64_t page_count_;
   // True while the in-memory page_count_ is ahead of the on-disk header
-  // (pages allocated since the last WriteHeader). Sync persists the header
-  // only then: read-only consumers (buffer pools flush-syncing on
+  // (pages allocated since the last WriteHeader). Flush persists the header
+  // only then: read-only consumers (buffer pools flushing on
   // destruction) must never write their — possibly stale — view of the
   // header back over a file a live-ingest append has since extended.
   bool header_dirty_ = false;

@@ -245,16 +245,21 @@ Status RecordFileWriter::Finalize() {
   if (finalized_) return Status::Ok();
   CALDERA_RETURN_IF_ERROR(data_.Flush());
   CALDERA_RETURN_IF_ERROR(dir_.Flush());
-  CALDERA_RETURN_IF_ERROR(dir_pager_->Sync());
+  CALDERA_RETURN_IF_ERROR(dir_pager_->Flush());
   // The meta page goes last: it is what makes the new records visible.
   std::string meta(kRecMagic, 8);
   PutFixed64(num_records_, &meta);
   PutFixed64(data_.bytes, &meta);
   meta.resize(data_pager_->page_size(), '\0');
   CALDERA_RETURN_IF_ERROR(data_pager_->WritePage(kMetaPage, meta.data()));
-  CALDERA_RETURN_IF_ERROR(data_pager_->Sync());
+  CALDERA_RETURN_IF_ERROR(data_pager_->Flush());
   finalized_ = true;
   return Status::Ok();
+}
+
+Status RecordFileWriter::Sync() {
+  CALDERA_RETURN_IF_ERROR(dir_pager_->Sync());
+  return data_pager_->Sync();
 }
 
 Result<std::unique_ptr<RecordFileReader>> RecordFileReader::Open(

@@ -75,8 +75,13 @@ class RecordFileWriter {
   /// Appends a record; returns its id.
   Result<uint64_t> Append(std::string_view record);
 
-  /// Writes the tail pages + meta page and syncs. No appends afterwards.
+  /// Writes the tail pages, the meta page and both pager headers, without
+  /// fsync. No appends afterwards.
   Status Finalize();
+
+  /// Fsyncs both files. The offline builders call it after Finalize; the
+  /// ingest path leaves durability to its WAL checkpoint.
+  Status Sync();
 
   uint64_t num_records() const { return num_records_; }
   uint64_t data_bytes() const { return data_.bytes; }

@@ -57,9 +57,8 @@ class Wal {
   /// Flushes all appended frames to stable storage (the commit point).
   Status Sync();
 
-  /// Drops every frame (magic header is preserved) and syncs: called once a
-  /// batch is fully applied to the stream and its indexes, so the log stays
-  /// one batch long in steady state.
+  /// Drops every frame (magic header is preserved) and syncs: the ingest
+  /// checkpoint calls it once the data files hold every logged batch.
   Status Reset();
 
   /// A resumable position in the log: capture before a speculative Append,

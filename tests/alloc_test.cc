@@ -34,7 +34,7 @@ namespace {
 // only grow, and the Reg operator's entry buffers are recycled, not freed,
 // so repeated passes over a stream converge to passes that never touch the
 // heap; after that, no step allocates.
-TEST(ScanStepAllocationTest, SteadyStateStepDoesNotAllocate) {
+void ExpectSteadyStateStepDoesNotAllocate(DiskLayout layout) {
   test::ScratchDir scratch("alloc_scan");
   RoutineSpec spec;
   spec.length = 400;
@@ -42,7 +42,7 @@ TEST(ScanStepAllocationTest, SteadyStateStepDoesNotAllocate) {
   ASSERT_TRUE(w.ok()) << w.status().ToString();
   StreamArchive archive(scratch.Path("archive"));
   ASSERT_TRUE(archive.Init().ok());
-  ASSERT_TRUE(archive.CreateStream("tag", w->stream).ok());
+  ASSERT_TRUE(archive.CreateStream("tag", w->stream, layout).ok());
   Result<RegularQuery> query = w->EnteredRoom(w->own_office, 3, false);
   ASSERT_TRUE(query.ok()) << query.status().ToString();
   auto stream = StoredStream::Open(archive.StreamDir("tag"));
@@ -70,6 +70,17 @@ TEST(ScanStepAllocationTest, SteadyStateStepDoesNotAllocate) {
     ASSERT_LT(++warm_passes, 8) << "allocations never stopped";
   }
   EXPECT_EQ(pass(), 0u) << "after " << warm_passes << " warm-up passes";
+}
+
+TEST(ScanStepAllocationTest, SteadyStateStepDoesNotAllocate) {
+  ExpectSteadyStateStepDoesNotAllocate(DiskLayout::kSeparated);
+}
+
+// A co-clustered record holds the marginal ahead of the CPT: a transition
+// read (a scan step, an MC Extend read) checks the marginal's bytes but
+// builds nothing from them.
+TEST(ScanStepAllocationTest, CoClusteredSteadyStateStepDoesNotAllocate) {
+  ExpectSteadyStateStepDoesNotAllocate(DiskLayout::kCoClustered);
 }
 
 }  // namespace

@@ -22,6 +22,7 @@
 #include "common/crc32c.h"
 #include "common/encoding.h"
 #include "common/rng.h"
+#include "index/attribute_index.h"
 #include "index/mc_index.h"
 #include "rfid/workload.h"
 #include "storage/fault_injection_file.h"
@@ -201,7 +202,9 @@ TEST_P(IngestDifferentialTest, OfflineAndIncrementalBuildsAreBitIdentical) {
   auto reopened = system.OpenForIngest("live");
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   EXPECT_EQ((*reopened)->length(), 225u);
-  EXPECT_EQ((*reopened)->stats().batches_recovered, 1u);
+  // No checkpoint ran, so the window's two acknowledged batches are redone
+  // along with the unapplied one.
+  EXPECT_EQ((*reopened)->stats().batches_recovered, 3u);
   ASSERT_TRUE((*reopened)->Append(Slice(full, 225, 35)).ok());
   ASSERT_EQ((*reopened)->length(), full_len);
 
@@ -386,6 +389,406 @@ TEST(IngestCrashRecoveryTest, RecoveryItselfCanCrashAndRetry) {
   ASSERT_TRUE(ingestor.ok()) << ingestor.status().ToString();
   EXPECT_EQ((*ingestor)->length(), 200u);
   EXPECT_EQ((*ingestor)->stats().batches_recovered, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// The crash model: ScopedFaultInjection::Crash loses every write made since
+// its file's last fsync, or keeps a seeded part of them (partial
+// write-back). The cells below crash inside a checkpoint window, inside a
+// checkpoint and inside recovery; each must recover to exactly the
+// acknowledged length, answer like an offline build on every method and
+// keep the MC levels byte-identical.
+
+constexpr uint64_t kWindowBase = 200;
+
+// A stream of kWindowBase + 100 timesteps the window cells slice from.
+const MarkovianStream& WindowStream() {
+  static const MarkovianStream full = test::MakeBandedStream(300, 8, 83);
+  return full;
+}
+
+// Archives `name` as the first `length` timesteps of WindowStream, with
+// BT_C, BT_P and an alpha-2 MC index.
+void ArchiveWindowStream(Caldera* system, const std::string& name,
+                         uint64_t length) {
+  ASSERT_TRUE(
+      system->archive()->CreateStream(name, Prefix(WindowStream(), length))
+          .ok());
+  ASSERT_TRUE(system->archive()->BuildBtc(name, 0).ok());
+  ASSERT_TRUE(system->archive()->BuildBtp(name, 0).ok());
+  ASSERT_TRUE(system->archive()->BuildMc(name, {.alpha = 2}).ok());
+}
+
+// Every entry of the B+ tree at `got` equals the one at `want`, in order.
+void ExpectTreesHoldTheSameEntries(const std::string& want,
+                                   const std::string& got) {
+  auto a = BTree::Open(want);
+  auto b = BTree::Open(got);
+  ASSERT_TRUE(a.ok() && b.ok()) << got;
+  ASSERT_TRUE((*b)->CheckInvariants().ok()) << got;
+  auto ca = (*a)->SeekFirst();
+  auto cb = (*b)->SeekFirst();
+  ASSERT_TRUE(ca.ok() && cb.ok()) << got;
+  uint64_t entries = 0;
+  for (; ca->valid(); ++entries) {
+    ASSERT_TRUE(cb->valid()) << got << " ends at entry " << entries;
+    ASSERT_EQ(ca->key(), cb->key()) << got << " entry " << entries;
+    ASSERT_EQ(ca->value(), cb->value()) << got << " entry " << entries;
+    ASSERT_TRUE(ca->Next().ok() && cb->Next().ok());
+  }
+  EXPECT_FALSE(cb->valid()) << got << " holds more than " << entries;
+}
+
+// Opens `name` cleanly, which recovers it, and demands the acknowledged
+// length and, against an offline build of that length, agreement on every
+// method, B+ trees with the same entries and byte-identical MC levels.
+void ExpectRecoversTo(Caldera* system, const std::string& name,
+                      uint64_t acknowledged) {
+  {
+    auto recovered = StreamIngestor::Open(system->archive()->StreamDir(name));
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    ASSERT_EQ((*recovered)->length(), acknowledged);
+  }
+  const std::string oracle = "oracle_" + name;
+  ArchiveWindowStream(system, oracle, acknowledged);
+  const std::string want = system->archive()->StreamDir(oracle);
+  const std::string got = system->archive()->StreamDir(name);
+  ExpectStreamsAgree(system, oracle, name);
+  ExpectTreesHoldTheSameEntries(BtcIndexPath(want, 0), BtcIndexPath(got, 0));
+  ExpectTreesHoldTheSameEntries(BtpIndexPath(want, 0), BtpIndexPath(got, 0));
+  ExpectMcLevelsIdentical(want, got);
+}
+
+// Batch sizes of the five commits of a window.
+constexpr uint64_t kWindowBatches[] = {1, 2, 1, 7, 1};
+
+// On an ingestor freshly opened over a kWindowBase-step stream: two
+// commits and a checkpoint, so that a window starts, then the first
+// `commits` batches of kWindowBatches. Returns the acknowledged length, or
+// 0 after a failed expectation.
+uint64_t RunWindow(StreamIngestor* ingestor, int commits) {
+  EXPECT_TRUE(ingestor->Append(Slice(WindowStream(), kWindowBase, 3)).ok());
+  EXPECT_TRUE(ingestor->Append(Slice(WindowStream(), kWindowBase + 3, 1)).ok());
+  EXPECT_TRUE(ingestor->Checkpoint().ok());
+  uint64_t length = kWindowBase + 4;
+  for (int i = 0; i < commits; ++i) {
+    const Status appended =
+        ingestor->Append(Slice(WindowStream(), length, kWindowBatches[i]));
+    EXPECT_TRUE(appended.ok()) << appended.ToString();
+    if (!appended.ok()) return 0;
+    length += kWindowBatches[i];
+  }
+  EXPECT_EQ(ingestor->stats().checkpoints, 1u);
+  return length;
+}
+
+// A crash after the first, a middle and the last commit of a window, with
+// every unsynced write lost and with half of them kept.
+TEST(IngestCrashModelTest, CrashAfterFirstMiddleOrLastCommitOfAWindow) {
+  for (double keep : {0.0, 0.5}) {
+    for (int commits : {1, 3, 5}) {
+      const std::string tag = "keep" + std::to_string(keep > 0) + "_after" +
+                              std::to_string(commits);
+      SCOPED_TRACE(tag);
+      test::ScratchDir scratch("ingest_window_" + tag);
+      Caldera system(scratch.Path("archive"));
+      ASSERT_TRUE(system.archive()->Init().ok());
+      ArchiveWindowStream(&system, "s", kWindowBase);
+      const std::string dir = system.archive()->StreamDir("s");
+      uint64_t acknowledged = 0;
+      {
+        FaultInjectionOptions options;
+        options.crash_keep_prob = keep;
+        options.seed = 90 + commits;
+        ScopedFaultInjection disk(dir, options);
+        auto ingestor = StreamIngestor::Open(dir);
+        ASSERT_TRUE(ingestor.ok()) << ingestor.status().ToString();
+        acknowledged = RunWindow(ingestor->get(), commits);
+        ASSERT_GT(acknowledged, 0u);
+        disk.Crash();
+      }
+      {
+        auto recovered = StreamIngestor::Open(dir);
+        ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+        EXPECT_EQ((*recovered)->stats().batches_recovered,
+                  static_cast<uint64_t>(commits));
+      }
+      ExpectRecoversTo(&system, "s", acknowledged);
+    }
+  }
+}
+
+// Sync calls through the stream's files before and after the checkpoint
+// that closes a five-commit window, on a clean run.
+std::pair<int64_t, int64_t> WindowCheckpointSyncs() {
+  test::ScratchDir scratch("ingest_ckpt_count");
+  Caldera system(scratch.Path("archive"));
+  EXPECT_TRUE(system.archive()->Init().ok());
+  ArchiveWindowStream(&system, "s", kWindowBase);
+  const std::string dir = system.archive()->StreamDir("s");
+  ScopedFaultInjection disk(dir, {});
+  auto ingestor = StreamIngestor::Open(dir);
+  EXPECT_TRUE(ingestor.ok());
+  if (!ingestor.ok()) return {0, 0};
+  EXPECT_GT(RunWindow(ingestor->get(), 5), 0u);
+  const auto before = static_cast<int64_t>(disk.counters().syncs);
+  EXPECT_EQ(before, static_cast<int64_t>((*ingestor)->stats().fsyncs));
+  EXPECT_TRUE((*ingestor)->Checkpoint().ok());
+  return {before, static_cast<int64_t>(disk.counters().syncs)};
+}
+
+// Windows long enough to split tree leaves, crashed with a seeded half of
+// their writes kept: a tree may then hold a split's new page but not the
+// parent pointing to it, or the reverse, so recovery must rebuild it.
+TEST(IngestCrashModelTest, CrashKeepingPartOfTheTreeWrites) {
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE(seed);
+    test::ScratchDir scratch("ingest_tree_crash");
+    Caldera system(scratch.Path("archive"));
+    ASSERT_TRUE(system.archive()->Init().ok());
+    ArchiveWindowStream(&system, "s", kWindowBase);
+    const std::string dir = system.archive()->StreamDir("s");
+    uint64_t length = kWindowBase;
+    {
+      FaultInjectionOptions options;
+      options.crash_keep_prob = 0.5;
+      options.seed = seed;
+      ScopedFaultInjection disk(dir, options);
+      auto ingestor = StreamIngestor::Open(dir);
+      ASSERT_TRUE(ingestor.ok()) << ingestor.status().ToString();
+      for (; length < WindowStream().length(); length += 20) {
+        ASSERT_TRUE(
+            (*ingestor)->Append(Slice(WindowStream(), length, 20)).ok());
+      }
+      disk.Crash();
+    }
+    ExpectRecoversTo(&system, "s", length);
+  }
+}
+
+// A crash inside a checkpoint, after each number of its fsyncs in turn:
+// some files synced, the rest and the WAL reset not.
+TEST(IngestCrashModelTest, CrashInsideACheckpoint) {
+  const auto [before, after] = WindowCheckpointSyncs();
+  // At least the stream files, both trees and the WAL reset.
+  ASSERT_GE(after - before, 8);
+  for (int64_t synced = 0; synced < after - before; ++synced) {
+    SCOPED_TRACE(synced);
+    test::ScratchDir scratch("ingest_ckpt_crash");
+    Caldera system(scratch.Path("archive"));
+    ASSERT_TRUE(system.archive()->Init().ok());
+    ArchiveWindowStream(&system, "s", kWindowBase);
+    const std::string dir = system.archive()->StreamDir("s");
+    uint64_t acknowledged = 0;
+    {
+      FaultInjectionOptions options;
+      options.crash_at_sync = before + synced;
+      options.crash_keep_prob = 0.5;
+      options.seed = 100 + synced;
+      ScopedFaultInjection disk(dir, options);
+      auto ingestor = StreamIngestor::Open(dir);
+      ASSERT_TRUE(ingestor.ok()) << ingestor.status().ToString();
+      acknowledged = RunWindow(ingestor->get(), 5);
+      ASSERT_GT(acknowledged, 0u);
+      EXPECT_FALSE((*ingestor)->Checkpoint().ok());
+      EXPECT_TRUE(disk.crashed());
+      EXPECT_TRUE((*ingestor)->broken());
+    }
+    ExpectRecoversTo(&system, "s", acknowledged);
+  }
+}
+
+// A crash during recovery: at the Nth write (restoring undo records,
+// rebuilding the trees or redoing the window), at the Nth fsync (the tree
+// builds, the checkpoint closing the recovery), and right after a
+// recovery that returned. The recovered state must survive each, so the
+// WAL may be reset only once everything it rebuilt is synced.
+TEST(IngestCrashModelTest, CrashDuringRecovery) {
+  struct Cell {
+    bool at_write;
+    int64_t index;
+  };
+  std::vector<Cell> cells;
+  for (int64_t n = 0; n <= 4096; n = n == 0 ? 1 : n * 4) {
+    cells.push_back({true, n});
+  }
+  for (int64_t n = 0; n < 24; ++n) cells.push_back({false, n});
+  for (const Cell& cell : cells) {
+    const std::string tag = std::string(cell.at_write ? "write" : "sync") +
+                            std::to_string(cell.index);
+    SCOPED_TRACE(tag);
+    test::ScratchDir scratch("ingest_recovery_crash");
+    Caldera system(scratch.Path("archive"));
+    ASSERT_TRUE(system.archive()->Init().ok());
+    ArchiveWindowStream(&system, "s", kWindowBase);
+    const std::string dir = system.archive()->StreamDir("s");
+    uint64_t acknowledged = 0;
+    {
+      ScopedFaultInjection disk(dir, {});
+      auto ingestor = StreamIngestor::Open(dir);
+      ASSERT_TRUE(ingestor.ok()) << ingestor.status().ToString();
+      acknowledged = RunWindow(ingestor->get(), 4);
+      ASSERT_GT(acknowledged, 0u);
+      disk.Crash();
+    }
+    {
+      FaultInjectionOptions options;
+      (cell.at_write ? options.crash_at_write : options.crash_at_sync) =
+          cell.index;
+      options.crash_keep_prob = 0.5;
+      options.seed = 200 + cell.index;
+      ScopedFaultInjection disk(dir, options);
+      auto ingestor = StreamIngestor::Open(dir);
+      EXPECT_EQ(ingestor.ok(), !disk.crashed());
+      // Recovery finished before the armed crash: crash right after it.
+      if (!disk.crashed()) disk.Crash();
+    }
+    ExpectRecoversTo(&system, "s", acknowledged);
+  }
+}
+
+// A commit whose WAL fsync fails is rolled back, its first touches too: it
+// is the first of the window to grow MC level 4, so the retried commit
+// must journal that level again. A crash that keeps every unsynced write
+// then leaves level 4 grown, and only its undo records can restore it.
+TEST(IngestCrashModelTest, FailedWalSyncRollsBackFirstTouches) {
+  test::ScratchDir scratch("ingest_sync_rollback");
+  Caldera system(scratch.Path("archive"));
+  ASSERT_TRUE(system.archive()->Init().ok());
+  ArchiveWindowStream(&system, "s", kWindowBase);
+  const std::string dir = system.archive()->StreamDir("s");
+  constexpr uint32_t kLevel = 4;
+  const McIndexOptions mc{.alpha = 2};
+  ASSERT_GE(McIndex::LevelCounts(kWindowBase, mc).size(), kLevel);
+  // The first batch-1 commit from kWindowBase that grows level kLevel.
+  int64_t first_touch = 1;
+  while (McIndex::LevelCounts(kWindowBase + first_touch, mc)[kLevel - 1] ==
+         McIndex::LevelCounts(kWindowBase, mc)[kLevel - 1]) {
+    ++first_touch;
+  }
+  ASSERT_GT(first_touch, 1);
+  uint64_t length = kWindowBase;
+  {
+    FaultInjectionOptions options;
+    // Each commit fsyncs once; opening an ingestor over an empty WAL
+    // fsyncs nothing.
+    options.fail_sync_at = first_touch - 1;
+    options.crash_keep_prob = 1.0;
+    ScopedFaultInjection disk(dir, options);
+    auto ingestor = StreamIngestor::Open(dir);
+    ASSERT_TRUE(ingestor.ok()) << ingestor.status().ToString();
+    for (; length < kWindowBase + first_touch - 1; ++length) {
+      ASSERT_TRUE((*ingestor)->Append(Slice(WindowStream(), length, 1)).ok());
+    }
+    const uint64_t wal_bytes = (*ingestor)->stats().wal_bytes;
+    EXPECT_EQ((*ingestor)->Append(Slice(WindowStream(), length, 1)).code(),
+              StatusCode::kIoError);
+    EXPECT_FALSE((*ingestor)->broken());
+    EXPECT_EQ((*ingestor)->length(), length);
+    EXPECT_EQ((*ingestor)->stats().wal_bytes, wal_bytes);
+    for (const uint64_t end = length + 4; length < end; ++length) {
+      ASSERT_TRUE((*ingestor)->Append(Slice(WindowStream(), length, 1)).ok());
+    }
+    disk.Crash();
+  }
+  ExpectRecoversTo(&system, "s", length);
+}
+
+// Batch-1 commits cost one fsync each; the checkpoint then syncs each
+// touched file once. Undo records are journaled on a file's first touch
+// in the window, so they stop growing once every file has been touched.
+TEST(IngestCheckpointTest, OneFsyncPerCommitAndFirstTouchUndo) {
+  test::ScratchDir scratch("ingest_fsyncs");
+  Caldera system(scratch.Path("archive"));
+  ASSERT_TRUE(system.archive()->Init().ok());
+  ArchiveWindowStream(&system, "s", kWindowBase);
+  auto ingestor = StreamIngestor::Open(system.archive()->StreamDir("s"));
+  ASSERT_TRUE(ingestor.ok()) << ingestor.status().ToString();
+  constexpr uint64_t kCommits = 64;
+  uint64_t undo_after_first = 0;
+  for (uint64_t i = 0; i < kCommits; ++i) {
+    ASSERT_TRUE(
+        (*ingestor)->Append(Slice(WindowStream(), kWindowBase + i, 1)).ok());
+    if (i == 0) undo_after_first = (*ingestor)->stats().undo_bytes;
+  }
+  const IngestStats& stats = (*ingestor)->stats();
+  EXPECT_EQ(stats.fsyncs, kCommits);
+  EXPECT_EQ(stats.checkpoints, 0u);
+  EXPECT_GT(undo_after_first, 0u);
+  EXPECT_LT(stats.undo_bytes, stats.wal_bytes);
+  // Later commits journal only the MC levels they are the first to grow:
+  // the first commit's records (stream files, metadata, low levels) are
+  // most of the window's.
+  EXPECT_LT(stats.undo_bytes, 3 * undo_after_first);
+  ASSERT_TRUE((*ingestor)->Checkpoint().ok());
+  EXPECT_EQ(stats.checkpoints, 1u);
+  // The MC levels the window grew or added, two files each.
+  const McIndexOptions mc{.alpha = 2};
+  const std::vector<uint64_t> before = McIndex::LevelCounts(kWindowBase, mc);
+  const std::vector<uint64_t> after =
+      McIndex::LevelCounts(kWindowBase + kCommits, mc);
+  uint64_t levels = 0;
+  for (size_t i = 0; i < after.size(); ++i) {
+    levels += i >= before.size() || after[i] != before[i];
+  }
+  // meta.bin, two stream record files of two files each, mc.meta, the
+  // levels, two trees, and the WAL reset.
+  EXPECT_EQ(stats.fsyncs - kCommits, 1 + 4 + 1 + 2 * levels + 2 + 1);
+  // A second checkpoint with nothing committed is free.
+  ASSERT_TRUE((*ingestor)->Checkpoint().ok());
+  EXPECT_EQ(stats.checkpoints, 1u);
+  ingestor->reset();
+  ExpectRecoversTo(&system, "s", kWindowBase + kCommits);
+}
+
+// The log passing kCheckpointWalBytes runs a checkpoint inside the commit:
+// the WAL empties, and a crash after it redoes only the later commits.
+TEST(IngestCheckpointTest, LogThresholdRunsACheckpoint) {
+  test::ScratchDir scratch("ingest_auto_ckpt");
+  const MarkovianStream full = test::MakeBandedStream(6000, 24, 85);
+  Caldera system(scratch.Path("archive"));
+  ASSERT_TRUE(system.archive()->Init().ok());
+  ASSERT_TRUE(system.archive()->CreateStream("s", Prefix(full, 100)).ok());
+  ASSERT_TRUE(system.archive()->BuildBtc("s", 0).ok());
+  ASSERT_TRUE(system.archive()->BuildMc("s", {.alpha = 2}).ok());
+  const std::string dir = system.archive()->StreamDir("s");
+  constexpr uint64_t kBatch = 200;
+  uint64_t length = 100;
+  {
+    ScopedFaultInjection disk(dir, {});
+    auto ingestor = StreamIngestor::Open(dir);
+    ASSERT_TRUE(ingestor.ok()) << ingestor.status().ToString();
+    while ((*ingestor)->stats().checkpoints == 0) {
+      ASSERT_LE(length + 2 * kBatch, full.length()) << "no checkpoint ran";
+      ASSERT_TRUE((*ingestor)->Append(Slice(full, length, kBatch)).ok());
+      length += kBatch;
+    }
+    auto wal = File::OpenReadOnly(StreamIngestor::WalPath(dir));
+    ASSERT_TRUE(wal.ok());
+    EXPECT_EQ((*wal)->size(), 8u);  // The magic alone.
+    ASSERT_TRUE((*ingestor)->Append(Slice(full, length, kBatch)).ok());
+    length += kBatch;
+    disk.Crash();
+  }
+  auto recovered = StreamIngestor::Open(dir);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ((*recovered)->length(), length);
+  EXPECT_EQ((*recovered)->stats().batches_recovered, 1u);
+  recovered->reset();
+  ASSERT_TRUE(system.archive()->CreateStream("oracle", Prefix(full, length))
+                  .ok());
+  ASSERT_TRUE(system.archive()->BuildBtc("oracle", 0).ok());
+  ASSERT_TRUE(system.archive()->BuildMc("oracle", {.alpha = 2}).ok());
+  ExpectMcLevelsIdentical(system.archive()->StreamDir("oracle"), dir);
+  for (AccessMethodKind method :
+       {AccessMethodKind::kScan, AccessMethodKind::kBTree,
+        AccessMethodKind::kMcIndex}) {
+    auto got = system.Execute("s", FixedQuery(), {.method = method});
+    auto want = system.Execute("oracle", FixedQuery(), {.method = method});
+    ASSERT_TRUE(got.ok() && want.ok()) << AccessMethodName(method);
+    ExpectSignalsIdentical(got->signal, want->signal,
+                           AccessMethodName(method));
+  }
 }
 
 // Replay is idempotent: a committed-but-unapplied batch is applied exactly
