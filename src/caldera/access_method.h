@@ -43,8 +43,11 @@ struct ExecStats {
   uint64_t pruned_candidates = 0;  ///< Top-k candidates pruned before Reg.
   uint64_t mc_entry_fetches = 0;   ///< MC-index entries fetched.
   uint64_t mc_raw_fetches = 0;     ///< Raw CPTs fetched for MC residues.
-  uint64_t corruption_events = 0;  ///< Corrupt pages/indexes encountered.
-  uint64_t scan_fallbacks = 0;     ///< Executions rescued by a scan fallback.
+  /// Executions whose failed attempt, rescued by the scan, was a
+  /// Corruption (0 or 1 per execution; ExecOptions::fallback_to_scan).
+  uint64_t corruption_events = 0;
+  /// Executions rescued by the scan (0 or 1 per execution).
+  uint64_t scan_fallbacks = 0;
   uint64_t span_cache_hits = 0;    ///< Composed span CPTs served from cache.
   uint64_t span_cache_misses = 0;  ///< Span lookups that had to compose.
   BufferPoolStats stream_io;       ///< Page traffic on the stream files.

@@ -3,7 +3,6 @@
 #include <filesystem>
 
 #include "common/encoding.h"
-#include "common/logging.h"
 #include "index/btc_index.h"
 #include "index/btp_index.h"
 
@@ -13,67 +12,47 @@ namespace {
 std::string McDir(const std::string& dir) { return dir + "/mc"; }
 }  // namespace
 
-Result<std::unique_ptr<ArchivedStream>> ArchivedStream::Open(
-    const std::string& dir, const OpenStreamOptions& options) {
-  const size_t pool_pages = options.pool_pages;
+Result<std::unique_ptr<ArchivedStream>> ArchivedStream::OpenWithoutIndexes(
+    const std::string& dir, size_t pool_pages) {
   auto archived =
       std::unique_ptr<ArchivedStream>(new ArchivedStream(dir, pool_pages));
-  // The stream data files are non-negotiable: without them there is nothing
-  // to fall back to, so their errors always propagate.
   CALDERA_ASSIGN_OR_RETURN(archived->stream_,
                            StoredStream::Open(dir, pool_pages));
+  return archived;
+}
 
-  // With tolerate_corrupt_indexes, an index that fails to open is recorded
-  // and skipped — the handle behaves as if the index was never built, and
-  // the planner degrades to methods that do not need it.
-  auto admit = [&](const std::string& index_name,
-                   const Status& error) -> Status {
-    if (!options.tolerate_corrupt_indexes) return error;
-    CALDERA_LOG_WARNING << "skipping index " << index_name << " of " << dir
-                        << ": " << error.ToString();
-    archived->skipped_indexes_.push_back({index_name, error});
-    return Status::Ok();
-  };
-
-  const size_t num_attrs = archived->stream_->schema().num_attributes();
+Result<std::unique_ptr<ArchivedStream>> ArchivedStream::Open(
+    const std::string& dir, size_t pool_pages) {
+  CALDERA_ASSIGN_OR_RETURN(std::unique_ptr<ArchivedStream> archived,
+                           OpenWithoutIndexes(dir, pool_pages));
+  const size_t num_attrs = archived->schema().num_attributes();
   archived->btc_.resize(num_attrs);
   archived->btp_.resize(num_attrs);
-  for (size_t attr = 0; attr < num_attrs; ++attr) {
-    for (bool is_btc : {true, false}) {
-      const std::string path =
-          is_btc ? BtcIndexPath(dir, attr) : BtpIndexPath(dir, attr);
-      if (!FileExists(path)) continue;
-      Result<std::unique_ptr<BTree>> tree = BTree::Open(path, pool_pages);
-      if (tree.ok()) {
-        (is_btc ? archived->btc_ : archived->btp_)[attr] = std::move(*tree);
-      } else {
-        CALDERA_RETURN_IF_ERROR(admit(
-            std::filesystem::path(path).filename().string(), tree.status()));
-      }
-    }
+  for (const TreeIndexFile& file : TreeIndexFiles(dir, num_attrs)) {
+    std::vector<std::unique_ptr<BTree>>& trees =
+        file.is_btc ? archived->btc_ : archived->btp_;
+    CALDERA_ASSIGN_OR_RETURN(trees[file.attr],
+                             BTree::Open(file.path, pool_pages));
   }
   if (FileExists(McDir(dir) + "/mc.meta")) {
     StoredStream* raw = archived->stream_.get();
-    Result<std::unique_ptr<McIndex>> mc = McIndex::Open(
-        McDir(dir),
-        [raw](uint64_t t, Cpt* out) { return raw->ReadTransition(t, out); },
-        pool_pages);
+    CALDERA_ASSIGN_OR_RETURN(
+        archived->mc_,
+        McIndex::Open(
+            McDir(dir),
+            [raw](uint64_t t, Cpt* out) { return raw->ReadTransition(t, out); },
+            pool_pages));
     // mc.meta carries no checksum; a domain that disagrees with the schema
     // would bound decoded level entries by a corrupt field.
-    if (mc.ok() && (*mc)->domain_size() != raw->schema().state_count()) {
-      mc = Status::Corruption("MC index domain does not match the schema in " +
-                              McDir(dir));
+    if (archived->mc_->domain_size() != raw->schema().state_count()) {
+      return Status::Corruption(
+          "MC index domain does not match the schema in " + McDir(dir));
     }
-    if (mc.ok()) {
-      archived->mc_ = std::move(*mc);
-      // Private per-handle cache so span memoization works even outside
-      // the Caldera facade; the facade rebinds its shared cache on open.
-      archived->AttachSpanCache(
-          std::make_shared<SpanCptCache>(kDefaultSpanCacheBytes),
-          /*epoch=*/0);
-    } else {
-      CALDERA_RETURN_IF_ERROR(admit("mc", mc.status()));
-    }
+    // Private per-handle cache so span memoization works even outside
+    // the Caldera facade; the facade rebinds its shared cache on open.
+    archived->AttachSpanCache(
+        std::make_shared<SpanCptCache>(kDefaultSpanCacheBytes),
+        /*epoch=*/0);
   }
   return archived;
 }
@@ -172,15 +151,10 @@ Status StreamArchive::BuildMc(const std::string& name,
 
 Result<std::unique_ptr<ArchivedStream>> StreamArchive::OpenStream(
     const std::string& name, size_t pool_pages) {
-  return OpenStream(name, OpenStreamOptions{.pool_pages = pool_pages});
-}
-
-Result<std::unique_ptr<ArchivedStream>> StreamArchive::OpenStream(
-    const std::string& name, const OpenStreamOptions& options) {
   if (!HasStream(name)) {
     return Status::NotFound("no stream named '" + name + "' in archive");
   }
-  return ArchivedStream::Open(StreamDir(name), options);
+  return ArchivedStream::Open(StreamDir(name), pool_pages);
 }
 
 Status StreamArchive::RebuildIndexes(const std::string& name) {
@@ -189,8 +163,9 @@ Status StreamArchive::RebuildIndexes(const std::string& name) {
   }
   const std::string dir = StreamDir(name);
 
-  CALDERA_ASSIGN_OR_RETURN(std::vector<TreeIndexFile> trees,
-                           ListTreeIndexFiles(dir));
+  CALDERA_ASSIGN_OR_RETURN(StreamMetaInfo info, ReadStreamMeta(dir));
+  const std::vector<TreeIndexFile> trees =
+      TreeIndexFiles(dir, info.schema.num_attributes());
 
   // The MC index's build parameters live in mc/mc.meta; recover them when
   // the metadata is still readable, otherwise rebuild with defaults.

@@ -14,39 +14,21 @@
 
 namespace caldera {
 
-/// How ArchivedStream::Open treats an index that fails to open.
-struct OpenStreamOptions {
-  size_t pool_pages = 256;
-  /// When true, an index file that fails to open (corrupt, truncated, bad
-  /// checksum) is skipped — recorded in skipped_indexes() and left nullptr,
-  /// exactly like an index that was never built — instead of failing the
-  /// whole open. The stream data files themselves must always open. This
-  /// is what lets the facade degrade to the naive scan (Algorithm 1) when
-  /// an index partition is damaged.
-  bool tolerate_corrupt_indexes = false;
-};
-
 /// One archived Markovian stream plus whatever indexes have been built for
 /// it. Indexes are discovered on Open; absent indexes are simply nullptr
 /// and access methods report FailedPrecondition when they need one.
 class ArchivedStream {
  public:
+  /// Opens the stream in `dir` and every index built for it. An index that
+  /// fails to open (corrupt, truncated, bad checksum) fails the open.
   static Result<std::unique_ptr<ArchivedStream>> Open(
-      const std::string& dir, size_t pool_pages = 256) {
-    return Open(dir, OpenStreamOptions{.pool_pages = pool_pages});
-  }
-  static Result<std::unique_ptr<ArchivedStream>> Open(
-      const std::string& dir, const OpenStreamOptions& options);
+      const std::string& dir, size_t pool_pages = 256);
 
-  /// One index this handle skipped because it failed to open (only
-  /// populated under OpenStreamOptions::tolerate_corrupt_indexes).
-  struct SkippedIndex {
-    std::string name;  ///< e.g. "btc.attr0.bt", "mc".
-    Status error;
-  };
-  const std::vector<SkippedIndex>& skipped_indexes() const {
-    return skipped_indexes_;
-  }
+  /// Opens the stream data files alone, as if no index were built: all the
+  /// naive scan (Algorithm 1) reads, so this opens whatever state the
+  /// indexes are in. The facade's scan rescue runs on such a handle.
+  static Result<std::unique_ptr<ArchivedStream>> OpenWithoutIndexes(
+      const std::string& dir, size_t pool_pages = 256);
 
   /// Advances this handle to the stream as an ingest commit left it, at a
   /// cost of the appended timesteps: refreshes the stream and MC index
@@ -100,7 +82,6 @@ class ArchivedStream {
   std::vector<std::unique_ptr<BTree>> btp_;
   std::unique_ptr<McIndex> mc_;
   std::shared_ptr<SpanCptCache> span_cache_;
-  std::vector<SkippedIndex> skipped_indexes_;
 };
 
 /// The on-disk catalog: a root directory with one subdirectory per stream.
@@ -132,14 +113,14 @@ class StreamArchive {
   /// Opens an archived stream and its indexes.
   Result<std::unique_ptr<ArchivedStream>> OpenStream(
       const std::string& name, size_t pool_pages = 256);
-  Result<std::unique_ptr<ArchivedStream>> OpenStream(
-      const std::string& name, const OpenStreamOptions& options);
 
   /// Regenerates every rebuildable index of `name` from the (checksum
   /// verified) stream data files: existing BT_C / BT_P files are rebuilt
   /// for their attributes, and the MC index is rebuilt preserving its alpha
-  /// when the old metadata is still readable. This is the recovery path
-  /// after a Corruption report against an index file.
+  /// when the old metadata is still readable. Only the canonical tree names
+  /// of the schema's attributes count as trees (TreeIndexFiles); any other
+  /// file is left alone. This is the recovery path after a Corruption
+  /// report against an index file.
   Status RebuildIndexes(const std::string& name);
 
   /// Names of all archived streams, sorted.

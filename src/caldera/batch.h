@@ -42,9 +42,11 @@ struct BatchResult {
 /// Output ordering, per-stream results, and error reporting are
 /// deterministic and identical to the sequential run.
 ///
-/// Streams that cannot run the requested method (e.g. a missing index)
-/// surface as an error unless `exec.fallback_to_scan` allows falling back;
-/// rescued streams report stats.scan_fallbacks / stats.corruption_events.
+/// Streams that cannot run the requested method (e.g. a missing or corrupt
+/// index) surface as an error unless `exec.fallback_to_scan` lets each one
+/// rerun as the scan; a rescued stream reports stats.scan_fallbacks = 1
+/// (and stats.corruption_events = 1 when it failed with Corruption), so
+/// TotalStats counts the rescued streams.
 struct BatchOptions {
   ExecOptions exec;
   /// Restrict to these streams (empty = all archived streams).

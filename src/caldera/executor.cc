@@ -204,60 +204,4 @@ Result<QueryResult> RunPipeline(ArchivedStream* archived,
   return Status::Internal("planner returned kAuto");
 }
 
-bool ScanFallbackApplies(const Status& st) {
-  return st.code() == StatusCode::kCorruption ||
-         st.code() == StatusCode::kIoError ||
-         st.code() == StatusCode::kFailedPrecondition;
-}
-
-Result<QueryResult> ExecutePipelineMethod(ArchivedStream* archived,
-                                          const RegularQuery& query,
-                                          AccessMethodKind method,
-                                          const ExecOptions& options) {
-  PipelineOptions popts;
-  popts.k = options.k;
-  popts.threshold = options.threshold;
-  if (method == AccessMethodKind::kTopK && popts.threshold <= 0 &&
-      popts.k == 0) {
-    popts.k = 1;  // The facade's top-k default.
-  }
-
-  auto run = [&](AccessMethodKind m) -> Result<QueryResult> {
-    CALDERA_ASSIGN_OR_RETURN(QueryResult result,
-                             RunPipeline(archived, query, m, popts));
-    // The top-k/threshold cursor already produced its final result set.
-    if (m == AccessMethodKind::kTopK) return result;
-    if (method == AccessMethodKind::kTopK) {
-      // A scan rescuing a top-k query answers it the way the cursor would:
-      // matches with prob > max(threshold, 0), best first, at most k of them
-      // unless in threshold mode.
-      result.signal = TopKOfSignal(
-          FilterSignal(result.signal, popts.threshold),
-          popts.threshold > 0 ? ThresholdCursor::kUnbounded : popts.k);
-      return result;
-    }
-    // Every other method gets the requested post-filters.
-    if (options.threshold > 0) {
-      result.signal = FilterSignal(result.signal, options.threshold);
-    }
-    if (options.k > 0) {
-      result.signal = TopKOfSignal(result.signal, options.k);
-    }
-    return result;
-  };
-
-  Result<QueryResult> result = run(method);
-  if (!result.ok() && method != AccessMethodKind::kScan &&
-      options.fallback_to_scan && ScanFallbackApplies(result.status())) {
-    const bool was_corruption =
-        result.status().code() == StatusCode::kCorruption;
-    result = run(AccessMethodKind::kScan);
-    if (result.ok()) {
-      ++result->stats.scan_fallbacks;
-      if (was_corruption) ++result->stats.corruption_events;
-    }
-  }
-  return result;
-}
-
 }  // namespace caldera

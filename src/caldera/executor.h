@@ -6,7 +6,6 @@
 #include "caldera/access_method.h"
 #include "caldera/archive.h"
 #include "caldera/cursor.h"
-#include "caldera/system.h"
 #include "query/regular_query.h"
 
 namespace caldera {
@@ -55,24 +54,6 @@ Result<QueryResult> RunPipeline(ArchivedStream* archived,
                                 const RegularQuery& query,
                                 AccessMethodKind method,
                                 const PipelineOptions& options = {});
-
-/// Facade-level execution on an open handle: maps ExecOptions to pipeline
-/// options, applies threshold/top-k post-filters, and performs the
-/// mid-query rescue — when a non-scan method fails with a rescuable status
-/// and options.fallback_to_scan is set, the query reruns through the
-/// always-available full-scan plan (stats.scan_fallbacks = 1, plus a
-/// corruption_events tick when the failure was a Corruption). A rescued
-/// top-k query keeps the method's answer: the same k (default 1) or
-/// threshold, matches with nonzero probability only, best first.
-Result<QueryResult> ExecutePipelineMethod(ArchivedStream* archived,
-                                          const RegularQuery& query,
-                                          AccessMethodKind method,
-                                          const ExecOptions& options);
-
-/// Errors the scan rescue can fix: damaged or missing index artifacts.
-/// NotFound (no such stream) and InvalidArgument (bad query) are not
-/// rescuable — the scan would fail identically.
-bool ScanFallbackApplies(const Status& st);
 
 }  // namespace caldera
 

@@ -7,6 +7,52 @@
 
 namespace caldera {
 
+namespace {
+
+// Errors the scan rescue can fix: damaged or missing index artifacts.
+// NotFound (no such stream) and InvalidArgument (bad query) are not
+// rescuable: the scan would fail identically.
+bool ScanFallbackApplies(const Status& st) {
+  return st.code() == StatusCode::kCorruption ||
+         st.code() == StatusCode::kIoError ||
+         st.code() == StatusCode::kFailedPrecondition;
+}
+
+// Runs `method` on an open handle and applies the request's k and
+// threshold: the top-k cursor's result is final, and any other method's
+// signal gets them as post-filters. A scan standing in for an explicit
+// kTopK request answers it the way the cursor would: matches with
+// probability above max(threshold, 0), best first, at most k (default 1)
+// of them unless in threshold mode.
+Result<QueryResult> ExecutePipelineMethod(ArchivedStream* archived,
+                                          const RegularQuery& query,
+                                          AccessMethodKind method,
+                                          const ExecOptions& options) {
+  const bool topk_request = options.method == AccessMethodKind::kTopK;
+  PipelineOptions popts;
+  popts.k = options.k;
+  popts.threshold = options.threshold;
+  // The facade's top-k default. Auto plans top-k only when k or threshold
+  // is set, so only an explicit request needs it.
+  if (topk_request && popts.threshold <= 0 && popts.k == 0) popts.k = 1;
+  CALDERA_ASSIGN_OR_RETURN(QueryResult result,
+                           RunPipeline(archived, query, method, popts));
+  if (method == AccessMethodKind::kTopK) return result;
+  if (topk_request) {
+    result.signal = TopKOfSignal(
+        FilterSignal(result.signal, popts.threshold),
+        popts.threshold > 0 ? ThresholdCursor::kUnbounded : popts.k);
+    return result;
+  }
+  if (options.threshold > 0) {
+    result.signal = FilterSignal(result.signal, options.threshold);
+  }
+  if (options.k > 0) result.signal = TopKOfSignal(result.signal, options.k);
+  return result;
+}
+
+}  // namespace
+
 Result<std::shared_ptr<ArchivedStream>> Caldera::GetStream(
     const std::string& name, size_t pool_pages) {
   IdleKey key(name, pool_pages);
@@ -151,72 +197,51 @@ Result<QueryResult> Caldera::Execute(const std::string& stream_name,
   // query alone and stays alive if the streams are invalidated mid-query.
   std::shared_lock<std::shared_mutex> read_guard(
       *StreamMutationLock(stream_name));
-  std::shared_ptr<ArchivedStream> handle;
-  uint64_t corruption_events = 0;
-  {
-    Result<std::shared_ptr<ArchivedStream>> opened =
-        GetStream(stream_name, options.pool_pages);
-    if (opened.ok()) {
-      handle = std::move(*opened);
-    } else if (options.fallback_to_scan &&
-               ScanFallbackApplies(opened.status())) {
-      // An index refused to open (bad checksum, truncation, ...). Re-open
-      // in degraded mode: unopenable indexes are skipped, so the planner
-      // sees them as never built and picks a method that works without
-      // them. Degraded handles are deliberately never lent again.
-      OpenStreamOptions degraded;
-      degraded.pool_pages = options.pool_pages;
-      degraded.tolerate_corrupt_indexes = true;
-      CALDERA_ASSIGN_OR_RETURN(std::unique_ptr<ArchivedStream> tolerant,
-                               archive_.OpenStream(stream_name, degraded));
-      corruption_events = tolerant->skipped_indexes().size();
-      handle = std::move(tolerant);
-    } else {
-      return opened.status();
-    }
-  }
-
-  AccessMethodKind method = options.method;
   std::string reason = "explicitly requested";
   double density = -1.0;  // < 0: the planner did not run.
-  if (method == AccessMethodKind::kAuto) {
-    Result<PlanDecision> decision =
-        PlanQuery(handle.get(), query, options.k > 0 || options.threshold > 0,
-                  options.approximation_ok);
-    if (decision.ok()) {
-      method = decision->method;
-      reason = decision->reason;
-      density = decision->estimated_density;
-    } else if (options.fallback_to_scan &&
-               ScanFallbackApplies(decision.status())) {
-      // Planning itself touches indexes (density estimation); a corrupt
-      // page there degrades to the scan as well.
-      if (decision.status().code() == StatusCode::kCorruption) {
-        ++corruption_events;
-      }
-      method = AccessMethodKind::kScan;
-      reason = "planning failed (" + decision.status().message() +
-               "): degraded to scan";
-    } else {
-      return decision.status();
+
+  // One strict attempt: lend a handle with every index open, plan, run.
+  Result<QueryResult> result = [&]() -> Result<QueryResult> {
+    CALDERA_ASSIGN_OR_RETURN(std::shared_ptr<ArchivedStream> handle,
+                             GetStream(stream_name, options.pool_pages));
+    AccessMethodKind method = options.method;
+    if (method == AccessMethodKind::kAuto) {
+      CALDERA_ASSIGN_OR_RETURN(
+          PlanDecision decision,
+          PlanQuery(handle.get(), query,
+                    options.k > 0 || options.threshold > 0,
+                    options.approximation_ok));
+      method = decision.method;
+      reason = decision.reason;
+      density = decision.estimated_density;
     }
-  }
+    return ExecutePipelineMethod(handle.get(), query, method, options);
+  }();
 
-  // The executor owns the method dispatch, the threshold/top-k
-  // post-filters, and the mid-query scan rescue.
-  Result<QueryResult> result =
-      ExecutePipelineMethod(handle.get(), query, method, options);
+  // The one rescue: whatever failed (an index that would not open, a
+  // density probe, a page read mid-query), rerun the request as the scan
+  // over the stream data files alone. Their own errors propagate.
+  if (!result.ok() && options.fallback_to_scan &&
+      ScanFallbackApplies(result.status())) {
+    const Status failure = result.status();
+    CALDERA_ASSIGN_OR_RETURN(
+        std::unique_ptr<ArchivedStream> bare,
+        ArchivedStream::OpenWithoutIndexes(archive_.StreamDir(stream_name),
+                                           options.pool_pages));
+    result = ExecutePipelineMethod(bare.get(), query, AccessMethodKind::kScan,
+                                   options);
+    if (result.ok()) {
+      result->stats.scan_fallbacks = 1;
+      result->stats.corruption_events =
+          failure.code() == StatusCode::kCorruption ? 1 : 0;
+    }
+    reason = "rescued by scan after " + failure.ToString();
+    density = -1.0;
+  }
   if (!result.ok()) return result.status();
-  result->stats.corruption_events += corruption_events;
-  if (corruption_events > 0 && method == AccessMethodKind::kScan &&
-      options.method != AccessMethodKind::kScan) {
-    // The scan was forced by damage discovered at open/plan time.
-    ++result->stats.scan_fallbacks;
-  }
 
-  // EXPLAIN plumbing: prepend the decided method and append the planner's
-  // view to the executor's cursor/gap summary. result->method can
-  // differ from `method` after a mid-query rescue.
+  // EXPLAIN plumbing: prepend the method that ran and append the planner's
+  // view to the executor's cursor/gap summary.
   result->plan_reason = reason;
   std::string summary =
       std::string("method=") + AccessMethodName(result->method);

@@ -31,12 +31,13 @@ struct ExecOptions {
   bool approximation_ok = false;
   /// Buffer-pool pages per opened file.
   size_t pool_pages = 256;
-  /// Graceful degradation: when an index fails to open or a non-scan method
-  /// fails mid-query with Corruption / IoError / FailedPrecondition, retry
-  /// with the always-available naive scan (Algorithm 1) instead of failing.
-  /// Rescued executions report stats.scan_fallbacks = 1 and count the
-  /// corrupt artifacts in stats.corruption_events. Errors from the scan
-  /// itself (i.e. the stream data is damaged too) always propagate.
+  /// Graceful degradation: when the execution fails with Corruption,
+  /// IoError or FailedPrecondition (an index that will not open, is
+  /// missing, or breaks mid-query), rerun it once as the always-available
+  /// naive scan (Algorithm 1) over the stream data files alone, instead of
+  /// failing. A rescued result reports stats.scan_fallbacks = 1, and
+  /// stats.corruption_events = 1 when the failure was a Corruption. Errors
+  /// of the scan itself (the stream data is damaged too) always propagate.
   bool fallback_to_scan = false;
 };
 

@@ -1,8 +1,8 @@
 #include "index/attribute_index.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <filesystem>
+
+#include "storage/file.h"
 
 namespace caldera {
 
@@ -66,19 +66,16 @@ std::string BtpIndexPath(const std::string& dir, size_t attr) {
   return dir + "/btp.attr" + std::to_string(attr) + ".bt";
 }
 
-Result<std::vector<TreeIndexFile>> ListTreeIndexFiles(const std::string& dir) {
+std::vector<TreeIndexFile> TreeIndexFiles(const std::string& dir,
+                                          size_t num_attributes) {
   std::vector<TreeIndexFile> out;
-  std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    const std::string file = entry.path().filename().string();
-    size_t attr = 0;
-    if (std::sscanf(file.c_str(), "btc.attr%zu.bt", &attr) == 1) {
-      out.push_back({attr, /*is_btc=*/true, BtcIndexPath(dir, attr)});
-    } else if (std::sscanf(file.c_str(), "btp.attr%zu.bt", &attr) == 1) {
-      out.push_back({attr, /*is_btc=*/false, BtpIndexPath(dir, attr)});
+  for (size_t attr = 0; attr < num_attributes; ++attr) {
+    for (bool is_btc : {true, false}) {
+      std::string path =
+          is_btc ? BtcIndexPath(dir, attr) : BtpIndexPath(dir, attr);
+      if (FileExists(path)) out.push_back({attr, is_btc, std::move(path)});
     }
   }
-  if (ec) return Status::IoError("cannot list " + dir + ": " + ec.message());
   return out;
 }
 

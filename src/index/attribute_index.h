@@ -41,16 +41,20 @@ Result<std::vector<AttributeEntry>> ReadAttributeEntries(StoredStream* stream,
 std::string BtcIndexPath(const std::string& dir, size_t attr);
 std::string BtpIndexPath(const std::string& dir, size_t attr);
 
-/// A B+ tree index file found in a stream directory.
+/// A B+ tree index file of a stream.
 struct TreeIndexFile {
   size_t attr;
   bool is_btc;
   std::string path;
 };
 
-/// The BT_C / BT_P files present in `dir`, discovered from their names
-/// alone (the files themselves may be arbitrarily damaged).
-Result<std::vector<TreeIndexFile>> ListTreeIndexFiles(const std::string& dir);
+/// The BT_C / BT_P files present in stream directory `dir` for a schema of
+/// `num_attributes` attributes, found by existence alone (the files may be
+/// arbitrarily damaged). Only the canonical name of an attribute the schema
+/// has is a tree: a backup copy such as btc.attr0.bt.orig, or a tree named
+/// for an attribute past the schema, is not an index of the stream.
+std::vector<TreeIndexFile> TreeIndexFiles(const std::string& dir,
+                                          size_t num_attributes);
 
 }  // namespace caldera
 

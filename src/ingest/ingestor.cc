@@ -162,10 +162,9 @@ Status StreamIngestor::OpenStored() {
 }
 
 Status StreamIngestor::OpenTrees(bool rebuild) {
-  CALDERA_ASSIGN_OR_RETURN(std::vector<TreeIndexFile> files,
-                           ListTreeIndexFiles(dir_));
   trees_.clear();
-  for (const auto& [attr, is_btc, path] : files) {
+  for (const auto& [attr, is_btc, path] :
+       TreeIndexFiles(dir_, schema_.num_attributes())) {
     OpenTree open{attr, is_btc, nullptr};
     if (!rebuild) {
       CALDERA_ASSIGN_OR_RETURN(open.tree, BTree::Open(path));
@@ -227,7 +226,6 @@ Status StreamIngestor::Recover() {
     CALDERA_RETURN_IF_ERROR(ApplyBatch(base, batch));
     length_ = base + batch.size();
     ++stats_.batches_recovered;
-    stats_.timesteps_appended += batch.size();
   }
   // The redone state must reach disk before the log that can rebuild it
   // is dropped.

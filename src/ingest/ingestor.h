@@ -30,7 +30,11 @@ struct IngestTimestep {
 
 /// Counters accumulated across the life of one StreamIngestor.
 struct IngestStats {
+  /// Batches Append committed through this ingestor.
   uint64_t batches_committed = 0;
+  /// Timesteps of those batches. Batches a recovering Open redid are
+  /// counted in batches_recovered only: their timesteps were appended by
+  /// the writer that committed them.
   uint64_t timesteps_appended = 0;
   /// Bytes of WAL frames written (batch records + undo journal).
   uint64_t wal_bytes = 0;
@@ -187,8 +191,8 @@ class StreamIngestor {
 
   /// Opens stored_ over the stream as it is on disk.
   Status OpenStored();
-  /// Opens every BT_C/BT_P file of the stream into trees_, or with
-  /// `rebuild` first rebuilds each from stored_.
+  /// Opens every BT_C/BT_P file of the stream (TreeIndexFiles of schema_)
+  /// into trees_, or with `rebuild` first rebuilds each from stored_.
   Status OpenTrees(bool rebuild);
 
   /// The apply lock (Options::apply_mutex), or an empty lock without one.

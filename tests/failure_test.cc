@@ -14,6 +14,7 @@
 #include "common/encoding.h"
 #include "common/logging.h"
 #include "index/mc_index.h"
+#include "rfid/workload.h"
 #include "storage/buffer_pool.h"
 #include "storage/fault_injection_file.h"
 #include "storage/file.h"
@@ -527,6 +528,102 @@ TEST_F(FailureTest, MidQueryIndexCorruptionRescuedByScan) {
   ASSERT_TRUE(rescued.ok()) << rescued.status().ToString();
   EXPECT_EQ(rescued->method, AccessMethodKind::kScan);
   EXPECT_EQ(rescued->stats.scan_fallbacks, 1u);
+  ExpectSameSignal(rescued->signal, reference->signal);
+}
+
+// Execute has one rescue point: however many indexes are damaged, a
+// rescued execution reports one scan fallback and at most one corruption
+// event, for the failure that sent it to the scan.
+TEST_F(FailureTest, TwoCorruptIndexesCountOneRescue) {
+  MarkovianStream stream = test::MakeBandedStream(120, 10, 18);
+  Caldera system(scratch_.Path("a_two"));
+  ASSERT_TRUE(system.archive()
+                  ->CreateStream("s", stream, DiskLayout::kSeparated)
+                  .ok());
+  ASSERT_TRUE(system.archive()->BuildBtc("s", 0).ok());
+  ASSERT_TRUE(system.archive()->BuildMc("s", {}).ok());
+  RegularQuery query = TwoStepQuery();
+  auto reference = system.Execute(
+      "s", query, ExecOptions{.method = AccessMethodKind::kScan});
+  ASSERT_TRUE(reference.ok());
+
+  system.InvalidateStreams();
+  const std::string dir = system.archive()->StreamDir("s");
+  FlipBit(dir + "/btc.attr0.bt", 100);
+  FlipBit(dir + "/mc/mc.meta", 0);
+
+  auto rescued =
+      system.Execute("s", query, ExecOptions{.fallback_to_scan = true});
+  ASSERT_TRUE(rescued.ok()) << rescued.status().ToString();
+  EXPECT_EQ(rescued->method, AccessMethodKind::kScan);
+  EXPECT_EQ(rescued->stats.scan_fallbacks, 1u);
+  EXPECT_EQ(rescued->stats.corruption_events, 1u);
+  ExpectSameSignal(rescued->signal, reference->signal);
+}
+
+// An explicit scan request is rescued too: it needs no index, but the
+// strict attempt opens every index of the stream, and a corrupt one fails
+// it. The rescue reruns the scan over the data files alone.
+TEST_F(FailureTest, ExplicitScanIsRescuedPastACorruptIndex) {
+  MarkovianStream stream = test::MakeBandedStream(120, 10, 19);
+  Caldera system(scratch_.Path("a_scan"));
+  ASSERT_TRUE(system.archive()
+                  ->CreateStream("s", stream, DiskLayout::kSeparated)
+                  .ok());
+  ASSERT_TRUE(system.archive()->BuildBtc("s", 0).ok());
+  RegularQuery query = TwoStepQuery();
+  ExecOptions scan{.method = AccessMethodKind::kScan};
+  auto reference = system.Execute("s", query, scan);
+  ASSERT_TRUE(reference.ok());
+
+  system.InvalidateStreams();
+  FlipBit(system.archive()->StreamDir("s") + "/btc.attr0.bt", 100);
+  EXPECT_EQ(system.Execute("s", query, scan).status().code(),
+            StatusCode::kCorruption);
+
+  scan.fallback_to_scan = true;
+  auto rescued = system.Execute("s", query, scan);
+  ASSERT_TRUE(rescued.ok()) << rescued.status().ToString();
+  EXPECT_EQ(rescued->method, AccessMethodKind::kScan);
+  EXPECT_EQ(rescued->stats.scan_fallbacks, 1u);
+  EXPECT_EQ(rescued->stats.corruption_events, 1u);
+  ExpectSameSignal(rescued->signal, reference->signal);
+}
+
+// Under the fallback, auto planning does not work around one broken index:
+// a corrupt BT_P next to a healthy BT_C rescues the whole request to the
+// scan rather than planning over the surviving index.
+TEST_F(FailureTest, CorruptIndexBesideAHealthyOneRescuesToTheScan) {
+  // A sparse snippet workload, on which the planner picks BT_C.
+  SnippetStreamSpec spec;
+  spec.num_snippets = 25;
+  spec.density = 0.15;
+  spec.seed = 4;
+  auto workload = MakeSnippetStream(spec);
+  ASSERT_TRUE(workload.ok()) << workload.status().ToString();
+  Caldera system(scratch_.Path("a_beside"));
+  ASSERT_TRUE(system.archive()->CreateStream("s", workload->stream).ok());
+  ASSERT_TRUE(system.archive()->BuildBtc("s", 0).ok());
+  ASSERT_TRUE(system.archive()->BuildBtp("s", 0).ok());
+  RegularQuery query = workload->EnteredRoomFixed();
+  auto reference = system.Execute(
+      "s", query, ExecOptions{.method = AccessMethodKind::kScan});
+  ASSERT_TRUE(reference.ok());
+  // On the healthy archive the planner picks the BT_C merge join.
+  auto healthy = system.Execute("s", query, {});
+  ASSERT_TRUE(healthy.ok()) << healthy.status().ToString();
+  ASSERT_EQ(healthy->method, AccessMethodKind::kBTree)
+      << healthy->stats.plan_summary;
+
+  system.InvalidateStreams();
+  FlipBit(system.archive()->StreamDir("s") + "/btp.attr0.bt", 100);
+
+  auto rescued =
+      system.Execute("s", query, ExecOptions{.fallback_to_scan = true});
+  ASSERT_TRUE(rescued.ok()) << rescued.status().ToString();
+  EXPECT_EQ(rescued->method, AccessMethodKind::kScan);
+  EXPECT_EQ(rescued->stats.scan_fallbacks, 1u);
+  EXPECT_EQ(rescued->stats.corruption_events, 1u);
   ExpectSameSignal(rescued->signal, reference->signal);
 }
 

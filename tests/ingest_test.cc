@@ -1650,5 +1650,88 @@ TEST(IngestCorruptionTest, MutatedWalFramesYieldAStatus) {
   }
 }
 
+// A recovering open redoes batches that the writer which committed them
+// already counted: it reports them in batches_recovered and appends no
+// timestep itself.
+TEST(IngestRecoveryTest, RedoneBatchesAreNotCountedAsAppended) {
+  test::ScratchDir scratch("ingest_redo_count");
+  MarkovianStream full = test::MakeBandedStream(200, 8, 31);
+  StreamArchive archive(scratch.Path("archive"));
+  ASSERT_TRUE(archive.CreateStream("s", Prefix(full, 150)).ok());
+  ASSERT_TRUE(archive.BuildBtc("s", 0).ok());
+  const std::string dir = archive.StreamDir("s");
+  {
+    auto ingestor = StreamIngestor::Open(dir);
+    ASSERT_TRUE(ingestor.ok()) << ingestor.status().ToString();
+    ASSERT_TRUE((*ingestor)->Append(Slice(full, 150, 10)).ok());
+    ASSERT_TRUE((*ingestor)->CommitWithoutApply(Slice(full, 160, 10)).ok());
+    EXPECT_EQ((*ingestor)->stats().batches_committed, 1u);
+    EXPECT_EQ((*ingestor)->stats().timesteps_appended, 10u);
+  }
+  auto recovered = StreamIngestor::Open(dir);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ((*recovered)->length(), 170u);
+  EXPECT_EQ((*recovered)->stats().batches_recovered, 2u);
+  EXPECT_EQ((*recovered)->stats().batches_committed, 0u);
+  EXPECT_EQ((*recovered)->stats().timesteps_appended, 0u);
+  ASSERT_TRUE((*recovered)->Append(Slice(full, 170, 10)).ok());
+  EXPECT_EQ((*recovered)->stats().batches_committed, 1u);
+  EXPECT_EQ((*recovered)->stats().timesteps_appended, 10u);
+}
+
+// Only the canonical tree names of the schema's attributes are indexes. A
+// backup copy of the BT_C (btc.attr0.bt.orig) and a tree named for an
+// attribute the one-attribute schema lacks (btc.attr7.bt) are neither
+// opened nor written: committed and recovered batches grow the real trees
+// exactly as an offline build has them, and a rebuild leaves both alone.
+TEST(IngestTreeFilesTest, StrayTreeFilesAreNotIndexes) {
+  test::ScratchDir scratch("ingest_stray_trees");
+  Caldera system(scratch.Path("archive"));
+  ArchiveWindowStream(&system, "s", kWindowBase);
+  const std::string dir = system.archive()->StreamDir("s");
+  const std::string backup = BtcIndexPath(dir, 0) + ".orig";
+  const std::string foreign = BtcIndexPath(dir, 7);
+  const std::string stray = ReadWholeFile(BtcIndexPath(dir, 0));
+  WriteWholeFile(backup, stray);
+  WriteWholeFile(foreign, stray);
+
+  uint64_t length = kWindowBase;
+  {
+    auto ingestor = system.OpenForIngest("s");
+    ASSERT_TRUE(ingestor.ok()) << ingestor.status().ToString();
+    for (int i = 0; i < 3; ++i, length += 10) {
+      ASSERT_TRUE((*ingestor)->Append(Slice(WindowStream(), length, 10)).ok());
+    }
+    ASSERT_TRUE(
+        (*ingestor)->CommitWithoutApply(Slice(WindowStream(), length, 10))
+            .ok());
+    length += 10;
+  }
+  {
+    // Recovery rebuilds the trees before it redoes the four frames.
+    auto recovered = system.OpenForIngest("s");
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    EXPECT_EQ((*recovered)->stats().batches_recovered, 4u);
+    ASSERT_EQ((*recovered)->length(), length);
+    ASSERT_TRUE(
+        (*recovered)->Append(Slice(WindowStream(), length, 10)).ok());
+    length += 10;
+  }
+
+  ArchiveWindowStream(&system, "oracle", length);
+  const std::string want = system.archive()->StreamDir("oracle");
+  ExpectTreesHoldTheSameEntries(BtcIndexPath(want, 0), BtcIndexPath(dir, 0));
+  ExpectTreesHoldTheSameEntries(BtpIndexPath(want, 0), BtpIndexPath(dir, 0));
+  EXPECT_EQ(ReadWholeFile(backup), stray);
+  EXPECT_EQ(ReadWholeFile(foreign), stray);
+
+  const Status rebuilt = system.RebuildIndexes("s");
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.ToString();
+  ExpectTreesHoldTheSameEntries(BtcIndexPath(want, 0), BtcIndexPath(dir, 0));
+  ExpectTreesHoldTheSameEntries(BtpIndexPath(want, 0), BtpIndexPath(dir, 0));
+  EXPECT_EQ(ReadWholeFile(backup), stray);
+  EXPECT_EQ(ReadWholeFile(foreign), stray);
+}
+
 }  // namespace
 }  // namespace caldera
