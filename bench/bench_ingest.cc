@@ -1,7 +1,8 @@
 // Live-ingestion benchmark: durable append throughput through the WAL
 // commit protocol, recovery time after a writer dies with a full
-// checkpoint window, and the cost of incremental MC index maintenance
-// against a full rebuild. The right-spine extension recomputes
+// checkpoint window, the cost of B+ tree compaction and of opening a handle
+// whose trees carry the largest in-memory tail, and the cost of
+// incremental MC index maintenance against a full rebuild. The right-spine extension recomputes
 // O(B/(alpha-1) + log_alpha n) nodes per batch of B timesteps, so extend
 // cost should stay flat in the stream length while rebuild cost grows
 // linearly; results land in BENCH_ingest.json.
@@ -19,6 +20,7 @@
 #include "bench_util.h"
 #include "caldera/system.h"
 #include "common/logging.h"
+#include "index/attribute_index.h"
 #include "ingest/ingestor.h"
 #include "markov/synthetic.h"
 #include "query/regular_query.h"
@@ -69,11 +71,12 @@ int main() {
   // Durable append throughput: archive a prefix with all three index
   // families, then ingest more timesteps in batches of B. A commit makes
   // one fsync (the WAL: batch frame and first-touch undo records at
-  // once); the apply syncs nothing. A checkpoint then fsyncs each file
-  // the window touched (meta.bin, the record files' data and directory
-  // files, mc.meta, the MC levels that grew, each B+ tree) and the WAL
-  // reset, when the log passes StreamIngestor::kCheckpointWalBytes and once
-  // more at the end of the timed loop. Undo records are journaled on a
+  // once); the apply syncs nothing and writes no tree file. A checkpoint
+  // then fsyncs each file the window touched (meta.bin, the record files'
+  // data and directory files, mc.meta, the MC levels that grew) and the WAL
+  // reset, and compacts each tree whose tail reached 1/8 of its file (two
+  // fsyncs each), when the log passes StreamIngestor::kCheckpointWalBytes
+  // and once more at the end of the timed loop. Undo records are journaled on a
   // file's first touch in a window, so at batch 1 the WAL bytes per step
   // are about one batch frame. Each row runs kRuns times on a fresh
   // stream: throughput is the median, with the range. The batch-1 row at
@@ -99,9 +102,10 @@ int main() {
                       {1000, 256, 1000},
                       {kLongArchive, 1, 200}};
   // Past the rows' 200 appended timesteps, room for the recovery run to
-  // fill a checkpoint window.
-  const MarkovianStream full =
-      MakeBandedRandomWalkStream(kLongArchive + 2000, kDomain, 99);
+  // fill a checkpoint window and for the compaction run's tail of 1/8 of
+  // kLongArchive.
+  const MarkovianStream full = MakeBandedRandomWalkStream(
+      kLongArchive + kLongArchive / kTreeCompactionDivisor + 16, kDomain, 99);
   Caldera system(root);
   const RegularQuery query = RegularQuery::Sequence(
       "probe", {Predicate::Equality(0, 2, "eq2"), Predicate::Equality(0, 3, "eq3")});
@@ -198,16 +202,18 @@ int main() {
   std::printf("# expected: throughput rises with batch size (the one fsync "
               "of a commit amortizes); batch-1 wal-bytes/step about one "
               "batch frame at 1000 and %llu archived; fsyncs/commit = 1 + "
-              "F/K for K commits/ckpt and F files synced per checkpoint "
-              "(F grows with the MC levels a window touches); "
-              "identical-out=yes everywhere\n",
+              "F/K for K commits/ckpt and F fsyncs per checkpoint (the "
+              "files a window touched, growing with its MC levels, the WAL "
+              "reset, and two per tree compacted); identical-out=yes "
+              "everywhere\n",
               static_cast<unsigned long long>(kLongArchive));
 
   // Recovery after a writer dies with a full checkpoint window: batch-1
   // commits onto ~32k archived timesteps until the next frame would pass
   // the checkpoint threshold, then one committed-but-unapplied batch. The
-  // reopen restores the undo records, rebuilds both B+ trees from the
-  // restored stream, redoes every frame and checkpoints.
+  // reopen restores the undo records, redoes every frame and checkpoints.
+  // The B+ trees take no part: commits never wrote them, and the window is
+  // far from due for a compaction.
   {
     const std::string name = "recover";
     archive_with_indexes(name, Prefix(full, kLongArchive));
@@ -241,7 +247,7 @@ int main() {
     });
     CALDERA_CHECK(recovered->length() == at);
     std::printf("\n# Recovery of a full window onto %llu archived timesteps "
-                "(undo restore + BT_C/BT_P rebuild + redo + checkpoint)\n",
+                "(undo restore + redo + checkpoint)\n",
                 static_cast<unsigned long long>(kLongArchive));
     std::printf("%-12s %12s %14s %12s\n", "wal-bytes", "batches", "recover-ms",
                 "ms/batch");
@@ -253,10 +259,85 @@ int main() {
     std::fprintf(json,
                  "\n  ],\n  \"recovery\": {\"archived\": %llu, "
                  "\"wal_bytes\": %llu, \"batches_recovered\": %llu, "
-                 "\"recover_ms\": %.1f},\n  \"mc_extend_vs_rebuild\": [\n",
+                 "\"recover_ms\": %.1f},\n",
                  static_cast<unsigned long long>(kLongArchive),
                  static_cast<unsigned long long>(wal_bytes),
                  static_cast<unsigned long long>(batches), recover_s * 1e3);
+  }
+
+  // Tree compaction and tails. Onto ~32k archived timesteps with BT_C and
+  // BT_P, append (in batches of 64, checkpointing each) up to one timestep
+  // short of 1/8 of the archive: the largest tail a tree carries. Time
+  // opening a handle then (each tree's tail decodes its marginals) against
+  // a handle on an offline build of the same length (no tail). Then time
+  // the one-step checkpoint that makes both trees due, less a one-step
+  // checkpoint that compacts nothing: the compaction, which amortizes over
+  // the 1/8 of the archive appended since the last.
+  {
+    const std::string name = "compact";
+    const uint64_t tail = kLongArchive / kTreeCompactionDivisor;
+    archive_with_indexes(name, Prefix(full, kLongArchive));
+    auto ingestor = system.OpenForIngest(name);
+    CALDERA_CHECK_OK(ingestor.status());
+    uint64_t at = kLongArchive;
+    while (at < kLongArchive + tail - 2) {
+      const uint64_t count =
+          std::min<uint64_t>(64, kLongArchive + tail - 2 - at);
+      CALDERA_CHECK_OK((*ingestor)->Append(Slice(full, at, count)));
+      CALDERA_CHECK_OK((*ingestor)->Checkpoint());
+      at += count;
+    }
+    CALDERA_CHECK_OK((*ingestor)->Append(Slice(full, at++, 1)));
+    CALDERA_CHECK((*ingestor)->stats().btree_inserts == 0);
+    const std::string offline = "compact_offline";
+    archive_with_indexes(offline, Prefix(full, at));
+    auto median_open_ms = [&](const std::string& stream) {
+      std::vector<double> ms;
+      for (int rep = 0; rep < 5; ++rep) {
+        ms.push_back(1e3 * Seconds([&] {
+          CALDERA_CHECK_OK(
+              ArchivedStream::Open(system.archive()->StreamDir(stream))
+                  .status());
+        }));
+      }
+      std::sort(ms.begin(), ms.end());
+      return ms[ms.size() / 2];
+    };
+    const double open_tail_ms = median_open_ms(name);
+    const double open_offline_ms = median_open_ms(offline);
+    const double base_s =
+        Seconds([&] { CALDERA_CHECK_OK((*ingestor)->Checkpoint()); });
+    CALDERA_CHECK((*ingestor)->stats().btree_inserts == 0);
+    CALDERA_CHECK_OK((*ingestor)->Append(Slice(full, at++, 1)));
+    const double compact_s =
+        Seconds([&] { CALDERA_CHECK_OK((*ingestor)->Checkpoint()); });
+    const uint64_t written = (*ingestor)->stats().btree_inserts;
+    CALDERA_CHECK(written > 0);
+    const double compact_ms = std::max(0.0, (compact_s - base_s) * 1e3);
+    const double per_step_ms = compact_ms / static_cast<double>(tail);
+    std::printf("\n# Tree tails and compaction onto %llu archived timesteps "
+                "(BT_C + BT_P, compaction at a tail of 1/%llu)\n",
+                static_cast<unsigned long long>(kLongArchive),
+                static_cast<unsigned long long>(kTreeCompactionDivisor));
+    std::printf("%-10s %14s %17s %14s %15s %18s\n", "tail", "open-ms",
+                "open-ms-offline", "compact-ms", "entries", "ms/appended-step");
+    std::printf("%-10llu %14.2f %17.2f %14.1f %15llu %18.4f\n",
+                static_cast<unsigned long long>(tail - 1), open_tail_ms,
+                open_offline_ms, compact_ms,
+                static_cast<unsigned long long>(written), per_step_ms);
+    std::printf("# expected: open-ms above open-ms-offline by the tail's "
+                "marginal decodes; ms/appended-step well under a batch-1 "
+                "commit\n");
+    std::fprintf(json,
+                 "  \"compaction\": {\"archived\": %llu, \"tail_steps\": "
+                 "%llu, \"open_ms\": %.2f, \"open_ms_offline\": %.2f, "
+                 "\"compact_ms\": %.1f, \"entries_written\": %llu, "
+                 "\"ms_per_appended_step\": %.4f},\n"
+                 "  \"mc_extend_vs_rebuild\": [\n",
+                 static_cast<unsigned long long>(kLongArchive),
+                 static_cast<unsigned long long>(tail - 1), open_tail_ms,
+                 open_offline_ms, compact_ms,
+                 static_cast<unsigned long long>(written), per_step_ms);
   }
 
   // Incremental extension vs full rebuild: at each archived length n,

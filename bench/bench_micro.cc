@@ -198,28 +198,34 @@ void BM_CptDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_CptDecode);
 
-void BM_BTreeInsert(benchmark::State& state) {
-  std::string path = MicroDir() + "/insert.bt";
-  Rng rng(5);
-  std::unique_ptr<BTree> tree;
-  uint64_t next_key = 0;
-  for (auto _ : state) {
-    if (next_key == 0) {
-      state.PauseTiming();
-      auto created = BTree::Create(path, {12, 8}, 4096, 256);
-      CALDERA_CHECK_OK(created.status());
-      tree = std::move(*created);
-      state.ResumeTiming();
-    }
-    std::string key = EncodeBtcKey(static_cast<uint32_t>(rng.NextBelow(64)),
-                                   next_key++);
-    std::string value;
-    PutDouble(0.5, &value);
-    CALDERA_CHECK_OK(tree->Insert(key, value));
-    if (next_key >= 100000) next_key = 0;
+// A batch of BT_C entries added to an empty in-memory tail (sorted, then
+// merged): what a handle open pays per tail entry beyond decoding its
+// marginals. 16 entries is one 16-state timestep; 65536 about the largest
+// tail of a 32k-step archive (bench_ingest). Tree files are never written
+// after their build.
+void BM_BTreeTailAdd(benchmark::State& state) {
+  const std::string path = MicroDir() + "/tail.bt";
+  auto builder = BTreeBuilder::Create(path, {12, 8}, 4096);
+  CALDERA_CHECK_OK(builder.status());
+  CALDERA_CHECK_OK((*builder)->Finish(/*indexed_length=*/0).status());
+  const auto n = static_cast<uint64_t>(state.range(0));
+  std::string entries;
+  for (uint64_t i = 0; i < n; ++i) {
+    // Timestep-major, as a tail fill reads them: 16 values per timestep.
+    entries += EncodeBtcKey(static_cast<uint32_t>(i % 16), i / 16);
+    PutDouble(0.5, &entries);
   }
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto tree = BTree::Open(path);  // An empty tail.
+    CALDERA_CHECK_OK(tree.status());
+    state.ResumeTiming();
+    CALDERA_CHECK_OK((*tree)->AddToTail(entries));
+    benchmark::DoNotOptimize((*tree)->num_entries());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
 }
-BENCHMARK(BM_BTreeInsert);
+BENCHMARK(BM_BTreeTailAdd)->Arg(16)->Arg(65536);
 
 void BM_BTreePointLookup(benchmark::State& state) {
   std::string path = MicroDir() + "/lookup.bt";
@@ -233,7 +239,7 @@ void BM_BTreePointLookup(benchmark::State& state) {
     CALDERA_CHECK_OK((*builder)->Add(
         EncodeBtcKey(static_cast<uint32_t>(i / 3125), i), value));
   }
-  auto tree = (*builder)->Finish(1024);
+  auto tree = (*builder)->Finish(/*indexed_length=*/0);
   CALDERA_CHECK_OK(tree.status());
   Rng rng(6);
   for (auto _ : state) {
@@ -253,7 +259,7 @@ void BM_BTreeCursorScan(benchmark::State& state) {
   for (uint64_t i = 0; i < 100000; ++i) {
     CALDERA_CHECK_OK((*builder)->Add(EncodeBtcKey(7, i), value));
   }
-  auto tree = (*builder)->Finish(1024);
+  auto tree = (*builder)->Finish(/*indexed_length=*/0);
   CALDERA_CHECK_OK(tree.status());
   for (auto _ : state) {
     auto cursor = (*tree)->SeekFirst();

@@ -10,7 +10,9 @@ namespace caldera {
 
 namespace {
 
-constexpr char kBTreeMagic[8] = {'C', 'L', 'D', 'R', 'B', 'T', 'R', '1'};
+constexpr char kBTreeMagic[8] = {'C', 'L', 'D', 'R', 'B', 'T', 'R', '2'};
+// The format before the meta page recorded the indexed stream length.
+constexpr char kBTreeMagicV1[8] = {'C', 'L', 'D', 'R', 'B', 'T', 'R', '1'};
 constexpr PageId kMetaPage = 1;
 
 constexpr uint8_t kLeafNode = 1;
@@ -64,10 +66,9 @@ static Status ValidateNodeCount(uint16_t count, uint32_t capacity,
   return Status::Ok();
 }
 
-Result<std::unique_ptr<BTree>> BTree::Create(const std::string& path,
-                                             const BTreeOptions& options,
-                                             uint32_t page_size,
-                                             size_t pool_pages) {
+// Checks a tree shape: what Create accepts, and what Open demands of a meta
+// page, since node capacities divide by the entry size.
+static Status ValidateShape(const BTreeOptions& options, uint32_t page_size) {
   if (options.key_size == 0 || options.key_size > 256) {
     return Status::InvalidArgument("key_size must be in [1, 256]");
   }
@@ -81,12 +82,20 @@ Result<std::unique_ptr<BTree>> BTree::Create(const std::string& path,
       entry * 4 > page_size - kPageTrailerSize - kNodeHeaderSize) {
     return Status::InvalidArgument("page too small for 4 entries per node");
   }
+  return Status::Ok();
+}
+
+Result<std::unique_ptr<BTree>> BTree::Create(const std::string& path,
+                                             const BTreeOptions& options,
+                                             uint32_t page_size) {
+  CALDERA_RETURN_IF_ERROR(ValidateShape(options, page_size));
   CALDERA_ASSIGN_OR_RETURN(std::unique_ptr<Pager> pager,
                            Pager::Create(path, page_size));
   CALDERA_ASSIGN_OR_RETURN(PageId meta, pager->AllocatePage());
   if (meta != kMetaPage) return Status::Internal("unexpected meta page id");
 
-  auto tree = std::unique_ptr<BTree>(new BTree(std::move(pager), pool_pages));
+  auto tree = std::unique_ptr<BTree>(
+      new BTree(std::move(pager), /*pool_pages=*/64));
   tree->options_ = options;
   // Root starts as an empty leaf.
   CALDERA_ASSIGN_OR_RETURN(PageHandle root, tree->pool_->NewPage());
@@ -96,8 +105,6 @@ Result<std::unique_ptr<BTree>> BTree::Create(const std::string& path,
   root.MarkDirty();
   tree->root_ = root.page_id();
   tree->height_ = 1;
-  root.Release();
-  CALDERA_RETURN_IF_ERROR(tree->Flush());
   return tree;
 }
 
@@ -107,6 +114,11 @@ Result<std::unique_ptr<BTree>> BTree::Open(const std::string& path,
   auto tree = std::unique_ptr<BTree>(new BTree(std::move(pager), pool_pages));
   std::vector<char> meta(tree->pager_->page_size());
   CALDERA_RETURN_IF_ERROR(tree->pager_->ReadPage(kMetaPage, meta.data()));
+  if (std::memcmp(meta.data(), kBTreeMagicV1, 8) == 0) {
+    return Status::Corruption(path +
+                              " is a v1 tree, which records no indexed "
+                              "length; rebuild the stream's indexes");
+  }
   if (std::memcmp(meta.data(), kBTreeMagic, 8) != 0) {
     return Status::Corruption("bad btree magic in " + path);
   }
@@ -115,6 +127,11 @@ Result<std::unique_ptr<BTree>> BTree::Open(const std::string& path,
   tree->root_ = GetFixed64(meta.data() + 16);
   tree->num_entries_ = GetFixed64(meta.data() + 24);
   tree->height_ = GetFixed32(meta.data() + 32);
+  tree->indexed_length_ = GetFixed64(meta.data() + 36);
+  tree->length_ = tree->indexed_length_;
+  if (!ValidateShape(tree->options_, tree->pager_->physical_page_size()).ok()) {
+    return Status::Corruption("bad btree key or value size in " + path);
+  }
   if (tree->root_ == kInvalidPageId ||
       tree->root_ >= tree->pager_->page_count()) {
     return Status::Corruption("bad btree root in " + path);
@@ -122,39 +139,22 @@ Result<std::unique_ptr<BTree>> BTree::Open(const std::string& path,
   return tree;
 }
 
-BTree::~BTree() {
-  Status st = Flush();
-  if (!st.ok()) {
-    CALDERA_LOG_ERROR << "BTree flush on destruction failed: "
-                      << st.ToString();
-  }
-}
-
-Status BTree::WriteMeta() {
+Status BTree::Sync() {
   std::string meta(kBTreeMagic, 8);
   PutFixed32(options_.key_size, &meta);
   PutFixed32(options_.value_size, &meta);
   PutFixed64(root_, &meta);
   PutFixed64(num_entries_, &meta);
   PutFixed32(height_, &meta);
+  PutFixed64(indexed_length_, &meta);
   meta.resize(pager_->page_size(), '\0');
-  return pager_->WritePage(kMetaPage, meta.data());
-}
-
-Status BTree::Flush() {
-  CALDERA_RETURN_IF_ERROR(WriteMeta());
-  return pool_->FlushAll();
-}
-
-Status BTree::Sync() {
-  CALDERA_RETURN_IF_ERROR(Flush());
+  CALDERA_RETURN_IF_ERROR(pager_->WritePage(kMetaPage, meta.data()));
+  CALDERA_RETURN_IF_ERROR(pool_->FlushAll());
   return pager_->Sync();
 }
 
-// Descends from the root to the leaf that should contain `key`. If
-// `path_out` is non-null it receives the internal pages visited, root first.
-Result<PageId> BTree::FindLeaf(std::string_view key,
-                               std::vector<PageId>* path_out) {
+// Descends from the root to the leaf that should contain `key`.
+Result<PageId> BTree::FindLeaf(std::string_view key) {
   const uint32_t ks = options_.key_size;
   PageId current = root_;
   for (;;) {
@@ -165,7 +165,6 @@ Result<PageId> BTree::FindLeaf(std::string_view key,
       return Status::Corruption("bad node type on page " +
                                 std::to_string(current));
     }
-    if (path_out != nullptr) path_out->push_back(current);
     uint16_t count = NodeCount(data);
     CALDERA_RETURN_IF_ERROR(
         ValidateNodeCount(count, internal_capacity(), current));
@@ -194,252 +193,78 @@ Result<PageId> BTree::FindLeaf(std::string_view key,
 }
 
 Result<std::optional<std::string>> BTree::Get(std::string_view key) {
-  if (key.size() != options_.key_size) {
-    return Status::InvalidArgument("key size mismatch");
+  CALDERA_ASSIGN_OR_RETURN(Cursor cursor, Seek(key));
+  if (!cursor.valid() || cursor.key() != key) {
+    return std::optional<std::string>();
   }
-  CALDERA_ASSIGN_OR_RETURN(PageId leaf_id, FindLeaf(key, nullptr));
-  CALDERA_ASSIGN_OR_RETURN(PageHandle leaf, pool_->Fetch(leaf_id));
-  const char* data = leaf.data();
-  const uint32_t ks = options_.key_size;
-  const uint32_t es = leaf_entry_size();
-  uint16_t count = NodeCount(data);
-  CALDERA_RETURN_IF_ERROR(ValidateNodeCount(count, leaf_capacity(), leaf_id));
-  uint32_t lo = 0, hi = count;
+  return std::optional<std::string>(std::string(cursor.value()));
+}
+
+Status BTree::AddToTail(std::string_view entries) {
+  const size_t es = leaf_entry_size();
+  const size_t ks = options_.key_size;
+  if (entries.size() % es != 0) {
+    return Status::InvalidArgument("tail entries are not whole entries");
+  }
+  auto key = [&](size_t i) { return entries.substr(i * es, ks); };
+  std::vector<size_t> order(entries.size() / es);
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(),
+            [&](size_t a, size_t b) { return key(a) < key(b); });
+  // Merge the sorted batch into the tail.
+  std::string merged;
+  merged.reserve(tail_.size() + entries.size());
+  const size_t old_slots = tail_.size() / es;
+  size_t slot = 0;
+  for (size_t i : order) {
+    for (; slot < old_slots && TailKey(slot) < key(i); ++slot) {
+      merged.append(tail_, slot * es, es);
+    }
+    if ((slot < old_slots && TailKey(slot) == key(i)) ||
+        (!merged.empty() &&
+         std::string_view(merged).substr(merged.size() - es, ks) == key(i))) {
+      return Status::AlreadyExists("key already in the tail");
+    }
+    merged.append(entries.substr(i * es, es));
+  }
+  merged.append(tail_, slot * es);
+  tail_ = std::move(merged);
+  return Status::Ok();
+}
+
+size_t BTree::TailLowerBound(std::string_view key) const {
+  size_t lo = 0, hi = tail_.size() / leaf_entry_size();
   while (lo < hi) {
-    uint32_t mid = (lo + hi) / 2;
-    const char* entry = data + kNodeHeaderSize + mid * es;
-    if (std::memcmp(entry, key.data(), ks) < 0) {
+    const size_t mid = (lo + hi) / 2;
+    if (TailKey(mid) < key) {
       lo = mid + 1;
     } else {
       hi = mid;
     }
   }
-  if (lo < count) {
-    const char* entry = data + kNodeHeaderSize + lo * es;
-    if (std::memcmp(entry, key.data(), ks) == 0) {
-      return std::optional<std::string>(
-          std::string(entry + ks, options_.value_size));
-    }
-  }
-  return std::optional<std::string>();
-}
-
-Status BTree::InsertIntoParent(std::vector<PageId>& path, size_t level,
-                               std::string_view sep_key, PageId right_child) {
-  const uint32_t ks = options_.key_size;
-  const uint32_t es = internal_entry_size();
-
-  if (level == 0) {
-    // Split reached the root: grow the tree by one level.
-    CALDERA_ASSIGN_OR_RETURN(PageHandle new_root, pool_->NewPage());
-    char* data = new_root.data();
-    SetNodeType(data, kInternalNode);
-    SetNodeCount(data, 1);
-    SetInternalChild0(data, root_);
-    char* entry = data + kNodeHeaderSize;
-    std::memcpy(entry, sep_key.data(), ks);
-    std::memcpy(entry + ks, &right_child, 8);
-    new_root.MarkDirty();
-    root_ = new_root.page_id();
-    ++height_;
-    return Status::Ok();
-  }
-
-  PageId parent_id = path[level - 1];
-  CALDERA_ASSIGN_OR_RETURN(PageHandle parent, pool_->Fetch(parent_id));
-  char* data = parent.data();
-  uint16_t count = NodeCount(data);
-
-  // Find insert position for the separator (first separator > sep_key).
-  uint32_t pos = 0;
-  while (pos < count &&
-         std::memcmp(data + kNodeHeaderSize + pos * es, sep_key.data(), ks) <
-             0) {
-    ++pos;
-  }
-
-  if (count < internal_capacity()) {
-    char* base = data + kNodeHeaderSize;
-    std::memmove(base + (pos + 1) * es, base + pos * es,
-                 (count - pos) * static_cast<size_t>(es));
-    std::memcpy(base + pos * es, sep_key.data(), ks);
-    std::memcpy(base + pos * es + ks, &right_child, 8);
-    SetNodeCount(data, count + 1);
-    parent.MarkDirty();
-    return Status::Ok();
-  }
-
-  // Parent is full: materialize the separator list, insert, split.
-  struct Sep {
-    std::string key;
-    PageId child;
-  };
-  std::vector<Sep> seps;
-  seps.reserve(count + 1);
-  for (uint32_t i = 0; i < count; ++i) {
-    const char* e = data + kNodeHeaderSize + i * es;
-    seps.push_back({std::string(e, ks), GetFixed64(e + ks)});
-  }
-  seps.insert(seps.begin() + pos,
-              {std::string(sep_key.data(), ks), right_child});
-  PageId child0 = InternalChild0(data);
-
-  uint32_t mid = static_cast<uint32_t>(seps.size()) / 2;
-  // seps[mid] is promoted; left keeps [0, mid), right gets (mid, end) with
-  // child0 = seps[mid].child.
-  CALDERA_ASSIGN_OR_RETURN(PageHandle right, pool_->NewPage());
-  char* rdata = right.data();
-  SetNodeType(rdata, kInternalNode);
-  SetInternalChild0(rdata, seps[mid].child);
-  uint16_t rcount = 0;
-  for (uint32_t i = mid + 1; i < seps.size(); ++i) {
-    char* e = rdata + kNodeHeaderSize + rcount * es;
-    std::memcpy(e, seps[i].key.data(), ks);
-    std::memcpy(e + ks, &seps[i].child, 8);
-    ++rcount;
-  }
-  SetNodeCount(rdata, rcount);
-  right.MarkDirty();
-
-  SetNodeType(data, kInternalNode);
-  SetInternalChild0(data, child0);
-  for (uint32_t i = 0; i < mid; ++i) {
-    char* e = data + kNodeHeaderSize + i * es;
-    std::memcpy(e, seps[i].key.data(), ks);
-    std::memcpy(e + ks, &seps[i].child, 8);
-  }
-  SetNodeCount(data, static_cast<uint16_t>(mid));
-  parent.MarkDirty();
-
-  std::string promoted = seps[mid].key;
-  PageId right_id = right.page_id();
-  parent.Release();
-  right.Release();
-  return InsertIntoParent(path, level - 1, promoted, right_id);
-}
-
-Status BTree::Insert(std::string_view key, std::string_view value) {
-  if (key.size() != options_.key_size) {
-    return Status::InvalidArgument("key size mismatch");
-  }
-  if (value.size() != options_.value_size) {
-    return Status::InvalidArgument("value size mismatch");
-  }
-  std::vector<PageId> path;
-  CALDERA_ASSIGN_OR_RETURN(PageId leaf_id, FindLeaf(key, &path));
-  CALDERA_ASSIGN_OR_RETURN(PageHandle leaf, pool_->Fetch(leaf_id));
-  char* data = leaf.data();
-  const uint32_t ks = options_.key_size;
-  const uint32_t es = leaf_entry_size();
-  uint16_t count = NodeCount(data);
-  CALDERA_RETURN_IF_ERROR(ValidateNodeCount(count, leaf_capacity(), leaf_id));
-
-  uint32_t pos = 0, hi = count;
-  while (pos < hi) {
-    uint32_t mid = (pos + hi) / 2;
-    if (std::memcmp(data + kNodeHeaderSize + mid * es, key.data(), ks) < 0) {
-      pos = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  if (pos < count &&
-      std::memcmp(data + kNodeHeaderSize + pos * es, key.data(), ks) == 0) {
-    return Status::AlreadyExists("duplicate key");
-  }
-
-  if (count < leaf_capacity()) {
-    char* base = data + kNodeHeaderSize;
-    std::memmove(base + (pos + 1) * es, base + pos * es,
-                 (count - pos) * static_cast<size_t>(es));
-    std::memcpy(base + pos * es, key.data(), ks);
-    // Empty values (BT_P) come in as default string_views with a null
-    // data(); passing that to memcpy is UB even at length zero.
-    if (!value.empty()) {
-      std::memcpy(base + pos * es + ks, value.data(), options_.value_size);
-    }
-    SetNodeCount(data, count + 1);
-    leaf.MarkDirty();
-    ++num_entries_;
-    return Status::Ok();
-  }
-
-  // Leaf is full: split. Materialize entries, insert, redistribute.
-  std::vector<std::string> entries;
-  entries.reserve(count + 1);
-  for (uint32_t i = 0; i < count; ++i) {
-    entries.emplace_back(data + kNodeHeaderSize + i * es, es);
-  }
-  std::string new_entry(key.data(), ks);
-  if (!value.empty()) new_entry.append(value.data(), options_.value_size);
-  entries.insert(entries.begin() + pos, std::move(new_entry));
-
-  uint32_t mid = static_cast<uint32_t>(entries.size()) / 2;
-  CALDERA_ASSIGN_OR_RETURN(PageHandle right, pool_->NewPage());
-  char* rdata = right.data();
-  SetNodeType(rdata, kLeafNode);
-  SetLeafNext(rdata, LeafNext(data));
-  uint16_t rcount = 0;
-  for (uint32_t i = mid; i < entries.size(); ++i) {
-    std::memcpy(rdata + kNodeHeaderSize + rcount * es, entries[i].data(), es);
-    ++rcount;
-  }
-  SetNodeCount(rdata, rcount);
-  right.MarkDirty();
-
-  for (uint32_t i = 0; i < mid; ++i) {
-    std::memcpy(data + kNodeHeaderSize + i * es, entries[i].data(), es);
-  }
-  SetNodeCount(data, static_cast<uint16_t>(mid));
-  SetLeafNext(data, right.page_id());
-  leaf.MarkDirty();
-
-  std::string sep = entries[mid].substr(0, ks);
-  PageId right_id = right.page_id();
-  leaf.Release();
-  right.Release();
-  ++num_entries_;
-  return InsertIntoParent(path, path.size(), sep, right_id);
-}
-
-Status BTree::Delete(std::string_view key) {
-  if (key.size() != options_.key_size) {
-    return Status::InvalidArgument("key size mismatch");
-  }
-  CALDERA_ASSIGN_OR_RETURN(PageId leaf_id, FindLeaf(key, nullptr));
-  CALDERA_ASSIGN_OR_RETURN(PageHandle leaf, pool_->Fetch(leaf_id));
-  char* data = leaf.data();
-  const uint32_t ks = options_.key_size;
-  const uint32_t es = leaf_entry_size();
-  uint16_t count = NodeCount(data);
-  CALDERA_RETURN_IF_ERROR(ValidateNodeCount(count, leaf_capacity(), leaf_id));
-  for (uint32_t i = 0; i < count; ++i) {
-    char* entry = data + kNodeHeaderSize + i * es;
-    if (std::memcmp(entry, key.data(), ks) == 0) {
-      std::memmove(entry, entry + es, (count - i - 1) * static_cast<size_t>(es));
-      SetNodeCount(data, count - 1);
-      leaf.MarkDirty();
-      --num_entries_;
-      return Status::Ok();
-    }
-  }
-  return Status::NotFound("key not in tree");
+  return lo;
 }
 
 std::string_view BTree::Cursor::key() const {
   CALDERA_DCHECK(valid());
+  if (on_tail_) {
+    return std::string_view(tree_->tail_)
+        .substr(tail_offset_, tree_->options_.key_size);
+  }
   return std::string_view(entry_.data(), tree_->options_.key_size);
 }
 
 std::string_view BTree::Cursor::value() const {
   CALDERA_DCHECK(valid());
-  return std::string_view(entry_.data() + tree_->options_.key_size,
-                          tree_->options_.value_size);
+  const uint32_t ks = tree_->options_.key_size;
+  if (on_tail_) {
+    return std::string_view(tree_->tail_)
+        .substr(tail_offset_ + ks, tree_->options_.value_size);
+  }
+  return std::string_view(entry_.data() + ks, tree_->options_.value_size);
 }
 
-// Loads the entry at (leaf_, slot_), skipping forward across empty or
-// exhausted leaves. Invalidates the cursor at the end of the tree.
-Status BTree::Cursor::Load() {
+Status BTree::Cursor::LoadFile() {
   const uint32_t es = tree_->leaf_entry_size();
   while (leaf_ != kInvalidPageId) {
     CALDERA_ASSIGN_OR_RETURN(PageHandle page, tree_->pool_->Fetch(leaf_));
@@ -457,21 +282,39 @@ Status BTree::Cursor::Load() {
     leaf_ = LeafNext(data);
     slot_ = 0;
   }
-  tree_ = nullptr;
   return Status::Ok();
+}
+
+void BTree::Cursor::Settle() {
+  const bool in_file = leaf_ != kInvalidPageId;
+  const bool in_tail = tail_offset_ < tree_->tail_.size();
+  if (!in_file && !in_tail) {
+    tree_ = nullptr;
+    return;
+  }
+  const uint32_t ks = tree_->options_.key_size;
+  on_tail_ = in_tail && (!in_file || std::string_view(tree_->tail_)
+                                             .substr(tail_offset_, ks) <
+                                         std::string_view(entry_.data(), ks));
 }
 
 Status BTree::Cursor::Next() {
   CALDERA_DCHECK(valid());
-  ++slot_;
-  return Load();
+  if (on_tail_) {
+    tail_offset_ += tree_->leaf_entry_size();
+  } else {
+    ++slot_;
+    CALDERA_RETURN_IF_ERROR(LoadFile());
+  }
+  Settle();
+  return Status::Ok();
 }
 
 Result<BTree::Cursor> BTree::Seek(std::string_view key) {
   if (key.size() != options_.key_size) {
     return Status::InvalidArgument("key size mismatch");
   }
-  CALDERA_ASSIGN_OR_RETURN(PageId leaf_id, FindLeaf(key, nullptr));
+  CALDERA_ASSIGN_OR_RETURN(PageId leaf_id, FindLeaf(key));
   CALDERA_ASSIGN_OR_RETURN(PageHandle leaf, pool_->Fetch(leaf_id));
   const char* data = leaf.data();
   const uint32_t ks = options_.key_size;
@@ -491,24 +334,10 @@ Result<BTree::Cursor> BTree::Seek(std::string_view key) {
   cursor.tree_ = this;
   cursor.leaf_ = leaf_id;
   cursor.slot_ = lo;
+  cursor.tail_offset_ = TailLowerBound(key) * es;
   leaf.Release();
-  CALDERA_RETURN_IF_ERROR(cursor.Load());
-  return cursor;
-}
-
-Result<BTree::Cursor> BTree::SeekFirst() {
-  PageId current = root_;
-  for (;;) {
-    CALDERA_ASSIGN_OR_RETURN(PageHandle page, pool_->Fetch(current));
-    const char* data = page.data();
-    if (NodeType(data) == kLeafNode) break;
-    current = InternalChild0(data);
-  }
-  Cursor cursor;
-  cursor.tree_ = this;
-  cursor.leaf_ = current;
-  cursor.slot_ = 0;
-  CALDERA_RETURN_IF_ERROR(cursor.Load());
+  CALDERA_RETURN_IF_ERROR(cursor.LoadFile());
+  cursor.Settle();
   return cursor;
 }
 
@@ -632,8 +461,7 @@ Result<std::unique_ptr<BTreeBuilder>> BTreeBuilder::Create(
     return Status::InvalidArgument("fill_factor must be in (0, 1]");
   }
   CALDERA_ASSIGN_OR_RETURN(std::unique_ptr<BTree> tree,
-                           BTree::Create(path, options, page_size,
-                                         /*pool_pages=*/64));
+                           BTree::Create(path, options, page_size));
   return std::unique_ptr<BTreeBuilder>(
       new BTreeBuilder(std::move(tree), fill_factor));
 }
@@ -681,10 +509,12 @@ Status BTreeBuilder::Add(std::string_view key, std::string_view value) {
   return Status::Ok();
 }
 
-Result<std::unique_ptr<BTree>> BTreeBuilder::Finish(size_t pool_pages) {
+Result<std::unique_ptr<BTree>> BTreeBuilder::Finish(uint64_t indexed_length) {
   if (finished_) return Status::FailedPrecondition("builder finished");
   finished_ = true;
   CALDERA_RETURN_IF_ERROR(FlushLeaf());
+  tree_->indexed_length_ = indexed_length;
+  tree_->length_ = indexed_length;
 
   if (levels_[0].empty()) {
     // Empty tree: keep the pre-allocated empty root leaf.
@@ -735,8 +565,7 @@ Result<std::unique_ptr<BTree>> BTreeBuilder::Finish(size_t pool_pages) {
   tree_->height_ = static_cast<uint32_t>(level + 1);
   tree_->num_entries_ = total_entries_;
   CALDERA_RETURN_IF_ERROR(tree_->Sync());
-  std::unique_ptr<BTree> out = std::move(tree_);
-  return out;
+  return std::move(tree_);
 }
 
 }  // namespace caldera

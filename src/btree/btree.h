@@ -22,41 +22,41 @@ struct BTreeOptions {
   uint32_t value_size = 0;
 };
 
-/// A disk-resident B+ tree over a paged file with an LRU buffer pool.
+/// An immutable disk-resident B+ tree over a paged file with an LRU buffer
+/// pool, plus an in-memory tail in front of it.
 ///
 /// Caldera instantiates this two ways (Section 3 of the paper):
 ///   BT_C  key = (value_id:u32, time:u64),             value = prob:f64
 ///   BT_P  key = (value_id:u32, 1-prob:f64, time:u64), value = empty
 ///
-/// Single-threaded. Deletes are "lazy": the entry is removed from its leaf
-/// but nodes are never rebalanced — appropriate for Caldera's write-once
-/// archival workload, where indexes are bulk-built and rarely mutated.
+/// Only BTreeBuilder writes a tree file; an opened tree never writes it. The
+/// file records the stream length it indexes (indexed_length). The owner
+/// adds the entries of later timesteps to the tail (AddToTail), and Get,
+/// Seek and cursors merge file and tail in key order, so a tree with a tail
+/// answers exactly like one built over the longer stream. Single-threaded.
 class BTree {
  public:
-  /// Creates an empty tree file at `path` (truncating any existing file).
-  static Result<std::unique_ptr<BTree>> Create(
-      const std::string& path, const BTreeOptions& options,
-      uint32_t page_size = kDefaultPageSize, size_t pool_pages = 64);
-
-  /// Opens an existing tree file.
+  /// Opens an existing tree file. Corruption for a damaged file or one in
+  /// the v1 format, which records no indexed length.
   static Result<std::unique_ptr<BTree>> Open(const std::string& path,
                                              size_t pool_pages = 64);
-
-  ~BTree();
 
   BTree(const BTree&) = delete;
   BTree& operator=(const BTree&) = delete;
 
-  /// Inserts a key/value pair; AlreadyExists if the key is present.
-  Status Insert(std::string_view key, std::string_view value);
-
   /// Returns the value for `key`, or nullopt.
   Result<std::optional<std::string>> Get(std::string_view key);
 
-  /// Removes `key`; NotFound if absent.
-  Status Delete(std::string_view key);
+  /// Adds entries to the in-memory tail: `entries` is whole entries (key,
+  /// then value) back to back, in any key order. Their keys must not be in
+  /// the file (the owner adds timesteps past indexed_length() only), and
+  /// none is added when one is already in the tail (AlreadyExists) or the
+  /// bytes are not whole entries (InvalidArgument). Costs O(tail size):
+  /// add a batch at once.
+  Status AddToTail(std::string_view entries);
 
-  /// Forward iterator over leaf entries. Invalidated by writes to the tree.
+  /// Forward iterator over the entries of file and tail, in key order.
+  /// AddToTail invalidates it.
   class Cursor {
    public:
     Cursor() = default;
@@ -71,11 +71,21 @@ class BTree {
    private:
     friend class BTree;
     BTree* tree_ = nullptr;
+    // The file's next entry: the one at (leaf_, slot_), cached in entry_;
+    // leaf_ is kInvalidPageId once the file has no more.
     PageId leaf_ = kInvalidPageId;
     uint32_t slot_ = 0;
-    std::string entry_;  // Cached key+value bytes of the current slot.
+    std::string entry_;
+    // The byte offset of the tail's next entry, and whether it, not the
+    // file's, is current.
+    size_t tail_offset_ = 0;
+    bool on_tail_ = false;
 
-    Status Load();
+    // Loads the file entry at (leaf_, slot_), skipping exhausted leaves.
+    Status LoadFile();
+    // Makes the smaller of the two next entries current, or invalidates
+    // the cursor when both sources are exhausted.
+    void Settle();
   };
 
   /// Positions a cursor at the first entry with key >= `key` (invalid cursor
@@ -83,27 +93,33 @@ class BTree {
   Result<Cursor> Seek(std::string_view key);
 
   /// Positions a cursor at the smallest entry.
-  Result<Cursor> SeekFirst();
+  Result<Cursor> SeekFirst() {
+    return Seek(std::string(options_.key_size, '\0'));
+  }
 
-  /// Writes back dirty pages, the tree meta page and the pager header,
-  /// without fsync: another handle opened afterwards sees every insert.
-  /// The ingest path flushes after each committed batch.
-  Status Flush();
+  /// Entries of the file and the tail.
+  uint64_t num_entries() const {
+    return num_entries_ + tail_.size() / leaf_entry_size();
+  }
+  /// Stream length the file indexes: its entries are those of timesteps
+  /// [0, indexed_length()).
+  uint64_t indexed_length() const { return indexed_length_; }
+  /// Stream length the file and the tail index together: indexed_length()
+  /// until the owner, having added later timesteps' entries, raises it.
+  uint64_t length() const { return length_; }
+  void set_length(uint64_t length) { length_ = length; }
 
-  /// Flush + fsync: makes every insert so far durable. Bulk builds end
-  /// with it, and the ingest checkpoint calls it.
-  Status Sync();
-
-  uint64_t num_entries() const { return num_entries_; }
   uint32_t height() const { return height_; }
   const BTreeOptions& options() const { return options_; }
   uint64_t file_pages() const { return pager_->page_count(); }
-  uint32_t page_size() const { return pager_->page_size(); }
+  /// The physical page size the tree was built with.
+  uint32_t page_size() const { return pager_->physical_page_size(); }
   const BufferPoolStats& stats() const { return pool_->stats(); }
   void ResetStats() { pool_->ResetStats(); }
 
-  /// Checks structural invariants (key order within nodes, separator bounds,
-  /// leaf chain order). Test/debug helper; O(n).
+  /// Checks the file's structural invariants (key order within nodes,
+  /// separator bounds, leaf chain order, the entry count of the meta page).
+  /// Test/debug helper; O(n).
   Status CheckInvariants();
 
  private:
@@ -114,18 +130,30 @@ class BTree {
       : pager_(std::move(pager)),
         pool_(std::make_unique<BufferPool>(pager_.get(), pool_pages)) {}
 
+  /// Creates an empty tree file at `path` (truncating any existing file):
+  /// the start of a bulk build.
+  static Result<std::unique_ptr<BTree>> Create(const std::string& path,
+                                               const BTreeOptions& options,
+                                               uint32_t page_size);
+
   uint32_t leaf_entry_size() const {
     return options_.key_size + options_.value_size;
   }
   uint32_t internal_entry_size() const { return options_.key_size + 8; }
   uint32_t leaf_capacity() const;
   uint32_t internal_capacity() const;
+  /// Key of tail entry `slot`.
+  std::string_view TailKey(size_t slot) const {
+    return std::string_view(tail_).substr(slot * leaf_entry_size(),
+                                          options_.key_size);
+  }
+  /// The first tail slot whose key is >= `key`.
+  size_t TailLowerBound(std::string_view key) const;
 
-  Status WriteMeta();
-  Result<PageId> FindLeaf(std::string_view key,
-                          std::vector<PageId>* path_out);
-  Status InsertIntoParent(std::vector<PageId>& path, size_t level,
-                          std::string_view sep_key, PageId right_child);
+  /// Writes the meta page and every dirty page, and fsyncs: the end of a
+  /// bulk build.
+  Status Sync();
+  Result<PageId> FindLeaf(std::string_view key);
   Status CheckNode(PageId id, std::string_view lower, std::string_view upper,
                    uint32_t depth, uint64_t* entries, PageId* leftmost_leaf);
 
@@ -133,13 +161,17 @@ class BTree {
   std::unique_ptr<BufferPool> pool_;
   BTreeOptions options_;
   PageId root_ = kInvalidPageId;
-  uint64_t num_entries_ = 0;
+  uint64_t num_entries_ = 0;  // In the file.
   uint32_t height_ = 1;
+  uint64_t indexed_length_ = 0;
+  uint64_t length_ = 0;
+  // The tail: whole entries of leaf_entry_size() bytes, sorted by key.
+  std::string tail_;
 };
 
-/// Builds a B+ tree from strictly-increasing (key, value) pairs, packing
-/// leaves sequentially and constructing internal levels bottom-up. An order
-/// of magnitude faster than repeated Insert and yields ~full pages.
+/// Builds a B+ tree file from strictly-increasing (key, value) pairs,
+/// packing leaves sequentially and constructing internal levels bottom-up:
+/// the only writer of tree files.
 class BTreeBuilder {
  public:
   static Result<std::unique_ptr<BTreeBuilder>> Create(
@@ -150,8 +182,9 @@ class BTreeBuilder {
   /// Adds the next pair; keys must be strictly increasing.
   Status Add(std::string_view key, std::string_view value);
 
-  /// Finishes the build, syncs the file and returns the opened tree.
-  Result<std::unique_ptr<BTree>> Finish(size_t pool_pages = 64);
+  /// Finishes the build, recording that the tree indexes a stream of
+  /// `indexed_length` timesteps, syncs the file and returns the opened tree.
+  Result<std::unique_ptr<BTree>> Finish(uint64_t indexed_length);
 
  private:
   BTreeBuilder(std::unique_ptr<BTree> tree, double fill_factor);

@@ -29,10 +29,7 @@ Result<std::unique_ptr<ArchivedStream>> ArchivedStream::Open(
   archived->btc_.resize(num_attrs);
   archived->btp_.resize(num_attrs);
   for (const TreeIndexFile& file : TreeIndexFiles(dir, num_attrs)) {
-    std::vector<std::unique_ptr<BTree>>& trees =
-        file.is_btc ? archived->btc_ : archived->btp_;
-    CALDERA_ASSIGN_OR_RETURN(trees[file.attr],
-                             BTree::Open(file.path, pool_pages));
+    CALDERA_RETURN_IF_ERROR(archived->OpenTree(file));
   }
   if (FileExists(McDir(dir) + "/mc.meta")) {
     StoredStream* raw = archived->stream_.get();
@@ -57,20 +54,32 @@ Result<std::unique_ptr<ArchivedStream>> ArchivedStream::Open(
   return archived;
 }
 
+Status ArchivedStream::OpenTree(const TreeIndexFile& file) {
+  TreeSlot& slot = (file.is_btc ? btc_ : btp_)[file.attr];
+  // Read before the open: a compaction renaming a new file in between then
+  // costs the next Refresh a needless reopen, never a missed one.
+  slot.inode = FileInode(file.path);
+  CALDERA_ASSIGN_OR_RETURN(slot.tree,
+                           OpenTreeIndex(file, stream_.get(), pool_pages_));
+  return Status::Ok();
+}
+
 Status ArchivedStream::Refresh() {
   CALDERA_RETURN_IF_ERROR(stream_->Refresh());
   if (mc_ != nullptr) CALDERA_RETURN_IF_ERROR(mc_->Refresh());
-  // An append inserts into the trees in place, so none of their cached
-  // pages can be trusted: reopen them (an open reads two pages).
   for (bool is_btc : {true, false}) {
-    std::vector<std::unique_ptr<BTree>>& trees = is_btc ? btc_ : btp_;
+    std::vector<TreeSlot>& trees = is_btc ? btc_ : btp_;
     for (size_t attr = 0; attr < trees.size(); ++attr) {
-      if (trees[attr] == nullptr) continue;
-      CALDERA_ASSIGN_OR_RETURN(
-          trees[attr],
-          BTree::Open(is_btc ? BtcIndexPath(dir_, attr)
-                             : BtpIndexPath(dir_, attr),
-                      pool_pages_));
+      if (trees[attr].tree == nullptr) continue;
+      const TreeIndexFile file{
+          attr, is_btc,
+          is_btc ? BtcIndexPath(dir_, attr) : BtpIndexPath(dir_, attr)};
+      if (FileInode(file.path) != trees[attr].inode) {
+        CALDERA_RETURN_IF_ERROR(OpenTree(file));  // Compacted since.
+      } else {
+        CALDERA_RETURN_IF_ERROR(
+            ExtendTreeTail(file, stream_.get(), trees[attr].tree.get()));
+      }
     }
   }
   return Status::Ok();
@@ -89,11 +98,10 @@ void ArchivedStream::AttachSpanCache(std::shared_ptr<SpanCptCache> cache,
 
 BufferPoolStats ArchivedStream::IndexIoStats() const {
   BufferPoolStats total;
-  for (const auto& tree : btc_) {
-    if (tree != nullptr) total += tree->stats();
-  }
-  for (const auto& tree : btp_) {
-    if (tree != nullptr) total += tree->stats();
+  for (const std::vector<TreeSlot>* trees : {&btc_, &btp_}) {
+    for (const TreeSlot& open : *trees) {
+      if (open.tree != nullptr) total += open.tree->stats();
+    }
   }
   if (mc_ != nullptr) total += mc_->IoStats();
   return total;
@@ -101,11 +109,10 @@ BufferPoolStats ArchivedStream::IndexIoStats() const {
 
 void ArchivedStream::ResetStats() {
   stream_->ResetStats();
-  for (const auto& tree : btc_) {
-    if (tree != nullptr) tree->ResetStats();
-  }
-  for (const auto& tree : btp_) {
-    if (tree != nullptr) tree->ResetStats();
+  for (std::vector<TreeSlot>* trees : {&btc_, &btp_}) {
+    for (TreeSlot& open : *trees) {
+      if (open.tree != nullptr) open.tree->ResetStats();
+    }
   }
   if (mc_ != nullptr) mc_->ResetStats();
 }

@@ -8,6 +8,7 @@
 
 #include "btree/btree.h"
 #include "common/status.h"
+#include "index/attribute_index.h"
 #include "index/mc_index.h"
 #include "index/span_cache.h"
 #include "markov/stream_io.h"
@@ -16,11 +17,14 @@ namespace caldera {
 
 /// One archived Markovian stream plus whatever indexes have been built for
 /// it. Indexes are discovered on Open; absent indexes are simply nullptr
-/// and access methods report FailedPrecondition when they need one.
+/// and access methods report FailedPrecondition when they need one. Each
+/// B+ tree carries an in-memory tail over the timesteps appended since its
+/// file was built (OpenTreeIndex), so it answers for the whole stream.
 class ArchivedStream {
  public:
   /// Opens the stream in `dir` and every index built for it. An index that
-  /// fails to open (corrupt, truncated, bad checksum) fails the open.
+  /// fails to open (corrupt, truncated, bad checksum, a tree indexing more
+  /// timesteps than the stream holds) fails the open.
   static Result<std::unique_ptr<ArchivedStream>> Open(
       const std::string& dir, size_t pool_pages = 256);
 
@@ -33,8 +37,10 @@ class ArchivedStream {
   /// Advances this handle to the stream as an ingest commit left it, at a
   /// cost of the appended timesteps: refreshes the stream and MC index
   /// (their files only grow at their ends, so cached pages and span CPTs
-  /// stay valid) and reopens the B+ trees (they mutate in place). On error
-  /// the handle is half-advanced and must be dropped.
+  /// stay valid) and extends each B+ tree's tail over the appended
+  /// timesteps (tree files are immutable). Only a tree whose file a
+  /// compaction has since replaced is reopened. On error the handle is
+  /// half-advanced and must be dropped.
   Status Refresh();
 
   StoredStream* stream() { return stream_.get(); }
@@ -44,10 +50,10 @@ class ArchivedStream {
 
   /// BT_C / BT_P over one attribute; nullptr when not built.
   BTree* btc(size_t attr) {
-    return attr < btc_.size() ? btc_[attr].get() : nullptr;
+    return attr < btc_.size() ? btc_[attr].tree.get() : nullptr;
   }
   BTree* btp(size_t attr) {
-    return attr < btp_.size() ? btp_[attr].get() : nullptr;
+    return attr < btp_.size() ? btp_[attr].tree.get() : nullptr;
   }
   McIndex* mc() { return mc_.get(); }
 
@@ -75,11 +81,20 @@ class ArchivedStream {
   ArchivedStream(std::string dir, size_t pool_pages)
       : dir_(std::move(dir)), pool_pages_(pool_pages) {}
 
+  // A B+ tree and the inode of the file it was opened from.
+  struct TreeSlot {
+    std::unique_ptr<BTree> tree;
+    uint64_t inode = 0;
+  };
+
+  // Opens `file` into its slot, its tail filled to the stream's length.
+  Status OpenTree(const TreeIndexFile& file);
+
   std::string dir_;
   size_t pool_pages_;
   std::unique_ptr<StoredStream> stream_;
-  std::vector<std::unique_ptr<BTree>> btc_;
-  std::vector<std::unique_ptr<BTree>> btp_;
+  std::vector<TreeSlot> btc_;
+  std::vector<TreeSlot> btp_;
   std::unique_ptr<McIndex> mc_;
   std::shared_ptr<SpanCptCache> span_cache_;
 };

@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <shared_mutex>
 #include <string>
 #include <utility>
@@ -112,6 +113,7 @@ class Caldera {
   /// Recovery after index corruption: rebuilds every rebuildable index of
   /// `stream_name` from the (checksum-verified) stream data files and
   /// invalidates idle handles so the next query sees the fresh indexes.
+  /// FailedPrecondition while an ingestor of the stream is open.
   Status RebuildIndexes(const std::string& stream_name);
 
   /// Opens a live-append handle for `stream_name` (the growing-stream
@@ -119,12 +121,13 @@ class Caldera {
   /// WAL if a previous writer died before a checkpoint, and every committed
   /// batch runs under the stream's writer lock and ends by refreshing the
   /// stream's idle handles to the new length (ArchivedStream::Refresh,
-  /// O(batch)), so
-  /// concurrent queries see either the pre- or post-append stream — never a
-  /// mix — and new queries see the appended timesteps immediately, with
-  /// warm pages and span CPTs. A commit bumps no epoch. At most one live
-  /// ingestor per stream at a time (not enforced), and no RebuildIndexes
-  /// of the stream while it is open: it keeps the tree files it opened.
+  /// O(batch)), so concurrent queries see either the pre- or post-append
+  /// stream — never a mix — and new queries see the appended timesteps
+  /// immediately, with warm pages and span CPTs. A commit bumps no epoch.
+  /// One ingestor per stream per facade: while one is alive, a second
+  /// OpenForIngest and RebuildIndexes of the stream fail with
+  /// FailedPrecondition (its checkpoints rename the stream's tree files).
+  /// Other processes are not excluded.
   Result<std::unique_ptr<StreamIngestor>> OpenForIngest(
       const std::string& stream_name);
 
@@ -141,8 +144,10 @@ class Caldera {
   /// The per-stream reader/writer lock that serializes in-place mutation
   /// (ingest apply and its handle refresh, index rebuild — exclusive)
   /// against query execution (shared). Stable address for the life of the
-  /// facade. B+ trees mutate in place, so unlike the snapshot-safe record
-  /// files they need this exclusion.
+  /// facade. Tree files are immutable and a compaction renames a new one
+  /// into place, but an append rewrites the record files' pager headers,
+  /// meta pages and partial tail pages, and mc.meta, in place; the lock
+  /// keeps queries from reading those mid-rewrite.
   std::shared_mutex* StreamMutationLock(const std::string& stream_name);
 
  private:
@@ -162,6 +167,8 @@ class Caldera {
     // -> RefreshIdleHandles -> mu). mu is never held while acquiring a
     // stream lock. unique_ptr keeps addresses stable across map growth.
     std::map<std::string, std::unique_ptr<std::shared_mutex>> stream_locks;
+    // Streams with a live ingestor from OpenForIngest.
+    std::set<std::string> ingesting;
 
     // False when an ingest commit has left `name` at another length than
     // `handle`'s.

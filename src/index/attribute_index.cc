@@ -1,7 +1,11 @@
 #include "index/attribute_index.h"
 
 #include <algorithm>
+#include <filesystem>
 
+#include "common/encoding.h"
+#include "index/btc_index.h"
+#include "index/btp_index.h"
 #include "storage/file.h"
 
 namespace caldera {
@@ -77,6 +81,68 @@ std::vector<TreeIndexFile> TreeIndexFiles(const std::string& dir,
     }
   }
   return out;
+}
+
+Result<std::unique_ptr<BTree>> OpenTreeIndex(const TreeIndexFile& file,
+                                             StoredStream* stream,
+                                             size_t pool_pages) {
+  CALDERA_ASSIGN_OR_RETURN(std::unique_ptr<BTree> tree,
+                           BTree::Open(file.path, pool_pages));
+  if (tree->indexed_length() > stream->length()) {
+    return Status::Corruption(
+        file.path + " indexes " + std::to_string(tree->indexed_length()) +
+        " timesteps of a stream of " + std::to_string(stream->length()));
+  }
+  CALDERA_RETURN_IF_ERROR(ExtendTreeTail(file, stream, tree.get()));
+  return tree;
+}
+
+Status ExtendTreeTail(const TreeIndexFile& file, StoredStream* stream,
+                      BTree* tree) {
+  if (tree->length() >= stream->length()) return Status::Ok();
+  Distribution marginal;
+  std::string entries;  // Whole entries, key then value, as a build adds.
+  for (uint64_t t = tree->length(); t < stream->length(); ++t) {
+    CALDERA_RETURN_IF_ERROR(stream->ReadMarginal(t, &marginal));
+    for (const AttributeEntry& e :
+         TimestepAttributeEntries(marginal, stream->schema(), file.attr, t)) {
+      if (file.is_btc) {
+        entries += EncodeBtcKey(e.value, e.time);
+        PutDouble(e.prob, &entries);
+      } else {
+        entries += EncodeBtpEntryKey(e);
+      }
+    }
+  }
+  CALDERA_RETURN_IF_ERROR(tree->AddToTail(entries));
+  tree->set_length(stream->length());
+  return Status::Ok();
+}
+
+bool TreeCompactionDue(uint64_t indexed_length, uint64_t length) {
+  return length > indexed_length &&
+         (length - indexed_length) * kTreeCompactionDivisor >= indexed_length;
+}
+
+Result<uint64_t> CompactTreeIndex(const TreeIndexFile& file,
+                                  StoredStream* stream, BTree* tree) {
+  CALDERA_RETURN_IF_ERROR(ExtendTreeTail(file, stream, tree));
+  // Not a canonical tree name, so TreeIndexFiles never takes a leftover
+  // of a crashed compaction for an index.
+  const std::string temp = file.path + ".compact";
+  CALDERA_ASSIGN_OR_RETURN(
+      std::unique_ptr<BTreeBuilder> builder,
+      BTreeBuilder::Create(temp, tree->options(), tree->page_size()));
+  CALDERA_ASSIGN_OR_RETURN(BTree::Cursor cursor, tree->SeekFirst());
+  while (cursor.valid()) {
+    CALDERA_RETURN_IF_ERROR(builder->Add(cursor.key(), cursor.value()));
+    CALDERA_RETURN_IF_ERROR(cursor.Next());
+  }
+  CALDERA_RETURN_IF_ERROR(builder->Finish(tree->length()).status());
+  CALDERA_RETURN_IF_ERROR(RenameFile(temp, file.path));
+  CALDERA_RETURN_IF_ERROR(SyncDirectory(
+      std::filesystem::path(file.path).parent_path().string()));
+  return tree->num_entries();
 }
 
 }  // namespace caldera

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "btree/btree.h"
 #include "common/status.h"
 #include "markov/distribution.h"
 #include "markov/schema.h"
@@ -13,7 +14,8 @@
 namespace caldera {
 
 // What BT_C (btc_index.h) and BT_P (btp_index.h) share: the entries they
-// index and the names of their files in a stream directory.
+// index, the names of their files in a stream directory, and the in-memory
+// tail that indexes the timesteps appended since a tree file was built.
 
 /// One attribute value's marginal probability at one timestep.
 struct AttributeEntry {
@@ -27,7 +29,7 @@ struct AttributeEntry {
 /// value probabilities are sums), in increasing value order. Each sum runs
 /// in state-id order, so rebuilt probabilities are bit-identical to any
 /// other code (e.g. the verifier) that accumulates in state order. What a
-/// live insert adds to a BT_C or BT_P tree.
+/// tree's tail holds for one appended timestep.
 std::vector<AttributeEntry> TimestepAttributeEntries(
     const Distribution& marginal, const StreamSchema& schema, size_t attr,
     uint64_t t);
@@ -55,6 +57,37 @@ struct TreeIndexFile {
 /// for an attribute past the schema, is not an index of the stream.
 std::vector<TreeIndexFile> TreeIndexFiles(const std::string& dir,
                                           size_t num_attributes);
+
+/// Opens tree index `file` of `stream` and fills its in-memory tail with
+/// the entries of the stream's timesteps from the tree's indexed length on,
+/// so it answers like a tree built over the whole stream. Corruption if the
+/// tree indexes more timesteps than the stream holds.
+Result<std::unique_ptr<BTree>> OpenTreeIndex(const TreeIndexFile& file,
+                                             StoredStream* stream,
+                                             size_t pool_pages);
+
+/// Adds to the tail of `tree`, opened from `file`, the entries of the
+/// stream's timesteps from tree->length() on, reading one marginal each.
+Status ExtendTreeTail(const TreeIndexFile& file, StoredStream* stream,
+                      BTree* tree);
+
+/// A tree is compacted once its tail holds at least 1/kTreeCompactionDivisor
+/// as many timesteps as its file indexes. A handle open then decodes at most
+/// that share of the marginals a scan reads, and each appended entry is
+/// rewritten about kTreeCompactionDivisor + 1 times in all.
+inline constexpr uint64_t kTreeCompactionDivisor = 8;
+
+/// Whether a tree file indexing `indexed_length` timesteps of a stream of
+/// `length` timesteps is due for compaction.
+bool TreeCompactionDue(uint64_t indexed_length, uint64_t length);
+
+/// Rewrites tree index `file` of `stream` as one file indexing the whole
+/// stream: extends `tree`'s tail to the stream's length, bulk-builds the
+/// merged entries into a temporary file, syncs it, renames it over
+/// file.path and syncs the directory. A crash leaves the old or the new
+/// file, each whole. Returns the entries written.
+Result<uint64_t> CompactTreeIndex(const TreeIndexFile& file,
+                                  StoredStream* stream, BTree* tree);
 
 }  // namespace caldera
 

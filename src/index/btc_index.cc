@@ -43,26 +43,7 @@ Result<std::unique_ptr<BTree>> BuildBtcIndexFromStored(
     CALDERA_RETURN_IF_ERROR(
         builder->Add(EncodeBtcKey(e.value, e.time), value_buf));
   }
-  return std::move(*builder).Finish();
-}
-
-Status InsertBtcTimestep(BTree* tree, const Distribution& marginal,
-                         const StreamSchema& schema, size_t attr,
-                         uint64_t t) {
-  if (tree->options().key_size != kBtcKeySize) {
-    return Status::InvalidArgument("tree is not a BT_C index");
-  }
-  std::string value_buf;
-  for (const AttributeEntry& e :
-       TimestepAttributeEntries(marginal, schema, attr, t)) {
-    value_buf.clear();
-    PutDouble(e.prob, &value_buf);
-    Status inserted = tree->Insert(EncodeBtcKey(e.value, e.time), value_buf);
-    if (!inserted.ok() && inserted.code() != StatusCode::kAlreadyExists) {
-      return inserted;
-    }
-  }
-  return Status::Ok();
+  return builder->Finish(stream->length());
 }
 
 Result<PredicateCursor> PredicateCursor::Create(BTree* tree,

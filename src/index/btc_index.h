@@ -31,20 +31,11 @@ std::string EncodeBtcKey(uint32_t value, uint64_t time);
 /// Decodes a BT_C key into (value, time).
 void DecodeBtcKey(std::string_view key, uint32_t* value, uint64_t* time);
 
-/// Builds a BT_C index over attribute `attr` of an archived stream
-/// (streaming, one timestep at a time).
+/// Builds a BT_C index over attribute `attr` of an archived stream, indexing
+/// all of its timesteps.
 Result<std::unique_ptr<BTree>> BuildBtcIndexFromStored(
     StoredStream* stream, size_t attr, const std::string& path,
     uint32_t page_size = kDefaultPageSize);
-
-/// Live-ingestion path: inserts the BT_C entries of one new timestep's
-/// marginal into an existing tree. Probabilities are aggregated exactly as
-/// the bulk build does (stable sort, state-id summation order), so the tree
-/// content matches a from-scratch rebuild bit for bit. AlreadyExists from
-/// an individual insert is tolerated — a recovery replay re-applies a
-/// half-applied batch idempotently.
-Status InsertBtcTimestep(BTree* tree, const Distribution& marginal,
-                         const StreamSchema& schema, size_t attr, uint64_t t);
 
 /// Iterates, in strictly increasing time order, the timesteps at which ANY
 /// of a set of attribute values has nonzero marginal probability — i.e. the

@@ -24,15 +24,9 @@ void DecodeBtpKey(std::string_view key, uint32_t* value, double* prob,
   *time = DecodeU64(key.data() + 12);
 }
 
-namespace {
-
-// The key of one entry. Clamps tiny floating-point overshoots so the
-// order-preserving prob encoding (which requires p <= 1) never aborts.
-std::string EntryKey(const AttributeEntry& e) {
-  return EncodeBtpKey(e.value, std::min(e.prob, 1.0), e.time);
+std::string EncodeBtpEntryKey(const AttributeEntry& entry) {
+  return EncodeBtpKey(entry.value, std::min(entry.prob, 1.0), entry.time);
 }
-
-}  // namespace
 
 Result<std::unique_ptr<BTree>> BuildBtpIndexFromStored(
     StoredStream* stream, size_t attr, const std::string& path,
@@ -41,7 +35,7 @@ Result<std::unique_ptr<BTree>> BuildBtpIndexFromStored(
                            ReadAttributeEntries(stream, attr));
   std::vector<std::string> keys;
   keys.reserve(entries.size());
-  for (const AttributeEntry& e : entries) keys.push_back(EntryKey(e));
+  for (const AttributeEntry& e : entries) keys.push_back(EncodeBtpEntryKey(e));
   std::sort(keys.begin(), keys.end());
   BTreeOptions options;
   options.key_size = kBtpKeySize;
@@ -51,23 +45,7 @@ Result<std::unique_ptr<BTree>> BuildBtpIndexFromStored(
   for (const std::string& key : keys) {
     CALDERA_RETURN_IF_ERROR(builder->Add(key, {}));
   }
-  return std::move(*builder).Finish();
-}
-
-Status InsertBtpTimestep(BTree* tree, const Distribution& marginal,
-                         const StreamSchema& schema, size_t attr,
-                         uint64_t t) {
-  if (tree->options().key_size != kBtpKeySize) {
-    return Status::InvalidArgument("tree is not a BT_P index");
-  }
-  for (const AttributeEntry& e :
-       TimestepAttributeEntries(marginal, schema, attr, t)) {
-    Status inserted = tree->Insert(EntryKey(e), {});
-    if (!inserted.ok() && inserted.code() != StatusCode::kAlreadyExists) {
-      return inserted;
-    }
-  }
-  return Status::Ok();
+  return builder->Finish(stream->length());
 }
 
 Result<TopProbCursor> TopProbCursor::Create(BTree* tree,

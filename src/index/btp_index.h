@@ -30,16 +30,15 @@ std::string EncodeBtpKey(uint32_t value, double prob, uint64_t time);
 void DecodeBtpKey(std::string_view key, uint32_t* value, double* prob,
                   uint64_t* time);
 
-/// Builds a BT_P index over attribute `attr` of an archived stream.
+/// The BT_P key of `entry`. Clamps tiny floating-point overshoots so the
+/// order-preserving prob encoding (which requires p <= 1) never aborts.
+std::string EncodeBtpEntryKey(const AttributeEntry& entry);
+
+/// Builds a BT_P index over attribute `attr` of an archived stream, indexing
+/// all of its timesteps.
 Result<std::unique_ptr<BTree>> BuildBtpIndexFromStored(
     StoredStream* stream, size_t attr, const std::string& path,
     uint32_t page_size = kDefaultPageSize);
-
-/// Live-ingestion path: inserts the BT_P entries of one new timestep's
-/// marginal into an existing tree, aggregated exactly as the bulk build
-/// does. AlreadyExists is tolerated for idempotent recovery replay.
-Status InsertBtpTimestep(BTree* tree, const Distribution& marginal,
-                         const StreamSchema& schema, size_t attr, uint64_t t);
 
 /// Iterates the (time, probability) entries of one predicate in decreasing
 /// probability order, merging the per-value runs of a BT_P tree.

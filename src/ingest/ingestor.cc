@@ -2,19 +2,17 @@
 
 #include <algorithm>
 
-#include "btree/btree.h"
 #include "common/encoding.h"
 #include "common/logging.h"
-#include "index/btc_index.h"
-#include "index/btp_index.h"
+#include "index/attribute_index.h"
 #include "storage/record_file.h"
 
 namespace caldera {
 
 namespace {
 
-// Pool pages of the ingestor's StoredStream: Extend reads the last few
-// transitions only.
+// Pool pages of the ingestor's StoredStream and of a tree it compacts:
+// Extend reads the last few transitions, a compaction reads sequentially.
 constexpr size_t kStoredPoolPages = 4;
 
 // WAL record types. The log holds every batch committed since the last
@@ -161,44 +159,17 @@ Status StreamIngestor::OpenStored() {
   return Status::Ok();
 }
 
-Status StreamIngestor::OpenTrees(bool rebuild) {
-  trees_.clear();
-  for (const auto& [attr, is_btc, path] :
-       TreeIndexFiles(dir_, schema_.num_attributes())) {
-    OpenTree open{attr, is_btc, nullptr};
-    if (!rebuild) {
-      CALDERA_ASSIGN_OR_RETURN(open.tree, BTree::Open(path));
-    } else if (is_btc) {
-      // The build overwrites the file in place and syncs it, so a crash
-      // mid-build leaves a file the next recovery rebuilds again.
-      CALDERA_ASSIGN_OR_RETURN(open.tree,
-                               BuildBtcIndexFromStored(stored_.get(), attr,
-                                                       path));
-    } else {
-      CALDERA_ASSIGN_OR_RETURN(open.tree,
-                               BuildBtpIndexFromStored(stored_.get(), attr,
-                                                       path));
-    }
-    if (rebuild) ++stats_.fsyncs;
-    trees_.push_back(std::move(open));
-  }
-  return Status::Ok();
-}
-
 Status StreamIngestor::Recover() {
   // Every undo record holds a file's checkpoint-time state, so restoring
   // them all (newest first: a file's truncate before its page pre-images)
   // puts the data files back at the checkpoint, whatever subset of the
   // window's unsynced writes reached disk.
   const std::vector<WalRecord>& records = wal_->recovered();
-  bool has_frames = false;
   for (size_t i = records.size(); i > 0; --i) {
     const WalRecord& record = records[i - 1];
-    if (record.type == kBatchFrame) {
-      has_frames = true;
-      continue;
+    if (record.type != kBatchFrame) {
+      CALDERA_RETURN_IF_ERROR(RestoreUndoRecord(record));
     }
-    CALDERA_RETURN_IF_ERROR(RestoreUndoRecord(record));
   }
 
   CALDERA_ASSIGN_OR_RETURN(StreamMetaInfo info, ReadStreamMeta(dir_));
@@ -207,11 +178,9 @@ Status StreamIngestor::Recover() {
   schema_ = std::move(info.schema);
   CALDERA_RETURN_IF_ERROR(OpenStored());
 
-  // The B+ trees are not journaled: a tree may hold any subset of the
-  // window's inserts, or torn pages, so each is rebuilt from the restored
-  // stream before the redo inserts the window's keys again.
-  CALDERA_RETURN_IF_ERROR(OpenTrees(/*rebuild=*/has_frames));
-
+  // The B+ tree files need no restore: a commit never writes them, and a
+  // compaction replaces one whole, at most up to the last checkpoint's
+  // length, which the restore returns to.
   for (const WalRecord& record : records) {
     if (record.type != kBatchFrame) continue;
     uint64_t base = 0;
@@ -223,7 +192,9 @@ Status StreamIngestor::Recover() {
           "WAL batch expects stream length " + std::to_string(base) +
           " but " + dir_ + " has " + std::to_string(length_));
     }
-    CALDERA_RETURN_IF_ERROR(ApplyBatch(base, batch));
+    // The work of a redone batch was counted by the writer that committed
+    // it.
+    CALDERA_RETURN_IF_ERROR(ApplyBatch(base, batch, /*mc_stats=*/nullptr));
     length_ = base + batch.size();
     ++stats_.batches_recovered;
   }
@@ -248,14 +219,11 @@ Status StreamIngestor::Checkpoint() {
       ++stats_.fsyncs;
       CALDERA_RETURN_IF_ERROR(SyncFile(path));
     }
-    // Each commit flushed its tree, so Sync rewrites only identical bytes
-    // and needs no apply lock against readers.
-    for (OpenTree& open : trees_) {
-      ++stats_.fsyncs;
-      CALDERA_RETURN_IF_ERROR(open.tree->Sync());
-    }
     ++stats_.fsyncs;
-    return wal_->Reset();
+    CALDERA_RETURN_IF_ERROR(wal_->Reset());
+    // After the reset, so that no tree indexes more of the stream than a
+    // recovery can restore.
+    return CompactTrees();
   }();
   if (!synced.ok()) {
     broken_ = true;
@@ -263,6 +231,26 @@ Status StreamIngestor::Checkpoint() {
   }
   touched_.clear();
   ++stats_.checkpoints;
+  return Status::Ok();
+}
+
+Status StreamIngestor::CompactTrees() {
+  for (const TreeIndexFile& file :
+       TreeIndexFiles(dir_, schema_.num_attributes())) {
+    // A tree that does not open, or indexes more than the stream holds, is
+    // left as it is: queries rescue to the scan, and RebuildIndexes
+    // repairs it.
+    Result<std::unique_ptr<BTree>> tree =
+        BTree::Open(file.path, kStoredPoolPages);
+    if (!tree.ok() || (*tree)->indexed_length() > length_ ||
+        !TreeCompactionDue((*tree)->indexed_length(), length_)) {
+      continue;
+    }
+    CALDERA_ASSIGN_OR_RETURN(
+        uint64_t written, CompactTreeIndex(file, stored_.get(), tree->get()));
+    stats_.btree_inserts += written;
+    stats_.fsyncs += 2;  // The new file, then the directory.
+  }
   return Status::Ok();
 }
 
@@ -454,7 +442,8 @@ Status StreamIngestor::CommitToWal(const std::vector<IngestTimestep>& batch) {
 }
 
 Status StreamIngestor::ApplyBatch(uint64_t base,
-                                  const std::vector<IngestTimestep>& batch) {
+                                  const std::vector<IngestTimestep>& batch,
+                                  McExtendStats* mc_stats) {
   const uint64_t new_length = base + batch.size();
   std::string record;
 
@@ -501,34 +490,15 @@ Status StreamIngestor::ApplyBatch(uint64_t base,
   CALDERA_RETURN_IF_ERROR(UpdateStreamLength(dir_, new_length));
   CALDERA_RETURN_IF_ERROR(stored_->Refresh());
 
-  // 3. Secondary B+ tree indexes, flushed so that handles opened or
-  // refreshed after the commit see the inserts.
-  for (OpenTree& open : trees_) {
-    for (size_t i = 0; i < batch.size(); ++i) {
-      if (open.is_btc) {
-        CALDERA_RETURN_IF_ERROR(InsertBtcTimestep(
-            open.tree.get(), batch[i].marginal, schema_, open.attr, base + i));
-      } else {
-        CALDERA_RETURN_IF_ERROR(InsertBtpTimestep(
-            open.tree.get(), batch[i].marginal, schema_, open.attr, base + i));
-      }
-      ++stats_.btree_inserts;
-    }
-    CALDERA_RETURN_IF_ERROR(open.tree->Flush());
-  }
-
-  // 4. MC index: extend along the right spine, composing from the freshly
-  // finalized stream files.
+  // 3. MC index: extend along the right spine, composing from the freshly
+  // finalized stream files. The B+ trees take no write: handles index the
+  // appended timesteps in their in-memory tails.
   if (FileExists(dir_ + "/mc/mc.meta")) {
     StoredStream* raw = stored_.get();
-    McExtendStats extend_stats;
     CALDERA_RETURN_IF_ERROR(McIndex::Extend(
         dir_ + "/mc",
         [raw](uint64_t t, Cpt* out) { return raw->ReadTransition(t, out); },
-        new_length, &extend_stats));
-    stats_.mc.nodes_recomputed += extend_stats.nodes_recomputed;
-    stats_.mc.levels_touched += extend_stats.levels_touched;
-    stats_.mc.levels_added += extend_stats.levels_added;
+        new_length, mc_stats));
   }
   return Status::Ok();
 }
@@ -546,7 +516,7 @@ Status StreamIngestor::Append(const std::vector<IngestTimestep>& batch) {
   // Open's recovery.
   {
     std::unique_lock<std::shared_mutex> guard = LockApply();
-    Status applied = ApplyBatch(length_, batch);
+    Status applied = ApplyBatch(length_, batch, &stats_.mc);
     if (!applied.ok()) {
       broken_ = true;
       return applied;

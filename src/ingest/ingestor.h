@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "btree/btree.h"
 #include "common/status.h"
 #include "index/mc_index.h"
 #include "markov/cpt.h"
@@ -43,17 +42,20 @@ struct IngestStats {
   /// Batches redone from the WAL by Open after a crash: every batch
   /// committed since the last checkpoint.
   uint64_t batches_recovered = 0;
-  /// BT_C / BT_P key insertions performed.
+  /// BT_C / BT_P entries written by tree compactions (a commit writes no
+  /// tree).
   uint64_t btree_inserts = 0;
   /// fsync calls made: one per commit, plus one per touched file and one
-  /// for the WAL reset per checkpoint.
+  /// for the WAL reset per checkpoint, plus two per compacted tree.
   uint64_t fsyncs = 0;
   /// Checkpoints completed (Checkpoint, automatic, at close or closing a
   /// recovery).
   uint64_t checkpoints = 0;
-  /// Cumulative incremental MC index maintenance work. The right-spine
-  /// property makes nodes_recomputed O(B/(alpha-1) + log_alpha n) for B
-  /// appended timesteps — the ingest tests assert on exactly this.
+  /// Cumulative incremental MC index maintenance work of the batches this
+  /// ingestor committed (a recovering Open's redo is not counted). The
+  /// right-spine property makes nodes_recomputed O(B/(alpha-1) +
+  /// log_alpha n) for B appended timesteps — the ingest tests assert on
+  /// exactly this.
   McExtendStats mc;
 };
 
@@ -73,31 +75,38 @@ struct IngestStats {
 ///      pages or pages past the journaled size, so they journal nothing.
 ///      One fsync makes frame and records durable — the commit point.
 ///   2. The apply runs, with no fsync: snippets are appended to the record
-///      files, the stream length is patched, the B+ trees (open across
-///      commits) receive the new keys and are flushed, and the MC index is
-///      extended along its right spine.
+///      files, the stream length is patched, and the MC index is extended
+///      along its right spine. The B+ tree files are not written: each
+///      reader handle indexes the appended timesteps in its trees'
+///      in-memory tails (ArchivedStream::Refresh).
 /// A checkpoint fsyncs each file touched in the window once, then resets
-/// the WAL. It runs when the log passes kCheckpointWalBytes, on
-/// Checkpoint(), when a healthy ingestor is destroyed, and at the end of
+/// the WAL, then compacts every tree whose tail has grown to
+/// 1/kTreeCompactionDivisor of its file (CompactTreeIndex: a new file
+/// renamed over the old). It runs when the log passes kCheckpointWalBytes,
+/// on Checkpoint(), when a healthy ingestor is destroyed, and at the end of
 /// recovery.
 ///
 /// Recovery (Open with frames in the log) restores the undo records,
 /// newest first, which returns every data file to its checkpoint state
-/// whatever subset of the window's unsynced writes reached disk; rebuilds
-/// every B+ tree from that stream (trees are not journaled); redoes every
-/// frame in order through the same apply, so the result is bit-identical
-/// to an uninterrupted run; and checkpoints. A crash before a commit's
-/// fsync loses only that unacknowledged batch: the WAL truncates its torn
-/// frame. Either way, readers observe a batch boundary — never a mix.
+/// whatever subset of the window's unsynced writes reached disk; redoes
+/// every frame in order through the same apply, so the result is
+/// bit-identical to an uninterrupted run; and checkpoints. The trees need
+/// nothing: no commit wrote them, and a compaction indexes at most the
+/// length of the checkpoint before it. A crash before a commit's fsync
+/// loses only that unacknowledged batch: the WAL truncates its torn frame.
+/// Either way, readers observe a batch boundary — never a mix.
 ///
 /// Snapshot safety: record-file readers cache their directory in memory and
 /// appends never move committed record bytes or directory entries, so
 /// handles opened before a commit keep serving their snapshot until they
 /// Refresh, which costs O(batch) (on_commit is where the facade does it
-/// for its idle handles). B+ trees mutate in place, so
-/// `Options::apply_mutex` (exclusive here, shared around queries — the
-/// Caldera facade wires this up) serializes tree readers against the
-/// apply.
+/// for its idle handles). A record-file append still rewrites its pager
+/// headers, meta page and partial tail page in place, and the apply
+/// rewrites mc.meta, so `Options::apply_mutex` (exclusive here, shared
+/// around queries — the Caldera facade wires this up) keeps a query from
+/// reading those pages mid-rewrite. A compaction needs no lock: it renames
+/// a whole new tree file over the old, and handles holding the old file
+/// keep reading it.
 class StreamIngestor {
  public:
   struct Options {
@@ -182,18 +191,20 @@ class StreamIngestor {
   Status CommitToWal(const std::vector<IngestTimestep>& batch);
 
   /// The in-place mutation (step 2). Deterministic, and restartable after
-  /// an undo restore.
-  Status ApplyBatch(uint64_t base, const std::vector<IngestTimestep>& batch);
+  /// an undo restore. Adds the MC extension's work to `mc_stats` unless it
+  /// is null.
+  Status ApplyBatch(uint64_t base, const std::vector<IngestTimestep>& batch,
+                    McExtendStats* mc_stats);
 
-  /// Undo restore, tree rebuild and redo of the frames the WAL holds, then
-  /// a checkpoint; with an empty log it only opens the stream and trees.
+  /// Undo restore and redo of the frames the WAL holds, then a checkpoint;
+  /// with an empty log it only opens the stream.
   Status Recover();
 
   /// Opens stored_ over the stream as it is on disk.
   Status OpenStored();
-  /// Opens every BT_C/BT_P file of the stream (TreeIndexFiles of schema_)
-  /// into trees_, or with `rebuild` first rebuilds each from stored_.
-  Status OpenTrees(bool rebuild);
+  /// Compacts every tree of the stream (TreeIndexFiles of schema_) that is
+  /// due (TreeCompactionDue at length_); the end of a checkpoint.
+  Status CompactTrees();
 
   /// The apply lock (Options::apply_mutex), or an empty lock without one.
   std::unique_lock<std::shared_mutex> LockApply();
@@ -220,21 +231,13 @@ class StreamIngestor {
   /// covers or would grow a file.
   Status RestoreUndoRecord(const WalRecord& record);
 
-  // One BT_C or BT_P index, open across commits.
-  struct OpenTree {
-    size_t attr = 0;
-    bool is_btc = true;
-    std::unique_ptr<BTree> tree;
-  };
-
   std::string dir_;
   Options options_;
   std::unique_ptr<Wal> wal_;
   // The stream at its committed length, open across commits: MC Extend's
-  // transition source and the tree rebuilds' input. ApplyBatch refreshes
-  // it once the stream files and length are written.
+  // transition source and the compactions' input. ApplyBatch refreshes it
+  // once the stream files and length are written.
   std::unique_ptr<StoredStream> stored_;
-  std::vector<OpenTree> trees_;
   // Files (relative to dir_) with undo records in the WAL: the ones the
   // window has touched, which the next checkpoint syncs.
   std::set<std::string> touched_;

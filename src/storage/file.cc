@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <utility>
@@ -141,6 +142,25 @@ void File::SetWrapHookForTesting(WrapHook hook) {
 Status SyncFile(const std::string& path) {
   CALDERA_ASSIGN_OR_RETURN(std::unique_ptr<File> file, File::Open(path));
   return file->Sync();
+}
+
+Status RenameFile(const std::string& from, const std::string& to) {
+  if (::rename(from.c_str(), to.c_str()) != 0) {
+    return Status::IoError(Errno("rename", from + " to " + to));
+  }
+  return Status::Ok();
+}
+
+Status SyncDirectory(const std::string& dir) {
+  CALDERA_ASSIGN_OR_RETURN(std::unique_ptr<File> file,
+                           File::OpenReadOnly(dir));
+  return file->Sync();
+}
+
+uint64_t FileInode(const std::string& path) {
+  struct stat st;
+  if (::stat(path.c_str(), &st) != 0) return 0;
+  return static_cast<uint64_t>(st.st_ino);
 }
 
 Status RemoveFileIfExists(const std::string& path) {

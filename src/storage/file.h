@@ -75,6 +75,17 @@ class File {
 /// stable storage.
 Status SyncFile(const std::string& path);
 
+/// Renames `from` over `to`, atomically replacing any file there.
+Status RenameFile(const std::string& from, const std::string& to);
+
+/// Opens directory `dir` and fsyncs it: a rename or create in it reaches
+/// stable storage.
+Status SyncDirectory(const std::string& dir);
+
+/// The inode of the file at `path`, or 0 when it cannot be read. A rename
+/// over `path` changes it.
+uint64_t FileInode(const std::string& path);
+
 /// Removes a file if it exists; OK if missing.
 Status RemoveFileIfExists(const std::string& path);
 

@@ -10,6 +10,7 @@
 #include "btree/btree.h"
 #include "common/encoding.h"
 #include "common/rng.h"
+#include "storage/pager.h"
 
 namespace caldera {
 namespace {
@@ -44,151 +45,188 @@ class BTreeTest : public ::testing::Test {
   std::filesystem::path dir_;
 };
 
-TEST_F(BTreeTest, EmptyTree) {
-  auto tree = BTree::Create(Path("t"), {8, 4}, 512);
-  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
-  EXPECT_EQ((*tree)->num_entries(), 0u);
-  auto get = (*tree)->Get(Key8(1));
-  ASSERT_TRUE(get.ok());
-  EXPECT_FALSE(get->has_value());
-  auto cursor = (*tree)->SeekFirst();
+// A tree file of the given entries, bulk-built in key order, indexing
+// `indexed_length` timesteps.
+std::unique_ptr<BTree> Build(const std::string& path, BTreeOptions options,
+                             const std::map<std::string, std::string>& entries,
+                             uint64_t indexed_length = 0,
+                             uint32_t page_size = 512) {
+  auto builder = BTreeBuilder::Create(path, options, page_size);
+  EXPECT_TRUE(builder.ok()) << builder.status().ToString();
+  if (!builder.ok()) return nullptr;
+  for (const auto& [key, value] : entries) {
+    EXPECT_TRUE((*builder)->Add(key, value).ok());
+  }
+  auto tree = (*builder)->Finish(indexed_length);
+  EXPECT_TRUE(tree.ok()) << tree.status().ToString();
+  return tree.ok() ? std::move(*tree) : nullptr;
+}
+
+// Every entry of `tree` in cursor order equals `want`'s, and Get finds
+// each.
+void ExpectHolds(BTree* tree, const std::map<std::string, std::string>& want) {
+  EXPECT_EQ(tree->num_entries(), want.size());
+  auto cursor = tree->SeekFirst();
   ASSERT_TRUE(cursor.ok());
-  EXPECT_FALSE(cursor->valid());
-  EXPECT_TRUE((*tree)->CheckInvariants().ok());
-}
-
-TEST_F(BTreeTest, InsertAndGet) {
-  auto tree = BTree::Create(Path("t"), {8, 4}, 512);
-  ASSERT_TRUE(tree.ok());
-  for (uint64_t i = 0; i < 100; ++i) {
-    ASSERT_TRUE((*tree)->Insert(Key8(i * 3), Val4(i)).ok());
-  }
-  EXPECT_EQ((*tree)->num_entries(), 100u);
-  for (uint64_t i = 0; i < 100; ++i) {
-    auto got = (*tree)->Get(Key8(i * 3));
-    ASSERT_TRUE(got.ok());
-    ASSERT_TRUE(got->has_value());
-    EXPECT_EQ(GetFixed32(got->value().data()), i);
-    auto missing = (*tree)->Get(Key8(i * 3 + 1));
-    ASSERT_TRUE(missing.ok());
-    EXPECT_FALSE(missing->has_value());
-  }
-  EXPECT_TRUE((*tree)->CheckInvariants().ok());
-}
-
-TEST_F(BTreeTest, DuplicateInsertRejected) {
-  auto tree = BTree::Create(Path("t"), {8, 4}, 512);
-  ASSERT_TRUE(tree.ok());
-  ASSERT_TRUE((*tree)->Insert(Key8(7), Val4(1)).ok());
-  EXPECT_EQ((*tree)->Insert(Key8(7), Val4(2)).code(),
-            StatusCode::kAlreadyExists);
-  EXPECT_EQ((*tree)->num_entries(), 1u);
-}
-
-TEST_F(BTreeTest, KeySizeMismatchRejected) {
-  auto tree = BTree::Create(Path("t"), {8, 4}, 512);
-  ASSERT_TRUE(tree.ok());
-  EXPECT_EQ((*tree)->Insert("short", Val4(0)).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ((*tree)->Insert(Key8(0), "toolongvalue").code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ((*tree)->Get("x").status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST_F(BTreeTest, RandomInsertMatchesReferenceMap) {
-  auto tree = BTree::Create(Path("t"), {8, 4}, 512);
-  ASSERT_TRUE(tree.ok());
-  Rng rng(1234);
-  std::map<std::string, std::string> reference;
-  for (int i = 0; i < 5000; ++i) {
-    uint64_t k = rng.NextBelow(100000);
-    std::string key = Key8(k);
-    std::string value = Val4(static_cast<uint32_t>(i));
-    Status st = (*tree)->Insert(key, value);
-    if (reference.count(key)) {
-      EXPECT_EQ(st.code(), StatusCode::kAlreadyExists);
-    } else {
-      ASSERT_TRUE(st.ok()) << st.ToString();
-      reference[key] = value;
-    }
-  }
-  EXPECT_EQ((*tree)->num_entries(), reference.size());
-  ASSERT_TRUE((*tree)->CheckInvariants().ok());
-
-  // Full forward scan must equal the reference map.
-  auto cursor = (*tree)->SeekFirst();
-  ASSERT_TRUE(cursor.ok());
-  auto it = reference.begin();
+  auto it = want.begin();
   while (cursor->valid()) {
-    ASSERT_NE(it, reference.end());
+    ASSERT_NE(it, want.end());
     EXPECT_EQ(cursor->key(), it->first);
     EXPECT_EQ(cursor->value(), it->second);
     ASSERT_TRUE(cursor->Next().ok());
     ++it;
   }
-  EXPECT_EQ(it, reference.end());
+  EXPECT_EQ(it, want.end());
+  for (const auto& [key, value] : want) {
+    auto got = tree->Get(key);
+    ASSERT_TRUE(got.ok());
+    ASSERT_TRUE(got->has_value());
+    EXPECT_EQ(**got, value);
+  }
+}
+
+TEST_F(BTreeTest, EmptyTree) {
+  auto tree = Build(Path("t"), {8, 4}, {});
+  ASSERT_NE(tree, nullptr);
+  EXPECT_EQ(tree->num_entries(), 0u);
+  EXPECT_EQ(tree->indexed_length(), 0u);
+  auto get = tree->Get(Key8(1));
+  ASSERT_TRUE(get.ok());
+  EXPECT_FALSE(get->has_value());
+  auto cursor = tree->SeekFirst();
+  ASSERT_TRUE(cursor.ok());
+  EXPECT_FALSE(cursor->valid());
+  EXPECT_TRUE(tree->CheckInvariants().ok());
+}
+
+// Entries inserted into the in-memory tail, in any order, are found by
+// Get; the file is untouched.
+TEST_F(BTreeTest, InsertAndGet) {
+  auto tree = Build(Path("t"), {8, 4}, {});
+  ASSERT_NE(tree, nullptr);
+  for (uint64_t i = 100; i > 0; --i) {
+    ASSERT_TRUE(tree->AddToTail(Key8((i - 1) * 3) + Val4(i - 1)).ok());
+  }
+  EXPECT_EQ(tree->num_entries(), 100u);
+  for (uint64_t i = 0; i < 100; ++i) {
+    auto got = tree->Get(Key8(i * 3));
+    ASSERT_TRUE(got.ok());
+    ASSERT_TRUE(got->has_value());
+    EXPECT_EQ(GetFixed32(got->value().data()), i);
+    auto missing = tree->Get(Key8(i * 3 + 1));
+    ASSERT_TRUE(missing.ok());
+    EXPECT_FALSE(missing->has_value());
+  }
+  EXPECT_TRUE(tree->CheckInvariants().ok());
+}
+
+TEST_F(BTreeTest, DuplicateInsertRejected) {
+  auto tree = Build(Path("t"), {8, 4}, {});
+  ASSERT_NE(tree, nullptr);
+  ASSERT_TRUE(tree->AddToTail(Key8(7) + Val4(1)).ok());
+  EXPECT_EQ(tree->AddToTail(Key8(7) + Val4(2)).code(),
+            StatusCode::kAlreadyExists);
+  // A batch with a duplicate inside is refused whole.
+  EXPECT_EQ(tree->AddToTail(Key8(9) + Val4(1) + Key8(8) + Val4(1) + Key8(9) +
+                            Val4(2))
+                .code(),
+            StatusCode::kAlreadyExists);
+  EXPECT_EQ(tree->num_entries(), 1u);
+}
+
+TEST_F(BTreeTest, KeySizeMismatchRejected) {
+  auto tree = Build(Path("t"), {8, 4}, {});
+  ASSERT_NE(tree, nullptr);
+  EXPECT_EQ(tree->AddToTail("short" + Val4(0)).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(tree->AddToTail(Key8(0) + "toolongvalue").code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(tree->num_entries(), 0u);
+  EXPECT_EQ(tree->Get("x").status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(tree->Seek("x").status().code(), StatusCode::kInvalidArgument);
+}
+
+// Random keys split between the file and the tail: cursors, seeks and Get
+// see one key-ordered set, as if all were in the file.
+TEST_F(BTreeTest, RandomInsertMatchesReferenceMap) {
+  Rng rng(1234);
+  std::map<std::string, std::string> in_file;
+  std::map<std::string, std::string> reference;
+  std::vector<std::pair<std::string, std::string>> in_tail;
+  for (int i = 0; i < 5000; ++i) {
+    std::string key = Key8(rng.NextBelow(100000));
+    std::string value = Val4(static_cast<uint32_t>(i));
+    if (!reference.emplace(key, value).second) continue;
+    if (rng.NextBelow(2) == 0) {
+      in_file.emplace(key, value);
+    } else {
+      in_tail.emplace_back(key, value);
+    }
+  }
+  auto tree = Build(Path("t"), {8, 4}, in_file);
+  ASSERT_NE(tree, nullptr);
+  // Half the tail in one unsorted batch, the rest one entry at a time.
+  std::string batch;
+  for (size_t i = 0; i < in_tail.size() / 2; ++i) {
+    batch += in_tail[i].first + in_tail[i].second;
+  }
+  ASSERT_TRUE(tree->AddToTail(batch).ok());
+  for (size_t i = in_tail.size() / 2; i < in_tail.size(); ++i) {
+    ASSERT_TRUE(tree->AddToTail(in_tail[i].first + in_tail[i].second).ok());
+  }
+  ASSERT_TRUE(tree->CheckInvariants().ok());
+  ExpectHolds(tree.get(), reference);
+  for (int probe = 0; probe < 200; ++probe) {
+    const std::string key = Key8(rng.NextBelow(100001));
+    auto cursor = tree->Seek(key);
+    ASSERT_TRUE(cursor.ok());
+    auto want = reference.lower_bound(key);
+    ASSERT_EQ(cursor->valid(), want != reference.end());
+    if (cursor->valid()) {
+      EXPECT_EQ(cursor->key(), want->first);
+    }
+  }
 }
 
 TEST_F(BTreeTest, SeekFindsLowerBound) {
-  auto tree = BTree::Create(Path("t"), {8, 0}, 512);
-  ASSERT_TRUE(tree.ok());
-  for (uint64_t i = 10; i <= 1000; i += 10) {
-    ASSERT_TRUE((*tree)->Insert(Key8(i), {}).ok());
+  // Multiples of 20 in the file, the other multiples of 10 in the tail.
+  std::map<std::string, std::string> in_file;
+  for (uint64_t i = 20; i <= 1000; i += 20) in_file.emplace(Key8(i), "");
+  auto tree = Build(Path("t"), {8, 0}, in_file);
+  ASSERT_NE(tree, nullptr);
+  for (uint64_t i = 10; i <= 1000; i += 20) {
+    ASSERT_TRUE(tree->AddToTail(Key8(i)).ok());
   }
   for (uint64_t probe : {0ull, 5ull, 10ull, 11ull, 555ull, 995ull, 1000ull}) {
-    auto cursor = (*tree)->Seek(Key8(probe));
+    auto cursor = tree->Seek(Key8(probe));
     ASSERT_TRUE(cursor.ok());
     uint64_t expected = ((probe + 9) / 10) * 10;
     if (expected < 10) expected = 10;
     ASSERT_TRUE(cursor->valid()) << probe;
     EXPECT_EQ(DecodeU64(cursor->key().data()), expected) << probe;
   }
-  auto past = (*tree)->Seek(Key8(1001));
+  auto past = tree->Seek(Key8(1001));
   ASSERT_TRUE(past.ok());
   EXPECT_FALSE(past->valid());
 }
 
-TEST_F(BTreeTest, DeleteRemovesKeys) {
-  auto tree = BTree::Create(Path("t"), {8, 4}, 512);
-  ASSERT_TRUE(tree.ok());
-  for (uint64_t i = 0; i < 500; ++i) {
-    ASSERT_TRUE((*tree)->Insert(Key8(i), Val4(0)).ok());
-  }
-  for (uint64_t i = 0; i < 500; i += 2) {
-    ASSERT_TRUE((*tree)->Delete(Key8(i)).ok());
-  }
-  EXPECT_EQ((*tree)->Delete(Key8(0)).code(), StatusCode::kNotFound);
-  EXPECT_EQ((*tree)->num_entries(), 250u);
-  ASSERT_TRUE((*tree)->CheckInvariants().ok());
-  for (uint64_t i = 0; i < 500; ++i) {
-    auto got = (*tree)->Get(Key8(i));
-    ASSERT_TRUE(got.ok());
-    EXPECT_EQ(got->has_value(), i % 2 == 1);
-  }
-  // Cursors skip emptied regions.
-  auto cursor = (*tree)->SeekFirst();
-  ASSERT_TRUE(cursor.ok());
-  uint64_t count = 0;
-  while (cursor->valid()) {
-    EXPECT_EQ(DecodeU64(cursor->key().data()) % 2, 1u);
-    ++count;
-    ASSERT_TRUE(cursor->Next().ok());
-  }
-  EXPECT_EQ(count, 250u);
-}
-
+// The file keeps its entries and indexed length across a reopen; the tail
+// lives in memory only.
 TEST_F(BTreeTest, PersistsAcrossReopen) {
   {
-    auto tree = BTree::Create(Path("t"), {8, 4}, 512);
-    ASSERT_TRUE(tree.ok());
+    std::map<std::string, std::string> entries;
     for (uint64_t i = 0; i < 2000; ++i) {
-      ASSERT_TRUE((*tree)->Insert(Key8(i), Val4(i & 0xff)).ok());
+      entries.emplace(Key8(i), Val4(i & 0xff));
     }
-    ASSERT_TRUE((*tree)->Flush().ok());
+    auto tree = Build(Path("t"), {8, 4}, entries, /*indexed_length=*/77);
+    ASSERT_NE(tree, nullptr);
+    ASSERT_TRUE(tree->AddToTail(Key8(5000) + Val4(1)).ok());
   }
   auto tree = BTree::Open(Path("t"));
   ASSERT_TRUE(tree.ok()) << tree.status().ToString();
   EXPECT_EQ((*tree)->num_entries(), 2000u);
+  EXPECT_EQ((*tree)->indexed_length(), 77u);
+  EXPECT_EQ((*tree)->length(), 77u);
   EXPECT_EQ((*tree)->options().key_size, 8u);
   EXPECT_EQ((*tree)->options().value_size, 4u);
   ASSERT_TRUE((*tree)->CheckInvariants().ok());
@@ -196,6 +234,27 @@ TEST_F(BTreeTest, PersistsAcrossReopen) {
   ASSERT_TRUE(got.ok());
   ASSERT_TRUE(got->has_value());
   EXPECT_EQ(GetFixed32(got->value().data()), 1234u & 0xff);
+  auto tail_key = (*tree)->Get(Key8(5000));
+  ASSERT_TRUE(tail_key.ok());
+  EXPECT_FALSE(tail_key->has_value());
+}
+
+// A file in the v1 format, which records no indexed length, is refused.
+TEST_F(BTreeTest, OpenRejectsTheV1Format) {
+  ASSERT_NE(Build(Path("t"), {8, 4}, {{Key8(1), Val4(1)}}), nullptr);
+  {
+    auto pager = Pager::Open(Path("t"));
+    ASSERT_TRUE(pager.ok());
+    std::string meta((*pager)->page_size(), '\0');
+    ASSERT_TRUE((*pager)->ReadPage(1, meta.data()).ok());
+    ASSERT_EQ(meta.substr(0, 8), "CLDRBTR2");
+    meta[7] = '1';
+    ASSERT_TRUE((*pager)->WritePage(1, meta.data()).ok());
+    ASSERT_TRUE((*pager)->Sync().ok());
+  }
+  auto tree = BTree::Open(Path("t"));
+  ASSERT_FALSE(tree.ok());
+  EXPECT_EQ(tree.status().code(), StatusCode::kCorruption);
 }
 
 TEST_F(BTreeTest, BulkLoadMatchesReference) {
@@ -205,7 +264,7 @@ TEST_F(BTreeTest, BulkLoadMatchesReference) {
   for (uint64_t i = 0; i < kEntries; ++i) {
     ASSERT_TRUE((*builder)->Add(Key8(i * 7), Val4(i & 0xffff)).ok());
   }
-  auto tree = (*builder)->Finish();
+  auto tree = (*builder)->Finish(/*indexed_length=*/0);
   ASSERT_TRUE(tree.ok()) << tree.status().ToString();
   EXPECT_EQ((*tree)->num_entries(), kEntries);
   ASSERT_TRUE((*tree)->CheckInvariants().ok());
@@ -241,7 +300,7 @@ TEST_F(BTreeTest, BulkLoadRejectsUnsortedKeys) {
 TEST_F(BTreeTest, BulkLoadEmpty) {
   auto builder = BTreeBuilder::Create(Path("t"), {8, 0}, 512);
   ASSERT_TRUE(builder.ok());
-  auto tree = (*builder)->Finish();
+  auto tree = (*builder)->Finish(/*indexed_length=*/0);
   ASSERT_TRUE(tree.ok());
   EXPECT_EQ((*tree)->num_entries(), 0u);
   EXPECT_TRUE((*tree)->CheckInvariants().ok());
@@ -251,7 +310,7 @@ TEST_F(BTreeTest, BulkLoadSingleEntry) {
   auto builder = BTreeBuilder::Create(Path("t"), {8, 4}, 512);
   ASSERT_TRUE(builder.ok());
   ASSERT_TRUE((*builder)->Add(Key8(42), Val4(42)).ok());
-  auto tree = (*builder)->Finish();
+  auto tree = (*builder)->Finish(/*indexed_length=*/0);
   ASSERT_TRUE(tree.ok());
   EXPECT_EQ((*tree)->num_entries(), 1u);
   EXPECT_TRUE((*tree)->CheckInvariants().ok());
@@ -260,19 +319,19 @@ TEST_F(BTreeTest, BulkLoadSingleEntry) {
   EXPECT_TRUE(got->has_value());
 }
 
+// Tail entries interleave with a bulk-loaded file's in the merged order.
 TEST_F(BTreeTest, InsertIntoBulkLoadedTree) {
-  auto builder = BTreeBuilder::Create(Path("t"), {8, 0}, 512);
-  ASSERT_TRUE(builder.ok());
+  std::map<std::string, std::string> in_file;
+  std::map<std::string, std::string> all;
+  for (uint64_t i = 0; i < 1000; ++i) in_file.emplace(Key8(i * 2), "");
+  auto tree = Build(Path("t"), {8, 0}, in_file);
+  ASSERT_NE(tree, nullptr);
   for (uint64_t i = 0; i < 1000; ++i) {
-    ASSERT_TRUE((*builder)->Add(Key8(i * 2), {}).ok());
+    ASSERT_TRUE(tree->AddToTail(Key8(i * 2 + 1)).ok());
   }
-  auto tree = (*builder)->Finish();
-  ASSERT_TRUE(tree.ok());
-  for (uint64_t i = 0; i < 1000; ++i) {
-    ASSERT_TRUE((*tree)->Insert(Key8(i * 2 + 1), {}).ok());
-  }
-  EXPECT_EQ((*tree)->num_entries(), 2000u);
-  ASSERT_TRUE((*tree)->CheckInvariants().ok());
+  for (uint64_t i = 0; i < 2000; ++i) all.emplace(Key8(i), "");
+  ASSERT_TRUE(tree->CheckInvariants().ok());
+  ExpectHolds(tree.get(), all);
 }
 
 // Parameterized sweep: tree behaviour must be identical across page sizes
@@ -301,37 +360,26 @@ class BTreeParamTest : public ::testing::TestWithParam<BTreeParam> {
 TEST_P(BTreeParamTest, RandomWorkloadKeepsInvariants) {
   const BTreeParam& p = GetParam();
   BTreeOptions options{p.key_size, p.value_size};
-  auto tree = BTree::Create((dir_ / "t").string(), options, p.page_size);
-  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
   Rng rng(p.page_size * 31 + p.key_size);
-  std::map<std::string, bool> present;
+  std::map<std::string, std::string> in_file;
+  std::map<std::string, std::string> in_tail;
+  std::map<std::string, std::string> all;
   for (int i = 0; i < p.entries; ++i) {
     std::string key;
     while (key.size() < p.key_size) {
       key.push_back(static_cast<char>('a' + rng.NextBelow(16)));
     }
     std::string value(p.value_size, static_cast<char>(rng.NextBelow(256)));
-    Status st = (*tree)->Insert(key, value);
-    if (present[key]) {
-      EXPECT_EQ(st.code(), StatusCode::kAlreadyExists);
-    } else {
-      ASSERT_TRUE(st.ok());
-      present[key] = true;
-    }
-    if (i % 7 == 0 && !present.empty()) {
-      // Delete a random known key occasionally.
-      auto it = present.begin();
-      std::advance(it, rng.NextBelow(present.size()));
-      if (it->second) {
-        ASSERT_TRUE((*tree)->Delete(it->first).ok());
-        it->second = false;
-      }
-    }
+    if (!all.emplace(key, value).second) continue;
+    (i % 3 == 0 ? in_tail : in_file).emplace(key, value);
   }
-  ASSERT_TRUE((*tree)->CheckInvariants().ok());
-  size_t live = 0;
-  for (const auto& [k, alive] : present) live += alive ? 1 : 0;
-  EXPECT_EQ((*tree)->num_entries(), live);
+  auto tree = Build((dir_ / "t").string(), options, in_file, 0, p.page_size);
+  ASSERT_NE(tree, nullptr);
+  for (const auto& [key, value] : in_tail) {
+    ASSERT_TRUE(tree->AddToTail(key + value).ok());
+  }
+  ASSERT_TRUE(tree->CheckInvariants().ok());
+  ExpectHolds(tree.get(), all);
 }
 
 INSTANTIATE_TEST_SUITE_P(

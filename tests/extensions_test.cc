@@ -174,18 +174,25 @@ TEST_F(VerifyTest, DetectsIndexStreamMismatch) {
   StreamArchive archive(scratch_.Path("archive"));
   ASSERT_TRUE(archive.CreateStream("s", stream).ok());
   ASSERT_TRUE(archive.BuildBtc("s", 0).ok());
-  // Corrupt one BT_C value byte (a probability) without breaking the tree
-  // structure: delete an entry instead, which is structurally clean but
-  // inconsistent with the stream.
+  // Damage the BT_C without breaking its structure: rebuild it without its
+  // first entry, which is structurally clean but inconsistent with the
+  // stream.
   {
-    auto tree = BTree::Open(archive.StreamDir("s") + "/btc.attr0.bt");
+    const std::string path = archive.StreamDir("s") + "/btc.attr0.bt";
+    auto tree = BTree::Open(path);
     ASSERT_TRUE(tree.ok());
+    auto builder = BTreeBuilder::Create(path + ".damaged", (*tree)->options());
+    ASSERT_TRUE(builder.ok());
     auto cursor = (*tree)->SeekFirst();
     ASSERT_TRUE(cursor.ok());
     ASSERT_TRUE(cursor->valid());
-    std::string victim(cursor->key());
-    ASSERT_TRUE((*tree)->Delete(victim).ok());
-    ASSERT_TRUE((*tree)->Flush().ok());
+    ASSERT_TRUE(cursor->Next().ok());  // Drops the first entry.
+    while (cursor->valid()) {
+      ASSERT_TRUE((*builder)->Add(cursor->key(), cursor->value()).ok());
+      ASSERT_TRUE(cursor->Next().ok());
+    }
+    ASSERT_TRUE((*builder)->Finish((*tree)->indexed_length()).ok());
+    ASSERT_TRUE(RenameFile(path + ".damaged", path).ok());
   }
   auto archived = archive.OpenStream("s");
   ASSERT_TRUE(archived.ok());

@@ -5,6 +5,7 @@
 
 #include <functional>
 #include <string>
+#include <tuple>
 #include <utility>
 
 #include "btree/btree.h"
@@ -93,9 +94,11 @@ TEST_F(FailureTest, BTreeOpenOnWrongMagic) {
 }
 
 TEST_F(FailureTest, BTreeCreateRejectsDegenerateShapes) {
-  EXPECT_FALSE(BTree::Create(scratch_.Path("a.bt"), {0, 4}, 512).ok());
-  EXPECT_FALSE(BTree::Create(scratch_.Path("b.bt"), {300, 4}, 512).ok());
-  EXPECT_FALSE(BTree::Create(scratch_.Path("c.bt"), {200, 2000}, 512).ok());
+  EXPECT_FALSE(BTreeBuilder::Create(scratch_.Path("a.bt"), {0, 4}, 512).ok());
+  EXPECT_FALSE(
+      BTreeBuilder::Create(scratch_.Path("b.bt"), {300, 4}, 512).ok());
+  EXPECT_FALSE(
+      BTreeBuilder::Create(scratch_.Path("c.bt"), {200, 2000}, 512).ok());
 }
 
 TEST_F(FailureTest, StreamOpenWithMissingDataFile) {
@@ -679,6 +682,73 @@ TEST_F(FailureTest, RebuildIndexesRecoversFromCorruption) {
   EXPECT_EQ(healed->stats.scan_fallbacks, 0u);
   EXPECT_EQ(healed->stats.corruption_events, 0u);
   ExpectSameSignal(healed->signal, reference->signal);
+}
+
+// Rewrites bytes of a tree's meta page (page 1) through the pager, which
+// re-stamps the page checksum: damage only the meta decoder can catch.
+void PatchTreeMeta(const std::string& path, size_t offset,
+                   const std::string& bytes) {
+  auto pager = Pager::Open(path);
+  ASSERT_TRUE(pager.ok()) << pager.status().ToString();
+  std::string meta((*pager)->page_size(), '\0');
+  ASSERT_TRUE((*pager)->ReadPage(1, meta.data()).ok());
+  meta.replace(offset, bytes.size(), bytes);
+  ASSERT_TRUE((*pager)->WritePage(1, meta.data()).ok());
+  ASSERT_TRUE((*pager)->Sync().ok());
+}
+
+// A BT_C that claims to index more timesteps than the stream holds (so a
+// handle cannot know which timesteps its tail lacks), and a BT_P in the v1
+// format (which records no indexed length), each fail the open with
+// Corruption. Under fallback_to_scan the scan answers, and RebuildIndexes
+// repairs both.
+TEST_F(FailureTest, TreesThatCannotSayWhatTheyIndexAreCorruption) {
+  MarkovianStream stream = test::MakeBandedStream(150, 10, 18);
+  Caldera system(scratch_.Path("a_tree_meta"));
+  ASSERT_TRUE(system.archive()->CreateStream("s", stream).ok());
+  ASSERT_TRUE(system.archive()->BuildBtc("s", 0).ok());
+  ASSERT_TRUE(system.archive()->BuildBtp("s", 0).ok());
+  const std::string dir = system.archive()->StreamDir("s");
+  RegularQuery query = TwoStepQuery();
+  auto reference =
+      system.Execute("s", query, {.method = AccessMethodKind::kScan});
+  ASSERT_TRUE(reference.ok());
+  auto btree_reference =
+      system.Execute("s", query, {.method = AccessMethodKind::kBTree});
+  ASSERT_TRUE(btree_reference.ok());
+
+  const std::string btc = BtcIndexPath(dir, 0);
+  const std::string btp = BtpIndexPath(dir, 0);
+  for (const auto& [path, offset, bytes] :
+       {std::tuple<std::string, size_t, std::string>{btc, 36, ""},
+        {btp, 7, "1"}}) {
+    SCOPED_TRACE(path);
+    std::string patch = bytes;
+    if (patch.empty()) PutFixed64(stream.length() + 1, &patch);
+    PatchTreeMeta(path, offset, patch);
+    system.InvalidateStreams();
+    auto opened = ArchivedStream::Open(dir);
+    ASSERT_FALSE(opened.ok());
+    EXPECT_EQ(opened.status().code(), StatusCode::kCorruption)
+        << opened.status().ToString();
+    auto rescued = system.Execute(
+        "s", query,
+        {.method = AccessMethodKind::kBTree, .fallback_to_scan = true});
+    ASSERT_TRUE(rescued.ok()) << rescued.status().ToString();
+    EXPECT_EQ(rescued->stats.scan_fallbacks, 1u);
+    EXPECT_EQ(rescued->stats.corruption_events, 1u);
+    ExpectSameSignal(rescued->signal, reference->signal);
+
+    ASSERT_TRUE(system.RebuildIndexes("s").ok());
+    auto healed = system.Execute("s", query,
+                                 {.method = AccessMethodKind::kBTree});
+    ASSERT_TRUE(healed.ok()) << healed.status().ToString();
+    EXPECT_EQ(healed->stats.scan_fallbacks, 0u);
+    ExpectSameSignal(healed->signal, btree_reference->signal);
+    auto tree = BTree::Open(path);
+    ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+    EXPECT_EQ((*tree)->indexed_length(), stream.length());
+  }
 }
 
 TEST_F(FailureTest, RandomReadErrorsNeverYieldWrongSignal) {

@@ -19,6 +19,7 @@
 #include "caldera/batch.h"
 #include "caldera/executor.h"
 #include "caldera/system.h"
+#include "caldera/verify.h"
 #include "common/crc32c.h"
 #include "common/encoding.h"
 #include "common/rng.h"
@@ -419,24 +420,34 @@ void ArchiveWindowStream(Caldera* system, const std::string& name,
   ASSERT_TRUE(system->archive()->BuildMc(name, {.alpha = 2}).ok());
 }
 
-// Every entry of the B+ tree at `got` equals the one at `want`, in order.
-void ExpectTreesHoldTheSameEntries(const std::string& want,
-                                   const std::string& got) {
-  auto a = BTree::Open(want);
-  auto b = BTree::Open(got);
-  ASSERT_TRUE(a.ok() && b.ok()) << got;
-  ASSERT_TRUE((*b)->CheckInvariants().ok()) << got;
-  auto ca = (*a)->SeekFirst();
-  auto cb = (*b)->SeekFirst();
-  ASSERT_TRUE(ca.ok() && cb.ok()) << got;
-  uint64_t entries = 0;
-  for (; ca->valid(); ++entries) {
-    ASSERT_TRUE(cb->valid()) << got << " ends at entry " << entries;
-    ASSERT_EQ(ca->key(), cb->key()) << got << " entry " << entries;
-    ASSERT_EQ(ca->value(), cb->value()) << got << " entry " << entries;
-    ASSERT_TRUE(ca->Next().ok() && cb->Next().ok());
+// Every entry of a handle's BT_C and BT_P over attribute 0 (file and tail
+// merged) equals, in order, the one of a handle on the offline build
+// `want_dir`.
+void ExpectTreesHoldTheSameEntries(const std::string& want_dir,
+                                   const std::string& got_dir) {
+  auto want = ArchivedStream::Open(want_dir);
+  auto got = ArchivedStream::Open(got_dir);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  for (bool is_btc : {true, false}) {
+    SCOPED_TRACE(is_btc ? "BT_C" : "BT_P");
+    BTree* a = is_btc ? (*want)->btc(0) : (*want)->btp(0);
+    BTree* b = is_btc ? (*got)->btc(0) : (*got)->btp(0);
+    ASSERT_TRUE(a != nullptr && b != nullptr);
+    ASSERT_TRUE(b->CheckInvariants().ok());
+    EXPECT_EQ(b->length(), (*got)->length());
+    auto ca = a->SeekFirst();
+    auto cb = b->SeekFirst();
+    ASSERT_TRUE(ca.ok() && cb.ok());
+    uint64_t entries = 0;
+    for (; ca->valid(); ++entries) {
+      ASSERT_TRUE(cb->valid()) << "ends at entry " << entries;
+      ASSERT_EQ(ca->key(), cb->key()) << "entry " << entries;
+      ASSERT_EQ(ca->value(), cb->value()) << "entry " << entries;
+      ASSERT_TRUE(ca->Next().ok() && cb->Next().ok());
+    }
+    EXPECT_FALSE(cb->valid()) << "holds more than " << entries;
   }
-  EXPECT_FALSE(cb->valid()) << got << " holds more than " << entries;
 }
 
 // Opens `name` cleanly, which recovers it, and demands the acknowledged
@@ -454,8 +465,7 @@ void ExpectRecoversTo(Caldera* system, const std::string& name,
   const std::string want = system->archive()->StreamDir(oracle);
   const std::string got = system->archive()->StreamDir(name);
   ExpectStreamsAgree(system, oracle, name);
-  ExpectTreesHoldTheSameEntries(BtcIndexPath(want, 0), BtcIndexPath(got, 0));
-  ExpectTreesHoldTheSameEntries(BtpIndexPath(want, 0), BtpIndexPath(got, 0));
+  ExpectTreesHoldTheSameEntries(want, got);
   ExpectMcLevelsIdentical(want, got);
 }
 
@@ -537,40 +547,12 @@ std::pair<int64_t, int64_t> WindowCheckpointSyncs() {
   return {before, static_cast<int64_t>(disk.counters().syncs)};
 }
 
-// Windows long enough to split tree leaves, crashed with a seeded half of
-// their writes kept: a tree may then hold a split's new page but not the
-// parent pointing to it, or the reverse, so recovery must rebuild it.
-TEST(IngestCrashModelTest, CrashKeepingPartOfTheTreeWrites) {
-  for (uint64_t seed = 1; seed <= 6; ++seed) {
-    SCOPED_TRACE(seed);
-    test::ScratchDir scratch("ingest_tree_crash");
-    Caldera system(scratch.Path("archive"));
-    ASSERT_TRUE(system.archive()->Init().ok());
-    ArchiveWindowStream(&system, "s", kWindowBase);
-    const std::string dir = system.archive()->StreamDir("s");
-    uint64_t length = kWindowBase;
-    {
-      FaultInjectionOptions options;
-      options.crash_keep_prob = 0.5;
-      options.seed = seed;
-      ScopedFaultInjection disk(dir, options);
-      auto ingestor = StreamIngestor::Open(dir);
-      ASSERT_TRUE(ingestor.ok()) << ingestor.status().ToString();
-      for (; length < WindowStream().length(); length += 20) {
-        ASSERT_TRUE(
-            (*ingestor)->Append(Slice(WindowStream(), length, 20)).ok());
-      }
-      disk.Crash();
-    }
-    ExpectRecoversTo(&system, "s", length);
-  }
-}
-
 // A crash inside a checkpoint, after each number of its fsyncs in turn:
 // some files synced, the rest and the WAL reset not.
 TEST(IngestCrashModelTest, CrashInsideACheckpoint) {
   const auto [before, after] = WindowCheckpointSyncs();
-  // At least the stream files, both trees and the WAL reset.
+  // At least meta.bin, the stream files, mc.meta, one MC level and the WAL
+  // reset. The window is too short for a compaction.
   ASSERT_GE(after - before, 8);
   for (int64_t synced = 0; synced < after - before; ++synced) {
     SCOPED_TRACE(synced);
@@ -598,11 +580,11 @@ TEST(IngestCrashModelTest, CrashInsideACheckpoint) {
   }
 }
 
-// A crash during recovery: at the Nth write (restoring undo records,
-// rebuilding the trees or redoing the window), at the Nth fsync (the tree
-// builds, the checkpoint closing the recovery), and right after a
-// recovery that returned. The recovered state must survive each, so the
-// WAL may be reset only once everything it rebuilt is synced.
+// A crash during recovery: at the Nth write (restoring undo records or
+// redoing the window), at the Nth fsync (the checkpoint closing the
+// recovery), and right after a recovery that returned. The recovered state
+// must survive each, so the WAL may be reset only once everything it
+// rebuilt is synced.
 TEST(IngestCrashModelTest, CrashDuringRecovery) {
   struct Cell {
     bool at_write;
@@ -732,8 +714,10 @@ TEST(IngestCheckpointTest, OneFsyncPerCommitAndFirstTouchUndo) {
     levels += i >= before.size() || after[i] != before[i];
   }
   // meta.bin, two stream record files of two files each, mc.meta, the
-  // levels, two trees, and the WAL reset.
-  EXPECT_EQ(stats.fsyncs - kCommits, 1 + 4 + 1 + 2 * levels + 2 + 1);
+  // levels and the WAL reset; then the 64 appended timesteps pass 1/8 of
+  // the 200 both trees index, so each is compacted: its new file and the
+  // directory.
+  EXPECT_EQ(stats.fsyncs - kCommits, 1 + 4 + 1 + 2 * levels + 1 + 2 * 2);
   // A second checkpoint with nothing committed is free.
   ASSERT_TRUE((*ingestor)->Checkpoint().ok());
   EXPECT_EQ(stats.checkpoints, 1u);
@@ -811,7 +795,7 @@ TEST(IngestRecoveryTest, ReplayIsIdempotentAcrossReopens) {
   }
   {
     auto first = StreamIngestor::Open(dir);
-    ASSERT_TRUE(first.ok());
+    ASSERT_TRUE(first.ok()) << first.status().ToString();
     EXPECT_EQ((*first)->length(), 180u);
     EXPECT_EQ((*first)->stats().batches_recovered, 1u);
   }
@@ -954,6 +938,12 @@ TEST(IngestConcurrencyTest, QueriesSeeBatchBoundarySnapshotsOnly) {
       Status appended =
           (*ingestor)->Append(Slice(full, base_len + i * batch_size,
                                     batch_size));
+      // A checkpoint inside the window: 20 appended timesteps pass 1/8 of
+      // the 100 the BT_C indexes, so it is compacted under the readers.
+      if (appended.ok() && i == 1) appended = (*ingestor)->Checkpoint();
+      if (appended.ok() && i == 1 && (*ingestor)->stats().btree_inserts == 0) {
+        appended = Status::Internal("the checkpoint compacted no tree");
+      }
       if (!appended.ok()) {
         writer_error = appended.ToString();
         writer_failed.store(true);
@@ -1098,6 +1088,14 @@ TEST(IngestConcurrencyTest, ManyReadersOnOneStreamMatchOracles) {
     for (size_t i = 0; i < num_batches && writer_status.ok(); ++i) {
       writer_status = (*ingestor)->Append(
           Slice(full, base_len + i * batch_size, batch_size));
+      // A checkpoint inside the window, which compacts the BT_C (20
+      // appended timesteps pass 1/8 of 100) while the readers run.
+      if (writer_status.ok() && i == 1) {
+        writer_status = (*ingestor)->Checkpoint();
+        if ((*ingestor)->stats().btree_inserts == 0) {
+          writer_status = Status::Internal("the checkpoint compacted no tree");
+        }
+      }
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
   }
@@ -1268,9 +1266,9 @@ TEST(IngestFacadeTest, HandleLentAcrossACommitIsNotLentAgain) {
   EXPECT_EQ((*next)->length(), 60u);
 }
 
-// A commit inserts into the B+ trees in place, so an idle handle whose
-// tree pages are cached must not answer from them: its BT_C and BT_P
-// answers after the commit equal an offline build's.
+// A commit writes no tree file: an idle handle with warm tree pages
+// answers for the appended timesteps from its trees' tails, and its BT_C
+// and BT_P answers after the commit equal an offline build's.
 TEST(IngestFacadeTest, RefreshedHandlesSeeTreeInserts) {
   test::ScratchDir scratch("ingest_trees");
   MarkovianStream full = test::MakeBandedStream(140, 8, 46);
@@ -1682,8 +1680,9 @@ TEST(IngestRecoveryTest, RedoneBatchesAreNotCountedAsAppended) {
 // Only the canonical tree names of the schema's attributes are indexes. A
 // backup copy of the BT_C (btc.attr0.bt.orig) and a tree named for an
 // attribute the one-attribute schema lacks (btc.attr7.bt) are neither
-// opened nor written: committed and recovered batches grow the real trees
-// exactly as an offline build has them, and a rebuild leaves both alone.
+// opened nor written: after committed and recovered batches and the
+// compactions of their checkpoints, the real trees hold exactly an offline
+// build's entries, and a rebuild leaves both alone.
 TEST(IngestTreeFilesTest, StrayTreeFilesAreNotIndexes) {
   test::ScratchDir scratch("ingest_stray_trees");
   Caldera system(scratch.Path("archive"));
@@ -1708,7 +1707,7 @@ TEST(IngestTreeFilesTest, StrayTreeFilesAreNotIndexes) {
     length += 10;
   }
   {
-    // Recovery rebuilds the trees before it redoes the four frames.
+    // Recovery redoes the four frames; its checkpoint compacts both trees.
     auto recovered = system.OpenForIngest("s");
     ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
     EXPECT_EQ((*recovered)->stats().batches_recovered, 4u);
@@ -1720,17 +1719,343 @@ TEST(IngestTreeFilesTest, StrayTreeFilesAreNotIndexes) {
 
   ArchiveWindowStream(&system, "oracle", length);
   const std::string want = system.archive()->StreamDir("oracle");
-  ExpectTreesHoldTheSameEntries(BtcIndexPath(want, 0), BtcIndexPath(dir, 0));
-  ExpectTreesHoldTheSameEntries(BtpIndexPath(want, 0), BtpIndexPath(dir, 0));
+  ExpectTreesHoldTheSameEntries(want, dir);
   EXPECT_EQ(ReadWholeFile(backup), stray);
   EXPECT_EQ(ReadWholeFile(foreign), stray);
 
   const Status rebuilt = system.RebuildIndexes("s");
   ASSERT_TRUE(rebuilt.ok()) << rebuilt.ToString();
-  ExpectTreesHoldTheSameEntries(BtcIndexPath(want, 0), BtcIndexPath(dir, 0));
-  ExpectTreesHoldTheSameEntries(BtpIndexPath(want, 0), BtpIndexPath(dir, 0));
+  ExpectTreesHoldTheSameEntries(want, dir);
   EXPECT_EQ(ReadWholeFile(backup), stray);
   EXPECT_EQ(ReadWholeFile(foreign), stray);
+}
+
+// ---------------------------------------------------------------------------
+// Tree compaction: a checkpoint rewrites each tree whose tail has reached
+// 1/kTreeCompactionDivisor of what its file indexes; nothing else writes a
+// tree file.
+
+// Commits write no tree file: with every write to a *.bt file failing, 24
+// commits onto 200 timesteps (below 200 / 8) and their checkpoint succeed
+// and answer like an offline build. The next checkpoint finds the trees
+// due, fails to write them and poisons the ingestor; the stream reopens to
+// answers identical to an offline build all the same.
+TEST(IngestCompactionTest, CommitsWriteNoTreeFile) {
+  test::ScratchDir scratch("ingest_no_tree_writes");
+  Caldera system(scratch.Path("archive"));
+  ASSERT_TRUE(system.archive()->Init().ok());
+  ArchiveWindowStream(&system, "s", kWindowBase);
+  constexpr uint64_t kBelowDue = 24;
+  ArchiveWindowStream(&system, "below", kWindowBase + kBelowDue);
+  uint64_t length = kWindowBase;
+  {
+    FaultInjectionOptions fault;
+    fault.fail_writes_from = 0;
+    ScopedFaultInjection trees(".bt", fault);
+    auto ingestor = system.OpenForIngest("s");
+    ASSERT_TRUE(ingestor.ok()) << ingestor.status().ToString();
+    for (; length < kWindowBase + kBelowDue; ++length) {
+      ASSERT_TRUE((*ingestor)->Append(Slice(WindowStream(), length, 1)).ok());
+    }
+    ASSERT_TRUE((*ingestor)->Checkpoint().ok());
+    EXPECT_EQ((*ingestor)->stats().btree_inserts, 0u);
+    EXPECT_EQ(trees.counters().writes, 0u);
+    ExpectStreamsAgree(&system, "below", "s");
+
+    ASSERT_TRUE((*ingestor)->Append(Slice(WindowStream(), length, 1)).ok());
+    ++length;
+    EXPECT_FALSE((*ingestor)->Checkpoint().ok());
+    EXPECT_TRUE((*ingestor)->broken());
+    EXPECT_GT(trees.counters().injected_write_errors, 0u);
+  }
+  ExpectRecoversTo(&system, "s", length);
+}
+
+// A checkpoint compacts exactly the trees that are due, each into a file
+// that indexes the whole stream, and counts the entries it wrote. An idle
+// handle refreshed by the next commit reopens the replaced files and
+// answers like an offline build.
+TEST(IngestCompactionTest, CheckpointCompactsDueTreesAndHandlesFollow) {
+  test::ScratchDir scratch("ingest_compaction");
+  Caldera system(scratch.Path("archive"));
+  ASSERT_TRUE(system.archive()->Init().ok());
+  ArchiveWindowStream(&system, "s", kWindowBase);
+  const std::string dir = system.archive()->StreamDir("s");
+  auto indexed_length = [&](const std::string& path) -> uint64_t {
+    auto tree = BTree::Open(path);
+    EXPECT_TRUE(tree.ok()) << tree.status().ToString();
+    return tree.ok() ? (*tree)->indexed_length() : 0;
+  };
+  auto ingestor = system.OpenForIngest("s");
+  ASSERT_TRUE(ingestor.ok()) << ingestor.status().ToString();
+  ASSERT_TRUE(
+      system.Execute("s", FixedQuery(), {.method = AccessMethodKind::kBTree})
+          .ok());  // Leaves an idle handle.
+  const BTree* warm = nullptr;
+  {
+    auto handle = system.GetStream("s");
+    ASSERT_TRUE(handle.ok());
+    warm = (*handle)->btc(0);
+  }
+  ASSERT_TRUE((*ingestor)->Append(Slice(WindowStream(), kWindowBase, 24)).ok());
+  {
+    // Refreshed, not reopened: the same tree, its tail over the 24 steps.
+    auto handle = system.GetStream("s");
+    ASSERT_TRUE(handle.ok());
+    EXPECT_EQ((*handle)->btc(0), warm);
+    EXPECT_EQ((*handle)->btc(0)->indexed_length(), kWindowBase);
+    EXPECT_EQ((*handle)->btc(0)->length(), kWindowBase + 24);
+  }
+  ASSERT_TRUE((*ingestor)->Checkpoint().ok());
+  EXPECT_EQ((*ingestor)->stats().btree_inserts, 0u);
+  EXPECT_EQ(indexed_length(BtcIndexPath(dir, 0)), kWindowBase);
+
+  ASSERT_TRUE(
+      (*ingestor)->Append(Slice(WindowStream(), kWindowBase + 24, 1)).ok());
+  const uint64_t fsyncs = (*ingestor)->stats().fsyncs;
+  ASSERT_TRUE((*ingestor)->Checkpoint().ok());
+  uint64_t entries = 0;
+  for (const std::string& path : {BtcIndexPath(dir, 0), BtpIndexPath(dir, 0)}) {
+    EXPECT_EQ(indexed_length(path), kWindowBase + 25) << path;
+    auto tree = BTree::Open(path);
+    ASSERT_TRUE(tree.ok());
+    entries += (*tree)->num_entries();
+  }
+  EXPECT_EQ((*ingestor)->stats().btree_inserts, entries);
+  // meta.bin, four stream files, mc.meta, the MC levels the commit grew
+  // (two files each), the WAL reset, and per tree its new file and the
+  // directory.
+  const McIndexOptions mc{.alpha = 2};
+  const std::vector<uint64_t> counts_before =
+      McIndex::LevelCounts(kWindowBase + 24, mc);
+  const std::vector<uint64_t> counts_after =
+      McIndex::LevelCounts(kWindowBase + 25, mc);
+  uint64_t levels = 0;
+  for (size_t i = 0; i < counts_after.size(); ++i) {
+    levels += i >= counts_before.size() || counts_after[i] != counts_before[i];
+  }
+  EXPECT_EQ((*ingestor)->stats().fsyncs - fsyncs,
+            1 + 4 + 1 + 2 * levels + 1 + 2 * 2);
+
+  ASSERT_TRUE(
+      (*ingestor)->Append(Slice(WindowStream(), kWindowBase + 25, 1)).ok());
+  {
+    auto handle = system.GetStream("s");
+    ASSERT_TRUE(handle.ok());
+    EXPECT_EQ((*handle)->btc(0)->indexed_length(), kWindowBase + 25);
+    EXPECT_EQ((*handle)->btc(0)->length(), kWindowBase + 26);
+    EXPECT_EQ((*handle)->btp(0)->indexed_length(), kWindowBase + 25);
+  }
+  ArchiveWindowStream(&system, "oracle", kWindowBase + 26);
+  ExpectStreamsAgree(&system, "oracle", "s");
+  ExpectTreesHoldTheSameEntries(system.archive()->StreamDir("oracle"), dir);
+}
+
+// Sync calls through the stream's files before and after a checkpoint that
+// compacts both trees, on a clean run.
+std::pair<int64_t, int64_t> CompactingCheckpointSyncs() {
+  test::ScratchDir scratch("ingest_compaction_count");
+  Caldera system(scratch.Path("archive"));
+  EXPECT_TRUE(system.archive()->Init().ok());
+  ArchiveWindowStream(&system, "s", kWindowBase);
+  const std::string dir = system.archive()->StreamDir("s");
+  ScopedFaultInjection disk(dir, {});
+  auto ingestor = StreamIngestor::Open(dir);
+  EXPECT_TRUE(ingestor.ok());
+  if (!ingestor.ok()) return {0, 0};
+  EXPECT_TRUE(
+      (*ingestor)->Append(Slice(WindowStream(), kWindowBase, 40)).ok());
+  const auto before = static_cast<int64_t>(disk.counters().syncs);
+  EXPECT_TRUE((*ingestor)->Checkpoint().ok());
+  EXPECT_GT((*ingestor)->stats().btree_inserts, 0u);
+  return {before, static_cast<int64_t>(disk.counters().syncs)};
+}
+
+// A crash at each of a compaction's syncs, keeping a seeded half of the
+// unsynced writes. Per tree the compaction syncs its new file, renames it
+// over the old one and syncs the directory, so the crash at a directory
+// sync is the crash between a rename and the directory sync. Each must
+// reopen to the acknowledged length with answers, merged trees and MC
+// levels identical to an offline build.
+TEST(IngestCompactionTest, CrashAtEachCompactionSync) {
+  const auto [before, after] = CompactingCheckpointSyncs();
+  // The checkpoint's last syncs: two trees, a file and a directory each.
+  constexpr int64_t kCompactionSyncs = 4;
+  ASSERT_GT(after - before, kCompactionSyncs);
+  for (int64_t sync = after - kCompactionSyncs; sync < after; ++sync) {
+    SCOPED_TRACE(sync);
+    test::ScratchDir scratch("ingest_compaction_crash");
+    Caldera system(scratch.Path("archive"));
+    ASSERT_TRUE(system.archive()->Init().ok());
+    ArchiveWindowStream(&system, "s", kWindowBase);
+    const std::string dir = system.archive()->StreamDir("s");
+    {
+      FaultInjectionOptions options;
+      options.crash_at_sync = sync;
+      options.crash_keep_prob = 0.5;
+      options.seed = 300 + sync;
+      ScopedFaultInjection disk(dir, options);
+      auto ingestor = StreamIngestor::Open(dir);
+      ASSERT_TRUE(ingestor.ok()) << ingestor.status().ToString();
+      ASSERT_TRUE(
+          (*ingestor)->Append(Slice(WindowStream(), kWindowBase, 40)).ok());
+      EXPECT_FALSE((*ingestor)->Checkpoint().ok());
+      EXPECT_TRUE(disk.crashed());
+    }
+    ExpectRecoversTo(&system, "s", kWindowBase + 40);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// A read handle never writes a tree file: one that wrote its in-memory tree
+// meta back when destroyed would leave the entry count and root of a tree
+// other writers had replaced stale on disk, and fsck would fail on a
+// healthy archive.
+
+// An idle handle refreshed over a commit: a fresh open verifies clean.
+TEST(IngestTreeMetaTest, IdleHandleRefreshKeepsTreesVerifiable) {
+  test::ScratchDir scratch("ingest_meta_idle");
+  const MarkovianStream full = test::MakeBandedStream(210, 8, 91);
+  Caldera system(scratch.Path("archive"));
+  ASSERT_TRUE(system.archive()->CreateStream("s", Prefix(full, 200)).ok());
+  ASSERT_TRUE(system.archive()->BuildBtc("s", 0).ok());
+  ASSERT_TRUE(system.archive()->BuildBtp("s", 0).ok());
+  ASSERT_TRUE(
+      system.Execute("s", FixedQuery(), {.method = AccessMethodKind::kBTree})
+          .ok());  // Leaves an idle handle.
+  auto ingestor = system.OpenForIngest("s");
+  ASSERT_TRUE(ingestor.ok()) << ingestor.status().ToString();
+  ASSERT_TRUE((*ingestor)->Append(Slice(full, 200, 10)).ok());
+  auto fresh = ArchivedStream::Open(system.archive()->StreamDir("s"));
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  VerifyReport report;
+  const Status verified = VerifyArchivedStream(fresh->get(), &report);
+  EXPECT_TRUE(verified.ok()) << verified.ToString();
+  EXPECT_EQ(report.timesteps_checked, 210u);
+}
+
+// A handle held across 2000 appended timesteps on 3000 (enough to grow
+// the tree a level, and to compact it when the ingestor closes), released
+// after the ingestor closed: a fresh open verifies clean.
+TEST(IngestTreeMetaTest, HandleHeldAcrossCommitsKeepsTreesVerifiable) {
+  test::ScratchDir scratch("ingest_meta_held");
+  const MarkovianStream full = test::MakeBandedStream(5000, 8, 92);
+  Caldera system(scratch.Path("archive"));
+  ASSERT_TRUE(system.archive()->CreateStream("s", Prefix(full, 3000)).ok());
+  ASSERT_TRUE(system.archive()->BuildBtc("s", 0).ok());
+  ASSERT_TRUE(system.archive()->BuildBtp("s", 0).ok());
+  auto held = system.GetStream("s");
+  ASSERT_TRUE(held.ok()) << held.status().ToString();
+  {
+    auto ingestor = system.OpenForIngest("s");
+    ASSERT_TRUE(ingestor.ok()) << ingestor.status().ToString();
+    for (uint64_t at = 3000; at < 5000; at += 100) {
+      ASSERT_TRUE((*ingestor)->Append(Slice(full, at, 100)).ok());
+    }
+  }
+  held->reset();
+  auto fresh = ArchivedStream::Open(system.archive()->StreamDir("s"));
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  VerifyReport report;
+  const Status verified = VerifyArchivedStream(fresh->get(), &report);
+  EXPECT_TRUE(verified.ok()) << verified.ToString();
+  EXPECT_EQ(report.timesteps_checked, 5000u);
+}
+
+// ---------------------------------------------------------------------------
+// One ingestor per stream per facade.
+
+// A second OpenForIngest of a stream with a live ingestor is refused, the
+// first keeps committing, and once it is gone the stream opens for ingest
+// again. The archive verifies clean.
+TEST(IngestFacadeTest, SecondIngestorIsRefused) {
+  test::ScratchDir scratch("ingest_second_writer");
+  const MarkovianStream full = test::MakeBandedStream(230, 8, 93);
+  Caldera system(scratch.Path("archive"));
+  ASSERT_TRUE(system.archive()->CreateStream("s", Prefix(full, 200)).ok());
+  ASSERT_TRUE(system.archive()->BuildBtc("s", 0).ok());
+  ASSERT_TRUE(system.archive()->BuildBtp("s", 0).ok());
+  {
+    auto first = system.OpenForIngest("s");
+    ASSERT_TRUE(first.ok()) << first.status().ToString();
+    ASSERT_TRUE((*first)->Append(Slice(full, 200, 10)).ok());
+    auto second = system.OpenForIngest("s");
+    ASSERT_FALSE(second.ok());
+    EXPECT_EQ(second.status().code(), StatusCode::kFailedPrecondition)
+        << second.status().ToString();
+    ASSERT_TRUE((*first)->Append(Slice(full, 210, 10)).ok());
+  }
+  auto third = system.OpenForIngest("s");
+  ASSERT_TRUE(third.ok()) << third.status().ToString();
+  EXPECT_EQ((*third)->stats().batches_recovered, 0u);
+  ASSERT_TRUE((*third)->Append(Slice(full, 220, 10)).ok());
+  third->reset();
+  auto fresh = ArchivedStream::Open(system.archive()->StreamDir("s"));
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  VerifyReport report;
+  const Status verified = VerifyArchivedStream(fresh->get(), &report);
+  EXPECT_TRUE(verified.ok()) << verified.ToString();
+  EXPECT_EQ(report.timesteps_checked, 230u);
+}
+
+// RebuildIndexes of a stream with a live ingestor is refused (the
+// ingestor's checkpoints replace the tree files), the ingestor keeps
+// committing, and once it is gone the rebuild runs. BT_C answers equal an
+// offline build's and the archive verifies clean.
+TEST(IngestFacadeTest, RebuildDuringIngestIsRefused) {
+  test::ScratchDir scratch("ingest_rebuild_writer");
+  const MarkovianStream full = test::MakeBandedStream(220, 8, 94);
+  Caldera system(scratch.Path("archive"));
+  ASSERT_TRUE(system.archive()->CreateStream("s", Prefix(full, 200)).ok());
+  ASSERT_TRUE(system.archive()->BuildBtc("s", 0).ok());
+  ASSERT_TRUE(system.archive()->CreateStream("oracle", full).ok());
+  ASSERT_TRUE(system.archive()->BuildBtc("oracle", 0).ok());
+  {
+    auto ingestor = system.OpenForIngest("s");
+    ASSERT_TRUE(ingestor.ok()) << ingestor.status().ToString();
+    ASSERT_TRUE((*ingestor)->Append(Slice(full, 200, 10)).ok());
+    EXPECT_EQ(system.RebuildIndexes("s").code(),
+              StatusCode::kFailedPrecondition);
+    ASSERT_TRUE((*ingestor)->Append(Slice(full, 210, 10)).ok());
+  }
+  ASSERT_TRUE(system.RebuildIndexes("s").ok());
+  const ExecOptions btree{.method = AccessMethodKind::kBTree};
+  auto got = system.Execute("s", FixedQuery(), btree);
+  auto want = system.Execute("oracle", FixedQuery(), btree);
+  ASSERT_TRUE(got.ok() && want.ok());
+  ExpectSignalsIdentical(got->signal, want->signal, "after rebuild");
+  auto fresh = ArchivedStream::Open(system.archive()->StreamDir("s"));
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  VerifyReport report;
+  const Status verified = VerifyArchivedStream(fresh->get(), &report);
+  EXPECT_TRUE(verified.ok()) << verified.ToString();
+}
+
+// The MC maintenance of redone batches was counted by the writer that
+// committed them: a recovering open reports none, and its own commits
+// count again.
+TEST(IngestRecoveryTest, RedoneBatchesAreNotCountedAsMcWork) {
+  test::ScratchDir scratch("ingest_redo_mc");
+  const MarkovianStream full = test::MakeBandedStream(200, 8, 95);
+  StreamArchive archive(scratch.Path("archive"));
+  ASSERT_TRUE(archive.CreateStream("s", Prefix(full, 150)).ok());
+  ASSERT_TRUE(archive.BuildMc("s", {.alpha = 2}).ok());
+  const std::string dir = archive.StreamDir("s");
+  {
+    auto ingestor = StreamIngestor::Open(dir);
+    ASSERT_TRUE(ingestor.ok()) << ingestor.status().ToString();
+    ASSERT_TRUE((*ingestor)->Append(Slice(full, 150, 10)).ok());
+    EXPECT_GT((*ingestor)->stats().mc.nodes_recomputed, 0u);
+    ASSERT_TRUE((*ingestor)->CommitWithoutApply(Slice(full, 160, 10)).ok());
+  }
+  auto recovered = StreamIngestor::Open(dir);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ((*recovered)->stats().batches_recovered, 2u);
+  EXPECT_EQ((*recovered)->stats().mc.nodes_recomputed, 0u);
+  EXPECT_EQ((*recovered)->stats().mc.levels_touched, 0u);
+  EXPECT_EQ((*recovered)->stats().mc.levels_added, 0u);
+  ASSERT_TRUE((*recovered)->Append(Slice(full, 170, 10)).ok());
+  EXPECT_GT((*recovered)->stats().mc.nodes_recomputed, 0u);
 }
 
 }  // namespace

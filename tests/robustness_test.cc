@@ -234,11 +234,14 @@ void FlipPayloadByte(Rng* rng, const std::string& path) {
   CALDERA_CHECK_OK((*pager)->Sync());
 }
 
-// Opens the (possibly damaged) tree at `path` and drives every read and
-// write path. Operations may fail with a Status but must not crash.
+// Opens the (possibly damaged) tree at `path`, gives it a tail, and drives
+// every read path. Operations may fail with a Status but must not crash.
 void ExerciseTree(const std::string& path, Rng* rng) {
   auto tree = BTree::Open(path);
   if (!tree.ok()) return;  // Rejected at open: fine.
+  std::string tail_key;
+  EncodeU64(rng->NextBelow(600), &tail_key);
+  (void)(*tree)->AddToTail(tail_key + "tttt");
   // Checking invariants exercises every node.
   (void)(*tree)->CheckInvariants();
   auto cursor = (*tree)->SeekFirst();
@@ -252,23 +255,21 @@ void ExerciseTree(const std::string& path, Rng* rng) {
   EncodeU64(rng->NextBelow(600), &key);
   (void)(*tree)->Get(key);
   (void)(*tree)->Seek(key);
-  (void)(*tree)->Insert(key, "vvvv");
-  (void)(*tree)->Flush();
 }
 
 TEST(RobustnessTest, BTreeOpenOnMutatedTreeFile) {
   test::ScratchDir scratch("robust_btree");
   const std::string path = scratch.Path("t.bt");
   {
-    auto tree = BTree::Create(path, {8, 4}, 512);
-    ASSERT_TRUE(tree.ok());
+    auto builder = BTreeBuilder::Create(path, {8, 4}, 512);
+    ASSERT_TRUE(builder.ok());
     std::string value(4, 'v');
     for (uint64_t i = 0; i < 500; ++i) {
       std::string key;
       EncodeU64(i, &key);
-      ASSERT_TRUE((*tree)->Insert(key, value).ok());
+      ASSERT_TRUE((*builder)->Add(key, value).ok());
     }
-    ASSERT_TRUE((*tree)->Flush().ok());
+    ASSERT_TRUE((*builder)->Finish(/*indexed_length=*/500).ok());
   }
   const std::string original = ReadWholeFile(path);
   const std::string mutated = scratch.Path("mut.bt");
