@@ -420,6 +420,23 @@ void BM_SmoothSnippet(benchmark::State& state) {
 }
 BENCHMARK(BM_SmoothSnippet);
 
+void BM_SmoothRoutine(benchmark::State& state) {
+  // Forward-backward smoothing of one 1680-step routine trace in the
+  // 352-location paper building: the first fleet-scan tag at seed 1.
+  RoutineSpec spec;
+  spec.length = 1680;
+  spec.seed = 7919;
+  Result<RoutineWorkload> w = MakeRoutineStream(spec);
+  CALDERA_CHECK_OK(w.status());
+  for (auto _ : state) {
+    auto stream = SmoothToMarkovianStream(w->hmm, w->observations, w->schema,
+                                          {.truncate_eps = spec.truncate_eps});
+    CALDERA_CHECK_OK(stream.status());
+    benchmark::DoNotOptimize(stream);
+  }
+}
+BENCHMARK(BM_SmoothRoutine)->Unit(benchmark::kMillisecond);
+
 }  // namespace
 }  // namespace caldera
 

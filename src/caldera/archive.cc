@@ -5,6 +5,7 @@
 #include "common/encoding.h"
 #include "index/btc_index.h"
 #include "index/btp_index.h"
+#include "ingest/ingestor.h"
 
 namespace caldera {
 
@@ -169,6 +170,9 @@ Status StreamArchive::RebuildIndexes(const std::string& name) {
     return Status::NotFound("no stream named '" + name + "' in archive");
   }
   const std::string dir = StreamDir(name);
+  // The stream's writer lock: an ingestor's checkpoints rename tree files.
+  CALDERA_ASSIGN_OR_RETURN(std::unique_ptr<FileLock> writer,
+                           FileLock::Acquire(StreamIngestor::LockPath(dir)));
 
   CALDERA_ASSIGN_OR_RETURN(StreamMetaInfo info, ReadStreamMeta(dir));
   const std::vector<TreeIndexFile> trees =

@@ -135,7 +135,8 @@ class StreamArchive {
   /// when the old metadata is still readable. Only the canonical tree names
   /// of the schema's attributes count as trees (TreeIndexFiles); any other
   /// file is left alone. This is the recovery path after a Corruption
-  /// report against an index file.
+  /// report against an index file. FailedPrecondition while an ingestor of
+  /// the stream is open, in any process (StreamIngestor::LockPath).
   Status RebuildIndexes(const std::string& name);
 
   /// Names of all archived streams, sorted.

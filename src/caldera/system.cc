@@ -149,30 +149,13 @@ Result<std::unique_ptr<StreamIngestor>> Caldera::OpenForIngest(
     return Status::NotFound("no stream named '" + stream_name +
                             "' in archive");
   }
-  {
-    std::lock_guard<std::mutex> lock(state_->mu);
-    if (!state_->ingesting.insert(stream_name).second) {
-      return Status::FailedPrecondition("stream '" + stream_name +
-                                        "' already has an open ingestor");
-    }
-  }
-  // Ends the registration when the ingestor, which holds it through
-  // on_commit below, is destroyed (or its open fails).
-  std::shared_ptr<void> registration(
-      nullptr, [home = std::weak_ptr<State>(state_), stream_name](void*) {
-        if (std::shared_ptr<State> state = home.lock()) {
-          std::lock_guard<std::mutex> lock(state->mu);
-          state->ingesting.erase(stream_name);
-        }
-      });
   StreamIngestor::Options options;
   options.apply_mutex = StreamMutationLock(stream_name);
   // Every commit (and the recovery replay inside Open) advances the idle
   // handles to the new length under the stream's exclusive lock: queries
   // in flight finish against their lent snapshots, and the next GetStream
   // lends a refreshed handle whose cached pages and span CPTs stay warm.
-  options.on_commit = [this, stream_name,
-                       registration](uint64_t new_length) {
+  options.on_commit = [this, stream_name](uint64_t new_length) {
     RefreshIdleHandles(stream_name, new_length);
   };
   return StreamIngestor::Open(archive_.StreamDir(stream_name),
@@ -282,14 +265,6 @@ Status Caldera::RebuildIndexes(const std::string& stream_name) {
   // notification lands before any of them can reopen.
   std::unique_lock<std::shared_mutex> guard(
       *StreamMutationLock(stream_name));
-  {
-    std::lock_guard<std::mutex> lock(state_->mu);
-    if (state_->ingesting.contains(stream_name)) {
-      return Status::FailedPrecondition(
-          "stream '" + stream_name +
-          "' has an open ingestor, whose checkpoints replace its trees");
-    }
-  }
   CALDERA_RETURN_IF_ERROR(archive_.RebuildIndexes(stream_name));
   NotifyStreamMutation();
   return Status::Ok();

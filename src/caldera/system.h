@@ -5,7 +5,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <shared_mutex>
 #include <string>
 #include <utility>
@@ -124,10 +123,10 @@ class Caldera {
   /// O(batch)), so concurrent queries see either the pre- or post-append
   /// stream — never a mix — and new queries see the appended timesteps
   /// immediately, with warm pages and span CPTs. A commit bumps no epoch.
-  /// One ingestor per stream per facade: while one is alive, a second
-  /// OpenForIngest and RebuildIndexes of the stream fail with
-  /// FailedPrecondition (its checkpoints rename the stream's tree files).
-  /// Other processes are not excluded.
+  /// One writer per stream: while an ingestor is alive, in this or any
+  /// other process, a second OpenForIngest and RebuildIndexes of the
+  /// stream fail with FailedPrecondition (its checkpoints rename the
+  /// stream's tree files; StreamIngestor::LockPath).
   Result<std::unique_ptr<StreamIngestor>> OpenForIngest(
       const std::string& stream_name);
 
@@ -167,8 +166,6 @@ class Caldera {
     // -> RefreshIdleHandles -> mu). mu is never held while acquiring a
     // stream lock. unique_ptr keeps addresses stable across map growth.
     std::map<std::string, std::unique_ptr<std::shared_mutex>> stream_locks;
-    // Streams with a live ingestor from OpenForIngest.
-    std::set<std::string> ingesting;
 
     // False when an ingest commit has left `name` at another length than
     // `handle`'s.

@@ -1,6 +1,9 @@
 #include "hmm/hmm.h"
 
 #include <cmath>
+#include <numeric>
+
+#include "common/logging.h"
 
 namespace caldera {
 
@@ -88,6 +91,45 @@ Status Hmm::EmitObservations(const std::vector<uint32_t>& states, Rng* rng,
     observations->push_back(SampleRow(*row, rng));
   }
   return Status::Ok();
+}
+
+CptColumns::CptColumns(const Cpt& table, uint32_t num_rows,
+                                 uint32_t num_cols)
+    : offsets_(num_cols + 1, 0), dense_(num_rows, 0.0), current_(num_cols) {
+  // Counting sort of the entries by column; rows ascend within a column.
+  auto for_each_entry = [&](auto&& visit) {
+    for (size_t i = 0; i < table.num_rows(); ++i) {
+      const Cpt::RowView row = table.row(i);
+      if (row.src >= num_rows) continue;
+      for (size_t j = 0; j < row.size(); ++j) {
+        if (row.dsts[j] < num_cols) visit(row.src, row.dsts[j], row.probs[j]);
+      }
+    }
+  };
+  for_each_entry([&](ValueId, ValueId c, double) { ++offsets_[c + 1]; });
+  std::partial_sum(offsets_.begin(), offsets_.end(), offsets_.begin());
+  rows_.resize(offsets_.back());
+  probs_.resize(offsets_.back());
+  std::vector<uint32_t> next(offsets_.begin(), offsets_.end() - 1);
+  for_each_entry([&](ValueId r, ValueId c, double p) {
+    rows_[next[c]] = r;
+    probs_[next[c]++] = p;
+  });
+}
+
+const std::vector<double>& CptColumns::Column(uint32_t c) {
+  CALDERA_CHECK(c + size_t{1} < offsets_.size());
+  if (c == current_) return dense_;
+  if (current_ + size_t{1} < offsets_.size()) {
+    for (uint32_t k = offsets_[current_]; k < offsets_[current_ + 1]; ++k) {
+      dense_[rows_[k]] = 0.0;
+    }
+  }
+  for (uint32_t k = offsets_[c]; k < offsets_[c + 1]; ++k) {
+    dense_[rows_[k]] = probs_[k];
+  }
+  current_ = c;
+  return dense_;
 }
 
 }  // namespace caldera

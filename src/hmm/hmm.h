@@ -65,6 +65,34 @@ class Hmm {
   Cpt emission_;
 };
 
+/// Column access to a sparse table: Column(c)[r] = P(c | r). For an HMM's
+/// emission table column `symbol` holds P(symbol | state) for every state,
+/// which the smoothers and Viterbi read at every timestep; for a transition
+/// table column `next` holds P(next | src). The constructor turns the
+/// table's CSR into per-column (row, prob) lists in O(nnz); Column(c)
+/// scatters one column into a reused dense vector indexed by row, in
+/// O(size of the previous and new column), and returns at once when `c`
+/// repeats (a silence symbol usually does). No dense column-by-row table is
+/// built, so memory stays O(rows + nnz).
+class CptColumns {
+ public:
+  /// Entries of `table` outside [0, num_rows) x [0, num_cols) are dropped.
+  CptColumns(const Cpt& table, uint32_t num_rows, uint32_t num_cols);
+
+  /// Column `c` (< num_cols) as a dense vector of num_rows entries: the
+  /// stored probabilities, bit for bit, and 0 elsewhere. Valid until the
+  /// next call.
+  const std::vector<double>& Column(uint32_t c);
+
+ private:
+  // Column c is rows_/probs_[offsets_[c], offsets_[c + 1]).
+  std::vector<uint32_t> offsets_;
+  std::vector<uint32_t> rows_;
+  std::vector<double> probs_;
+  std::vector<double> dense_;
+  uint32_t current_;  // Column scattered into dense_, or num_cols.
+};
+
 }  // namespace caldera
 
 #endif  // CALDERA_HMM_HMM_H_

@@ -30,10 +30,24 @@ Result<MarkovianStream> ParticleSmoothToMarkovianStream(
   if (schema.state_count() != hmm.num_states()) {
     return Status::InvalidArgument("schema/HMM state count mismatch");
   }
+  for (uint32_t o : observations) {
+    if (o >= hmm.num_symbols()) {
+      return Status::InvalidArgument("observation symbol out of range");
+    }
+  }
   if (options.num_particles == 0 || options.num_trajectories == 0) {
     return Status::InvalidArgument("particle counts must be positive");
   }
   Rng rng(options.seed);
+
+  // Transition rows looked up once, and emission terms read from dense
+  // columns, as the exact smoother does.
+  const uint32_t N = hmm.num_states();
+  std::vector<Cpt::RowView> rows(N);
+  for (uint32_t x = 0; x < N; ++x) {
+    rows[x] = hmm.transition().FindRow(x).value();
+  }
+  CptColumns emission(hmm.emission(), N, hmm.num_symbols());
 
   // Forward filter with per-step resampling. particles[t] are equally
   // weighted after resampling.
@@ -41,6 +55,7 @@ Result<MarkovianStream> ParticleSmoothToMarkovianStream(
   std::vector<std::vector<uint32_t>> particles(T);
   {
     // t = 0: draw from the initial distribution, weight by emission.
+    const std::vector<double>& e0 = emission.Column(observations[0]);
     std::vector<uint32_t> drawn(P);
     std::vector<double> weights(P);
     double total = 0;
@@ -56,7 +71,7 @@ Result<MarkovianStream> ParticleSmoothToMarkovianStream(
         }
       }
       drawn[i] = state;
-      weights[i] = hmm.EmissionProb(state, observations[0]);
+      weights[i] = e0[state];
       total += weights[i];
     }
     if (total <= 0) {
@@ -68,12 +83,12 @@ Result<MarkovianStream> ParticleSmoothToMarkovianStream(
     }
   }
   for (uint64_t t = 1; t < T; ++t) {
+    const std::vector<double>& e = emission.Column(observations[t]);
     std::vector<uint32_t> drawn(P);
     std::vector<double> weights(P);
     double total = 0;
     for (size_t i = 0; i < P; ++i) {
-      uint32_t prev = particles[t - 1][i];
-      const Cpt::RowView row = hmm.transition().FindRow(prev).value();
+      const Cpt::RowView& row = rows[particles[t - 1][i]];
       double u = rng.NextDouble();
       double acc = 0;
       uint32_t state = row.dsts.back();
@@ -85,7 +100,7 @@ Result<MarkovianStream> ParticleSmoothToMarkovianStream(
         }
       }
       drawn[i] = state;
-      weights[i] = hmm.EmissionProb(state, observations[t]);
+      weights[i] = e[state];
       total += weights[i];
     }
     if (total <= 0) {
@@ -101,6 +116,9 @@ Result<MarkovianStream> ParticleSmoothToMarkovianStream(
   // Backward simulation: draw M smoothed trajectories. For speed, reduce
   // each filtered particle set to per-state counts first.
   const size_t M = options.num_trajectories;
+  // P(next | s) for the trajectory's next state: the transition table read
+  // by destination.
+  CptColumns by_destination(hmm.transition(), N, N);
   std::vector<std::map<uint32_t, double>> filtered(T);
   for (uint64_t t = 0; t < T; ++t) {
     for (uint32_t s : particles[t]) filtered[t][s] += 1.0;
@@ -122,12 +140,13 @@ Result<MarkovianStream> ParticleSmoothToMarkovianStream(
       trajectories[j][T - 1] = states[SampleWeighted(w, total, &rng)];
     }
     for (uint64_t t = T - 1; t-- > 0;) {
-      uint32_t next = trajectories[j][t + 1];
+      const std::vector<double>& to_next =
+          by_destination.Column(trajectories[j][t + 1]);
       std::vector<double> w;
       std::vector<uint32_t> states;
       double total = 0;
       for (const auto& [s, c] : filtered[t]) {
-        double p = c * hmm.transition().Probability(s, next);
+        double p = c * to_next[s];
         if (p > 0) {
           states.push_back(s);
           w.push_back(p);

@@ -32,13 +32,21 @@ Result<MarkovianStream> SmoothToMarkovianStream(
     rows[x] = hmm.transition().FindRow(x).value();
   }
 
-  // Forward pass (normalized filtering distributions).
+  // Emission terms as dense columns: one array read per edge, scattered
+  // once per timestep whose symbol differs from the previous one.
+  CptColumns emission(hmm.emission(), N, hmm.num_symbols());
+
+  // Forward pass (normalized filtering distributions). alpha and beta keep
+  // one heap row per timestep: one flat T*N array per call measured 7 MB
+  // more peak RSS on fleet-scan, because its fresh pages are mapped while
+  // the heap's free chunks, which rows of this size reuse, stay resident.
   std::vector<std::vector<double>> alpha(T, std::vector<double>(N, 0.0));
   {
+    const std::vector<double>& e = emission.Column(observations[0]);
     double sum = 0;
-    for (const Distribution::Entry& e : hmm.initial().entries()) {
-      double v = e.prob * hmm.EmissionProb(e.value, observations[0]);
-      alpha[0][e.value] = v;
+    for (const Distribution::Entry& entry : hmm.initial().entries()) {
+      double v = entry.prob * e[entry.value];
+      alpha[0][entry.value] = v;
       sum += v;
     }
     if (sum <= 0) {
@@ -57,9 +65,10 @@ Result<MarkovianStream> SmoothToMarkovianStream(
         cur[row.dsts[j]] += prev[x] * row.probs[j];
       }
     }
+    const std::vector<double>& e = emission.Column(observations[t]);
     double sum = 0;
     for (uint32_t y = 0; y < N; ++y) {
-      cur[y] *= hmm.EmissionProb(y, observations[t]);
+      cur[y] *= e[y];
       sum += cur[y];
     }
     if (sum <= 0) {
@@ -74,16 +83,16 @@ Result<MarkovianStream> SmoothToMarkovianStream(
   std::vector<std::vector<double>> beta(T, std::vector<double>(N, 0.0));
   std::fill(beta[T - 1].begin(), beta[T - 1].end(), 1.0);
   for (uint64_t t = T - 1; t-- > 0;) {
-    const std::vector<double>& next = beta[t + 1];
     std::vector<double>& cur = beta[t];
+    const std::vector<double>& next = beta[t + 1];
+    const std::vector<double>& e = emission.Column(observations[t + 1]);
     double sum = 0;
     for (uint32_t x = 0; x < N; ++x) {
       const Cpt::RowView& row = rows[x];
       double v = 0;
       for (size_t j = 0; j < row.size(); ++j) {
         const ValueId dst = row.dsts[j];
-        v += row.probs[j] * hmm.EmissionProb(dst, observations[t + 1]) *
-             next[dst];
+        v += row.probs[j] * e[dst] * next[dst];
       }
       cur[x] = v;
       sum += v;
@@ -96,106 +105,102 @@ Result<MarkovianStream> SmoothToMarkovianStream(
   }
 
   // Smoothed marginals gamma_t ~ alpha_t .* beta_t, with support
-  // truncation.
+  // truncation: the states whose normalized mass reaches eps, or the argmax
+  // alone when none does, into `kept`. A state with gamma < eps * sum / 2
+  // cannot reach eps after the division, so it skips the division.
   const double eps = options.truncate_eps;
-  auto truncated_support = [&](const std::vector<double>& gamma) {
-    std::vector<Distribution::Entry> entries;
+  std::vector<double> gamma(N);
+  std::vector<Distribution::Entry> kept;
+  auto truncate_support = [&](uint64_t t) {
+    for (uint32_t x = 0; x < N; ++x) {
+      gamma[x] = alpha[t][x] * beta[t][x];
+    }
     double sum = 0;
     for (uint32_t x = 0; x < N; ++x) sum += gamma[x];
     uint32_t argmax = 0;
     for (uint32_t x = 1; x < N; ++x) {
       if (gamma[x] > gamma[argmax]) argmax = x;
     }
+    const double floor = 0.5 * eps * sum;
+    kept.clear();
     for (uint32_t x = 0; x < N; ++x) {
+      if (gamma[x] < floor) continue;
       double p = gamma[x] / sum;
-      if (p >= eps && p > 0) entries.push_back({x, p});
+      if (p >= eps && p > 0) kept.push_back({x, p});
     }
-    if (entries.empty()) entries.push_back({argmax, 1.0});
-    Distribution d = Distribution::FromPairs(std::move(entries));
-    d.Normalize();
-    return d;
+    if (kept.empty()) kept.push_back({argmax, 1.0});
   };
 
   MarkovianStream stream(std::move(schema));
-  std::vector<double> gamma(N);
-  for (uint32_t x = 0; x < N; ++x) gamma[x] = alpha[0][x] * beta[0][x];
-  Distribution mu = truncated_support(gamma);
+  truncate_support(0);
+  Distribution mu = Distribution::FromPairs(kept);
+  mu.Normalize();
   stream.Append(mu, Cpt());
 
+  // Per-step scratch, reused: the support marker (support[y] == t marks y
+  // in step t's support), each source's full conditional row (source i of
+  // mu spans full[starts[i], starts[i + 1])), and the rescued destinations.
+  std::vector<uint64_t> support(N, 0);
+  std::vector<Cpt::RowEntry> full;
+  std::vector<size_t> starts;
+  std::vector<ValueId> extra;
   for (uint64_t t = 1; t < T; ++t) {
-    for (uint32_t y = 0; y < N; ++y) gamma[y] = alpha[t][y] * beta[t][y];
-    Distribution support_t = truncated_support(gamma);
+    truncate_support(t);
+    for (const Distribution::Entry& entry : kept) support[entry.value] = t;
 
     // Smoothed conditional row for source x:
     //   P(X_t = y | X_{t-1} = x, o_1..T) ~ Tr(x,y) E(y,o_t) beta_t(y).
-    auto full_row = [&](uint32_t x) {
-      std::vector<Cpt::RowEntry> out;
-      const Cpt::RowView& row = rows[x];
+    // Sources whose row misses the support are rescued by widening the
+    // destination support with the row's best destination, once every
+    // source has been checked against the unwidened support.
+    const std::vector<double>& e = emission.Column(observations[t]);
+    const std::vector<double>& beta_t = beta[t];
+    full.clear();
+    starts.clear();
+    extra.clear();
+    for (const Distribution::Entry& src : mu.entries()) {
+      const size_t begin = full.size();
+      starts.push_back(begin);
+      const Cpt::RowView& row = rows[src.value];
       for (size_t j = 0; j < row.size(); ++j) {
         const ValueId dst = row.dsts[j];
-        double v = row.probs[j] * hmm.EmissionProb(dst, observations[t]) *
-                   beta[t][dst];
-        if (v > 0) out.push_back({dst, v});
+        double v = row.probs[j] * e[dst] * beta_t[dst];
+        if (v > 0) full.push_back({dst, v});
       }
-      return out;
-    };
-
-    // First pass: rescue sources whose restricted row would be empty by
-    // widening the destination support with the row's best destination.
-    std::vector<ValueId> extra;
-    for (const Distribution::Entry& src : mu.entries()) {
-      std::vector<Cpt::RowEntry> row = full_row(src.value);
-      if (row.empty()) {
+      if (full.size() == begin) {
         return Status::Internal("dead-end source in smoothing");
       }
+      size_t best = begin;
       bool any = false;
-      for (const Cpt::RowEntry& e : row) {
-        if (support_t.ProbabilityOf(e.dst) > 0) {
+      for (size_t k = begin; k < full.size(); ++k) {
+        if (support[full[k].dst] == t) {
           any = true;
           break;
         }
+        if (full[k].prob > full[best].prob) best = k;
       }
-      if (!any) {
-        const Cpt::RowEntry* best = &row[0];
-        for (const Cpt::RowEntry& e : row) {
-          if (e.prob > best->prob) best = &e;
-        }
-        extra.push_back(best->dst);
-      }
+      if (!any) extra.push_back(full[best].dst);
     }
-    if (!extra.empty()) {
-      std::vector<Distribution::Entry> widened = support_t.entries();
-      for (ValueId v : extra) {
-        if (support_t.ProbabilityOf(v) == 0) widened.push_back({v, 0.0});
-      }
-      support_t = Distribution::FromPairs(std::move(widened));
-    }
+    starts.push_back(full.size());
+    for (ValueId v : extra) support[v] = t;
 
-    // Second pass: build the truncated, renormalized CPT.
+    // Build the truncated, renormalized CPT.
     Cpt cpt;
-    for (const Distribution::Entry& src : mu.entries()) {
-      std::vector<Cpt::RowEntry> restricted;
+    for (size_t i = 0; i < mu.support_size(); ++i) {
+      // Full-row entries are positive, so an empty restriction sums to 0.
       double sum = 0;
-      for (const Cpt::RowEntry& e : full_row(src.value)) {
-        // Membership in the (possibly widened) support set; stored probs in
-        // support_t are irrelevant here.
-        bool in_support = false;
-        for (const Distribution::Entry& s : support_t.entries()) {
-          if (s.value == e.dst) {
-            in_support = true;
-            break;
-          }
-        }
-        if (in_support) {
-          restricted.push_back(e);
-          sum += e.prob;
-        }
+      for (size_t k = starts[i]; k < starts[i + 1]; ++k) {
+        if (support[full[k].dst] == t) sum += full[k].prob;
       }
-      if (restricted.empty() || sum <= 0) {
+      if (sum <= 0) {
         return Status::Internal("empty restricted row after rescue");
       }
-      for (Cpt::RowEntry& e : restricted) e.prob /= sum;
-      cpt.SetRow(src.value, std::move(restricted));
+      for (size_t k = starts[i]; k < starts[i + 1]; ++k) {
+        if (support[full[k].dst] == t) {
+          cpt.PushEntry(full[k].dst, full[k].prob / sum);
+        }
+      }
+      cpt.EndRow(mu.entries()[i].value);
     }
 
     // Recompute the marginal by propagation so the stream is exactly

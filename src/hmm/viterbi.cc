@@ -21,20 +21,30 @@ Result<ViterbiResult> ViterbiDecode(
   std::vector<std::vector<double>> score(T, std::vector<double>(N, kNegInf));
   std::vector<std::vector<int64_t>> back(T, std::vector<int64_t>(N, -1));
 
+  // Transition rows looked up once, and emission terms read from dense
+  // columns, as the smoother does.
+  std::vector<Cpt::RowView> rows(N);
+  for (uint32_t x = 0; x < N; ++x) {
+    rows[x] = hmm.transition().FindRow(x).value();
+  }
+  CptColumns emission(hmm.emission(), N, hmm.num_symbols());
+
+  const std::vector<double>& e0 = emission.Column(observations[0]);
   for (const Distribution::Entry& e : hmm.initial().entries()) {
-    double emit = hmm.EmissionProb(e.value, observations[0]);
+    double emit = e0[e.value];
     if (e.prob > 0 && emit > 0) {
       score[0][e.value] = std::log(e.prob) + std::log(emit);
     }
   }
 
   for (uint64_t t = 1; t < T; ++t) {
+    const std::vector<double>& e = emission.Column(observations[t]);
     for (uint32_t x = 0; x < N; ++x) {
       if (score[t - 1][x] == kNegInf) continue;
-      const Cpt::RowView row = hmm.transition().FindRow(x).value();
+      const Cpt::RowView& row = rows[x];
       for (size_t j = 0; j < row.size(); ++j) {
         const ValueId dst = row.dsts[j];
-        double emit = hmm.EmissionProb(dst, observations[t]);
+        double emit = e[dst];
         if (row.probs[j] <= 0 || emit <= 0) continue;
         double candidate =
             score[t - 1][x] + std::log(row.probs[j]) + std::log(emit);

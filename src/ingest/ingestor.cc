@@ -74,6 +74,10 @@ std::string StreamIngestor::WalPath(const std::string& dir) {
   return dir + "/ingest.wal";
 }
 
+std::string StreamIngestor::LockPath(const std::string& dir) {
+  return dir + "/ingest.lock";
+}
+
 std::string StreamIngestor::EncodeBatch(
     uint64_t base, const std::vector<IngestTimestep>& batch) {
   std::string payload;
@@ -122,6 +126,7 @@ Result<std::unique_ptr<StreamIngestor>> StreamIngestor::Open(
     const std::string& dir, Options options) {
   auto ingestor = std::unique_ptr<StreamIngestor>(
       new StreamIngestor(dir, std::move(options)));
+  CALDERA_ASSIGN_OR_RETURN(ingestor->lock_, FileLock::Acquire(LockPath(dir)));
   CALDERA_ASSIGN_OR_RETURN(ingestor->wal_, Wal::Open(WalPath(dir)));
   ingestor->wal_torn_tail_ = ingestor->wal_->truncated_tail();
   ingestor->broken_ = false;

@@ -15,6 +15,7 @@
 #include "markov/cpt.h"
 #include "markov/distribution.h"
 #include "markov/stream_io.h"
+#include "storage/file.h"
 #include "storage/wal.h"
 
 namespace caldera {
@@ -130,7 +131,9 @@ class StreamIngestor {
 
   /// Opens an ingestor for the stream archived in `dir`, recovering first
   /// if a previous writer left batches in the WAL (a crash, or a poisoned
-  /// ingestor, since the last checkpoint).
+  /// ingestor, since the last checkpoint). FailedPrecondition while another
+  /// ingestor or an index rebuild of the stream holds LockPath, in any
+  /// process.
   static Result<std::unique_ptr<StreamIngestor>> Open(const std::string& dir,
                                                       Options options);
   static Result<std::unique_ptr<StreamIngestor>> Open(const std::string& dir);
@@ -174,6 +177,12 @@ class StreamIngestor {
 
   /// WAL file name inside a stream directory.
   static std::string WalPath(const std::string& dir);
+  /// The stream's writer lock (FileLock): an ingestor holds it for its
+  /// lifetime and StreamArchive::RebuildIndexes for the rebuild, so a
+  /// stream has one writer across processes. The kernel drops it when the
+  /// holder dies, so a crashed writer's stream stays open to the
+  /// recovering one.
+  static std::string LockPath(const std::string& dir);
 
  private:
   StreamIngestor(std::string dir, Options options)
@@ -233,6 +242,9 @@ class StreamIngestor {
 
   std::string dir_;
   Options options_;
+  // The flock on LockPath(dir_), declared before the file members so that
+  // it is released only after they are closed.
+  std::unique_ptr<FileLock> lock_;
   std::unique_ptr<Wal> wal_;
   // The stream at its committed length, open across commits: MC Extend's
   // transition source and the compactions' input. ApplyBatch refreshes it

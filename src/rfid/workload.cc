@@ -296,15 +296,16 @@ Result<RoutineWorkload> MakeRoutineStream(const RoutineSpec& spec) {
   BuildingLayout::HmmParams params;
   params.entry_bias.emplace_back(workload.own_office, 8.0);
   for (uint32_t room : excursions) params.entry_bias.emplace_back(room, 3.0);
-  Hmm hmm = workload.layout.MakeHmm(params);
-  hmm.SetInitial(Distribution::Point(workload.own_office));
-  CALDERA_ASSIGN_OR_RETURN(std::vector<uint32_t> obs,
-                           simulator.Observe(truth, hmm));
+  workload.hmm = workload.layout.MakeHmm(params);
+  workload.hmm.SetInitial(Distribution::Point(workload.own_office));
+  CALDERA_ASSIGN_OR_RETURN(workload.observations,
+                           simulator.Observe(truth, workload.hmm));
   SmootherOptions smoother;
   smoother.truncate_eps = spec.truncate_eps;
   CALDERA_ASSIGN_OR_RETURN(
       workload.stream,
-      SmoothToMarkovianStream(hmm, obs, workload.schema, smoother));
+      SmoothToMarkovianStream(workload.hmm, workload.observations,
+                              workload.schema, smoother));
   return workload;
 }
 

@@ -85,6 +85,10 @@ struct RoutineWorkload {
   BuildingLayout layout;
   StreamSchema schema;
   DimensionTable types;
+  /// The person-specific HMM and the simulated readings it smooths into
+  /// `stream`.
+  Hmm hmm{0, 0};
+  std::vector<uint32_t> observations;
   MarkovianStream stream;
   uint32_t own_office;                  ///< Office where most time is spent.
   std::vector<uint32_t> excursion_rooms;///< Rooms actually visited.

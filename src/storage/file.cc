@@ -1,6 +1,7 @@
 #include "storage/file.h"
 
 #include <fcntl.h>
+#include <sys/file.h>
 #include <sys/stat.h>
 #include <sys/types.h>
 #include <unistd.h>
@@ -181,5 +182,24 @@ Status CreateDirectories(const std::string& path) {
   if (ec) return Status::IoError("mkdir '" + path + "': " + ec.message());
   return Status::Ok();
 }
+
+Result<std::unique_ptr<FileLock>> FileLock::Acquire(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
+  if (fd < 0) {
+    return Status::IoError("cannot open " + path + ": " +
+                           std::strerror(errno));
+  }
+  if (::flock(fd, LOCK_EX | LOCK_NB) != 0) {
+    const int err = errno;
+    ::close(fd);
+    if (err == EWOULDBLOCK) {
+      return Status::FailedPrecondition(path + " is locked by another writer");
+    }
+    return Status::IoError("cannot lock " + path + ": " + std::strerror(err));
+  }
+  return std::unique_ptr<FileLock>(new FileLock(fd));
+}
+
+FileLock::~FileLock() { ::close(fd_); }
 
 }  // namespace caldera

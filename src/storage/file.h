@@ -95,6 +95,24 @@ bool FileExists(const std::string& path);
 /// Creates a directory (and parents); OK if it already exists.
 Status CreateDirectories(const std::string& path);
 
+/// An exclusive, non-blocking flock(2) on a file, created if missing, held
+/// until destruction. flock locks conflict between separate opens, so a
+/// second Acquire of the same path fails in this process as in any other,
+/// and the kernel drops the lock when its holder dies.
+class FileLock {
+ public:
+  /// FailedPrecondition while another FileLock holds `path`.
+  static Result<std::unique_ptr<FileLock>> Acquire(const std::string& path);
+  ~FileLock();
+
+  FileLock(const FileLock&) = delete;
+  FileLock& operator=(const FileLock&) = delete;
+
+ private:
+  explicit FileLock(int fd) : fd_(fd) {}
+  int fd_;
+};
+
 }  // namespace caldera
 
 #endif  // CALDERA_STORAGE_FILE_H_

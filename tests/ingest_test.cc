@@ -7,6 +7,8 @@
 #include "ingest/ingestor.h"
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -1963,7 +1965,7 @@ TEST(IngestTreeMetaTest, HandleHeldAcrossCommitsKeepsTreesVerifiable) {
 }
 
 // ---------------------------------------------------------------------------
-// One ingestor per stream per facade.
+// One writer per stream: an ingestor, or an index rebuild.
 
 // A second OpenForIngest of a stream with a live ingestor is refused, the
 // first keeps committing, and once it is gone the stream opens for ingest
@@ -1996,6 +1998,84 @@ TEST(IngestFacadeTest, SecondIngestorIsRefused) {
   const Status verified = VerifyArchivedStream(fresh->get(), &report);
   EXPECT_TRUE(verified.ok()) << verified.ToString();
   EXPECT_EQ(report.timesteps_checked, 230u);
+}
+
+// A writer in another process holds the stream's ingest lock, so neither
+// the facade nor a bare StreamIngestor::Open gets a second writer, and no
+// index rebuild runs under it. The
+// child then dies without closing its ingestor: the kernel drops the lock,
+// and the next open recovers the batch the child committed.
+TEST(IngestLockTest, IngestorInAnotherProcessIsRefused) {
+  test::ScratchDir scratch("ingest_lock");
+  const MarkovianStream full = test::MakeBandedStream(120, 8, 17);
+  StreamArchive archive(scratch.Path("archive"));
+  ASSERT_TRUE(archive.Init().ok());
+  ASSERT_TRUE(archive.CreateStream("s", Prefix(full, 100)).ok());
+  const std::string dir = archive.StreamDir("s");
+
+  // The child reports on `ready` once its ingestor holds the stream, then
+  // waits until the parent closes `release`.
+  int ready[2];
+  int release[2];
+  ASSERT_EQ(::pipe(ready), 0);
+  ASSERT_EQ(::pipe(release), 0);
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    ::close(ready[0]);
+    ::close(release[1]);
+    auto ingestor = StreamIngestor::Open(dir);
+    char c = ingestor.ok() && (*ingestor)->Append(Slice(full, 100, 10)).ok()
+                 ? 'y'
+                 : 'n';
+    if (::write(ready[1], &c, 1) != 1) ::_exit(2);
+    while (::read(release[0], &c, 1) > 0) {
+    }
+    ::_exit(0);  // Dies holding the ingestor, with no checkpoint.
+  }
+  ::close(ready[1]);
+  ::close(release[0]);
+  // Lets the child exit and reaps it, on any path out of the test.
+  struct ChildGuard {
+    pid_t pid;
+    int release_fd;
+    int status = -1;
+    int Release() {
+      if (release_fd >= 0) {
+        ::close(release_fd);
+        release_fd = -1;
+        ::waitpid(pid, &status, 0);
+      }
+      return status;
+    }
+    ~ChildGuard() { Release(); }
+  } guard{child, release[1]};
+  char c = 0;
+  ASSERT_EQ(::read(ready[0], &c, 1), 1);
+  ::close(ready[0]);
+  ASSERT_EQ(c, 'y');
+
+  Caldera system(scratch.Path("archive"));
+  auto refused = system.OpenForIngest("s");
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition)
+      << refused.status().ToString();
+  auto bare = StreamIngestor::Open(dir);
+  ASSERT_FALSE(bare.ok());
+  EXPECT_EQ(bare.status().code(), StatusCode::kFailedPrecondition)
+      << bare.status().ToString();
+  EXPECT_EQ(system.RebuildIndexes("s").code(),
+            StatusCode::kFailedPrecondition);
+
+  const int status = guard.Release();
+  ASSERT_TRUE(WIFEXITED(status));
+  ASSERT_EQ(WEXITSTATUS(status), 0);
+
+  auto recovered = system.OpenForIngest("s");
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ((*recovered)->stats().batches_recovered, 1u);
+  EXPECT_EQ((*recovered)->length(), 110u);
+  ASSERT_TRUE((*recovered)->Append(Slice(full, 110, 10)).ok());
 }
 
 // RebuildIndexes of a stream with a live ingestor is refused (the
