@@ -1,8 +1,9 @@
 // Live-ingestion benchmark: durable append throughput through the WAL
 // commit protocol, recovery time after a writer dies with a full
 // checkpoint window, the cost of B+ tree compaction and of opening a handle
-// whose trees carry the largest in-memory tail, and the cost of
-// incremental MC index maintenance against a full rebuild. The right-spine extension recomputes
+// whose trees carry the largest in-memory tail, the cost of incremental MC
+// index maintenance against a full rebuild, and commit latency while scans
+// run on the stream. The right-spine extension recomputes
 // O(B/(alpha-1) + log_alpha n) nodes per batch of B timesteps, so extend
 // cost should stay flat in the stream length while rebuild cost grows
 // linearly; results land in BENCH_ingest.json.
@@ -10,12 +11,16 @@
 //   ./bench_ingest    (writes BENCH_ingest.json into the current directory)
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <filesystem>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <thread>
+#include <vector>
 
 #include "bench_util.h"
 #include "caldera/system.h"
@@ -395,9 +400,122 @@ int main() {
                  static_cast<unsigned long long>(extend_nodes));
     first_row = false;
   }
+  std::printf("# expected: extend-ms ~flat in length (right-spine O(log n) "
+              "maintenance), rebuild-ms ~linear\n");
+
+  // Commit latency under concurrent scans: onto a 20k-step, 8-state stream
+  // with BT_C and MC, one writer commits 1-step batches 2 ms apart while R
+  // threads loop a scan of the 2-link query. A commit applies under the
+  // stream lock held exclusively, and a query holds it shared while it
+  // borrows its handle. Each case has a deadline: past it the scans stop,
+  // which frees a starved commit, and the case reports how many commits
+  // finished in time. queries/s counts the scans completed while the
+  // commits ran: context that the readers ran, over a window too short to
+  // compare across builds.
+  constexpr uint64_t kScanArchive = 20000;
+  constexpr size_t kScanCommits = 100;
+  constexpr int kDeadlineSeconds = 30;
+  std::printf("\n# Commit latency under concurrent scans: %zu one-step "
+              "commits 2 ms apart onto %llu archived timesteps (BT_C + MC)\n",
+              kScanCommits, static_cast<unsigned long long>(kScanArchive));
+  std::printf("%-8s %12s %12s %12s %12s\n", "readers", "commit-p50",
+              "commit-p99", "commit-max", "queries/s");
+  std::fprintf(json, "\n  ],\n  \"commit_under_scans\": [\n");
+  const MarkovianStream scan_full =
+      MakeBandedRandomWalkStream(kScanArchive + kScanCommits, 8, 5);
+  ExecOptions scan_exec;
+  scan_exec.method = AccessMethodKind::kScan;
+  first_row = true;
+  for (int readers : {0, 1, 3}) {
+    const std::string name = "scans" + std::to_string(readers);
+    CALDERA_CHECK_OK(
+        system.archive()->CreateStream(name, Prefix(scan_full, kScanArchive)));
+    CALDERA_CHECK_OK(system.archive()->BuildBtc(name, 0));
+    CALDERA_CHECK_OK(system.archive()->BuildMc(name, {.alpha = 2}));
+    auto ingestor = system.OpenForIngest(name);
+    CALDERA_CHECK_OK(ingestor.status());
+
+    std::atomic<bool> stop{false};
+    std::atomic<uint64_t> queries{0};
+    std::vector<std::thread> threads;
+    for (int r = 0; r < readers; ++r) {
+      threads.emplace_back([&] {
+        while (!stop.load()) {
+          CALDERA_CHECK_OK(system.Execute(name, query, scan_exec).status());
+          queries.fetch_add(1);
+        }
+      });
+    }
+    while (queries.load() < static_cast<uint64_t>(readers)) {
+      std::this_thread::yield();
+    }
+    std::mutex deadline_mu;
+    std::condition_variable deadline_cv;
+    bool done = false;
+    std::atomic<bool> timed_out{false};
+    std::thread deadline([&] {
+      std::unique_lock<std::mutex> lock(deadline_mu);
+      if (!deadline_cv.wait_for(lock, std::chrono::seconds(kDeadlineSeconds),
+                                [&] { return done; })) {
+        timed_out.store(true);
+        stop.store(true);
+      }
+    });
+    std::vector<double> commit_ms;
+    size_t commits_in_time = 0;
+    const uint64_t queries_before = queries.load();
+    const double phase_s = Seconds([&] {
+      for (size_t i = 0; i < kScanCommits && !timed_out.load(); ++i) {
+        commit_ms.push_back(1e3 * Seconds([&] {
+          CALDERA_CHECK_OK(
+              (*ingestor)->Append(Slice(scan_full, kScanArchive + i, 1)));
+        }));
+        if (!timed_out.load()) ++commits_in_time;
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      }
+    });
+    const uint64_t phase_queries = queries.load() - queries_before;
+    stop.store(true);
+    for (std::thread& t : threads) t.join();
+    {
+      std::lock_guard<std::mutex> lock(deadline_mu);
+      done = true;
+    }
+    deadline_cv.notify_one();
+    deadline.join();
+
+    const bool finished = commits_in_time == kScanCommits;
+    std::sort(commit_ms.begin(), commit_ms.end());
+    const auto pick = [&](double q) {
+      return commit_ms[static_cast<size_t>(
+          q * static_cast<double>(commit_ms.size() - 1))];
+    };
+    const double queries_per_s = static_cast<double>(phase_queries) / phase_s;
+    if (finished) {
+      std::printf("%-8d %12.2f %12.2f %12.2f %12.0f\n", readers, pick(0.5),
+                  pick(0.99), commit_ms.back(), queries_per_s);
+    } else {
+      std::printf("%-8d did not finish in %d s (%zu of %zu commits)\n",
+                  readers, kDeadlineSeconds, commits_in_time, kScanCommits);
+    }
+    std::fprintf(json,
+                 "%s    {\"readers\": %d, \"archived\": %llu, "
+                 "\"commits\": %zu, \"finished\": %s, "
+                 "\"commits_in_time\": %zu, \"deadline_s\": %d, "
+                 "\"commit_p50_ms\": %.3f, \"commit_p99_ms\": %.3f, "
+                 "\"commit_max_ms\": %.3f, \"queries_per_s\": %.0f}",
+                 first_row ? "" : ",\n", readers,
+                 static_cast<unsigned long long>(kScanArchive), kScanCommits,
+                 finished ? "true" : "false", commits_in_time,
+                 kDeadlineSeconds, pick(0.5), pick(0.99), commit_ms.back(),
+                 queries_per_s);
+    first_row = false;
+  }
+  std::printf("# expected: commit-p50 with 1 and 3 readers within a few "
+              "times the 0-reader p50 (a commit waits for borrows, not for "
+              "whole queries); wrote BENCH_ingest.json\n");
+
   std::fprintf(json, "\n  ]\n}\n");
   std::fclose(json);
-  std::printf("# expected: extend-ms ~flat in length (right-spine O(log n) "
-              "maintenance), rebuild-ms ~linear; wrote BENCH_ingest.json\n");
   return all_identical ? 0 : 1;
 }

@@ -1,7 +1,6 @@
 #include "caldera/system.h"
 
 #include <cstdio>
-#include <vector>
 
 #include "caldera/executor.h"
 
@@ -58,11 +57,20 @@ Result<std::shared_ptr<ArchivedStream>> Caldera::GetStream(
   IdleKey key(name, pool_pages);
   std::unique_ptr<ArchivedStream> handle;
   uint64_t epoch;
+  uint64_t committed = 0;
   {
     std::lock_guard<std::mutex> lock(state_->mu);
     epoch = state_->epoch;
     auto idle = state_->idle.extract(key);
     if (!idle.empty()) handle = std::move(idle.mapped());
+    auto it = state_->committed_lengths.find(name);
+    if (it != state_->committed_lengths.end()) committed = it->second;
+  }
+  // An idle handle an ingest commit has left behind advances to the new
+  // length; one that fails to refresh is dropped and the open redoes it.
+  if (handle != nullptr && handle->length() < committed &&
+      !handle->Refresh().ok()) {
+    handle.reset();
   }
   if (handle == nullptr) {
     // Open outside the lock, so concurrent opens do not serialize.
@@ -72,8 +80,7 @@ Result<std::shared_ptr<ArchivedStream>> Caldera::GetStream(
     handle->AttachSpanCache(span_cache_, epoch);
   }
   // The deleter puts the handle back unless the facade is gone, the epoch
-  // moved on, a commit has since grown the stream past the handle, or the
-  // slot is filled; then `owned` dies outside the lock.
+  // moved on or the slot is filled; then `owned` dies outside the lock.
   return std::shared_ptr<ArchivedStream>(
       handle.release(), [home = std::weak_ptr<State>(state_),
                          key = std::move(key), epoch](ArchivedStream* lent) {
@@ -81,46 +88,15 @@ Result<std::shared_ptr<ArchivedStream>> Caldera::GetStream(
         std::shared_ptr<State> state = home.lock();
         if (state == nullptr) return;
         std::lock_guard<std::mutex> lock(state->mu);
-        if (state->epoch != epoch || !state->IsCurrent(key.first, *lent)) {
-          return;
-        }
+        if (state->epoch != epoch) return;
         state->idle.try_emplace(key, std::move(owned));
       });
 }
 
-bool Caldera::State::IsCurrent(const std::string& name,
-                               const ArchivedStream& handle) const {
-  auto it = committed_lengths.find(name);
-  return it == committed_lengths.end() || it->second == handle.length();
-}
-
-void Caldera::RefreshIdleHandles(const std::string& name,
-                                 uint64_t new_length) {
-  // Take the stream's idle handles out, advance them outside `mu`, and put
-  // back those that reached the committed length. A handle lent now is
-  // not here; its deleter drops it, as its length is no longer current.
-  std::vector<std::pair<IdleKey, std::unique_ptr<ArchivedStream>>> handles;
-  uint64_t epoch;
-  {
-    std::lock_guard<std::mutex> lock(state_->mu);
-    state_->committed_lengths[name] = new_length;
-    epoch = state_->epoch;
-    auto it = state_->idle.lower_bound(IdleKey(name, 0));
-    while (it != state_->idle.end() && it->first.first == name) {
-      handles.emplace_back(it->first, std::move(it->second));
-      it = state_->idle.erase(it);
-    }
-  }
-  for (auto& [key, handle] : handles) {
-    if (!handle->Refresh().ok()) handle.reset();  // The next open redoes it.
-  }
-  std::lock_guard<std::mutex> lock(state_->mu);
-  if (state_->epoch != epoch) return;  // Dropped after the lock is released.
-  for (auto& [key, handle] : handles) {
-    if (handle != nullptr && state_->IsCurrent(name, *handle)) {
-      state_->idle.try_emplace(key, std::move(handle));
-    }
-  }
+Result<std::shared_ptr<ArchivedStream>> Caldera::BorrowStream(
+    const std::string& name, size_t pool_pages) {
+  std::shared_lock<std::shared_mutex> guard(*StreamMutationLock(name));
+  return GetStream(name, pool_pages);
 }
 
 uint64_t Caldera::InvalidateStreams() {
@@ -151,15 +127,21 @@ Result<std::unique_ptr<StreamIngestor>> Caldera::OpenForIngest(
   }
   StreamIngestor::Options options;
   options.apply_mutex = StreamMutationLock(stream_name);
-  // Every commit (and the recovery replay inside Open) advances the idle
-  // handles to the new length under the stream's exclusive lock: queries
-  // in flight finish against their lent snapshots, and the next GetStream
-  // lends a refreshed handle whose cached pages and span CPTs stay warm.
-  options.on_commit = [this, stream_name](uint64_t new_length) {
-    RefreshIdleHandles(stream_name, new_length);
+  // Every commit records the new length, for the next GetStream to refresh
+  // the handle it lends to. The call a recovering Open makes also retires
+  // every handle and span CPT: a query in flight may have cached pages its
+  // undo restore rewrote before the redo. `this` is used only in Open.
+  auto opening = std::make_shared<bool>(true);
+  options.on_commit = [this, state = state_, opening,
+                       stream_name](uint64_t new_length) {
+    if (*opening) NotifyStreamMutation();
+    std::lock_guard<std::mutex> lock(state->mu);
+    state->committed_lengths[stream_name] = new_length;
   };
-  return StreamIngestor::Open(archive_.StreamDir(stream_name),
-                              std::move(options));
+  Result<std::unique_ptr<StreamIngestor>> ingestor = StreamIngestor::Open(
+      archive_.StreamDir(stream_name), std::move(options));
+  *opening = false;
+  return ingestor;
 }
 
 uint64_t Caldera::stream_epoch() const {
@@ -170,10 +152,8 @@ uint64_t Caldera::stream_epoch() const {
 Result<PlanDecision> Caldera::Plan(const std::string& stream_name,
                                    const RegularQuery& query,
                                    const ExecOptions& options) {
-  std::shared_lock<std::shared_mutex> read_guard(
-      *StreamMutationLock(stream_name));
   CALDERA_ASSIGN_OR_RETURN(std::shared_ptr<ArchivedStream> archived,
-                           GetStream(stream_name, options.pool_pages));
+                           BorrowStream(stream_name, options.pool_pages));
   if (options.method != AccessMethodKind::kAuto) {
     PlanDecision decision;
     decision.method = options.method;
@@ -190,21 +170,31 @@ Result<PlanDecision> Caldera::Plan(const std::string& stream_name,
 Result<QueryResult> Caldera::Execute(const std::string& stream_name,
                                      const RegularQuery& query,
                                      const ExecOptions& options) {
-  // Shared hold on the stream's mutation lock for the whole execution: an
-  // ingest apply (which rewrites record-file header, meta and tail pages and
-  // mc.meta in place) or an index rebuild (exclusive holders) cannot change
-  // what this query reads mid-flight, so the query sees either the pre- or
-  // post-mutation stream, never a mix. The handle is lent to this
-  // query alone and stays alive if the streams are invalidated mid-query.
-  std::shared_lock<std::shared_mutex> read_guard(
-      *StreamMutationLock(stream_name));
+  // A recovering OpenForIngest bumps the epoch before it releases the
+  // stream lock, so a query that may have read its pages mid-redo runs
+  // again.
+  for (;;) {
+    const uint64_t epoch = stream_epoch();
+    Result<QueryResult> result = ExecuteOnce(stream_name, query, options);
+    std::shared_lock<std::shared_mutex> guard(
+        *StreamMutationLock(stream_name));
+    if (stream_epoch() == epoch) return result;
+  }
+}
+
+Result<QueryResult> Caldera::ExecuteOnce(const std::string& stream_name,
+                                         const RegularQuery& query,
+                                         const ExecOptions& options) {
+  // The query runs unlocked on a handle lent to it alone: no ingest apply
+  // rewrites what the handle reads, and it stays alive if the streams are
+  // invalidated mid-query.
   std::string reason = "explicitly requested";
   double density = -1.0;  // < 0: the planner did not run.
 
   // One strict attempt: lend a handle with every index open, plan, run.
   Result<QueryResult> result = [&]() -> Result<QueryResult> {
     CALDERA_ASSIGN_OR_RETURN(std::shared_ptr<ArchivedStream> handle,
-                             GetStream(stream_name, options.pool_pages));
+                             BorrowStream(stream_name, options.pool_pages));
     AccessMethodKind method = options.method;
     if (method == AccessMethodKind::kAuto) {
       CALDERA_ASSIGN_OR_RETURN(
@@ -225,10 +215,14 @@ Result<QueryResult> Caldera::Execute(const std::string& stream_name,
   if (!result.ok() && options.fallback_to_scan &&
       ScanFallbackApplies(result.status())) {
     const Status failure = result.status();
-    CALDERA_ASSIGN_OR_RETURN(
-        std::unique_ptr<ArchivedStream> bare,
-        ArchivedStream::OpenWithoutIndexes(archive_.StreamDir(stream_name),
-                                           options.pool_pages));
+    std::unique_ptr<ArchivedStream> bare;
+    {
+      std::shared_lock<std::shared_mutex> guard(
+          *StreamMutationLock(stream_name));
+      CALDERA_ASSIGN_OR_RETURN(
+          bare, ArchivedStream::OpenWithoutIndexes(
+                    archive_.StreamDir(stream_name), options.pool_pages));
+    }
     result = ExecutePipelineMethod(bare.get(), query, AccessMethodKind::kScan,
                                    options);
     if (result.ok()) {
@@ -260,9 +254,9 @@ Result<QueryResult> Caldera::Execute(const std::string& stream_name,
 }
 
 Status Caldera::RebuildIndexes(const std::string& stream_name) {
-  // Exclusive: rebuild rewrites index files that open handles read in
-  // place. Queries (shared holders) drain first, and the mutation
-  // notification lands before any of them can reopen.
+  // Exclusive: no handle opens or refreshes while the index files are
+  // missing or half written, and the mutation notification lands before
+  // the next borrow. Queries in flight keep reading the unlinked files.
   std::unique_lock<std::shared_mutex> guard(
       *StreamMutationLock(stream_name));
   CALDERA_RETURN_IF_ERROR(archive_.RebuildIndexes(stream_name));

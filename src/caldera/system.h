@@ -48,9 +48,9 @@ struct ExecOptions {
 /// on one stream at once. An ArchivedStream is single-threaded (its buffer
 /// pools are not locked), so GetStream *lends* handles: each caller gets a
 /// handle no other caller holds, and releasing it returns it to an idle
-/// slot for the next query to reuse warm. An ingest commit through
-/// OpenForIngest advances the idle handles to the new length (lent ones
-/// keep their snapshot and are dropped on release). Handles are
+/// slot for the next query to reuse warm. After an ingest commit, the
+/// next GetStream refreshes the handle it lends; a commit waits only for
+/// such borrows (StreamMutationLock), not for queries. Handles are
 /// epoch-versioned: InvalidateStreams never dangles an outstanding handle,
 /// it only stops the facade from lending stale ones again.
 ///
@@ -92,10 +92,13 @@ class Caldera {
                             const ExecOptions& options = {});
 
   /// Lends a handle no other caller holds: the stream's idle handle of this
-  /// pool size, else a newly opened one. Releasing it returns it for reuse
-  /// unless the epoch has moved on or an ingest commit has grown the stream
-  /// since. Thread-safe. The handle stays valid for as long as the caller
-  /// holds it, past InvalidateStreams or the facade.
+  /// pool size, refreshed first if an ingest commit has grown the stream
+  /// since, else a newly opened one. Releasing it returns it for reuse
+  /// unless the epoch has moved on. Thread-safe; call under a shared hold
+  /// of `StreamMutationLock` while an ingestor may commit; `Execute` and
+  /// `Plan` do. The handle stays valid past InvalidateStreams or the
+  /// facade and needs no lock to read, but a read that overlaps a
+  /// recovering OpenForIngest may see pre-redo bytes (Execute reruns).
   Result<std::shared_ptr<ArchivedStream>> GetStream(const std::string& name,
                                                     size_t pool_pages = 256);
 
@@ -117,12 +120,12 @@ class Caldera {
 
   /// Opens a live-append handle for `stream_name` (the growing-stream
   /// ingestion pipeline, src/ingest/). The open recovers from the stream's
-  /// WAL if a previous writer died before a checkpoint, and every committed
-  /// batch runs under the stream's writer lock and ends by refreshing the
-  /// stream's idle handles to the new length (ArchivedStream::Refresh,
-  /// O(batch)), so concurrent queries see either the pre- or post-append
-  /// stream — never a mix — and new queries see the appended timesteps
-  /// immediately, with warm pages and span CPTs. A commit bumps no epoch.
+  /// WAL if a previous writer died before a checkpoint, then retires every
+  /// handle (NotifyStreamMutation). A commit applies under the stream lock
+  /// and records the new length; the next GetStream refreshes the handle
+  /// it lends (ArchivedStream::Refresh, O(batch)), so a query sees the pre-
+  /// or post-append stream, never a mix, with warm pages and span CPTs. A
+  /// commit bumps no epoch.
   /// One writer per stream: while an ingestor is alive, in this or any
   /// other process, a second OpenForIngest and RebuildIndexes of the
   /// stream fail with FailedPrecondition (its checkpoints rename the
@@ -131,22 +134,22 @@ class Caldera {
       const std::string& stream_name);
 
   /// The single epoch-bump/invalidation point behind every in-place
-  /// rewrite of a stream's files (index rebuild): drops idle handles (next
-  /// GetStream reopens against the new on-disk state) and clears the span-
-  /// CPT cache. The epoch bump alone already orphans span entries
-  /// logically — fresh handles stamp the new epoch into their cache keys —
-  /// and the Clear reclaims the bytes instead of waiting for LRU pressure.
-  /// Ingest commits do not come here: they only append, and refresh the
-  /// idle handles instead.
+  /// rewrite of a stream's files (index rebuild, ingest recovery): drops
+  /// idle handles (next GetStream reopens against the new on-disk state)
+  /// and clears the span-CPT cache. The epoch bump alone already orphans
+  /// span entries logically — fresh handles stamp the new epoch into their
+  /// cache keys — and the Clear reclaims the bytes instead of waiting for
+  /// LRU pressure. Ingest commits do not come here: they only append, and
+  /// the next borrow refreshes the handle it lends instead.
   void NotifyStreamMutation();
 
   /// The per-stream reader/writer lock that serializes in-place mutation
-  /// (ingest apply and its handle refresh, index rebuild — exclusive)
-  /// against query execution (shared). Stable address for the life of the
-  /// facade. Tree files are immutable and a compaction renames a new one
-  /// into place, but an append rewrites the record files' pager headers,
-  /// meta pages and partial tail pages, and mc.meta, in place; the lock
-  /// keeps queries from reading those mid-rewrite.
+  /// (ingest apply, index rebuild — exclusive) against borrowing a handle
+  /// (GetStream, which opens or refreshes it — shared). Stable address for
+  /// the life of the facade. The pages an append rewrites in place (record
+  /// file headers, meta and tail pages, mc.meta) are read only by an open
+  /// or a refresh, and tree files are replaced whole, so a query holds the
+  /// lock only while it borrows.
   std::shared_mutex* StreamMutationLock(const std::string& stream_name);
 
  private:
@@ -158,25 +161,24 @@ class Caldera {
     uint64_t epoch = 0;
     // At most one idle handle per key, opened under `epoch`.
     std::map<IdleKey, std::unique_ptr<ArchivedStream>> idle;
-    // Length of each stream as its last ingest commit left it; a released
-    // handle of another length is stale and is not idled.
+    // Length of each stream as its last ingest commit left it; GetStream
+    // refreshes a shorter idle handle before lending it.
     std::map<std::string, uint64_t> committed_lengths;
     // Lock order: a stream's mutation lock is always acquired BEFORE mu
-    // (Execute: stream lock -> GetStream -> mu; ingest commit: stream lock
-    // -> RefreshIdleHandles -> mu). mu is never held while acquiring a
-    // stream lock. unique_ptr keeps addresses stable across map growth.
+    // (borrow: stream lock -> GetStream -> mu; ingest commit: stream lock
+    // -> on_commit -> mu). mu is never held while acquiring a stream lock.
+    // unique_ptr keeps addresses stable across map growth.
     std::map<std::string, std::unique_ptr<std::shared_mutex>> stream_locks;
-
-    // False when an ingest commit has left `name` at another length than
-    // `handle`'s.
-    bool IsCurrent(const std::string& name,
-                   const ArchivedStream& handle) const;
   };
 
-  // The ingest commit hook: records `new_length` and advances the idle
-  // handles of `name` to it, outside `mu`; a handle that fails to refresh
-  // is dropped. Runs under the stream's exclusive mutation lock.
-  void RefreshIdleHandles(const std::string& name, uint64_t new_length);
+  // GetStream under a shared hold of the stream's mutation lock.
+  Result<std::shared_ptr<ArchivedStream>> BorrowStream(const std::string& name,
+                                                       size_t pool_pages);
+
+  // One run of Execute, which repeats it while the epoch moves meanwhile.
+  Result<QueryResult> ExecuteOnce(const std::string& stream_name,
+                                  const RegularQuery& query,
+                                  const ExecOptions& options);
 
   StreamArchive archive_;
   std::shared_ptr<SpanCptCache> span_cache_;

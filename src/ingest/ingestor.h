@@ -97,29 +97,28 @@ struct IngestStats {
 /// loses only that unacknowledged batch: the WAL truncates its torn frame.
 /// Either way, readers observe a batch boundary — never a mix.
 ///
-/// Snapshot safety: record-file readers cache their directory in memory and
-/// appends never move committed record bytes or directory entries, so
-/// handles opened before a commit keep serving their snapshot until they
-/// Refresh, which costs O(batch) (on_commit is where the facade does it
-/// for its idle handles). A record-file append still rewrites its pager
-/// headers, meta page and partial tail page in place, and the apply
-/// rewrites mc.meta, so `Options::apply_mutex` (exclusive here, shared
-/// around queries — the Caldera facade wires this up) keeps a query from
-/// reading those pages mid-rewrite. A compaction needs no lock: it renames
-/// a whole new tree file over the old, and handles holding the old file
-/// keep reading it.
+/// Snapshot safety: appends never move committed record bytes or directory
+/// entries, and a record-file reader keeps its directory and partial last
+/// page in memory, so a handle serves its snapshot with no lock until it
+/// Refreshes (O(batch)). The pages an append rewrites in place (pager
+/// headers, meta and tail pages, mc.meta) are read only by an open or a
+/// Refresh, which hold `Options::apply_mutex` shared against the apply. A
+/// compaction renames a whole new tree file over the old. Recovery does
+/// rewrite pages a handle reads (it restores pre-images, then redoes), so
+/// the facade retires its handles in Open's on_commit call and reruns the
+/// queries that overlapped it.
 class StreamIngestor {
  public:
   struct Options {
     /// Called with the new stream length after every committed batch is
-    /// applied, and once after an Open whose recovery redid batches.
-    /// The Caldera facade hooks its idle-handle refresh here (no epoch
-    /// bump: an append keeps cached pages and span CPTs valid). Invoked
-    /// while the apply lock (if any) is held.
+    /// applied, and once after an Open whose recovery redid batches. The
+    /// Caldera facade records the length for its next borrow to refresh
+    /// to; the call from Open also bumps its epoch. Invoked while the apply
+    /// lock (if any) is held.
     std::function<void(uint64_t new_length)> on_commit;
     /// When set, recovery and every batch apply hold this exclusively while
-    /// mutating on-disk state. Readers of the same stream must hold it
-    /// shared (Caldera::Execute does).
+    /// mutating on-disk state; opening or refreshing a reader of the stream
+    /// holds it shared (Caldera::GetStream's callers do).
     std::shared_mutex* apply_mutex = nullptr;
   };
 

@@ -172,23 +172,6 @@ Result<PageHandle> BufferPool::NewPage() {
   return PageHandle(this, frame);
 }
 
-Status BufferPool::Discard(PageId id) {
-  auto it = page_table_.find(id);
-  if (it == page_table_.end()) return Status::Ok();
-  const size_t frame = it->second;
-  Frame& f = frames_[frame];
-  if (f.pin_count > 0 || f.dirty) {
-    return Status::FailedPrecondition("cannot discard pinned or dirty page " +
-                                      std::to_string(id));
-  }
-  TouchLru(frame);
-  page_table_.erase(it);
-  f.page_id = kInvalidPageId;
-  f.in_use = false;
-  free_frames_.push_back(frame);
-  return Status::Ok();
-}
-
 Status BufferPool::FlushAll() {
   for (Frame& f : frames_) {
     if (f.in_use && f.dirty) {

@@ -90,11 +90,6 @@ class BufferPool {
   /// fsync: the owner calls Pager::Sync when it needs durability.
   Status FlushAll();
 
-  /// Drops page `id`'s cached copy, if any, so the next Fetch rereads it:
-  /// for a reader whose page another handle has rewritten. The page must
-  /// be neither pinned nor dirty (FailedPrecondition).
-  Status Discard(PageId id);
-
   const BufferPoolStats& stats() const { return stats_; }
   void ResetStats() { stats_ = BufferPoolStats{}; }
   size_t capacity() const { return capacity_; }

@@ -273,18 +273,23 @@ Result<std::unique_ptr<RecordFileReader>> RecordFileReader::Open(
   auto reader = std::unique_ptr<RecordFileReader>(
       new RecordFileReader(std::move(file.data), pool_pages));
   reader->offsets_ = std::move(offsets);
+  reader->LoadTail();
   return reader;
+}
+
+void RecordFileReader::LoadTail() {
+  const uint32_t page_size = pager_->page_size();
+  tail_.clear();
+  tail_status_ = Status::Ok();
+  if (data_bytes() % page_size == 0) return;
+  tail_.resize(page_size);
+  tail_status_ =
+      pager_->ReadPage(kFirstDataPage + data_bytes() / page_size, tail_.data());
 }
 
 Status RecordFileReader::Refresh() {
   const uint64_t old_records = num_records();
   const uint64_t old_bytes = data_bytes();
-  const uint32_t page_size = pager_->page_size();
-  // The append filled the old partial tail page in place.
-  if (old_bytes % page_size != 0) {
-    CALDERA_RETURN_IF_ERROR(
-        pool_->Discard(kFirstDataPage + old_bytes / page_size));
-  }
   CALDERA_RETURN_IF_ERROR(pager_->Refresh());
   // Open drops the directory file; the first Refresh reopens it and later
   // ones keep it.
@@ -300,7 +305,10 @@ Status RecordFileReader::Refresh() {
     return Status::Corruption("record file shrank: " + pager_->path());
   }
   // Only the new entries are read; the old ones are never moved.
-  return LoadDirectory(*dir_pager_, meta, old_records + 1, &offsets_);
+  CALDERA_RETURN_IF_ERROR(
+      LoadDirectory(*dir_pager_, meta, old_records + 1, &offsets_));
+  LoadTail();
+  return Status::Ok();
 }
 
 Result<uint64_t> RecordFileReader::RecordSize(uint64_t id) const {
@@ -316,14 +324,21 @@ Status RecordFileReader::Get(uint64_t id, std::string* out) {
   out->clear();
   out->reserve(size);
   const uint32_t page_size = pager_->page_size();
+  // Bytes on the partial last page, if there is one, come from tail_.
+  const PageId tail_page = kFirstDataPage + data_bytes() / page_size;
   uint64_t off = offsets_[id];
   uint64_t remaining = size;
   while (remaining > 0) {
     PageId page = kFirstDataPage + off / page_size;
     uint64_t in_page = off % page_size;
     uint64_t take = std::min<uint64_t>(remaining, page_size - in_page);
-    CALDERA_ASSIGN_OR_RETURN(PageHandle handle, pool_->Fetch(page));
-    out->append(handle.data() + in_page, take);
+    if (page == tail_page) {
+      CALDERA_RETURN_IF_ERROR(tail_status_);
+      out->append(tail_.data() + in_page, take);
+    } else {
+      CALDERA_ASSIGN_OR_RETURN(PageHandle handle, pool_->Fetch(page));
+      out->append(handle.data() + in_page, take);
+    }
     off += take;
     remaining -= take;
   }

@@ -115,10 +115,10 @@ class RecordFileWriter {
   bool finalized_ = false;
 };
 
-/// Reads a finalized record file through an LRU buffer pool. The directory
-/// is loaded into memory at Open; page traffic on the records is visible via
-/// stats(). A reader serves the snapshot it opened (or last refreshed) at,
-/// whatever appends land behind it.
+/// Reads a finalized record file. The directory and the partial last data
+/// page are read into memory at Open and Refresh, the other pages through
+/// an LRU buffer pool (stats()). A reader serves its snapshot with no lock
+/// against appends: no append rewrites a full data page.
 class RecordFileReader {
  public:
   static Result<std::unique_ptr<RecordFileReader>> Open(
@@ -126,13 +126,14 @@ class RecordFileReader {
 
   /// Advances the reader to the file as an append left it, at a cost of
   /// the appended records only: rereads both pager headers and the meta
-  /// page, loads the new directory entries, and drops the cached copy of
-  /// the old partial tail page (the append filled it in place). Corruption
-  /// if the file shrank or its new entries do not check out; the reader
-  /// then still serves its old records.
+  /// page, loads the new directory entries, and rereads the partial last
+  /// data page. Corruption if the file shrank or its new entries do not
+  /// check out; the reader then still serves its old records. Must not
+  /// overlap an append.
   Status Refresh();
 
-  /// Reads record `id` into *out (replacing its contents).
+  /// Reads record `id` into *out (replacing its contents). A tail page that
+  /// failed its read at Open or Refresh fails the Get that needs it.
   Status Get(uint64_t id, std::string* out);
 
   /// Size in bytes of record `id`.
@@ -149,10 +150,15 @@ class RecordFileReader {
       : pager_(std::move(pager)),
         pool_(std::make_unique<BufferPool>(pager_.get(), pool_pages)) {}
 
+  void LoadTail();  // Reads the partial last data page into tail_.
+
   std::unique_ptr<Pager> pager_;
   std::unique_ptr<BufferPool> pool_;
   std::unique_ptr<Pager> dir_pager_;  // Null until the first Refresh.
   std::vector<uint64_t> offsets_;  // n+1 delimiting offsets.
+  // As of Open/Refresh; an append fills it in place, so Get never reads it.
+  std::vector<char> tail_;
+  Status tail_status_;
 };
 
 }  // namespace caldera

@@ -12,6 +12,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <map>
@@ -1114,9 +1117,222 @@ TEST(IngestConcurrencyTest, ManyReadersOnOneStreamMatchOracles) {
   }
 }
 
+// Commits make progress while three scans loop on the stream: a query
+// holds the stream lock only while it borrows its handle, so a commit waits
+// for a borrow, never for a whole query. A watchdog turns a starved commit
+// into a failure instead of a hung test.
+TEST(IngestConcurrencyTest, CommitsProgressUnderConcurrentScans) {
+  test::ScratchDir scratch("ingest_starve");
+  const uint64_t base_len = 2000;
+  constexpr size_t kCommits = 20;
+  constexpr int kReaders = 3;
+  constexpr auto kDeadline = std::chrono::seconds(60);
+  MarkovianStream full = test::MakeBandedStream(base_len + kCommits, 8, 47);
+  Caldera system(scratch.Path("archive"));
+  ASSERT_TRUE(system.archive()->Init().ok());
+  ASSERT_TRUE(
+      system.archive()->CreateStream("live", Prefix(full, base_len)).ok());
+  auto ingestor = system.OpenForIngest("live");
+  ASSERT_TRUE(ingestor.ok()) << ingestor.status().ToString();
+
+  std::mutex done_mu;
+  std::condition_variable done_cv;
+  bool done = false;
+  std::thread watchdog([&] {
+    std::unique_lock<std::mutex> lock(done_mu);
+    if (!done_cv.wait_for(lock, kDeadline, [&] { return done; })) {
+      std::fprintf(stderr,
+                   "CommitsProgressUnderConcurrentScans: %zu one-step commits "
+                   "did not finish within 60 s under %d concurrent scans\n",
+                   kCommits, kReaders);
+      std::_Exit(1);
+    }
+  });
+
+  const RegularQuery query = FixedQuery();
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> queries{0};
+  std::atomic<uint64_t> failures{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&] {
+      while (!stop.load()) {
+        auto result = system.Execute(
+            "live", query, ExecOptions{.method = AccessMethodKind::kScan});
+        if (!result.ok()) failures.fetch_add(1);
+        queries.fetch_add(1);
+      }
+    });
+  }
+  // Let the scans get going, so the commits meet them.
+  while (queries.load() < kReaders) std::this_thread::yield();
+  Status status = Status::Ok();
+  for (size_t i = 0; i < kCommits && status.ok(); ++i) {
+    status = (*ingestor)->Append(Slice(full, base_len + i, 1));
+  }
+  stop.store(true);
+  for (std::thread& t : readers) t.join();
+  {
+    std::lock_guard<std::mutex> lock(done_mu);
+    done = true;
+  }
+  done_cv.notify_one();
+  watchdog.join();
+
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(failures.load(), 0u);
+  EXPECT_EQ((*ingestor)->length(), base_len + kCommits);
+  auto next = system.GetStream("live");
+  ASSERT_TRUE(next.ok());
+  EXPECT_EQ((*next)->length(), base_len + kCommits);
+}
+
+// Holds the query thread's first read of one page of one file until a
+// write has replaced that page, and holds that write until the read is
+// done: a query reads the page exactly in the gap the write opens.
+struct PageGate {
+  std::string path_suffix;
+  uint64_t offset = 0;
+  std::mutex mu;
+  std::condition_variable cv;
+  std::thread::id reader;
+  bool reader_waiting = false;
+  bool written = false;
+  bool read_done = false;
+};
+
+class GatedFile final : public File {
+ public:
+  GatedFile(std::unique_ptr<File> base, PageGate* gate)
+      : base_(std::move(base)), gate_(gate) {}
+
+  Status ReadAt(uint64_t offset, size_t n, char* buf) const override {
+    if (!Gated(offset)) return base_->ReadAt(offset, n, buf);
+    std::unique_lock<std::mutex> lock(gate_->mu);
+    if (std::this_thread::get_id() != gate_->reader || gate_->read_done) {
+      lock.unlock();
+      return base_->ReadAt(offset, n, buf);
+    }
+    gate_->reader_waiting = true;
+    gate_->cv.notify_all();
+    gate_->cv.wait_for(lock, std::chrono::seconds(30),
+                       [&] { return gate_->written; });
+    Status read = base_->ReadAt(offset, n, buf);
+    gate_->read_done = true;
+    gate_->cv.notify_all();
+    return read;
+  }
+  Status WriteAt(uint64_t offset, std::string_view data) override {
+    CALDERA_RETURN_IF_ERROR(base_->WriteAt(offset, data));
+    if (!Gated(offset)) return Status::Ok();
+    std::unique_lock<std::mutex> lock(gate_->mu);
+    if (gate_->written) return Status::Ok();
+    gate_->written = true;
+    gate_->cv.notify_all();
+    gate_->cv.wait_for(lock, std::chrono::seconds(30),
+                       [&] { return gate_->read_done; });
+    return Status::Ok();
+  }
+  Status Truncate(uint64_t size) override { return base_->Truncate(size); }
+  Status Sync() override { return base_->Sync(); }
+  uint64_t size() const override { return base_->size(); }
+  Status RefreshSize() override { return base_->RefreshSize(); }
+  const std::string& path() const override { return base_->path(); }
+
+ private:
+  bool Gated(uint64_t offset) const {
+    const std::string& p = base_->path();
+    const std::string& suffix = gate_->path_suffix;
+    return offset == gate_->offset && p.size() >= suffix.size() &&
+           p.compare(p.size() - suffix.size(), suffix.size(), suffix) == 0;
+  }
+
+  std::unique_ptr<File> base_;
+  PageGate* gate_;
+};
+
+// A recovering open restores each record file's checkpoint-time tail page
+// before it redoes the window, and a handle past the checkpoint reads that
+// page as a full one. A scan whose read of it lands in that gap gets the
+// checkpoint's bytes; Execute must still answer as the recovered stream
+// does, and no handle that cached those bytes may be lent again.
+TEST(IngestConcurrencyTest, QueryOverlappingARecoveryMatchesTheRecoveredStream) {
+  test::ScratchDir scratch("ingest_recovery_gap");
+  const uint64_t checkpoint_len = 300;
+  MarkovianStream full =
+      test::MakeBandedStream(checkpoint_len + 101, 8, 48);
+  Caldera system(scratch.Path("archive"));
+  ASSERT_TRUE(system.archive()->Init().ok());
+  ASSERT_TRUE(system.archive()
+                  ->CreateStream("live", Prefix(full, checkpoint_len))
+                  .ok());
+  ASSERT_TRUE(system.archive()->CreateStream("oracle", full).ok());
+  const RegularQuery query = FixedQuery();
+  const ExecOptions scan{.method = AccessMethodKind::kScan};
+  auto want = system.Execute("oracle", query, scan);
+  ASSERT_TRUE(want.ok());
+
+  // The partial tail page of the CPTs (what a scan reads) at the
+  // checkpoint, which the window below fills and the recovery restores.
+  const std::string cpts = system.archive()->StreamDir("live") + "/cpts.rec";
+  auto at_checkpoint = RecordFileAppendRegions(cpts);
+  ASSERT_TRUE(at_checkpoint.ok());
+  ASSERT_EQ((*at_checkpoint)[0].overwritten.size(), 3u);  // Header, tail, meta.
+  const auto [tail_offset, tail_len] = (*at_checkpoint)[0].overwritten[1];
+
+  {
+    auto ingestor = system.OpenForIngest("live");
+    ASSERT_TRUE(ingestor.ok());
+    ASSERT_TRUE((*ingestor)->Append(Slice(full, checkpoint_len, 100)).ok());
+    ASSERT_TRUE(
+        (*ingestor)->CommitWithoutApply(Slice(full, checkpoint_len + 100, 1))
+            .ok());
+  }
+  auto after_window = RecordFileAppendRegions(cpts);
+  ASSERT_TRUE(after_window.ok());
+  ASSERT_GT((*after_window)[0].size, tail_offset + tail_len);
+
+  PageGate gate;
+  gate.path_suffix = "/live/cpts.rec";
+  gate.offset = tail_offset;
+  File::SetWrapHookForTesting([&gate](std::unique_ptr<File> file) {
+    return std::unique_ptr<File>(new GatedFile(std::move(file), &gate));
+  });
+  struct Unhook {
+    ~Unhook() { File::SetWrapHookForTesting(nullptr); }
+  } unhook;
+
+  Result<QueryResult> overlapped = Status::Internal("not run");
+  std::thread reader([&] {
+    {
+      std::lock_guard<std::mutex> lock(gate.mu);
+      gate.reader = std::this_thread::get_id();
+    }
+    overlapped = system.Execute("live", query, scan);
+  });
+  {
+    std::unique_lock<std::mutex> lock(gate.mu);
+    EXPECT_TRUE(gate.cv.wait_for(lock, std::chrono::seconds(30),
+                                 [&] { return gate.reader_waiting; }));
+  }
+  auto reopened = system.OpenForIngest("live");
+  reader.join();
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ((*reopened)->stats().batches_recovered, 2u);
+  {
+    std::lock_guard<std::mutex> lock(gate.mu);
+    EXPECT_TRUE(gate.read_done);  // The read did land in the gap.
+  }
+  auto next = system.Execute("live", query, scan);
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  ExpectSignalsIdentical(next->signal, want->signal, "after recovery");
+  ASSERT_TRUE(overlapped.ok()) << overlapped.status().ToString();
+  ExpectSignalsIdentical(overlapped->signal, want->signal, "overlapped");
+}
+
 // A commit is visible to later queries with no manual InvalidateStreams
 // and bumps no epoch, while a handle lent before the commit keeps serving
-// its snapshot and is not lent again once released.
+// its snapshot.
 TEST(IngestFacadeTest, CommitsAreVisibleWithoutManualInvalidation) {
   test::ScratchDir scratch("ingest_epoch");
   MarkovianStream full = test::MakeBandedStream(140, 8, 43);
@@ -1160,7 +1376,8 @@ TEST(IngestFacadeTest, CommitsAreVisibleWithoutManualInvalidation) {
     EXPECT_EQ(old_view->signal[i].time, old_oracle->signal[i].time);
     EXPECT_EQ(old_view->signal[i].prob, old_oracle->signal[i].prob);
   }
-  // Released, the snapshot is dropped: the next handle has the new length.
+  // Released, the snapshot finds the idle slot taken and is dropped: the
+  // next handle has the new length.
   snapshot->reset();
   for (int i = 0; i < 2; ++i) {
     auto next = system.GetStream("live");
@@ -1248,8 +1465,10 @@ TEST(IngestFacadeTest, CommitRefreshesIdleHandlesAndKeepsSpans) {
 }
 
 // A handle lent before a commit and released after it, with no other
-// handle idle, is dropped rather than idled at its old length.
-TEST(IngestFacadeTest, HandleLentAcrossACommitIsNotLentAgain) {
+// handle idle, is idled at its old length; the next GetStream refreshes it
+// and lends the same handle at the new length, its pools still counting
+// the scan it ran before (a reopened handle counts only its tree tails).
+TEST(IngestFacadeTest, HandleLentAcrossACommitIsRefreshedWhenLentAgain) {
   test::ScratchDir scratch("ingest_lent");
   MarkovianStream full = test::MakeBandedStream(60, 8, 45);
   Caldera system(scratch.Path("archive"));
@@ -1260,12 +1479,18 @@ TEST(IngestFacadeTest, HandleLentAcrossACommitIsNotLentAgain) {
   ASSERT_TRUE(ingestor.ok());
   auto lent = system.GetStream("live");
   ASSERT_TRUE(lent.ok());
+  ASSERT_TRUE(
+      RunPipeline(lent->get(), FixedQuery(), AccessMethodKind::kScan).ok());
+  const uint64_t scan_fetches = (*lent)->stream()->IoStats().fetches;
   ASSERT_TRUE((*ingestor)->Append(Slice(full, 50, 10)).ok());
   EXPECT_EQ((*lent)->length(), 50u);
+  const ArchivedStream* handle = lent->get();
   lent->reset();
   auto next = system.GetStream("live");
   ASSERT_TRUE(next.ok());
+  EXPECT_EQ(next->get(), handle);
   EXPECT_EQ((*next)->length(), 60u);
+  EXPECT_GE((*next)->stream()->IoStats().fetches, scan_fetches);
 }
 
 // A commit writes no tree file: an idle handle with warm tree pages
@@ -1928,6 +2153,12 @@ TEST(IngestTreeMetaTest, IdleHandleRefreshKeepsTreesVerifiable) {
   auto ingestor = system.OpenForIngest("s");
   ASSERT_TRUE(ingestor.ok()) << ingestor.status().ToString();
   ASSERT_TRUE((*ingestor)->Append(Slice(full, 200, 10)).ok());
+  // The next borrow refreshes the idle handle over the commit.
+  {
+    auto refreshed = system.GetStream("s");
+    ASSERT_TRUE(refreshed.ok());
+    EXPECT_EQ((*refreshed)->length(), 210u);
+  }
   auto fresh = ArchivedStream::Open(system.archive()->StreamDir("s"));
   ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
   VerifyReport report;
