@@ -88,28 +88,20 @@ BENCHMARK(BM_ComposeCpts)->Arg(32)->Arg(128)->Arg(352);
 
 // --------------------------------------------------------------------------
 // Flat CSR kernels (markov/kernels.h). BM_CptPropagate above is the legacy
-// AoS reference; the kernel benchmarks run the same shapes through the
-// dispatched, forced-scalar, and (when supported) SIMD paths so the speedup
-// and the scalar-vs-SIMD split are both visible. Args: {domain,
-// row_density_permille} — density varies nnz at fixed domain.
+// AoS reference; BM_KernelPropagate runs the same shapes through the kernel
+// so the speedup is visible. Args: {domain, row_density_permille} — density
+// varies nnz at fixed domain.
 
-void KernelPropagateBench(benchmark::State& state, bool force_scalar) {
+void BM_KernelPropagate(benchmark::State& state) {
   uint32_t domain = static_cast<uint32_t>(state.range(0));
   double density = static_cast<double>(state.range(1)) / 1000.0;
   Cpt cpt = RandomCpt(domain, density, 1);
   Distribution in = RandomDistribution(domain, 2);
   kernels::PropagationWorkspace ws;
-  kernels::internal::ForceScalar(force_scalar);
   for (auto _ : state) {
     benchmark::DoNotOptimize(kernels::Propagate(cpt, in, &ws));
   }
-  kernels::internal::ForceScalar(false);
   state.SetItemsProcessed(state.iterations() * cpt.nnz());
-  state.SetLabel(force_scalar ? "scalar" : kernels::Backend());
-}
-
-void BM_KernelPropagate(benchmark::State& state) {
-  KernelPropagateBench(state, /*force_scalar=*/false);
 }
 BENCHMARK(BM_KernelPropagate)
     ->Args({32, 100})
@@ -119,48 +111,20 @@ BENCHMARK(BM_KernelPropagate)
     ->Args({352, 500})
     ->Args({1024, 100});
 
-void BM_KernelPropagateScalar(benchmark::State& state) {
-  KernelPropagateBench(state, /*force_scalar=*/true);
-}
-BENCHMARK(BM_KernelPropagateScalar)
-    ->Args({32, 100})
-    ->Args({128, 100})
-    ->Args({352, 10})
-    ->Args({352, 100})
-    ->Args({352, 500})
-    ->Args({1024, 100});
-
-void KernelComposeBench(benchmark::State& state, bool force_scalar) {
+void BM_KernelCompose(benchmark::State& state) {
   uint32_t domain = static_cast<uint32_t>(state.range(0));
   double density = static_cast<double>(state.range(1)) / 1000.0;
   Cpt a = RandomCpt(domain, density, 3);
   Cpt b = RandomCpt(domain, density, 4);
   kernels::PropagationWorkspace ws;
   Cpt out;
-  kernels::internal::ForceScalar(force_scalar);
   for (auto _ : state) {
     kernels::Compose(a, b, &ws, &out);
     benchmark::DoNotOptimize(out);
   }
-  kernels::internal::ForceScalar(false);
   state.SetItemsProcessed(state.iterations() * a.nnz());
-  state.SetLabel(force_scalar ? "scalar" : kernels::Backend());
-}
-
-void BM_KernelCompose(benchmark::State& state) {
-  KernelComposeBench(state, /*force_scalar=*/false);
 }
 BENCHMARK(BM_KernelCompose)
-    ->Args({32, 100})
-    ->Args({128, 100})
-    ->Args({352, 10})
-    ->Args({352, 100})
-    ->Args({1024, 50});
-
-void BM_KernelComposeScalar(benchmark::State& state) {
-  KernelComposeBench(state, /*force_scalar=*/true);
-}
-BENCHMARK(BM_KernelComposeScalar)
     ->Args({32, 100})
     ->Args({128, 100})
     ->Args({352, 10})

@@ -129,14 +129,16 @@ Result<std::unique_ptr<StreamIngestor>> Caldera::OpenForIngest(
   options.apply_mutex = StreamMutationLock(stream_name);
   // Every commit records the new length, for the next GetStream to refresh
   // the handle it lends to. The call a recovering Open makes also retires
-  // every handle and span CPT: a query in flight may have cached pages its
-  // undo restore rewrote before the redo. `this` is used only in Open.
+  // every handle and span CPT and counts the recovery: a query in flight
+  // may have cached pages its undo restore rewrote before the redo, and
+  // Execute reruns it. `this` is used only in Open.
   auto opening = std::make_shared<bool>(true);
   options.on_commit = [this, state = state_, opening,
                        stream_name](uint64_t new_length) {
     if (*opening) NotifyStreamMutation();
     std::lock_guard<std::mutex> lock(state->mu);
     state->committed_lengths[stream_name] = new_length;
+    if (*opening) ++state->recoveries[stream_name];
   };
   Result<std::unique_ptr<StreamIngestor>> ingestor = StreamIngestor::Open(
       archive_.StreamDir(stream_name), std::move(options));
@@ -147,6 +149,12 @@ Result<std::unique_ptr<StreamIngestor>> Caldera::OpenForIngest(
 uint64_t Caldera::stream_epoch() const {
   std::lock_guard<std::mutex> lock(state_->mu);
   return state_->epoch;
+}
+
+uint64_t Caldera::RecoveryCount(const std::string& stream_name) const {
+  std::lock_guard<std::mutex> lock(state_->mu);
+  auto it = state_->recoveries.find(stream_name);
+  return it == state_->recoveries.end() ? 0 : it->second;
 }
 
 Result<PlanDecision> Caldera::Plan(const std::string& stream_name,
@@ -170,15 +178,17 @@ Result<PlanDecision> Caldera::Plan(const std::string& stream_name,
 Result<QueryResult> Caldera::Execute(const std::string& stream_name,
                                      const RegularQuery& query,
                                      const ExecOptions& options) {
-  // A recovering OpenForIngest bumps the epoch before it releases the
-  // stream lock, so a query that may have read its pages mid-redo runs
-  // again.
+  // A recovering OpenForIngest of this stream counts itself before it
+  // releases the stream lock, so a query that may have read its pages
+  // mid-redo runs again. Nothing else reruns a query: invalidations and
+  // index rebuilds replace or unlink whole files, which a lent handle keeps
+  // reading as they were.
   for (;;) {
-    const uint64_t epoch = stream_epoch();
+    const uint64_t recoveries = RecoveryCount(stream_name);
     Result<QueryResult> result = ExecuteOnce(stream_name, query, options);
     std::shared_lock<std::shared_mutex> guard(
         *StreamMutationLock(stream_name));
-    if (stream_epoch() == epoch) return result;
+    if (RecoveryCount(stream_name) == recoveries) return result;
   }
 }
 

@@ -81,7 +81,9 @@ class Caldera {
 
   /// Runs `query` against stream `stream_name` using the requested (or
   /// planned) access method. With options.k > 0 and a fixed-length query
-  /// the result holds the top-k matches; otherwise the full signal.
+  /// the result holds the top-k matches; otherwise the full signal. A run
+  /// that overlapped a recovering OpenForIngest of the stream is repeated;
+  /// InvalidateStreams and RebuildIndexes never cause a rerun.
   Result<QueryResult> Execute(const std::string& stream_name,
                               const RegularQuery& query,
                               const ExecOptions& options = {});
@@ -98,7 +100,9 @@ class Caldera {
   /// of `StreamMutationLock` while an ingestor may commit; `Execute` and
   /// `Plan` do. The handle stays valid past InvalidateStreams or the
   /// facade and needs no lock to read, but a read that overlaps a
-  /// recovering OpenForIngest may see pre-redo bytes (Execute reruns).
+  /// recovering OpenForIngest may see pre-redo bytes: Execute reruns only
+  /// such a query, counting recoveries per stream; an invalidation alone
+  /// never makes a lent handle's reads stale.
   Result<std::shared_ptr<ArchivedStream>> GetStream(const std::string& name,
                                                     size_t pool_pages = 256);
 
@@ -164,6 +168,9 @@ class Caldera {
     // Length of each stream as its last ingest commit left it; GetStream
     // refreshes a shorter idle handle before lending it.
     std::map<std::string, uint64_t> committed_lengths;
+    // Recovering OpenForIngest calls per stream, counted under the stream's
+    // exclusive lock; Execute reruns a query this moved under.
+    std::map<std::string, uint64_t> recoveries;
     // Lock order: a stream's mutation lock is always acquired BEFORE mu
     // (borrow: stream lock -> GetStream -> mu; ingest commit: stream lock
     // -> on_commit -> mu). mu is never held while acquiring a stream lock.
@@ -175,7 +182,10 @@ class Caldera {
   Result<std::shared_ptr<ArchivedStream>> BorrowStream(const std::string& name,
                                                        size_t pool_pages);
 
-  // One run of Execute, which repeats it while the epoch moves meanwhile.
+  // The stream's count of recovering opens (State::recoveries).
+  uint64_t RecoveryCount(const std::string& stream_name) const;
+
+  // One run of Execute, which repeats it if a recovery overlapped it.
   Result<QueryResult> ExecuteOnce(const std::string& stream_name,
                                   const RegularQuery& query,
                                   const ExecOptions& options);

@@ -206,7 +206,7 @@ Status Cpt::Parse(std::string_view data, size_t* offset, uint32_t domain,
 }
 
 void ComposeCpts(const Cpt& first, const Cpt& second, Cpt* out) {
-  // Delegates to the dispatched compute kernel. The workspace (dense
+  // Delegates to the compute kernel. The workspace (dense
   // scratch, mark bytes, touched list) is thread-local so repeated
   // compositions — the MC index build composes one CPT per stream timestep
   // — allocate nothing after warm-up.

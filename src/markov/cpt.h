@@ -122,7 +122,7 @@ class Cpt {
 /// Chain-rule composition (Section 3.3.1): given `first` = CPT(a -> m) and
 /// `second` = CPT(m -> b), writes CPT(a -> b) with
 /// P(z|x) = sum_y first(y|x) * second(z|y) into `out`, reusing its capacity
-/// (`out` must not alias an input). Runs on the dispatched compute kernel
+/// (`out` must not alias an input). Runs on the compute kernel
 /// (markov/kernels.h) with a thread-local workspace, so the dense scratch
 /// (sized by `second`'s largest destination id) is reused across rows and
 /// across calls — MC index builds compose thousands of CPTs through here.

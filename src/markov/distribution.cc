@@ -48,21 +48,6 @@ Distribution Distribution::FromSorted(std::vector<Entry> entries) {
   return d;
 }
 
-Distribution Distribution::FromDenseScratch(std::vector<double>& dense,
-                                            ValueId begin, ValueId end,
-                                            std::vector<Entry> buffer) {
-  buffer.clear();
-  for (ValueId i = begin; i < end; ++i) {
-    if (dense[i] != 0.0) {
-      buffer.push_back({i, dense[i]});
-      dense[i] = 0.0;
-    }
-  }
-  Distribution d;
-  d.entries_ = std::move(buffer);
-  return d;
-}
-
 Distribution Distribution::Point(ValueId value) {
   Distribution d;
   d.entries_.push_back({value, 1.0});

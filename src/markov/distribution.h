@@ -40,14 +40,6 @@ class Distribution {
   /// sorted run (no re-sort, no merge pass). Checked in debug builds.
   static Distribution FromSorted(std::vector<Entry> entries);
 
-  /// Drains the nonzero slots of `dense[begin, end)` into a distribution
-  /// and zeroes them, restoring the all-zero scratch invariant of a
-  /// kernels::PropagationWorkspace. The entries land in `buffer` (cleared
-  /// first), so a recycled buffer makes this allocation-free.
-  static Distribution FromDenseScratch(std::vector<double>& dense,
-                                       ValueId begin, ValueId end,
-                                       std::vector<Entry> buffer = {});
-
   /// Point mass on `value`.
   static Distribution Point(ValueId value);
 

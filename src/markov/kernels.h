@@ -34,8 +34,7 @@ class PropagationWorkspace {
 /// scatter/accumulate/re-sparsify instead of sparse gather + sort; entries
 /// of the result are sorted by value. The result's entries are built in
 /// `buffer` (cleared first), so passing a recycled buffer makes the call
-/// allocation-free. Dispatches to the AVX2+FMA kernel when the CPU supports
-/// it (see Backend()).
+/// allocation-free.
 Distribution Propagate(const Cpt& cpt, const Distribution& in,
                        PropagationWorkspace* ws,
                        std::vector<Distribution::Entry> buffer = {});
@@ -48,39 +47,10 @@ Distribution Propagate(const Cpt& cpt, const Distribution& in,
 void Compose(const Cpt& first, const Cpt& second, PropagationWorkspace* ws,
              Cpt* out);
 
-/// Which kernel implementation is live: "avx2+fma" or "scalar". Resolved
-/// once per process; CALDERA_FORCE_SCALAR_KERNELS=1 in the environment
-/// forces "scalar" regardless of CPU support (CI runs the differential
-/// tests under both).
+/// The kernels' label for benchmark output: always "scalar", the one
+/// portable implementation (nothing is chosen by the host CPU).
 const char* Backend();
 
-/// True when Backend() is a SIMD implementation.
-bool SimdEnabled();
-
-namespace internal {
-
-/// True when this build/CPU pair can run the AVX2+FMA kernels at all
-/// (independent of the force-scalar override).
-bool SimdSupported();
-
-/// Test hook: force (or stop forcing) the scalar kernels for subsequent
-/// dispatched calls. Not thread-safe; tests restore the previous value.
-void ForceScalar(bool force);
-
-// The concrete kernels, bypassing dispatch, for differential tests and
-// benchmarks. The scalar variants are the reference implementation (the
-// two-pointer merge + dense scratch described in the design doc); the Simd
-// variants must only be called when SimdSupported().
-Distribution PropagateScalar(const Cpt& cpt, const Distribution& in,
-                             PropagationWorkspace* ws);
-Distribution PropagateSimd(const Cpt& cpt, const Distribution& in,
-                           PropagationWorkspace* ws);
-void ComposeScalar(const Cpt& first, const Cpt& second,
-                   PropagationWorkspace* ws, Cpt* out);
-void ComposeSimd(const Cpt& first, const Cpt& second, PropagationWorkspace* ws,
-                 Cpt* out);
-
-}  // namespace internal
 }  // namespace kernels
 }  // namespace caldera
 

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -130,11 +129,10 @@ Cpt EntryListCompose(const Cpt& first, const Cpt& second) {
   return out;
 }
 
-Cpt ComposeWith(void (*kernel)(const Cpt&, const Cpt&, PropagationWorkspace*,
-                               Cpt*),
-                const Cpt& first, const Cpt& second, PropagationWorkspace* ws) {
+Cpt ComposeWith(const Cpt& first, const Cpt& second,
+                PropagationWorkspace* ws) {
   Cpt out;
-  kernel(first, second, ws, &out);
+  kernels::Compose(first, second, ws, &out);
   return out;
 }
 
@@ -163,7 +161,7 @@ TEST(CsrCptTest, EmptyCpt) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential: legacy AoS vs scalar CSR vs SIMD CSR.
+// Differential: the kernels against independent references.
 
 struct Shape {
   uint32_t domain;
@@ -187,16 +185,10 @@ TEST(KernelDifferentialTest, PropagateMatchesLegacyAcrossShapes) {
       Cpt cpt = RandomCpt(s.domain, s.row_density, s.entry_density, &rng);
       Distribution in = RandomDistribution(s.domain, s.dist_density, &rng);
       Distribution legacy = cpt.Propagate(in);
-      Distribution scalar = kernels::internal::PropagateScalar(cpt, in, &ws);
+      Distribution fast = kernels::Propagate(cpt, in, &ws);
       std::string ctx = "domain=" + std::to_string(s.domain) +
                         " round=" + std::to_string(round);
-      ExpectDistsNear(legacy, scalar, 1e-12, "scalar " + ctx);
-      if (kernels::internal::SimdSupported()) {
-        Distribution simd = kernels::internal::PropagateSimd(cpt, in, &ws);
-        ExpectDistsNear(scalar, simd, 1e-12, "simd " + ctx);
-      }
-      Distribution dispatched = kernels::Propagate(cpt, in, &ws);
-      ExpectDistsNear(legacy, dispatched, 1e-12, "dispatched " + ctx);
+      ExpectDistsNear(legacy, fast, 1e-12, ctx);
     }
   }
 }
@@ -226,10 +218,6 @@ TEST(KernelDifferentialTest, PropagateAdversarialCases) {
   Distribution legacy = gappy.Propagate(wide);
   Distribution fast = kernels::Propagate(gappy, wide, &ws);
   ExpectDistsNear(legacy, fast, 1e-12, "gappy");
-  if (kernels::internal::SimdSupported()) {
-    Distribution simd = kernels::internal::PropagateSimd(gappy, wide, &ws);
-    ExpectDistsNear(legacy, simd, 1e-12, "gappy simd");
-  }
 }
 
 TEST(KernelDifferentialTest, ComposeMatchesBruteForceSmallDomains) {
@@ -242,51 +230,35 @@ TEST(KernelDifferentialTest, ComposeMatchesBruteForceSmallDomains) {
       Cpt expected = BruteForceCompose(first, second, domain);
       std::string ctx = "domain=" + std::to_string(domain) +
                         " round=" + std::to_string(round);
-      Cpt scalar = ComposeWith(&kernels::internal::ComposeScalar, first,
-                               second, &ws);
-      ExpectCptsNear(expected, scalar, domain, 1e-12, "scalar " + ctx);
-      if (kernels::internal::SimdSupported()) {
-        Cpt simd =
-            ComposeWith(&kernels::internal::ComposeSimd, first, second, &ws);
-        ExpectCptsNear(scalar, simd, domain, 1e-12, "simd " + ctx);
-      }
-      Cpt dispatched = ComposeCpts(first, second);
-      ExpectCptsNear(expected, dispatched, domain, 1e-12, "dispatched " + ctx);
-      ExpectCptsNear(EntryListCompose(first, second), dispatched, domain,
-                     1e-12, "entry-list " + ctx);
+      Cpt fast = ComposeWith(first, second, &ws);
+      ExpectCptsNear(expected, fast, domain, 1e-12, "kernel " + ctx);
+      Cpt composed = ComposeCpts(first, second);
+      ExpectCptsNear(expected, composed, domain, 1e-12, "ComposeCpts " + ctx);
+      ExpectCptsNear(EntryListCompose(first, second), fast, domain, 1e-12,
+                     "entry-list " + ctx);
     }
   }
 }
 
-TEST(KernelDifferentialTest, ComposeScalarSimdParityLargeDomains) {
-  if (!kernels::internal::SimdSupported()) {
-    GTEST_SKIP() << "no SIMD backend on this CPU/build";
-  }
+// Domains too large for the brute-force reference, in both the sparse
+// (touched-slot) and dense (range-scan) drain modes: the kernel's table has
+// exactly the entry-list reference's support, entry for entry.
+TEST(KernelDifferentialTest, ComposeMatchesEntryListLargeDomains) {
   PropagationWorkspace ws;
   Rng rng(0xFACADE);
   for (uint32_t domain : {352u, 1024u}) {
     for (double density : {0.01, 0.10}) {
       Cpt first = RandomCpt(domain, 0.6, density, &rng);
       Cpt second = RandomCpt(domain, 0.6, density, &rng);
-      Cpt scalar = ComposeWith(&kernels::internal::ComposeScalar, first,
-                               second, &ws);
-      Cpt simd =
-          ComposeWith(&kernels::internal::ComposeSimd, first, second, &ws);
-      // Exact same support and per-entry agreement.
-      ASSERT_EQ(scalar.srcs(), simd.srcs());
-      ASSERT_EQ(scalar.offsets(), simd.offsets());
-      ASSERT_EQ(scalar.dsts(), simd.dsts());
-      EXPECT_EQ(scalar.dst_begin(), simd.dst_begin());
-      EXPECT_EQ(scalar.dst_end(), simd.dst_end());
-      for (size_t i = 0; i < scalar.nnz(); ++i) {
-        ASSERT_NEAR(scalar.probs()[i], simd.probs()[i], 1e-12);
-      }
-      // The entry-list reference agrees too.
+      Cpt fast = ComposeWith(first, second, &ws);
       Cpt reference = EntryListCompose(first, second);
-      ASSERT_EQ(reference.srcs(), scalar.srcs());
-      ASSERT_EQ(reference.dsts(), scalar.dsts());
-      for (size_t i = 0; i < scalar.nnz(); ++i) {
-        ASSERT_NEAR(reference.probs()[i], scalar.probs()[i], 1e-12);
+      ASSERT_EQ(reference.srcs(), fast.srcs());
+      ASSERT_EQ(reference.offsets(), fast.offsets());
+      ASSERT_EQ(reference.dsts(), fast.dsts());
+      EXPECT_EQ(reference.dst_begin(), fast.dst_begin());
+      EXPECT_EQ(reference.dst_end(), fast.dst_end());
+      for (size_t i = 0; i < fast.nnz(); ++i) {
+        ASSERT_NEAR(reference.probs()[i], fast.probs()[i], 1e-12);
       }
     }
   }
@@ -300,17 +272,13 @@ TEST(KernelDifferentialTest, ComposeScratchIsSizedByTheData) {
   Cpt second;
   second.SetRow(2, {{3, 1.0}});
   second.SetRow(5, {{1, 0.25}, {6, 0.75}});
-  for (bool scalar : {true, false}) {
-    if (!scalar && !kernels::internal::SimdSupported()) continue;
-    PropagationWorkspace ws;
-    Cpt out;
-    (scalar ? kernels::internal::ComposeScalar
-            : kernels::internal::ComposeSimd)(first, second, &ws, &out);
-    EXPECT_EQ(ws.dense.size(), second.dst_end());
-    EXPECT_EQ(ws.mark.size(), second.dst_end());
-    EXPECT_EQ(out, ComposeCpts(first, second));
-    EXPECT_DOUBLE_EQ(out.Probability(0, 6), 0.375);
-  }
+  PropagationWorkspace ws;
+  Cpt out;
+  kernels::Compose(first, second, &ws, &out);
+  EXPECT_EQ(ws.dense.size(), second.dst_end());
+  EXPECT_EQ(ws.mark.size(), second.dst_end());
+  EXPECT_EQ(out, ComposeCpts(first, second));
+  EXPECT_DOUBLE_EQ(out.Probability(0, 6), 0.375);
 }
 
 // The workspace's all-zero invariant: interleaving wildly different shapes
@@ -345,33 +313,12 @@ TEST(KernelDifferentialTest, WorkspaceReuseIsStateless) {
 }
 
 // ---------------------------------------------------------------------------
-// Dispatch plumbing.
+// Backend label.
 
+// One portable implementation: nothing the host CPU or the environment
+// says selects another.
 TEST(KernelDispatchTest, BackendReportsLivePath) {
-  const std::string backend = kernels::Backend();
-  EXPECT_TRUE(backend == "avx2+fma" || backend == "scalar") << backend;
-  EXPECT_EQ(kernels::SimdEnabled(), backend != "scalar");
-  const char* env = std::getenv("CALDERA_FORCE_SCALAR_KERNELS");
-  if (env != nullptr && env[0] != '\0' && std::string(env) != "0") {
-    EXPECT_EQ(backend, "scalar")
-        << "CALDERA_FORCE_SCALAR_KERNELS must force the scalar path";
-  }
-}
-
-TEST(KernelDispatchTest, ForceScalarOverridesDispatch) {
-  kernels::internal::ForceScalar(true);
   EXPECT_STREQ(kernels::Backend(), "scalar");
-  EXPECT_FALSE(kernels::SimdEnabled());
-  PropagationWorkspace ws;
-  Cpt cpt;
-  cpt.SetRow(0, {{0, 0.25}, {1, 0.75}});
-  Distribution out = kernels::Propagate(cpt, Distribution::Point(0), &ws);
-  EXPECT_NEAR(out.ProbabilityOf(1), 0.75, 1e-15);
-  kernels::internal::ForceScalar(false);
-  if (kernels::internal::SimdSupported() &&
-      std::getenv("CALDERA_FORCE_SCALAR_KERNELS") == nullptr) {
-    EXPECT_STREQ(kernels::Backend(), "avx2+fma");
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -381,16 +328,6 @@ TEST(DistributionBuilderTest, FromSortedMovesEntries) {
   Distribution d = Distribution::FromSorted({{1, 0.25}, {5, 0.75}});
   EXPECT_EQ(d.support_size(), 2u);
   EXPECT_NEAR(d.ProbabilityOf(5), 0.75, 0.0);
-}
-
-TEST(DistributionBuilderTest, FromDenseScratchDrainsAndZeroes) {
-  std::vector<double> dense(10, 0.0);
-  dense[2] = 0.5;
-  dense[7] = 0.5;
-  Distribution d = Distribution::FromDenseScratch(dense, 0, 10);
-  EXPECT_EQ(d.support_size(), 2u);
-  EXPECT_NEAR(d.ProbabilityOf(2), 0.5, 0.0);
-  for (double v : dense) EXPECT_EQ(v, 0.0) << "scratch must be re-zeroed";
 }
 
 }  // namespace

@@ -5,7 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -213,6 +218,61 @@ TEST_F(ParallelBatchTest, ConcurrentGetStreamIsSafe) {
   }
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(failures.load(), 0);
+}
+
+// Invalidation replaces no bytes a lent handle reads, so it never reruns a
+// query: scans finish while another thread invalidates every millisecond,
+// with the signal of an undisturbed run. A watchdog turns a livelocked
+// query into a failure instead of a hung test.
+TEST_F(ParallelBatchTest, QueriesFinishUnderConstantInvalidation) {
+  constexpr int kQueries = 5;
+  constexpr auto kDeadline = std::chrono::seconds(60);
+  CALDERA_CHECK_OK(system_.archive()->CreateStream(
+      "long", test::MakeBandedStream(2000, 64, 61)));
+  const RegularQuery query = Fixed(3, 4);
+  const ExecOptions scan{.method = AccessMethodKind::kScan};
+  auto undisturbed = system_.Execute("long", query, scan);
+  ASSERT_TRUE(undisturbed.ok()) << undisturbed.status().ToString();
+
+  std::mutex done_mu;
+  std::condition_variable done_cv;
+  bool done = false;
+  std::thread watchdog([&] {
+    std::unique_lock<std::mutex> lock(done_mu);
+    if (!done_cv.wait_for(lock, kDeadline, [&] { return done; })) {
+      std::fprintf(stderr,
+                   "QueriesFinishUnderConstantInvalidation: %d scans did not "
+                   "finish within 60 s under invalidation every 1 ms\n",
+                   kQueries);
+      std::_Exit(1);
+    }
+  });
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> invalidations{0};
+  std::thread invalidator([&] {
+    while (!stop.load()) {
+      system_.InvalidateStreams();
+      invalidations.fetch_add(1);
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  for (int i = 0; i < kQueries; ++i) {
+    auto result = system_.Execute("long", query, scan);
+    if (!result.ok()) {
+      ADD_FAILURE() << result.status().ToString();
+      continue;
+    }
+    EXPECT_EQ(result->signal, undisturbed->signal) << i;
+  }
+  stop.store(true);
+  invalidator.join();
+  {
+    std::lock_guard<std::mutex> lock(done_mu);
+    done = true;
+  }
+  done_cv.notify_one();
+  watchdog.join();
+  EXPECT_GT(invalidations.load(), 0u);
 }
 
 // ---------------------------------------------------------------------------
