@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for Caldera's hot inner loops:
 // sparse distribution propagation, CPT composition and decoding, B+ tree
-// operations, record-file reads, and single Reg-operator updates.
+// operations, record-file reads, single Reg-operator updates, and one
+// scan step (decode plus update).
 
 #include <benchmark/benchmark.h>
 
@@ -359,6 +360,41 @@ void BM_RegUpdate(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RegUpdate)->Arg(2)->Arg(3)->Arg(4);
+
+// One scan step as a fleet-scan request runs it: the transition record of
+// an archived 1680-step routine tag (the first fleet-scan tag at seed 1)
+// read from a warm buffer pool and decoded, then a Reg update of the
+// fleet query. Cycles through the tag, starting a new segment at its end.
+void BM_ScanStep(benchmark::State& state) {
+  RoutineSpec spec;
+  spec.length = 1680;
+  spec.seed = 7919;
+  Result<RoutineWorkload> w = MakeRoutineStream(spec);
+  CALDERA_CHECK_OK(w.status());
+  const std::string dir = MicroDir() + "/scan_step";
+  std::filesystem::remove_all(dir);
+  CALDERA_CHECK_OK(WriteStream(dir, w->stream));
+  auto stream = StoredStream::Open(dir);
+  CALDERA_CHECK_OK(stream.status());
+  Result<RegularQuery> query = w->EnteredRoom(w->own_office, 3, false);
+  CALDERA_CHECK_OK(query.status());
+  RegOperator reg(*query, w->schema);
+  Distribution first;
+  CALDERA_CHECK_OK((*stream)->ReadMarginal(0, &first));
+  Cpt transition;
+  uint64_t t = (*stream)->length();
+  for (auto _ : state) {
+    if (t == (*stream)->length()) {
+      reg.Reset();
+      reg.Initialize(first);
+      t = 1;
+    }
+    CALDERA_CHECK_OK((*stream)->ReadTransition(t++, &transition));
+    benchmark::DoNotOptimize(reg.Update(transition));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ScanStep);
 
 void BM_SmoothSnippet(benchmark::State& state) {
   // Forward-backward smoothing of one ~30s snippet in a 20-location

@@ -52,7 +52,11 @@ struct ExecStats {
   uint64_t span_cache_misses = 0;  ///< Span lookups that had to compose.
   BufferPoolStats stream_io;       ///< Page traffic on the stream files.
   BufferPoolStats index_io;        ///< Page traffic on index files.
-  double kernel_seconds = 0.0;     ///< Wall seconds in propagate/compose kernels.
+  /// Wall seconds in the propagate and compose kernels: the MC index's
+  /// composition time plus the Reg operator's sampled estimate of its
+  /// propagate-and-route loops (one update in 16 is timed and counts 16
+  /// times), so short queries report it coarsely.
+  double kernel_seconds = 0.0;
   double elapsed_seconds = 0.0;    ///< Wall-clock execution time.
   /// EXPLAIN line for this execution: chosen method, producer cursor, gap
   /// policy, and (through the facade) the planner's density estimate and

@@ -37,12 +37,14 @@ Result<QueryResult> RunCursorPipeline(ArchivedStream* archived,
   uint64_t segments = 0;  // Initialize calls == processing segments.
   uint64_t items = 0;     // Cursor items pulled (relevant timesteps).
   uint64_t prev = 0;
-  // Every transition decodes into this one table, reusing its capacity.
+  // Every transition and every marginal decodes into one of these,
+  // reusing its capacity.
   Cpt transition;
+  Distribution marginal;
 
   // Starts a processing segment at `marginal`. The operator's update count
   // and kernel time reset with it, so bank them first.
-  auto begin_segment = [&](const Distribution& marginal) {
+  auto begin_segment = [&] {
     if (segments > 0) {
       reg_updates += reg.num_updates();
       reg_kernel_seconds += reg.kernel_seconds();
@@ -62,9 +64,8 @@ Result<QueryResult> RunCursorPipeline(ArchivedStream* archived,
     ++items;
     double p = 0.0;
     if (segments == 0 || item.restart) {
-      Distribution marginal;
       CALDERA_RETURN_IF_ERROR(stream->ReadMarginal(item.time, &marginal));
-      p = begin_segment(marginal);
+      p = begin_segment();
     } else if (item.time <= prev) {
       return Status::Internal(
           "cursor violated its contract: non-restart items must strictly "
@@ -80,9 +81,8 @@ Result<QueryResult> RunCursorPipeline(ArchivedStream* archived,
               "cursor produced a gap under the adjacent-only gap policy");
         case GapPolicy::kRestart: {
           // No match can span the gap; start a fresh segment.
-          Distribution marginal;
           CALDERA_RETURN_IF_ERROR(stream->ReadMarginal(item.time, &marginal));
-          p = begin_segment(marginal);
+          p = begin_segment();
           break;
         }
         case GapPolicy::kExactSpan: {
@@ -92,7 +92,6 @@ Result<QueryResult> RunCursorPipeline(ArchivedStream* archived,
           break;
         }
         case GapPolicy::kIndependent: {
-          Distribution marginal;
           CALDERA_RETURN_IF_ERROR(stream->ReadMarginal(item.time, &marginal));
           p = reg.UpdateIndependent(marginal);
           break;

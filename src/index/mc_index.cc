@@ -309,9 +309,12 @@ Status McIndex::SetMinLevel(uint32_t level) {
 
 Status McIndex::FetchEntry(uint32_t level, uint64_t block, Cpt* out) {
   ++entry_fetches_;
-  CALDERA_RETURN_IF_ERROR(levels_[level]->Get(block, &scratch_));
+  PageHandle pin;
+  std::string_view record;
+  CALDERA_RETURN_IF_ERROR(
+      levels_[level]->View(block, &scratch_, &pin, &record));
   size_t offset = 0;
-  return Cpt::Parse(scratch_, &offset, domain_size_, out);
+  return Cpt::Parse(record, &offset, domain_size_, out);
 }
 
 Status McIndex::ComputeCpt(uint64_t from, uint64_t to, Cpt* out) {

@@ -207,6 +207,7 @@ class McIndex {
   uint64_t span_cache_hits_ = 0;
   uint64_t span_cache_misses_ = 0;
   double compose_seconds_ = 0.0;
+  // Holds an entry that straddles pages; others parse in the pinned page.
   std::string scratch_;
   // ComputeCpt's decode and composition targets, reused across calls.
   Cpt block_;

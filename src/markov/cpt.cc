@@ -157,26 +157,25 @@ Status Cpt::Parse(std::string_view data, size_t* offset, uint32_t domain,
   if (*offset + static_cast<uint64_t>(num_rows) * 8 > data.size()) {
     return corrupt("CPT row count exceeds available bytes");
   }
-  // Size the arrays from the row headers first, so a fresh table grows
-  // once; a reused table already has the capacity.
-  size_t nnz = 0;
-  for (size_t i = 0, at = *offset; i < num_rows && at + 8 <= data.size();
-       ++i) {
-    const uint64_t count = GetFixed32(data.data() + at + 4);
-    at += 8 + count * 12;
-    if (at > data.size()) break;
-    nnz += count;
-  }
+  // One pass, straight into the CSR arrays. The row arrays are sized from
+  // the checked row count; the entry arrays grow row by row, each row's
+  // count checked against the bytes left first, so no header can size an
+  // allocation beyond the record. (Sizing them for all the bytes left would
+  // reserve the rest of a multi-record payload, an ingest batch frame, for
+  // every table in it.) A reused table already has the capacity.
   out->srcs_.reserve(num_rows);
   out->offsets_.reserve(num_rows + 1);
-  out->dsts_.reserve(nnz);
-  out->probs_.reserve(nnz);
+  if (num_rows > 0) out->offsets_.push_back(0);
+  // The destination range, as EndRow would track it.
+  ValueId lo = 0;
+  ValueId hi = 0;
+  size_t at = *offset;
   for (uint32_t i = 0; i < num_rows; ++i) {
-    if (*offset + 8 > data.size()) return corrupt("truncated CPT row header");
-    const char* p = data.data() + *offset;
+    if (at + 8 > data.size()) return corrupt("truncated CPT row header");
+    const char* p = data.data() + at;
     const ValueId src = GetFixed32(p);
     const uint32_t count = GetFixed32(p + 4);
-    *offset += 8;
+    at += 8;
     if (i > 0 && src <= out->srcs_.back()) {
       return corrupt("CPT rows out of order");
     }
@@ -184,24 +183,34 @@ Status Cpt::Parse(std::string_view data, size_t* offset, uint32_t domain,
       return corrupt("CPT source " + std::to_string(src) + " outside domain " +
                      std::to_string(domain));
     }
-    if (*offset + count * 12ull > data.size()) {
+    if (at + count * 12ull > data.size()) {
       return corrupt("truncated CPT row entries");
     }
-    p = data.data() + *offset;
-    *offset += count * 12ull;
+    p = data.data() + at;
+    at += count * 12ull;
+    // Each destination must reach `floor`, one past the row's previous one.
+    uint64_t floor = 0;
     for (uint32_t j = 0; j < count; ++j, p += 12) {
       const ValueId dst = GetFixed32(p);
-      if (j > 0 && dst <= out->dsts_.back()) {
-        return corrupt("CPT row entries out of order");
-      }
+      if (dst < floor) return corrupt("CPT row entries out of order");
       if (dst >= domain) {
         return corrupt("CPT destination " + std::to_string(dst) +
                        " outside domain " + std::to_string(domain));
       }
+      floor = uint64_t{dst} + 1;
       out->PushEntry(dst, GetDouble(p + 4));
     }
-    out->EndRow(src);
+    if (count > 0) {
+      const ValueId first = GetFixed32(data.data() + at - count * 12ull);
+      lo = hi == 0 ? first : std::min(lo, first);
+      hi = std::max(hi, static_cast<ValueId>(floor));
+    }
+    out->srcs_.push_back(src);
+    out->offsets_.push_back(static_cast<uint32_t>(out->dsts_.size()));
   }
+  out->dst_begin_ = lo;
+  out->dst_end_ = hi;
+  *offset = at;
   return Status::Ok();
 }
 

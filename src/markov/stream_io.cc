@@ -166,14 +166,16 @@ Status StoredStream::Refresh() {
 
 Status StoredStream::ReadCoClustered(uint64_t t, Distribution* marginal,
                                      Cpt* transition) {
-  CALDERA_RETURN_IF_ERROR(combined_->Get(t, &scratch_));
+  PageHandle pin;
+  std::string_view record;
+  CALDERA_RETURN_IF_ERROR(combined_->View(t, &scratch_, &pin, &record));
   size_t offset = 0;
   // A part the caller does not want is still checked, decoded into a
   // reused scratch target, so a steady-state read allocates nothing.
   CALDERA_RETURN_IF_ERROR(
-      Distribution::Parse(scratch_, &offset, schema_.state_count(),
+      Distribution::Parse(record, &offset, schema_.state_count(),
                           marginal != nullptr ? marginal : &scratch_marginal_));
-  return Cpt::Parse(scratch_, &offset, schema_.state_count(),
+  return Cpt::Parse(record, &offset, schema_.state_count(),
                     transition != nullptr ? transition : &scratch_cpt_);
 }
 
@@ -185,9 +187,11 @@ Status StoredStream::ReadMarginal(uint64_t t, Distribution* out) {
   if (layout_ == DiskLayout::kCoClustered) {
     return ReadCoClustered(t, out, nullptr);
   }
-  CALDERA_RETURN_IF_ERROR(marginals_->Get(t, &scratch_));
+  PageHandle pin;
+  std::string_view record;
+  CALDERA_RETURN_IF_ERROR(marginals_->View(t, &scratch_, &pin, &record));
   size_t offset = 0;
-  return Distribution::Parse(scratch_, &offset, schema_.state_count(), out);
+  return Distribution::Parse(record, &offset, schema_.state_count(), out);
 }
 
 Status StoredStream::ReadTransition(uint64_t t, Cpt* out) {
@@ -198,9 +202,11 @@ Status StoredStream::ReadTransition(uint64_t t, Cpt* out) {
   if (layout_ == DiskLayout::kCoClustered) {
     return ReadCoClustered(t, nullptr, out);
   }
-  CALDERA_RETURN_IF_ERROR(cpts_->Get(t, &scratch_));
+  PageHandle pin;
+  std::string_view record;
+  CALDERA_RETURN_IF_ERROR(cpts_->View(t, &scratch_, &pin, &record));
   size_t offset = 0;
-  return Cpt::Parse(scratch_, &offset, schema_.state_count(), out);
+  return Cpt::Parse(record, &offset, schema_.state_count(), out);
 }
 
 Status StoredStream::ReadTimestep(uint64_t t, Distribution* marginal,

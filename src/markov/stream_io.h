@@ -110,6 +110,8 @@ class StoredStream {
   std::unique_ptr<RecordFileReader> cpts_;
   // Co-clustered layout:
   std::unique_ptr<RecordFileReader> combined_;
+  // Holds a record that straddles pages or sits on a tail page; others
+  // parse in their pinned pool page (RecordFileReader::View).
   std::string scratch_;
   // Decode targets for the part of a co-clustered record the caller did
   // not ask for.

@@ -1,5 +1,6 @@
 #include "markov/synthetic.h"
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -51,9 +52,12 @@ MarkovianStream MakeRandomStream(uint64_t length, uint32_t domain,
   return stream;
 }
 
-MarkovianStream MakeBandedRandomWalkStream(uint64_t length, uint32_t domain,
-                                           uint64_t seed,
-                                           double truncate_eps) {
+namespace {
+
+// The banded walk of MakeBandedRandomWalkStream with steps of up to
+// `half_width` value ids either way.
+MarkovianStream BandedWalk(uint64_t length, uint32_t domain, uint64_t seed,
+                           double truncate_eps, int64_t half_width) {
   MarkovianStream stream(FlatSchema(domain));
   Rng rng(seed);
   Distribution current = Distribution::Point(rng.NextBelow(domain));
@@ -63,7 +67,7 @@ MarkovianStream MakeBandedRandomWalkStream(uint64_t length, uint32_t domain,
     for (const Distribution::Entry& e : current.entries()) {
       std::vector<Cpt::RowEntry> row;
       double sum = 0;
-      for (int d = -1; d <= 1; ++d) {
+      for (int64_t d = -half_width; d <= half_width; ++d) {
         int64_t v = static_cast<int64_t>(e.value) + d;
         if (v < 0 || v >= static_cast<int64_t>(domain)) continue;
         double w = rng.NextDouble() + 0.1;
@@ -108,6 +112,20 @@ MarkovianStream MakeBandedRandomWalkStream(uint64_t length, uint32_t domain,
     stream.Append(current, std::move(restricted));
   }
   return stream;
+}
+
+}  // namespace
+
+MarkovianStream MakeBandedRandomWalkStream(uint64_t length, uint32_t domain,
+                                           uint64_t seed,
+                                           double truncate_eps) {
+  return BandedWalk(length, domain, seed, truncate_eps, 1);
+}
+
+MarkovianStream MakeScaledBandWalkStream(uint64_t length, uint32_t domain,
+                                         uint64_t seed, double truncate_eps) {
+  return BandedWalk(length, domain, seed, truncate_eps,
+                    std::max<int64_t>(1, domain / 32));
 }
 
 }  // namespace caldera

@@ -27,6 +27,14 @@ MarkovianStream MakeBandedRandomWalkStream(uint64_t length, uint32_t domain,
                                            uint64_t seed,
                                            double truncate_eps = 1e-3);
 
+/// The same walk with a band that grows with the domain: each step moves up
+/// to max(1, domain / 32) value ids either way, so CPT rows, and the
+/// long-span products the MC index composes, widen with the state count.
+/// At fewer than 64 states it is MakeBandedRandomWalkStream.
+MarkovianStream MakeScaledBandWalkStream(uint64_t length, uint32_t domain,
+                                         uint64_t seed,
+                                         double truncate_eps = 1e-3);
+
 }  // namespace caldera
 
 #endif  // CALDERA_MARKOV_SYNTHETIC_H_

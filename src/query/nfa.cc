@@ -12,9 +12,17 @@ QueryAutomaton::QueryAutomaton(const RegularQuery& query,
   has_loop_.resize(n_);
   for (size_t i = 0; i < n_; ++i) has_loop_[i] = query_.link(i).is_kleene();
 
-  // Precompute atoms for the whole (flat) domain.
+  // Intern the atoms of the whole (flat) domain, then the null atom: the
+  // atom of a state satisfying no positive predicate.
+  std::unordered_map<uint32_t, uint32_t> atom_index;
+  auto intern_atom = [&](uint32_t atom) {
+    auto [it, added] =
+        atom_index.emplace(atom, static_cast<uint32_t>(atoms_.size()));
+    if (added) atoms_.push_back(atom);
+    return it->second;
+  };
   const uint32_t domain = schema.state_count();
-  atoms_.resize(domain);
+  atom_ids_.resize(domain);
   for (ValueId state = 0; state < domain; ++state) {
     uint32_t atom = 0;
     for (size_t i = 0; i < n_; ++i) {
@@ -24,21 +32,20 @@ QueryAutomaton::QueryAutomaton(const RegularQuery& query,
         atom |= 1u << (2 * i + 1);
       }
     }
-    atoms_[state] = atom;
+    atom_ids_[state] = intern_atom(atom);
   }
-
-  // Null atom: the atom of a state satisfying no positive predicate.
-  null_atom_ = 0;
+  uint32_t null_atom = 0;
   for (size_t i = 0; i < n_; ++i) {
     const QueryLink& link = query_.link(i);
     if (link.primary.is_negation() || link.primary.is_any()) {
-      null_atom_ |= 1u << (2 * i);
+      null_atom |= 1u << (2 * i);
     }
     if (link.is_kleene() &&
         (link.loop->is_negation() || link.loop->is_any())) {
-      null_atom_ |= 1u << (2 * i + 1);
+      null_atom |= 1u << (2 * i + 1);
     }
   }
+  null_atom_id_ = intern_atom(null_atom);
 
   // Intern the start state {0}.
   Intern(1);
@@ -71,21 +78,25 @@ int QueryAutomaton::Intern(uint64_t subset) {
   int id = static_cast<int>(subsets_.size());
   subsets_.push_back(subset);
   subset_ids_.emplace(subset, id);
-  delta_.emplace_back();
+  step_.resize(step_.size() + atoms_.size(), -1);
   accepting_.push_back((subset & (1ull << n_)) != 0);
   return id;
 }
 
+int QueryAutomaton::FillStep(int dfa_state, uint32_t atom_id) {
+  const int next =
+      Intern(SubsetTransition(subsets_[dfa_state], atoms_[atom_id]));
+  // Intern may have grown step_, so index it afresh.
+  step_[dfa_state * atoms_.size() + atom_id] = next;
+  return next;
+}
+
 int QueryAutomaton::Transition(int dfa_state, uint32_t atom) {
   CALDERA_DCHECK(dfa_state >= 0 && dfa_state < num_dfa_states());
-  auto& row = delta_[dfa_state];
-  auto it = row.find(atom);
-  if (it != row.end()) return it->second;
-  uint64_t next = SubsetTransition(subsets_[dfa_state], atom);
-  int id = Intern(next);
-  // Note: Intern may reallocate delta_, so re-index.
-  delta_[dfa_state].emplace(atom, id);
-  return id;
+  for (uint32_t id = 0; id < atoms_.size(); ++id) {
+    if (atoms_[id] == atom) return StepById(dfa_state, id);
+  }
+  return Intern(SubsetTransition(subsets_[dfa_state], atom));
 }
 
 }  // namespace caldera

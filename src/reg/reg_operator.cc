@@ -22,7 +22,6 @@ RegOperator::RegOperator(const RegularQuery& query,
 
 void RegOperator::Reset() {
   Recycle(&mass_);
-  propagated_.clear();
   initialized_ = false;
   last_prob_ = 0.0;
   num_updates_ = 0;
@@ -44,93 +43,78 @@ void RegOperator::Recycle(std::vector<std::pair<int, Distribution>>* dists) {
   dists->clear();
 }
 
-double RegOperator::ApplyAtoms(
-    std::vector<std::pair<int, Distribution>>& propagated) {
-  // Route every (state, value) mass through the DFA transition for the
-  // value's atom, then merge distributions landing in the same DFA state.
-  // Each bucket tracks whether its entries still form one strictly
-  // ascending run — true whenever a single source distribution feeds it,
-  // the common case — so the merge below can skip the sort entirely.
-  buckets_.clear();
-  auto bucket_for = [this](int dfa) -> Bucket& {
-    for (Bucket& b : buckets_) {
-      if (b.dfa == dfa) return b;
-    }
-    buckets_.push_back(Bucket{dfa, TakeBuffer(), true});
-    return buckets_.back();
-  };
-
-  for (auto& [dfa, dist] : propagated) {
-    for (const Distribution::Entry& e : dist.entries()) {
-      if (e.prob == 0.0) continue;
-      int next = automaton_.Transition(dfa, automaton_.AtomOf(e.value));
-      Bucket& b = bucket_for(next);
-      if (!b.entries.empty() && b.entries.back().value >= e.value) {
-        b.sorted = false;
-      }
-      b.entries.push_back(e);
-    }
+RegOperator::Bucket& RegOperator::BucketFor(int dfa) {
+  for (Bucket& b : buckets_) {
+    if (b.dfa == dfa) return b;
   }
-  Recycle(&propagated);
+  buckets_.push_back(Bucket{dfa, TakeBuffer(), true});
+  return buckets_.back();
+}
+
+Distribution RegOperator::TakeMerged(Bucket* bucket) {
+  // A bucket fed by one source holds one ascending run, the common case,
+  // so the sort is skipped.
+  return bucket->sorted ? Distribution::FromSorted(std::move(bucket->entries))
+                        : Distribution::FromPairs(std::move(bucket->entries));
+}
+
+double RegOperator::FlushBuckets() {
   Recycle(&mass_);
   double accept = 0.0;
   for (Bucket& b : buckets_) {
-    Distribution dist = b.sorted ? Distribution::FromSorted(std::move(b.entries))
-                                 : Distribution::FromPairs(std::move(b.entries));
+    Distribution dist = TakeMerged(&b);
     if (automaton_.IsAccepting(b.dfa)) accept += dist.Mass();
     mass_.emplace_back(b.dfa, std::move(dist));
   }
+  buckets_.clear();
   std::sort(mass_.begin(), mass_.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   return accept;
 }
 
+double RegOperator::PropagateAndRoute(const Cpt& cpt) {
+  const bool timed = propagations_++ % kClockSampleEvery == 0;
+  const Clock::time_point start = timed ? Clock::now() : Clock::time_point();
+  // States run in DFA order and each emits its values in ascending order,
+  // so every bucket receives its entries in one fixed order and the merge
+  // sums them the same way on every run.
+  for (const auto& [dfa, dist] : mass_) {
+    auto route = [this, from = dfa](ValueId v, double p) { Route(from, v, p); };
+    kernels::Propagate(cpt, dist, &workspace_, route);
+  }
+  if (timed) kernel_seconds_ += kClockSampleEvery * SecondsSince(start);
+  return FlushBuckets();
+}
+
 void RegOperator::CollapseNull() {
-  std::vector<std::pair<int, Distribution>> collapsed;
-  for (auto& [dfa, dist] : mass_) {
-    int next = automaton_.NullTransition(dfa);
-    auto it = std::find_if(collapsed.begin(), collapsed.end(),
-                           [next](const auto& p) { return p.first == next; });
-    if (it == collapsed.end()) {
-      collapsed.emplace_back(next, std::move(dist));
-    } else {
-      // Merge the two distributions.
-      std::vector<Distribution::Entry> entries = it->second.entries();
-      const auto& more = dist.entries();
-      entries.insert(entries.end(), more.begin(), more.end());
-      it->second = Distribution::FromPairs(std::move(entries));
+  for (const auto& [dfa, dist] : mass_) {
+    Bucket& b = BucketFor(automaton_.NullTransition(dfa));
+    for (const Distribution::Entry& e : dist.entries()) b.Add(e.value, e.prob);
+    // Merge as each source lands, so a state fed by three or more sources
+    // sums them pairwise in DFA order.
+    if (!b.sorted) {
+      b.entries = TakeMerged(&b).TakeEntries();
+      b.sorted = true;
     }
   }
-  std::sort(collapsed.begin(), collapsed.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  mass_ = std::move(collapsed);
+  FlushBuckets();
 }
 
 double RegOperator::Initialize(const Distribution& marginal) {
   CALDERA_CHECK(!initialized_) << "Reg operator already initialized";
   initialized_ = true;
   ++num_updates_;
-  propagated_.clear();
-  std::vector<Distribution::Entry> entries = TakeBuffer();
-  entries.assign(marginal.entries().begin(), marginal.entries().end());
-  propagated_.emplace_back(automaton_.start_state(),
-                           Distribution::FromSorted(std::move(entries)));
-  last_prob_ = ApplyAtoms(propagated_);
+  for (const Distribution::Entry& e : marginal.entries()) {
+    Route(automaton_.start_state(), e.value, e.prob);
+  }
+  last_prob_ = FlushBuckets();
   return last_prob_;
 }
 
 double RegOperator::Update(const Cpt& transition) {
   CALDERA_CHECK(initialized_) << "Reg operator not initialized";
   ++num_updates_;
-  propagated_.clear();
-  propagated_.reserve(mass_.size());
-  const auto start = Clock::now();
-  for (auto& [dfa, dist] : mass_) {
-    propagated_.emplace_back(
-        dfa, kernels::Propagate(transition, dist, &workspace_, TakeBuffer()));
-  }
-  kernel_seconds_ += SecondsSince(start);
-  last_prob_ = ApplyAtoms(propagated_);
+  last_prob_ = PropagateAndRoute(transition);
   return last_prob_;
 }
 
@@ -142,15 +126,7 @@ double RegOperator::UpdateSpanning(const Cpt& span, uint64_t gap) {
   // null transition is idempotent and commutes with value propagation, so
   // a single collapse is exact.
   if (gap >= 2) CollapseNull();
-  propagated_.clear();
-  propagated_.reserve(mass_.size());
-  const auto start = Clock::now();
-  for (auto& [dfa, dist] : mass_) {
-    propagated_.emplace_back(
-        dfa, kernels::Propagate(span, dist, &workspace_, TakeBuffer()));
-  }
-  kernel_seconds_ += SecondsSince(start);
-  last_prob_ = ApplyAtoms(propagated_);
+  last_prob_ = PropagateAndRoute(span);
   return last_prob_;
 }
 
@@ -158,21 +134,14 @@ double RegOperator::UpdateIndependent(const Distribution& marginal) {
   CALDERA_CHECK(initialized_) << "Reg operator not initialized";
   ++num_updates_;
   CollapseNull();
-  propagated_.clear();
-  propagated_.reserve(mass_.size());
-  for (auto& [dfa, dist] : mass_) {
-    double scale = dist.Mass();
+  for (const auto& [dfa, dist] : mass_) {
+    const double scale = dist.Mass();
     if (scale == 0.0) continue;
-    // Scaling preserves the marginal's sorted order, so build directly.
-    std::vector<Distribution::Entry> entries = TakeBuffer();
-    entries.reserve(marginal.support_size());
     for (const Distribution::Entry& e : marginal.entries()) {
-      entries.push_back({e.value, e.prob * scale});
+      Route(dfa, e.value, e.prob * scale);
     }
-    propagated_.emplace_back(dfa,
-                             Distribution::FromSorted(std::move(entries)));
   }
-  last_prob_ = ApplyAtoms(propagated_);
+  last_prob_ = FlushBuckets();
   return last_prob_;
 }
 

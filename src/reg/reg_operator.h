@@ -68,18 +68,55 @@ class RegOperator {
   /// dominate the speedups).
   uint64_t num_updates() const { return num_updates_; }
 
-  /// Wall-clock seconds spent inside the CPT propagation kernels (the
-  /// per-state propagate loops of Update/UpdateSpanning) since
-  /// construction/Reset.
+  /// Estimated wall-clock seconds spent propagating mass through CPTs (the
+  /// fused propagate-and-route loops of Update/UpdateSpanning) since
+  /// construction/Reset. The clock is read on one such update in
+  /// kClockSampleEvery and each sample counts that many times, so the
+  /// estimate costs almost nothing but is noisy over a handful of updates.
   double kernel_seconds() const { return kernel_seconds_; }
 
-  QueryAutomaton* automaton() { return &automaton_; }
+  static constexpr uint64_t kClockSampleEvery = 16;
 
  private:
-  /// Applies the DFA transition on each value's atom to the per-state
-  /// distributions in `propagated` (consumed and cleared), accumulating
-  /// into mass_; returns the accepting-state mass.
-  double ApplyAtoms(std::vector<std::pair<int, Distribution>>& propagated);
+  // Entries routed to one DFA state. Every entry point routes its mass
+  // into buckets, and FlushBuckets merges them into mass_.
+  struct Bucket {
+    int dfa;
+    std::vector<Distribution::Entry> entries;
+    // True while the entries form one strictly ascending run.
+    bool sorted;
+
+    void Add(ValueId value, double prob) {
+      if (!entries.empty() && entries.back().value >= value) sorted = false;
+      entries.push_back({value, prob});
+    }
+  };
+
+  /// The bucket of DFA state `dfa`, opened (on a recycled buffer) if this
+  /// step has none yet.
+  Bucket& BucketFor(int dfa);
+
+  /// Routes mass `prob` on stream value `value`, held in DFA state `dfa`,
+  /// to the bucket of the state the value's atom leads to. Zero mass is
+  /// dropped.
+  void Route(int dfa, ValueId value, double prob) {
+    if (prob == 0.0) return;
+    BucketFor(automaton_.Step(dfa, value)).Add(value, prob);
+  }
+
+  /// Propagates every live state's distribution through `cpt`, routing
+  /// each emitted entry as it comes, then flushes; returns the
+  /// accepting-state mass.
+  double PropagateAndRoute(const Cpt& cpt);
+
+  /// The one bucket merge: a single ascending run is kept as it is, and
+  /// anything else is sorted with repeated values summed (FromPairs).
+  /// Leaves the bucket's buffer empty.
+  static Distribution TakeMerged(Bucket* bucket);
+
+  /// Replaces mass_ (recycling its buffers) with the merged buckets, in DFA
+  /// order, and returns the accepting-state mass.
+  double FlushBuckets();
 
   /// Merges states of `mass_` through the null-atom transition.
   void CollapseNull();
@@ -90,23 +127,13 @@ class RegOperator {
   std::vector<Distribution::Entry> TakeBuffer();
   void Recycle(std::vector<std::pair<int, Distribution>>* dists);
 
-  // Entries routed to one DFA state by ApplyAtoms.
-  struct Bucket {
-    int dfa;
-    std::vector<Distribution::Entry> entries;
-    // True while the entries form one strictly ascending run.
-    bool sorted;
-  };
-
   QueryAutomaton automaton_;
   // Live DFA states and their value distributions, sorted by DFA id.
   std::vector<std::pair<int, Distribution>> mass_;
   // Dense-scratch workspace shared by every propagation this operator
   // performs; sized once per domain.
   kernels::PropagationWorkspace workspace_;
-  // Staging for propagated (DFA state, distribution) pairs and for
-  // ApplyAtoms' buckets, reused across timesteps.
-  std::vector<std::pair<int, Distribution>> propagated_;
+  // The current step's buckets, in the order they were opened.
   std::vector<Bucket> buckets_;
   // Entry buffers of dropped distributions, kept for reuse.
   std::vector<std::vector<Distribution::Entry>> spare_;
@@ -114,6 +141,9 @@ class RegOperator {
   double last_prob_ = 0.0;
   uint64_t num_updates_ = 0;
   double kernel_seconds_ = 0.0;
+  // Propagating updates since construction, for the clock sampling. Reset
+  // keeps it, so short segments do not all sample their first update.
+  uint64_t propagations_ = 0;
 };
 
 /// Convenience: runs a full scan of an in-memory stream and returns the

@@ -319,14 +319,22 @@ Result<uint64_t> RecordFileReader::RecordSize(uint64_t id) const {
   return offsets_[id + 1] - offsets_[id];
 }
 
-Status RecordFileReader::Get(uint64_t id, std::string* out) {
+Status RecordFileReader::View(uint64_t id, std::string* scratch,
+                              PageHandle* pin, std::string_view* out) {
+  pin->Release();
   CALDERA_ASSIGN_OR_RETURN(uint64_t size, RecordSize(id));
-  out->clear();
-  out->reserve(size);
   const uint32_t page_size = pager_->page_size();
   // Bytes on the partial last page, if there is one, come from tail_.
   const PageId tail_page = kFirstDataPage + data_bytes() / page_size;
   uint64_t off = offsets_[id];
+  const PageId first = kFirstDataPage + off / page_size;
+  if (size > 0 && first != tail_page && off % page_size + size <= page_size) {
+    CALDERA_ASSIGN_OR_RETURN(*pin, pool_->Fetch(first));
+    *out = std::string_view(pin->data() + off % page_size, size);
+    return Status::Ok();
+  }
+  scratch->clear();
+  scratch->reserve(size);
   uint64_t remaining = size;
   while (remaining > 0) {
     PageId page = kFirstDataPage + off / page_size;
@@ -334,14 +342,24 @@ Status RecordFileReader::Get(uint64_t id, std::string* out) {
     uint64_t take = std::min<uint64_t>(remaining, page_size - in_page);
     if (page == tail_page) {
       CALDERA_RETURN_IF_ERROR(tail_status_);
-      out->append(tail_.data() + in_page, take);
+      scratch->append(tail_.data() + in_page, take);
     } else {
       CALDERA_ASSIGN_OR_RETURN(PageHandle handle, pool_->Fetch(page));
-      out->append(handle.data() + in_page, take);
+      scratch->append(handle.data() + in_page, take);
     }
     off += take;
     remaining -= take;
   }
+  *out = *scratch;
+  return Status::Ok();
+}
+
+Status RecordFileReader::Get(uint64_t id, std::string* out) {
+  PageHandle pin;
+  std::string_view view;
+  CALDERA_RETURN_IF_ERROR(View(id, out, &pin, &view));
+  // A copied record is already in *out.
+  if (view.data() != out->data()) out->assign(view);
   return Status::Ok();
 }
 

@@ -117,7 +117,8 @@ class RecordFileWriter {
 
 /// Reads a finalized record file. The directory and the partial last data
 /// page are read into memory at Open and Refresh, the other pages through
-/// an LRU buffer pool (stats()). A reader serves its snapshot with no lock
+/// an LRU buffer pool (stats()); View lets a decoder parse a record in its
+/// pinned pool page. A reader serves its snapshot with no lock
 /// against appends: no append rewrites a full data page.
 class RecordFileReader {
  public:
@@ -132,8 +133,18 @@ class RecordFileReader {
   /// overlap an append.
   Status Refresh();
 
-  /// Reads record `id` into *out (replacing its contents). A tail page that
-  /// failed its read at Open or Refresh fails the Get that needs it.
+  /// Points *out at the bytes of record `id` without copying them when it
+  /// can. A record that lies within one full data page is viewed in the
+  /// buffer pool's frame, which *pin then holds; a record that straddles
+  /// pages or sits on the in-memory tail page is copied into *scratch
+  /// (replacing its contents), which *out then views. Releases *pin's
+  /// previous page first. *out stays valid while *pin holds its page and
+  /// *scratch is not modified. A tail page that failed its read at Open or
+  /// Refresh fails the View that needs it.
+  Status View(uint64_t id, std::string* scratch, PageHandle* pin,
+              std::string_view* out);
+
+  /// Reads record `id` into *out (replacing its contents): a View, copied.
   Status Get(uint64_t id, std::string* out);
 
   /// Size in bytes of record `id`.

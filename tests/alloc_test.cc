@@ -29,12 +29,20 @@ void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 namespace caldera {
 namespace {
 
-// One scan step is a transition read (record fetch from a warm buffer pool
-// plus the CPT decode into a reused table) and a Reg update. Reused buffers
-// only grow, and the Reg operator's entry buffers are recycled, not freed,
-// so repeated passes over a stream converge to passes that never touch the
-// heap; after that, no step allocates.
-void ExpectSteadyStateStepDoesNotAllocate(DiskLayout layout) {
+// The steps RunCursorPipeline takes, each reading into one hoisted target
+// the way it does: a scan step (transition read plus fused Update), a
+// segment restart (marginal read, Reset, Initialize: the B+Tree method's
+// step) and an independent step (marginal read plus UpdateIndependent: the
+// semi-independent method's step across a gap).
+enum class Step { kUpdate, kRestart, kIndependent };
+
+// A transition read is a record fetch from a warm buffer pool plus the CPT
+// decode into a reused table; a marginal read decodes into a reused
+// distribution. Reused buffers only grow, and the Reg operator's entry
+// buffers are recycled, not freed, so repeated passes over a stream
+// converge to passes that never touch the heap; after that, no step
+// allocates.
+void ExpectSteadyStateStepDoesNotAllocate(DiskLayout layout, Step step) {
   test::ScratchDir scratch("alloc_scan");
   RoutineSpec spec;
   spec.length = 400;
@@ -52,14 +60,28 @@ void ExpectSteadyStateStepDoesNotAllocate(DiskLayout layout) {
   Distribution first;
   ASSERT_TRUE((*stream)->ReadMarginal(0, &first).ok());
   Cpt transition;
+  Distribution marginal;
   // Allocations made by one pass: a segment start, then every step.
   auto pass = [&] {
     const uint64_t before = g_allocations.load();
     reg.Reset();
     reg.Initialize(first);
     for (uint64_t t = 1; t < (*stream)->length(); ++t) {
-      EXPECT_TRUE((*stream)->ReadTransition(t, &transition).ok());
-      reg.Update(transition);
+      switch (step) {
+        case Step::kUpdate:
+          EXPECT_TRUE((*stream)->ReadTransition(t, &transition).ok());
+          reg.Update(transition);
+          break;
+        case Step::kRestart:
+          EXPECT_TRUE((*stream)->ReadMarginal(t, &marginal).ok());
+          reg.Reset();
+          reg.Initialize(marginal);
+          break;
+        case Step::kIndependent:
+          EXPECT_TRUE((*stream)->ReadMarginal(t, &marginal).ok());
+          reg.UpdateIndependent(marginal);
+          break;
+      }
     }
     return g_allocations.load() - before;
   };
@@ -73,14 +95,27 @@ void ExpectSteadyStateStepDoesNotAllocate(DiskLayout layout) {
 }
 
 TEST(ScanStepAllocationTest, SteadyStateStepDoesNotAllocate) {
-  ExpectSteadyStateStepDoesNotAllocate(DiskLayout::kSeparated);
+  ExpectSteadyStateStepDoesNotAllocate(DiskLayout::kSeparated, Step::kUpdate);
 }
 
 // A co-clustered record holds the marginal ahead of the CPT: a transition
 // read (a scan step, an MC Extend read) checks the marginal's bytes but
 // builds nothing from them.
 TEST(ScanStepAllocationTest, CoClusteredSteadyStateStepDoesNotAllocate) {
-  ExpectSteadyStateStepDoesNotAllocate(DiskLayout::kCoClustered);
+  ExpectSteadyStateStepDoesNotAllocate(DiskLayout::kCoClustered,
+                                       Step::kUpdate);
+}
+
+TEST(ScanStepAllocationTest, SteadyStateRestartDoesNotAllocate) {
+  ExpectSteadyStateStepDoesNotAllocate(DiskLayout::kSeparated,
+                                       Step::kRestart);
+}
+
+// Each independent step first collapses the live states through the null
+// transition, which merges them in the operator's recycled buckets.
+TEST(ScanStepAllocationTest, SteadyStateIndependentStepDoesNotAllocate) {
+  ExpectSteadyStateStepDoesNotAllocate(DiskLayout::kSeparated,
+                                       Step::kIndependent);
 }
 
 }  // namespace

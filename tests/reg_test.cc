@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
+#include <utility>
 #include <vector>
 
+#include "common/rng.h"
+#include "markov/kernels.h"
+#include "markov/synthetic.h"
 #include "reg/reg_operator.h"
 #include "test_util.h"
 
@@ -293,6 +298,274 @@ TEST(RegOperatorTest, ResetClearsState) {
   EXPECT_EQ(reg.num_updates(), 0u);
   reg.Initialize(stream.marginal(0));
   EXPECT_TRUE(reg.initialized());
+}
+
+// The Reg operator as it stood before propagation and routing were fused:
+// every live state's distribution is propagated in full (the Distribution
+// form of kernels::Propagate), then each entry is routed through
+// Transition(d, AtomOf(v)) into per-state buckets, merged by FromSorted
+// when one ascending run fed them and by FromPairs otherwise; the null
+// collapse merges state pairs as it meets them. The fused operator must
+// match it bit for bit.
+class StagedReg {
+ public:
+  StagedReg(const RegularQuery& query, const StreamSchema& schema)
+      : automaton_(query, schema) {}
+
+  double Initialize(const Distribution& marginal) {
+    mass_.clear();
+    std::vector<std::pair<int, Distribution>> staged;
+    staged.emplace_back(automaton_.start_state(), marginal);
+    return ApplyAtoms(std::move(staged));
+  }
+
+  double Update(const Cpt& cpt) { return ApplyAtoms(Propagated(cpt)); }
+
+  double UpdateSpanning(const Cpt& span, uint64_t gap) {
+    if (gap >= 2) CollapseNull();
+    return ApplyAtoms(Propagated(span));
+  }
+
+  double UpdateIndependent(const Distribution& marginal) {
+    CollapseNull();
+    std::vector<std::pair<int, Distribution>> staged;
+    for (const auto& [dfa, dist] : mass_) {
+      const double scale = dist.Mass();
+      if (scale == 0.0) continue;
+      std::vector<Distribution::Entry> entries;
+      for (const Distribution::Entry& e : marginal.entries()) {
+        entries.push_back({e.value, e.prob * scale});
+      }
+      staged.emplace_back(dfa, Distribution::FromSorted(std::move(entries)));
+    }
+    return ApplyAtoms(std::move(staged));
+  }
+
+  size_t live_states() const { return mass_.size(); }
+  // Buckets fed by three or more sources that needed a sort.
+  uint64_t unsorted_multi_source_merges() const { return unsorted_merges_; }
+
+ private:
+  std::vector<std::pair<int, Distribution>> Propagated(const Cpt& cpt) {
+    std::vector<std::pair<int, Distribution>> staged;
+    for (const auto& [dfa, dist] : mass_) {
+      staged.emplace_back(dfa, kernels::Propagate(cpt, dist, &workspace_));
+    }
+    return staged;
+  }
+
+  double ApplyAtoms(std::vector<std::pair<int, Distribution>> staged) {
+    struct Bucket {
+      int dfa;
+      std::vector<Distribution::Entry> entries;
+      bool sorted;
+      std::vector<int> sources;
+    };
+    std::vector<Bucket> buckets;
+    for (const auto& [dfa, dist] : staged) {
+      for (const Distribution::Entry& e : dist.entries()) {
+        if (e.prob == 0.0) continue;
+        const int next =
+            automaton_.Transition(dfa, automaton_.AtomOf(e.value));
+        auto it = std::find_if(buckets.begin(), buckets.end(),
+                               [next](const Bucket& b) { return b.dfa == next; });
+        if (it == buckets.end()) {
+          buckets.push_back(Bucket{next, {}, true, {}});
+          it = buckets.end() - 1;
+        }
+        if (!it->entries.empty() && it->entries.back().value >= e.value) {
+          it->sorted = false;
+        }
+        if (it->sources.empty() || it->sources.back() != dfa) {
+          it->sources.push_back(dfa);
+        }
+        it->entries.push_back(e);
+      }
+    }
+    mass_.clear();
+    double accept = 0.0;
+    for (Bucket& b : buckets) {
+      if (!b.sorted && b.sources.size() >= 3) ++unsorted_merges_;
+      Distribution dist = b.sorted
+                              ? Distribution::FromSorted(std::move(b.entries))
+                              : Distribution::FromPairs(std::move(b.entries));
+      if (automaton_.IsAccepting(b.dfa)) accept += dist.Mass();
+      mass_.emplace_back(b.dfa, std::move(dist));
+    }
+    std::sort(mass_.begin(), mass_.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    return accept;
+  }
+
+  void CollapseNull() {
+    std::vector<std::pair<int, Distribution>> collapsed;
+    for (auto& [dfa, dist] : mass_) {
+      const int next = automaton_.NullTransition(dfa);
+      auto it = std::find_if(collapsed.begin(), collapsed.end(),
+                             [next](const auto& p) { return p.first == next; });
+      if (it == collapsed.end()) {
+        collapsed.emplace_back(next, std::move(dist));
+      } else {
+        std::vector<Distribution::Entry> entries = it->second.entries();
+        entries.insert(entries.end(), dist.entries().begin(),
+                       dist.entries().end());
+        it->second = Distribution::FromPairs(std::move(entries));
+      }
+    }
+    std::sort(collapsed.begin(), collapsed.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    mass_ = std::move(collapsed);
+  }
+
+  QueryAutomaton automaton_;
+  kernels::PropagationWorkspace workspace_;
+  std::vector<std::pair<int, Distribution>> mass_;
+  uint64_t unsorted_merges_ = 0;
+};
+
+// Overlapping value ranges on the flat "loc" attribute of a synthetic
+// stream, so values satisfy several links at once and many DFA states stay
+// live.
+Predicate Range(uint32_t lo, uint32_t hi, const char* name) {
+  std::vector<uint32_t> values;
+  for (uint32_t v = lo; v < hi; ++v) values.push_back(v);
+  return Predicate::In(0, std::move(values), name);
+}
+
+// Q(low, (!mid*, mid)), Q(low, (!mid*, mid), (!high*, high)) and the
+// fixed Q(low, mid, high) over a 24-state domain. The null transition of
+// the fixed query sends every state to the start state, so a collapse
+// merges three or more states into one.
+std::vector<RegularQuery> DifferentialQueries() {
+  const Predicate low = Range(0, 12, "low");
+  const Predicate mid = Range(8, 20, "mid");
+  const Predicate high = Range(14, 24, "high");
+  std::vector<QueryLink> two;
+  two.push_back(QueryLink{std::nullopt, low});
+  two.push_back(QueryLink{Predicate::Not(mid), mid});
+  std::vector<QueryLink> three = two;
+  three.push_back(QueryLink{Predicate::Not(high), high});
+  return {RegularQuery("two", two), RegularQuery("three", three),
+          RegularQuery::Sequence("fixed", {low, mid, high})};
+}
+
+// Drives the fused operator and the staged oracle through the same random
+// mix of all four entry points (Initialize after a Reset, Update,
+// UpdateSpanning over composed spans of 1-4 steps, UpdateIndependent) and
+// requires every emitted probability to match bit for bit.
+TEST(RegDifferentialTest, FusedRoutingMatchesStagedOperatorBitForBit) {
+  uint64_t max_live = 0;
+  uint64_t multi_source_merges = 0;
+  for (const RegularQuery& query : DifferentialQueries()) {
+    for (uint64_t seed : {101u, 102u, 103u, 104u}) {
+      MarkovianStream stream =
+          MakeBandedRandomWalkStream(400, 24, seed, /*truncate_eps=*/1e-5);
+      RegOperator fused(query, stream.schema());
+      StagedReg staged(query, stream.schema());
+      Rng rng(seed * 31);
+      uint64_t t = 0;
+      double p = fused.Initialize(stream.marginal(0));
+      ASSERT_EQ(p, staged.Initialize(stream.marginal(0)));
+      while (t + 1 < stream.length()) {
+        const uint64_t gap =
+            std::min<uint64_t>(1 + rng.NextBelow(4), stream.length() - 1 - t);
+        const uint64_t next = t + gap;
+        double expected = 0.0;
+        std::string call;
+        switch (rng.NextBelow(8)) {
+          case 0: {
+            call = "Initialize";
+            fused.Reset();
+            p = fused.Initialize(stream.marginal(next));
+            expected = staged.Initialize(stream.marginal(next));
+            break;
+          }
+          case 1:
+          case 2: {
+            call = "UpdateSpanning";
+            Cpt span = stream.transition(t + 1);
+            for (uint64_t u = t + 2; u <= next; ++u) {
+              span = ComposeCpts(span, stream.transition(u));
+            }
+            p = fused.UpdateSpanning(span, gap);
+            expected = staged.UpdateSpanning(span, gap);
+            break;
+          }
+          case 3: {
+            call = "UpdateIndependent";
+            p = fused.UpdateIndependent(stream.marginal(next));
+            expected = staged.UpdateIndependent(stream.marginal(next));
+            break;
+          }
+          default: {
+            call = "Update";
+            for (uint64_t u = t + 1; u <= next; ++u) {
+              p = fused.Update(stream.transition(u));
+              expected = staged.Update(stream.transition(u));
+              if (u < next) {
+                ASSERT_EQ(p, expected) << query.name() << " seed=" << seed
+                                       << " t=" << u << " Update";
+              }
+            }
+            break;
+          }
+        }
+        ASSERT_EQ(p, expected) << query.name() << " seed=" << seed
+                               << " t=" << next << " " << call;
+        max_live = std::max<uint64_t>(max_live, staged.live_states());
+        t = next;
+      }
+      multi_source_merges += staged.unsorted_multi_source_merges();
+    }
+  }
+  // The streams must exercise what the bucket order protects.
+  EXPECT_GE(max_live, 3u);
+  EXPECT_GT(multi_source_merges, 0u);
+}
+
+// The step table agrees with a subset simulation of the query's NFA for
+// every (DFA state, value), states interned after the table was first
+// sized included, and Step agrees with Transition on the value's atom.
+TEST(RegDifferentialTest, StepTableMatchesSubsetSimulation) {
+  for (const RegularQuery& query : DifferentialQueries()) {
+    MarkovianStream stream = MakeBandedRandomWalkStream(2, 24, 7);
+    const StreamSchema& schema = stream.schema();
+    const size_t n = query.num_links();
+    QueryAutomaton automaton(query, schema);
+    auto nfa_step = [&](const std::vector<bool>& states, ValueId value) {
+      std::vector<bool> next(n + 1, false);
+      next[0] = true;
+      for (size_t i = 0; i < n; ++i) {
+        if (!states[i]) continue;
+        const QueryLink& link = query.link(i);
+        if (link.primary.Matches(schema, value)) next[i + 1] = true;
+        if (i > 0 && link.is_kleene() && link.loop->Matches(schema, value)) {
+          next[i] = true;
+        }
+      }
+      return next;
+    };
+    std::vector<std::vector<bool>> subsets;
+    subsets.emplace_back(n + 1, false);
+    subsets[0][0] = true;
+    ASSERT_EQ(automaton.num_dfa_states(), 1);
+    for (size_t d = 0; d < subsets.size(); ++d) {
+      for (ValueId v = 0; v < schema.state_count(); ++v) {
+        const int next = automaton.Step(static_cast<int>(d), v);
+        const std::vector<bool> expected = nfa_step(subsets[d], v);
+        if (static_cast<size_t>(next) == subsets.size()) {
+          subsets.push_back(expected);
+        }
+        ASSERT_LT(static_cast<size_t>(next), subsets.size());
+        EXPECT_EQ(subsets[next], expected) << "d=" << d << " v=" << v;
+        EXPECT_EQ(automaton.IsAccepting(next), expected[n]);
+        EXPECT_EQ(next, automaton.Transition(static_cast<int>(d),
+                                             automaton.AtomOf(v)));
+      }
+    }
+    EXPECT_EQ(static_cast<size_t>(automaton.num_dfa_states()), subsets.size());
+    EXPECT_GE(subsets.size(), 4u) << query.name();
+  }
 }
 
 }  // namespace

@@ -402,6 +402,131 @@ TEST_F(StorageTest, RecordFileHandlesEmptyRecordsAndSpanningRecords) {
   EXPECT_EQ(out, "tail");
 }
 
+// RecordFileReader::View on data pages 2-6 of 512 bytes (504 of payload
+// behind each page's checksum trailer): records 0-2 lie
+// inside page 2, record 3 straddles pages 2-3, record 4 is empty, records 5
+// and 6 lie inside page 3, records 7 and 8 fill pages 4 and 5, and record 9
+// sits on the partial tail page 6.
+class RecordFileViewTest : public StorageTest {
+ protected:
+  static std::string Record(int i) {
+    const size_t sizes[] = {100, 100, 100, 600, 0, 100, 8, 504, 504, 40};
+    return std::string(sizes[i], static_cast<char>('a' + i));
+  }
+
+  void SetUp() override {
+    StorageTest::SetUp();
+    auto writer = RecordFileWriter::Create(Path("r"), 512);
+    ASSERT_TRUE(writer.ok());
+    for (int i = 0; i < 10; ++i) {
+      ASSERT_TRUE((*writer)->Append(Record(i)).ok());
+    }
+    ASSERT_TRUE((*writer)->Finalize().ok());
+  }
+
+  static bool InsidePage(std::string_view view, const char* page) {
+    return view.data() >= page &&
+           view.data() + view.size() <= page + 512 - kPageTrailerSize;
+  }
+};
+
+TEST_F(RecordFileViewTest, RecordInsideOnePageViewsThePinnedFrame) {
+  auto reader = RecordFileReader::Open(Path("r"));
+  ASSERT_TRUE(reader.ok());
+  std::string scratch;
+  PageHandle pin;
+  std::string_view view;
+  for (int i : {0, 2, 5, 6, 7, 8}) {
+    ASSERT_TRUE((*reader)->View(i, &scratch, &pin, &view).ok());
+    EXPECT_EQ(view, Record(i));
+    ASSERT_TRUE(pin.valid()) << i;
+    EXPECT_TRUE(InsidePage(view, pin.data())) << i;
+    EXPECT_TRUE(scratch.empty()) << "nothing was copied";
+  }
+}
+
+TEST_F(RecordFileViewTest, StraddlingRecordIsCopiedIntoScratch) {
+  auto reader = RecordFileReader::Open(Path("r"));
+  ASSERT_TRUE(reader.ok());
+  std::string scratch;
+  PageHandle pin;
+  std::string_view view;
+  ASSERT_TRUE((*reader)->View(0, &scratch, &pin, &view).ok());
+  ASSERT_TRUE(pin.valid());
+  ASSERT_TRUE((*reader)->View(3, &scratch, &pin, &view).ok());
+  EXPECT_EQ(view, Record(3));
+  EXPECT_EQ(view.data(), scratch.data());
+  EXPECT_FALSE(pin.valid()) << "the previous page's pin is released";
+  std::string out;
+  ASSERT_TRUE((*reader)->Get(3, &out).ok());
+  EXPECT_EQ(out, Record(3));
+}
+
+TEST_F(RecordFileViewTest, TailPageAndEmptyRecordsAreServedFromScratch) {
+  auto reader = RecordFileReader::Open(Path("r"));
+  ASSERT_TRUE(reader.ok());
+  std::string scratch = "stale";
+  PageHandle pin;
+  std::string_view view;
+  ASSERT_TRUE((*reader)->View(9, &scratch, &pin, &view).ok());
+  EXPECT_EQ(view, Record(9));
+  EXPECT_EQ(view.data(), scratch.data()) << "the tail page is copied";
+  EXPECT_FALSE(pin.valid());
+  ASSERT_TRUE((*reader)->View(4, &scratch, &pin, &view).ok());
+  EXPECT_TRUE(view.empty());
+  EXPECT_FALSE(pin.valid());
+  EXPECT_EQ((*reader)->stats().fetches, 0u) << "neither needed the pool";
+  std::string out = "stale";
+  ASSERT_TRUE((*reader)->Get(4, &out).ok());
+  EXPECT_EQ(out, "");
+  EXPECT_EQ((*reader)->View(10, &scratch, &pin, &view).code(),
+            StatusCode::kOutOfRange);
+}
+
+// A held view pins its frame: in a one-page pool no other page can be
+// read until it is released, and in a two-page pool other reads cycle
+// through the free frame while the viewed bytes stay in place.
+TEST_F(RecordFileViewTest, HeldPinIsNeverEvictedAndReleasedPinFreesItsFrame) {
+  {
+    auto reader = RecordFileReader::Open(Path("r"), /*pool_pages=*/1);
+    ASSERT_TRUE(reader.ok());
+    std::string scratch;
+    PageHandle pin;
+    std::string_view view;
+    ASSERT_TRUE((*reader)->View(0, &scratch, &pin, &view).ok());
+    std::string other;
+    EXPECT_EQ((*reader)->Get(5, &other).code(),
+              StatusCode::kResourceExhausted);
+    EXPECT_EQ(view, Record(0));
+    pin.Release();
+    ASSERT_TRUE((*reader)->Get(5, &other).ok());
+    EXPECT_EQ(other, Record(5));
+  }
+  auto reader = RecordFileReader::Open(Path("r"), /*pool_pages=*/2);
+  ASSERT_TRUE(reader.ok());
+  std::string scratch;
+  PageHandle pin;
+  std::string_view view;
+  ASSERT_TRUE((*reader)->View(1, &scratch, &pin, &view).ok());
+  const char* frame = pin.data();
+  std::string other;
+  for (int round = 0; round < 3; ++round) {
+    for (int i : {7, 8, 5}) {
+      ASSERT_TRUE((*reader)->Get(i, &other).ok());
+      EXPECT_EQ(other, Record(i));
+    }
+  }
+  EXPECT_GT((*reader)->stats().evictions, 0u);
+  EXPECT_EQ(view, Record(1));
+  EXPECT_EQ(pin.data(), frame);
+  const uint64_t hits = (*reader)->stats().hits;
+  std::string_view again;
+  PageHandle second;
+  ASSERT_TRUE((*reader)->View(0, &scratch, &second, &again).ok());
+  EXPECT_EQ((*reader)->stats().hits, hits + 1) << "page 2 stayed resident";
+  EXPECT_EQ(second.data(), frame);
+}
+
 TEST_F(StorageTest, RecordFileGetOutOfRange) {
   {
     auto writer = RecordFileWriter::Create(Path("r"), 512);
