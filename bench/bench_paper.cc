@@ -3,8 +3,8 @@
 // work counters.
 //
 // Each experiment builds its workload and runs each access method once
-// through RunPipeline, after attaching a fresh span-CPT cache: MC spans are
-// composed cold and no run is served by an earlier one. One line per run
+// through RunPipeline, after emptying the MC index's span cache: MC spans
+// are composed cold and no run is served by an earlier one. One line per run
 // gives its counters, with the wall time in brackets as context only. Each
 // claim of EXPERIMENTS.md then checks that the values it measures lie in
 // its bounds, and prints one line:
@@ -190,9 +190,7 @@ class Results {
   void Execute(const std::string& key, ArchivedStream* archived,
                const RegularQuery& query, AccessMethodKind method,
                const PipelineOptions& options = {}) {
-    archived->AttachSpanCache(std::make_shared<SpanCptCache>(
-                                  ArchivedStream::kDefaultSpanCacheBytes),
-                              0);
+    if (McIndex* mc = archived->mc()) mc->ClearSpanCache();
     auto result = RunPipeline(archived, query, method, options);
     CALDERA_CHECK_OK(result.status());
     Record(key, result->stats, std::move(result->signal));

@@ -46,11 +46,6 @@ Result<std::unique_ptr<ArchivedStream>> ArchivedStream::Open(
       return Status::Corruption(
           "MC index domain does not match the schema in " + McDir(dir));
     }
-    // Private per-handle cache so span memoization works even outside
-    // the Caldera facade; the facade rebinds its shared cache on open.
-    archived->AttachSpanCache(
-        std::make_shared<SpanCptCache>(kDefaultSpanCacheBytes),
-        /*epoch=*/0);
   }
   return archived;
 }
@@ -84,17 +79,6 @@ Status ArchivedStream::Refresh() {
     }
   }
   return Status::Ok();
-}
-
-void ArchivedStream::AttachSpanCache(std::shared_ptr<SpanCptCache> cache,
-                                     uint64_t epoch) {
-  if (mc_ == nullptr || cache == nullptr) return;
-  span_cache_ = std::move(cache);
-  SpanCacheBinding binding;
-  binding.cache = span_cache_;
-  binding.stream_id = FingerprintString(dir_);
-  binding.epoch = epoch;
-  mc_->AttachSpanCache(std::move(binding));
 }
 
 BufferPoolStats ArchivedStream::IndexIoStats() const {

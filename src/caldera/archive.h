@@ -10,7 +10,6 @@
 #include "common/status.h"
 #include "index/attribute_index.h"
 #include "index/mc_index.h"
-#include "index/span_cache.h"
 #include "markov/stream_io.h"
 
 namespace caldera {
@@ -36,11 +35,11 @@ class ArchivedStream {
 
   /// Advances this handle to the stream as an ingest commit left it, at a
   /// cost of the appended timesteps: refreshes the stream and MC index
-  /// (their files only grow at their ends, so cached pages and span CPTs
-  /// stay valid) and extends each B+ tree's tail over the appended
-  /// timesteps (tree files are immutable). Only a tree whose file a
-  /// compaction has since replaced is reopened. On error the handle is
-  /// half-advanced and must be dropped.
+  /// (their files only grow at their ends, so cached pages stay valid, and
+  /// the MC index keeps its span cache: McIndex::Refresh) and extends each
+  /// B+ tree's tail over the appended timesteps (tree files are
+  /// immutable). Only a tree whose file a compaction has since replaced is
+  /// reopened. On error the handle is half-advanced and must be dropped.
   Status Refresh();
 
   StoredStream* stream() { return stream_.get(); }
@@ -56,22 +55,6 @@ class ArchivedStream {
     return attr < btp_.size() ? btp_[attr].tree.get() : nullptr;
   }
   McIndex* mc() { return mc_.get(); }
-
-  /// Rebinds the MC index's span-CPT cache. Open installs a small private
-  /// cache (kDefaultSpanCacheBytes, epoch 0); the Caldera facade replaces
-  /// it with its process-wide shared cache stamped with the handle
-  /// epoch, so epoch bumps logically invalidate old entries (Refresh keeps
-  /// them). stream_id is derived from the stream directory. No-op when the
-  /// stream has no MC index.
-  void AttachSpanCache(std::shared_ptr<SpanCptCache> cache, uint64_t epoch);
-  /// The attached cache (never null once Open succeeds with an MC index;
-  /// null for MC-less streams).
-  const std::shared_ptr<SpanCptCache>& span_cache() const {
-    return span_cache_;
-  }
-
-  /// Budget of the private per-handle cache installed by Open.
-  static constexpr size_t kDefaultSpanCacheBytes = 32u << 20;
 
   /// Aggregated index-page traffic since ResetStats.
   BufferPoolStats IndexIoStats() const;
@@ -96,7 +79,6 @@ class ArchivedStream {
   std::vector<TreeSlot> btc_;
   std::vector<TreeSlot> btp_;
   std::unique_ptr<McIndex> mc_;
-  std::shared_ptr<SpanCptCache> span_cache_;
 };
 
 /// The on-disk catalog: a root directory with one subdirectory per stream.

@@ -75,9 +75,6 @@ Result<std::shared_ptr<ArchivedStream>> Caldera::GetStream(
   if (handle == nullptr) {
     // Open outside the lock, so concurrent opens do not serialize.
     CALDERA_ASSIGN_OR_RETURN(handle, archive_.OpenStream(name, pool_pages));
-    // Bind the facade's span cache under this epoch, so composed span CPTs
-    // are reused across handles and orphaned when the epoch advances.
-    handle->AttachSpanCache(span_cache_, epoch);
   }
   // The deleter puts the handle back unless the facade is gone, the epoch
   // moved on or the slot is filled; then `owned` dies outside the lock.
@@ -106,10 +103,7 @@ uint64_t Caldera::InvalidateStreams() {
   return ++state_->epoch;
 }
 
-void Caldera::NotifyStreamMutation() {
-  InvalidateStreams();
-  span_cache_->Clear();
-}
+void Caldera::NotifyStreamMutation() { InvalidateStreams(); }
 
 std::shared_mutex* Caldera::StreamMutationLock(
     const std::string& stream_name) {
@@ -129,9 +123,9 @@ Result<std::unique_ptr<StreamIngestor>> Caldera::OpenForIngest(
   options.apply_mutex = StreamMutationLock(stream_name);
   // Every commit records the new length, for the next GetStream to refresh
   // the handle it lends to. The call a recovering Open makes also retires
-  // every handle and span CPT and counts the recovery: a query in flight
-  // may have cached pages its undo restore rewrote before the redo, and
-  // Execute reruns it. `this` is used only in Open.
+  // every handle, span cache and all, and counts the recovery: a query in
+  // flight may have cached pages its undo restore rewrote before the redo,
+  // and Execute reruns it. `this` is used only in Open.
   auto opening = std::make_shared<bool>(true);
   options.on_commit = [this, state = state_, opening,
                        stream_name](uint64_t new_length) {

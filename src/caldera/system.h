@@ -46,13 +46,15 @@ struct ExecOptions {
 ///
 /// Queries (Execute, Plan, ExecuteBatch) are thread-safe, any number of them
 /// on one stream at once. An ArchivedStream is single-threaded (its buffer
-/// pools are not locked), so GetStream *lends* handles: each caller gets a
-/// handle no other caller holds, and releasing it returns it to an idle
-/// slot for the next query to reuse warm. After an ingest commit, the
-/// next GetStream refreshes the handle it lends; a commit waits only for
-/// such borrows (StreamMutationLock), not for queries. Handles are
-/// epoch-versioned: InvalidateStreams never dangles an outstanding handle,
-/// it only stops the facade from lending stale ones again.
+/// pools and span cache are not locked), so GetStream *lends* handles: each
+/// caller gets a handle no other caller holds, and releasing it returns it
+/// to an idle slot for the next query to reuse warm, pages and composed
+/// MC spans alike. After an ingest commit, the next GetStream refreshes the
+/// handle it lends; a commit waits only for such borrows
+/// (StreamMutationLock), not for queries. Handles are epoch-versioned:
+/// InvalidateStreams never dangles an outstanding handle, it only stops the
+/// facade from lending stale ones again. Retiring a handle is the one way
+/// its cached state is invalidated.
 ///
 /// Typical use:
 ///   Caldera system("/data/archive");
@@ -63,21 +65,9 @@ struct ExecOptions {
 class Caldera {
  public:
   explicit Caldera(std::string archive_root)
-      : archive_(std::move(archive_root)),
-        span_cache_(std::make_shared<SpanCptCache>(kSpanCacheBytes)) {}
+      : archive_(std::move(archive_root)) {}
 
   StreamArchive* archive() { return &archive_; }
-
-  /// The process-wide cache of composed span CPTs, shared by every stream
-  /// handle this facade opens (keys carry stream id + epoch, so entries
-  /// never collide across streams and epoch bumps orphan stale ones;
-  /// appends keep them).
-  const std::shared_ptr<SpanCptCache>& span_cache() const {
-    return span_cache_;
-  }
-
-  /// Byte budget of the facade's shared span-CPT cache.
-  static constexpr size_t kSpanCacheBytes = 64u << 20;
 
   /// Runs `query` against stream `stream_name` using the requested (or
   /// planned) access method. With options.k > 0 and a fixed-length query
@@ -125,11 +115,12 @@ class Caldera {
   /// Opens a live-append handle for `stream_name` (the growing-stream
   /// ingestion pipeline, src/ingest/). The open recovers from the stream's
   /// WAL if a previous writer died before a checkpoint, then retires every
-  /// handle (NotifyStreamMutation). A commit applies under the stream lock
-  /// and records the new length; the next GetStream refreshes the handle
-  /// it lends (ArchivedStream::Refresh, O(batch)), so a query sees the pre-
-  /// or post-append stream, never a mix, with warm pages and span CPTs. A
-  /// commit bumps no epoch.
+  /// handle (NotifyStreamMutation), so the next query opens a new one with
+  /// cold pages and an empty span cache. A commit applies under the stream
+  /// lock and records the new length; the next GetStream refreshes the
+  /// handle it lends (ArchivedStream::Refresh, O(batch)), so a query sees
+  /// the pre- or post-append stream, never a mix, with warm pages and span
+  /// CPTs. A commit bumps no epoch.
   /// One writer per stream: while an ingestor is alive, in this or any
   /// other process, a second OpenForIngest and RebuildIndexes of the
   /// stream fail with FailedPrecondition (its checkpoints rename the
@@ -137,14 +128,11 @@ class Caldera {
   Result<std::unique_ptr<StreamIngestor>> OpenForIngest(
       const std::string& stream_name);
 
-  /// The single epoch-bump/invalidation point behind every in-place
-  /// rewrite of a stream's files (index rebuild, ingest recovery): drops
-  /// idle handles (next GetStream reopens against the new on-disk state)
-  /// and clears the span-CPT cache. The epoch bump alone already orphans
-  /// span entries logically — fresh handles stamp the new epoch into their
-  /// cache keys — and the Clear reclaims the bytes instead of waiting for
-  /// LRU pressure. Ingest commits do not come here: they only append, and
-  /// the next borrow refreshes the handle it lends instead.
+  /// The invalidation behind every in-place rewrite of a stream's files
+  /// (index rebuild, ingest recovery): InvalidateStreams, so the next
+  /// GetStream opens a new handle, with its own empty span cache, against
+  /// the new on-disk state. Ingest commits do not come here: they only
+  /// append, and the next borrow refreshes the handle it lends instead.
   void NotifyStreamMutation();
 
   /// The per-stream reader/writer lock that serializes in-place mutation
@@ -191,7 +179,6 @@ class Caldera {
                                   const ExecOptions& options);
 
   StreamArchive archive_;
-  std::shared_ptr<SpanCptCache> span_cache_;
   std::shared_ptr<State> state_ = std::make_shared<State>();
 };
 

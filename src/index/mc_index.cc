@@ -304,6 +304,7 @@ Status McIndex::SetMinLevel(uint32_t level) {
     return Status::InvalidArgument("min level must be in [1, num_levels+1]");
   }
   min_level_ = level;
+  span_cache_.Clear();
   return Status::Ok();
 }
 
@@ -366,22 +367,19 @@ Status McIndex::ComputeCpt(uint64_t from, uint64_t to, Cpt* out) {
 
 Result<std::shared_ptr<const Cpt>> McIndex::GetSpanCpt(uint64_t from,
                                                        uint64_t to) {
-  if (span_cache_.valid() && to >= from + 2) {
-    const SpanKey key = span_cache_.KeyFor(from, to, min_level_);
-    if (std::shared_ptr<const Cpt> cached = span_cache_.cache->Get(key)) {
+  const bool cacheable = to >= from + 2;
+  if (cacheable) {
+    if (std::shared_ptr<const Cpt> hit = span_cache_.Get(from, to)) {
       ++span_cache_hits_;
-      return cached;
+      return hit;
     }
     ++span_cache_misses_;
-    Cpt composed;
-    CALDERA_RETURN_IF_ERROR(ComputeCpt(from, to, &composed));
-    auto shared = std::make_shared<const Cpt>(std::move(composed));
-    span_cache_.cache->Put(key, shared);
-    return shared;
   }
   Cpt composed;
   CALDERA_RETURN_IF_ERROR(ComputeCpt(from, to, &composed));
-  return std::make_shared<const Cpt>(std::move(composed));
+  auto shared = std::make_shared<const Cpt>(std::move(composed));
+  if (cacheable) span_cache_.Put(from, to, shared);
+  return shared;
 }
 
 uint64_t McIndex::StoredBytes() const {

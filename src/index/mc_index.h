@@ -126,34 +126,37 @@ class McIndex {
   /// Advances this handle to the index as Extend left it: refreshes the
   /// levels Extend grew (RecordFileReader::Refresh) and opens the levels
   /// it added, so the cost follows the appended entries, not the index
-  /// size.
-  /// Stored entries never change, so cached pages and composed spans below
-  /// the old length stay valid. Corruption if mc.meta changed alpha or
-  /// domain, shrank, or disagrees with a level file.
+  /// size. Corruption if mc.meta changed alpha or domain, shrank, or
+  /// disagrees with a level file.
+  /// Stored entries never change, so cached pages stay valid, and so does
+  /// every span in the span cache: ComputeCpt uses a level block only if
+  /// `cur + span <= to` and its block index is `< num_records()`. Every
+  /// entry an append adds, at a new level or an old one, ends past the old
+  /// `length - 1`, which is `>= to` for any span composed before the
+  /// append. So a cached span never needs the new entries.
   Status Refresh();
 
   /// Computes CPT(from -> to), i.e. the product of the per-step transitions
   /// into from+1 .. to. Requires from < to.
   Status ComputeCpt(uint64_t from, uint64_t to, Cpt* out);
 
-  /// Binds a (usually shared) span-CPT cache to this index. min_level is
-  /// part of the key on lookup because the composed span depends on which
-  /// levels supplied it.
-  void AttachSpanCache(SpanCacheBinding binding) {
-    span_cache_ = std::move(binding);
-  }
-  const SpanCacheBinding& span_cache_binding() const { return span_cache_; }
-
-  /// ComputeCpt through the attached span cache: spans of gap >= 2 are
+  /// ComputeCpt through this handle's span cache: spans of gap >= 2 are
   /// served from the cache when present (hit) or composed once and
-  /// inserted (miss). Gap-1 spans and cacheless indexes fall through to a
-  /// plain ComputeCpt. The returned CPT is shared and immutable, so
-  /// concurrent queries may propagate through it.
+  /// inserted (miss). Gap-1 spans fall through to a plain ComputeCpt. The
+  /// returned CPT is immutable and stays alive past its eviction.
   Result<std::shared_ptr<const Cpt>> GetSpanCpt(uint64_t from, uint64_t to);
+
+  /// Drops every cached span, so the next GetSpanCpt of each composes cold.
+  void ClearSpanCache() { span_cache_.Clear(); }
+
+  /// Byte budget of each handle's span cache.
+  static constexpr size_t kSpanCacheBytes = 32u << 20;
 
   /// Restricts lookups to levels >= `level` (level-0 residues still come
   /// from the raw stream). Models the paper's "omit lower index levels"
-  /// experiment (Figure 11(a)); also lowers effective storage.
+  /// experiment (Figure 11(a)); also lowers effective storage. Clears the
+  /// span cache: with truncation a composed span depends on which levels
+  /// supplied it.
   Status SetMinLevel(uint32_t level);
 
   uint32_t alpha() const { return alpha_; }
@@ -200,7 +203,7 @@ class McIndex {
   TransitionSource transitions_;
   std::vector<std::unique_ptr<RecordFileReader>> levels_;  // [0] unused.
   std::vector<uint64_t> level_spans_;  // alpha^i per level.
-  SpanCacheBinding span_cache_;
+  SpanCptCache span_cache_{kSpanCacheBytes};
   uint64_t entry_fetches_ = 0;
   uint64_t raw_fetches_ = 0;
   uint64_t compositions_ = 0;

@@ -1011,8 +1011,9 @@ TEST(IngestConcurrencyTest, ManyReadersOnOneStreamMatchOracles) {
   }
   archive_with_indexes("live", base_len);
 
-  // The sequential reference. Its second pass finds the span-CPT cache as
-  // warm as every later query on this epoch does.
+  // The sequential reference. Its second pass runs on handles that are
+  // warm, as every later query's may be; the fixed query composes no
+  // spans, so only the buffer pools warm up.
   ExecStats reference[kMethods];
   for (int pass = 0; pass < 2; ++pass) {
     for (size_t m = 0; m < kMethods; ++m) {
@@ -1389,10 +1390,10 @@ TEST(IngestFacadeTest, CommitsAreVisibleWithoutManualInvalidation) {
 // A commit advances the idle handle instead of dropping it: the handle the
 // next query borrows is the same object at the new length (its pools keep
 // the previous query's traffic, which a reopen would not), and its MC
-// query reuses the span CPTs composed before the commit. The warm answer
-// is bit-identical to a cold one on an archive built offline at the same
-// length, including across the appends 64 -> 65 (alpha = 2 adds a level)
-// and 65 -> 66.
+// query composes no span: it finds every one it needs among those composed
+// before the commit. The warm answer is bit-identical to a cold one on an
+// archive built offline at the same length, including across the appends
+// 64 -> 65 (alpha = 2 adds a level) and 65 -> 66.
 TEST(IngestFacadeTest, CommitRefreshesIdleHandlesAndKeepsSpans) {
   test::ScratchDir scratch("ingest_refresh");
   // A sparse snippet stream, so the MC query composes spans.
@@ -1441,11 +1442,8 @@ TEST(IngestFacadeTest, CommitRefreshesIdleHandlesAndKeepsSpans) {
     }
     auto got = system.Execute("live", variable, mc);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
-    // A new level changes every span's key, so that one append starts the
-    // spans over.
-    if (length != 65) {
-      EXPECT_GT(got->stats.span_cache_hits, 0u);
-    }
+    EXPECT_GT(got->stats.span_cache_hits, 0u);
+    EXPECT_EQ(got->stats.span_cache_misses, 0u);
 
     const std::string oracle = "oracle" + std::to_string(length);
     archive_stream(oracle, length);
@@ -1462,6 +1460,51 @@ TEST(IngestFacadeTest, CommitRefreshesIdleHandlesAndKeepsSpans) {
     }
   }
   EXPECT_EQ(system.stream_epoch(), epoch);
+}
+
+// A recovering OpenForIngest retires every handle, and the span cache
+// with it: the first MC query after the recovery composes every span anew
+// on a new handle and answers as an archive built offline at the recovered
+// length does. A handle kept and refreshed instead would serve the spans
+// the query composed before the crash.
+TEST(IngestFacadeTest, RecoveryRetiresSpans) {
+  test::ScratchDir scratch("ingest_recovery_spans");
+  auto workload = MakeSnippetStream(
+      {.num_snippets = 4, .density = 0.5, .match_rate = 0.5, .seed = 1});
+  ASSERT_TRUE(workload.ok());
+  const MarkovianStream& full = workload->stream;
+  ASSERT_GE(full.length(), 66u);
+  Caldera system(scratch.Path("archive"));
+  ASSERT_TRUE(system.archive()->Init().ok());
+  auto archive_stream = [&](const std::string& name, uint64_t length) {
+    ASSERT_TRUE(system.archive()->CreateStream(name, Prefix(full, length)).ok());
+    ASSERT_TRUE(system.archive()->BuildBtc(name, 0).ok());
+    ASSERT_TRUE(system.archive()->BuildMc(name, {.alpha = 2}).ok());
+  };
+  archive_stream("live", 62);
+  const ExecOptions mc{.method = AccessMethodKind::kMcIndex};
+  const RegularQuery variable = workload->EnteredRoomVariable();
+  {
+    auto ingestor = system.OpenForIngest("live");
+    ASSERT_TRUE(ingestor.ok()) << ingestor.status().ToString();
+    ASSERT_TRUE(system.Execute("live", variable, mc).ok());
+    auto warm = system.Execute("live", variable, mc);
+    ASSERT_TRUE(warm.ok());
+    ASSERT_GT(warm->stats.span_cache_hits, 0u);
+    ASSERT_TRUE((*ingestor)->CommitWithoutApply(Slice(full, 62, 4)).ok());
+  }
+  auto recovered = system.OpenForIngest("live");
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  ASSERT_EQ((*recovered)->length(), 66u);
+
+  auto got = system.Execute("live", variable, mc);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(got->stats.span_cache_hits, 0u);
+  EXPECT_GT(got->stats.span_cache_misses, 0u);
+  archive_stream("oracle", 66);
+  auto want = system.Execute("oracle", variable, mc);
+  ASSERT_TRUE(want.ok());
+  ExpectSignalsIdentical(got->signal, want->signal, "recovered mc");
 }
 
 // A handle lent before a commit and released after it, with no other

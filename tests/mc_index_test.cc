@@ -453,8 +453,6 @@ TEST(McIndexRefreshTest, WarmAnswersEqualAColdBuildAfterEachAppend) {
     ASSERT_TRUE(McIndex::Build(live, source, 30, 6, options).ok());
     auto warm = McIndex::Open(live, source, /*pool_pages=*/4);
     ASSERT_TRUE(warm.ok());
-    auto cache = std::make_shared<SpanCptCache>(64u << 20);
-    (*warm)->AttachSpanCache({.cache = cache, .stream_id = 1});
     ASSERT_TRUE((*warm)->GetSpanCpt(0, 29).ok());
     uint32_t levels_added = 0;
     for (uint64_t length = 31; length <= stream.length(); ++length) {

@@ -369,8 +369,6 @@ void ExerciseMcIndex(const std::string& dir, const TransitionSource& source,
                      uint64_t length) {
   auto index = McIndex::Open(dir, source, /*pool_pages=*/4);
   if (!index.ok()) return;
-  (*index)->AttachSpanCache(
-      {.cache = std::make_shared<SpanCptCache>(1 << 20), .stream_id = 1});
   Cpt out;
   for (uint64_t from = 0; from + 1 < length; ++from) {
     for (uint64_t to = from + 1; to < length; ++to) {

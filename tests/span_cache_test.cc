@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "caldera/system.h"
+#include "index/mc_index.h"
 #include "markov/cpt.h"
 #include "query/regular_query.h"
 #include "test_util.h"
@@ -19,93 +22,131 @@ std::shared_ptr<const Cpt> MakeCpt(uint32_t rows) {
   return std::make_shared<const Cpt>(std::move(cpt));
 }
 
-SpanKey Key(uint64_t lo, uint64_t hi) {
-  return SpanKey{/*stream_id=*/1, /*epoch=*/0, lo, hi, /*min_level=*/1};
-}
+// The cache alone, and through the McIndex handle that owns it.
+class SpanCptCacheTest : public ::testing::Test {
+ protected:
+  SpanCptCacheTest()
+      : scratch_("mc_span_cache"), stream_(test::MakeBandedStream(70, 6, 21)) {}
 
-TEST(FingerprintTest, StableAndDistinct) {
-  EXPECT_EQ(FingerprintString("abc"), FingerprintString("abc"));
-  EXPECT_NE(FingerprintString("abc"), FingerprintString("abd"));
-  EXPECT_NE(FingerprintString(""), 0u);
-}
-
-TEST(SpanCptCacheTest, HitAndMissAccounting) {
-  SpanCptCache cache(1 << 20, /*num_shards=*/2);
-  EXPECT_EQ(cache.Get(Key(0, 4)), nullptr);
-  auto cpt = MakeCpt(4);
-  cache.Put(Key(0, 4), cpt);
-  EXPECT_EQ(cache.Get(Key(0, 4)).get(), cpt.get());
-  EXPECT_EQ(cache.Get(Key(0, 8)), nullptr);
-
-  SpanCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 2u);
-  EXPECT_EQ(stats.insertions, 1u);
-  EXPECT_EQ(stats.entries, 1u);
-  EXPECT_GT(stats.bytes, cpt->ByteSize());
-}
-
-TEST(SpanCptCacheTest, EveryKeyComponentDisambiguates) {
-  SpanCptCache cache(1 << 20);
-  cache.Put(Key(0, 4), MakeCpt(2));
-  SpanKey base = Key(0, 4);
-  for (SpanKey variant :
-       {SpanKey{2, 0, 0, 4, 1}, SpanKey{1, 1, 0, 4, 1}, SpanKey{1, 0, 1, 4, 1},
-        SpanKey{1, 0, 0, 5, 1}, SpanKey{1, 0, 0, 4, 2}}) {
-    EXPECT_FALSE(variant == base);
-    EXPECT_EQ(cache.Get(variant), nullptr);
+  // Builds an alpha-2 index over the stream with `truncate_eps` and opens a
+  // handle on it.
+  std::unique_ptr<McIndex> BuildAndOpen(double truncate_eps) {
+    const TransitionSource source = [this](uint64_t t, Cpt* out) {
+      *out = stream_.transition(t);
+      return Status::Ok();
+    };
+    const std::string dir = scratch_.Path("mc");
+    std::filesystem::remove_all(dir);
+    const McIndexOptions options{.alpha = 2, .truncate_eps = truncate_eps};
+    EXPECT_TRUE(McIndex::Build(dir, source, stream_.length(),
+                               stream_.schema().state_count(), options)
+                    .ok());
+    auto index = McIndex::Open(dir, source);
+    EXPECT_TRUE(index.ok()) << index.status().ToString();
+    return index.ok() ? std::move(*index) : nullptr;
   }
-  EXPECT_NE(cache.Get(base), nullptr);
+
+  test::ScratchDir scratch_;
+  MarkovianStream stream_;
+};
+
+TEST_F(SpanCptCacheTest, HitAndMissAccounting) {
+  SpanCptCache cache(1 << 20);
+  EXPECT_EQ(cache.Get(0, 4), nullptr);
+  auto cpt = MakeCpt(4);
+  cache.Put(0, 4, cpt);
+  EXPECT_EQ(cache.Get(0, 4).get(), cpt.get());
+  EXPECT_EQ(cache.Get(0, 8), nullptr);
+  EXPECT_EQ(cache.Get(1, 4), nullptr);
+  EXPECT_EQ(cache.entries(), 1u);
+  EXPECT_GT(cache.bytes(), cpt->ByteSize());
 }
 
-TEST(SpanCptCacheTest, ByteBudgetEvictsLru) {
-  // Single shard so the LRU order is global and deterministic.
+TEST_F(SpanCptCacheTest, ByteBudgetEvictsLru) {
   auto cpt = MakeCpt(8);
   const size_t entry_bytes = cpt->ByteSize() + 128;  // Payload + overhead.
-  SpanCptCache cache(entry_bytes * 3, /*num_shards=*/1);
-  cache.Put(Key(0, 1), cpt);
-  cache.Put(Key(0, 2), MakeCpt(8));
-  cache.Put(Key(0, 3), MakeCpt(8));
-  EXPECT_EQ(cache.stats().entries, 3u);
+  const size_t budget = entry_bytes * 3;
+  SpanCptCache cache(budget);
+  cache.Put(0, 1, cpt);
+  cache.Put(0, 2, MakeCpt(8));
+  cache.Put(0, 3, MakeCpt(8));
+  EXPECT_EQ(cache.entries(), 3u);
 
   // Touch (0,1) so (0,2) is the LRU victim.
-  EXPECT_NE(cache.Get(Key(0, 1)), nullptr);
-  cache.Put(Key(0, 4), MakeCpt(8));
-  EXPECT_EQ(cache.stats().entries, 3u);
-  EXPECT_EQ(cache.stats().evictions, 1u);
-  EXPECT_EQ(cache.Get(Key(0, 2)), nullptr) << "LRU entry must be evicted";
-  EXPECT_NE(cache.Get(Key(0, 1)), nullptr);
-  EXPECT_NE(cache.Get(Key(0, 4)), nullptr);
-  EXPECT_LE(cache.stats().bytes, cache.byte_budget());
+  EXPECT_NE(cache.Get(0, 1), nullptr);
+  cache.Put(0, 4, MakeCpt(8));
+  EXPECT_EQ(cache.entries(), 3u);
+  EXPECT_EQ(cache.Get(0, 2), nullptr) << "LRU entry must be evicted";
+  EXPECT_NE(cache.Get(0, 1), nullptr);
+  EXPECT_NE(cache.Get(0, 3), nullptr);
+  EXPECT_NE(cache.Get(0, 4), nullptr);
+  EXPECT_LE(cache.bytes(), budget);
 }
 
-TEST(SpanCptCacheTest, OversizedEntriesAreSkipped) {
-  SpanCptCache cache(256, /*num_shards=*/1);
-  cache.Put(Key(0, 1), MakeCpt(64));  // Far beyond the shard budget.
-  EXPECT_EQ(cache.stats().insertions, 0u);
-  EXPECT_EQ(cache.stats().entries, 0u);
-  EXPECT_EQ(cache.Get(Key(0, 1)), nullptr);
+TEST_F(SpanCptCacheTest, OversizedEntriesAreSkipped) {
+  SpanCptCache cache(256);
+  cache.Put(0, 1, MakeCpt(64));  // Far beyond the whole budget.
+  EXPECT_EQ(cache.entries(), 0u);
+  EXPECT_EQ(cache.bytes(), 0u);
+  EXPECT_EQ(cache.Get(0, 1), nullptr);
 }
 
-TEST(SpanCptCacheTest, ReplacementUpdatesBytes) {
-  SpanCptCache cache(1 << 20, /*num_shards=*/1);
-  cache.Put(Key(0, 1), MakeCpt(4));
-  uint64_t bytes_small = cache.stats().bytes;
-  cache.Put(Key(0, 1), MakeCpt(16));
-  EXPECT_EQ(cache.stats().entries, 1u);
-  EXPECT_GT(cache.stats().bytes, bytes_small);
-}
-
-TEST(SpanCptCacheTest, ClearDropsEntriesKeepsTrafficCounters) {
+TEST_F(SpanCptCacheTest, ReplacementUpdatesBytes) {
   SpanCptCache cache(1 << 20);
-  cache.Put(Key(0, 1), MakeCpt(4));
-  EXPECT_NE(cache.Get(Key(0, 1)), nullptr);
-  cache.Clear();
-  SpanCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.entries, 0u);
-  EXPECT_EQ(stats.bytes, 0u);
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(cache.Get(Key(0, 1)), nullptr);
+  cache.Put(0, 1, MakeCpt(4));
+  const size_t bytes_small = cache.bytes();
+  cache.Put(0, 1, MakeCpt(16));
+  EXPECT_EQ(cache.entries(), 1u);
+  EXPECT_GT(cache.bytes(), bytes_small);
+}
+
+// ClearSpanCache (what bench_paper runs before each timed query) empties
+// the cache; the handle's traffic counters run on until ResetStats.
+TEST_F(SpanCptCacheTest, ClearDropsEntriesKeepsTrafficCounters) {
+  std::unique_ptr<McIndex> index = BuildAndOpen(0.0);
+  ASSERT_NE(index, nullptr);
+  auto cold = index->GetSpanCpt(0, 40);
+  auto warm = index->GetSpanCpt(0, 40);
+  ASSERT_TRUE(cold.ok() && warm.ok());
+  EXPECT_EQ(cold->get(), warm->get());
+  EXPECT_EQ(index->span_cache_misses(), 1u);
+  EXPECT_EQ(index->span_cache_hits(), 1u);
+
+  index->ClearSpanCache();
+  EXPECT_EQ(index->span_cache_misses(), 1u);
+  EXPECT_EQ(index->span_cache_hits(), 1u);
+  auto again = index->GetSpanCpt(0, 40);
+  ASSERT_TRUE(again.ok());
+  EXPECT_NE(again->get(), cold->get());
+  EXPECT_EQ(**again, **cold);
+  EXPECT_EQ(index->span_cache_misses(), 2u);
+  EXPECT_EQ(index->span_cache_hits(), 1u);
+}
+
+// With truncation a span composed from levels >= k differs from one
+// composed from levels >= 1, so the key (lo, hi) alone would serve a wrong
+// table after SetMinLevel if the cache survived it. Span 0 -> 39 takes
+// levels 5, 2 and 1 and one raw step; from levels >= 3 it takes level 5 and
+// seven raw steps.
+TEST_F(SpanCptCacheTest, SetMinLevelEmptiesTheCache) {
+  std::unique_ptr<McIndex> index = BuildAndOpen(0.02);
+  ASSERT_NE(index, nullptr);
+  const uint64_t from = 0, to = 39;
+  auto all_levels = index->GetSpanCpt(from, to);
+  ASSERT_TRUE(all_levels.ok());
+  ASSERT_GE(index->num_levels(), 3u);
+  ASSERT_TRUE(index->SetMinLevel(3).ok());
+
+  const uint64_t misses_before = index->span_cache_misses();
+  auto high_levels = index->GetSpanCpt(from, to);
+  ASSERT_TRUE(high_levels.ok());
+  EXPECT_EQ(index->span_cache_misses(), misses_before + 1);
+  EXPECT_EQ(index->span_cache_hits(), 0u);
+  Cpt want;
+  ASSERT_TRUE(index->ComputeCpt(from, to, &want).ok());
+  EXPECT_EQ(**high_levels, want);
+  EXPECT_NE(**high_levels, **all_levels)
+      << "truncation must make the answer depend on the levels used";
 }
 
 // ---------------------------------------------------------------------------
@@ -164,27 +205,63 @@ TEST_F(SpanCacheSystemTest, RepeatedQueryHitsCache) {
     EXPECT_EQ(warm->signal[i].prob, cold->signal[i].prob)
         << "cached spans must reproduce the signal bit-for-bit";
   }
-  EXPECT_GT(system.span_cache()->stats().entries, 0u);
 }
 
+// A rebuild retires every handle, and the next query's new handle starts
+// with an empty span cache.
 TEST_F(SpanCacheSystemTest, RebuildIndexesInvalidates) {
   Caldera system(scratch_.Path("archive"));
   BuildArchive(&system);
   ExecOptions mc;
   mc.method = AccessMethodKind::kMcIndex;
-  ASSERT_TRUE(system.Execute("bob", GappyQuery(), mc).ok());
-  ASSERT_GT(system.span_cache()->stats().entries, 0u);
+  auto cold = system.Execute("bob", GappyQuery(), mc);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  ASSERT_GT(cold->stats.span_cache_misses, 0u);
 
   ASSERT_TRUE(system.RebuildIndexes("bob").ok());
-  EXPECT_EQ(system.span_cache()->stats().entries, 0u)
-      << "RebuildIndexes must clear the span cache";
-
-  // Epoch changed: the next run re-composes (misses) even if Clear had not
-  // reclaimed the entries.
   auto again = system.Execute("bob", GappyQuery(), mc);
   ASSERT_TRUE(again.ok()) << again.status().ToString();
   EXPECT_EQ(again->stats.span_cache_hits, 0u);
-  EXPECT_GT(again->stats.span_cache_misses, 0u);
+  EXPECT_EQ(again->stats.span_cache_misses, cold->stats.span_cache_misses);
+}
+
+// Threads that query one stream at once each borrow their own handle, so
+// each run composes its spans on its own handle or finds them there: the
+// signal never depends on which, and every span is looked up once.
+TEST_F(SpanCacheSystemTest, ConcurrentMcQueriesMatchTheSequentialAnswer) {
+  Caldera system(scratch_.Path("archive"));
+  BuildArchive(&system);
+  ExecOptions mc;
+  mc.method = AccessMethodKind::kMcIndex;
+  auto sequential = system.Execute("bob", GappyQuery(), mc);
+  ASSERT_TRUE(sequential.ok()) << sequential.status().ToString();
+  const uint64_t spans = sequential->stats.span_cache_misses;
+  ASSERT_GT(spans, 0u);
+
+  constexpr int kThreads = 4;
+  constexpr int kRuns = 10;
+  std::vector<std::vector<QueryResult>> results(kThreads);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      for (int run = 0; run < kRuns; ++run) {
+        auto r = system.Execute("bob", GappyQuery(), mc);
+        if (r.ok()) results[i].push_back(std::move(*r));
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (int i = 0; i < kThreads; ++i) {
+    ASSERT_EQ(results[i].size(), static_cast<size_t>(kRuns));
+    for (const QueryResult& r : results[i]) {
+      EXPECT_EQ(r.stats.span_cache_hits + r.stats.span_cache_misses, spans);
+      ASSERT_EQ(r.signal.size(), sequential->signal.size());
+      for (size_t j = 0; j < r.signal.size(); ++j) {
+        EXPECT_EQ(r.signal[j].time, sequential->signal[j].time);
+        EXPECT_EQ(r.signal[j].prob, sequential->signal[j].prob);
+      }
+    }
+  }
 }
 
 TEST_F(SpanCacheSystemTest, SemiIndependentNeverProbesSpanCache) {
