@@ -14,7 +14,7 @@
 #include "common/rng.h"
 #include "hmm/smoother.h"
 #include "index/btc_index.h"
-#include "markov/kernels.h"
+#include "markov/cpt.h"
 #include "markov/stream_io.h"
 #include "reg/reg_operator.h"
 #include "rfid/simulator.h"
@@ -66,41 +66,18 @@ Distribution RandomDistribution(uint32_t domain, uint64_t seed) {
   return d;
 }
 
-void BM_CptPropagate(benchmark::State& state) {
-  uint32_t domain = static_cast<uint32_t>(state.range(0));
-  Cpt cpt = RandomCpt(domain, 0.1, 1);
-  Distribution in = RandomDistribution(domain, 2);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cpt.Propagate(in));
-  }
-  state.SetItemsProcessed(state.iterations() * cpt.nnz());
-}
-BENCHMARK(BM_CptPropagate)->Arg(32)->Arg(128)->Arg(352);
-
-void BM_ComposeCpts(benchmark::State& state) {
-  uint32_t domain = static_cast<uint32_t>(state.range(0));
-  Cpt a = RandomCpt(domain, 0.1, 3);
-  Cpt b = RandomCpt(domain, 0.1, 4);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ComposeCpts(a, b));
-  }
-}
-BENCHMARK(BM_ComposeCpts)->Arg(32)->Arg(128)->Arg(352);
-
-// --------------------------------------------------------------------------
-// Flat CSR kernels (markov/kernels.h). BM_CptPropagate above is the legacy
-// AoS reference; BM_KernelPropagate runs the same shapes through the kernel
-// so the speedup is visible. Args: {domain, row_density_permille} — density
-// varies nnz at fixed domain.
+// The CSR kernels (markov/kernels.h) through their library entry points:
+// Cpt::Propagate, the generators' and the smoother's propagation, and
+// ComposeCpts, the MC index's composition. Args: {domain,
+// row_density_permille}; density varies nnz at fixed domain.
 
 void BM_KernelPropagate(benchmark::State& state) {
   uint32_t domain = static_cast<uint32_t>(state.range(0));
   double density = static_cast<double>(state.range(1)) / 1000.0;
   Cpt cpt = RandomCpt(domain, density, 1);
   Distribution in = RandomDistribution(domain, 2);
-  kernels::PropagationWorkspace ws;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(kernels::Propagate(cpt, in, &ws));
+    benchmark::DoNotOptimize(cpt.Propagate(in));
   }
   state.SetItemsProcessed(state.iterations() * cpt.nnz());
 }
@@ -117,10 +94,9 @@ void BM_KernelCompose(benchmark::State& state) {
   double density = static_cast<double>(state.range(1)) / 1000.0;
   Cpt a = RandomCpt(domain, density, 3);
   Cpt b = RandomCpt(domain, density, 4);
-  kernels::PropagationWorkspace ws;
   Cpt out;
   for (auto _ : state) {
-    kernels::Compose(a, b, &ws, &out);
+    ComposeCpts(a, b, &out);
     benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(state.iterations() * a.nnz());

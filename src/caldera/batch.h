@@ -24,8 +24,6 @@ struct BatchResult {
   ExecStats TotalStats() const;
   /// Sum of per-stream wall-clock execution times.
   double TotalSeconds() const { return TotalStats().elapsed_seconds; }
-  /// Sum of per-stream Reg updates.
-  uint64_t TotalRegUpdates() const { return TotalStats().reg_updates; }
   /// All matches across streams above `threshold`, tagged with their
   /// stream, sorted by decreasing probability.
   std::vector<std::pair<std::string, TimestepProbability>> TopMatches(

@@ -351,7 +351,6 @@ Status McIndex::ComputeCpt(uint64_t from, uint64_t to, Cpt* out) {
       cur += level_spans_[chosen];
     }
     if (have_result) {
-      ++compositions_;
       const auto start = std::chrono::steady_clock::now();
       ComposeCpts(*out, block_, &composed_);
       std::swap(*out, composed_);
@@ -394,7 +393,6 @@ uint64_t McIndex::StoredBytes() const {
 void McIndex::ResetStats() {
   entry_fetches_ = 0;
   raw_fetches_ = 0;
-  compositions_ = 0;
   span_cache_hits_ = 0;
   span_cache_misses_ = 0;
   compose_seconds_ = 0.0;

@@ -167,7 +167,6 @@ class McIndex {
   uint64_t stream_length() const { return stream_length_; }
   /// State count the index was built over (the stream schema's).
   uint32_t domain_size() const { return domain_size_; }
-  uint32_t min_level() const { return min_level_; }
 
   /// Bytes of CPT payload stored at levels >= min_level.
   uint64_t StoredBytes() const;
@@ -176,8 +175,6 @@ class McIndex {
   uint64_t entry_fetches() const { return entry_fetches_; }
   /// Count of raw (level-0) transition fetches since ResetStats.
   uint64_t raw_fetches() const { return raw_fetches_; }
-  /// Count of CPT compositions since ResetStats.
-  uint64_t compositions() const { return compositions_; }
   /// Span-cache traffic through this index since ResetStats.
   uint64_t span_cache_hits() const { return span_cache_hits_; }
   uint64_t span_cache_misses() const { return span_cache_misses_; }
@@ -206,7 +203,6 @@ class McIndex {
   SpanCptCache span_cache_{kSpanCacheBytes};
   uint64_t entry_fetches_ = 0;
   uint64_t raw_fetches_ = 0;
-  uint64_t compositions_ = 0;
   uint64_t span_cache_hits_ = 0;
   uint64_t span_cache_misses_ = 0;
   double compose_seconds_ = 0.0;

@@ -145,7 +145,6 @@ Result<bool> MergeJoinCursor::PullInterval() {
     interval_end_ = std::min<uint64_t>(done->last, stream_length_ - 1);
     in_interval_ = true;
     at_interval_start_ = true;
-    ++intervals_;
     return true;
   }
 }

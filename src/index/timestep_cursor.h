@@ -194,10 +194,6 @@ class MergeJoinCursor final : public RelevantTimestepCursor {
                        CursorStats* stats) const override;
   const char* name() const override { return "btc-merge-join"; }
 
-  /// Number of merged intervals completed so far (executor reads it after
-  /// exhaustion for the `intervals` stat).
-  uint64_t intervals() const { return intervals_; }
-
  private:
   /// Loads the next merged, clamped interval into position_/interval_end_.
   Result<bool> PullInterval();
@@ -207,7 +203,6 @@ class MergeJoinCursor final : public RelevantTimestepCursor {
   uint64_t interval_length_;
   uint64_t stream_length_;
   uint64_t candidates_ = 0;  // Admitted intersection starts.
-  uint64_t intervals_ = 0;
   bool in_interval_ = false;
   bool at_interval_start_ = false;
   bool exhausted_ = false;

@@ -89,31 +89,32 @@ double Cpt::Probability(ValueId src, ValueId dst) const {
   return 0.0;
 }
 
+namespace {
+
+// The kernels' scratch for Propagate and ComposeCpts. Thread-local, so
+// repeated calls (a generator propagates once per timestep, an MC index
+// build composes one CPT per timestep) allocate no scratch after warm-up.
+kernels::PropagationWorkspace& Workspace() {
+  static thread_local kernels::PropagationWorkspace workspace;
+  return workspace;
+}
+
+}  // namespace
+
 Distribution Cpt::Propagate(const Distribution& in) const {
   std::vector<Distribution::Entry> out;
-  // Accumulate sparsely: gather contributions, then merge via FromPairs.
-  // Input entries and rows are both sorted by id, so a two-pointer merge
-  // finds each row in O(1) amortized instead of a per-entry binary search.
-  // (The flat kernels in markov/kernels.h are the fast path; this stays the
-  // allocation-free-of-scratch reference implementation.)
-  size_t ri = 0;
-  for (const Distribution::Entry& e : in.entries()) {
-    while (ri < srcs_.size() && srcs_[ri] < e.value) ++ri;
-    if (ri == srcs_.size()) break;
-    if (srcs_[ri] != e.value) continue;
-    for (uint32_t j = offsets_[ri]; j < offsets_[ri + 1]; ++j) {
-      out.push_back({dsts_[j], e.prob * probs_[j]});
-    }
-  }
-  return Distribution::FromPairs(std::move(out));
+  kernels::Propagate(*this, in, &Workspace(), [&out](ValueId d, double p) {
+    out.push_back({d, p});
+  });
+  return Distribution::FromSorted(std::move(out));
 }
 
 Status Cpt::ValidateStochastic(double tol) const {
   for (size_t i = 0; i < srcs_.size(); ++i) {
     double mass = 0;
     for (uint32_t j = offsets_[i]; j < offsets_[i + 1]; ++j) {
-      if (probs_[j] < 0) {
-        return Status::Corruption("negative CPT entry for src " +
+      if (!std::isfinite(probs_[j]) || probs_[j] < 0) {
+        return Status::Corruption("negative or non-finite CPT entry for src " +
                                   std::to_string(srcs_[i]));
       }
       mass += probs_[j];
@@ -215,23 +216,12 @@ Status Cpt::Parse(std::string_view data, size_t* offset, uint32_t domain,
 }
 
 void ComposeCpts(const Cpt& first, const Cpt& second, Cpt* out) {
-  // Delegates to the compute kernel. The workspace (dense
-  // scratch, mark bytes, touched list) is thread-local so repeated
-  // compositions — the MC index build composes one CPT per stream timestep
-  // — allocate nothing after warm-up.
-  static thread_local kernels::PropagationWorkspace workspace;
-  kernels::Compose(first, second, &workspace, out);
+  kernels::Compose(first, second, &Workspace(), out);
 }
 
 Cpt ComposeCpts(const Cpt& first, const Cpt& second) {
   Cpt out;
   ComposeCpts(first, second, &out);
-  return out;
-}
-
-Cpt IdentityCpt(const std::vector<ValueId>& support) {
-  Cpt out;
-  for (ValueId v : support) out.SetRow(v, {{v, 1.0}});
   return out;
 }
 

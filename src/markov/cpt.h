@@ -69,12 +69,14 @@ class Cpt {
   double Probability(ValueId src, ValueId dst) const;
 
   /// Propagates a (possibly sub-stochastic) distribution through this CPT:
-  /// out[y] = sum_x in[x] * P(y|x). Mass on sources without a row is
-  /// dropped (those sources are outside the stream's support). This is the
-  /// sparse gather + sort reference; kernels::Propagate is the fast path.
+  /// out[y] = sum_x in[x] * P(y|x), zeros dropped. Mass on sources without a
+  /// row is dropped (those sources are outside the stream's support). Runs
+  /// kernels::Propagate (markov/kernels.h) on a thread-local workspace, so
+  /// its result is bit-identical to the Reg operator's propagation.
   Distribution Propagate(const Distribution& in) const;
 
-  /// Verifies every row sums to 1 within `tol`.
+  /// Verifies every entry is finite and non-negative and every row sums to
+  /// 1 within `tol`.
   Status ValidateStochastic(double tol = 1e-6) const;
 
   size_t num_rows() const { return srcs_.size(); }
@@ -128,9 +130,6 @@ class Cpt {
 /// across calls — MC index builds compose thousands of CPTs through here.
 void ComposeCpts(const Cpt& first, const Cpt& second, Cpt* out);
 Cpt ComposeCpts(const Cpt& first, const Cpt& second);
-
-/// The identity CPT on the given support (used as the composition seed).
-Cpt IdentityCpt(const std::vector<ValueId>& support);
 
 }  // namespace caldera
 

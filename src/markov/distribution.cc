@@ -26,16 +26,6 @@ Distribution Distribution::FromPairs(std::vector<Entry> entries) {
   return d;
 }
 
-Distribution Distribution::FromDense(const std::vector<double>& probs) {
-  Distribution d;
-  for (size_t i = 0; i < probs.size(); ++i) {
-    if (probs[i] != 0.0) {
-      d.entries_.push_back({static_cast<ValueId>(i), probs[i]});
-    }
-  }
-  return d;
-}
-
 Distribution Distribution::FromSorted(std::vector<Entry> entries) {
 #ifndef NDEBUG
   for (size_t i = 1; i < entries.size(); ++i) {

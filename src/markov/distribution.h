@@ -32,9 +32,6 @@ class Distribution {
   /// values are summed.
   static Distribution FromPairs(std::vector<Entry> entries);
 
-  /// Builds from a dense probability vector (zeros dropped).
-  static Distribution FromDense(const std::vector<double>& probs);
-
   /// Builds from entries already sorted by value with no duplicates —
   /// the move-friendly fast path for kernel outputs and merges of a single
   /// sorted run (no re-sort, no merge pass). Checked in debug builds.

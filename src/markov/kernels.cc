@@ -12,15 +12,6 @@ void PropagationWorkspace::EnsureDomain(uint32_t domain) {
   }
 }
 
-Distribution Propagate(const Cpt& cpt, const Distribution& in,
-                       PropagationWorkspace* ws,
-                       std::vector<Distribution::Entry> buffer) {
-  buffer.clear();
-  Propagate(cpt, in, ws,
-            [&buffer](ValueId d, double p) { buffer.push_back({d, p}); });
-  return Distribution::FromSorted(std::move(buffer));
-}
-
 void Compose(const Cpt& first, const Cpt& second, PropagationWorkspace* ws,
              Cpt* out) {
   CALDERA_CHECK(out != &first && out != &second)

@@ -14,9 +14,9 @@ namespace kernels {
 /// Reusable dense scratch for the propagate/compose kernels. The dense and
 /// mark arrays are an invariant-zero workspace: every kernel call leaves
 /// them fully zeroed again, so a workspace can be shared across any number
-/// of calls (but not across threads) without re-clearing. Owning one per
-/// operator (RegOperator) or per build/query loop eliminates the
-/// per-timestep allocation the AoS path paid.
+/// of calls (but not across threads) without re-clearing. RegOperator owns
+/// one; Cpt::Propagate and ComposeCpts share one per thread. Either way a
+/// timestep allocates no scratch.
 class PropagationWorkspace {
  public:
   /// Grows the scratch to cover destination ids < `domain`. Cheap when
@@ -98,12 +98,12 @@ inline size_t AvgRowLen(const Cpt& cpt) {
 
 }  // namespace detail
 
-/// out[y] = sum_x in[x] * P(y|x), the Reg operator's inner loop: calls
-/// emit(y, out[y]) for each nonzero out[y], in ascending y. Identical
-/// semantics to Cpt::Propagate but runs over the CSR arrays with a dense
-/// scatter/accumulate/re-sparsify instead of sparse gather + sort. The
-/// caller consumes each entry as it is emitted (RegOperator routes it
-/// straight to its next DFA state), so nothing is staged.
+/// out[y] = sum_x in[x] * P(y|x), the one propagation loop: calls
+/// emit(y, out[y]) for each nonzero out[y], in ascending y, after a dense
+/// scatter/accumulate/re-sparsify over the CSR arrays. The caller consumes
+/// each entry as it is emitted (RegOperator routes it straight to its next
+/// DFA state), so nothing is staged; Cpt::Propagate collects the entries
+/// into a Distribution.
 template <typename Emit>
 void Propagate(const Cpt& cpt, const Distribution& in,
                PropagationWorkspace* ws, Emit&& emit) {
@@ -141,13 +141,6 @@ void Propagate(const Cpt& cpt, const Distribution& in,
     detail::DrainScan(dense, cpt.dst_begin(), cpt.dst_end(), emit);
   }
 }
-
-/// The same propagation returned as a distribution, built in `buffer`
-/// (cleared first), so passing a recycled buffer makes the call
-/// allocation-free.
-Distribution Propagate(const Cpt& cpt, const Distribution& in,
-                       PropagationWorkspace* ws,
-                       std::vector<Distribution::Entry> buffer = {});
 
 /// Chain-rule composition with the same semantics as ComposeCpts: writes
 /// CPT(a -> b) with P(z|x) = sum_y first(y|x) * second(z|y) straight into

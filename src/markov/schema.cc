@@ -56,17 +56,6 @@ uint32_t StreamSchema::AttributeValue(ValueId state, size_t attr) const {
   return (state / a.radix) % static_cast<uint32_t>(a.labels.size());
 }
 
-std::string StreamSchema::StateLabel(ValueId state) const {
-  std::string out;
-  for (size_t i = 0; i < attributes_.size(); ++i) {
-    if (i > 0) out += ",";
-    out += attributes_[i].name;
-    out += "=";
-    out += attributes_[i].labels[AttributeValue(state, i)];
-  }
-  return out;
-}
-
 void StreamSchema::AppendTo(std::string* out) const {
   PutFixed32(static_cast<uint32_t>(attributes_.size()), out);
   for (const Attribute& a : attributes_) {

@@ -50,9 +50,6 @@ class StreamSchema {
   /// Extracts attribute `attr`'s value from an encoded state id.
   uint32_t AttributeValue(ValueId state, size_t attr) const;
 
-  /// Human-readable rendering of a state, e.g. "loc=Office300".
-  std::string StateLabel(ValueId state) const;
-
   bool operator==(const StreamSchema&) const = default;
 
   // Binary serialization.

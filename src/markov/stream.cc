@@ -36,7 +36,8 @@ Status MarkovianStream::Validate(double tol) const {
     Distribution propagated = cpt.Propagate(marginals_[t - 1]);
     for (const Distribution::Entry& e : marginals_[t].entries()) {
       double p = propagated.ProbabilityOf(e.value);
-      if (std::fabs(p - e.prob) > tol) {
+      // Written so that a NaN on either side fails the check.
+      if (!(std::fabs(p - e.prob) <= tol)) {
         return Status::Corruption(
             "marginal inconsistency at t=" + std::to_string(t) + " value " +
             std::to_string(e.value) + ": stored " + std::to_string(e.prob) +
@@ -44,7 +45,7 @@ Status MarkovianStream::Validate(double tol) const {
       }
     }
     for (const Distribution::Entry& e : propagated.entries()) {
-      if (e.prob > tol && marginals_[t].ProbabilityOf(e.value) == 0.0) {
+      if (!(e.prob <= tol) && marginals_[t].ProbabilityOf(e.value) == 0.0) {
         return Status::Corruption(
             "propagated mass outside stored support at t=" +
             std::to_string(t) + " value " + std::to_string(e.value));

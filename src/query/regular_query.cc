@@ -19,15 +19,6 @@ bool RegularQuery::fixed_length() const {
   return true;
 }
 
-bool RegularQuery::HasPositiveLoop() const {
-  for (const QueryLink& link : links_) {
-    if (link.is_kleene() && !link.loop->is_negation() && !link.loop->is_any()) {
-      return true;
-    }
-  }
-  return false;
-}
-
 std::vector<const Predicate*> RegularQuery::CursorPredicates() const {
   std::vector<const Predicate*> out;
   for (const QueryLink& link : links_) {

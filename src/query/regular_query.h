@@ -42,11 +42,6 @@ class RegularQuery {
 
   bool fixed_length() const;
 
-  /// True if some Kleene loop predicate is positive (non-negated). The
-  /// index-driven methods stay exact on such queries because
-  /// CursorPredicates routes the loop predicate through the cursor set.
-  bool HasPositiveLoop() const;
-
   /// The positive base predicates that must drive index cursors: for every
   /// predicate in the query, itself if indexable, or its base if a
   /// negation. Order: link order, primary before loop.

@@ -46,7 +46,7 @@ TEST_F(BatchTest, RunsOverAllStreams) {
   ASSERT_EQ(batch->streams.size(), 3u);
   EXPECT_EQ(batch->streams[0].stream, "tag1");
   EXPECT_EQ(batch->streams[2].stream, "tag3");
-  EXPECT_GT(batch->TotalRegUpdates(), 0u);
+  EXPECT_GT(batch->TotalStats().reg_updates, 0u);
   EXPECT_GE(batch->TotalSeconds(), 0.0);
 
   // Per-stream results equal individual execution.

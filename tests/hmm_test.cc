@@ -270,6 +270,14 @@ TEST(HmmTest, ValidateRejectsBrokenModels) {
   EXPECT_FALSE(bad_symbol.Validate().ok());
 }
 
+TEST(HmmTest, ValidateRejectsNanTransition) {
+  Hmm hmm = ChainHmm();
+  hmm.SetTransitionRow(0, {{0, std::nan("")}, {1, 1.0}});
+  EXPECT_FALSE(hmm.Validate().ok());
+  std::vector<uint32_t> obs = {0, 0, 0};
+  EXPECT_FALSE(SmoothToMarkovianStream(hmm, obs, ChainSchema(), {}).ok());
+}
+
 TEST(HmmTest, SampleProducesConsistentTrajectories) {
   Hmm hmm = ChainHmm();
   Rng rng(5);

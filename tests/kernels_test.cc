@@ -9,6 +9,8 @@
 #include "common/rng.h"
 #include "markov/cpt.h"
 #include "markov/distribution.h"
+#include "markov/stream.h"
+#include "markov/synthetic.h"
 
 namespace caldera {
 namespace {
@@ -107,9 +109,33 @@ Cpt BruteForceCompose(const Cpt& first, const Cpt& second, uint32_t domain) {
   return out;
 }
 
+// O(d^2) dense brute-force propagation reference, independent of every
+// kernel: out[y] = sum_x in[x] * P(y|x) by table lookups, zeros dropped.
+Distribution BruteForcePropagate(const Cpt& cpt, const Distribution& in,
+                                 uint32_t domain) {
+  std::vector<Distribution::Entry> out;
+  for (uint32_t y = 0; y < domain; ++y) {
+    double p = 0;
+    for (const Distribution::Entry& e : in.entries()) {
+      p += e.prob * cpt.Probability(e.value, y);
+    }
+    if (p != 0.0) out.push_back({y, p});
+  }
+  return Distribution::FromSorted(std::move(out));
+}
+
+// The propagation kernel on an explicit workspace, its entries collected.
+Distribution PropagateWith(const Cpt& cpt, const Distribution& in,
+                           PropagationWorkspace* ws) {
+  std::vector<Distribution::Entry> out;
+  kernels::Propagate(cpt, in, ws,
+                     [&out](ValueId d, double p) { out.push_back({d, p}); });
+  return Distribution::FromSorted(std::move(out));
+}
+
 // Entry-list reference for composition: row x of first·second is row x of
 // first, read as a distribution over mids, propagated through second by
-// Cpt::Propagate.
+// Cpt::Propagate (the propagation kernel, not the compose kernel).
 Cpt EntryListCompose(const Cpt& first, const Cpt& second) {
   Cpt out;
   for (size_t r = 0; r < first.num_rows(); ++r) {
@@ -177,18 +203,19 @@ const Shape kShapes[] = {
     {1024, 0.3, 0.01, 0.02}, {1024, 0.9, 0.05, 0.9},
 };
 
-TEST(KernelDifferentialTest, PropagateMatchesLegacyAcrossShapes) {
+TEST(KernelDifferentialTest, PropagateMatchesBruteForceAcrossShapes) {
   PropagationWorkspace ws;
   Rng rng(0xC0FFEE);
   for (const Shape& s : kShapes) {
     for (int round = 0; round < 6; ++round) {
       Cpt cpt = RandomCpt(s.domain, s.row_density, s.entry_density, &rng);
       Distribution in = RandomDistribution(s.domain, s.dist_density, &rng);
-      Distribution legacy = cpt.Propagate(in);
-      Distribution fast = kernels::Propagate(cpt, in, &ws);
+      Distribution fast = cpt.Propagate(in);
       std::string ctx = "domain=" + std::to_string(s.domain) +
                         " round=" + std::to_string(round);
-      ExpectDistsNear(legacy, fast, 1e-12, ctx);
+      ExpectDistsNear(BruteForcePropagate(cpt, in, s.domain), fast, 1e-12,
+                      ctx);
+      EXPECT_EQ(PropagateWith(cpt, in, &ws), fast) << ctx;
     }
   }
 }
@@ -199,15 +226,15 @@ TEST(KernelDifferentialTest, PropagateAdversarialCases) {
   // Empty CPT: everything propagates to the empty distribution.
   Cpt empty;
   Distribution in = Distribution::FromPairs({{0, 0.5}, {9, 0.5}});
-  EXPECT_TRUE(kernels::Propagate(empty, in, &ws).empty());
+  EXPECT_TRUE(PropagateWith(empty, in, &ws).empty());
 
   // Input entirely outside the CPT's rows.
   Cpt cpt;
   cpt.SetRow(5, {{1, 1.0}});
-  EXPECT_TRUE(kernels::Propagate(cpt, in, &ws).empty());
+  EXPECT_TRUE(PropagateWith(cpt, in, &ws).empty());
 
   // Empty input.
-  EXPECT_TRUE(kernels::Propagate(cpt, Distribution{}, &ws).empty());
+  EXPECT_TRUE(PropagateWith(cpt, Distribution{}, &ws).empty());
 
   // Missing interior rows + boundary destinations + denormal-tiny probs.
   Cpt gappy;
@@ -215,9 +242,8 @@ TEST(KernelDifferentialTest, PropagateAdversarialCases) {
   gappy.SetRow(999, {{0, 1.0}});
   Distribution wide = Distribution::FromPairs({{0, 0.25}, {500, 0.5},
                                                {999, 0.25}});
-  Distribution legacy = gappy.Propagate(wide);
-  Distribution fast = kernels::Propagate(gappy, wide, &ws);
-  ExpectDistsNear(legacy, fast, 1e-12, "gappy");
+  ExpectDistsNear(BruteForcePropagate(gappy, wide, 1000),
+                  PropagateWith(gappy, wide, &ws), 1e-12, "gappy");
 }
 
 TEST(KernelDifferentialTest, ComposeMatchesBruteForceSmallDomains) {
@@ -282,8 +308,8 @@ TEST(KernelDifferentialTest, ComposeScratchIsSizedByTheData) {
 }
 
 // The workspace's all-zero invariant: interleaving wildly different shapes
-// through one workspace never changes any result. Neither does reusing an
-// output: a recycled entry buffer or a previously composed table.
+// through one workspace never changes any result. Neither does composing
+// into a previously composed table.
 TEST(KernelDifferentialTest, WorkspaceReuseIsStateless) {
   Rng rng(42);
   std::vector<Cpt> cpts;
@@ -296,19 +322,27 @@ TEST(KernelDifferentialTest, WorkspaceReuseIsStateless) {
   for (int round = 0; round < 3; ++round) {
     for (size_t i = 0; i < cpts.size(); ++i) {
       PropagationWorkspace fresh;
-      Distribution a = kernels::Propagate(cpts[i], dists[i], &shared);
-      Distribution b = kernels::Propagate(cpts[i], dists[i], &fresh);
-      EXPECT_EQ(a.entries().size(), b.entries().size());
-      ExpectDistsNear(a, b, 0.0, "shared-vs-fresh " + std::to_string(i));
-      Distribution recycled = kernels::Propagate(
-          cpts[i], dists[i], &shared, std::move(a).TakeEntries());
-      EXPECT_EQ(recycled, b) << "recycled buffer " << i;
+      EXPECT_EQ(PropagateWith(cpts[i], dists[i], &shared),
+                PropagateWith(cpts[i], dists[i], &fresh))
+          << "shared-vs-fresh " << i;
     }
   }
   Cpt reused;
   for (size_t i = 0; i < cpts.size(); ++i) {
     kernels::Compose(cpts[i], cpts[i], &shared, &reused);
     EXPECT_EQ(reused, ComposeCpts(cpts[i], cpts[i])) << i;
+  }
+}
+
+// The generators propagate with the query kernel, so each generated marginal
+// is exactly what the Reg operator computes from the one before it.
+TEST(GeneratedStreamTest, MarginalsAreTheKernelsPropagationBitForBit) {
+  MarkovianStream stream = MakeRandomStream(40, 64, 7, 0.3);
+  PropagationWorkspace ws;
+  for (uint64_t t = 1; t < stream.length(); ++t) {
+    ASSERT_EQ(stream.marginal(t),
+              PropagateWith(stream.transition(t), stream.marginal(t - 1), &ws))
+        << "t=" << t;
   }
 }
 

@@ -113,7 +113,6 @@ TEST(RegularQueryTest, FixedVsVariableClassification) {
   RegularQuery fixed = RegularQuery::Sequence(
       "f", {Predicate::Equality(0, 0, "H0"), Predicate::Equality(0, 3, "Office")});
   EXPECT_TRUE(fixed.fixed_length());
-  EXPECT_FALSE(fixed.HasPositiveLoop());
 
   Predicate coffee = Predicate::Equality(0, 4, "Coffee");
   std::vector<QueryLink> links;
@@ -121,11 +120,6 @@ TEST(RegularQueryTest, FixedVsVariableClassification) {
   links.push_back(QueryLink{Predicate::Not(coffee), coffee});
   RegularQuery variable("v", links);
   EXPECT_FALSE(variable.fixed_length());
-  EXPECT_FALSE(variable.HasPositiveLoop());
-
-  links[1].loop = Predicate::Equality(0, 4, "Coffee");
-  RegularQuery positive_loop("p", links);
-  EXPECT_TRUE(positive_loop.HasPositiveLoop());
 }
 
 TEST(RegularQueryTest, CursorPredicatesUseBases) {

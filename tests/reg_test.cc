@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "markov/kernels.h"
 #include "markov/synthetic.h"
 #include "reg/reg_operator.h"
 #include "test_util.h"
@@ -301,12 +300,11 @@ TEST(RegOperatorTest, ResetClearsState) {
 }
 
 // The Reg operator as it stood before propagation and routing were fused:
-// every live state's distribution is propagated in full (the Distribution
-// form of kernels::Propagate), then each entry is routed through
-// Transition(d, AtomOf(v)) into per-state buckets, merged by FromSorted
-// when one ascending run fed them and by FromPairs otherwise; the null
-// collapse merges state pairs as it meets them. The fused operator must
-// match it bit for bit.
+// every live state's distribution is propagated in full by Cpt::Propagate,
+// then each entry is routed through Transition(d, AtomOf(v)) into
+// per-state buckets, merged by FromSorted when one ascending run fed them
+// and by FromPairs otherwise; the null collapse merges state pairs as it
+// meets them. The fused operator must match it bit for bit.
 class StagedReg {
  public:
   StagedReg(const RegularQuery& query, const StreamSchema& schema)
@@ -349,7 +347,7 @@ class StagedReg {
   std::vector<std::pair<int, Distribution>> Propagated(const Cpt& cpt) {
     std::vector<std::pair<int, Distribution>> staged;
     for (const auto& [dfa, dist] : mass_) {
-      staged.emplace_back(dfa, kernels::Propagate(cpt, dist, &workspace_));
+      staged.emplace_back(dfa, cpt.Propagate(dist));
     }
     return staged;
   }
@@ -418,7 +416,6 @@ class StagedReg {
   }
 
   QueryAutomaton automaton_;
-  kernels::PropagationWorkspace workspace_;
   std::vector<std::pair<int, Distribution>> mass_;
   uint64_t unsorted_merges_ = 0;
 };
