@@ -254,9 +254,7 @@ std::string WritePagerBenchFile() {
   CALDERA_CHECK_OK(pager.status());
   std::string payload((*pager)->page_size(), 'p');
   for (uint64_t i = 0; i < kBenchPages; ++i) {
-    auto id = (*pager)->AllocatePage();
-    CALDERA_CHECK_OK(id.status());
-    CALDERA_CHECK_OK((*pager)->WritePage(*id, payload.data()));
+    CALDERA_CHECK_OK((*pager)->AppendPage(payload.data()).status());
   }
   CALDERA_CHECK_OK((*pager)->Sync());
   return path;

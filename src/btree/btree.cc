@@ -44,14 +44,29 @@ void SetInternalChild0(char* page, PageId child) {
   std::memcpy(page + 8, &child, 8);
 }
 
+// The share of each node's capacity that a bulk build fills.
+constexpr double kFillFactor = 0.9;
+
+// An internal node's entry: a separator key, then a child page id.
+uint32_t InternalEntrySize(const BTreeOptions& options) {
+  return options.key_size + 8;
+}
+// Entries per node on pages of `payload` usable bytes.
+uint32_t LeafCapacity(const BTreeOptions& options, uint32_t payload) {
+  return (payload - kNodeHeaderSize) / (options.key_size + options.value_size);
+}
+uint32_t InternalCapacity(const BTreeOptions& options, uint32_t payload) {
+  return (payload - kNodeHeaderSize) / InternalEntrySize(options);
+}
+
 }  // namespace
 
 uint32_t BTree::leaf_capacity() const {
-  return (pager_->page_size() - kNodeHeaderSize) / leaf_entry_size();
+  return LeafCapacity(options_, pager_->page_size());
 }
 
 uint32_t BTree::internal_capacity() const {
-  return (pager_->page_size() - kNodeHeaderSize) / internal_entry_size();
+  return InternalCapacity(options_, pager_->page_size());
 }
 
 // Rejects on-disk node headers whose entry count exceeds what the page can
@@ -66,8 +81,8 @@ static Status ValidateNodeCount(uint16_t count, uint32_t capacity,
   return Status::Ok();
 }
 
-// Checks a tree shape: what Create accepts, and what Open demands of a meta
-// page, since node capacities divide by the entry size.
+// Checks a tree shape: what BTreeBuilder::Create accepts, and what Open
+// demands of a meta page, since node capacities divide by the entry size.
 static Status ValidateShape(const BTreeOptions& options, uint32_t page_size) {
   if (options.key_size == 0 || options.key_size > 256) {
     return Status::InvalidArgument("key_size must be in [1, 256]");
@@ -83,29 +98,6 @@ static Status ValidateShape(const BTreeOptions& options, uint32_t page_size) {
     return Status::InvalidArgument("page too small for 4 entries per node");
   }
   return Status::Ok();
-}
-
-Result<std::unique_ptr<BTree>> BTree::Create(const std::string& path,
-                                             const BTreeOptions& options,
-                                             uint32_t page_size) {
-  CALDERA_RETURN_IF_ERROR(ValidateShape(options, page_size));
-  CALDERA_ASSIGN_OR_RETURN(std::unique_ptr<Pager> pager,
-                           Pager::Create(path, page_size));
-  CALDERA_ASSIGN_OR_RETURN(PageId meta, pager->AllocatePage());
-  if (meta != kMetaPage) return Status::Internal("unexpected meta page id");
-
-  auto tree = std::unique_ptr<BTree>(
-      new BTree(std::move(pager), /*pool_pages=*/64));
-  tree->options_ = options;
-  // Root starts as an empty leaf.
-  CALDERA_ASSIGN_OR_RETURN(PageHandle root, tree->pool_->NewPage());
-  SetNodeType(root.data(), kLeafNode);
-  SetNodeCount(root.data(), 0);
-  SetLeafNext(root.data(), kInvalidPageId);
-  root.MarkDirty();
-  tree->root_ = root.page_id();
-  tree->height_ = 1;
-  return tree;
 }
 
 Result<std::unique_ptr<BTree>> BTree::Open(const std::string& path,
@@ -137,20 +129,6 @@ Result<std::unique_ptr<BTree>> BTree::Open(const std::string& path,
     return Status::Corruption("bad btree root in " + path);
   }
   return tree;
-}
-
-Status BTree::Sync() {
-  std::string meta(kBTreeMagic, 8);
-  PutFixed32(options_.key_size, &meta);
-  PutFixed32(options_.value_size, &meta);
-  PutFixed64(root_, &meta);
-  PutFixed64(num_entries_, &meta);
-  PutFixed32(height_, &meta);
-  PutFixed64(indexed_length_, &meta);
-  meta.resize(pager_->page_size(), '\0');
-  CALDERA_RETURN_IF_ERROR(pager_->WritePage(kMetaPage, meta.data()));
-  CALDERA_RETURN_IF_ERROR(pool_->FlushAll());
-  return pager_->Sync();
 }
 
 // Descends from the root to the leaf that should contain `key`.
@@ -343,7 +321,13 @@ Result<BTree::Cursor> BTree::Seek(std::string_view key) {
 
 Status BTree::CheckNode(PageId id, std::string_view lower,
                         std::string_view upper, uint32_t depth,
-                        uint64_t* entries, PageId* leftmost_leaf) {
+                        uint64_t* nodes, uint64_t* entries,
+                        PageId* leftmost_leaf) {
+  // Nodes live in pages 2 and up, each reached once; the count also stops
+  // a cycle of child pointers.
+  if (++*nodes > pager_->page_count() - 2) {
+    return Status::Corruption("tree reaches more nodes than the file holds");
+  }
   CALDERA_ASSIGN_OR_RETURN(PageHandle page, pool_->Fetch(id));
   const char* data = page.data();
   const uint32_t ks = options_.key_size;
@@ -384,7 +368,7 @@ Status BTree::CheckNode(PageId id, std::string_view lower,
     return Status::Corruption("unknown node type");
   }
   if (count == 0) return Status::Corruption("empty internal node");
-  const uint32_t es = internal_entry_size();
+  const uint32_t es = InternalEntrySize(options_);
   std::vector<std::string> seps;
   std::vector<PageId> children;
   children.push_back(InternalChild0(data));
@@ -402,16 +386,23 @@ Status BTree::CheckNode(PageId id, std::string_view lower,
     std::string_view lo = (i == 0) ? lower : std::string_view(seps[i - 1]);
     std::string_view hi = (i == seps.size()) ? upper
                                              : std::string_view(seps[i]);
-    CALDERA_RETURN_IF_ERROR(
-        CheckNode(children[i], lo, hi, depth + 1, entries, leftmost_leaf));
+    CALDERA_RETURN_IF_ERROR(CheckNode(children[i], lo, hi, depth + 1, nodes,
+                                      entries, leftmost_leaf));
   }
   return Status::Ok();
 }
 
 Status BTree::CheckInvariants() {
+  uint64_t nodes = 0;
   uint64_t entries = 0;
   PageId leftmost = kInvalidPageId;
-  CALDERA_RETURN_IF_ERROR(CheckNode(root_, {}, {}, 0, &entries, &leftmost));
+  CALDERA_RETURN_IF_ERROR(
+      CheckNode(root_, {}, {}, 0, &nodes, &entries, &leftmost));
+  if (nodes != pager_->page_count() - 2) {
+    return Status::Corruption(
+        "root reaches " + std::to_string(nodes) + " of the " +
+        std::to_string(pager_->page_count() - 2) + " node pages");
+  }
   if (entries != num_entries_) {
     return Status::Corruption(
         "entry count mismatch: counted " + std::to_string(entries) +
@@ -446,87 +437,85 @@ Status BTree::CheckInvariants() {
   return Status::Ok();
 }
 
-BTreeBuilder::BTreeBuilder(std::unique_ptr<BTree> tree, double fill_factor)
-    : tree_(std::move(tree)), fill_factor_(fill_factor) {
-  uint32_t cap = tree_->leaf_capacity();
-  max_leaf_entries_ =
-      std::max<uint32_t>(1, static_cast<uint32_t>(cap * fill_factor_));
+BTreeBuilder::BTreeBuilder(std::unique_ptr<Pager> pager,
+                           const BTreeOptions& options)
+    : pager_(std::move(pager)),
+      options_(options),
+      node_(pager_->page_size(), '\0') {
+  max_leaf_entries_ = std::max<uint32_t>(
+      1, static_cast<uint32_t>(LeafCapacity(options_, pager_->page_size()) *
+                               kFillFactor));
   levels_.resize(1);
 }
 
 Result<std::unique_ptr<BTreeBuilder>> BTreeBuilder::Create(
-    const std::string& path, const BTreeOptions& options, uint32_t page_size,
-    double fill_factor) {
-  if (fill_factor <= 0.0 || fill_factor > 1.0) {
-    return Status::InvalidArgument("fill_factor must be in (0, 1]");
-  }
-  CALDERA_ASSIGN_OR_RETURN(std::unique_ptr<BTree> tree,
-                           BTree::Create(path, options, page_size));
+    const std::string& path, const BTreeOptions& options,
+    uint32_t page_size) {
+  CALDERA_RETURN_IF_ERROR(ValidateShape(options, page_size));
+  CALDERA_ASSIGN_OR_RETURN(std::unique_ptr<Pager> pager,
+                           Pager::Create(path, page_size));
+  // Reserve the meta page; Finish writes it.
+  CALDERA_ASSIGN_OR_RETURN(
+      PageId meta,
+      pager->AppendPage(std::string(pager->page_size(), '\0').data()));
+  if (meta != kMetaPage) return Status::Internal("unexpected meta page id");
   return std::unique_ptr<BTreeBuilder>(
-      new BTreeBuilder(std::move(tree), fill_factor));
+      new BTreeBuilder(std::move(pager), options));
 }
 
-Status BTreeBuilder::FlushLeaf() {
-  if (leaf_count_ == 0) return Status::Ok();
-  CALDERA_ASSIGN_OR_RETURN(PageHandle page, tree_->pool_->NewPage());
-  char* data = page.data();
-  SetNodeType(data, kLeafNode);
-  SetNodeCount(data, static_cast<uint16_t>(leaf_count_));
-  SetLeafNext(data, kInvalidPageId);
-  std::memcpy(data + kNodeHeaderSize, leaf_buf_.data(), leaf_buf_.size());
-  page.MarkDirty();
-  PageId id = page.page_id();
-  page.Release();
+Result<PageId> BTreeBuilder::WriteNode() {
+  CALDERA_ASSIGN_OR_RETURN(PageId id, pager_->AppendPage(node_.data()));
+  std::fill(node_.begin(), node_.end(), '\0');
+  return id;
+}
 
-  if (prev_leaf_ != kInvalidPageId) {
-    CALDERA_ASSIGN_OR_RETURN(PageHandle prev, tree_->pool_->Fetch(prev_leaf_));
-    SetLeafNext(prev.data(), id);
-    prev.MarkDirty();
-  }
-  prev_leaf_ = id;
-  levels_[0].emplace_back(leaf_buf_.substr(0, tree_->options_.key_size), id);
-  leaf_buf_.clear();
+Status BTreeBuilder::WriteLeaf(bool last) {
+  SetNodeType(node_.data(), kLeafNode);
+  SetNodeCount(node_.data(), static_cast<uint16_t>(leaf_count_));
+  const PageId id = pager_->page_count();
+  SetLeafNext(node_.data(), last ? kInvalidPageId : id + 1);
+  levels_[0].emplace_back(node_.substr(kNodeHeaderSize, options_.key_size),
+                          id);
   leaf_count_ = 0;
-  return Status::Ok();
+  return WriteNode().status();
 }
 
 Status BTreeBuilder::Add(std::string_view key, std::string_view value) {
   if (finished_) return Status::FailedPrecondition("builder finished");
-  if (key.size() != tree_->options_.key_size ||
-      value.size() != tree_->options_.value_size) {
+  if (key.size() != options_.key_size || value.size() != options_.value_size) {
     return Status::InvalidArgument("key/value size mismatch");
   }
   if (!last_key_.empty() && last_key_.compare(0, key.size(), key.data(),
                                               key.size()) >= 0) {
     return Status::InvalidArgument("bulk-load keys must strictly increase");
   }
+  // A full leaf waits for this entry: only now is it known not to be last.
+  if (leaf_count_ == max_leaf_entries_) {
+    CALDERA_RETURN_IF_ERROR(WriteLeaf(/*last=*/false));
+  }
   last_key_.assign(key.data(), key.size());
-  leaf_buf_.append(key.data(), key.size());
-  if (!value.empty()) leaf_buf_.append(value.data(), value.size());
+  char* entry = node_.data() + kNodeHeaderSize +
+                leaf_count_ * (key.size() + value.size());
+  std::memcpy(entry, key.data(), key.size());
+  if (!value.empty()) {
+    std::memcpy(entry + key.size(), value.data(), value.size());
+  }
   ++leaf_count_;
   ++total_entries_;
-  if (leaf_count_ >= max_leaf_entries_) CALDERA_RETURN_IF_ERROR(FlushLeaf());
   return Status::Ok();
 }
 
 Result<std::unique_ptr<BTree>> BTreeBuilder::Finish(uint64_t indexed_length) {
   if (finished_) return Status::FailedPrecondition("builder finished");
   finished_ = true;
-  CALDERA_RETURN_IF_ERROR(FlushLeaf());
-  tree_->indexed_length_ = indexed_length;
-  tree_->length_ = indexed_length;
+  // The last leaf; in an empty build, the one empty leaf that is the root.
+  CALDERA_RETURN_IF_ERROR(WriteLeaf(/*last=*/true));
 
-  if (levels_[0].empty()) {
-    // Empty tree: keep the pre-allocated empty root leaf.
-    CALDERA_RETURN_IF_ERROR(tree_->Sync());
-    return std::move(tree_);
-  }
-
-  const uint32_t ks = tree_->options_.key_size;
-  const uint32_t es = tree_->internal_entry_size();
-  uint32_t max_internal = std::max<uint32_t>(
-      2, static_cast<uint32_t>(tree_->internal_capacity() * fill_factor_));
-
+  const uint32_t ks = options_.key_size;
+  const uint32_t es = InternalEntrySize(options_);
+  const uint32_t max_internal = std::max<uint32_t>(
+      2, static_cast<uint32_t>(
+             InternalCapacity(options_, pager_->page_size()) * kFillFactor));
   size_t level = 0;
   while (levels_[level].size() > 1) {
     levels_.emplace_back();
@@ -541,8 +530,7 @@ Result<std::unique_ptr<BTree>> BTreeBuilder::Finish(uint64_t indexed_length) {
       // Avoid a trailing single-child internal node (it would have zero
       // separators): steal one from this group.
       if (children.size() - (i + group) == 1) --group;
-      CALDERA_ASSIGN_OR_RETURN(PageHandle page, tree_->pool_->NewPage());
-      char* data = page.data();
+      char* data = node_.data();
       SetNodeType(data, kInternalNode);
       SetInternalChild0(data, children[i].second);
       uint16_t count = 0;
@@ -554,18 +542,26 @@ Result<std::unique_ptr<BTree>> BTreeBuilder::Finish(uint64_t indexed_length) {
         ++count;
       }
       SetNodeCount(data, count);
-      page.MarkDirty();
-      parents.emplace_back(children[i].first, page.page_id());
+      CALDERA_ASSIGN_OR_RETURN(PageId id, WriteNode());
+      parents.emplace_back(children[i].first, id);
       i += group;
     }
     ++level;
   }
 
-  tree_->root_ = levels_[level][0].second;
-  tree_->height_ = static_cast<uint32_t>(level + 1);
-  tree_->num_entries_ = total_entries_;
-  CALDERA_RETURN_IF_ERROR(tree_->Sync());
-  return std::move(tree_);
+  std::string meta(kBTreeMagic, 8);
+  PutFixed32(options_.key_size, &meta);
+  PutFixed32(options_.value_size, &meta);
+  PutFixed64(levels_[level][0].second, &meta);  // The root.
+  PutFixed64(total_entries_, &meta);
+  PutFixed32(static_cast<uint32_t>(level + 1), &meta);  // The height.
+  PutFixed64(indexed_length, &meta);
+  meta.resize(pager_->page_size(), '\0');
+  CALDERA_RETURN_IF_ERROR(pager_->WritePage(kMetaPage, meta.data()));
+  CALDERA_RETURN_IF_ERROR(pager_->Sync());
+  const std::string path = pager_->path();
+  pager_.reset();
+  return BTree::Open(path);
 }
 
 }  // namespace caldera

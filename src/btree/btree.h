@@ -111,35 +111,27 @@ class BTree {
 
   uint32_t height() const { return height_; }
   const BTreeOptions& options() const { return options_; }
-  uint64_t file_pages() const { return pager_->page_count(); }
   /// The physical page size the tree was built with.
   uint32_t page_size() const { return pager_->physical_page_size(); }
   const BufferPoolStats& stats() const { return pool_->stats(); }
   void ResetStats() { pool_->ResetStats(); }
 
   /// Checks the file's structural invariants (key order within nodes,
-  /// separator bounds, leaf chain order, the entry count of the meta page).
+  /// separator bounds, leaf chain order, the entry count of the meta page,
+  /// and that the root reaches every page past the meta page).
   /// Test/debug helper; O(n).
   Status CheckInvariants();
 
  private:
   friend class Cursor;
-  friend class BTreeBuilder;
 
   BTree(std::unique_ptr<Pager> pager, size_t pool_pages)
       : pager_(std::move(pager)),
         pool_(std::make_unique<BufferPool>(pager_.get(), pool_pages)) {}
 
-  /// Creates an empty tree file at `path` (truncating any existing file):
-  /// the start of a bulk build.
-  static Result<std::unique_ptr<BTree>> Create(const std::string& path,
-                                               const BTreeOptions& options,
-                                               uint32_t page_size);
-
   uint32_t leaf_entry_size() const {
     return options_.key_size + options_.value_size;
   }
-  uint32_t internal_entry_size() const { return options_.key_size + 8; }
   uint32_t leaf_capacity() const;
   uint32_t internal_capacity() const;
   /// Key of tail entry `slot`.
@@ -150,12 +142,12 @@ class BTree {
   /// The first tail slot whose key is >= `key`.
   size_t TailLowerBound(std::string_view key) const;
 
-  /// Writes the meta page and every dirty page, and fsyncs: the end of a
-  /// bulk build.
-  Status Sync();
   Result<PageId> FindLeaf(std::string_view key);
+  // Checks the subtree at `id`, adding its nodes to *nodes and its entries
+  // to *entries.
   Status CheckNode(PageId id, std::string_view lower, std::string_view upper,
-                   uint32_t depth, uint64_t* entries, PageId* leftmost_leaf);
+                   uint32_t depth, uint64_t* nodes, uint64_t* entries,
+                   PageId* leftmost_leaf);
 
   std::unique_ptr<Pager> pager_;
   std::unique_ptr<BufferPool> pool_;
@@ -169,15 +161,15 @@ class BTree {
   std::string tail_;
 };
 
-/// Builds a B+ tree file from strictly-increasing (key, value) pairs,
-/// packing leaves sequentially and constructing internal levels bottom-up:
-/// the only writer of tree files.
+/// Builds a B+ tree file from strictly-increasing (key, value) pairs: the
+/// only writer of tree files. It writes each node once, straight through
+/// its Pager: the leaves in key order from page 2 on, then the internal
+/// levels bottom-up, then the meta page (page 1).
 class BTreeBuilder {
  public:
   static Result<std::unique_ptr<BTreeBuilder>> Create(
       const std::string& path, const BTreeOptions& options,
-      uint32_t page_size = kDefaultPageSize,
-      double fill_factor = 0.9);
+      uint32_t page_size = kDefaultPageSize);
 
   /// Adds the next pair; keys must be strictly increasing.
   Status Add(std::string_view key, std::string_view value);
@@ -187,19 +179,22 @@ class BTreeBuilder {
   Result<std::unique_ptr<BTree>> Finish(uint64_t indexed_length);
 
  private:
-  BTreeBuilder(std::unique_ptr<BTree> tree, double fill_factor);
+  BTreeBuilder(std::unique_ptr<Pager> pager, const BTreeOptions& options);
 
-  Status FlushLeaf();
+  // Writes the current leaf as the next page of the file. Its next pointer
+  // names the page after it, where the next leaf goes, unless `last`.
+  Status WriteLeaf(bool last);
+  // Writes node_ as the next page of the file, then zeroes it.
+  Result<PageId> WriteNode();
 
-  std::unique_ptr<BTree> tree_;
-  double fill_factor_;
-  std::string leaf_buf_;              // Packed entries of the current leaf.
+  std::unique_ptr<Pager> pager_;
+  BTreeOptions options_;
+  std::string node_;  // The node being filled, one page payload.
   uint32_t leaf_count_ = 0;
   uint32_t max_leaf_entries_ = 0;
   std::string last_key_;
-  // first_key -> page id per completed node, one vector per level.
+  // first_key -> page id per written node, one vector per level.
   std::vector<std::vector<std::pair<std::string, PageId>>> levels_;
-  PageId prev_leaf_ = kInvalidPageId;
   uint64_t total_entries_ = 0;
   bool finished_ = false;
 };

@@ -128,7 +128,6 @@ Result<std::unique_ptr<StreamIngestor>> StreamIngestor::Open(
       new StreamIngestor(dir, std::move(options)));
   CALDERA_ASSIGN_OR_RETURN(ingestor->lock_, FileLock::Acquire(LockPath(dir)));
   CALDERA_ASSIGN_OR_RETURN(ingestor->wal_, Wal::Open(WalPath(dir)));
-  ingestor->wal_torn_tail_ = ingestor->wal_->truncated_tail();
   ingestor->broken_ = false;
   std::unique_lock<std::shared_mutex> guard = ingestor->LockApply();
   Status recovered = ingestor->Recover();

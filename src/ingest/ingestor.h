@@ -171,8 +171,6 @@ class StreamIngestor {
   /// True once a failed apply or checkpoint poisoned this handle (see
   /// Append).
   bool broken() const { return broken_; }
-  /// True when Open truncated a torn WAL tail (an unacknowledged Append).
-  bool wal_had_torn_tail() const { return wal_torn_tail_; }
 
   /// WAL file name inside a stream directory.
   static std::string WalPath(const std::string& dir);
@@ -261,7 +259,6 @@ class StreamIngestor {
   // Set until Open gets past the WAL open, and again if recovery fails,
   // so that closing a failed open never checkpoints.
   bool broken_ = true;
-  bool wal_torn_tail_ = false;
 };
 
 }  // namespace caldera

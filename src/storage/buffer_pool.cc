@@ -1,7 +1,5 @@
 #include "storage/buffer_pool.h"
 
-#include <cstring>
-
 #include "common/logging.h"
 
 namespace caldera {
@@ -27,11 +25,6 @@ void PageHandle::Release() {
   }
 }
 
-char* PageHandle::data() {
-  CALDERA_DCHECK(valid());
-  return pool_->frames_[frame_].data.get();
-}
-
 const char* PageHandle::data() const {
   CALDERA_DCHECK(valid());
   return pool_->frames_[frame_].data.get();
@@ -42,11 +35,6 @@ PageId PageHandle::page_id() const {
   return pool_->frames_[frame_].page_id;
 }
 
-void PageHandle::MarkDirty() {
-  CALDERA_DCHECK(valid());
-  pool_->frames_[frame_].dirty = true;
-}
-
 BufferPool::BufferPool(Pager* pager, size_t capacity)
     : pager_(pager), capacity_(capacity == 0 ? 1 : capacity) {
   // Frame buffers are allocated by GrabFrame on first use, so opening a
@@ -55,14 +43,6 @@ BufferPool::BufferPool(Pager* pager, size_t capacity)
   free_frames_.reserve(capacity_);
   for (size_t i = 0; i < capacity_; ++i) {
     free_frames_.push_back(capacity_ - 1 - i);
-  }
-}
-
-BufferPool::~BufferPool() {
-  Status st = FlushAll();
-  if (!st.ok()) {
-    CALDERA_LOG_ERROR << "BufferPool flush on destruction failed: "
-                      << st.ToString();
   }
 }
 
@@ -84,26 +64,11 @@ void BufferPool::TouchLru(size_t frame) {
   }
 }
 
-Status BufferPool::EvictFrame(size_t frame) {
-  Frame& f = frames_[frame];
-  if (f.dirty) {
-    CALDERA_RETURN_IF_ERROR(pager_->WritePage(f.page_id, f.data.get()));
-    ++stats_.pages_written;
-    f.dirty = false;
-  }
-  page_table_.erase(f.page_id);
-  f.page_id = kInvalidPageId;
-  f.in_use = false;
-  ++stats_.evictions;
-  return Status::Ok();
-}
-
 Result<size_t> BufferPool::GrabFrame() {
   if (!free_frames_.empty()) {
     size_t frame = free_frames_.back();
     free_frames_.pop_back();
-    // Uninitialized: Fetch overwrites the whole payload and NewPage zeroes
-    // it.
+    // Uninitialized: Fetch overwrites the whole payload.
     if (frames_[frame].data == nullptr) {
       frames_[frame].data =
           std::make_unique_for_overwrite<char[]>(pager_->page_size());
@@ -118,8 +83,11 @@ Result<size_t> BufferPool::GrabFrame() {
   }
   size_t victim = lru_.back();
   parked_.splice(parked_.end(), lru_, std::prev(lru_.end()));
-  frames_[victim].in_lru = false;
-  CALDERA_RETURN_IF_ERROR(EvictFrame(victim));
+  Frame& f = frames_[victim];
+  f.in_lru = false;
+  page_table_.erase(f.page_id);
+  f.page_id = kInvalidPageId;
+  ++stats_.evictions;
   return victim;
 }
 
@@ -143,44 +111,8 @@ Result<PageHandle> BufferPool::Fetch(PageId id) {
   }
   f.page_id = id;
   f.pin_count = 1;
-  f.dirty = false;
-  f.in_use = true;
   page_table_[id] = frame;
   return PageHandle(this, frame);
-}
-
-Result<PageHandle> BufferPool::NewPage() {
-  // Grab the frame before touching the pager: if the pool is exhausted, the
-  // file must not have been extended, or the freshly allocated page would be
-  // permanently orphaned.
-  ++stats_.fetches;
-  ++stats_.misses;
-  CALDERA_ASSIGN_OR_RETURN(size_t frame, GrabFrame());
-  Result<PageId> allocated = pager_->AllocatePage();
-  if (!allocated.ok()) {
-    free_frames_.push_back(frame);
-    return allocated.status();
-  }
-  PageId id = *allocated;
-  Frame& f = frames_[frame];
-  std::memset(f.data.get(), 0, pager_->page_size());
-  f.page_id = id;
-  f.pin_count = 1;
-  f.dirty = true;
-  f.in_use = true;
-  page_table_[id] = frame;
-  return PageHandle(this, frame);
-}
-
-Status BufferPool::FlushAll() {
-  for (Frame& f : frames_) {
-    if (f.in_use && f.dirty) {
-      CALDERA_RETURN_IF_ERROR(pager_->WritePage(f.page_id, f.data.get()));
-      ++stats_.pages_written;
-      f.dirty = false;
-    }
-  }
-  return pager_->Flush();
 }
 
 }  // namespace caldera

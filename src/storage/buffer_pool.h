@@ -19,14 +19,12 @@ struct BufferPoolStats {
   uint64_t hits = 0;         ///< Requests served from cache.
   uint64_t misses = 0;       ///< Requests that went to the pager.
   uint64_t evictions = 0;    ///< Pages evicted to make room.
-  uint64_t pages_written = 0;///< Dirty pages flushed to the pager.
 
   BufferPoolStats& operator+=(const BufferPoolStats& o) {
     fetches += o.fetches;
     hits += o.hits;
     misses += o.misses;
     evictions += o.evictions;
-    pages_written += o.pages_written;
     return *this;
   }
 };
@@ -34,7 +32,7 @@ struct BufferPoolStats {
 class BufferPool;
 
 /// RAII pin on a cached page. While a PageHandle is alive the frame cannot
-/// be evicted. Call MarkDirty() after mutating data().
+/// be evicted.
 class PageHandle {
  public:
   PageHandle() : pool_(nullptr), frame_(SIZE_MAX) {}
@@ -50,10 +48,8 @@ class PageHandle {
   PageHandle& operator=(const PageHandle&) = delete;
 
   bool valid() const { return pool_ != nullptr; }
-  char* data();
   const char* data() const;
   PageId page_id() const;
-  void MarkDirty();
 
   /// Explicitly unpins early (also done by the destructor).
   void Release();
@@ -66,35 +62,26 @@ class PageHandle {
   size_t frame_;
 };
 
-/// A fixed-capacity LRU page cache in front of a Pager. A frame's buffer is
-/// allocated the first time the frame is used, so memory tracks the pages
-/// actually cached, not the capacity. Single-threaded by design (Caldera
-/// queries are single-threaded; benchmarks run one pool per stream file).
+/// A fixed-capacity LRU cache of pages read through a Pager. It only
+/// reads: writers hand their pages to the Pager directly, so evicting or
+/// destroying a pool writes nothing. A frame's buffer is allocated the
+/// first time the frame is used, so memory tracks the pages actually
+/// cached, not the capacity. Single-threaded by design (Caldera queries are
+/// single-threaded; benchmarks run one pool per stream file).
 class BufferPool {
  public:
   /// `capacity` is the number of page frames held in memory (>= 1).
   BufferPool(Pager* pager, size_t capacity);
-  ~BufferPool();
 
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
 
   /// Fetches page `id`, reading it from the pager on a miss.
+  /// ResourceExhausted when every frame is pinned.
   Result<PageHandle> Fetch(PageId id);
-
-  /// Allocates a fresh page in the pager and returns a pinned handle to its
-  /// (zeroed, dirty) frame.
-  Result<PageHandle> NewPage();
-
-  /// Writes back all dirty pages and the pager header (Pager::Flush). No
-  /// fsync: the owner calls Pager::Sync when it needs durability.
-  Status FlushAll();
 
   const BufferPoolStats& stats() const { return stats_; }
   void ResetStats() { stats_ = BufferPoolStats{}; }
-  size_t capacity() const { return capacity_; }
-  uint32_t page_size() const { return pager_->page_size(); }
-  Pager* pager() { return pager_; }
 
  private:
   friend class PageHandle;
@@ -103,8 +90,6 @@ class BufferPool {
     PageId page_id = kInvalidPageId;
     std::unique_ptr<char[]> data;  // Null until the frame is first used.
     uint32_t pin_count = 0;
-    bool dirty = false;
-    bool in_use = false;
     // The frame's one list node, made with its buffer: in lru_ when
     // unpinned and resident, else in parked_. Moving it by splice keeps a
     // page hit from allocating.
@@ -115,7 +100,6 @@ class BufferPool {
   void Unpin(size_t frame);
   void TouchLru(size_t frame);
   Result<size_t> GrabFrame();
-  Status EvictFrame(size_t frame);
 
   Pager* pager_;
   size_t capacity_;

@@ -161,9 +161,9 @@ Status Pager::WritePage(PageId id, const char* buf) {
   return file_->WriteAt(id * page_size_, {scratch_.data(), page_size_});
 }
 
-Result<PageId> Pager::AllocatePage() {
+Result<PageId> Pager::AppendPage(const char* payload) {
   PageId id = page_count_;
-  std::memset(scratch_.data(), 0, page_size_);
+  std::memcpy(scratch_.data(), payload, payload_size_);
   StampPage(scratch_.data(), id);
   unsynced_ = true;
   CALDERA_RETURN_IF_ERROR(

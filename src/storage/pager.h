@@ -25,10 +25,12 @@ inline constexpr PageId kInvalidPageId = 0;
 /// padding). Callers see pages of page_size() = physical - trailer bytes.
 inline constexpr uint32_t kPageTrailerSize = 8;
 
-/// A Pager exposes a file as an array of fixed-size pages. It owns page
-/// allocation and the on-disk header (magic, page size, page count); callers
-/// are responsible for the contents of data pages. Access normally goes
-/// through a BufferPool rather than directly through the Pager.
+/// A Pager exposes a file as an array of fixed-size pages. It owns the
+/// on-disk header (magic, page size, page count); callers are responsible
+/// for the contents of data pages. The Pager is the one write path: a writer
+/// (BTreeBuilder, RecordFileWriter) hands it each page's finished payload,
+/// AppendPage writing a new page once and WritePage rewriting one in place.
+/// Reads normally go through a BufferPool, which only reads.
 ///
 /// On disk ("CLDRPGR2") every physical page ends in an 8-byte trailer
 /// holding the CRC-32C of (payload || page id) plus zero padding. The
@@ -64,17 +66,18 @@ class Pager {
   /// Writes page `id` from `buf` (page_size() bytes), stamping its checksum.
   Status WritePage(PageId id, const char* buf);
 
-  /// Allocates a fresh zeroed page at the end of the file.
-  Result<PageId> AllocatePage();
+  /// Writes `payload` (page_size() bytes) as a new page at the end of the
+  /// file, stamping its checksum, and returns its id.
+  Result<PageId> AppendPage(const char* payload);
 
   /// Writes the header back, but only if this handle changed it: a handle
-  /// that never allocated must not clobber a header another writer has
+  /// that never appended must not clobber a header another writer has
   /// since advanced. No fsync: other handles see the new page count, a
   /// crash may lose it.
   Status Flush();
 
   /// Flush, then fsync the file — but only if this handle wrote anything
-  /// (header, WritePage, AllocatePage) since its last successful Sync. A
+  /// (header, WritePage, AppendPage) since its last successful Sync. A
   /// read-only handle's Sync is free. A failed fsync is reported, and a
   /// later Sync calls fsync again; that call succeeding does not prove the
   /// earlier writes reached disk (the kernel may have dropped them), so a
@@ -102,10 +105,10 @@ class Pager {
   uint32_t payload_size_;  // page_size_ minus the trailer.
   uint64_t page_count_;
   // True while the in-memory page_count_ is ahead of the on-disk header
-  // (pages allocated since the last WriteHeader). Flush persists the header
-  // only then: read-only consumers (buffer pools flushing on
-  // destruction) must never write their — possibly stale — view of the
-  // header back over a file a live-ingest append has since extended.
+  // (pages appended since the last WriteHeader); Flush writes the header
+  // only then. So a handle that only reads writes nothing, and a writer
+  // whose append only filled its partial tail page leaves the header as it
+  // was.
   bool header_dirty_ = false;
   // True while this handle has written bytes not yet covered by a
   // successful fsync.

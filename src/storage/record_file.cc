@@ -148,8 +148,10 @@ Result<std::unique_ptr<RecordFileWriter>> RecordFileWriter::Create(
     const std::string& path, uint32_t page_size) {
   CALDERA_ASSIGN_OR_RETURN(std::unique_ptr<Pager> data,
                            Pager::Create(path, page_size));
-  // Reserve the meta page (page 1).
-  CALDERA_ASSIGN_OR_RETURN(PageId meta, data->AllocatePage());
+  // Reserve the meta page (page 1); Finalize writes it.
+  CALDERA_ASSIGN_OR_RETURN(
+      PageId meta,
+      data->AppendPage(std::string(data->page_size(), '\0').data()));
   if (meta != kMetaPage) {
     return Status::Internal("meta page allocated at unexpected id");
   }
@@ -199,9 +201,7 @@ Result<std::unique_ptr<RecordFileWriter>> RecordFileWriter::OpenForAppend(
 }
 
 Status RecordFileWriter::PackedPages::Write(PageId id, const char* page) {
-  if (id == pager->page_count()) {
-    CALDERA_RETURN_IF_ERROR(pager->AllocatePage().status());
-  }
+  if (id == pager->page_count()) return pager->AppendPage(page).status();
   return pager->WritePage(id, page);
 }
 

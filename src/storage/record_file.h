@@ -99,8 +99,9 @@ class RecordFileWriter {
     Status Append(std::string_view data);
     // Writes the partial page, zero-padded (no-op when empty).
     Status Flush();
-    // Writes `page` (page_size() bytes) over page `id`, allocating it when
-    // `id` is the next page of the file.
+    // Writes `page` (page_size() bytes) as page `id`: appended when `id` is
+    // the next page of the file, else rewritten in place (a partial tail
+    // page that an append reopened).
     Status Write(PageId id, const char* page);
   };
 
@@ -147,9 +148,6 @@ class RecordFileReader {
   /// Reads record `id` into *out (replacing its contents): a View, copied.
   Status Get(uint64_t id, std::string* out);
 
-  /// Size in bytes of record `id`.
-  Result<uint64_t> RecordSize(uint64_t id) const;
-
   uint64_t num_records() const { return offsets_.size() - 1; }
   uint64_t data_bytes() const { return offsets_.back(); }
 
@@ -162,6 +160,7 @@ class RecordFileReader {
         pool_(std::make_unique<BufferPool>(pager_.get(), pool_pages)) {}
 
   void LoadTail();  // Reads the partial last data page into tail_.
+  Result<uint64_t> RecordSize(uint64_t id) const;  // Bytes of record `id`.
 
   std::unique_ptr<Pager> pager_;
   std::unique_ptr<BufferPool> pool_;

@@ -2,6 +2,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstring>
 #include <filesystem>
 #include <map>
 #include <string>
@@ -10,7 +11,11 @@
 #include "btree/btree.h"
 #include "common/encoding.h"
 #include "common/rng.h"
+#include "index/attribute_index.h"
+#include "index/btc_index.h"
+#include "storage/fault_injection_file.h"
 #include "storage/pager.h"
+#include "test_util.h"
 
 namespace caldera {
 namespace {
@@ -83,6 +88,42 @@ void ExpectHolds(BTree* tree, const std::map<std::string, std::string>& want) {
     ASSERT_TRUE(got->has_value());
     EXPECT_EQ(**got, value);
   }
+}
+
+// Pages of the tree file at `path` past its header and meta page.
+uint64_t NodePages(const std::string& path) {
+  auto pager = Pager::Open(path);
+  EXPECT_TRUE(pager.ok()) << pager.status().ToString();
+  return pager.ok() ? (*pager)->page_count() - 2 : 0;
+}
+
+// The nodes the root of the tree file at `path` reaches, counted by walking
+// the on-disk format (docs/FORMATS.md) with plain page reads, independent of
+// BTree.
+uint64_t ReachableNodes(const std::string& path) {
+  auto pager = Pager::Open(path);
+  EXPECT_TRUE(pager.ok()) << pager.status().ToString();
+  if (!pager.ok()) return 0;
+  std::vector<char> page((*pager)->page_size());
+  EXPECT_TRUE((*pager)->ReadPage(1, page.data()).ok());
+  const uint32_t key_size = GetFixed32(page.data() + 8);
+  std::vector<PageId> pending = {GetFixed64(page.data() + 16)};
+  uint64_t nodes = 0;
+  while (!pending.empty() && nodes <= (*pager)->page_count()) {
+    const PageId id = pending.back();
+    pending.pop_back();
+    ++nodes;
+    EXPECT_TRUE((*pager)->ReadPage(id, page.data()).ok()) << "page " << id;
+    if (page[0] != 2) continue;  // A leaf.
+    uint16_t count;
+    std::memcpy(&count, page.data() + 1, 2);
+    pending.push_back(GetFixed64(page.data() + 8));
+    for (uint16_t i = 0; i < count; ++i) {
+      pending.push_back(
+          GetFixed64(page.data() + 16 + i * (key_size + 8) + key_size));
+    }
+  }
+  return nodes;
 }
 
 TEST_F(BTreeTest, EmptyTree) {
@@ -317,6 +358,98 @@ TEST_F(BTreeTest, BulkLoadSingleEntry) {
   auto got = (*tree)->Get(Key8(42));
   ASSERT_TRUE(got.ok());
   EXPECT_TRUE(got->has_value());
+}
+
+// A build writes exactly the nodes its root reaches: pages 2 and up hold no
+// page that no node points at.
+TEST_F(BTreeTest, RootReachesEveryNodePage) {
+  std::map<std::string, std::string> many;
+  for (uint64_t i = 0; i < 5000; ++i) many.emplace(Key8(i), Val4(i));
+  const std::map<std::string, std::map<std::string, std::string>> builds = {
+      {"empty", {}}, {"one_leaf", {{Key8(1), Val4(1)}}}, {"levels", many}};
+  for (const auto& [name, entries] : builds) {
+    auto tree = Build(Path(name), {8, 4}, entries);
+    ASSERT_NE(tree, nullptr) << name;
+    EXPECT_TRUE(tree->CheckInvariants().ok()) << name;
+    EXPECT_EQ(ReachableNodes(Path(name)), NodePages(Path(name))) << name;
+    if (entries.size() < 2) {
+      EXPECT_EQ(NodePages(Path(name)), 1u) << name;
+    } else {
+      EXPECT_GE(tree->height(), 3u);
+    }
+  }
+}
+
+// Compaction rebuilds a tree through the builder, so its output holds
+// only reachable nodes too.
+TEST_F(BTreeTest, CompactedTreeReachesEveryNodePage) {
+  MarkovianStream stream = test::MakeValidStream(200, 6, 7);
+  const std::string dir = Path("s");
+  ASSERT_TRUE(WriteStream(dir, stream).ok());
+  auto stored = StoredStream::Open(dir);
+  ASSERT_TRUE(stored.ok()) << stored.status().ToString();
+  auto entries = ReadAttributeEntries(stored->get(), 0);
+  ASSERT_TRUE(entries.ok());
+  // A BT_C file over the first half of the stream: compaction merges the
+  // second half in from the stream.
+  std::map<std::string, std::string> first_half;
+  for (const AttributeEntry& e : *entries) {
+    if (e.time >= 100) continue;
+    std::string prob;
+    PutDouble(e.prob, &prob);
+    first_half.emplace(EncodeBtcKey(e.value, e.time), prob);
+  }
+  const TreeIndexFile file{0, /*is_btc=*/true, BtcIndexPath(dir, 0)};
+  auto tree = Build(file.path, {kBtcKeySize, kBtcValueSize}, first_half,
+                    /*indexed_length=*/100);
+  ASSERT_NE(tree, nullptr);
+  auto compacted = CompactTreeIndex(file, stored->get(), tree.get());
+  ASSERT_TRUE(compacted.ok()) << compacted.status().ToString();
+  EXPECT_EQ(*compacted, entries->size());
+  auto reopened = BTree::Open(file.path);
+  ASSERT_TRUE(reopened.ok());
+  EXPECT_EQ((*reopened)->indexed_length(), 200u);
+  EXPECT_EQ((*reopened)->num_entries(), entries->size());
+  EXPECT_GE((*reopened)->height(), 2u);
+  EXPECT_TRUE((*reopened)->CheckInvariants().ok());
+  EXPECT_EQ(ReachableNodes(file.path), NodePages(file.path));
+}
+
+// A page past the meta page that no node reaches is Corruption.
+TEST_F(BTreeTest, CheckInvariantsRejectsAnUnreachablePage) {
+  ASSERT_NE(Build(Path("t"), {8, 4}, {{Key8(1), Val4(1)}}), nullptr);
+  {
+    auto pager = Pager::Open(Path("t"));
+    ASSERT_TRUE(pager.ok());
+    std::string leaf((*pager)->page_size(), '\0');
+    leaf[0] = 1;  // An empty leaf.
+    ASSERT_TRUE((*pager)->AppendPage(leaf.data()).ok());
+    ASSERT_TRUE((*pager)->Sync().ok());
+  }
+  auto tree = BTree::Open(Path("t"));
+  ASSERT_TRUE(tree.ok());
+  Status st = (*tree)->CheckInvariants();
+  EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
+  auto got = (*tree)->Get(Key8(1));
+  ASSERT_TRUE(got.ok());
+  EXPECT_TRUE(got->has_value());
+}
+
+// A build writes each page once: the node pages, plus the pager header
+// and the meta page twice each (reserved at Create, final at Finish).
+TEST_F(BTreeTest, BuildWritesEachPageOnce) {
+  const std::string path = Path("write_count.bt");
+  std::map<std::string, std::string> entries;
+  for (uint64_t i = 0; i < 5000; ++i) entries.emplace(Key8(i), Val4(i));
+  uint64_t writes = 0;
+  {
+    ScopedFaultInjection inject("write_count.bt", FaultInjectionOptions{});
+    auto tree = Build(path, {8, 4}, entries);
+    ASSERT_NE(tree, nullptr);
+    EXPECT_GE(tree->height(), 3u);
+    writes = inject.counters().writes;
+  }
+  EXPECT_EQ(writes, NodePages(path) + 4);
 }
 
 // Tail entries interleave with a bulk-loaded file's in the merged order.

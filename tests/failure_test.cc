@@ -16,7 +16,6 @@
 #include "common/logging.h"
 #include "index/mc_index.h"
 #include "rfid/workload.h"
-#include "storage/buffer_pool.h"
 #include "storage/fault_injection_file.h"
 #include "storage/file.h"
 #include "storage/record_file.h"
@@ -86,7 +85,9 @@ TEST_F(FailureTest, BTreeOpenOnWrongMagic) {
   {
     auto pager = Pager::Create(scratch_.Path("p.bt"), 512);
     ASSERT_TRUE(pager.ok());
-    ASSERT_TRUE((*pager)->AllocatePage().ok());
+    ASSERT_TRUE(
+        (*pager)->AppendPage(std::string((*pager)->page_size(), '\0').data())
+            .ok());
     ASSERT_TRUE((*pager)->Sync().ok());
   }
   EXPECT_EQ(BTree::Open(scratch_.Path("p.bt")).status().code(),
@@ -239,39 +240,6 @@ TEST_F(FailureTest, FaultInjectionFlipsReadPathBitsOnly) {
   char buf[8];
   ASSERT_TRUE((*f)->ReadAt(0, 8, buf).ok());
   EXPECT_EQ(std::string(buf, 8), "abcdefgh");
-}
-
-TEST_F(FailureTest, DirtyWritebackFailureDuringEvictionIsStatusNotCrash) {
-  {
-    auto pager = Pager::Create(scratch_.Path("evict.pg"), 512);
-    ASSERT_TRUE(pager.ok());
-    for (int i = 0; i < 3; ++i) ASSERT_TRUE((*pager)->AllocatePage().ok());
-    ASSERT_TRUE((*pager)->Sync().ok());
-  }
-  FaultInjectionOptions options;
-  options.fail_writes_from = 0;
-  ScopedFaultInjection fault("evict.pg", options);
-  auto pager = Pager::Open(scratch_.Path("evict.pg"));
-  ASSERT_TRUE(pager.ok()) << pager.status().ToString();
-  BufferPool pool(pager->get(), 2);
-  {
-    auto h1 = pool.Fetch(1);
-    ASSERT_TRUE(h1.ok());
-    h1->MarkDirty();
-  }
-  {
-    auto h2 = pool.Fetch(2);
-    ASSERT_TRUE(h2.ok());
-    h2->MarkDirty();
-  }
-  // Fetching a third page must evict a dirty frame; the failed writeback
-  // has to surface as the fetch's Status.
-  auto h3 = pool.Fetch(3);
-  ASSERT_FALSE(h3.ok());
-  EXPECT_EQ(h3.status().code(), StatusCode::kIoError);
-  EXPECT_GE(fault.counters().injected_write_errors, 1u);
-  EXPECT_FALSE(pool.FlushAll().ok());
-  // The pool destructor retries the flush, logs, and must not crash.
 }
 
 TEST_F(FailureTest, CorruptBtcIndexFallsBackToScan) {

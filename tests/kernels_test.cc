@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <vector>
@@ -133,22 +134,27 @@ Distribution PropagateWith(const Cpt& cpt, const Distribution& in,
   return Distribution::FromSorted(std::move(out));
 }
 
-// Entry-list reference for composition: row x of first·second is row x of
-// first, read as a distribution over mids, propagated through second by
-// Cpt::Propagate (the propagation kernel, not the compose kernel).
-Cpt EntryListCompose(const Cpt& first, const Cpt& second) {
+// Dense per-row reference for composition, sharing no code with the
+// kernels: row x of first·second accumulates P(mid|x)·P(z|mid) over the
+// rows of second into a vector sized by second.dst_end(), then keeps its
+// nonzeros in destination order: O(rows x dst_end) time.
+Cpt DenseRowCompose(const Cpt& first, const Cpt& second) {
   Cpt out;
+  const std::vector<ValueId>& mids = second.srcs();
   for (size_t r = 0; r < first.num_rows(); ++r) {
     const Cpt::RowView row = first.row(r);
-    std::vector<Distribution::Entry> mids;
+    std::vector<double> sums(second.dst_end(), 0.0);
     for (size_t j = 0; j < row.size(); ++j) {
-      mids.push_back({row.dsts[j], row.probs[j]});
+      auto mid = std::lower_bound(mids.begin(), mids.end(), row.dsts[j]);
+      if (mid == mids.end() || *mid != row.dsts[j]) continue;
+      const Cpt::RowView next = second.row(mid - mids.begin());
+      for (size_t k = 0; k < next.size(); ++k) {
+        sums[next.dsts[k]] += row.probs[j] * next.probs[k];
+      }
     }
-    Distribution composed =
-        second.Propagate(Distribution::FromSorted(std::move(mids)));
     std::vector<Cpt::RowEntry> entries;
-    for (const Distribution::Entry& e : composed.entries()) {
-      entries.push_back({e.value, e.prob});
+    for (ValueId z = 0; z < sums.size(); ++z) {
+      if (sums[z] != 0.0) entries.push_back({z, sums[z]});
     }
     if (!entries.empty()) out.SetRow(row.src, std::move(entries));
   }
@@ -260,16 +266,16 @@ TEST(KernelDifferentialTest, ComposeMatchesBruteForceSmallDomains) {
       ExpectCptsNear(expected, fast, domain, 1e-12, "kernel " + ctx);
       Cpt composed = ComposeCpts(first, second);
       ExpectCptsNear(expected, composed, domain, 1e-12, "ComposeCpts " + ctx);
-      ExpectCptsNear(EntryListCompose(first, second), fast, domain, 1e-12,
-                     "entry-list " + ctx);
+      ExpectCptsNear(DenseRowCompose(first, second), fast, domain, 1e-12,
+                     "dense-row " + ctx);
     }
   }
 }
 
 // Domains too large for the brute-force reference, in both the sparse
 // (touched-slot) and dense (range-scan) drain modes: the kernel's table has
-// exactly the entry-list reference's support, entry for entry.
-TEST(KernelDifferentialTest, ComposeMatchesEntryListLargeDomains) {
+// exactly the dense per-row reference's support, entry for entry.
+TEST(KernelDifferentialTest, ComposeMatchesDenseRowReferenceLargeDomains) {
   PropagationWorkspace ws;
   Rng rng(0xFACADE);
   for (uint32_t domain : {352u, 1024u}) {
@@ -277,7 +283,7 @@ TEST(KernelDifferentialTest, ComposeMatchesEntryListLargeDomains) {
       Cpt first = RandomCpt(domain, 0.6, density, &rng);
       Cpt second = RandomCpt(domain, 0.6, density, &rng);
       Cpt fast = ComposeWith(first, second, &ws);
-      Cpt reference = EntryListCompose(first, second);
+      Cpt reference = DenseRowCompose(first, second);
       ASSERT_EQ(reference.srcs(), fast.srcs());
       ASSERT_EQ(reference.offsets(), fast.offsets());
       ASSERT_EQ(reference.dsts(), fast.dsts());

@@ -37,6 +37,14 @@ class StorageTest : public ::testing::Test {
   std::filesystem::path dir_;
 };
 
+// Appends `n` pages to `pager`, page k holding only the byte 'a' + k - 1.
+void AppendPages(Pager* pager, int n) {
+  for (int i = 0; i < n; ++i) {
+    const std::string page(pager->page_size(), char('a' + i));
+    ASSERT_TRUE(pager->AppendPage(page.data()).ok());
+  }
+}
+
 TEST_F(StorageTest, FileWriteReadRoundTrip) {
   auto file = File::OpenOrCreate(Path("f"));
   ASSERT_TRUE(file.ok()) << file.status().ToString();
@@ -83,13 +91,16 @@ TEST_F(StorageTest, PagerAllocateReadWrite) {
   EXPECT_EQ((*pager)->page_count(), 1u);  // Header page.
   EXPECT_EQ((*pager)->physical_page_size(), 512u);
   EXPECT_EQ((*pager)->page_size(), 512u - kPageTrailerSize);
-  auto p1 = (*pager)->AllocatePage();
+  const size_t payload = (*pager)->page_size();
+  auto p1 = (*pager)->AppendPage(std::string(payload, 'w').data());
   ASSERT_TRUE(p1.ok());
   EXPECT_EQ(*p1, 1u);
-  const size_t payload = (*pager)->page_size();
+  EXPECT_EQ((*pager)->page_count(), 2u);
+  std::vector<char> buf(payload);
+  ASSERT_TRUE((*pager)->ReadPage(*p1, buf.data()).ok());
+  EXPECT_EQ(std::string(buf.data(), payload), std::string(payload, 'w'));
   std::string data(payload, 'x');
   ASSERT_TRUE((*pager)->WritePage(*p1, data.data()).ok());
-  std::vector<char> buf(payload);
   ASSERT_TRUE((*pager)->ReadPage(*p1, buf.data()).ok());
   EXPECT_EQ(std::memcmp(buf.data(), data.data(), payload), 0);
 }
@@ -116,10 +127,8 @@ TEST_F(StorageTest, PagerPersistsAcrossReopen) {
   {
     auto pager = Pager::Create(Path("p"), 1024);
     ASSERT_TRUE(pager.ok());
-    auto id = (*pager)->AllocatePage();
-    ASSERT_TRUE(id.ok());
     std::string data(1024, 'z');
-    ASSERT_TRUE((*pager)->WritePage(*id, data.data()).ok());
+    ASSERT_TRUE((*pager)->AppendPage(data.data()).ok());
     ASSERT_TRUE((*pager)->Sync().ok());
   }
   auto pager = Pager::Open(Path("p"));
@@ -170,10 +179,9 @@ TEST_F(StorageTest, PagerDetectsAnySingleBitFlipInDataPage) {
   {
     auto pager = Pager::Create(Path("p"), 512);
     ASSERT_TRUE(pager.ok());
-    ASSERT_TRUE((*pager)->AllocatePage().ok());
     std::string data(504, '\0');
     for (size_t i = 0; i < data.size(); ++i) data[i] = char('a' + i % 26);
-    ASSERT_TRUE((*pager)->WritePage(1, data.data()).ok());
+    ASSERT_TRUE((*pager)->AppendPage(data.data()).ok());
     ASSERT_TRUE((*pager)->Sync().ok());
   }
   // Flip every bit position (byte b, bit b%8) across the whole physical
@@ -203,7 +211,7 @@ TEST_F(StorageTest, PagerDetectsBitFlipInHeaderPage) {
   {
     auto pager = Pager::Create(Path("p"), 512);
     ASSERT_TRUE(pager.ok());
-    ASSERT_TRUE((*pager)->AllocatePage().ok());
+    AppendPages(pager->get(), 1);
     ASSERT_TRUE((*pager)->Sync().ok());
   }
   // The header page is checksummed too: flips in its zero padding or
@@ -228,12 +236,10 @@ TEST_F(StorageTest, PagerChecksumBindsPageId) {
   {
     auto pager = Pager::Create(Path("p"), 512);
     ASSERT_TRUE(pager.ok());
-    ASSERT_TRUE((*pager)->AllocatePage().ok());
-    ASSERT_TRUE((*pager)->AllocatePage().ok());
     std::string one(504, '1');
     std::string two(504, '2');
-    ASSERT_TRUE((*pager)->WritePage(1, one.data()).ok());
-    ASSERT_TRUE((*pager)->WritePage(2, two.data()).ok());
+    ASSERT_TRUE((*pager)->AppendPage(one.data()).ok());
+    ASSERT_TRUE((*pager)->AppendPage(two.data()).ok());
     ASSERT_TRUE((*pager)->Sync().ok());
   }
   {
@@ -274,13 +280,14 @@ TEST_F(StorageTest, PagerRejectsLegacyV1Files) {
 TEST_F(StorageTest, BufferPoolCachesPages) {
   auto pager = Pager::Create(Path("p"), 512);
   ASSERT_TRUE(pager.ok());
-  for (int i = 0; i < 4; ++i) ASSERT_TRUE((*pager)->AllocatePage().ok());
+  AppendPages(pager->get(), 4);
   BufferPool pool(pager->get(), 8);
   for (int round = 0; round < 3; ++round) {
     for (PageId id = 1; id <= 4; ++id) {
       auto handle = pool.Fetch(id);
       ASSERT_TRUE(handle.ok());
       EXPECT_EQ(handle->page_id(), id);
+      EXPECT_EQ(handle->data()[0], char('a' + id - 1));
     }
   }
   EXPECT_EQ(pool.stats().fetches, 12u);
@@ -291,7 +298,7 @@ TEST_F(StorageTest, BufferPoolCachesPages) {
 TEST_F(StorageTest, BufferPoolEvictsLru) {
   auto pager = Pager::Create(Path("p"), 512);
   ASSERT_TRUE(pager.ok());
-  for (int i = 0; i < 5; ++i) ASSERT_TRUE((*pager)->AllocatePage().ok());
+  AppendPages(pager->get(), 5);
   BufferPool pool(pager->get(), 2);
   ASSERT_TRUE(pool.Fetch(1).ok());
   ASSERT_TRUE(pool.Fetch(2).ok());
@@ -303,28 +310,10 @@ TEST_F(StorageTest, BufferPoolEvictsLru) {
   EXPECT_EQ(pool.stats().misses, 4u);
 }
 
-TEST_F(StorageTest, BufferPoolWritesBackDirtyPages) {
-  auto pager = Pager::Create(Path("p"), 512);
-  ASSERT_TRUE(pager.ok());
-  ASSERT_TRUE((*pager)->AllocatePage().ok());
-  {
-    BufferPool pool(pager->get(), 2);
-    auto handle = pool.Fetch(1);
-    ASSERT_TRUE(handle.ok());
-    handle->data()[0] = 'D';
-    handle->MarkDirty();
-    handle->Release();
-    ASSERT_TRUE(pool.FlushAll().ok());
-  }
-  char buf[512];
-  ASSERT_TRUE((*pager)->ReadPage(1, buf).ok());
-  EXPECT_EQ(buf[0], 'D');
-}
-
 TEST_F(StorageTest, BufferPoolExhaustionWhenAllPinned) {
   auto pager = Pager::Create(Path("p"), 512);
   ASSERT_TRUE(pager.ok());
-  for (int i = 0; i < 3; ++i) ASSERT_TRUE((*pager)->AllocatePage().ok());
+  AppendPages(pager->get(), 3);
   BufferPool pool(pager->get(), 2);
   auto h1 = pool.Fetch(1);
   auto h2 = pool.Fetch(2);
@@ -335,27 +324,6 @@ TEST_F(StorageTest, BufferPoolExhaustionWhenAllPinned) {
   h1->Release();
   auto h3b = pool.Fetch(3);
   EXPECT_TRUE(h3b.ok());
-}
-
-TEST_F(StorageTest, BufferPoolNewPageOnFullyPinnedPoolDoesNotOrphanPage) {
-  auto pager = Pager::Create(Path("p"), 512);
-  ASSERT_TRUE(pager.ok());
-  BufferPool pool(pager->get(), 2);
-  auto h1 = pool.NewPage();
-  auto h2 = pool.NewPage();
-  ASSERT_TRUE(h1.ok());
-  ASSERT_TRUE(h2.ok());
-  ASSERT_EQ((*pager)->page_count(), 3u);  // Header + two new pages.
-  // Regression: NewPage used to allocate the page before grabbing a frame,
-  // so a fully-pinned pool leaked an orphaned page into the file.
-  auto h3 = pool.NewPage();
-  EXPECT_EQ(h3.status().code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ((*pager)->page_count(), 3u);
-  h1->Release();
-  auto h4 = pool.NewPage();
-  ASSERT_TRUE(h4.ok());
-  EXPECT_EQ(h4->page_id(), 3u);
-  EXPECT_EQ((*pager)->page_count(), 4u);
 }
 
 TEST_F(StorageTest, RecordFileRoundTrip) {
@@ -380,6 +348,34 @@ TEST_F(StorageTest, RecordFileRoundTrip) {
     EXPECT_EQ(out, "record-" + std::to_string(i) + "-" +
                        std::string(i % 37, 'x'));
   }
+}
+
+// A build writes each page once: the data and directory pages, plus each
+// file's pager header twice (at Create and at Finalize) and the meta page
+// twice (reserved at Create, final at Finalize).
+TEST_F(StorageTest, RecordFileWriterWritesEachPageOnce) {
+  const std::string path = Path("write_count.rec");
+  uint64_t writes = 0;
+  {
+    ScopedFaultInjection inject("write_count.rec", FaultInjectionOptions{});
+    auto writer = RecordFileWriter::Create(path, 512);
+    ASSERT_TRUE(writer.ok());
+    for (int i = 0; i < 500; ++i) {
+      ASSERT_TRUE((*writer)->Append(std::string(40 + i % 7, 'r')).ok());
+    }
+    ASSERT_TRUE((*writer)->Finalize().ok());
+    ASSERT_TRUE((*writer)->Sync().ok());
+    writes = inject.counters().writes;
+  }
+  auto data = Pager::Open(path);
+  auto dir = Pager::Open(RecordFileDirPath(path));
+  ASSERT_TRUE(data.ok());
+  ASSERT_TRUE(dir.ok());
+  const uint64_t data_pages = (*data)->page_count() - 2;
+  const uint64_t dir_pages = (*dir)->page_count() - 1;
+  EXPECT_GT(data_pages, 40u);
+  EXPECT_GT(dir_pages, 7u);
+  EXPECT_EQ(writes, data_pages + dir_pages + 2 * 2 + 2);
 }
 
 TEST_F(StorageTest, RecordFileHandlesEmptyRecordsAndSpanningRecords) {
@@ -641,7 +637,7 @@ TEST_F(StorageTest, PagerSyncSkipsFsyncWhenNothingWasWritten) {
   {
     auto pager = Pager::Create(path, 512);
     ASSERT_TRUE(pager.ok());
-    ASSERT_TRUE((*pager)->AllocatePage().ok());
+    AppendPages(pager->get(), 1);
     ASSERT_TRUE((*pager)->Sync().ok());
   }
   FaultInjectionOptions fault;
@@ -660,10 +656,10 @@ TEST_F(StorageTest, PagerSyncSkipsFsyncWhenNothingWasWritten) {
   ASSERT_TRUE((*writer)->WritePage(1, page.data()).ok());
   EXPECT_EQ((*writer)->Sync().code(), StatusCode::kIoError);
   EXPECT_EQ((*writer)->Sync().code(), StatusCode::kIoError);
-  auto allocator = Pager::Open(path);
-  ASSERT_TRUE(allocator.ok());
-  ASSERT_TRUE((*allocator)->AllocatePage().ok());
-  EXPECT_EQ((*allocator)->Sync().code(), StatusCode::kIoError);
+  auto appender = Pager::Open(path);
+  ASSERT_TRUE(appender.ok());
+  ASSERT_TRUE((*appender)->AppendPage(page.data()).ok());
+  EXPECT_EQ((*appender)->Sync().code(), StatusCode::kIoError);
 }
 
 TEST_F(StorageTest, BufferPoolEvictsAtExactCapacityWithLazyFrames) {
@@ -671,9 +667,7 @@ TEST_F(StorageTest, BufferPoolEvictsAtExactCapacityWithLazyFrames) {
   ASSERT_TRUE(pager.ok());
   const size_t payload = (*pager)->page_size();
   for (char c = 'a'; c <= 'e'; ++c) {
-    auto id = (*pager)->AllocatePage();
-    ASSERT_TRUE(id.ok());
-    ASSERT_TRUE((*pager)->WritePage(*id, std::string(payload, c).data()).ok());
+    ASSERT_TRUE((*pager)->AppendPage(std::string(payload, c).data()).ok());
   }
   BufferPool pool(pager->get(), 3);
   for (PageId id = 1; id <= 3; ++id) {
