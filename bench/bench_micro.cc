@@ -216,6 +216,59 @@ void BM_BTreeCursorScan(benchmark::State& state) {
 }
 BENCHMARK(BM_BTreeCursorScan);
 
+// A BT_C tree of 300 values, each with a run over all 3,000 timesteps,
+// built once per process.
+BTree* SeekTimeTree() {
+  static std::unique_ptr<BTree> tree = [] {
+    auto builder =
+        BTreeBuilder::Create(MicroDir() + "/seek_time.bt", {12, 8}, 4096);
+    CALDERA_CHECK_OK(builder.status());
+    std::string value;
+    PutDouble(0.5, &value);
+    for (uint32_t v = 0; v < 300; ++v) {
+      for (uint64_t t = 0; t < 3000; ++t) {
+        CALDERA_CHECK_OK((*builder)->Add(EncodeBtcKey(v, t), value));
+      }
+    }
+    auto built = (*builder)->Finish(/*indexed_length=*/3000);
+    CALDERA_CHECK_OK(built.status());
+    return std::move(*built);
+  }();
+  return tree.get();
+}
+
+// PredicateCursor over SeekTimeTree(). /seek_run: SeekTime jumps of 2-5
+// timesteps to the end of one value's run, as a merge join skips between
+// relevant timesteps. /create_300: one Create over all 300 values, as a
+// wide negation predicate opens, one descent and leaf copy per value.
+void BM_PredicateCursorSeekTime(benchmark::State& state, bool walk) {
+  BTree* tree = SeekTimeTree();
+  std::vector<uint32_t> values = {7};
+  if (!walk) {
+    values.clear();
+    for (uint32_t v = 0; v < 300; ++v) values.push_back(v);
+  }
+  Rng rng(13);
+  int64_t ops = 0;
+  for (auto _ : state) {
+    auto cursor = PredicateCursor::Create(tree, values);
+    CALDERA_CHECK_OK(cursor.status());
+    if (walk) {
+      while (cursor->valid()) {
+        CALDERA_CHECK_OK(cursor->SeekTime(cursor->time() + 2 +
+                                          rng.NextBelow(4)));
+        ++ops;
+      }
+    } else {
+      ops += static_cast<int64_t>(values.size());
+    }
+    benchmark::DoNotOptimize(cursor->valid());
+  }
+  state.SetItemsProcessed(ops);
+}
+BENCHMARK_CAPTURE(BM_PredicateCursorSeekTime, seek_run, true);
+BENCHMARK_CAPTURE(BM_PredicateCursorSeekTime, create_300, false);
+
 void BM_Crc32c(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
   std::string data(n, '\0');

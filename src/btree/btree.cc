@@ -59,6 +59,21 @@ uint32_t InternalCapacity(const BTreeOptions& options, uint32_t payload) {
   return (payload - kNodeHeaderSize) / InternalEntrySize(options);
 }
 
+// The first of the entries [lo, hi), laid out `entry_size` bytes apart from
+// `entries`, whose key is >= `key`.
+size_t LowerBound(const char* entries, uint32_t entry_size, size_t lo,
+                  size_t hi, std::string_view key) {
+  while (lo < hi) {
+    const size_t mid = lo + (hi - lo) / 2;
+    if (std::memcmp(entries + mid * entry_size, key.data(), key.size()) < 0) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
 }  // namespace
 
 uint32_t BTree::leaf_capacity() const {
@@ -77,6 +92,21 @@ static Status ValidateNodeCount(uint16_t count, uint32_t capacity,
     return Status::Corruption("node " + std::to_string(id) + " claims " +
                               std::to_string(count) + " entries, capacity " +
                               std::to_string(capacity));
+  }
+  return Status::Ok();
+}
+
+Status BTree::ValidateLeaf(const char* data, PageId id) const {
+  if (NodeType(data) != kLeafNode) {
+    return Status::Corruption("page " + std::to_string(id) +
+                              " is not a leaf");
+  }
+  CALDERA_RETURN_IF_ERROR(
+      ValidateNodeCount(NodeCount(data), leaf_capacity(), id));
+  const PageId next = LeafNext(data);
+  if (next != kInvalidPageId && next <= id) {
+    return Status::Corruption("leaf " + std::to_string(id) +
+                              " points back to page " + std::to_string(next));
   }
   return Status::Ok();
 }
@@ -131,14 +161,16 @@ Result<std::unique_ptr<BTree>> BTree::Open(const std::string& path,
   return tree;
 }
 
-// Descends from the root to the leaf that should contain `key`.
-Result<PageId> BTree::FindLeaf(std::string_view key) {
+Result<PageHandle> BTree::FindLeaf(std::string_view key) {
   const uint32_t ks = options_.key_size;
   PageId current = root_;
   for (;;) {
     CALDERA_ASSIGN_OR_RETURN(PageHandle page, pool_->Fetch(current));
     const char* data = page.data();
-    if (NodeType(data) == kLeafNode) return current;
+    if (NodeType(data) == kLeafNode) {
+      CALDERA_RETURN_IF_ERROR(ValidateLeaf(data, current));
+      return page;
+    }
     if (NodeType(data) != kInternalNode) {
       return Status::Corruption("bad node type on page " +
                                 std::to_string(current));
@@ -171,11 +203,28 @@ Result<PageId> BTree::FindLeaf(std::string_view key) {
 }
 
 Result<std::optional<std::string>> BTree::Get(std::string_view key) {
-  CALDERA_ASSIGN_OR_RETURN(Cursor cursor, Seek(key));
-  if (!cursor.valid() || cursor.key() != key) {
-    return std::optional<std::string>();
+  if (key.size() != options_.key_size) {
+    return Status::InvalidArgument("key size mismatch");
   }
-  return std::optional<std::string>(std::string(cursor.value()));
+  const uint32_t ks = options_.key_size;
+  const uint32_t es = leaf_entry_size();
+  {
+    CALDERA_ASSIGN_OR_RETURN(PageHandle leaf, FindLeaf(key));
+    const char* entries = leaf.data() + kNodeHeaderSize;
+    const size_t count = NodeCount(leaf.data());
+    const size_t slot = LowerBound(entries, es, 0, count, key);
+    const char* entry = entries + slot * es;
+    if (slot < count && std::memcmp(entry, key.data(), ks) == 0) {
+      return std::optional<std::string>(
+          std::string(entry + ks, options_.value_size));
+    }
+  }
+  const size_t slot = TailLowerBound(key);
+  if (slot < tail_.size() / es && TailKey(slot) == key) {
+    return std::optional<std::string>(
+        tail_.substr(slot * es + ks, options_.value_size));
+  }
+  return std::optional<std::string>();
 }
 
 Status BTree::AddToTail(std::string_view entries) {
@@ -211,69 +260,65 @@ Status BTree::AddToTail(std::string_view entries) {
 }
 
 size_t BTree::TailLowerBound(std::string_view key) const {
-  size_t lo = 0, hi = tail_.size() / leaf_entry_size();
-  while (lo < hi) {
-    const size_t mid = (lo + hi) / 2;
-    if (TailKey(mid) < key) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
+  const uint32_t es = leaf_entry_size();
+  return LowerBound(tail_.data(), es, 0, tail_.size() / es, key);
+}
+
+const char* BTree::Cursor::entry() const {
+  CALDERA_DCHECK(valid());
+  return on_tail_ ? tree_->tail_.data() + tail_offset_
+                  : run_.data() + run_offset_;
 }
 
 std::string_view BTree::Cursor::key() const {
-  CALDERA_DCHECK(valid());
-  if (on_tail_) {
-    return std::string_view(tree_->tail_)
-        .substr(tail_offset_, tree_->options_.key_size);
-  }
-  return std::string_view(entry_.data(), tree_->options_.key_size);
+  return std::string_view(entry(), tree_->options_.key_size);
 }
 
 std::string_view BTree::Cursor::value() const {
-  CALDERA_DCHECK(valid());
-  const uint32_t ks = tree_->options_.key_size;
-  if (on_tail_) {
-    return std::string_view(tree_->tail_)
-        .substr(tail_offset_ + ks, tree_->options_.value_size);
-  }
-  return std::string_view(entry_.data() + ks, tree_->options_.value_size);
+  return std::string_view(entry() + tree_->options_.key_size,
+                          tree_->options_.value_size);
 }
 
-Status BTree::Cursor::LoadFile() {
-  const uint32_t es = tree_->leaf_entry_size();
-  while (leaf_ != kInvalidPageId) {
-    CALDERA_ASSIGN_OR_RETURN(PageHandle page, tree_->pool_->Fetch(leaf_));
-    const char* data = page.data();
-    if (NodeType(data) != kLeafNode) {
-      return Status::Corruption("cursor on non-leaf page");
-    }
-    uint16_t count = NodeCount(data);
-    CALDERA_RETURN_IF_ERROR(
-        ValidateNodeCount(count, tree_->leaf_capacity(), leaf_));
-    if (slot_ < count) {
-      entry_.assign(data + kNodeHeaderSize + slot_ * es, es);
-      return Status::Ok();
-    }
-    leaf_ = LeafNext(data);
-    slot_ = 0;
+void BTree::Cursor::CopyRun(const char* data, size_t slot) {
+  const size_t es = tree_->leaf_entry_size();
+  run_.assign(data + kNodeHeaderSize + slot * es,
+              (NodeCount(data) - slot) * es);
+  run_offset_ = 0;
+  next_leaf_ = LeafNext(data);
+}
+
+Status BTree::Cursor::LoadNextLeaf() {
+  // ValidateLeaf makes each next pointer name a later page, so this ends.
+  while (run_offset_ == run_.size() && next_leaf_ != kInvalidPageId) {
+    const PageId id = next_leaf_;
+    CALDERA_ASSIGN_OR_RETURN(PageHandle page, tree_->pool_->Fetch(id));
+    CALDERA_RETURN_IF_ERROR(tree_->ValidateLeaf(page.data(), id));
+    CopyRun(page.data(), 0);
   }
   return Status::Ok();
 }
 
+Status BTree::Cursor::Descend(std::string_view key) {
+  {
+    CALDERA_ASSIGN_OR_RETURN(PageHandle leaf, tree_->FindLeaf(key));
+    const char* data = leaf.data();
+    CopyRun(data, LowerBound(data + kNodeHeaderSize, tree_->leaf_entry_size(),
+                             0, NodeCount(data), key));
+  }
+  return LoadNextLeaf();
+}
+
 void BTree::Cursor::Settle() {
-  const bool in_file = leaf_ != kInvalidPageId;
+  const bool in_file = run_offset_ < run_.size();
   const bool in_tail = tail_offset_ < tree_->tail_.size();
   if (!in_file && !in_tail) {
     tree_ = nullptr;
     return;
   }
-  const uint32_t ks = tree_->options_.key_size;
-  on_tail_ = in_tail && (!in_file || std::string_view(tree_->tail_)
-                                             .substr(tail_offset_, ks) <
-                                         std::string_view(entry_.data(), ks));
+  on_tail_ = in_tail && (!in_file || std::memcmp(tree_->tail_.data() +
+                                                     tail_offset_,
+                                                 run_.data() + run_offset_,
+                                                 tree_->options_.key_size) < 0);
 }
 
 Status BTree::Cursor::Next() {
@@ -281,9 +326,31 @@ Status BTree::Cursor::Next() {
   if (on_tail_) {
     tail_offset_ += tree_->leaf_entry_size();
   } else {
-    ++slot_;
-    CALDERA_RETURN_IF_ERROR(LoadFile());
+    run_offset_ += tree_->leaf_entry_size();
+    CALDERA_RETURN_IF_ERROR(LoadNextLeaf());
   }
+  Settle();
+  return Status::Ok();
+}
+
+Status BTree::Cursor::SeekForward(std::string_view key) {
+  if (!valid()) return Status::Ok();
+  if (key.size() != tree_->options_.key_size) {
+    return Status::InvalidArgument("key size mismatch");
+  }
+  if (key <= this->key()) return Status::Ok();
+  const uint32_t es = tree_->leaf_entry_size();
+  if (run_offset_ < run_.size()) {
+    if (std::memcmp(run_.data() + run_.size() - es, key.data(), key.size()) >=
+        0) {
+      run_offset_ = LowerBound(run_.data(), es, run_offset_ / es,
+                               run_.size() / es, key) *
+                    es;
+    } else {
+      CALDERA_RETURN_IF_ERROR(Descend(key));
+    }
+  }
+  tail_offset_ = tree_->TailLowerBound(key) * es;
   Settle();
   return Status::Ok();
 }
@@ -292,29 +359,10 @@ Result<BTree::Cursor> BTree::Seek(std::string_view key) {
   if (key.size() != options_.key_size) {
     return Status::InvalidArgument("key size mismatch");
   }
-  CALDERA_ASSIGN_OR_RETURN(PageId leaf_id, FindLeaf(key));
-  CALDERA_ASSIGN_OR_RETURN(PageHandle leaf, pool_->Fetch(leaf_id));
-  const char* data = leaf.data();
-  const uint32_t ks = options_.key_size;
-  const uint32_t es = leaf_entry_size();
-  uint16_t count = NodeCount(data);
-  CALDERA_RETURN_IF_ERROR(ValidateNodeCount(count, leaf_capacity(), leaf_id));
-  uint32_t lo = 0, hi = count;
-  while (lo < hi) {
-    uint32_t mid = (lo + hi) / 2;
-    if (std::memcmp(data + kNodeHeaderSize + mid * es, key.data(), ks) < 0) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
   Cursor cursor;
   cursor.tree_ = this;
-  cursor.leaf_ = leaf_id;
-  cursor.slot_ = lo;
-  cursor.tail_offset_ = TailLowerBound(key) * es;
-  leaf.Release();
-  CALDERA_RETURN_IF_ERROR(cursor.LoadFile());
+  CALDERA_RETURN_IF_ERROR(cursor.Descend(key));
+  cursor.tail_offset_ = TailLowerBound(key) * leaf_entry_size();
   cursor.Settle();
   return cursor;
 }
@@ -413,14 +461,12 @@ Status BTree::CheckInvariants() {
   const uint32_t ks = options_.key_size;
   const uint32_t es = leaf_entry_size();
   uint64_t chained = 0;
+  // ValidateLeaf makes each next pointer name a later page, so this ends.
   for (PageId leaf = leftmost; leaf != kInvalidPageId;) {
     CALDERA_ASSIGN_OR_RETURN(PageHandle page, pool_->Fetch(leaf));
     const char* data = page.data();
-    if (NodeType(data) != kLeafNode) {
-      return Status::Corruption("leaf chain reaches non-leaf");
-    }
-    uint16_t count = NodeCount(data);
-    CALDERA_RETURN_IF_ERROR(ValidateNodeCount(count, leaf_capacity(), leaf));
+    CALDERA_RETURN_IF_ERROR(ValidateLeaf(data, leaf));
+    const uint16_t count = NodeCount(data);
     for (uint32_t i = 0; i < count; ++i) {
       const char* key = data + kNodeHeaderSize + i * es;
       if (!prev.empty() && prev.compare(0, ks, key, ks) >= 0) {

@@ -56,7 +56,9 @@ class BTree {
   Status AddToTail(std::string_view entries);
 
   /// Forward iterator over the entries of file and tail, in key order.
-  /// AddToTail invalidates it.
+  /// It copies the rest of each leaf it visits, so it reads a file page
+  /// only when it crosses into the next leaf or seeks past its copy, and it
+  /// holds no pin between calls. AddToTail invalidates it.
   class Cursor {
    public:
     Cursor() = default;
@@ -68,21 +70,35 @@ class BTree {
     /// Advances to the next entry; the cursor becomes invalid at the end.
     Status Next();
 
+    /// Advances to the first entry with key >= `key`; a no-op when the
+    /// current key is already >= `key`. Lands where Seek(key) would, but
+    /// searches the copied leaf entries first and descends from the root
+    /// only when `key` is past them.
+    Status SeekForward(std::string_view key);
+
    private:
     friend class BTree;
     BTree* tree_ = nullptr;
-    // The file's next entry: the one at (leaf_, slot_), cached in entry_;
-    // leaf_ is kInvalidPageId once the file has no more.
-    PageId leaf_ = kInvalidPageId;
-    uint32_t slot_ = 0;
-    std::string entry_;
+    // The file's entries from its next one to the end of its leaf, copied,
+    // and the offset of the next one in run_; the file has no more once
+    // run_offset_ reaches run_.size() with next_leaf_ kInvalidPageId.
+    std::string run_;
+    size_t run_offset_ = 0;
+    PageId next_leaf_ = kInvalidPageId;
     // The byte offset of the tail's next entry, and whether it, not the
     // file's, is current.
     size_t tail_offset_ = 0;
     bool on_tail_ = false;
 
-    // Loads the file entry at (leaf_, slot_), skipping exhausted leaves.
-    Status LoadFile();
+    // The current entry, in the tail or in the copied run.
+    const char* entry() const;
+    // Copies the entries of the validated leaf `data` from `slot` on, and
+    // its next pointer.
+    void CopyRun(const char* data, size_t slot);
+    // Once the copied run is exhausted, copies the next nonempty leaf.
+    Status LoadNextLeaf();
+    // Positions the file side at its first entry >= `key`, from the root.
+    Status Descend(std::string_view key);
     // Makes the smaller of the two next entries current, or invalidates
     // the cursor when both sources are exhausted.
     void Settle();
@@ -142,7 +158,12 @@ class BTree {
   /// The first tail slot whose key is >= `key`.
   size_t TailLowerBound(std::string_view key) const;
 
-  Result<PageId> FindLeaf(std::string_view key);
+  /// Descends from the root to the leaf that should hold `key` and returns
+  /// it pinned, checked by ValidateLeaf.
+  Result<PageHandle> FindLeaf(std::string_view key);
+  /// Checks leaf page `id`: its node type, its entry count, and that its
+  /// next pointer names a later page, so a chain walk always ends.
+  Status ValidateLeaf(const char* data, PageId id) const;
   // Checks the subtree at `id`, adding its nodes to *nodes and its entries
   // to *entries.
   Status CheckNode(PageId id, std::string_view lower, std::string_view upper,

@@ -53,7 +53,7 @@ Result<PredicateCursor> PredicateCursor::Create(BTree* tree,
   }
   std::sort(values.begin(), values.end());
   values.erase(std::unique(values.begin(), values.end()), values.end());
-  PredicateCursor cursor(tree);
+  PredicateCursor cursor;
   cursor.heads_.reserve(values.size());
   for (uint32_t v : values) {
     Head head;
@@ -127,8 +127,8 @@ Status PredicateCursor::SeekTime(uint64_t t) {
   if (!valid() || min_time_ >= t) return Status::Ok();
   for (size_t i = 0; i < heads_.size(); ++i) {
     if (heads_[i].time < t) {
-      CALDERA_ASSIGN_OR_RETURN(heads_[i].cursor,
-                               tree_->Seek(EncodeBtcKey(heads_[i].value, t)));
+      CALDERA_RETURN_IF_ERROR(
+          heads_[i].cursor.SeekForward(EncodeBtcKey(heads_[i].value, t)));
       LoadHead(i);
     }
   }

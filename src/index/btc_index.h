@@ -71,14 +71,13 @@ class PredicateCursor {
     BTree::Cursor cursor;
   };
 
-  explicit PredicateCursor(BTree* tree) : tree_(tree) {}
+  PredicateCursor() = default;
 
   /// Refreshes head `i` from its B+ tree cursor; drops it when its value
   /// run is exhausted.
   void LoadHead(size_t i);
   void RecomputeMin();
 
-  BTree* tree_;
   std::vector<Head> heads_;
   uint64_t min_time_ = 0;
 };

@@ -2,10 +2,16 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
+#include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <map>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "btree/btree.h"
@@ -450,6 +456,185 @@ TEST_F(BTreeTest, BuildWritesEachPageOnce) {
     writes = inject.counters().writes;
   }
   EXPECT_EQ(writes, NodePages(path) + 4);
+}
+
+// Ends the process when the scope it guards runs longer than 10 s, so a
+// walk that loops forever fails the test instead of hanging the suite.
+class Watchdog {
+ public:
+  explicit Watchdog(const char* what)
+      : thread_([this, what] {
+          std::unique_lock<std::mutex> lock(mu_);
+          if (!cv_.wait_for(lock, std::chrono::seconds(10),
+                            [this] { return done_; })) {
+            std::fprintf(stderr, "%s did not finish within 10 s\n", what);
+            std::_Exit(1);
+          }
+        }) {}
+  ~Watchdog() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      done_ = true;
+    }
+    cv_.notify_one();
+    thread_.join();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool done_ = false;
+  std::thread thread_;  // Last: it starts once the members above exist.
+};
+
+// Rewrites the next pointer of leaf page `leaf` in the tree file at `path`.
+void SetLeafNext(const std::string& path, PageId leaf, PageId next) {
+  auto pager = Pager::Open(path);
+  ASSERT_TRUE(pager.ok()) << pager.status().ToString();
+  std::vector<char> page((*pager)->page_size());
+  ASSERT_TRUE((*pager)->ReadPage(leaf, page.data()).ok());
+  ASSERT_EQ(page[0], 1) << "page " << leaf << " is not a leaf";
+  std::memcpy(page.data() + 4, &next, 8);
+  ASSERT_TRUE((*pager)->WritePage(leaf, page.data()).ok());
+  ASSERT_TRUE((*pager)->Sync().ok());
+}
+
+// Walks `tree` from its first entry to the end or to the first error.
+Status WalkAll(BTree* tree) {
+  auto cursor = tree->SeekFirst();
+  if (!cursor.ok()) return cursor.status();
+  while (cursor->valid()) {
+    Status st = cursor->Next();
+    if (!st.ok()) return st;
+  }
+  return Status::Ok();
+}
+
+// An empty tree's one leaf whose next pointer names itself is Corruption to
+// a cursor and to CheckInvariants, which would otherwise loop on it.
+TEST_F(BTreeTest, LeafPointingAtItselfIsCorruption) {
+  Watchdog watchdog("LeafPointingAtItselfIsCorruption");
+  ASSERT_NE(Build(Path("t"), {8, 4}, {}), nullptr);
+  SetLeafNext(Path("t"), 2, 2);
+  auto tree = BTree::Open(Path("t"));
+  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+  EXPECT_EQ(WalkAll(tree->get()).code(), StatusCode::kCorruption);
+  EXPECT_EQ((*tree)->CheckInvariants().code(), StatusCode::kCorruption);
+}
+
+// A leaf whose next pointer names an earlier leaf is Corruption once a walk
+// reaches it, instead of a cycle.
+TEST_F(BTreeTest, LeafPointingBackIsCorruption) {
+  Watchdog watchdog("LeafPointingBackIsCorruption");
+  std::map<std::string, std::string> entries;
+  for (uint64_t i = 0; i < 50; ++i) entries.emplace(Key8(i), Val4(i));
+  {
+    auto tree = Build(Path("t"), {8, 4}, entries);
+    ASSERT_NE(tree, nullptr);
+    ASSERT_EQ(tree->height(), 2u);
+    ASSERT_EQ(NodePages(Path("t")), 3u);  // Leaves 2 and 3, then the root.
+    ASSERT_TRUE(tree->CheckInvariants().ok());
+  }
+  SetLeafNext(Path("t"), 3, 2);
+  auto tree = BTree::Open(Path("t"));
+  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+  EXPECT_EQ(WalkAll(tree->get()).code(), StatusCode::kCorruption);
+  EXPECT_EQ((*tree)->CheckInvariants().code(), StatusCode::kCorruption);
+}
+
+// From every entry, SeekForward to every key at or after it lands where a
+// fresh Seek does, and the two cursors then walk the same entries to the
+// end. Leaves of 3 entries on 512-byte pages give a 3-level file, so
+// targets fall inside the copied run, on its last entry, on a leaf
+// boundary and in later leaves; tail entries interleave with the file's.
+TEST_F(BTreeTest, SeekForwardMatchesSeek) {
+  const BTreeOptions options{8, 100};
+  auto value = [](uint64_t k) { return std::string(100, char('a' + k % 26)); };
+  // Keys 0..359: k % 3 == 0 in the file, k % 3 == 1 in the tail for
+  // k < 240, every other key absent.
+  std::map<std::string, std::string> in_file;
+  std::string tail;
+  for (uint64_t k = 0; k < 360; k += 3) in_file.emplace(Key8(k), value(k));
+  for (uint64_t k = 1; k < 240; k += 3) tail += Key8(k) + value(k);
+  for (const bool with_file : {true, false}) {
+    SCOPED_TRACE(with_file ? "file and tail" : "tail only");
+    auto tree = Build(Path(with_file ? "both" : "tail"), options,
+                      with_file ? in_file
+                                : std::map<std::string, std::string>{});
+    ASSERT_NE(tree, nullptr);
+    if (with_file) {
+      ASSERT_EQ(tree->height(), 3u);
+    }
+    ASSERT_TRUE(tree->AddToTail(tail).ok());
+    // Each start is a copy of one cursor walked with Next, so its copied
+    // run begins wherever that walk last crossed a leaf boundary.
+    auto start = tree->SeekFirst();
+    ASSERT_TRUE(start.ok());
+    while (start->valid()) {
+      const uint64_t from = DecodeU64(start->key().data());
+      for (uint64_t target = from; target < 362; ++target) {
+        BTree::Cursor forward = *start;
+        ASSERT_TRUE(forward.SeekForward(Key8(target)).ok());
+        auto fresh = tree->Seek(Key8(target));
+        ASSERT_TRUE(fresh.ok());
+        while (fresh->valid()) {
+          ASSERT_TRUE(forward.valid()) << from << " -> " << target;
+          ASSERT_EQ(forward.key(), fresh->key()) << from << " -> " << target;
+          ASSERT_EQ(forward.value(), fresh->value());
+          ASSERT_TRUE(forward.Next().ok());
+          ASSERT_TRUE(fresh->Next().ok());
+        }
+        ASSERT_FALSE(forward.valid()) << from << " -> " << target;
+      }
+      ASSERT_TRUE(start->Next().ok());
+    }
+  }
+}
+
+// The cursor reads each leaf once: a full walk fetches the root-to-leaf
+// path and then each later leaf, a Seek or Get fetches one root-to-leaf
+// path, and a SeekForward inside the copied leaf fetches nothing.
+TEST_F(BTreeTest, CursorFetchesEachLeafOnce) {
+  std::map<std::string, std::string> entries;
+  for (uint64_t i = 0; i < 5000; ++i) entries.emplace(Key8(i), Val4(i));
+  ASSERT_NE(Build(Path("t"), {8, 4}, entries), nullptr);
+  uint64_t leaves = 0;
+  {
+    auto pager = Pager::Open(Path("t"));
+    ASSERT_TRUE(pager.ok());
+    std::vector<char> page((*pager)->page_size());
+    for (PageId id = 2; id < (*pager)->page_count(); ++id) {
+      ASSERT_TRUE((*pager)->ReadPage(id, page.data()).ok());
+      if (page[0] == 1) ++leaves;
+    }
+  }
+  auto tree = BTree::Open(Path("t"));
+  ASSERT_TRUE(tree.ok());
+  const uint64_t height = (*tree)->height();
+  ASSERT_EQ(height, 3u);
+
+  (*tree)->ResetStats();
+  ASSERT_TRUE(WalkAll(tree->get()).ok());
+  EXPECT_EQ((*tree)->stats().fetches, height + leaves - 1);
+
+  (*tree)->ResetStats();
+  auto cursor = (*tree)->Seek(Key8(2500));
+  ASSERT_TRUE(cursor.ok());
+  EXPECT_EQ((*tree)->stats().fetches, height);
+  (*tree)->ResetStats();
+  auto got = (*tree)->Get(Key8(2500));
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(**got, Val4(2500));
+  EXPECT_EQ((*tree)->stats().fetches, height);
+
+  // A seek to key 0 copies the whole first leaf, 36 entries.
+  cursor = (*tree)->Seek(Key8(0));
+  ASSERT_TRUE(cursor.ok());
+  (*tree)->ResetStats();
+  ASSERT_TRUE(cursor->SeekForward(Key8(20)).ok());
+  ASSERT_TRUE(cursor->valid());
+  EXPECT_EQ(cursor->key(), Key8(20));
+  EXPECT_EQ((*tree)->stats().fetches, 0u);
 }
 
 // Tail entries interleave with a bulk-loaded file's in the merged order.

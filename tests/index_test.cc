@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 
 #include "common/encoding.h"
+#include "common/rng.h"
 #include "index/btc_index.h"
 #include "index/btp_index.h"
 #include "test_util.h"
@@ -112,6 +114,56 @@ TEST_F(IndexTest, PredicateCursorSeekTime) {
     ASSERT_TRUE(cursor->SeekTime(10).ok());
     EXPECT_EQ(cursor->time(), t);
   }
+}
+
+// A cursor over 64 values of a tree opened with a 4-page pool pins no page
+// between calls, so SeekTime jumps drive its 64 heads through the pool and
+// return exactly the (time, prob) sequence of a per-value reference.
+TEST_F(IndexTest, PredicateCursorOverManyValuesInASmallPool) {
+  constexpr uint32_t kValues = 64;
+  constexpr uint64_t kLength = 400;
+  Rng rng(29);
+  // time -> the probabilities at it, in value order.
+  std::map<uint64_t, std::vector<double>> at;
+  {
+    auto builder = BTreeBuilder::Create(scratch_.Path("btc.bt"),
+                                        {kBtcKeySize, kBtcValueSize});
+    ASSERT_TRUE(builder.ok());
+    for (uint32_t v = 0; v < kValues; ++v) {
+      for (uint64_t t = 0; t < kLength; ++t) {
+        if (!rng.NextBool(0.3)) continue;
+        const double prob = rng.NextDouble();
+        std::string value;
+        PutDouble(prob, &value);
+        ASSERT_TRUE((*builder)->Add(EncodeBtcKey(v, t), value).ok());
+        at[t].push_back(prob);
+      }
+    }
+    ASSERT_TRUE((*builder)->Finish(kLength).ok());
+  }
+  auto tree = BTree::Open(scratch_.Path("btc.bt"), /*pool_pages=*/4);
+  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+  std::vector<uint32_t> values(kValues);
+  for (uint32_t v = 0; v < kValues; ++v) values[v] = v;
+  auto cursor = PredicateCursor::Create(tree->get(), values);
+  ASSERT_TRUE(cursor.ok()) << cursor.status().ToString();
+
+  auto want = at.begin();
+  uint64_t steps = 0;
+  while (cursor->valid()) {
+    ASSERT_NE(want, at.end());
+    ASSERT_EQ(cursor->time(), want->first);
+    double sum = 0;
+    for (double p : want->second) sum += p;
+    EXPECT_EQ(cursor->prob(), sum) << "t=" << want->first;
+    const uint64_t next = cursor->time() + 1 + rng.NextBelow(5);
+    Status st = cursor->SeekTime(next);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    want = at.lower_bound(next);
+    ++steps;
+  }
+  EXPECT_EQ(want, at.end());
+  EXPECT_GT(steps, kLength / 4);
 }
 
 TEST_F(IndexTest, PredicateCursorOnMissingValueIsInvalid) {
