@@ -1,10 +1,9 @@
 #include "caldera/batch.h"
 
 #include <algorithm>
-#include <memory>
+#include <atomic>
+#include <thread>
 #include <utility>
-
-#include "common/thread_pool.h"
 
 namespace caldera {
 
@@ -46,32 +45,37 @@ Result<BatchResult> ExecuteBatch(Caldera* system, const RegularQuery& query,
     CALDERA_ASSIGN_OR_RETURN(streams, system->archive()->ListStreams());
   }
 
-  size_t num_threads = options.num_threads != 0
-                           ? options.num_threads
-                           : ThreadPool::DefaultThreadCount();
+  size_t num_threads =
+      options.num_threads != 0
+          ? options.num_threads
+          : std::max(1u, std::thread::hardware_concurrency());
   num_threads = std::min(num_threads, streams.size());
 
   // One slot per request, so workers never touch shared batch state. Each
   // Execute borrows its own stream handle, so requests naming the same
   // stream may run at once. With one thread the requests run inline and
-  // stop at the first failure.
+  // stop at the first failure; otherwise each worker claims the next
+  // unclaimed request until none is left.
   std::vector<Result<QueryResult>> slots(
       streams.size(), Result<QueryResult>(Status::Internal("not executed")));
-  {
-    std::unique_ptr<ThreadPool> pool;
-    if (num_threads > 1) pool = std::make_unique<ThreadPool>(num_threads);
+  auto run = [system, &query, &options, &streams, &slots](size_t i) {
+    slots[i] = system->Execute(streams[i], query, options.exec);
+  };
+  if (num_threads <= 1) {
     for (size_t i = 0; i < streams.size(); ++i) {
-      auto run = [system, &query, &options, &streams, &slots, i] {
-        slots[i] = system->Execute(streams[i], query, options.exec);
-      };
-      if (pool != nullptr) {
-        pool->Submit(run);
-        continue;
-      }
-      run();
+      run(i);
       if (!slots[i].ok()) break;
     }
-  }  // ~ThreadPool drains the queue.
+  } else {
+    std::atomic<size_t> next{0};
+    std::vector<std::jthread> workers;
+    workers.reserve(num_threads);
+    for (size_t t = 0; t < num_threads; ++t) {
+      workers.emplace_back([&run, &next, n = streams.size()] {
+        for (size_t i = next++; i < n; i = next++) run(i);
+      });
+    }
+  }  // ~jthread joins every worker.
 
   // Deterministic aggregation: request order for results, and on failure
   // the error of the earliest failing stream — exactly what the sequential

@@ -35,8 +35,9 @@ struct BatchResult {
 /// per tag, partitioned on disk by stream (Section 3.4.2) — so each
 /// execution touches only its own partition's files, the total cost is the
 /// sum of per-stream costs, and the requests are embarrassingly parallel:
-/// with num_threads > 1 a fixed-size thread pool runs one task per request,
-/// each on its own lent stream handle (a name may appear more than once).
+/// with num_threads > 1 that many worker threads claim requests one at a
+/// time, each on its own lent stream handle (a name may appear more than
+/// once).
 /// Output ordering, per-stream results, and error reporting are
 /// deterministic and identical to the sequential run.
 ///

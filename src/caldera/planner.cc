@@ -34,8 +34,8 @@ std::string PlanDecision::Explain() const {
 }
 
 Result<double> EstimateDensity(ArchivedStream* archived,
-                               const RegularQuery& query,
-                               uint64_t sample_limit) {
+                               const RegularQuery& query) {
+  constexpr uint64_t kSampleLimit = 4096;
   const uint64_t length = archived->length();
   // Empty stream: nothing is relevant, and count/length below must never
   // divide by zero. Zero-posting predicates fall out of the loop naturally:
@@ -46,7 +46,7 @@ Result<double> EstimateDensity(ArchivedStream* archived,
     Result<PredicateCursor> cursor = MakePredicateCursor(archived, *pred);
     if (!cursor.ok()) return cursor.status();
     uint64_t count = 0;
-    while (cursor->valid() && count < sample_limit) {
+    while (cursor->valid() && count < kSampleLimit) {
       ++count;
       CALDERA_RETURN_IF_ERROR(cursor->Next());
     }

@@ -28,11 +28,10 @@ struct PlanDecision {
 };
 
 /// Estimates the data density of `query` on `archived` by counting BT_C
-/// index entries for the query's cursor predicates (capped at
-/// `sample_limit` entries per predicate for constant-time planning).
+/// index entries for the query's cursor predicates (capped at 4096
+/// entries per predicate for constant-time planning).
 Result<double> EstimateDensity(ArchivedStream* archived,
-                               const RegularQuery& query,
-                               uint64_t sample_limit = 4096);
+                               const RegularQuery& query);
 
 /// Chooses an access method per the paper's guidance:
 ///   fixed-length + top-k wanted + dense data  -> top-k B+Tree (4.2.2)

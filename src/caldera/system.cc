@@ -76,8 +76,8 @@ Result<std::shared_ptr<ArchivedStream>> Caldera::GetStream(
     // Open outside the lock, so concurrent opens do not serialize.
     CALDERA_ASSIGN_OR_RETURN(handle, archive_.OpenStream(name, pool_pages));
   }
-  // The deleter puts the handle back unless the facade is gone, the epoch
-  // moved on or the slot is filled; then `owned` dies outside the lock.
+  // The deleter puts the handle back unless the facade is gone or the epoch
+  // moved on; then `owned` dies outside the lock.
   return std::shared_ptr<ArchivedStream>(
       handle.release(), [home = std::weak_ptr<State>(state_),
                          key = std::move(key), epoch](ArchivedStream* lent) {
@@ -86,7 +86,7 @@ Result<std::shared_ptr<ArchivedStream>> Caldera::GetStream(
         if (state == nullptr) return;
         std::lock_guard<std::mutex> lock(state->mu);
         if (state->epoch != epoch) return;
-        state->idle.try_emplace(key, std::move(owned));
+        state->idle.emplace(key, std::move(owned));
       });
 }
 
@@ -97,7 +97,7 @@ Result<std::shared_ptr<ArchivedStream>> Caldera::BorrowStream(
 }
 
 uint64_t Caldera::InvalidateStreams() {
-  std::map<IdleKey, std::unique_ptr<ArchivedStream>> dropped;
+  std::multimap<IdleKey, std::unique_ptr<ArchivedStream>> dropped;
   std::lock_guard<std::mutex> lock(state_->mu);
   dropped.swap(state_->idle);  // Destroyed after the lock is released.
   return ++state_->epoch;

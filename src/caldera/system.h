@@ -48,13 +48,17 @@ struct ExecOptions {
 /// on one stream at once. An ArchivedStream is single-threaded (its buffer
 /// pools and span cache are not locked), so GetStream *lends* handles: each
 /// caller gets a handle no other caller holds, and releasing it returns it
-/// to an idle slot for the next query to reuse warm, pages and composed
-/// MC spans alike. After an ingest commit, the next GetStream refreshes the
-/// handle it lends; a commit waits only for such borrows
-/// (StreamMutationLock), not for queries. Handles are epoch-versioned:
-/// InvalidateStreams never dangles an outstanding handle, it only stops the
-/// facade from lending stale ones again. Retiring a handle is the one way
-/// its cached state is invalidated.
+/// to the stream's idle handles for the next query to reuse warm, pages and
+/// composed MC spans alike. Every released handle is kept, and one is
+/// opened only when all of its stream's handles of that pool size are
+/// lent, so a stream holds at most as many handles as it ever had
+/// concurrent borrowers; only an epoch bump drops them. After an ingest
+/// commit, the next GetStream refreshes the handle it lends; a commit
+/// waits only for such borrows (StreamMutationLock), not for queries.
+/// Handles are epoch-versioned: InvalidateStreams never dangles an
+/// outstanding handle, it only stops the facade from lending stale ones
+/// again. Retiring a handle is the one way its cached state is
+/// invalidated.
 ///
 /// Typical use:
 ///   Caldera system("/data/archive");
@@ -83,8 +87,8 @@ class Caldera {
                             const RegularQuery& query,
                             const ExecOptions& options = {});
 
-  /// Lends a handle no other caller holds: the stream's idle handle of this
-  /// pool size, refreshed first if an ingest commit has grown the stream
+  /// Lends a handle no other caller holds: an idle handle of the stream at
+  /// this pool size, refreshed first if an ingest commit has grown the stream
   /// since, else a newly opened one. Releasing it returns it for reuse
   /// unless the epoch has moved on. Thread-safe; call under a shared hold
   /// of `StreamMutationLock` while an ingestor may commit; `Execute` and
@@ -151,8 +155,8 @@ class Caldera {
   struct State {
     std::mutex mu;
     uint64_t epoch = 0;
-    // At most one idle handle per key, opened under `epoch`.
-    std::map<IdleKey, std::unique_ptr<ArchivedStream>> idle;
+    // Every idle handle of each key, opened under `epoch`.
+    std::multimap<IdleKey, std::unique_ptr<ArchivedStream>> idle;
     // Length of each stream as its last ingest commit left it; GetStream
     // refreshes a shorter idle handle before lending it.
     std::map<std::string, uint64_t> committed_lengths;

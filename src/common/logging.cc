@@ -1,48 +1,20 @@
 #include "common/logging.h"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 
 namespace caldera {
-
-namespace {
-std::atomic<bool> g_verbose{true};
-}  // namespace
-
-void SetLogVerbose(bool verbose) { g_verbose.store(verbose); }
-bool LogVerbose() { return g_verbose.load(); }
-
 namespace internal_logging {
-
-namespace {
-const char* LevelName(LogLevel level) {
-  switch (level) {
-    case LogLevel::kInfo:
-      return "I";
-    case LogLevel::kWarning:
-      return "W";
-    case LogLevel::kError:
-      return "E";
-    case LogLevel::kFatal:
-      return "F";
-  }
-  return "?";
-}
-}  // namespace
 
 LogMessage::LogMessage(LogLevel level, const char* file, int line)
     : level_(level) {
-  stream_ << "[" << LevelName(level) << " " << file << ":" << line << "] ";
+  stream_ << "[" << (level == LogLevel::kFatal ? "F" : "W") << " " << file
+          << ":" << line << "] ";
 }
 
 LogMessage::~LogMessage() {
-  const bool quiet = !LogVerbose() &&
-                     (level_ == LogLevel::kInfo || level_ == LogLevel::kWarning);
-  if (!quiet) {
-    std::fprintf(stderr, "%s\n", stream_.str().c_str());
-    std::fflush(stderr);
-  }
+  std::fprintf(stderr, "%s\n", stream_.str().c_str());
+  std::fflush(stderr);
   if (level_ == LogLevel::kFatal) std::abort();
 }
 

@@ -7,7 +7,7 @@
 namespace caldera {
 namespace internal_logging {
 
-enum class LogLevel { kInfo, kWarning, kError, kFatal };
+enum class LogLevel { kWarning, kFatal };
 
 /// Sink for a single log statement; flushes (and aborts for kFatal) on
 /// destruction.
@@ -32,19 +32,9 @@ class LogMessage {
 
 }  // namespace internal_logging
 
-/// Globally silences LOG(INFO)/LOG(WARNING) (used by benchmarks).
-void SetLogVerbose(bool verbose);
-bool LogVerbose();
-
-#define CALDERA_LOG_INFO                                        \
-  ::caldera::internal_logging::LogMessage(                      \
-      ::caldera::internal_logging::LogLevel::kInfo, __FILE__, __LINE__)
 #define CALDERA_LOG_WARNING                                     \
   ::caldera::internal_logging::LogMessage(                      \
       ::caldera::internal_logging::LogLevel::kWarning, __FILE__, __LINE__)
-#define CALDERA_LOG_ERROR                                       \
-  ::caldera::internal_logging::LogMessage(                      \
-      ::caldera::internal_logging::LogLevel::kError, __FILE__, __LINE__)
 #define CALDERA_LOG_FATAL                                       \
   ::caldera::internal_logging::LogMessage(                      \
       ::caldera::internal_logging::LogLevel::kFatal, __FILE__, __LINE__)

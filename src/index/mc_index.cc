@@ -10,29 +10,11 @@
 namespace caldera {
 
 namespace {
-constexpr char kMcMagic[8] = {'C', 'L', 'D', 'R', 'M', 'C', 'I', '1'};
-
-// Drops entries below `eps`, and rows left empty, building into `scratch`
-// and swapping it in.
-void TruncateCptRows(Cpt* cpt, double eps, Cpt* scratch) {
-  if (eps <= 0) return;
-  scratch->Clear();
-  for (size_t i = 0; i < cpt->num_rows(); ++i) {
-    const Cpt::RowView row = cpt->row(i);
-    const size_t before = scratch->nnz();
-    for (size_t j = 0; j < row.size(); ++j) {
-      if (row.probs[j] >= eps) scratch->PushEntry(row.dsts[j], row.probs[j]);
-    }
-    if (scratch->nnz() != before) scratch->EndRow(row.src);
-  }
-  std::swap(*cpt, *scratch);
-}
+constexpr char kMcMagic[8] = {'C', 'L', 'D', 'R', 'M', 'C', 'I', '2'};
 
 // Fixed metadata prefix: magic, alpha, num_levels, stream_length, domain.
+// The level counts follow it.
 constexpr size_t kMetaPrefixSize = 28;
-// Build options after the level counts: truncate_eps f64, max_span u64,
-// page_size u32.
-constexpr size_t kMetaOptionsSize = 20;
 
 // Rewrites mc.meta, without fsync: Build syncs it, and the ingest WAL
 // snapshots the old contents before the first rewrite of a checkpoint
@@ -46,9 +28,6 @@ Status WriteMcMeta(const std::string& dir, uint64_t stream_length,
   PutFixed64(stream_length, &meta);
   PutFixed32(domain, &meta);
   for (uint64_t count : level_counts) PutFixed64(count, &meta);
-  PutDouble(options.truncate_eps, &meta);
-  PutFixed64(options.max_span, &meta);
-  PutFixed32(options.page_size, &meta);
   CALDERA_ASSIGN_OR_RETURN(std::unique_ptr<File> f,
                            File::OpenOrCreate(dir + "/mc.meta"));
   CALDERA_RETURN_IF_ERROR(f->Truncate(0));
@@ -65,9 +44,8 @@ Status AppendSpine(const std::string& dir, const TransitionSource& transitions,
   const std::vector<uint64_t> new_counts =
       McIndex::LevelCounts(new_length, options);
   // Only the newly completed blocks of each level's right spine are
-  // composed. Level i composes from level i-1's *stored* (already
-  // truncated) entries, so an extension equals a from-scratch build byte
-  // for byte.
+  // composed. Level i composes from level i-1's stored entries, so an
+  // extension equals a from-scratch build byte for byte.
   std::string record;
   Cpt entry;
   Cpt part;
@@ -88,8 +66,7 @@ Status AppendSpine(const std::string& dir, const TransitionSource& transitions,
             std::to_string(old_count));
       }
     } else {
-      CALDERA_ASSIGN_OR_RETURN(
-          writer, RecordFileWriter::Create(path, options.page_size));
+      CALDERA_ASSIGN_OR_RETURN(writer, RecordFileWriter::Create(path));
       if (stats != nullptr) ++stats->levels_added;
     }
     // Source for compositions: raw transitions at level 1, the previous
@@ -116,7 +93,6 @@ Status AppendSpine(const std::string& dir, const TransitionSource& transitions,
         ComposeCpts(entry, part, &scratch);
         std::swap(entry, scratch);
       }
-      TruncateCptRows(&entry, options.truncate_eps, &scratch);
       record.clear();
       entry.AppendTo(&record);
       CALDERA_RETURN_IF_ERROR(writer->Append(record).status());
@@ -135,12 +111,9 @@ std::vector<uint64_t> McIndex::LevelCounts(uint64_t stream_length,
   std::vector<uint64_t> counts;
   if (stream_length < 2 || options.alpha < 2) return counts;
   const uint64_t num_transitions = stream_length - 1;
-  const uint64_t max_span = options.max_span == 0
-                                ? num_transitions
-                                : std::min(options.max_span, num_transitions);
-  // Level i exists while alpha^i <= max_span; comparing before multiplying
-  // keeps alpha^i from overflowing.
-  for (uint64_t span = 1; span <= max_span / options.alpha;) {
+  // Level i exists while alpha^i <= num_transitions; comparing before
+  // multiplying keeps alpha^i from overflowing.
+  for (uint64_t span = 1; span <= num_transitions / options.alpha;) {
     span *= options.alpha;
     counts.push_back(num_transitions / span);
   }
@@ -196,8 +169,7 @@ Result<McMetaSummary> McIndex::ReadMeta(const std::string& dir) {
   }
   McMetaSummary out;
   const uint32_t num_levels = GetFixed32(meta.data() + 12);
-  if (meta.size() !=
-      kMetaPrefixSize + 8 * uint64_t{num_levels} + kMetaOptionsSize) {
+  if (meta.size() != kMetaPrefixSize + 8 * uint64_t{num_levels}) {
     return Status::Corruption("MC index meta in " + dir + " has " +
                               std::to_string(meta.size()) + " bytes for " +
                               std::to_string(num_levels) + " levels");
@@ -211,18 +183,15 @@ Result<McMetaSummary> McIndex::ReadMeta(const std::string& dir) {
     count = GetFixed64(meta.data() + offset);
     offset += 8;
   }
-  out.options.truncate_eps = GetDouble(meta.data() + offset);
-  out.options.max_span = GetFixed64(meta.data() + offset + 8);
-  out.options.page_size = GetFixed32(meta.data() + offset + 16);
   if (out.options.alpha < 2) {
     return Status::Corruption("bad MC alpha in " + dir);
   }
   if (out.stream_length < 2) {
     return Status::Corruption("bad MC stream length in " + dir);
   }
-  // Pinning every count to the layout ties alpha, max_span, the level
-  // count and the stream length to each other, so no corrupt field can
-  // overflow a level span or steer a lookup past a level file.
+  // Pinning every count to the layout ties alpha, the level count and the
+  // stream length to each other, so no corrupt field can overflow a level
+  // span or steer a lookup past a level file.
   if (out.level_counts != LevelCounts(out.stream_length, out.options)) {
     return Status::Corruption("MC level counts in " + dir +
                               " do not match its length and options");

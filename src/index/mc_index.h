@@ -21,17 +21,6 @@ struct McIndexOptions {
   /// Branching factor: level i stores CPT products spanning alpha^i steps.
   /// Larger alpha = less storage, more multiplications per lookup.
   uint32_t alpha = 2;
-
-  /// Largest span materialized (caps the level count; spans beyond this are
-  /// covered by chaining top-level entries). 0 = up to the stream length.
-  uint64_t max_span = 0;
-
-  /// Entries with probability below this are dropped (and rows left
-  /// sub-stochastic). 0 = exact index. A small epsilon trades exactness for
-  /// much smaller high-level (near-dense) entries.
-  double truncate_eps = 0.0;
-
-  uint32_t page_size = kDefaultPageSize;
 };
 
 /// Source of raw (level-0) transitions: returns the CPT *into* timestep t.
@@ -77,8 +66,8 @@ class McIndex {
  public:
   /// Entry count per stored level (level 1 first) of an index over a
   /// stream of `stream_length` timesteps: level i exists while
-  /// alpha^i <= min(max_span, length - 1). Empty for length < 2 or
-  /// alpha < 2; never overflows, whatever the inputs.
+  /// alpha^i <= length - 1. Empty for length < 2 or alpha < 2; never
+  /// overflows, whatever the inputs.
   static std::vector<uint64_t> LevelCounts(uint64_t stream_length,
                                            const McIndexOptions& options);
 
@@ -155,8 +144,8 @@ class McIndex {
   /// Restricts lookups to levels >= `level` (level-0 residues still come
   /// from the raw stream). Models the paper's "omit lower index levels"
   /// experiment (Figure 11(a)); also lowers effective storage. Clears the
-  /// span cache: with truncation a composed span depends on which levels
-  /// supplied it.
+  /// span cache: another decomposition composes in another order, so the
+  /// answer can differ in its last bits.
   Status SetMinLevel(uint32_t level);
 
   uint32_t alpha() const { return alpha_; }

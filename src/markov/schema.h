@@ -24,9 +24,6 @@ class StreamSchema {
   size_t AddAttribute(std::string name, std::vector<std::string> labels);
 
   size_t num_attributes() const { return attributes_.size(); }
-  const std::string& attribute_name(size_t attr) const {
-    return attributes_[attr].name;
-  }
   uint32_t domain_size(size_t attr) const {
     return static_cast<uint32_t>(attributes_[attr].labels.size());
   }

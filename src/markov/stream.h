@@ -31,7 +31,6 @@ class MarkovianStream {
   bool empty() const { return marginals_.empty(); }
 
   const StreamSchema& schema() const { return schema_; }
-  StreamSchema* mutable_schema() { return &schema_; }
 
   const Distribution& marginal(uint64_t t) const { return marginals_[t]; }
   const Cpt& transition(uint64_t t) const { return transitions_[t]; }

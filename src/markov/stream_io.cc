@@ -209,23 +209,6 @@ Status StoredStream::ReadTransition(uint64_t t, Cpt* out) {
   return Cpt::Parse(record, &offset, schema_.state_count(), out);
 }
 
-Status StoredStream::ReadTimestep(uint64_t t, Distribution* marginal,
-                                  Cpt* transition) {
-  if (t >= length_) {
-    return Status::OutOfRange("timestep " + std::to_string(t) +
-                              " >= length " + std::to_string(length_));
-  }
-  if (layout_ == DiskLayout::kCoClustered) {
-    return ReadCoClustered(t, marginal, transition);
-  }
-  CALDERA_RETURN_IF_ERROR(ReadMarginal(t, marginal));
-  if (t == 0) {
-    transition->Clear();
-    return Status::Ok();
-  }
-  return ReadTransition(t, transition);
-}
-
 BufferPoolStats StoredStream::IoStats() const {
   BufferPoolStats total;
   if (marginals_ != nullptr) total += marginals_->stats();
@@ -242,13 +225,12 @@ void StoredStream::ResetStats() {
 
 Result<MarkovianStream> LoadStream(StoredStream* stored) {
   MarkovianStream stream(stored->schema());
-  Distribution marginal;
-  Cpt transition;
   for (uint64_t t = 0; t < stored->length(); ++t) {
-    CALDERA_RETURN_IF_ERROR(stored->ReadTimestep(t, &marginal, &transition));
+    Distribution marginal;
+    Cpt transition;
+    CALDERA_RETURN_IF_ERROR(stored->ReadMarginal(t, &marginal));
+    if (t > 0) CALDERA_RETURN_IF_ERROR(stored->ReadTransition(t, &transition));
     stream.Append(std::move(marginal), std::move(transition));
-    marginal = Distribution();
-    transition = Cpt();
   }
   return stream;
 }

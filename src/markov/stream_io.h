@@ -77,10 +77,6 @@ class StoredStream {
   /// Reads the CPT into timestep `t` (defined for t in [1, length)).
   Status ReadTransition(uint64_t t, Cpt* out);
 
-  /// Reads both (one record in the co-clustered layout). `transition` is
-  /// left empty for t == 0.
-  Status ReadTimestep(uint64_t t, Distribution* marginal, Cpt* transition);
-
   uint64_t length() const { return length_; }
   const StreamSchema& schema() const { return schema_; }
   DiskLayout layout() const { return layout_; }

@@ -23,7 +23,6 @@ RegOperator::RegOperator(const RegularQuery& query,
 void RegOperator::Reset() {
   Recycle(&mass_);
   initialized_ = false;
-  last_prob_ = 0.0;
   num_updates_ = 0;
   kernel_seconds_ = 0.0;
 }
@@ -107,15 +106,13 @@ double RegOperator::Initialize(const Distribution& marginal) {
   for (const Distribution::Entry& e : marginal.entries()) {
     Route(automaton_.start_state(), e.value, e.prob);
   }
-  last_prob_ = FlushBuckets();
-  return last_prob_;
+  return FlushBuckets();
 }
 
 double RegOperator::Update(const Cpt& transition) {
   CALDERA_CHECK(initialized_) << "Reg operator not initialized";
   ++num_updates_;
-  last_prob_ = PropagateAndRoute(transition);
-  return last_prob_;
+  return PropagateAndRoute(transition);
 }
 
 double RegOperator::UpdateSpanning(const Cpt& span, uint64_t gap) {
@@ -126,8 +123,7 @@ double RegOperator::UpdateSpanning(const Cpt& span, uint64_t gap) {
   // null transition is idempotent and commutes with value propagation, so
   // a single collapse is exact.
   if (gap >= 2) CollapseNull();
-  last_prob_ = PropagateAndRoute(span);
-  return last_prob_;
+  return PropagateAndRoute(span);
 }
 
 double RegOperator::UpdateIndependent(const Distribution& marginal) {
@@ -141,8 +137,7 @@ double RegOperator::UpdateIndependent(const Distribution& marginal) {
       Route(dfa, e.value, e.prob * scale);
     }
   }
-  last_prob_ = FlushBuckets();
-  return last_prob_;
+  return FlushBuckets();
 }
 
 std::vector<double> RunRegOverStream(const RegularQuery& query,

@@ -60,9 +60,6 @@ class RegOperator {
   /// Forgets all state.
   void Reset();
 
-  /// Match probability emitted by the last Initialize/Update* call.
-  double last_probability() const { return last_prob_; }
-
   /// Number of Update* calls since construction/Reset (the paper's cost
   /// driver: Reg slows exponentially with query links, so skipped updates
   /// dominate the speedups).
@@ -138,7 +135,6 @@ class RegOperator {
   // Entry buffers of dropped distributions, kept for reuse.
   std::vector<std::vector<Distribution::Entry>> spare_;
   bool initialized_ = false;
-  double last_prob_ = 0.0;
   uint64_t num_updates_ = 0;
   double kernel_seconds_ = 0.0;
   // Propagating updates since construction, for the clock sampling. Reset

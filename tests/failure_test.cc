@@ -719,6 +719,69 @@ TEST_F(FailureTest, TreesThatCannotSayWhatTheyIndexAreCorruption) {
   }
 }
 
+// An mc.meta in the older CLDRMCI1 layout, which ended in a 20-byte
+// trailer of build options (truncation epsilon, maximum span, page size),
+// is Corruption: an MC query fails, a rescue answers with the scan, and
+// RebuildIndexes rebuilds the index at the default alpha, with the level
+// files the older build wrote.
+TEST_F(FailureTest, OlderMcMetaIsCorruptionUntilRebuilt) {
+  MarkovianStream stream = test::MakeBandedStream(150, 10, 19);
+  Caldera system(scratch_.Path("a_mc_v1"));
+  ASSERT_TRUE(system.archive()->CreateStream("s", stream).ok());
+  ASSERT_TRUE(system.archive()->BuildBtc("s", 0).ok());
+  ASSERT_TRUE(system.archive()->BuildMc("s", {}).ok());
+  const std::string mc = system.archive()->StreamDir("s") + "/mc";
+  RegularQuery query = TwoStepQuery();
+  auto reference =
+      system.Execute("s", query, {.method = AccessMethodKind::kScan});
+  ASSERT_TRUE(reference.ok());
+  auto mc_reference =
+      system.Execute("s", query, {.method = AccessMethodKind::kMcIndex});
+  ASSERT_TRUE(mc_reference.ok()) << mc_reference.status().ToString();
+  auto read_file = [](const std::string& path) {
+    auto f = File::OpenReadOnly(path);
+    CALDERA_CHECK_OK(f.status());
+    std::string bytes((*f)->size(), '\0');
+    CALDERA_CHECK_OK((*f)->ReadAt(0, bytes.size(), bytes.data()));
+    return bytes;
+  };
+  const std::string level1 = read_file(McIndex::LevelPath(mc, 1));
+
+  std::string older = read_file(mc + "/mc.meta");
+  older[7] = '1';
+  PutDouble(0.0, &older);
+  PutFixed64(0, &older);
+  PutFixed32(kDefaultPageSize, &older);
+  {
+    auto f = File::OpenOrCreate(mc + "/mc.meta");
+    ASSERT_TRUE(f.ok());
+    ASSERT_TRUE((*f)->WriteAt(0, older).ok());
+  }
+  system.InvalidateStreams();
+  auto strict =
+      system.Execute("s", query, {.method = AccessMethodKind::kMcIndex});
+  ASSERT_FALSE(strict.ok());
+  EXPECT_EQ(strict.status().code(), StatusCode::kCorruption)
+      << strict.status().ToString();
+  auto rescued = system.Execute(
+      "s", query,
+      {.method = AccessMethodKind::kMcIndex, .fallback_to_scan = true});
+  ASSERT_TRUE(rescued.ok()) << rescued.status().ToString();
+  EXPECT_EQ(rescued->stats.scan_fallbacks, 1u);
+  ExpectSameSignal(rescued->signal, reference->signal);
+
+  ASSERT_TRUE(system.RebuildIndexes("s").ok());
+  auto healed =
+      system.Execute("s", query, {.method = AccessMethodKind::kMcIndex});
+  ASSERT_TRUE(healed.ok()) << healed.status().ToString();
+  EXPECT_EQ(healed->stats.scan_fallbacks, 0u);
+  ExpectSameSignal(healed->signal, mc_reference->signal);
+  EXPECT_EQ(read_file(McIndex::LevelPath(mc, 1)), level1);
+  auto meta = McIndex::ReadMeta(mc);
+  ASSERT_TRUE(meta.ok()) << meta.status().ToString();
+  EXPECT_EQ(meta->options.alpha, 2u);
+}
+
 TEST_F(FailureTest, RandomReadErrorsNeverYieldWrongSignal) {
   MarkovianStream stream = test::MakeBandedStream(100, 10, 17);
   Caldera system(scratch_.Path("a_chaos"));

@@ -164,11 +164,10 @@ class IngestDifferentialTest
 TEST_P(IngestDifferentialTest, OfflineAndIncrementalBuildsAreBitIdentical) {
   const DifferentialVariant variants[] = {
       {DiskLayout::kSeparated, McIndexOptions{.alpha = 2}},
-      // Co-clustered layout + non-default MC options: proves the extension
-      // recovers alpha/truncate_eps from the persisted metadata instead of
-      // assuming defaults.
-      {DiskLayout::kCoClustered,
-       McIndexOptions{.alpha = 3, .truncate_eps = 1e-4}},
+      // Co-clustered layout + a non-default alpha: proves the extension
+      // recovers alpha from the persisted metadata instead of assuming the
+      // default.
+      {DiskLayout::kCoClustered, McIndexOptions{.alpha = 3}},
   };
   const DifferentialVariant& variant = variants[GetParam()];
   test::ScratchDir scratch("ingest_diff_" + std::to_string(GetParam()));
@@ -1627,8 +1626,7 @@ std::map<std::string, std::string> RecordFileImages(const std::string& dir) {
 TEST(IngestByteIdentityTest, SingleStepIngestsMatchOfflineRecordFiles) {
   const DifferentialVariant variants[] = {
       {DiskLayout::kSeparated, McIndexOptions{.alpha = 2}},
-      {DiskLayout::kCoClustered,
-       McIndexOptions{.alpha = 3, .truncate_eps = 1e-4}},
+      {DiskLayout::kCoClustered, McIndexOptions{.alpha = 3}},
   };
   for (const DifferentialVariant& variant : variants) {
     SCOPED_TRACE(DiskLayoutName(variant.layout));

@@ -61,21 +61,6 @@ void PatchFixed32(const std::string& path, size_t offset, uint32_t value) {
   WriteWholeFile(path, bytes);
 }
 
-// The test's own truncation, written apart from the index's: keep entries
-// of probability >= eps, then drop rows left empty.
-Cpt Truncate(const Cpt& cpt, double eps) {
-  Cpt out;
-  for (size_t r = 0; r < cpt.num_rows(); ++r) {
-    const Cpt::RowView row = cpt.row(r);
-    std::vector<Cpt::RowEntry> kept;
-    for (size_t j = 0; j < row.size(); ++j) {
-      if (row.probs[j] >= eps) kept.push_back({row.dsts[j], row.probs[j]});
-    }
-    if (!kept.empty()) out.SetRow(row.src, std::move(kept));
-  }
-  return out;
-}
-
 // Every file of directory `a` has a byte-identical twin in `b`, and vice
 // versa.
 void ExpectSameFiles(const std::string& a, const std::string& b) {
@@ -96,8 +81,8 @@ void ExpectSameFiles(const std::string& a, const std::string& b) {
 // Reads every stored entry of every level of a StreamArchive-built index
 // and demands it equal, byte for byte, the test's own left fold of the
 // entry's children (raw transitions at level 1, the alpha entries below
-// it above that) followed by its own truncation. The level layout is
-// recomputed here too. An in-memory Build must write the same files.
+// it above that). The level layout is recomputed here too. An in-memory
+// Build must write the same files.
 TEST(McIndexOracleTest, StoredEntriesEqualAnIndependentFold) {
   const MarkovianStream stream = test::MakeBandedStream(200, 10, 41);
   const uint64_t num_transitions = stream.length() - 1;
@@ -107,58 +92,50 @@ TEST(McIndexOracleTest, StoredEntriesEqualAnIndependentFold) {
   ASSERT_TRUE(archive.CreateStream("s", stream).ok());
   const std::string dir = archive.StreamDir("s") + "/mc";
   for (uint32_t alpha : {2u, 3u, 4u}) {
-    for (double eps : {0.0, 1e-3}) {
-      for (uint64_t max_span : {uint64_t{0}, uint64_t{9}}) {
-        SCOPED_TRACE("alpha=" + std::to_string(alpha) +
-                     " eps=" + std::to_string(eps) +
-                     " max_span=" + std::to_string(max_span));
-        const McIndexOptions options{
-            .alpha = alpha, .max_span = max_span, .truncate_eps = eps};
-        std::filesystem::remove_all(dir);
-        ASSERT_TRUE(archive.BuildMc("s", options).ok());
-        auto meta = McIndex::ReadMeta(dir);
-        ASSERT_TRUE(meta.ok()) << meta.status().ToString();
+    SCOPED_TRACE("alpha=" + std::to_string(alpha));
+    const McIndexOptions options{.alpha = alpha};
+    std::filesystem::remove_all(dir);
+    ASSERT_TRUE(archive.BuildMc("s", options).ok());
+    auto meta = McIndex::ReadMeta(dir);
+    ASSERT_TRUE(meta.ok()) << meta.status().ToString();
 
-        const uint64_t cap = max_span == 0 ? num_transitions : max_span;
-        std::vector<Cpt> below;
-        uint64_t span = 1;
-        uint32_t level = 1;
-        for (; span * alpha <= cap; ++level) {
-          span *= alpha;
-          const uint64_t count = num_transitions / span;
-          ASSERT_LE(level, meta->level_counts.size());
-          EXPECT_EQ(meta->level_counts[level - 1], count);
-          auto reader = RecordFileReader::Open(
-              dir + "/L" + std::to_string(level) + ".rec", 4);
-          ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-          ASSERT_EQ((*reader)->num_records(), count);
-          std::vector<Cpt> current;
-          for (uint64_t k = 0; k < count; ++k) {
-            auto child = [&](uint32_t i) -> const Cpt& {
-              return level == 1 ? stream.transition(k * alpha + i + 1)
-                                : below[k * alpha + i];
-            };
-            Cpt fold = child(0);
-            for (uint32_t i = 1; i < alpha; ++i) {
-              fold = ComposeCpts(fold, child(i));
-            }
-            current.push_back(Truncate(fold, eps));
-            std::string want;
-            current.back().AppendTo(&want);
-            std::string got;
-            ASSERT_TRUE((*reader)->Get(k, &got).ok());
-            ASSERT_EQ(got, want) << "level " << level << " entry " << k;
-          }
-          below = std::move(current);
+    std::vector<Cpt> below;
+    uint64_t span = 1;
+    uint32_t level = 1;
+    for (; span * alpha <= num_transitions; ++level) {
+      span *= alpha;
+      const uint64_t count = num_transitions / span;
+      ASSERT_LE(level, meta->level_counts.size());
+      EXPECT_EQ(meta->level_counts[level - 1], count);
+      auto reader = RecordFileReader::Open(
+          dir + "/L" + std::to_string(level) + ".rec", 4);
+      ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+      ASSERT_EQ((*reader)->num_records(), count);
+      std::vector<Cpt> current;
+      for (uint64_t k = 0; k < count; ++k) {
+        auto child = [&](uint32_t i) -> const Cpt& {
+          return level == 1 ? stream.transition(k * alpha + i + 1)
+                            : below[k * alpha + i];
+        };
+        Cpt fold = child(0);
+        for (uint32_t i = 1; i < alpha; ++i) {
+          fold = ComposeCpts(fold, child(i));
         }
-        EXPECT_EQ(meta->level_counts.size(), level - 1);
-
-        const std::string in_memory = scratch.Path("mem");
-        std::filesystem::remove_all(in_memory);
-        ASSERT_TRUE(McIndex::Build(stream, in_memory, options).ok());
-        ExpectSameFiles(dir, in_memory);
+        current.push_back(std::move(fold));
+        std::string want;
+        current.back().AppendTo(&want);
+        std::string got;
+        ASSERT_TRUE((*reader)->Get(k, &got).ok());
+        ASSERT_EQ(got, want) << "level " << level << " entry " << k;
       }
+      below = std::move(current);
     }
+    EXPECT_EQ(meta->level_counts.size(), level - 1);
+
+    const std::string in_memory = scratch.Path("mem");
+    std::filesystem::remove_all(in_memory);
+    ASSERT_TRUE(McIndex::Build(stream, in_memory, options).ok());
+    ExpectSameFiles(dir, in_memory);
   }
 }
 
@@ -260,16 +237,6 @@ TEST_F(McIndexTest, MinLevelForcesRawResidues) {
   ExpectCptsNear(computed, DirectSpan(stream_, 10, 14));
 }
 
-TEST_F(McIndexTest, MaxSpanCapsLevels) {
-  Setup(512, 4, 26, {.alpha = 2, .max_span = 16});
-  Cpt computed;
-  // Long spans still compute correctly (by chaining top-level entries).
-  ASSERT_TRUE(index_->ComputeCpt(0, 511, &computed).ok());
-  ExpectCptsNear(computed, DirectSpan(stream_, 0, 511));
-  // Number of levels is log2(16) = 4.
-  EXPECT_EQ(index_->num_levels(), 4u);
-}
-
 TEST_F(McIndexTest, StoredBytesShrinkWithAlpha) {
   MarkovianStream stream = test::MakeValidStream(256, 4, 27);
   test::ScratchDir scratch2("mc_alpha_cmp");
@@ -323,8 +290,8 @@ TEST_F(McIndexTest, OpenRequiresExactMetaSize) {
     pristine.resize((*f)->size());
     ASSERT_TRUE((*f)->ReadAt(0, pristine.size(), pristine.data()).ok());
   }
-  // 28-byte prefix, one u64 count per level, 20-byte options trailer.
-  ASSERT_EQ(pristine.size(), 28 + 8 * index_->num_levels() + 20);
+  // 28-byte prefix, then one u64 count per level.
+  ASSERT_EQ(pristine.size(), 28 + 8 * index_->num_levels());
   auto open_with = [&](const std::string& image) {
     auto f = File::OpenOrCreate(meta);
     CALDERA_CHECK_OK((*f)->Truncate(0));
@@ -334,11 +301,24 @@ TEST_F(McIndexTest, OpenRequiresExactMetaSize) {
              return raw->ReadTransition(t, out);
            }).status();
   };
-  // Without the options trailer.
-  EXPECT_EQ(open_with(pristine.substr(0, pristine.size() - 20)).code(),
+  // One byte too few, and one too many.
+  EXPECT_EQ(open_with(pristine.substr(0, pristine.size() - 1)).code(),
             StatusCode::kCorruption);
-  // One byte too many.
   EXPECT_EQ(open_with(pristine + '\0').code(), StatusCode::kCorruption);
+  // The older layout: magic CLDRMCI1 and a 20-byte options trailer
+  // (truncate_eps f64, max_span u64, page_size u32), all at their defaults.
+  std::string older = pristine;
+  older[7] = '1';
+  PutDouble(0.0, &older);
+  PutFixed64(0, &older);
+  PutFixed32(kDefaultPageSize, &older);
+  EXPECT_EQ(open_with(older).code(), StatusCode::kCorruption);
+  // The right size, but a level count off the layout of length and alpha.
+  std::string miscounted = pristine;
+  std::string count;
+  PutFixed64(GetFixed64(pristine.data() + 28) - 1, &count);
+  miscounted.replace(28, 8, count);
+  EXPECT_EQ(open_with(miscounted).code(), StatusCode::kCorruption);
   EXPECT_TRUE(open_with(pristine).ok());
 }
 
@@ -375,61 +355,14 @@ TEST_F(McIndexTest, CorruptMetaDomainSizesNoAllocation) {
   }
 }
 
-// The stored level counts must be exactly the layout of the stored length
-// and options, max_span included.
-TEST_F(McIndexTest, MetaCountsMustMatchMaxSpan) {
-  Setup(64, 4, 34, {.alpha = 2});
-  ASSERT_EQ(index_->num_levels(), 5u);
-  const std::string meta = scratch_.Path("mc") + "/mc.meta";
-  std::string bytes = ReadWholeFile(meta);
-  // max_span sits 8 bytes after the level counts.
-  const size_t max_span_at = 28 + 8 * 5 + 8;
-  std::string field;
-  PutFixed64(4, &field);
-  bytes.replace(max_span_at, 8, field);
-  WriteWholeFile(meta, bytes);
-  EXPECT_EQ(McIndex::ReadMeta(scratch_.Path("mc")).status().code(),
-            StatusCode::kCorruption);
-}
-
 TEST(McIndexLayoutTest, LevelCountsNeverOverflow) {
   EXPECT_TRUE(McIndex::LevelCounts(1, {.alpha = 2}).empty());
   EXPECT_TRUE(McIndex::LevelCounts(100, {.alpha = 1}).empty());
   EXPECT_EQ(McIndex::LevelCounts(10, {.alpha = 3}),
             (std::vector<uint64_t>{3, 1}));
-  EXPECT_EQ(McIndex::LevelCounts(65, {.alpha = 2, .max_span = 8}),
-            (std::vector<uint64_t>{32, 16, 8}));
-  EXPECT_TRUE(McIndex::LevelCounts(65, {.alpha = 2, .max_span = 1}).empty());
   // alpha^i stays below 2^64 however large the length and alpha.
   EXPECT_EQ(McIndex::LevelCounts(UINT64_MAX, {.alpha = 2}).size(), 63u);
   EXPECT_EQ(McIndex::LevelCounts(UINT64_MAX, {.alpha = UINT32_MAX}).size(), 2u);
-}
-
-TEST_F(McIndexTest, TruncatedIndexStaysClose) {
-  MarkovianStream stream = test::MakeValidStream(128, 6, 31);
-  test::ScratchDir scratch2("mc_trunc");
-  ASSERT_TRUE(
-      WriteStream(scratch2.Path("s"), stream, DiskLayout::kSeparated).ok());
-  auto stored = StoredStream::Open(scratch2.Path("s"));
-  ASSERT_TRUE(stored.ok());
-  StoredStream* raw = stored->get();
-  ASSERT_TRUE(McIndex::Build(stream, scratch2.Path("mc"),
-                             {.alpha = 2, .truncate_eps = 1e-4})
-                  .ok());
-  auto index = McIndex::Open(scratch2.Path("mc"), [raw](uint64_t t, Cpt* out) {
-    return raw->ReadTransition(t, out);
-  });
-  ASSERT_TRUE(index.ok());
-  Cpt computed;
-  ASSERT_TRUE((*index)->ComputeCpt(0, 127, &computed).ok());
-  Cpt direct = DirectSpan(stream, 0, 127);
-  for (size_t r = 0; r < direct.num_rows(); ++r) {
-    const Cpt::RowView row = direct.row(r);
-    for (size_t j = 0; j < row.size(); ++j) {
-      EXPECT_NEAR(computed.Probability(row.src, row.dsts[j]), row.probs[j],
-                  0.05);
-    }
-  }
 }
 
 // A handle refreshed after each one-timestep Extend answers every span
@@ -446,51 +379,48 @@ TEST(McIndexRefreshTest, WarmAnswersEqualAColdBuildAfterEachAppend) {
     *out = stream.transition(t);
     return Status::Ok();
   };
-  for (double eps : {0.0, 1e-3}) {
-    SCOPED_TRACE(eps);
-    const McIndexOptions options{.alpha = 2, .truncate_eps = eps};
-    const std::string live = scratch.Path("live" + std::to_string(eps > 0));
-    ASSERT_TRUE(McIndex::Build(live, source, 30, 6, options).ok());
-    auto warm = McIndex::Open(live, source, /*pool_pages=*/4);
-    ASSERT_TRUE(warm.ok());
-    ASSERT_TRUE((*warm)->GetSpanCpt(0, 29).ok());
-    uint32_t levels_added = 0;
-    for (uint64_t length = 31; length <= stream.length(); ++length) {
-      SCOPED_TRACE(length);
-      const uint32_t levels_before = (*warm)->num_levels();
-      ASSERT_TRUE(McIndex::Extend(live, source, length).ok());
-      ASSERT_TRUE((*warm)->Refresh().ok());
-      ASSERT_EQ((*warm)->stream_length(), length);
-      levels_added += (*warm)->num_levels() - levels_before;
+  const McIndexOptions options{.alpha = 2};
+  const std::string live = scratch.Path("live");
+  ASSERT_TRUE(McIndex::Build(live, source, 30, 6, options).ok());
+  auto warm = McIndex::Open(live, source, /*pool_pages=*/4);
+  ASSERT_TRUE(warm.ok());
+  ASSERT_TRUE((*warm)->GetSpanCpt(0, 29).ok());
+  uint32_t levels_added = 0;
+  for (uint64_t length = 31; length <= stream.length(); ++length) {
+    SCOPED_TRACE(length);
+    const uint32_t levels_before = (*warm)->num_levels();
+    ASSERT_TRUE(McIndex::Extend(live, source, length).ok());
+    ASSERT_TRUE((*warm)->Refresh().ok());
+    ASSERT_EQ((*warm)->stream_length(), length);
+    levels_added += (*warm)->num_levels() - levels_before;
 
-      const std::string cold_dir = scratch.Path("cold");
-      std::filesystem::remove_all(cold_dir);
-      ASSERT_TRUE(McIndex::Build(cold_dir, source, length, 6, options).ok());
-      auto cold = McIndex::Open(cold_dir, source, /*pool_pages=*/4);
-      ASSERT_TRUE(cold.ok());
-      ASSERT_EQ((*warm)->num_levels(), (*cold)->num_levels());
-      Cpt want, got;
-      const uint64_t hits_before = (*warm)->span_cache_hits();
-      auto kept = (*warm)->GetSpanCpt(0, length - 2);
-      ASSERT_TRUE(kept.ok());
-      ASSERT_EQ((*warm)->span_cache_hits(), hits_before + 1)
-          << "span cached before the append was composed again";
-      ASSERT_TRUE((*cold)->ComputeCpt(0, length - 2, &want).ok());
-      ASSERT_EQ(**kept, want);
-      for (uint64_t from = 0; from + 1 < length; from += 1 + from % 3) {
-        for (uint64_t to = from + 1; to < length; ++to) {
-          ASSERT_TRUE((*cold)->ComputeCpt(from, to, &want).ok());
-          ASSERT_TRUE((*warm)->ComputeCpt(from, to, &got).ok());
-          ASSERT_EQ(got, want) << from << " -> " << to;
-          auto cached = (*warm)->GetSpanCpt(from, to);
-          ASSERT_TRUE(cached.ok());
-          ASSERT_EQ(**cached, want) << from << " -> " << to << " (cached)";
-        }
+    const std::string cold_dir = scratch.Path("cold");
+    std::filesystem::remove_all(cold_dir);
+    ASSERT_TRUE(McIndex::Build(cold_dir, source, length, 6, options).ok());
+    auto cold = McIndex::Open(cold_dir, source, /*pool_pages=*/4);
+    ASSERT_TRUE(cold.ok());
+    ASSERT_EQ((*warm)->num_levels(), (*cold)->num_levels());
+    Cpt want, got;
+    const uint64_t hits_before = (*warm)->span_cache_hits();
+    auto kept = (*warm)->GetSpanCpt(0, length - 2);
+    ASSERT_TRUE(kept.ok());
+    ASSERT_EQ((*warm)->span_cache_hits(), hits_before + 1)
+        << "span cached before the append was composed again";
+    ASSERT_TRUE((*cold)->ComputeCpt(0, length - 2, &want).ok());
+    ASSERT_EQ(**kept, want);
+    for (uint64_t from = 0; from + 1 < length; from += 1 + from % 3) {
+      for (uint64_t to = from + 1; to < length; ++to) {
+        ASSERT_TRUE((*cold)->ComputeCpt(from, to, &want).ok());
+        ASSERT_TRUE((*warm)->ComputeCpt(from, to, &got).ok());
+        ASSERT_EQ(got, want) << from << " -> " << to;
+        auto cached = (*warm)->GetSpanCpt(from, to);
+        ASSERT_TRUE(cached.ok());
+        ASSERT_EQ(**cached, want) << from << " -> " << to << " (cached)";
       }
     }
-    EXPECT_EQ(levels_added, 2u);
-    EXPECT_GT((*warm)->span_cache_hits(), 0u);
   }
+  EXPECT_EQ(levels_added, 2u);
+  EXPECT_GT((*warm)->span_cache_hits(), 0u);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
-// Tests for the parallel batch execution engine: the common/thread_pool
-// primitive, the facade's epoch-versioned handle lending, and
-// ExecuteBatch's determinism across thread counts.
+// Tests for the parallel batch execution engine: the facade's
+// epoch-versioned handle lending, and ExecuteBatch's determinism across
+// thread counts.
 
 #include <gtest/gtest.h>
 
@@ -11,12 +11,12 @@
 #include <cstdlib>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <thread>
 #include <vector>
 
 #include "caldera/batch.h"
 #include "common/logging.h"
-#include "common/thread_pool.h"
 #include "test_util.h"
 
 namespace caldera {
@@ -25,66 +25,6 @@ namespace {
 RegularQuery Fixed(uint32_t a, uint32_t b) {
   return RegularQuery::Sequence(
       "f", {Predicate::Equality(0, a, "a"), Predicate::Equality(0, b, "b")});
-}
-
-// ---------------------------------------------------------------------------
-// ThreadPool
-// ---------------------------------------------------------------------------
-
-TEST(ThreadPoolTest, RunsEveryTask) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPoolTest, WaitIsReusable) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  pool.Submit([&counter] { counter.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 1);
-  for (int i = 0; i < 10; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 11);
-}
-
-TEST(ThreadPoolTest, MoreThreadsThanTasks) {
-  ThreadPool pool(8);
-  std::atomic<int> counter{0};
-  pool.Submit([&counter] { counter.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 1);
-}
-
-TEST(ThreadPoolTest, ZeroThreadRequestClampsToOne) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.num_threads(), 1u);
-  std::atomic<bool> ran{false};
-  pool.Submit([&ran] { ran = true; });
-  pool.Wait();
-  EXPECT_TRUE(ran.load());
-}
-
-TEST(ThreadPoolTest, DestructorDrainsQueue) {
-  std::atomic<int> counter{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 50; ++i) {
-      pool.Submit([&counter] { counter.fetch_add(1); });
-    }
-    // No Wait(): the destructor must still run everything before joining.
-  }
-  EXPECT_EQ(counter.load(), 50);
-}
-
-TEST(ThreadPoolTest, DefaultThreadCountIsPositive) {
-  EXPECT_GE(ThreadPool::DefaultThreadCount(), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -130,17 +70,26 @@ TEST_F(ParallelBatchTest, HandlesHeldAtOnceAreDistinct) {
   EXPECT_NE(a->get(), b->get());
 }
 
+// Every released handle is kept: two handles held at once and released
+// are both lent again, warm, to the next two borrowers.
 TEST_F(ParallelBatchTest, ReleasedHandleIsLentAgainWarm) {
   AddStream("s", 1, true);
   auto a = system_.GetStream("s");
-  ASSERT_TRUE(a.ok());
-  ArchivedStream* first = a->get();
-  Touch(first);
-  a->reset();
   auto b = system_.GetStream("s");
+  ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  EXPECT_EQ(b->get(), first);
-  EXPECT_GT(StreamFetches(b->get()), 0u);
+  const std::set<ArchivedStream*> released = {a->get(), b->get()};
+  Touch(a->get());
+  Touch(b->get());
+  a->reset();
+  b->reset();
+  auto c = system_.GetStream("s");
+  auto d = system_.GetStream("s");
+  ASSERT_TRUE(c.ok());
+  ASSERT_TRUE(d.ok());
+  EXPECT_EQ((std::set<ArchivedStream*>{c->get(), d->get()}), released);
+  EXPECT_GT(StreamFetches(c->get()), 0u);
+  EXPECT_GT(StreamFetches(d->get()), 0u);
 }
 
 TEST_F(ParallelBatchTest, HandleReleasedAfterInvalidationIsNotLentAgain) {

@@ -394,9 +394,7 @@ TEST(RobustnessTest, McIndexOnMutatedFiles) {
   // Built over a prefix, so a direct Extend to the full length has a
   // right spine to compose and a new level to create.
   const std::string pristine = scratch.Path("pristine");
-  ASSERT_TRUE(McIndex::Build(pristine, source, 30, 6,
-                             {.alpha = 2, .truncate_eps = 1e-4})
-                  .ok());
+  ASSERT_TRUE(McIndex::Build(pristine, source, 30, 6, {.alpha = 2}).ok());
   std::vector<std::string> level_files;
   for (const auto& entry : std::filesystem::directory_iterator(pristine)) {
     if (entry.path().filename() != "mc.meta") {
@@ -426,14 +424,12 @@ TEST(RobustnessTest, McIndexOnMutatedFiles) {
 
   // mc.meta, which has no CRC: overwrite one to three fields with a nearby,
   // a boundary or a random value. Field (offset, width): alpha, num_levels,
-  // length, domain, the four level counts, truncate_eps, max_span,
-  // page_size.
+  // length, domain and the four level counts.
   const std::string meta_path = dir + "/mc.meta";
   const std::string meta = ReadWholeFile(pristine + "/mc.meta");
   const std::pair<size_t, size_t> fields[] = {
-      {8, 4},  {12, 4}, {16, 8}, {24, 4}, {28, 8}, {36, 8},
-      {44, 8}, {52, 8}, {60, 8}, {68, 8}, {76, 4}};
-  ASSERT_EQ(meta.size(), 80u);
+      {8, 4}, {12, 4}, {16, 8}, {24, 4}, {28, 8}, {36, 8}, {44, 8}, {52, 8}};
+  ASSERT_EQ(meta.size(), 60u);
   for (int round = 0; round < 120; ++round) {
     restore();
     std::string bytes = meta;

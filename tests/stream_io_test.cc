@@ -42,13 +42,17 @@ TEST_P(StreamIoTest, ReadTimestepReturnsBoth) {
   ASSERT_TRUE(WriteStream(dir, stream, GetParam()).ok());
   auto stored = StoredStream::Open(dir);
   ASSERT_TRUE(stored.ok());
+  // A timestep's marginal and the transition into it; timestep 0 has no
+  // transition.
   Distribution marginal;
   Cpt transition;
-  ASSERT_TRUE((*stored)->ReadTimestep(0, &marginal, &transition).ok());
+  ASSERT_TRUE((*stored)->ReadMarginal(0, &marginal).ok());
   EXPECT_EQ(marginal, stream.marginal(0));
-  EXPECT_TRUE(transition.empty());
-  ASSERT_TRUE((*stored)->ReadTimestep(7, &marginal, &transition).ok());
+  EXPECT_EQ((*stored)->ReadTransition(0, &transition).code(),
+            StatusCode::kOutOfRange);
+  ASSERT_TRUE((*stored)->ReadMarginal(7, &marginal).ok());
   EXPECT_EQ(marginal, stream.marginal(7));
+  ASSERT_TRUE((*stored)->ReadTransition(7, &transition).ok());
   EXPECT_EQ(transition, stream.transition(7));
 }
 
