@@ -8,6 +8,7 @@
 #include <filesystem>
 
 #include "btree/btree.h"
+#include "caldera/archive.h"
 #include "common/crc32c.h"
 #include "common/encoding.h"
 #include "common/logging.h"
@@ -167,6 +168,31 @@ void BM_BTreeTailAdd(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
 }
 BENCHMARK(BM_BTreeTailAdd)->Arg(16)->Arg(65536);
+
+// One BT_C or BT_P build (StreamArchive::BuildBtc / BuildBtp) over an
+// archived 3000-snippet, density-0.05 snippet stream of 88,095 timesteps:
+// every marginal read and aggregated, the entries sorted and bulk-loaded.
+void BM_BTreeIndexBuild(benchmark::State& state, bool btc) {
+  static const std::string root = [] {
+    const std::string dir = MicroDir() + "/index_build";
+    std::filesystem::remove_all(dir);
+    SnippetStreamSpec spec;
+    spec.num_snippets = 3000;
+    spec.density = 0.05;
+    Result<SnippetWorkload> w = MakeSnippetStream(spec);
+    CALDERA_CHECK_OK(w.status());
+    CALDERA_CHECK_OK(StreamArchive(dir).CreateStream("s", w->stream));
+    return dir;
+  }();
+  StreamArchive archive(root);
+  for (auto _ : state) {
+    CALDERA_CHECK_OK(btc ? archive.BuildBtc("s", 0) : archive.BuildBtp("s", 0));
+  }
+}
+BENCHMARK_CAPTURE(BM_BTreeIndexBuild, btc, true)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_BTreeIndexBuild, btp, false)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_BTreePointLookup(benchmark::State& state) {
   std::string path = MicroDir() + "/lookup.bt";

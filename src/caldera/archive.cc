@@ -2,9 +2,6 @@
 
 #include <filesystem>
 
-#include "common/encoding.h"
-#include "index/btc_index.h"
-#include "index/btp_index.h"
 #include "ingest/ingestor.h"
 
 namespace caldera {
@@ -112,22 +109,19 @@ Status StreamArchive::CreateStream(const std::string& name,
   return WriteStream(StreamDir(name), stream, layout, page_size);
 }
 
-Status StreamArchive::BuildBtc(const std::string& name, size_t attr,
-                               uint32_t page_size) {
-  CALDERA_ASSIGN_OR_RETURN(std::unique_ptr<StoredStream> stored,
-                           StoredStream::Open(StreamDir(name)));
-  return BuildBtcIndexFromStored(stored.get(), attr,
-                                 BtcIndexPath(StreamDir(name), attr), page_size)
-      .status();
+Status StreamArchive::BuildBtc(const std::string& name, size_t attr) {
+  return BuildTree(name, {attr, true, BtcIndexPath(StreamDir(name), attr)});
 }
 
-Status StreamArchive::BuildBtp(const std::string& name, size_t attr,
-                               uint32_t page_size) {
+Status StreamArchive::BuildBtp(const std::string& name, size_t attr) {
+  return BuildTree(name, {attr, false, BtpIndexPath(StreamDir(name), attr)});
+}
+
+Status StreamArchive::BuildTree(const std::string& name,
+                                const TreeIndexFile& file) {
   CALDERA_ASSIGN_OR_RETURN(std::unique_ptr<StoredStream> stored,
                            StoredStream::Open(StreamDir(name)));
-  return BuildBtpIndexFromStored(stored.get(), attr,
-                                 BtpIndexPath(StreamDir(name), attr), page_size)
-      .status();
+  return BuildTreeIndex(file, stored.get()).status();
 }
 
 Status StreamArchive::BuildMc(const std::string& name,
@@ -173,8 +167,7 @@ Status StreamArchive::RebuildIndexes(const std::string& name) {
 
   for (const TreeIndexFile& tree : trees) {
     CALDERA_RETURN_IF_ERROR(RemoveFileIfExists(tree.path));
-    CALDERA_RETURN_IF_ERROR(tree.is_btc ? BuildBtc(name, tree.attr)
-                                        : BuildBtp(name, tree.attr));
+    CALDERA_RETURN_IF_ERROR(BuildTree(name, tree));
   }
   if (had_mc) {
     std::error_code ec;

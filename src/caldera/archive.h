@@ -97,12 +97,10 @@ class StreamArchive {
                       uint32_t page_size = kDefaultPageSize);
 
   /// Builds the chronological B+ tree index on one attribute.
-  Status BuildBtc(const std::string& name, size_t attr,
-                  uint32_t page_size = kDefaultPageSize);
+  Status BuildBtc(const std::string& name, size_t attr);
 
   /// Builds the probability-ordered B+ tree index on one attribute.
-  Status BuildBtp(const std::string& name, size_t attr,
-                  uint32_t page_size = kDefaultPageSize);
+  Status BuildBtp(const std::string& name, size_t attr);
 
   /// Builds the Markov-chain index.
   Status BuildMc(const std::string& name, const McIndexOptions& options = {});
@@ -132,6 +130,9 @@ class StreamArchive {
   const std::string& root() const { return root_; }
 
  private:
+  // Builds tree index `file` of stream `name` (BuildTreeIndex).
+  Status BuildTree(const std::string& name, const TreeIndexFile& file);
+
   std::string root_;
 };
 

@@ -1,7 +1,6 @@
 #include "caldera/verify.h"
 
 #include <cmath>
-#include <map>
 
 #include "common/encoding.h"
 #include "index/btc_index.h"
@@ -19,71 +18,46 @@ constexpr double kTolerance = 1e-6;
 /// MC-index entries sampled per level and recomposed from raw CPTs.
 constexpr uint64_t kMcSamplesPerLevel = 8;
 
-/// Aggregates one timestep's state marginal into per-attribute-value
-/// probabilities (the quantity both index types store).
-std::map<uint32_t, double> AttributeMarginal(const Distribution& marginal,
-                                             const StreamSchema& schema,
-                                             size_t attr) {
-  std::map<uint32_t, double> out;
-  for (const Distribution::Entry& e : marginal.entries()) {
-    out[schema.AttributeValue(e.value, attr)] += e.prob;
-  }
-  return out;
-}
-
-Status VerifyBtc(ArchivedStream* archived, const MarkovianStream& stream,
-                 size_t attr, uint64_t* checked) {
-  BTree* tree = archived->btc(attr);
+/// Walks tree index `file`, open as `tree`, against the TreeIndexEntries
+/// of the whole stream: keys must match one for one, BT_C values within
+/// kTolerance, and the tree may hold nothing more.
+Status VerifyTree(const TreeIndexFile& file, BTree* tree, StoredStream* stream,
+                  uint64_t* checked) {
   CALDERA_RETURN_IF_ERROR(tree->CheckInvariants());
-
-  // Expected entry multiset.
-  uint64_t expected = 0;
-  for (uint64_t t = 0; t < stream.length(); ++t) {
-    for (const auto& [value, prob] :
-         AttributeMarginal(stream.marginal(t), stream.schema(), attr)) {
-      auto got = tree->Get(EncodeBtcKey(value, t));
-      CALDERA_RETURN_IF_ERROR(got.status());
-      if (!got->has_value()) {
-        return Fail("BT_C missing entry (value=" + std::to_string(value) +
-                    ", t=" + std::to_string(t) + ")");
-      }
-      double stored = GetDouble(got->value().data());
-      if (std::fabs(stored - std::min(prob, 1.0)) > kTolerance) {
-        return Fail("BT_C probability mismatch at t=" + std::to_string(t));
-      }
-      ++expected;
+  const std::string kind = file.is_btc ? "BT_C" : "BT_P";
+  const size_t key_size = file.is_btc ? kBtcKeySize : kBtpKeySize;
+  const size_t value_size = file.is_btc ? kBtcValueSize : kBtpValueSize;
+  const size_t entry_size = key_size + value_size;
+  if (tree->options().key_size != key_size ||
+      tree->options().value_size != value_size) {
+    return Fail(file.path + " does not have the " + kind + " entry layout");
+  }
+  CALDERA_ASSIGN_OR_RETURN(std::string expected,
+                           TreeIndexEntries(file, stream, 0));
+  auto mismatch = [&](std::string_view key, const std::string& what) {
+    // Both key layouts start with the value and end with the time.
+    return Fail(kind + " " + what + " (value=" +
+                std::to_string(DecodeU32(key.data())) + ", t=" +
+                std::to_string(DecodeU64(key.data() + key_size - 8)) + ")");
+  };
+  CALDERA_ASSIGN_OR_RETURN(BTree::Cursor cursor, tree->SeekFirst());
+  const std::string_view entries(expected);
+  for (size_t i = 0; i < entries.size(); i += entry_size) {
+    const std::string_view key = entries.substr(i, key_size);
+    if (!cursor.valid() || cursor.key() != key) {
+      return mismatch(key, "entry missing or out of place");
     }
-  }
-  if (tree->num_entries() != expected) {
-    return Fail("BT_C has " + std::to_string(tree->num_entries()) +
-                " entries, expected " + std::to_string(expected));
-  }
-  *checked += expected;
-  return Status::Ok();
-}
-
-Status VerifyBtp(ArchivedStream* archived, const MarkovianStream& stream,
-                 size_t attr, uint64_t* checked) {
-  BTree* tree = archived->btp(attr);
-  CALDERA_RETURN_IF_ERROR(tree->CheckInvariants());
-  uint64_t expected = 0;
-  for (uint64_t t = 0; t < stream.length(); ++t) {
-    for (const auto& [value, prob] :
-         AttributeMarginal(stream.marginal(t), stream.schema(), attr)) {
-      auto got = tree->Get(EncodeBtpKey(value, std::min(prob, 1.0), t));
-      CALDERA_RETURN_IF_ERROR(got.status());
-      if (!got->has_value()) {
-        return Fail("BT_P missing entry (value=" + std::to_string(value) +
-                    ", t=" + std::to_string(t) + ")");
-      }
-      ++expected;
+    if (file.is_btc && std::fabs(GetDouble(cursor.value().data()) -
+                                 GetDouble(key.data() + key_size)) >
+                           kTolerance) {
+      return mismatch(key, "probability mismatch");
     }
+    CALDERA_RETURN_IF_ERROR(cursor.Next());
   }
-  if (tree->num_entries() != expected) {
-    return Fail("BT_P has " + std::to_string(tree->num_entries()) +
-                " entries, expected " + std::to_string(expected));
+  if (cursor.valid()) {
+    return mismatch(cursor.key(), "entry the stream has no mass for");
   }
-  *checked += expected;
+  *checked += entries.size() / entry_size;
   return Status::Ok();
 }
 
@@ -141,13 +115,16 @@ Status VerifyArchivedStream(ArchivedStream* archived, VerifyReport* report) {
   report->timesteps_checked = stream.length();
   CALDERA_RETURN_IF_ERROR(stream.Validate(kTolerance));
   for (size_t attr = 0; attr < stream.schema().num_attributes(); ++attr) {
-    if (archived->btc(attr) != nullptr) {
-      CALDERA_RETURN_IF_ERROR(
-          VerifyBtc(archived, stream, attr, &report->btc_entries_checked));
-    }
-    if (archived->btp(attr) != nullptr) {
-      CALDERA_RETURN_IF_ERROR(
-          VerifyBtp(archived, stream, attr, &report->btp_entries_checked));
+    for (bool is_btc : {true, false}) {
+      BTree* tree = is_btc ? archived->btc(attr) : archived->btp(attr);
+      if (tree == nullptr) continue;
+      const TreeIndexFile file{attr, is_btc,
+                               is_btc ? BtcIndexPath(archived->dir(), attr)
+                                      : BtpIndexPath(archived->dir(), attr)};
+      CALDERA_RETURN_IF_ERROR(VerifyTree(
+          file, tree, archived->stream(),
+          is_btc ? &report->btc_entries_checked
+                 : &report->btp_entries_checked));
     }
   }
   if (archived->mc() != nullptr) {

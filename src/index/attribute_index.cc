@@ -12,6 +12,13 @@ namespace caldera {
 
 namespace {
 
+/// One attribute value's marginal probability at one timestep.
+struct AttributeEntry {
+  uint32_t value;
+  uint64_t time;
+  double prob;
+};
+
 void AppendAttributeEntries(const Distribution& marginal,
                             const StreamSchema& schema, size_t attr,
                             uint64_t t, std::vector<AttributeEntry>* out) {
@@ -38,29 +45,12 @@ void AppendAttributeEntries(const Distribution& marginal,
   }
 }
 
+BTreeOptions TreeOptions(bool is_btc) {
+  return is_btc ? BTreeOptions{kBtcKeySize, kBtcValueSize}
+                : BTreeOptions{kBtpKeySize, kBtpValueSize};
+}
+
 }  // namespace
-
-std::vector<AttributeEntry> TimestepAttributeEntries(
-    const Distribution& marginal, const StreamSchema& schema, size_t attr,
-    uint64_t t) {
-  std::vector<AttributeEntry> entries;
-  AppendAttributeEntries(marginal, schema, attr, t, &entries);
-  return entries;
-}
-
-Result<std::vector<AttributeEntry>> ReadAttributeEntries(StoredStream* stream,
-                                                         size_t attr) {
-  if (attr >= stream->schema().num_attributes()) {
-    return Status::InvalidArgument("attribute index out of range");
-  }
-  std::vector<AttributeEntry> entries;
-  Distribution marginal;
-  for (uint64_t t = 0; t < stream->length(); ++t) {
-    CALDERA_RETURN_IF_ERROR(stream->ReadMarginal(t, &marginal));
-    AppendAttributeEntries(marginal, stream->schema(), attr, t, &entries);
-  }
-  return entries;
-}
 
 std::string BtcIndexPath(const std::string& dir, size_t attr) {
   return dir + "/btc.attr" + std::to_string(attr) + ".bt";
@@ -83,6 +73,67 @@ std::vector<TreeIndexFile> TreeIndexFiles(const std::string& dir,
   return out;
 }
 
+Result<std::string> TreeIndexEntries(const TreeIndexFile& file,
+                                     StoredStream* stream, uint64_t from) {
+  if (file.attr >= stream->schema().num_attributes()) {
+    return Status::InvalidArgument("attribute index out of range");
+  }
+  std::vector<AttributeEntry> entries;
+  Distribution marginal;
+  for (uint64_t t = from; t < stream->length(); ++t) {
+    CALDERA_RETURN_IF_ERROR(stream->ReadMarginal(t, &marginal));
+    AppendAttributeEntries(marginal, stream->schema(), file.attr, t, &entries);
+  }
+  // Sort on the key's fields, which is faster than comparing encoded keys:
+  // BT_C on (value, time), BT_P on (value, 1 - p, time), 1 - p being the
+  // double EncodeProbDescending writes in an order-preserving form.
+  if (file.is_btc) {
+    std::sort(entries.begin(), entries.end(),
+              [](const AttributeEntry& a, const AttributeEntry& b) {
+                if (a.value != b.value) return a.value < b.value;
+                return a.time < b.time;
+              });
+  } else {
+    for (AttributeEntry& e : entries) e.prob = std::min(e.prob, 1.0);
+    std::sort(entries.begin(), entries.end(),
+              [](const AttributeEntry& a, const AttributeEntry& b) {
+                if (a.value != b.value) return a.value < b.value;
+                const double qa = 1.0 - a.prob, qb = 1.0 - b.prob;
+                if (qa != qb) return qa < qb;
+                return a.time < b.time;
+              });
+  }
+  const BTreeOptions options = TreeOptions(file.is_btc);
+  std::string out;
+  out.reserve(entries.size() * (options.key_size + options.value_size));
+  for (const AttributeEntry& e : entries) {
+    if (file.is_btc) {
+      out += EncodeBtcKey(e.value, e.time);
+      PutDouble(e.prob, &out);
+    } else {
+      out += EncodeBtpKey(e.value, e.prob, e.time);
+    }
+  }
+  return out;
+}
+
+Result<std::unique_ptr<BTree>> BuildTreeIndex(const TreeIndexFile& file,
+                                              StoredStream* stream) {
+  CALDERA_ASSIGN_OR_RETURN(std::string entries,
+                           TreeIndexEntries(file, stream, 0));
+  const BTreeOptions options = TreeOptions(file.is_btc);
+  CALDERA_ASSIGN_OR_RETURN(std::unique_ptr<BTreeBuilder> builder,
+                           BTreeBuilder::Create(file.path, options));
+  const std::string_view all(entries);
+  for (size_t i = 0; i < all.size();
+       i += options.key_size + options.value_size) {
+    CALDERA_RETURN_IF_ERROR(
+        builder->Add(all.substr(i, options.key_size),
+                     all.substr(i + options.key_size, options.value_size)));
+  }
+  return builder->Finish(stream->length());
+}
+
 Result<std::unique_ptr<BTree>> OpenTreeIndex(const TreeIndexFile& file,
                                              StoredStream* stream,
                                              size_t pool_pages) {
@@ -100,20 +151,8 @@ Result<std::unique_ptr<BTree>> OpenTreeIndex(const TreeIndexFile& file,
 Status ExtendTreeTail(const TreeIndexFile& file, StoredStream* stream,
                       BTree* tree) {
   if (tree->length() >= stream->length()) return Status::Ok();
-  Distribution marginal;
-  std::string entries;  // Whole entries, key then value, as a build adds.
-  for (uint64_t t = tree->length(); t < stream->length(); ++t) {
-    CALDERA_RETURN_IF_ERROR(stream->ReadMarginal(t, &marginal));
-    for (const AttributeEntry& e :
-         TimestepAttributeEntries(marginal, stream->schema(), file.attr, t)) {
-      if (file.is_btc) {
-        entries += EncodeBtcKey(e.value, e.time);
-        PutDouble(e.prob, &entries);
-      } else {
-        entries += EncodeBtpEntryKey(e);
-      }
-    }
-  }
+  CALDERA_ASSIGN_OR_RETURN(std::string entries,
+                           TreeIndexEntries(file, stream, tree->length()));
   CALDERA_RETURN_IF_ERROR(tree->AddToTail(entries));
   tree->set_length(stream->length());
   return Status::Ok();

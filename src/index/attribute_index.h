@@ -7,8 +7,6 @@
 
 #include "btree/btree.h"
 #include "common/status.h"
-#include "markov/distribution.h"
-#include "markov/schema.h"
 #include "markov/stream_io.h"
 
 namespace caldera {
@@ -16,28 +14,6 @@ namespace caldera {
 // What BT_C (btc_index.h) and BT_P (btp_index.h) share: the entries they
 // index, the names of their files in a stream directory, and the in-memory
 // tail that indexes the timesteps appended since a tree file was built.
-
-/// One attribute value's marginal probability at one timestep.
-struct AttributeEntry {
-  uint32_t value;
-  uint64_t time;
-  double prob;
-};
-
-/// Aggregates timestep `t`'s state marginal into per-attribute-value masses
-/// (Section 3.4.1: tuples sharing a timestamp are disjoint, so attribute
-/// value probabilities are sums), in increasing value order. Each sum runs
-/// in state-id order, so rebuilt probabilities are bit-identical to any
-/// other code (e.g. the verifier) that accumulates in state order. What a
-/// tree's tail holds for one appended timestep.
-std::vector<AttributeEntry> TimestepAttributeEntries(
-    const Distribution& marginal, const StreamSchema& schema, size_t attr,
-    uint64_t t);
-
-/// Every timestep's entries for attribute `attr` of a stored stream, read
-/// one marginal at a time: what a BT_C or BT_P build indexes.
-Result<std::vector<AttributeEntry>> ReadAttributeEntries(StoredStream* stream,
-                                                         size_t attr);
 
 /// The BT_C / BT_P file of attribute `attr` in stream directory `dir`.
 std::string BtcIndexPath(const std::string& dir, size_t attr);
@@ -58,6 +34,21 @@ struct TreeIndexFile {
 std::vector<TreeIndexFile> TreeIndexFiles(const std::string& dir,
                                           size_t num_attributes);
 
+/// The entries of tree `file` for timesteps [from, stream->length()) of
+/// `stream`, read one marginal at a time: whole entries (key, then value),
+/// in key order. An entry is one attribute value's marginal mass at one
+/// timestep (Section 3.4.1: tuples sharing a timestamp are disjoint, so the
+/// mass is a sum over the states holding the value, taken in state order).
+/// BT_P keys clamp a mass above 1 to 1. What a build writes (from = 0), a
+/// tail adds and fsck checks a tree against.
+Result<std::string> TreeIndexEntries(const TreeIndexFile& file,
+                                     StoredStream* stream, uint64_t from);
+
+/// Builds tree index `file` of `stream` over all of its timesteps: the
+/// TreeIndexEntries from 0, bulk-loaded through BTreeBuilder.
+Result<std::unique_ptr<BTree>> BuildTreeIndex(const TreeIndexFile& file,
+                                              StoredStream* stream);
+
 /// Opens tree index `file` of `stream` and fills its in-memory tail with
 /// the entries of the stream's timesteps from the tree's indexed length on,
 /// so it answers like a tree built over the whole stream. Corruption if the
@@ -66,8 +57,8 @@ Result<std::unique_ptr<BTree>> OpenTreeIndex(const TreeIndexFile& file,
                                              StoredStream* stream,
                                              size_t pool_pages);
 
-/// Adds to the tail of `tree`, opened from `file`, the entries of the
-/// stream's timesteps from tree->length() on, reading one marginal each.
+/// Adds to the tail of `tree`, opened from `file`, the TreeIndexEntries of
+/// the stream's timesteps from tree->length() on.
 Status ExtendTreeTail(const TreeIndexFile& file, StoredStream* stream,
                       BTree* tree);
 

@@ -1,6 +1,7 @@
 #include "index/btc_index.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/encoding.h"
 #include "common/logging.h"
@@ -19,31 +20,6 @@ void DecodeBtcKey(std::string_view key, uint32_t* value, uint64_t* time) {
   CALDERA_DCHECK(key.size() == kBtcKeySize);
   *value = DecodeU32(key.data());
   *time = DecodeU64(key.data() + 4);
-}
-
-Result<std::unique_ptr<BTree>> BuildBtcIndexFromStored(
-    StoredStream* stream, size_t attr, const std::string& path,
-    uint32_t page_size) {
-  CALDERA_ASSIGN_OR_RETURN(std::vector<AttributeEntry> entries,
-                           ReadAttributeEntries(stream, attr));
-  std::sort(entries.begin(), entries.end(),
-            [](const AttributeEntry& a, const AttributeEntry& b) {
-              if (a.value != b.value) return a.value < b.value;
-              return a.time < b.time;
-            });
-  BTreeOptions options;
-  options.key_size = kBtcKeySize;
-  options.value_size = kBtcValueSize;
-  CALDERA_ASSIGN_OR_RETURN(std::unique_ptr<BTreeBuilder> builder,
-                           BTreeBuilder::Create(path, options, page_size));
-  std::string value_buf;
-  for (const AttributeEntry& e : entries) {
-    value_buf.clear();
-    PutDouble(e.prob, &value_buf);
-    CALDERA_RETURN_IF_ERROR(
-        builder->Add(EncodeBtcKey(e.value, e.time), value_buf));
-  }
-  return builder->Finish(stream->length());
 }
 
 Result<PredicateCursor> PredicateCursor::Create(BTree* tree,
@@ -68,6 +44,15 @@ Result<PredicateCursor> PredicateCursor::Create(BTree* tree,
   }
   cursor.RecomputeMin();
   return cursor;
+}
+
+PredicateCursor PredicateCursor::Union(std::vector<PredicateCursor> cursors) {
+  PredicateCursor all;
+  for (PredicateCursor& c : cursors) {
+    std::move(c.heads_.begin(), c.heads_.end(), std::back_inserter(all.heads_));
+  }
+  all.RecomputeMin();
+  return all;
 }
 
 void PredicateCursor::LoadHead(size_t i) {

@@ -2,14 +2,11 @@
 #define CALDERA_INDEX_BTC_INDEX_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "btree/btree.h"
 #include "common/status.h"
-#include "index/attribute_index.h"
-#include "markov/stream_io.h"
 
 namespace caldera {
 
@@ -31,12 +28,6 @@ std::string EncodeBtcKey(uint32_t value, uint64_t time);
 /// Decodes a BT_C key into (value, time).
 void DecodeBtcKey(std::string_view key, uint32_t* value, uint64_t* time);
 
-/// Builds a BT_C index over attribute `attr` of an archived stream, indexing
-/// all of its timesteps.
-Result<std::unique_ptr<BTree>> BuildBtcIndexFromStored(
-    StoredStream* stream, size_t attr, const std::string& path,
-    uint32_t page_size = kDefaultPageSize);
-
 /// Iterates, in strictly increasing time order, the timesteps at which ANY
 /// of a set of attribute values has nonzero marginal probability — i.e. the
 /// timesteps relevant to one predicate. Implemented as a k-way merge of the
@@ -47,13 +38,19 @@ class PredicateCursor {
   static Result<PredicateCursor> Create(BTree* tree,
                                         std::vector<uint32_t> values);
 
+  /// One cursor over the union of `cursors` (the "timesteps referenced by
+  /// any C_i" loop of Algorithms 4 and 5): it moves every head of each into
+  /// one k-way merge. Its prob() sums all merged values present at a
+  /// timestep, so a value two cursors share counts twice.
+  static PredicateCursor Union(std::vector<PredicateCursor> cursors);
+
   bool valid() const { return !heads_.empty(); }
 
   /// Current timestep.
   uint64_t time() const;
 
   /// Predicate marginal probability at the current timestep (sum over the
-  /// predicate's values present at this time).
+  /// merged values present at this time).
   double prob() const;
 
   /// Advances to the next relevant timestep (strictly greater time).

@@ -24,30 +24,6 @@ void DecodeBtpKey(std::string_view key, uint32_t* value, double* prob,
   *time = DecodeU64(key.data() + 12);
 }
 
-std::string EncodeBtpEntryKey(const AttributeEntry& entry) {
-  return EncodeBtpKey(entry.value, std::min(entry.prob, 1.0), entry.time);
-}
-
-Result<std::unique_ptr<BTree>> BuildBtpIndexFromStored(
-    StoredStream* stream, size_t attr, const std::string& path,
-    uint32_t page_size) {
-  CALDERA_ASSIGN_OR_RETURN(std::vector<AttributeEntry> entries,
-                           ReadAttributeEntries(stream, attr));
-  std::vector<std::string> keys;
-  keys.reserve(entries.size());
-  for (const AttributeEntry& e : entries) keys.push_back(EncodeBtpEntryKey(e));
-  std::sort(keys.begin(), keys.end());
-  BTreeOptions options;
-  options.key_size = kBtpKeySize;
-  options.value_size = kBtpValueSize;
-  CALDERA_ASSIGN_OR_RETURN(std::unique_ptr<BTreeBuilder> builder,
-                           BTreeBuilder::Create(path, options, page_size));
-  for (const std::string& key : keys) {
-    CALDERA_RETURN_IF_ERROR(builder->Add(key, {}));
-  }
-  return builder->Finish(stream->length());
-}
-
 Result<TopProbCursor> TopProbCursor::Create(BTree* tree,
                                             std::vector<uint32_t> values) {
   if (tree->options().key_size != kBtpKeySize) {

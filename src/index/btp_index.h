@@ -2,14 +2,11 @@
 #define CALDERA_INDEX_BTP_INDEX_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "btree/btree.h"
 #include "common/status.h"
-#include "index/attribute_index.h"
-#include "markov/stream_io.h"
 
 namespace caldera {
 
@@ -29,16 +26,6 @@ inline constexpr uint32_t kBtpValueSize = 0;
 std::string EncodeBtpKey(uint32_t value, double prob, uint64_t time);
 void DecodeBtpKey(std::string_view key, uint32_t* value, double* prob,
                   uint64_t* time);
-
-/// The BT_P key of `entry`. Clamps tiny floating-point overshoots so the
-/// order-preserving prob encoding (which requires p <= 1) never aborts.
-std::string EncodeBtpEntryKey(const AttributeEntry& entry);
-
-/// Builds a BT_P index over attribute `attr` of an archived stream, indexing
-/// all of its timesteps.
-Result<std::unique_ptr<BTree>> BuildBtpIndexFromStored(
-    StoredStream* stream, size_t attr, const std::string& path,
-    uint32_t page_size = kDefaultPageSize);
 
 /// Iterates the (time, probability) entries of one predicate in decreasing
 /// probability order, merging the per-value runs of a BT_P tree.

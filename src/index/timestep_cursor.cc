@@ -5,7 +5,7 @@
 namespace caldera {
 
 // ---------------------------------------------------------------------------
-// IntervalIntersector / IntervalMerger / UnionCursor
+// IntervalIntersector / IntervalMerger
 // ---------------------------------------------------------------------------
 
 Result<std::optional<uint64_t>> IntervalIntersector::Next() {
@@ -63,32 +63,6 @@ std::optional<IntervalMerger::Interval> IntervalMerger::Flush() {
   if (!has_pending_) return std::nullopt;
   has_pending_ = false;
   return pending_;
-}
-
-UnionCursor::UnionCursor(std::vector<PredicateCursor> cursors)
-    : cursors_(std::move(cursors)) {
-  RecomputeMin();
-}
-
-void UnionCursor::RecomputeMin() {
-  min_time_ = UINT64_MAX;
-  for (const PredicateCursor& c : cursors_) {
-    if (c.valid()) min_time_ = std::min(min_time_, c.time());
-  }
-}
-
-bool UnionCursor::valid() const { return min_time_ != UINT64_MAX; }
-
-uint64_t UnionCursor::time() const { return min_time_; }
-
-Status UnionCursor::Next() {
-  for (PredicateCursor& c : cursors_) {
-    if (c.valid() && c.time() == min_time_) {
-      CALDERA_RETURN_IF_ERROR(c.Next());
-    }
-  }
-  RecomputeMin();
-  return Status::Ok();
 }
 
 // ---------------------------------------------------------------------------

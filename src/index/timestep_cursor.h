@@ -142,22 +142,6 @@ class IntervalMerger {
   Interval pending_{0, 0};
 };
 
-/// Iterates the union of several predicate cursors in increasing time order
-/// — the "timesteps referenced by any C_i" loop of Algorithms 4 and 5.
-class UnionCursor {
- public:
-  explicit UnionCursor(std::vector<PredicateCursor> cursors);
-
-  bool valid() const;
-  uint64_t time() const;
-  Status Next();
-
- private:
-  std::vector<PredicateCursor> cursors_;
-  uint64_t min_time_ = 0;
-  void RecomputeMin();
-};
-
 // ---------------------------------------------------------------------------
 // The per-index RelevantTimestepCursor implementations.
 // ---------------------------------------------------------------------------
@@ -217,13 +201,13 @@ class MergeJoinCursor final : public RelevantTimestepCursor {
 class UnionGapCursor final : public RelevantTimestepCursor {
  public:
   explicit UnionGapCursor(std::vector<PredicateCursor> cursors)
-      : union_(std::move(cursors)) {}
+      : union_(PredicateCursor::Union(std::move(cursors))) {}
 
   Result<std::optional<CursorItem>> Next() override;
   const char* name() const override { return "btc-union"; }
 
  private:
-  UnionCursor union_;
+  PredicateCursor union_;
   bool first_ = true;
 };
 

@@ -394,28 +394,32 @@ TEST_F(BTreeTest, CompactedTreeReachesEveryNodePage) {
   ASSERT_TRUE(WriteStream(dir, stream).ok());
   auto stored = StoredStream::Open(dir);
   ASSERT_TRUE(stored.ok()) << stored.status().ToString();
-  auto entries = ReadAttributeEntries(stored->get(), 0);
+  const TreeIndexFile file{0, /*is_btc=*/true, BtcIndexPath(dir, 0)};
+  auto entries = TreeIndexEntries(file, stored->get(), 0);
   ASSERT_TRUE(entries.ok());
+  const size_t num_entries = entries->size() / (kBtcKeySize + kBtcValueSize);
   // A BT_C file over the first half of the stream: compaction merges the
   // second half in from the stream.
   std::map<std::string, std::string> first_half;
-  for (const AttributeEntry& e : *entries) {
-    if (e.time >= 100) continue;
-    std::string prob;
-    PutDouble(e.prob, &prob);
-    first_half.emplace(EncodeBtcKey(e.value, e.time), prob);
+  for (size_t i = 0; i < entries->size(); i += kBtcKeySize + kBtcValueSize) {
+    const std::string key = entries->substr(i, kBtcKeySize);
+    uint32_t value;
+    uint64_t time;
+    DecodeBtcKey(key, &value, &time);
+    if (time < 100) {
+      first_half.emplace(key, entries->substr(i + kBtcKeySize, kBtcValueSize));
+    }
   }
-  const TreeIndexFile file{0, /*is_btc=*/true, BtcIndexPath(dir, 0)};
   auto tree = Build(file.path, {kBtcKeySize, kBtcValueSize}, first_half,
                     /*indexed_length=*/100);
   ASSERT_NE(tree, nullptr);
   auto compacted = CompactTreeIndex(file, stored->get(), tree.get());
   ASSERT_TRUE(compacted.ok()) << compacted.status().ToString();
-  EXPECT_EQ(*compacted, entries->size());
+  EXPECT_EQ(*compacted, num_entries);
   auto reopened = BTree::Open(file.path);
   ASSERT_TRUE(reopened.ok());
   EXPECT_EQ((*reopened)->indexed_length(), 200u);
-  EXPECT_EQ((*reopened)->num_entries(), entries->size());
+  EXPECT_EQ((*reopened)->num_entries(), num_entries);
   EXPECT_GE((*reopened)->height(), 2u);
   EXPECT_TRUE((*reopened)->CheckInvariants().ok());
   EXPECT_EQ(ReachableNodes(file.path), NodePages(file.path));

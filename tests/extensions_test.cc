@@ -5,10 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <iterator>
+#include <map>
+#include <set>
 
 #include "caldera/executor.h"
 #include "caldera/system.h"
 #include "caldera/verify.h"
+#include "common/encoding.h"
 #include "common/logging.h"
 #include "index/mc_index.h"
 #include "rfid/workload.h"
@@ -169,36 +174,77 @@ TEST_F(VerifyTest, CleanArchivePasses) {
   EXPECT_GT(report.mc_entries_checked, 0u);
 }
 
-TEST_F(VerifyTest, DetectsIndexStreamMismatch) {
-  MarkovianStream stream = test::MakeBandedStream(120, 10, 8);
-  StreamArchive archive(scratch_.Path("archive"));
-  ASSERT_TRUE(archive.CreateStream("s", stream).ok());
-  ASSERT_TRUE(archive.BuildBtc("s", 0).ok());
-  // Damage the BT_C without breaking its structure: rebuild it without its
-  // first entry, which is structurally clean but inconsistent with the
-  // stream.
-  {
-    const std::string path = archive.StreamDir("s") + "/btc.attr0.bt";
-    auto tree = BTree::Open(path);
-    ASSERT_TRUE(tree.ok());
-    auto builder = BTreeBuilder::Create(path + ".damaged", (*tree)->options());
-    ASSERT_TRUE(builder.ok());
-    auto cursor = (*tree)->SeekFirst();
-    ASSERT_TRUE(cursor.ok());
-    ASSERT_TRUE(cursor->valid());
-    ASSERT_TRUE(cursor->Next().ok());  // Drops the first entry.
-    while (cursor->valid()) {
-      ASSERT_TRUE((*builder)->Add(cursor->key(), cursor->value()).ok());
-      ASSERT_TRUE(cursor->Next().ok());
-    }
-    ASSERT_TRUE((*builder)->Finish((*tree)->indexed_length()).ok());
-    ASSERT_TRUE(RenameFile(path + ".damaged", path).ok());
+using TreeEdit = std::function<void(std::map<std::string, std::string>*)>;
+
+// fsck of a 120-step stream whose BT_C (btc) or BT_P file is rewritten
+// with its entries passed through `edit`: a tree that is structurally
+// clean but may be inconsistent with the stream.
+Status VerifyWithTreeEdited(const test::ScratchDir& scratch, bool btc,
+                            const TreeEdit& edit) {
+  StreamArchive archive(scratch.Path("archive"));
+  CALDERA_CHECK_OK(
+      archive.CreateStream("s", test::MakeBandedStream(120, 10, 8)));
+  CALDERA_CHECK_OK(btc ? archive.BuildBtc("s", 0) : archive.BuildBtp("s", 0));
+  const std::string path = btc ? BtcIndexPath(archive.StreamDir("s"), 0)
+                               : BtpIndexPath(archive.StreamDir("s"), 0);
+  auto tree = BTree::Open(path);
+  CALDERA_CHECK_OK(tree.status());
+  std::map<std::string, std::string> entries;
+  auto cursor = (*tree)->SeekFirst();
+  CALDERA_CHECK_OK(cursor.status());
+  while (cursor->valid()) {
+    entries.emplace(cursor->key(), cursor->value());
+    CALDERA_CHECK_OK(cursor->Next());
   }
+  edit(&entries);
+  auto builder = BTreeBuilder::Create(path + ".damaged", (*tree)->options());
+  CALDERA_CHECK_OK(builder.status());
+  for (const auto& [key, value] : entries) {
+    CALDERA_CHECK_OK((*builder)->Add(key, value));
+  }
+  CALDERA_CHECK_OK((*builder)->Finish((*tree)->indexed_length()).status());
+  CALDERA_CHECK_OK(RenameFile(path + ".damaged", path));
   auto archived = archive.OpenStream("s");
-  ASSERT_TRUE(archived.ok());
+  CALDERA_CHECK_OK(archived.status());
   VerifyReport report;
-  Status st = VerifyArchivedStream(archived->get(), &report);
-  EXPECT_EQ(st.code(), StatusCode::kCorruption);
+  return VerifyArchivedStream(archived->get(), &report);
+}
+
+TEST_F(VerifyTest, DetectsIndexStreamMismatch) {
+  // A BT_C without its first entry.
+  Status st = VerifyWithTreeEdited(scratch_, true, [](auto* entries) {
+    entries->erase(entries->begin());
+  });
+  EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
+}
+
+TEST_F(VerifyTest, DetectsBtpMissingAnEntry) {
+  Status st = VerifyWithTreeEdited(scratch_, false, [](auto* entries) {
+    entries->erase(std::next(entries->begin(), entries->size() / 2));
+  });
+  EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
+}
+
+TEST_F(VerifyTest, DetectsBtcHoldingAnExtraEntry) {
+  // The last timestep, at a value it has no mass for.
+  Status st = VerifyWithTreeEdited(scratch_, true, [](auto* entries) {
+    uint32_t value = 0;
+    while (entries->count(EncodeBtcKey(value, 119)) > 0) ++value;
+    std::string prob;
+    PutDouble(0.5, &prob);
+    entries->emplace(EncodeBtcKey(value, 119), prob);
+  });
+  EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
+}
+
+TEST_F(VerifyTest, DetectsBtcValueOffByAThousandth) {
+  Status st = VerifyWithTreeEdited(scratch_, true, [](auto* entries) {
+    std::string& value = std::next(entries->begin(), 7)->second;
+    const double prob = GetDouble(value.data());
+    value.clear();
+    PutDouble(prob + 1e-3, &value);
+  });
+  EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
 }
 
 TEST_F(VerifyTest, DetectsStaleIndexAfterStreamSwap) {
@@ -277,6 +323,56 @@ TEST(MultiAttributeTest, PerAttributeIndexesAndCrossAttributeQueries) {
   VerifyReport report;
   Status st = VerifyArchivedStream(archived->get(), &report);
   EXPECT_TRUE(st.ok()) << st.ToString();
+}
+
+// Each tree entry against a mass summed here, outside the library: per
+// (attribute value, t), over the states holding the value, in state order.
+// BT_C values must equal the sums bit for bit and BT_P keys their encodings
+// (clamped to 1), entry for entry, for both attributes.
+TEST(MultiAttributeTest, TreeEntriesEqualPerValueStateSums) {
+  test::ScratchDir scratch("multi_attr_oracle");
+  MarkovianStream stream = MakeTwoAttributeStream(150, 18);
+  StreamArchive archive(scratch.Path("archive"));
+  ASSERT_TRUE(archive.CreateStream("s", stream).ok());
+  for (size_t attr : {0, 1}) {
+    ASSERT_TRUE(archive.BuildBtc("s", attr).ok());
+    ASSERT_TRUE(archive.BuildBtp("s", attr).ok());
+  }
+  auto archived = archive.OpenStream("s");
+  ASSERT_TRUE(archived.ok());
+  for (size_t attr : {0, 1}) {
+    SCOPED_TRACE("attribute " + std::to_string(attr));
+    // Keys compare as bytes, so both containers iterate in tree order.
+    std::map<std::string, double> btc;
+    std::set<std::string> btp;
+    for (uint64_t t = 0; t < stream.length(); ++t) {
+      std::map<uint32_t, double> mass;
+      for (const Distribution::Entry& e : stream.marginal(t).entries()) {
+        mass[stream.schema().AttributeValue(e.value, attr)] += e.prob;
+      }
+      for (const auto& [value, prob] : mass) {
+        btc.emplace(EncodeBtcKey(value, t), prob);
+        btp.insert(EncodeBtpKey(value, std::min(prob, 1.0), t));
+      }
+    }
+    auto c = (*archived)->btc(attr)->SeekFirst();
+    ASSERT_TRUE(c.ok());
+    for (const auto& [key, prob] : btc) {
+      ASSERT_TRUE(c->valid());
+      ASSERT_EQ(c->key(), key);
+      EXPECT_EQ(GetDouble(c->value().data()), prob);
+      ASSERT_TRUE(c->Next().ok());
+    }
+    EXPECT_FALSE(c->valid());
+    auto p = (*archived)->btp(attr)->SeekFirst();
+    ASSERT_TRUE(p.ok());
+    for (const std::string& key : btp) {
+      ASSERT_TRUE(p->valid());
+      ASSERT_EQ(p->key(), key);
+      ASSERT_TRUE(p->Next().ok());
+    }
+    EXPECT_FALSE(p->valid());
+  }
 }
 
 TEST(MultiAttributeTest, MissingAttributeIndexFailsVariableMethod) {

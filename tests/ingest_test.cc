@@ -2119,6 +2119,33 @@ TEST(IngestCompactionTest, CheckpointCompactsDueTreesAndHandlesFollow) {
   ExpectTreesHoldTheSameEntries(system.archive()->StreamDir("oracle"), dir);
 }
 
+// A tree a checkpoint compacted is, byte for byte, the file an offline
+// BuildBtc / BuildBtp writes over the whole stream.
+TEST(IngestCompactionTest, CompactedTreeFilesEqualAnOfflineBuild) {
+  test::ScratchDir scratch("ingest_compaction_bytes");
+  Caldera system(scratch.Path("archive"));
+  ASSERT_TRUE(system.archive()->Init().ok());
+  ArchiveWindowStream(&system, "s", kWindowBase);
+  constexpr uint64_t kAppended = 40;  // Past kWindowBase / 8: both due.
+  {
+    auto ingestor = system.OpenForIngest("s");
+    ASSERT_TRUE(ingestor.ok()) << ingestor.status().ToString();
+    ASSERT_TRUE(
+        (*ingestor)->Append(Slice(WindowStream(), kWindowBase, kAppended))
+            .ok());
+    ASSERT_TRUE((*ingestor)->Checkpoint().ok());
+    EXPECT_GT((*ingestor)->stats().btree_inserts, 0u);
+  }
+  ArchiveWindowStream(&system, "oracle", kWindowBase + kAppended);
+  const std::string got = system.archive()->StreamDir("s");
+  const std::string want = system.archive()->StreamDir("oracle");
+  for (const auto& path : {BtcIndexPath, BtpIndexPath}) {
+    const std::string compacted = ReadWholeFile(path(got, 0));
+    EXPECT_FALSE(compacted.empty());
+    EXPECT_TRUE(compacted == ReadWholeFile(path(want, 0))) << path(got, 0);
+  }
+}
+
 // Sync calls through the stream's files before and after a checkpoint that
 // compacts both trees, on a clean run.
 std::pair<int64_t, int64_t> CompactingCheckpointSyncs() {

@@ -149,7 +149,7 @@ Result<QueryResult> LegacyMcOrSemi(ArchivedStream* archived,
   result.method =
       exact ? AccessMethodKind::kMcIndex : AccessMethodKind::kSemiIndependent;
   RegOperator reg(query, archived->schema());
-  UnionCursor relevant(std::move(cursors));
+  PredicateCursor relevant = PredicateCursor::Union(std::move(cursors));
   Distribution marginal;
   Cpt transition;
   uint64_t t_prev = 0;

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "index/attribute_index.h"
 #include "index/btc_index.h"
 #include "index/btp_index.h"
 #include "markov/stream.h"
@@ -39,8 +40,7 @@ inline Result<std::unique_ptr<BTree>> BuildTreeFromWritten(
   CALDERA_RETURN_IF_ERROR(WriteStream(path + ".stream", stream));
   CALDERA_ASSIGN_OR_RETURN(std::unique_ptr<StoredStream> stored,
                            StoredStream::Open(path + ".stream"));
-  return btc ? BuildBtcIndexFromStored(stored.get(), attr, path)
-             : BuildBtpIndexFromStored(stored.get(), attr, path);
+  return BuildTreeIndex({attr, btc, path}, stored.get());
 }
 
 /// RAII scratch directory under the system temp dir. The path includes the
